@@ -704,4 +704,31 @@ mod tests {
         );
         assert!(r.events_per_sec > 0.0 && r.wall_seconds > 0.0);
     }
+
+    /// The saturated regime — arrivals exceed capacity, so the FCFS queue
+    /// grows into the thousands and the §3.1 shrink-for-queue rule fires —
+    /// pinned to recorded values in the shape of the benchmark's
+    /// `des-saturated` workload. A change to queue handling must reproduce
+    /// every count and the makespan bit for bit.
+    #[test]
+    fn saturated_sweep_is_pinned() {
+        let cfg = ScaleConfig {
+            resizable_percent: 30,
+            max_iterations: 6,
+            target_utilization: 1.25,
+            ..ScaleConfig::new(512, 30_000)
+        }
+        .with_seed(31337);
+        let r = run_scale(&cfg);
+        assert_eq!(r.jobs_finished, 30_000, "{r:?}");
+        assert_eq!(r.events_processed, 135_189, "{r:?}");
+        assert_eq!(r.expansions, 192, "{r:?}");
+        assert_eq!(r.shrinks, 17, "{r:?}");
+        assert_eq!(r.peak_queue_depth, 6_230, "{r:?}");
+        assert_eq!(
+            r.makespan.to_bits(),
+            29498.395341898144_f64.to_bits(),
+            "{r:?}"
+        );
+    }
 }
