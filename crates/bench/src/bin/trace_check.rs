@@ -107,7 +107,7 @@ fn check_federation(spans: &[trace::SpanRecord]) -> Vec<String> {
     let fed = |s: &trace::SpanRecord| {
         trace::is_lease_trace(s.trace) || trace::is_shard_trace(s.trace)
     };
-    if !spans.iter().any(|s| fed(s)) {
+    if !spans.iter().any(&fed) {
         return problems;
     }
 

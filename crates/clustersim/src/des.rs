@@ -28,10 +28,11 @@
 //!
 //! [`run_scale`] sweeps clusters of up to tens of thousands of nodes and
 //! millions of jobs in one process: a single self-scheduling component
-//! drives the real [`SchedulerCore`] (no per-rank threads), with `O(log n)`
-//! queue operations and periodic folding of terminal-job state
-//! ([`SchedulerCore::prune_terminal`]) so memory stays bounded by the
-//! *live* job count, not the trace length.
+//! drives the real [`SchedulerCore`] (no per-rank threads). Both queues on
+//! the path are logarithmic — the [`EventQueue`] in pending events, the
+//! scheduler's job queue in waiting jobs — and terminal-job state is folded
+//! periodically ([`SchedulerCore::prune_terminal`]) so memory stays bounded
+//! by the *live* job count, not the trace length.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -562,8 +563,10 @@ impl EventHandler<ScaleEv> for ScaleDriver {
 }
 
 /// Sweep a synthetic seeded job stream through the real scheduler on the
-/// DES core: single process, single thread, `O(log n)` queue operations,
-/// bounded memory. See [`ScaleConfig`] / [`ScaleReport`].
+/// DES core: single process, single thread, bounded memory; event-queue
+/// operations are `O(log n)` in pending events and scheduler-queue
+/// operations `O(log q)` in waiting jobs. See [`ScaleConfig`] /
+/// [`ScaleReport`].
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
     assert!(cfg.nodes >= 8, "need at least 8 nodes");
     let wall_start = std::time::Instant::now();

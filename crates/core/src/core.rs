@@ -9,7 +9,9 @@
 //! synchronous makes every scheduling experiment deterministic and lets the
 //! same policy code drive both real threads and simulated clusters.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
@@ -190,7 +192,13 @@ pub struct CoreSnapshot {
 pub struct SchedulerCore {
     pool: ResourcePool,
     policy: QueuePolicy,
-    queue: VecDeque<JobId>,
+    /// Waiting jobs in admission order, each with its initial processor
+    /// need. Higher priority first, submission order among equals: ids are
+    /// monotone and only `submit_inner` inserts, so the key order *is* the
+    /// queue order and insert, head peek and removal are all `O(log q)`.
+    /// A requeue path would break that and need an explicit sequence
+    /// number in the key.
+    queue: BTreeMap<(Reverse<u8>, JobId), usize>,
     jobs: HashMap<JobId, JobRecord>,
     profiler: Profiler,
     next_id: u64,
@@ -242,7 +250,7 @@ impl SchedulerCore {
         SchedulerCore {
             pool: ResourcePool::new(total_procs),
             policy,
-            queue: VecDeque::new(),
+            queue: BTreeMap::new(),
             jobs: HashMap::new(),
             profiler: Profiler::new(),
             next_id: 1,
@@ -574,7 +582,7 @@ impl SchedulerCore {
         CoreSnapshot {
             total_procs: self.pool.total(),
             free_slots: self.pool.free_slots(),
-            queue: self.queue.iter().copied().collect(),
+            queue: self.queue.keys().map(|&(_, id)| id).collect(),
             jobs: self.jobs.iter().map(|(k, v)| (*k, v.clone())).collect(),
             profiles: self
                 .profiler
@@ -730,7 +738,8 @@ impl SchedulerCore {
         self.tick(now);
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let priority = spec.priority;
+        let key = (Reverse(spec.priority), id);
+        let need = spec.initial.procs();
         self.jobs.insert(
             id,
             JobRecord {
@@ -745,12 +754,13 @@ impl SchedulerCore {
         if let Some(r) = reservation {
             self.bindings.insert(id, r);
         }
-        let pos = self
-            .queue
-            .iter()
-            .position(|j| self.jobs[j].spec.priority < priority)
-            .unwrap_or(self.queue.len());
-        self.queue.insert(pos, id);
+        // With nothing waiting this job is the only candidate: if it fits
+        // it starts without ever entering the index, so an idle cluster
+        // pays nothing for the queue.
+        let direct = self.queue.is_empty() && need <= self.available_for(now, Some(id));
+        if !direct {
+            self.queue.insert(key, need);
+        }
         self.push_event(SchedEvent {
             time: now,
             job: id,
@@ -774,7 +784,32 @@ impl SchedulerCore {
             trace::set_head(id.0, root);
             self.trace_ids.insert(id, (root, qw));
         }
+        if direct {
+            return (id, vec![self.start(id, need, now)]);
+        }
         (id, self.schedule_now(now))
+    }
+
+    /// Start a job that fits: allocate its initial processors and mark it
+    /// running. The caller has checked `need` against
+    /// [`SchedulerCore::available_for`], and the job has no queue entry
+    /// (removed, or never inserted).
+    fn start(&mut self, id: JobId, need: usize, now: f64) -> StartAction {
+        let slots = self.pool.allocate(need).expect("checked idle count");
+        let rec = self.jobs.get_mut(&id).expect("queued job exists");
+        let config = rec.spec.initial;
+        rec.state = JobState::Running { config };
+        rec.slots = slots.clone();
+        rec.started_at = Some(now);
+        self.push_event(SchedEvent {
+            time: now,
+            job: id,
+            kind: EventKind::Started { config },
+        });
+        if let Some(&(_, qw)) = self.trace_ids.get(&id) {
+            reshape_telemetry::trace::end(qw, now);
+        }
+        StartAction { job: id, config, slots }
     }
 
     /// Run the queue policy against the free pool.
@@ -790,36 +825,23 @@ impl SchedulerCore {
     fn schedule_now(&mut self, now: f64) -> Vec<StartAction> {
         self.tick(now);
         let mut actions = Vec::new();
-        let mut i = 0;
-        while i < self.queue.len() {
-            let id = self.queue[i];
-            let need = self.jobs[&id].spec.initial.procs();
+        // One in-order pass admits everything that can start: idle capacity
+        // only falls during a pass and a job's grantable share never rises
+        // as idle falls, so a job passed over once stays passed over.
+        let mut after = Bound::Unbounded;
+        while let Some((&key, &need)) = self.queue.range((after, Bound::Unbounded)).next() {
+            let id = key.1;
             if need <= self.available_for(now, Some(id)) {
-                let slots = self.pool.allocate(need).expect("checked idle count");
-                let rec = self.jobs.get_mut(&id).expect("queued job exists");
-                let config = rec.spec.initial;
-                rec.state = JobState::Running { config };
-                rec.slots = slots.clone();
-                rec.started_at = Some(now);
-                self.queue.remove(i);
-                self.push_event(SchedEvent {
-                    time: now,
-                    job: id,
-                    kind: EventKind::Started { config },
-                });
-                if let Some(&(_, qw)) = self.trace_ids.get(&id) {
-                    reshape_telemetry::trace::end(qw, now);
-                }
-                actions.push(StartAction { job: id, config, slots });
-                // Restart from the head: starting a job may unblock nothing,
-                // but keeping strict order costs little.
-                i = 0;
-            } else {
-                match self.policy {
-                    QueuePolicy::Fcfs => break,
-                    QueuePolicy::Backfill => i += 1,
-                }
+                self.queue.remove(&key);
+                actions.push(self.start(id, need, now));
+            } else if self.policy == QueuePolicy::Fcfs {
+                break;
             }
+            // Every job needs at least one processor.
+            if self.pool.idle() == 0 {
+                break;
+            }
+            after = Bound::Excluded(key);
         }
         actions
     }
@@ -861,16 +883,12 @@ impl SchedulerCore {
         self.profiler
             .record_iteration(job, current, iter_time, redist_time);
 
-        let spec = rec.spec.clone();
+        let spec = &rec.spec;
         // Reserved-but-not-yet-covered processors behave like queued demand:
         // they block expansion and drive the shrink rule, so running jobs
         // vacate reserved capacity at their resize points.
         let deficit = self.reservation_deficit(now);
-        let head_need = self
-            .queue
-            .front()
-            .map(|j| self.jobs[j].spec.initial.procs());
-        let queue_head_need = match (head_need, deficit) {
+        let queue_head_need = match (self.queue_head_need(), deficit) {
             (None, 0) => None,
             (None, d) => Some(d),
             (Some(h), d) => Some(h + d),
@@ -881,7 +899,7 @@ impl SchedulerCore {
                 .profile(job)
                 .map(|p| p.history().len())
                 .unwrap_or(0);
-            self.jobs[&job].spec.iterations.saturating_sub(done)
+            spec.iterations.saturating_sub(done)
         };
         let snapshot = SystemSnapshot {
             idle_procs: self.available_for(now, Some(job)),
@@ -893,7 +911,7 @@ impl SchedulerCore {
         let max_procs = self.pool.owned();
         let decision = decide_with(
             self.remap_policy,
-            &spec,
+            spec,
             current,
             self.profiler.profile(job).expect("just recorded"),
             &snapshot,
@@ -1056,11 +1074,14 @@ impl SchedulerCore {
             if !rec.state.is_active() {
                 return Vec::new();
             }
+            // Only a job still waiting has an entry in the index.
+            if rec.state == JobState::Queued {
+                self.queue.remove(&(Reverse(rec.spec.priority), job));
+            }
             let slots = std::mem::take(&mut rec.slots);
             rec.state = JobState::Finished { at: now };
             rec.finished_at = Some(now);
             self.pool.release(&slots);
-            self.queue.retain(|&j| j != job);
             self.push_event(SchedEvent {
                 time: now,
                 job,
@@ -1091,6 +1112,9 @@ impl SchedulerCore {
         }
         self.tick(now);
         if let Some(rec) = self.jobs.get_mut(&job) {
+            if rec.state == JobState::Queued {
+                self.queue.remove(&(Reverse(rec.spec.priority), job));
+            }
             let slots = std::mem::take(&mut rec.slots);
             rec.state = JobState::Failed {
                 at: now,
@@ -1100,7 +1124,6 @@ impl SchedulerCore {
             if !self.chaos_leak_on_failure {
                 self.pool.release(&slots);
             }
-            self.queue.retain(|&j| j != job);
             self.push_event(SchedEvent {
                 time: now,
                 job,
@@ -1269,7 +1292,7 @@ impl SchedulerCore {
             JobState::Queued => {
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
-                self.queue.retain(|&j| j != job);
+                self.queue.remove(&(Reverse(rec.spec.priority), job));
                 self.push_event(SchedEvent {
                     time: now,
                     job,
@@ -1577,9 +1600,7 @@ impl SchedulerCore {
     /// Initial processor need of the queue head, if any — what a starved
     /// shard asks the federation to cover with a lease.
     pub fn queue_head_need(&self) -> Option<usize> {
-        self.queue
-            .front()
-            .map(|j| self.jobs[j].spec.initial.procs())
+        self.queue.first_key_value().map(|(_, &need)| need)
     }
 
     // ------------------------------------------------------------------

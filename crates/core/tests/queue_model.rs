@@ -124,6 +124,19 @@ fn spec(procs: usize, priority: u8) -> JobSpec {
     .with_priority(priority)
 }
 
+/// A random active job — one that never left the queue, or a running one —
+/// and whether it was still queued.
+fn pick_active(rng: &mut SplitMix64, queue: &[JobId], running: &[JobId]) -> Option<(JobId, bool)> {
+    let from_queue = running.is_empty() || rng.below(2) == 0;
+    if from_queue && !queue.is_empty() {
+        Some((queue[rng.below(queue.len())], true))
+    } else if !running.is_empty() {
+        Some((running[rng.below(running.len())], false))
+    } else {
+        None
+    }
+}
+
 #[derive(Default)]
 struct Coverage {
     peak_queue: usize,
@@ -171,26 +184,15 @@ fn run(seed: u64, policy: QueuePolicy, ops: usize, cov: &mut Coverage) {
                 got = Some(core.on_finished(id, now));
             }
             65..=69 => {
-                // Fail a running job, or one that never left the queue.
-                let from_queue = running.is_empty() || rng.below(2) == 0;
-                let id = if from_queue && !m.queue.is_empty() {
-                    cov.queued_failures += 1;
-                    m.queue[rng.below(m.queue.len())]
-                } else if !running.is_empty() {
-                    running[rng.below(running.len())]
-                } else {
+                let Some((id, was_queued)) = pick_active(&mut rng, &m.queue, &running) else {
                     continue;
                 };
+                cov.queued_failures += was_queued as usize;
                 m.retire(id);
                 got = Some(core.on_failed(id, "injected".into(), now));
             }
             70..=77 => {
-                let from_queue = running.is_empty() || rng.below(2) == 0;
-                let id = if from_queue && !m.queue.is_empty() {
-                    m.queue[rng.below(m.queue.len())]
-                } else if !running.is_empty() {
-                    running[rng.below(running.len())]
-                } else {
+                let Some((id, _)) = pick_active(&mut rng, &m.queue, &running) else {
                     continue;
                 };
                 m.retire(id);
@@ -249,7 +251,11 @@ fn run(seed: u64, policy: QueuePolicy, ops: usize, cov: &mut Coverage) {
                 .count();
             assert_eq!(started, expected, "started jobs diverged: {ctx}");
         }
-        assert_eq!(core.snapshot().queue, m.queue, "queue order diverged: {ctx}");
+        assert_eq!(
+            core.snapshot().queue,
+            m.queue,
+            "queue order diverged: {ctx}"
+        );
         assert_eq!(core.queue_len(), m.queue.len(), "{ctx}");
         assert_eq!(
             core.queue_head_need(),
@@ -264,15 +270,19 @@ fn run(seed: u64, policy: QueuePolicy, ops: usize, cov: &mut Coverage) {
     }
 }
 
-/// 256 seeds; every eighth runs long enough for the queue to reach the
+/// 256 seeds; every sixteenth runs long enough for the queue to reach the
 /// hundreds, the rest stay short and cover more early states.
 fn sweep(policy: QueuePolicy) {
     let mut cov = Coverage::default();
     for seed in 0..256u64 {
-        let ops = if seed % 8 == 0 { 900 } else { 200 };
+        let ops = if seed % 16 == 0 { 900 } else { 200 };
         run(seed, policy, ops, &mut cov);
     }
-    assert!(cov.peak_queue >= 200, "queue only reached {}", cov.peak_queue);
+    assert!(
+        cov.peak_queue >= 200,
+        "queue only reached {}",
+        cov.peak_queue
+    );
     assert!(cov.shrinks > 0, "no resize point shrank");
     assert!(cov.reserved_starts > 0, "no reservation-bound job started");
     assert!(cov.queued_failures > 0, "no still-queued job failed");

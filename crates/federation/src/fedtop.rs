@@ -20,8 +20,8 @@ pub fn frame(fed: &Federation, t: f64) -> String {
     let _ = writeln!(s, "── federation @ t={t:<9.2} ─────────────────────────────────");
     let _ = writeln!(
         s,
-        "{:>5}  {:<5} {:>5} {:>5} {:>5} {:>5} {:>8}  {}",
-        "shard", "state", "epoch", "queue", "idle", "lent", "borrowed", "flags"
+        "{:>5}  {:<5} {:>5} {:>5} {:>5} {:>5} {:>8}  flags",
+        "shard", "state", "epoch", "queue", "idle", "lent", "borrowed"
     );
     for sh in fed.shards() {
         let (state, epoch, idle, lent, borrowed) = match sh.core() {
@@ -82,8 +82,8 @@ pub fn frame(fed: &Federation, t: f64) -> String {
     if total > 0 {
         let _ = writeln!(
             s,
-            "{:>4}  {:<7} {:<9} {:>5} {:>9}  {}",
-            "id", "route", "phase", "procs", "expires", "flags"
+            "{:>4}  {:<7} {:<9} {:>5} {:>9}  flags",
+            "id", "route", "phase", "procs", "expires"
         );
     }
     for l in fed.leases() {

@@ -134,11 +134,11 @@ impl<'a> DesHarness<'a> {
     /// Returns the statistics and the final core.
     pub fn finish(mut self) -> Result<(RunStats, SchedulerCore), String> {
         while self.step()? {}
-        let need: BTreeMap<JobId, usize> = self
+        let need: BTreeMap<JobId, (u8, usize)> = self
             .ids
             .iter()
             .zip(&self.sc.jobs)
-            .filter_map(|(id, p)| id.map(|id| (id, p.spec.initial.procs())))
+            .filter_map(|(id, p)| id.map(|id| (id, (p.spec.priority, p.spec.initial.procs()))))
             .collect();
         oracle::check_trace(&self.core, self.core.events(), &need, self.sc.policy)
             .map_err(|e| self.fail(e))?;

@@ -12,9 +12,10 @@
 //!   not have fit; every job reaches a terminal state; the cluster drains
 //!   back to fully idle.
 //!
-//! Both assume a priority-flat, reservation-free workload (what the
-//! scenario generator produces).
+//! Both assume a reservation-free workload (what the scenario generator
+//! produces); priorities may be mixed.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use reshape_core::{EventKind, JobId, JobState, QueuePolicy, SchedEvent, SchedulerCore};
@@ -82,11 +83,11 @@ pub fn check_invariants(core: &SchedulerCore) -> Result<(), String> {
 
 /// End-of-run checks: every job terminal, cluster drained, and the event
 /// trace respects the queue policy's admission order. `need` maps each job
-/// to its initial processor request.
+/// to its `(priority, initial processor request)`.
 pub fn check_trace(
     core: &SchedulerCore,
     events: &[SchedEvent],
-    need: &BTreeMap<JobId, usize>,
+    need: &BTreeMap<JobId, (u8, usize)>,
     policy: QueuePolicy,
 ) -> Result<(), String> {
     for (id, rec) in core.jobs() {
@@ -107,33 +108,38 @@ pub fn check_trace(
 /// Replay the trace, tracking who is queued and how many processors are
 /// busy, and judge every `Started` event against the queue policy.
 ///
-/// Queue order is submission order (JobIds are assigned in submission
-/// order and the generator keeps priorities flat). For FCFS a start while
-/// an earlier job waits is always a violation; for backfill it is legal
-/// only if the bypassed job could not have fit the idle processors at that
-/// instant — exactly the check `try_schedule` makes, so any divergence is
-/// a scheduler bug, not model drift.
+/// Queue order is higher priority first, then submission order (JobIds are
+/// assigned in submission order) — "earlier" below means ahead in that
+/// order. For FCFS a start while an earlier job waits is always a
+/// violation; for backfill it is legal only if the bypassed job could not
+/// have fit the idle processors at that instant — exactly the check
+/// `try_schedule` makes, so any divergence is a scheduler bug, not model
+/// drift.
 fn check_admission_order(
     events: &[SchedEvent],
-    need: &BTreeMap<JobId, usize>,
+    need: &BTreeMap<JobId, (u8, usize)>,
     policy: QueuePolicy,
     total: usize,
 ) -> Result<(), String> {
-    let mut queued: BTreeSet<JobId> = BTreeSet::new();
+    let key = |job: JobId| {
+        need.get(&job)
+            .map(|&(priority, _)| (Reverse(priority), job))
+            .ok_or_else(|| format!("{job} missing from need map"))
+    };
+    let mut queued: BTreeSet<(Reverse<u8>, JobId)> = BTreeSet::new();
     let mut running: BTreeMap<JobId, usize> = BTreeMap::new();
     let mut busy = 0usize;
     for e in events {
         match &e.kind {
             EventKind::Submitted => {
-                queued.insert(e.job);
+                queued.insert(key(e.job)?);
             }
             EventKind::Started { config } => {
-                queued.remove(&e.job);
+                let started = key(e.job)?;
+                queued.remove(&started);
                 let idle = total - busy;
-                for earlier in queued.iter().filter(|q| **q < e.job) {
-                    let earlier_need = *need
-                        .get(earlier)
-                        .ok_or_else(|| format!("{earlier} missing from need map"))?;
+                for (_, earlier) in queued.range(..started) {
+                    let earlier_need = need[earlier].1;
                     match policy {
                         QueuePolicy::Fcfs => {
                             return Err(format!(
@@ -166,7 +172,7 @@ fn check_admission_order(
                 busy = busy + from.procs() - prev;
             }
             EventKind::Finished | EventKind::Failed { .. } | EventKind::Cancelled => {
-                queued.remove(&e.job);
+                queued.remove(&key(e.job)?);
                 busy -= running.remove(&e.job).unwrap_or(0);
             }
         }
@@ -231,15 +237,46 @@ mod tests {
             ),
         ];
         let mut need = BTreeMap::new();
-        need.insert(JobId(1), 2);
-        need.insert(JobId(2), 2);
+        need.insert(JobId(1), (0, 2));
+        need.insert(JobId(2), (0, 2));
         let err = check_admission_order(&events, &need, QueuePolicy::Fcfs, 8).unwrap_err();
         assert!(err.contains("FCFS violated"));
         // The same trace is also an illegal backfill (job 1 would have fit).
         let err = check_admission_order(&events, &need, QueuePolicy::Backfill, 8).unwrap_err();
         assert!(err.contains("backfill violated"));
         // ... but a legal backfill when job 1 cannot fit.
-        need.insert(JobId(1), 16);
+        need.insert(JobId(1), (0, 16));
         check_admission_order(&events, &need, QueuePolicy::Backfill, 8).unwrap();
+    }
+
+    #[test]
+    fn priority_bypass_is_flagged() {
+        // Job 1 (priority 0) was submitted first, but job 2 (priority 5)
+        // queues ahead of it: starting job 1 while job 2 fits is illegal.
+        let mk = |job, kind| SchedEvent {
+            time: 0.0,
+            job: JobId(job),
+            kind,
+        };
+        let events = vec![
+            mk(1, EventKind::Submitted),
+            mk(2, EventKind::Submitted),
+            mk(
+                1,
+                EventKind::Started {
+                    config: ProcessorConfig::linear(2),
+                },
+            ),
+        ];
+        let mut need = BTreeMap::new();
+        need.insert(JobId(1), (0, 2));
+        need.insert(JobId(2), (5, 2));
+        let err = check_admission_order(&events, &need, QueuePolicy::Fcfs, 8).unwrap_err();
+        assert!(err.contains("FCFS violated"));
+        let err = check_admission_order(&events, &need, QueuePolicy::Backfill, 8).unwrap_err();
+        assert!(err.contains("backfill violated"));
+        // With flat priorities the same trace is plain submission order.
+        need.insert(JobId(2), (0, 2));
+        check_admission_order(&events, &need, QueuePolicy::Fcfs, 8).unwrap();
     }
 }

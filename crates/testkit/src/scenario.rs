@@ -146,8 +146,9 @@ fn gen_spec(rng: &mut SplitMix64, index: usize, iterations: usize) -> JobSpec {
             iterations,
         ),
     };
-    // The admission-order oracle assumes a priority-flat queue; ~1 in 5
-    // jobs is statically scheduled as in the paper's mixed workloads.
+    // Priorities stay flat (the queue-model test in `reshape-core` mixes
+    // them); ~1 in 5 jobs is statically scheduled as in the paper's mixed
+    // workloads.
     if rng.chance(1, 5) {
         spec.static_job()
     } else {
