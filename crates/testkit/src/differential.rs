@@ -1,12 +1,13 @@
 //! Differential redistribution checker.
 //!
-//! The redist crate ships four independent 2-D data paths (the paper's
-//! contention-free schedule, the naive single-step baseline, the
-//! generalized block-size-changing executor, and the checkpoint/restart
-//! funnel) and two 1-D paths. For any source/destination layout they must
-//! all produce the *bitwise identical* destination matrix — and under an
-//! injected node death, all fault-checked variants must refuse to move a
-//! single element.
+//! The redist crate ships five 2-D data paths (the paper's contention-free
+//! schedule, the naive single-step baseline, the generalized
+//! block-size-changing executor, the checkpoint/restart funnel, and the
+//! transactional commit of the paper's schedule) and two 1-D paths. For any
+//! source/destination layout they must all produce the *bitwise identical*
+//! destination matrix — and under an injected node death, all fault-checked
+//! variants must refuse to move a single element. [`executor_traffic`]
+//! additionally pins what each scheduled path puts on the wire.
 //!
 //! Each path runs in its own fresh [`Universe`] over identical seeded
 //! inputs; destination panels are written into a shared full-matrix image
@@ -19,13 +20,13 @@ use reshape_mpisim::{NetModel, Universe};
 use reshape_redist::{
     checkpoint_redistribute, plan_1d, plan_2d, plan_general_1d, plan_general_2d, plan_naive_2d,
     redistribute_1d, redistribute_2d, redistribute_general_1d, redistribute_general_2d,
-    try_checkpoint_redistribute, try_redistribute_2d, try_redistribute_general_2d,
-    CheckpointParams,
+    try_checkpoint_redistribute, try_redistribute_1d, try_redistribute_2d,
+    try_redistribute_general_2d, txn_redistribute_2d, CheckpointParams,
 };
 
 use crate::rng::SplitMix64;
 
-/// One randomized 2-D layout pair. All four 2-D paths must agree on it.
+/// One randomized 2-D layout pair. All five 2-D paths must agree on it.
 #[derive(Clone, Copy, Debug)]
 pub struct Case2d {
     pub m: usize,
@@ -37,7 +38,7 @@ pub struct Case2d {
 }
 
 /// Draw a 2-D case. Grids are kept ≤ 3×3 so a full differential sweep over
-/// four paths stays fast; matrix shapes and block sizes are ragged on
+/// five paths stays fast; matrix shapes and block sizes are ragged on
 /// purpose.
 pub fn gen_case_2d(rng: &mut SplitMix64) -> Case2d {
     Case2d {
@@ -65,13 +66,15 @@ enum Path2d {
     Naive,
     General,
     Checkpoint,
+    Txn,
 }
 
-const ALL_2D: [Path2d; 4] = [
+const ALL_2D: [Path2d; 5] = [
     Path2d::Planned,
     Path2d::Naive,
     Path2d::General,
     Path2d::Checkpoint,
+    Path2d::Txn,
 ];
 
 /// Run one 2-D path to completion and return the assembled destination
@@ -107,6 +110,8 @@ fn run_path_2d(case: &Case2d, which: Path2d) -> Vec<u64> {
                 &CheckpointParams::default(),
                 None,
             ),
+            Path2d::Txn => txn_redistribute_2d(&comm, &plan_2d(src_desc, dst_desc), src.as_ref())
+                .expect("every rank is alive, so the transaction commits"),
         };
         if let Some(mat) = got {
             let mut buf = out.lock().expect("image lock");
@@ -190,19 +195,23 @@ pub fn differential_1d(n: usize, b: usize, p: usize, q: usize) -> Result<(), Str
     Ok(())
 }
 
-/// Every fault-checked 2-D variant must abort — identically, and without
-/// touching the source — when a rank in the layout is dead.
+/// Every fault-aware variant must abort — identically, and without touching
+/// the source — when a rank in the layout is dead.
 pub fn dead_rank_aborts_2d() -> Result<(), String> {
     #[derive(Clone, Copy)]
     enum TryPath {
         Planned,
         General,
         Checkpoint,
+        Txn,
+        Planned1d,
     }
     for (label, which) in [
         ("planned", TryPath::Planned),
         ("general", TryPath::General),
         ("checkpoint", TryPath::Checkpoint),
+        ("txn", TryPath::Txn),
+        ("planned-1d", TryPath::Planned1d),
     ] {
         let verdicts = Arc::new(Mutex::new(Vec::<usize>::new()));
         let sink = verdicts.clone();
@@ -218,7 +227,8 @@ pub fn dead_rank_aborts_2d() -> Result<(), String> {
                 comm.advance(0.001);
             }
             let src = DistMatrix::from_fn(s, me / 2, me % 2, value);
-            let snapshot: Vec<u64> = src.local_data().to_vec();
+            let src_1d = DistVector::from_fn(16, 2, me, 4, |g| value(g, 0));
+            let snapshot = (src.local_data().to_vec(), src_1d.local_data().to_vec());
             let err = match which {
                 TryPath::Planned => try_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
                     .expect_err("must abort"),
@@ -235,8 +245,18 @@ pub fn dead_rank_aborts_2d() -> Result<(), String> {
                     None,
                 )
                 .expect_err("must abort"),
+                TryPath::Txn => txn_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
+                    .expect_err("must abort"),
+                TryPath::Planned1d => {
+                    try_redistribute_1d(&comm, &plan_1d(16, 2, 4, 2), Some(&src_1d))
+                        .expect_err("must abort")
+                }
             };
-            assert_eq!(snapshot, src.local_data(), "abort moved data");
+            assert_eq!(
+                (src.local_data(), src_1d.local_data()),
+                (&snapshot.0[..], &snapshot.1[..]),
+                "abort moved data"
+            );
             sink.lock().expect("verdict lock").push(err.dead_rank);
             // Hold every survivor until all three have scanned liveness, so
             // a finished peer is not mistaken for a dead one.
@@ -261,6 +281,87 @@ pub fn dead_rank_aborts_2d() -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The scheduled executor paths whose wire traffic [`executor_traffic`]
+/// measures, one fixed layout pair each.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TrafficPath {
+    /// `redistribute_2d`, 17×23 in 3×2 blocks, 2×2 → 2×3.
+    PlannedExpand,
+    /// `redistribute_2d`, the same matrix 2×3 → 2×2.
+    PlannedShrink,
+    /// `redistribute_2d` over `plan_naive_2d`, 2×2 → 2×3.
+    Naive,
+    /// `redistribute_general_2d`, 20×24 from 2×3 blocks on 2×2 to 5×4
+    /// blocks on 3×2.
+    General2d,
+    /// `redistribute_1d`, 37 elements in blocks of 3, 3 → 5 ranks.
+    Planned1d,
+    /// `redistribute_general_1d`, 50 elements, blocks 3 → 7, 2 → 4 ranks.
+    General1d,
+    /// `txn_redistribute_2d` committing the `PlannedExpand` move.
+    TxnCommit,
+}
+
+/// Run one path on its fixed case over Gigabit Ethernet and return, per
+/// rank, `(messages sent, payload bytes sent, bits of the virtual clock)`
+/// as the call returns. Message order and payload sizes fix all three, so a
+/// pinned table of these detects any change to what an executor sends.
+pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
+    let ranks = match path {
+        TrafficPath::Planned1d => 5,
+        TrafficPath::General1d => 4,
+        _ => 6,
+    };
+    let seen = Arc::new(Mutex::new(vec![(0u64, 0u64, 0u64); ranks]));
+    let sink = seen.clone();
+    let uni = Universe::new(ranks, 1, NetModel::gigabit_ethernet());
+    uni.launch(ranks, None, "traffic", move |comm| {
+        let me = comm.rank();
+        let mat = |d: Descriptor| {
+            (me < d.nprow * d.npcol)
+                .then(|| DistMatrix::from_fn(d, me / d.npcol, me % d.npcol, value))
+        };
+        let vec = |n, b, procs| {
+            (me < procs).then(|| DistVector::from_fn(n, b, me, procs, |g| value(g, 0)))
+        };
+        let narrow = Descriptor::new(17, 23, 3, 2, 2, 2);
+        let wide = Descriptor::new(17, 23, 3, 2, 2, 3);
+        match path {
+            TrafficPath::PlannedExpand => {
+                redistribute_2d(&comm, &plan_2d(narrow, wide), mat(narrow).as_ref());
+            }
+            TrafficPath::PlannedShrink => {
+                redistribute_2d(&comm, &plan_2d(wide, narrow), mat(wide).as_ref());
+            }
+            TrafficPath::Naive => {
+                redistribute_2d(&comm, &plan_naive_2d(narrow, wide), mat(narrow).as_ref());
+            }
+            TrafficPath::General2d => {
+                let s = Descriptor::new(20, 24, 2, 3, 2, 2);
+                let d = Descriptor::new(20, 24, 5, 4, 3, 2);
+                redistribute_general_2d(&comm, &plan_general_2d(s, d), mat(s).as_ref());
+            }
+            TrafficPath::Planned1d => {
+                redistribute_1d(&comm, &plan_1d(37, 3, 3, 5), vec(37, 3, 3).as_ref());
+            }
+            TrafficPath::General1d => {
+                let plan = plan_general_1d(50, 3, 2, 7, 4);
+                redistribute_general_1d(&comm, &plan, vec(50, 3, 2).as_ref());
+            }
+            TrafficPath::TxnCommit => {
+                txn_redistribute_2d(&comm, &plan_2d(narrow, wide), mat(narrow).as_ref())
+                    .expect("every rank is alive, so the transaction commits");
+            }
+        }
+        let stats = comm.stats();
+        sink.lock().expect("traffic lock")[me] =
+            (stats.msgs_sent(), stats.bytes_sent(), comm.vtime().to_bits());
+    })
+    .join_ok();
+    let seen = seen.lock().expect("traffic lock").clone();
+    seen
 }
 
 #[cfg(test)]
