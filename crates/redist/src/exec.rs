@@ -1,4 +1,6 @@
-//! Schedule executor: moves a real distributed matrix between grids.
+//! The schedule executor: every scheduled redistribution in this crate —
+//! planned or naive or general, 1-D or 2-D, direct or transactional — is
+//! lowered to one [`Schedule`] and run by the one step loop in [`execute`].
 //!
 //! The executor runs over a single communicator covering `max(P, Q)` ranks,
 //! where the old grid occupies ranks `0..P` (row-major) and the new grid
@@ -6,21 +8,100 @@
 //! expansion the parents keep the low ranks of the merged communicator, and
 //! on shrink the retained subset is the low ranks of the old one.
 //!
+//! A schedule is a list of steps, each a list of [`GTransfer2d`] moves: one
+//! coalesced message carrying every element whose global row lies in one of
+//! the move's row runs and whose global column lies in one of its column
+//! runs. A general 2-D plan already is that; a
+//! [`Transfer2d`](crate::Transfer2d) becomes it with one run per block; and
+//! a 1-D transfer becomes it on a `1 × n` descriptor, because a
+//! [`DistVector`]'s local data is bit-for-bit the local panel of
+//! `Descriptor::new(1, n, 1, nb, 1, p)`. Every run lies inside one block of
+//! both layouts, so it is contiguous in the row-major local panel on both
+//! sides and [`pack`] / [`unpack`] copy it as a slice.
+//!
 //! Steps execute in order; within a step each rank fires at most one send
 //! and completes at most one receive (the schedule is a partial
 //! permutation). The paper arms MPI persistent requests per step; buffered
-//! sends give identical semantics here, and receive buffers are reused
+//! sends give identical semantics here, and the receive buffer is reused
 //! across steps.
 
-use reshape_blockcyclic::DistMatrix;
+use std::borrow::Cow;
+use std::ops::Range;
+use std::time::Instant;
+
+use reshape_blockcyclic::{g2l, Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, Pod};
 
-use crate::plan2d::{Redist2d, Transfer2d};
+use crate::fault::RedistAbort;
+use crate::general2d::GTransfer2d;
+use crate::plan1d::Redist1d;
+use crate::plan2d::Redist2d;
 
-/// Base of the tag range used by redistribution steps. Redistribution runs
-/// at a resize point with no other application traffic in flight, so a fixed
-/// range is safe; it is kept far from small user tags as defense in depth.
+/// Base of the tag range used by [`redistribute_2d`]'s steps. Redistribution
+/// runs at a resize point with no other application traffic in flight, so a
+/// fixed range is safe; it is kept far from small user tags as defense in
+/// depth. Every other entry point has its own range (`8_100_000` txn,
+/// `8_200_000` 1-D, `8_300_000` general 1-D, `8_400_000` general 2-D).
 const TAG_REDIST_BASE: u32 = 8_000_000;
+/// Tag of the staged mode's all-to-all commit vote round.
+const TAG_TXN_VOTE: u32 = 8_199_000;
+
+const VOTE_OK: u64 = 1;
+const VOTE_ABORT: u64 = 0;
+
+/// A plan of any kind, lowered to what the step loop needs.
+pub(crate) struct Schedule<'a> {
+    pub src: Descriptor,
+    pub dst: Descriptor,
+    /// Step `t`'s messages carry tag `tag_base + t`.
+    pub tag_base: u32,
+    pub steps: Cow<'a, [Vec<GTransfer2d>]>,
+}
+
+impl Schedule<'_> {
+    /// Every rank the schedule can name as a source or destination.
+    pub fn world(&self) -> usize {
+        (self.src.nprow * self.src.npcol).max(self.dst.nprow * self.dst.npcol)
+    }
+}
+
+/// When received elements reach the destination panel.
+#[derive(Clone, Copy)]
+pub(crate) enum Commit {
+    /// `send` / `recv_into`, each payload unpacked as it arrives. A dead
+    /// peer panics or wedges the transport mid-move.
+    Direct,
+    /// `try_send` / `recv_or_failed` into shadow buffers, then an all-to-all
+    /// vote; the destination panel is written only if every rank voted OK.
+    Staged,
+}
+
+/// Lower a plan's `steps`, one transfer at a time.
+pub(crate) fn lower_steps<X>(
+    steps: &[Vec<X>],
+    lower: impl Fn(&X) -> GTransfer2d,
+) -> Cow<'static, [Vec<GTransfer2d>]> {
+    steps.iter().map(|step| step.iter().map(&lower).collect()).collect()
+}
+
+/// The runs covering global blocks `blocks` of `plan`'s dimension.
+pub(crate) fn block_runs(plan: &Redist1d, blocks: &[usize]) -> Vec<(usize, usize)> {
+    blocks.iter().map(|&k| (k * plan.b, plan.block_len(k))).collect()
+}
+
+pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
+    Schedule {
+        src: plan.src,
+        dst: plan.dst,
+        tag_base: TAG_REDIST_BASE,
+        steps: lower_steps(&plan.steps, |t| GTransfer2d {
+            src: t.src,
+            dst: t.dst,
+            row_runs: block_runs(&plan.row_plan, &t.row_blocks),
+            col_runs: block_runs(&plan.col_plan, &t.col_blocks),
+        }),
+    }
+}
 
 /// Execute `plan` collectively. Ranks `0..P` supply their old panel in
 /// `src`; ranks `0..Q` get the new panel back. A rank outside both ranges
@@ -35,27 +116,96 @@ pub fn redistribute_2d<T: Pod + Default>(
     plan: &Redist2d,
     src: Option<&DistMatrix<T>>,
 ) -> Option<DistMatrix<T>> {
-    let p = plan.src.nprow * plan.src.npcol;
-    let q = plan.dst.nprow * plan.dst.npcol;
+    run_2d(comm, &lower_2d(plan), Commit::Direct, src).expect("direct commit cannot abort")
+}
+
+/// Check this rank's source panel against `sched`, run the schedule, and
+/// return this rank's panel of the new layout.
+pub(crate) fn run_2d<T: Pod + Default>(
+    comm: &Comm,
+    sched: &Schedule<'_>,
+    mode: Commit,
+    src: Option<&DistMatrix<T>>,
+) -> Result<Option<DistMatrix<T>>, RedistAbort> {
+    let (s, d) = (&sched.src, &sched.dst);
+    let me = comm.rank();
+    let local = (me < s.nprow * s.npcol).then(|| {
+        let m = src.unwrap_or_else(|| panic!("rank {me} owns source data but supplied none"));
+        assert_eq!(m.desc, *s, "source matrix descriptor mismatch");
+        assert_eq!(
+            (m.myrow, m.mycol),
+            (me / s.npcol, me % s.npcol),
+            "source matrix grid position mismatch"
+        );
+        m.local_data()
+    });
+    let mut out =
+        (me < d.nprow * d.npcol).then(|| DistMatrix::<T>::new(*d, me / d.npcol, me % d.npcol));
+    execute(comm, sched, mode, local, out.as_mut().map(|m| m.local_data_mut()))?;
+    Ok(out)
+}
+
+/// [`run_2d`] for a 1-D array on a `1 × n` schedule; always direct.
+pub(crate) fn run_1d<T: Pod + Default>(
+    comm: &Comm,
+    sched: &Schedule<'_>,
+    src: Option<&DistVector<T>>,
+) -> Result<Option<DistVector<T>>, RedistAbort> {
+    let (s, d) = (&sched.src, &sched.dst);
+    let me = comm.rank();
+    let local = (me < s.npcol).then(|| {
+        let v = src.expect("source rank must supply its part");
+        assert_eq!(
+            (v.n, v.nb, v.nprocs, v.iproc),
+            (s.n, s.nb, s.npcol, me),
+            "source layout mismatch"
+        );
+        v.local_data()
+    });
+    let mut out = (me < d.npcol).then(|| DistVector::<T>::new(d.n, d.nb, me, d.npcol));
+    execute(comm, sched, Commit::Direct, local, out.as_mut().map(|v| v.local_data_mut()))?;
+    Ok(out)
+}
+
+/// Run `f`, adding its wall time to `acc` when `on`. Keeps the hot loop
+/// free of clock reads when telemetry is off.
+fn timed<R>(on: bool, acc: &mut f64, f: impl FnOnce() -> R) -> R {
+    if !on {
+        return f();
+    }
+    let t0 = Instant::now();
+    let r = f();
+    *acc += t0.elapsed().as_secs_f64();
+    r
+}
+
+/// The step loop. `src` is this rank's old local panel (ranks `0..P`), `out`
+/// its zeroed new one (ranks `0..Q`). `Err` only in [`Commit::Staged`] mode,
+/// and then `out` has not been written.
+///
+/// The loop tolerates steps that are NOT partial permutations (a rank may
+/// send and receive several messages per step): ReSHAPE's schedules never
+/// need that, but the naive single-step baseline used by the contention
+/// ablation does. Sends are buffered, so issuing every send before any
+/// receive is deadlock-free.
+fn execute<T: Pod + Default>(
+    comm: &Comm,
+    sched: &Schedule<'_>,
+    mode: Commit,
+    src: Option<&[T]>,
+    mut out: Option<&mut [T]>,
+) -> Result<(), RedistAbort> {
+    let (s, d) = (&sched.src, &sched.dst);
+    let world = sched.world();
     assert!(
-        comm.size() >= p.max(q),
-        "communicator ({}) smaller than the larger grid ({})",
-        comm.size(),
-        p.max(q)
+        comm.size() >= world,
+        "communicator ({}) smaller than the larger layout ({world})",
+        comm.size()
     );
     let me = comm.rank();
-    let my_src = (me < p).then(|| (me / plan.src.npcol, me % plan.src.npcol));
-    let my_dst = (me < q).then(|| (me / plan.dst.npcol, me % plan.dst.npcol));
-
-    if let (Some((sr, sc)), Some(m)) = (my_src, src) {
-        assert_eq!(m.desc, plan.src, "source matrix descriptor mismatch");
-        assert_eq!((m.myrow, m.mycol), (sr, sc), "source matrix grid position mismatch");
-    }
-    if my_src.is_some() {
-        assert!(src.is_some(), "rank {me} owns source data but supplied none");
-    }
-
-    let mut out = my_dst.map(|(dr, dc)| DistMatrix::<T>::new(plan.dst, dr, dc));
+    // This rank's coordinates in each grid; outside a grid they match no move.
+    let (my_src, my_dst) = ((me / s.npcol, me % s.npcol), (me / d.npcol, me % d.npcol));
+    let (src_lcols, dst_lcols) = (s.local_cols(my_src.1), d.local_cols(my_dst.1));
 
     // Causal trace: one executor span per rank-0 execution, stamped in
     // *virtual* time and parented to whatever span the caller is inside
@@ -63,70 +213,83 @@ pub fn redistribute_2d<T: Pod + Default>(
     let trace_v0 = (me == 0 && reshape_telemetry::trace::enabled()).then(|| comm.vtime());
 
     // Per-phase wall-clock accounting (pack / transfer / unpack), recorded
-    // once per execution. `tel` keeps the hot loops free of clock reads
-    // when telemetry is off.
+    // once per execution.
     let tel = reshape_telemetry::enabled();
-    let mut pack_s = 0.0f64;
-    let mut xfer_s = 0.0f64;
-    let mut unpack_s = 0.0f64;
-    let mut bytes_sent = 0u64;
-    let mut transfers = 0u64;
+    let (mut pack_s, mut xfer_s, mut unpack_s) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut transfers, mut bytes_sent) = (0u64, 0u64);
 
-    // The executor tolerates steps that are NOT partial permutations (a
-    // rank may send and receive several messages per step): ReSHAPE's
-    // schedules never need that, but the naive single-step baseline used by
-    // the contention ablation does. Sends are buffered, so issuing every
-    // send before any receive is deadlock-free.
+    // Staged mode's shadow buffers: every payload this rank will eventually
+    // unpack, beside its move. Local moves are staged too, so an abort
+    // after a partial step leaves no trace anywhere.
+    let mut staged: Vec<(&GTransfer2d, Vec<T>)> = Vec::new();
+    // Where a payload that reached this rank goes: straight into the panel,
+    // or (taking the buffer) into the staging area until the vote.
+    let mut land = |mv, payload: &mut Vec<T>| match mode {
+        Commit::Direct => timed(tel, &mut unpack_s, || {
+            let out = out.as_deref_mut().expect("a payload implies a destination panel");
+            unpack(payload, d, dst_lcols, mv, out)
+        }),
+        Commit::Staged => staged.push((mv, std::mem::take(payload))),
+    };
+    // First failure observed (staged mode). A rank that observes a failure
+    // keeps driving the remaining sends and receives so its live peers make
+    // progress; it just remembers to vote ABORT.
+    let mut dead: Option<usize> = None;
+
     let mut buf: Vec<T> = Vec::new();
-    for (t, step) in plan.steps.iter().enumerate() {
-        let tag = TAG_REDIST_BASE + t as u32;
-        if let (Some(sc), Some(m)) = (my_src, src) {
-            for tr in step.iter().filter(|tr| tr.src == sc) {
-                let t0 = tel.then(std::time::Instant::now);
-                pack(plan, tr, m, &mut buf);
-                if let Some(t0) = t0 {
-                    pack_s += t0.elapsed().as_secs_f64();
-                }
-                if plan.dst_rank(tr.dst) == me {
-                    // Local move: both endpoints are this rank.
-                    let t0 = tel.then(std::time::Instant::now);
-                    unpack(plan, tr, &buf, out.as_mut().expect("local move implies dest"));
-                    if let Some(t0) = t0 {
-                        unpack_s += t0.elapsed().as_secs_f64();
-                    }
-                } else {
-                    let t0 = tel.then(std::time::Instant::now);
-                    comm.send(plan.dst_rank(tr.dst), tag, &buf);
-                    if let Some(t0) = t0 {
-                        xfer_s += t0.elapsed().as_secs_f64();
-                        transfers += 1;
-                        bytes_sent += (buf.len() * std::mem::size_of::<T>()) as u64;
-                    }
-                }
+    for (t, step) in sched.steps.iter().enumerate() {
+        let tag = sched.tag_base + t as u32;
+        for mv in step.iter().filter(|mv| mv.src == my_src) {
+            let local = src.expect("a move from this rank implies a source panel");
+            timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv, &mut buf));
+            if mv.dst == my_dst {
+                land(mv, &mut buf); // local move: both endpoints are this rank
+                continue;
             }
+            let to = mv.dst.0 * d.npcol + mv.dst.1;
+            let sent = timed(tel, &mut xfer_s, || match mode {
+                Commit::Direct => {
+                    comm.send(to, tag, &buf);
+                    Ok(())
+                }
+                Commit::Staged => comm.try_send(to, tag, &buf),
+            });
+            if sent.is_err() {
+                dead.get_or_insert(to);
+            }
+            transfers += 1;
+            bytes_sent += std::mem::size_of_val(&buf[..]) as u64;
         }
-        if let Some(dc) = my_dst {
-            for tr in step.iter().filter(|tr| tr.dst == dc) {
-                let from = plan.src_rank(tr.src);
-                if from == me {
-                    continue; // handled as a local move above
-                }
-                let t0 = tel.then(std::time::Instant::now);
-                comm.recv_into(from, tag, &mut buf);
-                if let Some(t0) = t0 {
-                    xfer_s += t0.elapsed().as_secs_f64();
-                }
-                let t0 = tel.then(std::time::Instant::now);
-                unpack(plan, tr, &buf, out.as_mut().expect("recv implies dest"));
-                if let Some(t0) = t0 {
-                    unpack_s += t0.elapsed().as_secs_f64();
-                }
+        for mv in step.iter().filter(|mv| mv.dst == my_dst && mv.src != my_src) {
+            let from = mv.src.0 * s.npcol + mv.src.1;
+            match mode {
+                Commit::Direct => timed(tel, &mut xfer_s, || comm.recv_into(from, tag, &mut buf)),
+                Commit::Staged => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
+                    Ok(payload) => buf = payload,
+                    Err(()) => {
+                        dead.get_or_insert(from);
+                        continue;
+                    }
+                },
             }
+            land(mv, &mut buf);
         }
     }
+
+    if let Commit::Staged = mode {
+        commit_vote(comm, world, dead)?;
+        if let Some(out) = out {
+            timed(tel, &mut unpack_s, || {
+                for (mv, payload) in &staged {
+                    unpack(payload, d, dst_lcols, mv, out);
+                }
+            });
+        }
+    }
+
     if tel {
         reshape_telemetry::incr("redist.executions", 1);
-        reshape_telemetry::incr("redist.plan_steps", plan.steps.len() as u64);
+        reshape_telemetry::incr("redist.plan_steps", sched.steps.len() as u64);
         reshape_telemetry::incr("redist.transfers", transfers);
         reshape_telemetry::incr("redist.bytes_sent", bytes_sent);
         reshape_telemetry::observe("redist.pack_seconds", pack_s);
@@ -141,7 +304,7 @@ pub fn redistribute_2d<T: Pod + Default>(
             ctx.parent,
             format!(
                 "redist_exec {}x{}->{}x{} ({} steps)",
-                plan.src.nprow, plan.src.npcol, plan.dst.nprow, plan.dst.npcol, plan.steps.len()
+                s.nprow, s.npcol, d.nprow, d.npcol, sched.steps.len()
             ),
             "redist_exec",
             "redist",
@@ -149,63 +312,76 @@ pub fn redistribute_2d<T: Pod + Default>(
             comm.vtime(),
         );
     }
-    out
+    Ok(())
 }
 
-/// Serialize a transfer's elements from the source panel, row blocks outer,
-/// global row order within a block, column blocks inner.
-pub(crate) fn pack<T: Pod + Default>(
-    plan: &Redist2d,
-    tr: &Transfer2d,
-    m: &DistMatrix<T>,
-    buf: &mut Vec<T>,
-) {
-    buf.clear();
-    let d = &plan.src;
-    for &rb in &tr.row_blocks {
-        let i0 = rb * d.mb;
-        let i1 = (i0 + d.mb).min(d.m);
-        for gi in i0..i1 {
-            let (_, li) = reshape_blockcyclic::g2l(gi, d.mb, d.nprow);
-            for &cb in &tr.col_blocks {
-                let j0 = cb * d.nb;
-                let j1 = (j0 + d.nb).min(d.n);
-                for gj in j0..j1 {
-                    let (_, lj) = reshape_blockcyclic::g2l(gj, d.nb, d.npcol);
-                    buf.push(m.get_local(li, lj));
-                }
+/// Commit vote: every rank in the world tells every other whether its own
+/// transfers all completed. A dead peer counts as an ABORT vote. `dead` is
+/// the first failure this rank saw while moving data, if any.
+fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(), RedistAbort> {
+    let me = comm.rank();
+    let my_vote = if dead.is_none() { VOTE_OK } else { VOTE_ABORT };
+    for peer in (0..world).filter(|&r| r != me) {
+        let _ = comm.try_send(peer, TAG_TXN_VOTE, &[my_vote]);
+    }
+    let mut commit = dead.is_none();
+    for peer in (0..world).filter(|&r| r != me) {
+        match comm.recv_or_failed::<u64>(peer, TAG_TXN_VOTE) {
+            Ok(v) if v.first() == Some(&VOTE_OK) => {}
+            Ok(_) => commit = false,
+            Err(()) => {
+                dead.get_or_insert(peer);
+                commit = false;
             }
         }
+    }
+    if !commit {
+        reshape_telemetry::incr("redist.txn_aborts", 1);
+        // The staging area is dropped unread; the source was never written.
+        return Err(RedistAbort {
+            dead_rank: dead.unwrap_or(me),
+        });
+    }
+    reshape_telemetry::incr("redist.txn_commits", 1);
+    Ok(())
+}
+
+/// Index ranges of a move's elements in the row-major local panel of layout
+/// `d` (`lcols` columns wide), in payload order: row runs outer, global row
+/// order within a run, column runs inner.
+fn spans<'a>(
+    d: &'a Descriptor,
+    lcols: usize,
+    mv: &'a GTransfer2d,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let rows = mv.row_runs.iter().flat_map(|&(i0, len)| i0..i0 + len);
+    rows.flat_map(move |gi| {
+        let row = g2l(gi, d.mb, d.nprow).1 * lcols;
+        mv.col_runs.iter().map(move |&(j0, len)| {
+            debug_assert!(j0 % d.nb + len <= d.nb, "column run crosses a block boundary");
+            let at = row + g2l(j0, d.nb, d.npcol).1;
+            at..at + len
+        })
+    })
+}
+
+/// Serialize a move's elements from the source panel into `buf`.
+fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d, buf: &mut Vec<T>) {
+    buf.clear();
+    for span in spans(d, lcols, mv) {
+        buf.extend_from_slice(&local[span]);
     }
 }
 
 /// Mirror of [`pack`] on the destination layout.
-pub(crate) fn unpack<T: Pod + Default>(
-    plan: &Redist2d,
-    tr: &Transfer2d,
-    buf: &[T],
-    m: &mut DistMatrix<T>,
-) {
-    let ds = &plan.src;
-    let dd = &plan.dst;
-    let mut idx = 0;
-    for &rb in &tr.row_blocks {
-        let i0 = rb * ds.mb;
-        let i1 = (i0 + ds.mb).min(ds.m);
-        for gi in i0..i1 {
-            let (_, li) = reshape_blockcyclic::g2l(gi, dd.mb, dd.nprow);
-            for &cb in &tr.col_blocks {
-                let j0 = cb * ds.nb;
-                let j1 = (j0 + ds.nb).min(ds.n);
-                for gj in j0..j1 {
-                    let (_, lj) = reshape_blockcyclic::g2l(gj, dd.nb, dd.npcol);
-                    m.set_local(li, lj, buf[idx]);
-                    idx += 1;
-                }
-            }
-        }
+fn unpack<T: Pod>(payload: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d, local: &mut [T]) {
+    let mut rest = payload;
+    for span in spans(d, lcols, mv) {
+        let (head, tail) = rest.split_at(span.len());
+        local[span].copy_from_slice(head);
+        rest = tail;
     }
-    assert_eq!(idx, buf.len(), "transfer payload length mismatch");
+    assert!(rest.is_empty(), "transfer payload length mismatch");
 }
 
 #[cfg(test)]

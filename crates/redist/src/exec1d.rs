@@ -1,13 +1,31 @@
-//! 1-D schedule executor: moves a [`DistVector`] between process counts
-//! using the contention-free 1-D schedule — the "1-D (row or column
-//! format)" redistribution path of the paper.
+//! 1-D entry point: moves a [`DistVector`] between process counts using the
+//! contention-free 1-D schedule — the "1-D (row or column format)"
+//! redistribution path of the paper — as the degenerate `1 × n` case of the
+//! 2-D executor.
 
-use reshape_blockcyclic::DistVector;
+use reshape_blockcyclic::{Descriptor, DistVector};
 use reshape_mpisim::{Comm, Pod};
 
+use crate::exec::{block_runs, lower_steps, run_1d, Schedule};
+use crate::general2d::GTransfer2d;
 use crate::plan1d::Redist1d;
 
 const TAG_REDIST1D_BASE: u32 = 8_200_000;
+
+/// The plan as a schedule over the `1 × n` view of the array.
+pub(crate) fn lower_1d(plan: &Redist1d) -> Schedule<'static> {
+    Schedule {
+        src: Descriptor::new(1, plan.n, 1, plan.b, 1, plan.p),
+        dst: Descriptor::new(1, plan.n, 1, plan.b, 1, plan.q),
+        tag_base: TAG_REDIST1D_BASE,
+        steps: lower_steps(&plan.steps, |t| GTransfer2d {
+            src: (0, t.src),
+            dst: (0, t.dst),
+            row_runs: vec![(0, 1)],
+            col_runs: block_runs(plan, &t.blocks),
+        }),
+    }
+}
 
 /// Execute a 1-D plan collectively over `comm` (old layout on ranks
 /// `0..p`, new on ranks `0..q`). Source ranks pass their part; ranks in the
@@ -17,64 +35,7 @@ pub fn redistribute_1d<T: Pod + Default>(
     plan: &Redist1d,
     src: Option<&DistVector<T>>,
 ) -> Option<DistVector<T>> {
-    assert!(
-        comm.size() >= plan.p.max(plan.q),
-        "communicator smaller than the larger layout"
-    );
-    let me = comm.rank();
-    if me < plan.p {
-        let v = src.expect("source rank must supply its part");
-        assert_eq!((v.n, v.nb, v.nprocs, v.iproc), (plan.n, plan.b, plan.p, me));
-    }
-    let mut out = (me < plan.q).then(|| DistVector::<T>::new(plan.n, plan.b, me, plan.q));
-
-    let mut buf: Vec<T> = Vec::new();
-    for (t, step) in plan.steps.iter().enumerate() {
-        let tag = TAG_REDIST1D_BASE + t as u32;
-        if let Some(v) = src.filter(|_| me < plan.p) {
-            for tr in step.iter().filter(|tr| tr.src == me) {
-                // Pack the blocks in ascending global order.
-                buf.clear();
-                for &k in &tr.blocks {
-                    let start = k * plan.b;
-                    let len = plan.block_len(k);
-                    // Local offset of block k on the source: block index
-                    // k/p, so local start = (k/p)*b.
-                    let l0 = (k / plan.p) * plan.b;
-                    debug_assert_eq!(v.global_index(l0), start);
-                    for off in 0..len {
-                        buf.push(v.get_local(l0 + off));
-                    }
-                }
-                if tr.dst == me {
-                    // Local copy straight into the output part.
-                    unpack(plan, &tr.blocks, &buf, out.as_mut().expect("dst"));
-                } else {
-                    comm.send(tr.dst, tag, &buf);
-                }
-            }
-        }
-        if let Some(part) = out.as_mut() {
-            for tr in step.iter().filter(|tr| tr.dst == me && tr.src != me) {
-                comm.recv_into(tr.src, tag, &mut buf);
-                unpack(plan, &tr.blocks, &buf, part);
-            }
-        }
-    }
-    out
-}
-
-fn unpack<T: Pod + Default>(plan: &Redist1d, blocks: &[usize], buf: &[T], part: &mut DistVector<T>) {
-    let mut idx = 0;
-    for &k in blocks {
-        let len = plan.block_len(k);
-        let l0 = (k / plan.q) * plan.b;
-        for off in 0..len {
-            part.set_local(l0 + off, buf[idx]);
-            idx += 1;
-        }
-    }
-    assert_eq!(idx, buf.len(), "payload length mismatch");
+    run_1d(comm, &lower_1d(plan), src).expect("direct commit cannot abort")
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@ use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, Pod};
 
 use crate::checkpoint::{checkpoint_redistribute, CheckpointParams};
-use crate::exec::redistribute_2d;
-use crate::exec1d::redistribute_1d;
-use crate::general2d::{redistribute_general_2d, GeneralPlan2d};
+use crate::exec::{lower_2d, run_1d, run_2d, Commit};
+use crate::exec1d::lower_1d;
+use crate::general2d::{lower_general_2d, GeneralPlan2d};
 use crate::plan1d::Redist1d;
 use crate::plan2d::Redist2d;
 
@@ -44,7 +44,7 @@ impl std::error::Error for RedistAbort {}
 /// Scan ranks `0..world` (clamped to the communicator) and abort if any has
 /// terminated. `world` is the larger of the two layouts, i.e. every rank the
 /// schedule could name as a source or destination.
-pub(crate) fn abort_if_dead(comm: &Comm, world: usize) -> Result<(), RedistAbort> {
+fn abort_if_dead(comm: &Comm, world: usize) -> Result<(), RedistAbort> {
     for rank in 0..world.min(comm.size()) {
         if !comm.rank_alive(rank) {
             reshape_telemetry::incr("redist.aborts", 1);
@@ -54,37 +54,38 @@ pub(crate) fn abort_if_dead(comm: &Comm, world: usize) -> Result<(), RedistAbort
     Ok(())
 }
 
-/// Fault-checked [`redistribute_2d`]: aborts cleanly (source intact) when a
-/// rank in either grid is dead.
+/// Fault-checked [`redistribute_2d`](crate::redistribute_2d): aborts cleanly
+/// (source intact) when a rank in either grid is dead.
 pub fn try_redistribute_2d<T: Pod + Default>(
     comm: &Comm,
     plan: &Redist2d,
     src: Option<&DistMatrix<T>>,
 ) -> Result<Option<DistMatrix<T>>, RedistAbort> {
-    let world = (plan.src.nprow * plan.src.npcol).max(plan.dst.nprow * plan.dst.npcol);
-    abort_if_dead(comm, world)?;
-    Ok(redistribute_2d(comm, plan, src))
+    let sched = lower_2d(plan);
+    abort_if_dead(comm, sched.world())?;
+    run_2d(comm, &sched, Commit::Direct, src)
 }
 
-/// Fault-checked [`redistribute_1d`].
+/// Fault-checked [`redistribute_1d`](crate::redistribute_1d).
 pub fn try_redistribute_1d<T: Pod + Default>(
     comm: &Comm,
     plan: &Redist1d,
     src: Option<&DistVector<T>>,
 ) -> Result<Option<DistVector<T>>, RedistAbort> {
-    abort_if_dead(comm, plan.p.max(plan.q))?;
-    Ok(redistribute_1d(comm, plan, src))
+    let sched = lower_1d(plan);
+    abort_if_dead(comm, sched.world())?;
+    run_1d(comm, &sched, src)
 }
 
-/// Fault-checked [`redistribute_general_2d`].
+/// Fault-checked [`redistribute_general_2d`](crate::redistribute_general_2d).
 pub fn try_redistribute_general_2d<T: Pod + Default>(
     comm: &Comm,
     plan: &GeneralPlan2d,
     src: Option<&DistMatrix<T>>,
 ) -> Result<Option<DistMatrix<T>>, RedistAbort> {
-    let world = (plan.src.nprow * plan.src.npcol).max(plan.dst.nprow * plan.dst.npcol);
-    abort_if_dead(comm, world)?;
-    Ok(redistribute_general_2d(comm, plan, src))
+    let sched = lower_general_2d(plan);
+    abort_if_dead(comm, sched.world())?;
+    run_2d(comm, &sched, Commit::Direct, src)
 }
 
 /// Fault-checked [`checkpoint_redistribute`]. The checkpoint path funnels

@@ -22,10 +22,12 @@
 //! insert edges one at a time; if the endpoints' free colors differ, flip
 //! an alternating path to make one available.
 
-use reshape_blockcyclic::DistVector;
+use reshape_blockcyclic::{Descriptor, DistVector};
 use reshape_mpisim::{Comm, NetModel, Pod};
 
 use crate::cost::{RedistCost, PACK_BANDWIDTH};
+use crate::exec::{lower_steps, run_1d, Schedule};
+use crate::general2d::GTransfer2d;
 
 const TAG_GENERAL1D_BASE: u32 = 8_300_000;
 
@@ -194,6 +196,21 @@ fn color_bipartite(edges: &[(usize, usize)], nl: usize, nr: usize) -> Vec<usize>
     colors
 }
 
+/// The plan as a schedule over the `1 × n` view of the array.
+fn lower_general_1d(plan: &GeneralPlan1d) -> Schedule<'static> {
+    Schedule {
+        src: Descriptor::new(1, plan.n, 1, plan.b_src, 1, plan.p),
+        dst: Descriptor::new(1, plan.n, 1, plan.b_dst, 1, plan.q),
+        tag_base: TAG_GENERAL1D_BASE,
+        steps: lower_steps(&plan.steps, |t| GTransfer2d {
+            src: (0, t.src),
+            dst: (0, t.dst),
+            row_runs: vec![(0, 1)],
+            col_runs: t.runs.clone(),
+        }),
+    }
+}
+
 /// Execute a general plan collectively over `comm` (old layout ranks
 /// `0..p`, new layout ranks `0..q`).
 pub fn redistribute_general_1d<T: Pod + Default>(
@@ -201,65 +218,7 @@ pub fn redistribute_general_1d<T: Pod + Default>(
     plan: &GeneralPlan1d,
     src: Option<&DistVector<T>>,
 ) -> Option<DistVector<T>> {
-    assert!(comm.size() >= plan.p.max(plan.q), "communicator too small");
-    let me = comm.rank();
-    if me < plan.p {
-        let v = src.expect("source rank must supply its part");
-        assert_eq!(
-            (v.n, v.nb, v.nprocs, v.iproc),
-            (plan.n, plan.b_src, plan.p, me),
-            "source layout mismatch"
-        );
-    }
-    let mut out = (me < plan.q).then(|| DistVector::<T>::new(plan.n, plan.b_dst, me, plan.q));
-
-    let g2l = |g: usize, b: usize, procs: usize| -> usize { (g / b / procs) * b + g % b };
-
-    let mut buf: Vec<T> = Vec::new();
-    for (t, step) in plan.steps.iter().enumerate() {
-        let tag = TAG_GENERAL1D_BASE + t as u32;
-        if let Some(v) = src.filter(|_| me < plan.p) {
-            for tr in step.iter().filter(|tr| tr.src == me) {
-                buf.clear();
-                for &(start, len) in &tr.runs {
-                    let l0 = g2l(start, plan.b_src, plan.p);
-                    for off in 0..len {
-                        buf.push(v.get_local(l0 + off));
-                    }
-                }
-                if tr.dst == me {
-                    unpack(plan, tr, &buf, out.as_mut().expect("dst"), &g2l);
-                } else {
-                    comm.send(tr.dst, tag, &buf);
-                }
-            }
-        }
-        if let Some(part) = out.as_mut() {
-            for tr in step.iter().filter(|tr| tr.dst == me && tr.src != me) {
-                comm.recv_into(tr.src, tag, &mut buf);
-                unpack(plan, tr, &buf, part, &g2l);
-            }
-        }
-    }
-    out
-}
-
-fn unpack<T: Pod + Default>(
-    plan: &GeneralPlan1d,
-    tr: &GTransfer,
-    buf: &[T],
-    part: &mut DistVector<T>,
-    g2l: &dyn Fn(usize, usize, usize) -> usize,
-) {
-    let mut idx = 0;
-    for &(start, len) in &tr.runs {
-        let l0 = g2l(start, plan.b_dst, plan.q);
-        for off in 0..len {
-            part.set_local(l0 + off, buf[idx]);
-            idx += 1;
-        }
-    }
-    assert_eq!(idx, buf.len(), "payload length mismatch");
+    run_1d(comm, &lower_general_1d(plan), src).expect("direct commit cannot abort")
 }
 
 /// Contention-aware analytic cost (steps are matchings, so this matches the

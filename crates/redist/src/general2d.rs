@@ -14,9 +14,12 @@
 //! Compared with [`crate::redistribute_general`] (single-burst element
 //! binning), this pays the same bytes in scheduled, incast-free steps.
 
-use reshape_blockcyclic::{g2l, Descriptor, DistMatrix};
+use std::borrow::Cow;
+
+use reshape_blockcyclic::{Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, Pod};
 
+use crate::exec::{run_2d, Commit, Schedule};
 use crate::general1d::{plan_general_1d, GeneralPlan1d};
 
 const TAG_GENERAL2D_BASE: u32 = 8_400_000;
@@ -102,6 +105,16 @@ pub fn plan_general_2d(src: Descriptor, dst: Descriptor) -> GeneralPlan2d {
     }
 }
 
+/// A general 2-D plan's steps already are the executor's moves.
+pub(crate) fn lower_general_2d(plan: &GeneralPlan2d) -> Schedule<'_> {
+    Schedule {
+        src: plan.src,
+        dst: plan.dst,
+        tag_base: TAG_GENERAL2D_BASE,
+        steps: Cow::Borrowed(&plan.steps),
+    }
+}
+
 /// Execute a general 2-D plan collectively over `comm` (old grid ranks
 /// `0..P` row-major, new grid ranks `0..Q`).
 pub fn redistribute_general_2d<T: Pod + Default>(
@@ -109,79 +122,7 @@ pub fn redistribute_general_2d<T: Pod + Default>(
     plan: &GeneralPlan2d,
     src: Option<&DistMatrix<T>>,
 ) -> Option<DistMatrix<T>> {
-    let p = plan.src.nprow * plan.src.npcol;
-    let q = plan.dst.nprow * plan.dst.npcol;
-    assert!(comm.size() >= p.max(q), "communicator too small");
-    let me = comm.rank();
-    let my_src = (me < p).then(|| (me / plan.src.npcol, me % plan.src.npcol));
-    let my_dst = (me < q).then(|| (me / plan.dst.npcol, me % plan.dst.npcol));
-    if let (Some((sr, sc)), Some(m)) = (my_src, src) {
-        assert_eq!(m.desc, plan.src, "source descriptor mismatch");
-        assert_eq!((m.myrow, m.mycol), (sr, sc), "source position mismatch");
-    }
-    if my_src.is_some() {
-        assert!(src.is_some(), "source rank must supply its panel");
-    }
-    let mut out = my_dst.map(|(dr, dc)| DistMatrix::<T>::new(plan.dst, dr, dc));
-
-    let mut buf: Vec<T> = Vec::new();
-    for (t, step) in plan.steps.iter().enumerate() {
-        let tag = TAG_GENERAL2D_BASE + t as u32;
-        if let (Some(sc), Some(m)) = (my_src, src) {
-            for tr in step.iter().filter(|tr| tr.src == sc) {
-                pack(plan, tr, m, &mut buf);
-                if plan.dst_rank(tr.dst) == me {
-                    unpack(plan, tr, &buf, out.as_mut().expect("local move implies dest"));
-                } else {
-                    comm.send(plan.dst_rank(tr.dst), tag, &buf);
-                }
-            }
-        }
-        if let Some(dc) = my_dst {
-            for tr in step.iter().filter(|tr| tr.dst == dc) {
-                if plan.src_rank(tr.src) == me {
-                    continue; // local move handled above
-                }
-                comm.recv_into(plan.src_rank(tr.src), tag, &mut buf);
-                unpack(plan, tr, &buf, out.as_mut().expect("recv implies dest"));
-            }
-        }
-    }
-    out
-}
-
-fn pack<T: Pod + Default>(plan: &GeneralPlan2d, tr: &GTransfer2d, m: &DistMatrix<T>, buf: &mut Vec<T>) {
-    buf.clear();
-    let d = &plan.src;
-    for &(ri, rl) in &tr.row_runs {
-        for gi in ri..ri + rl {
-            let (_, li) = g2l(gi, d.mb, d.nprow);
-            for &(cj, cl) in &tr.col_runs {
-                for gj in cj..cj + cl {
-                    let (_, lj) = g2l(gj, d.nb, d.npcol);
-                    buf.push(m.get_local(li, lj));
-                }
-            }
-        }
-    }
-}
-
-fn unpack<T: Pod + Default>(plan: &GeneralPlan2d, tr: &GTransfer2d, buf: &[T], m: &mut DistMatrix<T>) {
-    let d = &plan.dst;
-    let mut idx = 0;
-    for &(ri, rl) in &tr.row_runs {
-        for gi in ri..ri + rl {
-            let (_, li) = g2l(gi, d.mb, d.nprow);
-            for &(cj, cl) in &tr.col_runs {
-                for gj in cj..cj + cl {
-                    let (_, lj) = g2l(gj, d.nb, d.npcol);
-                    m.set_local(li, lj, buf[idx]);
-                    idx += 1;
-                }
-            }
-        }
-    }
-    assert_eq!(idx, buf.len(), "payload length mismatch");
+    run_2d(comm, &lower_general_2d(plan), Commit::Direct, src).expect("direct commit cannot abort")
 }
 
 #[cfg(test)]

@@ -9,21 +9,49 @@
 //! permutation — no process sends or receives more than one message per
 //! step, so steps are free of link contention.
 //!
-//! This crate provides:
+//! Planners ([`plan_1d`], [`plan_2d`], [`plan_naive_2d`],
+//! [`plan_general_1d`], [`plan_general_2d`]) build schedules; [`cost`] turns
+//! a schedule plus a [`NetModel`](reshape_mpisim::NetModel) into seconds of
+//! virtual time (Figure 2(b), the cluster simulator); and eleven entry
+//! points move real data over a merged communicator (old layout on ranks
+//! `0..P`, new on `0..Q`). Nine of them are shims over **one step-loop
+//! executor** (`exec.rs`): each lowers its plan to a list of steps of
+//! `(from, to, row runs × column runs)` moves — the 2-D checkerboard
+//! schedule is the cross product of two 1-D schedules, so a 1-D array is
+//! just the `1 × n` case — and runs it in one of two commit modes. (The
+//! paper arms MPI persistent requests per step; sends here are buffered,
+//! which is semantically identical.)
 //!
-//! * [`plan_1d`] / [`Redist1d`] — the 1-D schedule for an `n`-element
-//!   block-cyclic array moving from `p` to `q` processes;
-//! * [`plan_2d`] / [`Redist2d`] — the checkerboard extension, the cross
-//!   product of independent row and column 1-D schedules;
-//! * [`redistribute_2d`] — an executor that moves a real
-//!   [`DistMatrix`](reshape_blockcyclic::DistMatrix) across grids over a
-//!   merged communicator (the paper uses MPI persistent requests per step;
-//!   sends here are buffered, which is semantically identical);
-//! * [`checkpoint`] — the file-based checkpoint/restart baseline the paper
-//!   compares against (all data funnelled through one node);
-//! * [`cost`] — an analytic evaluator turning a schedule plus a
-//!   [`NetModel`](reshape_mpisim::NetModel) into seconds of virtual time,
-//!   used to regenerate Figure 2(b) and by the cluster simulator.
+//! | entry point | schedule | commit | pre-flight |
+//! |---|---|---|---|
+//! | [`redistribute_2d`] | planned 2-D ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | direct | no |
+//! | [`redistribute_1d`] | planned 1-D ([`plan_1d`]) | direct | no |
+//! | [`redistribute_general_2d`] | general 2-D, blocks may change ([`plan_general_2d`]) | direct | no |
+//! | [`redistribute_general_1d`] | general 1-D ([`plan_general_1d`]) | direct | no |
+//! | [`txn_redistribute_2d`] | planned or naive 2-D | staged | no |
+//! | [`try_redistribute_2d`] | planned or naive 2-D | direct | yes |
+//! | [`try_redistribute_1d`] | planned 1-D | direct | yes |
+//! | [`try_redistribute_general_2d`] | general 2-D | direct | yes |
+//! | [`redistribute_general`] | none — element binning over one `alltoallv` | — | no |
+//! | [`checkpoint_redistribute`] | none — funnel through rank 0 and a file | — | no |
+//! | [`try_checkpoint_redistribute`] | as above | — | yes |
+//!
+//! *Direct* commit sends with `send` / `recv_into` and unpacks each payload
+//! into the new panel as it arrives. *Staged* commit sends with `try_send` /
+//! `recv_or_failed`, parks payloads in shadow buffers, and unpacks only
+//! after an all-to-all vote — a death inside the movement leaves the old
+//! layout bitwise intact and returns [`RedistAbort`]. *Pre-flight* scans
+//! `rank_alive` over `0..max(P, Q)` and aborts before any element moves.
+//! It is not always on: `rank_alive` also reports a peer that has *finished
+//! and exited* as dead, and callers of the infallible entry points return
+//! straight after the call, so an always-on scan would turn a fast peer's
+//! normal exit into a false abort. Only the `try_*` callers, who hold every
+//! rank until all have scanned, opt in.
+//!
+//! The last three rows are independent implementations, not shims: the
+//! differential checker compares the executor against them
+//! ([`redistribute_general`]) and the paper compares ReSHAPE against them
+//! ([`checkpoint`], the DRMS/SRS-style baseline of Figure 3(b)).
 
 pub mod checkpoint;
 pub mod cost;

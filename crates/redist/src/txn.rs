@@ -3,9 +3,9 @@
 //!
 //! The `try_*` wrappers in [`crate::fault`] only run a pre-flight liveness
 //! scan: a rank that dies after the scan but before the last transfer still
-//! strands the plain executor, which unpacks received payloads straight into
-//! the destination panel. This module executes the same schedule with two
-//! changes:
+//! strands the direct executor, which unpacks received payloads straight into
+//! the destination panel. This entry point runs the same schedule through
+//! the same step loop in its *staged* commit mode, which changes two things:
 //!
 //! 1. **Staged receives.** Incoming payloads are parked in shadow buffers
 //!    next to their transfer records; nothing touches a destination panel
@@ -34,19 +34,14 @@
 use reshape_blockcyclic::DistMatrix;
 use reshape_mpisim::{Comm, Pod};
 
-use crate::exec::{pack, unpack};
+use crate::exec::{lower_2d, run_2d, Commit, Schedule};
 use crate::fault::RedistAbort;
-use crate::plan2d::{Redist2d, Transfer2d};
+use crate::plan2d::Redist2d;
 
 /// Tag range for the transactional executor's data steps (`base + step`),
 /// disjoint from the plain executor's `8_000_000 + step` range so an aborted
 /// epoch's stragglers can never match a later plain redistribution.
 const TAG_TXN_BASE: u32 = 8_100_000;
-/// Tag of the all-to-all commit vote round.
-const TAG_TXN_VOTE: u32 = 8_199_000;
-
-const VOTE_OK: u64 = 1;
-const VOTE_ABORT: u64 = 0;
 
 /// Execute `plan` transactionally. Same calling convention as
 /// [`crate::redistribute_2d`]: ranks `0..P` supply their old panel, ranks
@@ -60,101 +55,11 @@ pub fn txn_redistribute_2d<T: Pod + Default>(
     plan: &Redist2d,
     src: Option<&DistMatrix<T>>,
 ) -> Result<Option<DistMatrix<T>>, RedistAbort> {
-    let p = plan.src.nprow * plan.src.npcol;
-    let q = plan.dst.nprow * plan.dst.npcol;
-    let world = p.max(q);
-    assert!(
-        comm.size() >= world,
-        "communicator ({}) smaller than the larger grid ({})",
-        comm.size(),
-        world
-    );
-    let me = comm.rank();
-    let my_src = (me < p).then(|| (me / plan.src.npcol, me % plan.src.npcol));
-    let my_dst = (me < q).then(|| (me / plan.dst.npcol, me % plan.dst.npcol));
-
-    if let (Some((sr, sc)), Some(m)) = (my_src, src) {
-        assert_eq!(m.desc, plan.src, "source matrix descriptor mismatch");
-        assert_eq!((m.myrow, m.mycol), (sr, sc), "source matrix grid position mismatch");
-    }
-    if my_src.is_some() {
-        assert!(src.is_some(), "rank {me} owns source data but supplied none");
-    }
-
-    // Shadow buffers: every payload this rank will eventually unpack, staged
-    // beside its transfer record. Local moves are staged too, so an abort
-    // after a partial step leaves no trace anywhere.
-    let mut staged: Vec<(Transfer2d, Vec<T>)> = Vec::new();
-    // First failure observed: the lowest-numbered implicated rank. A rank
-    // that observes a failure keeps driving the remaining sends and receives
-    // so its live peers make progress; it just remembers to vote ABORT.
-    let mut dead: Option<usize> = None;
-
-    let mut buf: Vec<T> = Vec::new();
-    for (t, step) in plan.steps.iter().enumerate() {
-        let tag = TAG_TXN_BASE + t as u32;
-        if let (Some(sc), Some(m)) = (my_src, src) {
-            for tr in step.iter().filter(|tr| tr.src == sc) {
-                pack(plan, tr, m, &mut buf);
-                let to = plan.dst_rank(tr.dst);
-                if to == me {
-                    staged.push((tr.clone(), buf.clone()));
-                } else if comm.try_send(to, tag, &buf).is_err() {
-                    dead.get_or_insert(to);
-                }
-            }
-        }
-        if let Some(dc) = my_dst {
-            for tr in step.iter().filter(|tr| tr.dst == dc) {
-                let from = plan.src_rank(tr.src);
-                if from == me {
-                    continue; // staged on the send side above
-                }
-                match comm.recv_or_failed::<T>(from, tag) {
-                    Ok(payload) => staged.push((tr.clone(), payload)),
-                    Err(()) => {
-                        dead.get_or_insert(from);
-                    }
-                }
-            }
-        }
-    }
-
-    // Commit vote: every rank in the world tells every other whether its own
-    // transfers all completed. A dead peer counts as an ABORT vote.
-    let my_vote = if dead.is_none() { VOTE_OK } else { VOTE_ABORT };
-    for peer in (0..world).filter(|&r| r != me) {
-        let _ = comm.try_send(peer, TAG_TXN_VOTE, &[my_vote]);
-    }
-    let mut commit = dead.is_none();
-    for peer in (0..world).filter(|&r| r != me) {
-        match comm.recv_or_failed::<u64>(peer, TAG_TXN_VOTE) {
-            Ok(v) if v.first() == Some(&VOTE_OK) => {}
-            Ok(_) => commit = false,
-            Err(()) => {
-                dead.get_or_insert(peer);
-                commit = false;
-            }
-        }
-    }
-
-    if !commit {
-        reshape_telemetry::incr("redist.txn_aborts", 1);
-        // The staging area is dropped unread; `src` was never written.
-        return Err(RedistAbort {
-            dead_rank: dead.unwrap_or(me),
-        });
-    }
-
-    reshape_telemetry::incr("redist.txn_commits", 1);
-    reshape_telemetry::incr("redist.executions", 1);
-    let mut out = my_dst.map(|(dr, dc)| DistMatrix::<T>::new(plan.dst, dr, dc));
-    if let Some(m) = out.as_mut() {
-        for (tr, payload) in &staged {
-            unpack(plan, tr, payload, m);
-        }
-    }
-    Ok(out)
+    let sched = Schedule {
+        tag_base: TAG_TXN_BASE,
+        ..lower_2d(plan)
+    };
+    run_2d(comm, &sched, Commit::Staged, src)
 }
 
 #[cfg(test)]
