@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use reshape_mpisim::SplitMix64;
 
 /// Probabilities for the simulated unreliable wire. All in `[0, 1)`;
 /// `seed` makes the fault stream deterministic.
@@ -88,25 +89,6 @@ impl ReliableConfig {
             chaos: Some(chaos),
             ..Default::default()
         }
-    }
-}
-
-/// SplitMix64 — the same tiny deterministic generator the testkit uses,
-/// reimplemented here because `reshape-core` must not depend on the
-/// testkit.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 }
 
@@ -161,7 +143,7 @@ pub fn reliable_channel<T: Clone + Send + 'static>(
     std::thread::Builder::new()
         .name("reshape-ctrl-send".into())
         .spawn(move || {
-            let mut rng = Rng(cfg.chaos.map(|c| c.seed).unwrap_or(0));
+            let mut rng = SplitMix64::new(cfg.chaos.map(|c| c.seed).unwrap_or(0));
             // A frame held back by the reorder fault, delivered after the
             // next transmission.
             let mut held: Option<Frame<T>> = None;
@@ -523,7 +505,7 @@ mod tests {
         // and the receiver must emit 0..N exactly once, in order.
         let mut tx = SeqSender::new(1.0);
         let mut rx: SeqReceiver<u64> = SeqReceiver::new();
-        let mut rng = Rng(42);
+        let mut rng = SplitMix64::new(42);
         let mut wire: Vec<Frame<u64>> = Vec::new();
         for i in 0..50u64 {
             wire.push(tx.send(i as f64 * 0.1, i));

@@ -15,22 +15,17 @@ use reshape_core::{
     Directive, JobId, JobSpec, ProcessorConfig, QueuePolicy, ReservationId, SchedulerCore,
     StartAction, TopologyPref,
 };
+use reshape_mpisim::SplitMix64;
 
 const POOL: usize = 16;
 
-struct SplitMix64(u64);
+trait Below {
+    fn below(&mut self, n: usize) -> usize;
+}
 
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
+impl Below for SplitMix64 {
     fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -146,7 +141,7 @@ struct Coverage {
 }
 
 fn run(seed: u64, policy: QueuePolicy, ops: usize, cov: &mut Coverage) {
-    let mut rng = SplitMix64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut core = SchedulerCore::new(POOL, policy);
     let mut m = Model {
         policy,

@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use parking_lot::Mutex;
 
 use crate::comm::{NodeId, TAG_CTRL_BASE, TAG_INTERNAL};
+use crate::rng::SplitMix64;
 use crate::router::{Envelope, ProcId, Router};
 
 /// Seeded probabilities for control-plane message faults. One SplitMix64
@@ -38,7 +39,7 @@ struct MsgFaults {
     loss: f64,
     dup: f64,
     reorder: f64,
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl MsgFaults {
@@ -47,20 +48,8 @@ impl MsgFaults {
             loss: 0.0,
             dup: 0.0,
             reorder: 0.0,
-            rng: 0,
+            rng: SplitMix64::new(0),
         }
-    }
-
-    fn next(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 }
 
@@ -105,7 +94,7 @@ impl FaultState {
         set(mf, p);
         // XOR-mix so stacking several fault classes still yields one
         // deterministic stream per (seed set).
-        mf.rng ^= seed;
+        mf.rng.state ^= seed;
         drop(guard);
         self.armed.store(true, Ordering::Release);
     }
@@ -218,7 +207,7 @@ impl FaultState {
                 None => None,
                 Some(mf) => {
                     let (loss, dup, reorder) = (mf.loss, mf.dup, mf.reorder);
-                    Some((mf.chance(loss), mf.chance(dup), mf.chance(reorder)))
+                    Some((mf.rng.chance(loss), mf.rng.chance(dup), mf.rng.chance(reorder)))
                 }
             }
         } else {

@@ -52,6 +52,7 @@ mod fault;
 mod net;
 mod persistent;
 mod request;
+mod rng;
 mod router;
 mod spawn;
 mod universe;
@@ -62,6 +63,7 @@ pub use datum::{from_bytes, to_bytes, Pod, Reducible};
 pub use net::NetModel;
 pub use persistent::{PersistentRecv, PersistentSend};
 pub use request::{RecvRequest, SendRequest};
+pub use rng::SplitMix64;
 pub use router::ProcId;
 pub use spawn::{InterComm, SpawnCtx};
 pub use universe::{GroupHandle, ProcEvent, ProcStatus, Universe};

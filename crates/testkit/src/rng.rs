@@ -1,27 +1,21 @@
-//! SplitMix64: the seed-expansion generator of Steele, Lea & Flood
-//! ("Fast splittable pseudorandom number generators", OOPSLA 2014). One
-//! `u64` of state, full period, and trivially reproducible from a printed
-//! seed — exactly what a failure report needs.
+//! The harness's view of the workspace's SplitMix64
+//! ([`reshape_mpisim::SplitMix64`]): the same stream, plus the integer
+//! range helpers the generators draw with. Trivially reproducible from a
+//! printed seed — exactly what a failure report needs.
 
 /// Deterministic 64-bit generator. Every harness artifact (workload, fault
 /// schedule, matrix contents) derives from one of these, so a failing run
 /// is reproduced by its seed alone.
 #[derive(Clone, Debug)]
-pub struct SplitMix64 {
-    state: u64,
-}
+pub struct SplitMix64(reshape_mpisim::SplitMix64);
 
 impl SplitMix64 {
     pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
+        SplitMix64(reshape_mpisim::SplitMix64::new(seed))
     }
 
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// Uniform integer in `[lo, hi]` (inclusive). Modulo bias is irrelevant
