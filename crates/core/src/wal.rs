@@ -265,6 +265,12 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
     let (crc_hex, json) = line
         .split_once(' ')
         .ok_or_else(|| "missing checksum field".to_string())?;
+    // Exactly the eight lowercase hex digits `encode_line` writes:
+    // `from_str_radix` alone also takes `+`, upper case and any length, so
+    // a flipped case bit in a checksum letter would go unnoticed.
+    if crc_hex.len() != 8 || !crc_hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+        return Err("bad checksum field".to_string());
+    }
     let want = u32::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field".to_string())?;
     let got = crc32(json.as_bytes());
     if want != got {
@@ -542,8 +548,18 @@ pub fn record_histogram(records: &[WalRecord]) -> BTreeMap<&'static str, usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::TopologyPref;
 
+    /// One record of every variant, genesis first.
     fn sample() -> Vec<WalRecord> {
+        let spec = JobSpec::new(
+            "LU 8000",
+            TopologyPref::Grid { problem_size: 8000 },
+            ProcessorConfig::new(2, 2),
+            10,
+        )
+        .with_priority(3)
+        .survivable();
         vec![
             WalRecord::Open {
                 total_procs: 8,
@@ -551,9 +567,38 @@ mod tests {
                 remap_policy: RemapPolicy::default(),
                 events_cap: 1024,
                 alloc_order: AllocOrder::LowestId,
-                slot_speeds: None,
+                slot_speeds: Some(vec![1.0, 0.5, 2.25]),
+            },
+            WalRecord::Submit {
+                spec: spec.clone(),
+                now: 0.5,
+            },
+            WalRecord::SubmitReserved {
+                spec,
+                reservation: ReservationId(2),
+                now: 0.75,
             },
             WalRecord::TrySchedule { now: 1.5 },
+            WalRecord::ResizePoint {
+                job: JobId(1),
+                iter_time: 129.63,
+                redist_time: 0.0,
+                now: 131.0,
+            },
+            WalRecord::PhaseChange {
+                job: JobId(1),
+                now: 140.0,
+            },
+            WalRecord::NoteRedist {
+                job: JobId(1),
+                from: ProcessorConfig::new(2, 2),
+                to: ProcessorConfig::new(2, 3),
+                seconds: 8.4,
+            },
+            WalRecord::Finished {
+                job: JobId(2),
+                now: 150.0,
+            },
             WalRecord::Failed {
                 job: JobId(3),
                 reason: "node 2 crashed".into(),
@@ -565,11 +610,23 @@ mod tests {
                 to: ProcessorConfig::linear(2),
                 now: 9.5,
             },
+            WalRecord::ExpandFailed {
+                job: JobId(1),
+                now: 9.75,
+            },
+            WalRecord::Cancel {
+                job: JobId(5),
+                now: 9.875,
+            },
             WalRecord::Reserve {
                 start: 10.0,
                 end: 20.0,
                 procs: 4,
             },
+            WalRecord::CancelReservation {
+                id: ReservationId(1),
+            },
+            WalRecord::Tick { now: 10.5 },
             WalRecord::LendGrant {
                 lease: 7,
                 slots: vec![0, 1],
@@ -759,8 +816,35 @@ mod tests {
     }
 
     #[test]
+    fn single_byte_flips_never_decode_clean() {
+        // Every byte of the stream, both the case bit and the low bit: the
+        // decoder may salvage a prefix or drop a torn tail, but it must
+        // never hand back the full history as if nothing happened.
+        let records = sample();
+        let mut wal = Wal::in_memory();
+        for r in records.clone() {
+            wal.append(r);
+        }
+        let clean = wal.encode().into_bytes();
+        for pos in 0..clean.len() {
+            for mask in [0x20u8, 0x01] {
+                let mut bytes = clean.clone();
+                bytes[pos] ^= mask;
+                let text = String::from_utf8_lossy(&bytes);
+                let (back, salvage) = Wal::decode_salvage(&text);
+                assert!(
+                    salvage.is_some() || back.records() != records.as_slice(),
+                    "flip {mask:#04x} at byte {pos} ({:?}) went undetected",
+                    clean[pos] as char
+                );
+            }
+        }
+    }
+
+    #[test]
     fn histogram_counts_types() {
         let h = record_histogram(&sample());
+        assert_eq!(h.len(), sample().len(), "sample() holds one record per variant");
         assert_eq!(h.get("open"), Some(&1));
         assert_eq!(h.get("try_schedule"), Some(&1));
         assert_eq!(h.get("failed"), Some(&1));
