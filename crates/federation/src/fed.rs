@@ -698,12 +698,17 @@ impl Federation {
     pub fn recover_shard(&mut self, shard: usize, now: f64) -> (Option<RecoverReport>, Vec<Notice>) {
         let mut out = self.begin(now);
         let sh = &mut self.shards[shard];
-        let ShardState::Down { wal_text, crash } = &sh.state else {
+        let ShardState::Down {
+            wal_text: down_text,
+            crash,
+        } = &mut sh.state
+        else {
             return (None, out);
         };
-        let wal_text = wal_text.clone();
-        let crash = crash.clone();
         let outage = now - sh.last_seen;
+        // The text moves into the report and the crash snapshot is compared
+        // where it lies: both grow with the shard's whole history.
+        let wal_text = std::mem::take(down_text);
 
         // Interior WAL corruption recovers to the last-good prefix; the
         // damaged remainder is quarantined into the report instead of
@@ -711,22 +716,32 @@ impl Federation {
         // snapshot (records are missing) — the mismatch is the signal.
         let (wal, salvage) = Wal::decode_salvage(&wal_text);
         let quarantined = salvage.map(|s| s.quarantined);
-        if quarantined.is_some() {
+        let wal_records = wal.records().len();
+        let core = match SchedulerCore::recover(wal) {
+            Ok(core) => core,
+            // Nothing replayable (the genesis line itself is damaged): the
+            // shard stays down with its WAL text and crash snapshot intact
+            // and its deferred traffic buffered, for an operator or a later
+            // retry — bad durable input is an error, not a panic.
+            Err(e) => {
+                *down_text = wal_text;
+                telemetry::incr("fed.shard_recover_failures", 1);
+                self.flightrec
+                    .record(now, "shard_recover_failed", Some(shard), None, e.to_string());
+                return (None, out);
+            }
+        };
+        if let Some(q) = &quarantined {
             telemetry::incr("fed.wal_quarantines", 1);
             self.flightrec.record(
                 now,
                 "wal_quarantine",
                 Some(shard),
                 None,
-                format!(
-                    "quarantined={}B",
-                    quarantined.as_ref().map_or(0, |q| q.len())
-                ),
+                format!("quarantined={}B", q.len()),
             );
         }
-        let wal_records = wal.records().len();
-        let core = SchedulerCore::recover(wal).expect("shard WAL replay failed");
-        let snapshot_match = core.snapshot() == *crash;
+        let snapshot_match = core.snapshot() == **crash;
         sh.state = ShardState::Live(core);
         sh.last_seen = now;
         telemetry::incr("fed.shard_recoveries", 1);
@@ -2791,6 +2806,49 @@ mod tests {
                 .any(|x| matches!(x, Notice::Admitted { .. } | Notice::Started { .. })),
             "salvaged shard must keep scheduling: {n2:?}"
         );
+    }
+
+    #[test]
+    fn corrupt_genesis_line_leaves_the_shard_down_without_panicking() {
+        let mut fed = Federation::new(FederationConfig::new(
+            vec![2, 2],
+            vec![TenantConfig::new(64, 1.0, 32)],
+        ));
+        fed.submit(0, 0, spec("a", 2, 10), 0.0);
+        fed.submit(0, 1, spec("b", 2, 10), 0.5);
+        fed.kill_shard(0, 1.0);
+        fed.kill_shard(1, 1.0);
+        let clean = fed.shards()[0].down_wal().unwrap().to_string();
+        let line_one = clean.find('\n').unwrap();
+        let mut now = 2.0;
+        // Every byte of the genesis line, its newline included: salvage
+        // keeps zero records, so there is no configuration to rebuild from.
+        for pos in 0..=line_one {
+            assert!(fed.chaos_corrupt_down_wal(0, pos));
+            let damaged = fed.shards()[0].down_wal().unwrap().to_string();
+            let (report, _) = fed.recover_shard(0, now);
+            assert!(report.is_none(), "byte {pos}: nothing replayable, nothing to report");
+            let sh = &fed.shards()[0];
+            assert!(!sh.is_live(), "byte {pos}: shard must stay down");
+            assert_eq!(sh.down_wal(), Some(damaged.as_str()), "byte {pos}: evidence kept");
+            assert!(sh.crash_snapshot().is_some());
+            assert!(fed.chaos_corrupt_down_wal(0, pos)); // flip it back
+            now += 0.01;
+        }
+        assert_eq!(
+            fed.flightrec()
+                .events()
+                .filter(|e| e.kind == "shard_recover_failed" && e.shard == Some(0))
+                .count(),
+            line_one + 1
+        );
+        // The neighbour is untouched by shard 0's failures, and shard 0
+        // itself comes back once its text is whole again.
+        for shard in [1, 0] {
+            let (report, _) = fed.recover_shard(shard, now);
+            assert!(report.expect("shard was down").snapshot_match);
+            assert!(fed.shards()[shard].is_live());
+        }
     }
 
     #[test]
