@@ -561,12 +561,12 @@ impl SchedulerCore {
         }
     }
 
-    /// Timestamps logged to the WAL must survive a JSON round trip;
-    /// serde_json cannot represent non-finite floats (the threaded
-    /// runtime's monitor stamps failures with NaN when no virtual clock is
-    /// available). `tick` clamps non-finite times to `last_tick`, so doing
-    /// the same before logging keeps the live run and its replay on the
-    /// identical input sequence.
+    /// The threaded runtime's monitor stamps failures with NaN when no
+    /// virtual clock is available. `tick` clamps non-finite times to
+    /// `last_tick`, so doing the same before logging keeps the live run and
+    /// its replay on the identical input sequence — the WAL itself carries
+    /// any bit pattern, but state derived from a raw NaN (job end times,
+    /// the event trace) would no longer compare equal to its own replay.
     fn sane_now(&self, now: f64) -> f64 {
         if now.is_finite() {
             now

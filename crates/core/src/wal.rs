@@ -12,13 +12,71 @@
 //! state exactly (pool accounting, queue order, job records, profiler
 //! history, the event trace, even the utilization integral).
 //!
-//! The on-disk format follows the telemetry journal: one JSON object per
-//! line, `#[serde(tag = "type", rename_all = "snake_case")]`-tagged, here
-//! prefixed with a CRC-32 of the JSON payload:
+//! # Wire format
+//!
+//! One record per line, `{crc:08x} {payload}\n`: eight lowercase hex digits
+//! of the CRC-32 of the payload, one space, the payload. The payload is a
+//! variant tag followed by the variant's fields in declaration order, every
+//! token separated by exactly one space:
 //!
 //! ```text
-//! 8c736521 {"type":"submit","spec":{...},"now":0.0}
+//! 4a99c3de fin 12 400c000000000000
 //! ```
+//!
+//! | variant | tag | fields |
+//! |---|---|---|
+//! | `Open` | `open` | `total_procs` *policy* *remap* `events_cap` *order* *speeds* |
+//! | `Submit` | `sub` | *spec* `now` |
+//! | `SubmitReserved` | `subr` | *spec* `reservation` `now` |
+//! | `TrySchedule` | `ts` | `now` |
+//! | `ResizePoint` | `rp` | `job` `iter_time` `redist_time` `now` |
+//! | `PhaseChange` | `pc` | `job` `now` |
+//! | `NoteRedist` | `nr` | `job` *from* *to* `seconds` |
+//! | `Finished` | `fin` | `job` `now` |
+//! | `Failed` | `fail` | `job` `reason` `now` |
+//! | `NodeFailed` | `nf` | `job` *dead_slots* *to* `now` |
+//! | `ExpandFailed` | `xf` | `job` `now` |
+//! | `Cancel` | `can` | `job` `now` |
+//! | `Reserve` | `rsv` | `start` `end` `procs` |
+//! | `CancelReservation` | `crsv` | `id` |
+//! | `Tick` | `tick` | `now` |
+//! | `LendGrant` | `lg` | `lease` *slots* `now` |
+//! | `LendReclaim` | `lr` | `lease` `now` |
+//! | `BorrowAttach` | `ba` | `lease` *global_slots* `lender_epoch` `now` |
+//! | `BorrowEvict` | `be` | `lease` `now` |
+//! | `PauseExpansion` | `pause` | `on` `now` |
+//! | `EpochBump` | `epoch` | `epoch` `now` |
+//! | `HealRepair` | `heal` | `lease` *action* `now` |
+//!
+//! Field encodings:
+//!
+//! * integers (ids, counts, `priority`) — canonical decimal: no sign, no
+//!   leading zero;
+//! * `f64` — the 16 lowercase hex digits of `to_bits()`, so every value
+//!   (signed zero, subnormals, infinities, NaN payloads) round-trips
+//!   bit-exactly by construction;
+//! * `bool` — `0` or `1`;
+//! * strings (`reason`, a spec's `name`) — one token: `\\` for a backslash,
+//!   `\s` for a space, `\n` and `\r` for the line breaks, everything else
+//!   verbatim, and `\e` alone for the empty string — so a payload never
+//!   holds a raw space, `\n` or `\r` that is not structure;
+//! * slot vectors (*dead_slots*, *slots*, *global_slots*) — the length,
+//!   then that many integers;
+//! * a `ProcessorConfig` (*from*, *to*, `initial`) — `rows cols`, both
+//!   non-zero;
+//! * *policy* `fcfs`/`backfill`; *remap* `paper`/`greedy`/`nevershrink`/
+//!   `costbenefit`; *order* `lowest`/`fastest`; *action* `evict`/`escrow`;
+//! * *speeds* — `0`, or `1`, the length, and that many floats;
+//! * *spec* — `name` *topology* `initial` `iterations` `resizable`
+//!   `priority` `survivable`, where *topology* is `grid problem_size`,
+//!   `lin problem_size even_only`, `any min max step`, or `exp`, the
+//!   length, and that many `rows cols` pairs.
+//!
+//! Each record has exactly one spelling: the decoder rejects anything the
+//! encoder would not have written (unknown tags or names, non-canonical
+//! numbers, bad escapes, degenerate configurations, missing or trailing
+//! fields), so decoding a stream and encoding it again reproduces it byte
+//! for byte.
 //!
 //! A torn final line (the crash landed mid-append) is tolerated and dropped
 //! on load; a checksum mismatch or garbage anywhere earlier is reported as
@@ -41,7 +99,7 @@ use crate::core::{QueuePolicy, ReservationId};
 use crate::job::{JobId, JobSpec};
 use crate::policy::RemapPolicy;
 use crate::pool::AllocOrder;
-use crate::topology::ProcessorConfig;
+use crate::topology::{ProcessorConfig, TopologyPref};
 
 /// One logged scheduler transition. The first record of every WAL is
 /// [`WalRecord::Open`] (the core's configuration at attach time); every
@@ -227,10 +285,13 @@ impl From<std::io::Error> for WalError {
     }
 }
 
-// CRC-32 (IEEE 802.3 polynomial), table built at compile time — the WAL
-// must not pull in a checksum crate for one function.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+// CRC-32 (IEEE 802.3 polynomial), tables built at compile time — the WAL
+// must not pull in a checksum crate for one function. Slicing-by-8: table
+// `k` advances a byte that still has `k` bytes of the block behind it, so
+// eight lookups consume eight input bytes per step; table 0 alone is the
+// classic byte-at-a-time table and finishes the tail.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -239,30 +300,620 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 of `data` (IEEE polynomial, as used by zip/png).
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
-fn encode_line(rec: &WalRecord) -> String {
-    let json = serde_json::to_string(rec).expect("WAL records always serialize");
-    format!("{:08x} {json}\n", crc32(json.as_bytes()))
+// ---------------------------------------------------------------------------
+// Line codec. Everything above `encode_line`/`decode_line` (framing, torn
+// tails, salvage) sees only `{crc} {payload}\n`; everything below is the
+// payload grammar of the module doc. Each `put_*` writes a leading space and
+// one or more tokens; each `Fields::*` reads the same tokens back.
+// ---------------------------------------------------------------------------
+
+/// The low `N` nibbles of `bits` as lowercase hex, most significant first.
+fn hex_digits<const N: usize>(bits: u64) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (i, d) in out.iter_mut().enumerate() {
+        *d = b"0123456789abcdef"[((bits >> ((N - 1 - i) * 4)) & 0xF) as usize];
+    }
+    out
+}
+
+fn put_u64(out: &mut Vec<u8>, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push(b' ');
+    out.extend_from_slice(&buf[at..]);
+}
+
+fn put_usize(out: &mut Vec<u8>, n: usize) {
+    put_u64(out, n as u64);
+}
+
+fn put_f64(out: &mut Vec<u8>, f: f64) {
+    out.push(b' ');
+    out.extend_from_slice(&hex_digits::<16>(f.to_bits()));
+}
+
+fn put_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b" 1" } else { b" 0" });
+}
+
+fn put_name(out: &mut Vec<u8>, name: &str) {
+    out.push(b' ');
+    out.extend_from_slice(name.as_bytes());
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b' ');
+    if s.is_empty() {
+        out.extend_from_slice(b"\\e");
+    }
+    for &b in s.as_bytes() {
+        match b {
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b' ' => out.extend_from_slice(b"\\s"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b => out.push(b),
+        }
+    }
+}
+
+fn put_slots(out: &mut Vec<u8>, slots: &[usize]) {
+    put_usize(out, slots.len());
+    for &s in slots {
+        put_usize(out, s);
+    }
+}
+
+fn put_config(out: &mut Vec<u8>, c: ProcessorConfig) {
+    put_usize(out, c.rows);
+    put_usize(out, c.cols);
+}
+
+fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
+    put_str(out, &spec.name);
+    match &spec.topology {
+        TopologyPref::Grid { problem_size } => {
+            put_name(out, "grid");
+            put_usize(out, *problem_size);
+        }
+        TopologyPref::Linear {
+            problem_size,
+            even_only,
+        } => {
+            put_name(out, "lin");
+            put_usize(out, *problem_size);
+            put_bool(out, *even_only);
+        }
+        TopologyPref::AnyCount { min, max, step } => {
+            put_name(out, "any");
+            put_usize(out, *min);
+            put_usize(out, *max);
+            put_usize(out, *step);
+        }
+        TopologyPref::Explicit { configs } => {
+            put_name(out, "exp");
+            put_usize(out, configs.len());
+            for &c in configs {
+                put_config(out, c);
+            }
+        }
+    }
+    put_config(out, spec.initial);
+    put_usize(out, spec.iterations);
+    put_bool(out, spec.resizable);
+    put_u64(out, spec.priority as u64);
+    put_bool(out, spec.survivable);
+}
+
+/// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
+fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
+    let start = out.len();
+    out.extend_from_slice(b"00000000 ");
+    match rec {
+        WalRecord::Open {
+            total_procs,
+            policy,
+            remap_policy,
+            events_cap,
+            alloc_order,
+            slot_speeds,
+        } => {
+            out.extend_from_slice(b"open");
+            put_usize(out, *total_procs);
+            put_name(
+                out,
+                match policy {
+                    QueuePolicy::Fcfs => "fcfs",
+                    QueuePolicy::Backfill => "backfill",
+                },
+            );
+            put_name(
+                out,
+                match remap_policy {
+                    RemapPolicy::Paper => "paper",
+                    RemapPolicy::GreedyExpand => "greedy",
+                    RemapPolicy::NeverShrink => "nevershrink",
+                    RemapPolicy::CostBenefit => "costbenefit",
+                },
+            );
+            put_usize(out, *events_cap);
+            put_name(
+                out,
+                match alloc_order {
+                    AllocOrder::LowestId => "lowest",
+                    AllocOrder::FastestFirst => "fastest",
+                },
+            );
+            put_bool(out, slot_speeds.is_some());
+            if let Some(speeds) = slot_speeds {
+                put_usize(out, speeds.len());
+                for &f in speeds {
+                    put_f64(out, f);
+                }
+            }
+        }
+        WalRecord::Submit { spec, now } => {
+            out.extend_from_slice(b"sub");
+            put_spec(out, spec);
+            put_f64(out, *now);
+        }
+        WalRecord::SubmitReserved {
+            spec,
+            reservation,
+            now,
+        } => {
+            out.extend_from_slice(b"subr");
+            put_spec(out, spec);
+            put_u64(out, reservation.0);
+            put_f64(out, *now);
+        }
+        WalRecord::TrySchedule { now } => {
+            out.extend_from_slice(b"ts");
+            put_f64(out, *now);
+        }
+        WalRecord::ResizePoint {
+            job,
+            iter_time,
+            redist_time,
+            now,
+        } => {
+            out.extend_from_slice(b"rp");
+            put_u64(out, job.0);
+            put_f64(out, *iter_time);
+            put_f64(out, *redist_time);
+            put_f64(out, *now);
+        }
+        WalRecord::PhaseChange { job, now } => {
+            out.extend_from_slice(b"pc");
+            put_u64(out, job.0);
+            put_f64(out, *now);
+        }
+        WalRecord::NoteRedist {
+            job,
+            from,
+            to,
+            seconds,
+        } => {
+            out.extend_from_slice(b"nr");
+            put_u64(out, job.0);
+            put_config(out, *from);
+            put_config(out, *to);
+            put_f64(out, *seconds);
+        }
+        WalRecord::Finished { job, now } => {
+            out.extend_from_slice(b"fin");
+            put_u64(out, job.0);
+            put_f64(out, *now);
+        }
+        WalRecord::Failed { job, reason, now } => {
+            out.extend_from_slice(b"fail");
+            put_u64(out, job.0);
+            put_str(out, reason);
+            put_f64(out, *now);
+        }
+        WalRecord::NodeFailed {
+            job,
+            dead_slots,
+            to,
+            now,
+        } => {
+            out.extend_from_slice(b"nf");
+            put_u64(out, job.0);
+            put_slots(out, dead_slots);
+            put_config(out, *to);
+            put_f64(out, *now);
+        }
+        WalRecord::ExpandFailed { job, now } => {
+            out.extend_from_slice(b"xf");
+            put_u64(out, job.0);
+            put_f64(out, *now);
+        }
+        WalRecord::Cancel { job, now } => {
+            out.extend_from_slice(b"can");
+            put_u64(out, job.0);
+            put_f64(out, *now);
+        }
+        WalRecord::Reserve { start, end, procs } => {
+            out.extend_from_slice(b"rsv");
+            put_f64(out, *start);
+            put_f64(out, *end);
+            put_usize(out, *procs);
+        }
+        WalRecord::CancelReservation { id } => {
+            out.extend_from_slice(b"crsv");
+            put_u64(out, id.0);
+        }
+        WalRecord::Tick { now } => {
+            out.extend_from_slice(b"tick");
+            put_f64(out, *now);
+        }
+        WalRecord::LendGrant { lease, slots, now } => {
+            out.extend_from_slice(b"lg");
+            put_u64(out, *lease);
+            put_slots(out, slots);
+            put_f64(out, *now);
+        }
+        WalRecord::LendReclaim { lease, now } => {
+            out.extend_from_slice(b"lr");
+            put_u64(out, *lease);
+            put_f64(out, *now);
+        }
+        WalRecord::BorrowAttach {
+            lease,
+            global_slots,
+            lender_epoch,
+            now,
+        } => {
+            out.extend_from_slice(b"ba");
+            put_u64(out, *lease);
+            put_slots(out, global_slots);
+            put_u64(out, *lender_epoch);
+            put_f64(out, *now);
+        }
+        WalRecord::BorrowEvict { lease, now } => {
+            out.extend_from_slice(b"be");
+            put_u64(out, *lease);
+            put_f64(out, *now);
+        }
+        WalRecord::PauseExpansion { on, now } => {
+            out.extend_from_slice(b"pause");
+            put_bool(out, *on);
+            put_f64(out, *now);
+        }
+        WalRecord::EpochBump { epoch, now } => {
+            out.extend_from_slice(b"epoch");
+            put_u64(out, *epoch);
+            put_f64(out, *now);
+        }
+        WalRecord::HealRepair { lease, action, now } => {
+            out.extend_from_slice(b"heal");
+            put_u64(out, *lease);
+            put_name(
+                out,
+                match action {
+                    HealAction::EvictStaleBorrow => "evict",
+                    HealAction::ReturnEscrow => "escrow",
+                },
+            );
+            put_f64(out, *now);
+        }
+    }
+    let crc = crc32(&out[start + 9..]);
+    out[start..start + 8].copy_from_slice(&hex_digits::<8>(crc as u64));
+    out.push(b'\n');
+}
+
+/// The space-separated tokens of one payload, read front to back. Every
+/// reader fails with a reason instead of panicking: the bytes come from
+/// disk.
+struct Fields<'a>(std::str::Split<'a, char>);
+
+impl<'a> Fields<'a> {
+    fn token(&mut self) -> Result<&'a str, String> {
+        self.0.next().ok_or_else(|| "missing field".to_string())
+    }
+
+    /// Canonical decimal only (no sign, no leading zero), so that decoding
+    /// and re-encoding a stream reproduces it byte for byte.
+    fn u64(&mut self) -> Result<u64, String> {
+        let tok = self.token()?;
+        let digits = tok.as_bytes();
+        if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
+            return Err(format!("bad integer `{tok}`"));
+        }
+        let mut n = 0u64;
+        for &d in digits {
+            if !d.is_ascii_digit() {
+                return Err(format!("bad integer `{tok}`"));
+            }
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add((d - b'0') as u64))
+                .ok_or_else(|| format!("integer `{tok}` overflows"))?;
+        }
+        Ok(n)
+    }
+
+    fn usize(&mut self) -> Result<usize, String> {
+        let n = self.u64()?;
+        usize::try_from(n).map_err(|_| format!("integer `{n}` overflows"))
+    }
+
+    fn f64(&mut self) -> Result<f64, String> {
+        let tok = self.token()?;
+        if tok.len() != 16 {
+            return Err(format!("bad float `{tok}`"));
+        }
+        let mut bits = 0u64;
+        for &d in tok.as_bytes() {
+            let nibble = match d {
+                b'0'..=b'9' => d - b'0',
+                b'a'..=b'f' => d - b'a' + 10,
+                _ => return Err(format!("bad float `{tok}`")),
+            };
+            bits = bits << 4 | nibble as u64;
+        }
+        Ok(f64::from_bits(bits))
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        match self.token()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            tok => Err(format!("bad flag `{tok}`")),
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        let tok = self.token()?;
+        if tok == "\\e" {
+            return Ok(String::new());
+        }
+        if tok.is_empty() {
+            return Err("empty string field".to_string());
+        }
+        let mut s = String::with_capacity(tok.len());
+        let mut chars = tok.chars();
+        while let Some(c) = chars.next() {
+            s.push(match c {
+                '\\' => match chars.next() {
+                    Some('\\') => '\\',
+                    Some('s') => ' ',
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    _ => return Err(format!("bad escape in `{tok}`")),
+                },
+                c => c,
+            });
+        }
+        Ok(s)
+    }
+
+    fn slots(&mut self) -> Result<Vec<usize>, String> {
+        // Collected through `Result`, so a huge bogus length allocates
+        // nothing up front and fails at the first missing token.
+        (0..self.usize()?).map(|_| self.usize()).collect()
+    }
+
+    fn config(&mut self) -> Result<ProcessorConfig, String> {
+        let (rows, cols) = (self.usize()?, self.usize()?);
+        if rows == 0 || cols == 0 {
+            return Err(format!("degenerate configuration {rows}x{cols}"));
+        }
+        Ok(ProcessorConfig { rows, cols })
+    }
+
+    fn spec(&mut self) -> Result<JobSpec, String> {
+        let name = self.string()?;
+        let topology = match self.token()? {
+            "grid" => TopologyPref::Grid {
+                problem_size: self.usize()?,
+            },
+            "lin" => TopologyPref::Linear {
+                problem_size: self.usize()?,
+                even_only: self.bool()?,
+            },
+            "any" => TopologyPref::AnyCount {
+                min: self.usize()?,
+                max: self.usize()?,
+                step: self.usize()?,
+            },
+            "exp" => TopologyPref::Explicit {
+                configs: (0..self.usize()?).map(|_| self.config()).collect::<Result<_, _>>()?,
+            },
+            tok => return Err(format!("unknown topology `{tok}`")),
+        };
+        Ok(JobSpec {
+            name,
+            topology,
+            initial: self.config()?,
+            iterations: self.usize()?,
+            resizable: self.bool()?,
+            priority: {
+                let p = self.u64()?;
+                u8::try_from(p).map_err(|_| format!("priority `{p}` overflows"))?
+            },
+            survivable: self.bool()?,
+        })
+    }
+
+    fn record(&mut self) -> Result<WalRecord, String> {
+        Ok(match self.token()? {
+            "open" => WalRecord::Open {
+                total_procs: self.usize()?,
+                policy: match self.token()? {
+                    "fcfs" => QueuePolicy::Fcfs,
+                    "backfill" => QueuePolicy::Backfill,
+                    tok => return Err(format!("unknown queue policy `{tok}`")),
+                },
+                remap_policy: match self.token()? {
+                    "paper" => RemapPolicy::Paper,
+                    "greedy" => RemapPolicy::GreedyExpand,
+                    "nevershrink" => RemapPolicy::NeverShrink,
+                    "costbenefit" => RemapPolicy::CostBenefit,
+                    tok => return Err(format!("unknown remap policy `{tok}`")),
+                },
+                events_cap: self.usize()?,
+                alloc_order: match self.token()? {
+                    "lowest" => AllocOrder::LowestId,
+                    "fastest" => AllocOrder::FastestFirst,
+                    tok => return Err(format!("unknown allocation order `{tok}`")),
+                },
+                slot_speeds: if self.bool()? {
+                    Some((0..self.usize()?).map(|_| self.f64()).collect::<Result<_, _>>()?)
+                } else {
+                    None
+                },
+            },
+            "sub" => WalRecord::Submit {
+                spec: self.spec()?,
+                now: self.f64()?,
+            },
+            "subr" => WalRecord::SubmitReserved {
+                spec: self.spec()?,
+                reservation: ReservationId(self.u64()?),
+                now: self.f64()?,
+            },
+            "ts" => WalRecord::TrySchedule { now: self.f64()? },
+            "rp" => WalRecord::ResizePoint {
+                job: JobId(self.u64()?),
+                iter_time: self.f64()?,
+                redist_time: self.f64()?,
+                now: self.f64()?,
+            },
+            "pc" => WalRecord::PhaseChange {
+                job: JobId(self.u64()?),
+                now: self.f64()?,
+            },
+            "nr" => WalRecord::NoteRedist {
+                job: JobId(self.u64()?),
+                from: self.config()?,
+                to: self.config()?,
+                seconds: self.f64()?,
+            },
+            "fin" => WalRecord::Finished {
+                job: JobId(self.u64()?),
+                now: self.f64()?,
+            },
+            "fail" => WalRecord::Failed {
+                job: JobId(self.u64()?),
+                reason: self.string()?,
+                now: self.f64()?,
+            },
+            "nf" => WalRecord::NodeFailed {
+                job: JobId(self.u64()?),
+                dead_slots: self.slots()?,
+                to: self.config()?,
+                now: self.f64()?,
+            },
+            "xf" => WalRecord::ExpandFailed {
+                job: JobId(self.u64()?),
+                now: self.f64()?,
+            },
+            "can" => WalRecord::Cancel {
+                job: JobId(self.u64()?),
+                now: self.f64()?,
+            },
+            "rsv" => WalRecord::Reserve {
+                start: self.f64()?,
+                end: self.f64()?,
+                procs: self.usize()?,
+            },
+            "crsv" => WalRecord::CancelReservation {
+                id: ReservationId(self.u64()?),
+            },
+            "tick" => WalRecord::Tick { now: self.f64()? },
+            "lg" => WalRecord::LendGrant {
+                lease: self.u64()?,
+                slots: self.slots()?,
+                now: self.f64()?,
+            },
+            "lr" => WalRecord::LendReclaim {
+                lease: self.u64()?,
+                now: self.f64()?,
+            },
+            "ba" => WalRecord::BorrowAttach {
+                lease: self.u64()?,
+                global_slots: self.slots()?,
+                lender_epoch: self.u64()?,
+                now: self.f64()?,
+            },
+            "be" => WalRecord::BorrowEvict {
+                lease: self.u64()?,
+                now: self.f64()?,
+            },
+            "pause" => WalRecord::PauseExpansion {
+                on: self.bool()?,
+                now: self.f64()?,
+            },
+            "epoch" => WalRecord::EpochBump {
+                epoch: self.u64()?,
+                now: self.f64()?,
+            },
+            "heal" => WalRecord::HealRepair {
+                lease: self.u64()?,
+                action: match self.token()? {
+                    "evict" => HealAction::EvictStaleBorrow,
+                    "escrow" => HealAction::ReturnEscrow,
+                    tok => return Err(format!("unknown heal action `{tok}`")),
+                },
+                now: self.f64()?,
+            },
+            tok => return Err(format!("unknown record tag `{tok}`")),
+        })
+    }
 }
 
 fn decode_line(line: &str) -> Result<WalRecord, String> {
-    let (crc_hex, json) = line
+    let (crc_hex, payload) = line
         .split_once(' ')
         .ok_or_else(|| "missing checksum field".to_string())?;
     // Exactly the eight lowercase hex digits `encode_line` writes:
@@ -272,11 +923,18 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
         return Err("bad checksum field".to_string());
     }
     let want = u32::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field".to_string())?;
-    let got = crc32(json.as_bytes());
+    let got = crc32(payload.as_bytes());
     if want != got {
         return Err(format!("checksum mismatch (stored {want:08x}, computed {got:08x})"));
     }
-    serde_json::from_str(json).map_err(|e| format!("unparseable record: {e}"))
+    let mut fields = Fields(payload.split(' '));
+    let rec = fields
+        .record()
+        .map_err(|why| format!("unparseable record: {why}"))?;
+    match fields.0.next() {
+        None => Ok(rec),
+        Some(tok) => Err(format!("unparseable record: trailing field `{tok}`")),
+    }
 }
 
 /// An append-only, checksummed record stream. Purely in-memory by default;
@@ -418,7 +1076,12 @@ impl Wal {
     /// The full stream in wire format (what a file-backed WAL would
     /// contain).
     pub fn encode(&self) -> String {
-        self.records.iter().map(encode_line).collect()
+        // ~57 bytes a record on federation streams; one buffer for the lot.
+        let mut out = Vec::with_capacity(self.records.len() * 64);
+        for rec in &self.records {
+            encode_line(&mut out, rec);
+        }
+        String::from_utf8(out).expect("the codec writes ASCII around UTF-8 strings")
     }
 
     /// Append one record; file-backed WALs write and flush before
@@ -430,7 +1093,9 @@ impl Wal {
     /// loses records is worse than no WAL.
     pub fn append(&mut self, rec: WalRecord) {
         if let Some(f) = self.file.as_mut() {
-            f.write_all(encode_line(&rec).as_bytes())
+            let mut line = Vec::new();
+            encode_line(&mut line, &rec);
+            f.write_all(&line)
                 .and_then(|_| f.flush())
                 .expect("WAL append failed");
         }
@@ -548,7 +1213,6 @@ pub fn record_histogram(records: &[WalRecord]) -> BTreeMap<&'static str, usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::TopologyPref;
 
     /// One record of every variant, genesis first.
     fn sample() -> Vec<WalRecord> {
@@ -668,6 +1332,17 @@ mod tests {
     }
 
     #[test]
+    fn wire_format_is_the_documented_one() {
+        // The module doc's example line, checksum included.
+        let mut wal = Wal::in_memory();
+        wal.append(WalRecord::Finished {
+            job: JobId(12),
+            now: 3.5,
+        });
+        assert_eq!(wal.encode(), "4a99c3de fin 12 400c000000000000\n");
+    }
+
+    #[test]
     fn torn_tail_is_dropped() {
         let mut wal = Wal::in_memory();
         for r in sample() {
@@ -711,7 +1386,7 @@ mod tests {
         // Simulate a torn append: write half a line at the end.
         {
             let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"deadbeef {\"type\":\"try_sch").unwrap();
+            f.write_all(b"deadbeef ts 3ff80000").unwrap();
         }
         let mut wal = Wal::load(&path).unwrap();
         assert_eq!(wal.len(), sample().len());
@@ -729,15 +1404,21 @@ mod tests {
 
     #[test]
     fn floats_roundtrip_bit_exactly() {
-        // serde_json uses Ryu/Grisu shortest-representation printing, which
-        // round-trips every finite f64 exactly — the recovery-equality
-        // guarantee leans on this.
+        // Floats travel as the hex of `to_bits()`, so every bit pattern —
+        // signed zero, subnormals, the infinities, NaN payloads — comes
+        // back as it went in; the recovery-equality guarantee leans on this.
         let values = [
             0.1 + 0.2,
             1.0 / 3.0,
             f64::MAX,
             f64::MIN_POSITIVE,
             123.456e-78,
+            -0.0,
+            5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::from_bits(0xfff0_dead_beef_0001),
         ];
         for v in values {
             let mut wal = Wal::in_memory();
@@ -747,6 +1428,22 @@ mod tests {
                 WalRecord::Tick { now } => assert_eq!(now.to_bits(), v.to_bits()),
                 _ => unreachable!(),
             }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition() {
+        // The standard check value, then every length around the 8-byte
+        // block boundary against the one-table loop slicing-by-8 replaced.
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        let data: Vec<u8> = (0..67u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=data.len() {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in &data[..len] {
+                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+            }
+            assert_eq!(crc32(&data[..len]), c ^ 0xFFFF_FFFF, "length {len}");
         }
     }
 

@@ -1,15 +1,19 @@
-//! Round-trip property for the WAL's wire format: whatever a [`WalRecord`]
-//! holds — every variant, extreme integers, hostile strings, long slot
-//! vectors — `Wal::decode(&wal.encode())` gives it back bit for bit, each
-//! record is exactly one line, and re-encoding the decoded WAL reproduces
-//! the text byte for byte (what `fed-recover`'s "replayed WAL re-encodes to
-//! the same text" check leans on).
+//! The WAL's line codec from the outside. Round trip: whatever a
+//! [`WalRecord`] holds — every variant, extreme integers, any float bit
+//! pattern, hostile strings, long slot vectors — `Wal::decode(&wal.encode())`
+//! gives it back bit for bit, each record is exactly one line, and
+//! re-encoding the decoded WAL reproduces the text byte for byte (what
+//! `fed-recover`'s "replayed WAL re-encodes to the same text" check leans
+//! on). Rejection: a correctly checksummed line the encoder could not have
+//! written is an error, never a panic and never a second spelling of a
+//! record.
 
 use proptest::prelude::*;
 use proptest::TestRng;
+use reshape_core::wal::crc32;
 use reshape_core::{
     AllocOrder, HealAction, JobId, JobSpec, ProcessorConfig, QueuePolicy, RemapPolicy,
-    ReservationId, TopologyPref, Wal, WalRecord,
+    ReservationId, TopologyPref, Wal, WalError, WalRecord,
 };
 use serde_json::Value;
 
@@ -69,19 +73,28 @@ fn size(rng: &mut TestRng) -> usize {
 }
 
 fn float(rng: &mut TestRng) -> f64 {
-    let f = match rng.gen_range_u64(0, 3) {
+    match rng.gen_range_u64(0, 3) {
         0 => pick(
             rng,
-            &[0.0, 1.0, -1.5, 0.1 + 0.2, f64::MAX, f64::MIN, f64::MIN_POSITIVE, f64::EPSILON],
+            &[
+                0.0,
+                -0.0,
+                1.0,
+                -1.5,
+                0.1 + 0.2,
+                f64::MAX,
+                f64::MIN,
+                f64::MIN_POSITIVE,
+                5e-324,
+                f64::EPSILON,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+            ],
         ),
+        // Any bit pattern at all: NaN payloads, subnormals, both signs.
         1 => f64::from_bits(rng.next_u64()),
         _ => rng.gen_f64() * 1e6,
-    };
-    // The JSON payload cannot carry NaN or the infinities.
-    if f.is_finite() {
-        f
-    } else {
-        0.5
     }
 }
 
@@ -297,5 +310,85 @@ proptest! {
             );
         }
         prop_assert!(back.encode() == text, "re-encoding the decoded WAL changed the text");
+    }
+}
+
+/// `payload` framed as the encoder would frame it, so the checksum passes
+/// and the payload grammar alone decides.
+fn framed(payload: &str) -> String {
+    format!("{:08x} {payload}\n", crc32(payload.as_bytes()))
+}
+
+#[test]
+fn well_formed_payloads_decode() {
+    // The rejections below each differ from one of these by a single
+    // defect; if these stopped decoding the rejections would prove nothing.
+    for payload in [
+        "fin 12 400c000000000000",
+        "crsv 18446744073709551615",
+        "fail 3 node\\s2\\\\crashed 4022800000000000",
+        "fail 3 \\e 4022800000000000",
+        "nr 1 2 2 2 3 4020cccccccccccd",
+        "open 8 fcfs paper 1024 lowest 1 2 3ff0000000000000 7ff8000000000000",
+        "sub LU grid 8000 2 2 10 1 255 0 0000000000000000",
+    ] {
+        let wal = Wal::decode(&framed(payload)).unwrap_or_else(|e| panic!("`{payload}`: {e}"));
+        assert_eq!(wal.len(), 1, "`{payload}`");
+        assert_eq!(wal.encode(), framed(payload), "`{payload}` is the canonical spelling");
+    }
+}
+
+#[test]
+fn malformed_payloads_are_errors_not_panics() {
+    for (payload, why) in [
+        ("zap 1 400c000000000000", "unknown tag"),
+        ("FIN 12 400c000000000000", "tags are lower case"),
+        ("", "no tag at all"),
+        ("fin 12", "missing field"),
+        ("fin", "missing fields"),
+        ("fin 12 400c000000000000 0", "extra field"),
+        ("fin 12 400c000000000000 ", "trailing separator"),
+        ("fin  12 400c000000000000", "doubled separator"),
+        ("fin +1 400c000000000000", "signed integer"),
+        ("fin -1 400c000000000000", "negative integer"),
+        ("fin 01 400c000000000000", "leading zero"),
+        ("fin 0x1 400c000000000000", "hex integer"),
+        ("fin 184467440737095516150 400c000000000000", "21 digits"),
+        ("fin 18446744073709551616 400c000000000000", "u64::MAX + 1"),
+        ("fin 12 400c00000000000", "15-digit float"),
+        ("fin 12 400c0000000000000", "17-digit float"),
+        ("fin 12 400C000000000000", "upper-case float"),
+        ("fin 12 3.5", "decimal float"),
+        ("pause 2 400c000000000000", "flag out of range"),
+        ("pause true 400c000000000000", "spelled-out flag"),
+        ("fail 3 bad\\x 4022800000000000", "unknown escape"),
+        ("fail 3 dangling\\ 4022800000000000", "escape cut short"),
+        ("fail 3 a\\eb 4022800000000000", "the empty marker inside a string"),
+        ("fail 3  4022800000000000", "empty string written bare"),
+        ("nr 1 0 2 2 3 4020cccccccccccd", "rows == 0"),
+        ("nr 1 2 2 2 0 4020cccccccccccd", "cols == 0"),
+        ("nf 4 2 5 6 0 1 4023000000000000", "degenerate surviving configuration"),
+        ("nf 4 3 5 6 1 2 4023000000000000", "slot count larger than the slots present"),
+        ("lg 7 18446744073709551615 0 1 4026000000000000", "absurd slot count"),
+        ("open 8 lifo paper 1024 lowest 0", "unknown queue policy"),
+        ("open 8 fcfs eager 1024 lowest 0", "unknown remap policy"),
+        ("open 8 fcfs paper 1024 highest 0", "unknown allocation order"),
+        ("open 8 fcfs paper 1024 lowest 1 2 3ff0000000000000", "fewer speeds than announced"),
+        ("open 8 fcfs paper 1024 lowest", "speeds marker missing"),
+        ("heal 8 shrug 4032000000000000", "unknown heal action"),
+        ("sub LU torus 8000 2 2 10 1 0 0 0000000000000000", "unknown topology"),
+        ("sub LU grid 8000 0 2 10 1 0 0 0000000000000000", "degenerate initial configuration"),
+        ("sub LU exp 1 0 4 1 4 10 1 0 0 0000000000000000", "degenerate explicit configuration"),
+        ("sub LU grid 8000 2 2 10 1 256 0 0000000000000000", "priority past u8"),
+        ("{\"type\":\"finished\",\"job\":12,\"now\":3.5}", "a pre-codec JSON payload"),
+    ] {
+        match Wal::decode(&framed(payload)) {
+            Err(WalError::Corrupt { line: 1, reason }) => assert!(
+                reason.starts_with("unparseable record: "),
+                "{why} (`{payload}`): reason was `{reason}`"
+            ),
+            Err(other) => panic!("{why} (`{payload}`): wrong error {other}"),
+            Ok(wal) => panic!("{why} (`{payload}`) decoded as {:?}", wal.records()),
+        }
     }
 }
