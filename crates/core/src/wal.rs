@@ -76,7 +76,8 @@
 //! encoder would not have written (unknown tags or names, non-canonical
 //! numbers, bad escapes, degenerate configurations, missing or trailing
 //! fields), so decoding a stream and encoding it again reproduces it byte
-//! for byte.
+//! for byte. [`Wal::dump_json`] renders the same records as JSON for a
+//! person to read; nothing reads that form back.
 //!
 //! A torn final line (the crash landed mid-append) is tolerated and dropped
 //! on load; a checksum mismatch or garbage anywhere earlier is reported as
@@ -93,7 +94,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::core::{QueuePolicy, ReservationId};
 use crate::job::{JobId, JobSpec};
@@ -105,7 +106,10 @@ use crate::topology::{ProcessorConfig, TopologyPref};
 /// [`WalRecord::Open`] (the core's configuration at attach time); every
 /// subsequent record is a public [`SchedulerCore`](crate::SchedulerCore)
 /// call with its arguments.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// `Serialize` is for [`Wal::dump_json`] only; the durable form is the line
+/// codec of the module doc.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 #[serde(tag = "type", rename_all = "snake_case")]
 pub enum WalRecord {
     /// Genesis: everything needed to rebuild an empty core identical to the
@@ -117,7 +121,6 @@ pub enum WalRecord {
         events_cap: usize,
         alloc_order: AllocOrder,
         /// Per-slot speed factors; `None` for homogeneous pools.
-        #[serde(default)]
         slot_speeds: Option<Vec<f64>>,
     },
     Submit {
@@ -204,12 +207,11 @@ pub enum WalRecord {
     /// Federation lease, borrower side: `global_slots` (federation-global
     /// processor ids, recorded for ledger audits) were attached under lease
     /// `lease`; the pool minted fresh local ids for them. `lender_epoch` is
-    /// the lender's fencing epoch at grant time (0 in pre-epoch streams) —
-    /// the partition oracle audits attaches against it.
+    /// the lender's fencing epoch at grant time — the partition oracle
+    /// audits attaches against it.
     BorrowAttach {
         lease: u64,
         global_slots: Vec<usize>,
-        #[serde(default)]
         lender_epoch: u64,
         now: f64,
     },
@@ -245,7 +247,7 @@ pub enum WalRecord {
 }
 
 /// What a post-partition reconciliation did to one lease.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 #[serde(rename_all = "snake_case")]
 pub enum HealAction {
     /// The borrower evicted an attachment whose lease the lender fenced.
@@ -1084,6 +1086,18 @@ impl Wal {
         String::from_utf8(out).expect("the codec writes ASCII around UTF-8 strings")
     }
 
+    /// The records as JSON, one object per line and no checksums: a
+    /// rendering for people (failure artifacts, `jq`). Nothing reads it
+    /// back, and non-finite floats print as `null`.
+    pub fn dump_json(&self) -> String {
+        let mut out = String::new();
+        for rec in &self.records {
+            out.push_str(&serde_json::to_string(rec).expect("WAL records always serialize"));
+            out.push('\n');
+        }
+        out
+    }
+
     /// Append one record; file-backed WALs write and flush before
     /// returning.
     ///
@@ -1340,6 +1354,22 @@ mod tests {
             now: 3.5,
         });
         assert_eq!(wal.encode(), "4a99c3de fin 12 400c000000000000\n");
+    }
+
+    #[test]
+    fn json_dump_is_one_readable_object_per_record() {
+        let mut wal = Wal::in_memory();
+        for r in sample() {
+            wal.append(r);
+        }
+        let dump = wal.dump_json();
+        assert_eq!(dump.lines().count(), wal.len());
+        assert_eq!(
+            dump.lines().nth(8),
+            Some(r#"{"type":"failed","job":3,"reason":"node 2 crashed","now":9.25}"#)
+        );
+        // One-way: the loaders take the line codec only.
+        assert!(matches!(Wal::decode(&dump), Err(WalError::Corrupt { line: 1, .. })));
     }
 
     #[test]

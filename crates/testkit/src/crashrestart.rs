@@ -17,7 +17,8 @@
 //!    final snapshot (minus the still-attached WAL) equals the baseline's.
 //!
 //! On failure with `TESTKIT_WAL_DIR` set, the WAL stream is dumped to
-//! `$TESTKIT_WAL_DIR/seed-<seed>.wal` for offline replay.
+//! `$TESTKIT_WAL_DIR/seed-<seed>.wal` for offline replay, with a JSON
+//! rendering beside it (`seed-<seed>.wal.json`) for reading.
 
 use reshape_core::wal::Wal;
 use reshape_core::SchedulerCore;
@@ -35,6 +36,18 @@ pub struct CrashReport {
     pub wal_records: usize,
     /// Statistics of the post-recovery run (equal to the baseline's).
     pub stats: RunStats,
+}
+
+/// Write a failing run's WAL twice: `<stem>.wal`, the wire text a replay
+/// reads, and `<stem>.wal.json`, the same records as JSON lines for a
+/// person to read (salvaged, so a damaged stream still shows its good
+/// prefix).
+pub(crate) fn write_wal_artifact(stem: &str, text: &str) -> std::io::Result<()> {
+    std::fs::write(format!("{stem}.wal"), text)?;
+    std::fs::write(
+        format!("{stem}.wal.json"),
+        Wal::decode_salvage(text).0.dump_json(),
+    )
 }
 
 /// Run the crash-restart drill for `seed`. See the module docs for the
@@ -83,10 +96,10 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     let dump = |why: &str| -> String {
         let mut msg = fail(why.to_string());
         if let Ok(dir) = std::env::var("TESTKIT_WAL_DIR") {
-            let path = std::path::Path::new(&dir).join(format!("seed-{seed}.wal"));
+            let stem = format!("{dir}/seed-{seed}");
             let _ = std::fs::create_dir_all(&dir);
-            match std::fs::write(&path, &text) {
-                Ok(()) => msg.push_str(&format!(" [WAL dumped to {}]", path.display())),
+            match write_wal_artifact(&stem, &text) {
+                Ok(()) => msg.push_str(&format!(" [WAL dumped to {stem}.wal and .wal.json]")),
                 Err(e) => msg.push_str(&format!(" [WAL dump failed: {e}]")),
             }
         }
@@ -120,4 +133,30 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
         wal_records,
         stats,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use reshape_core::wal::WalRecord;
+
+    #[test]
+    fn wal_artifact_is_a_replayable_file_and_a_readable_one() {
+        let mut wal = Wal::in_memory();
+        wal.append(WalRecord::Tick { now: 1.0 });
+        wal.append(WalRecord::Tick { now: f64::NAN });
+        let mut text = wal.encode();
+        text.push_str("00000000 damaged tail\nmore\n");
+
+        let dir = std::env::temp_dir().join(format!("reshape-wal-artifact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let stem = format!("{}/seed-7", dir.display());
+        write_wal_artifact(&stem, &text).unwrap();
+        assert_eq!(std::fs::read_to_string(format!("{stem}.wal")).unwrap(), text);
+        assert_eq!(
+            std::fs::read_to_string(format!("{stem}.wal.json")).unwrap(),
+            "{\"type\":\"tick\",\"now\":1.0}\n{\"type\":\"tick\",\"now\":null}\n"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

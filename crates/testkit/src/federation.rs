@@ -40,6 +40,7 @@ use reshape_federation::{
     BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, TenantConfig,
 };
 
+use crate::crashrestart::write_wal_artifact;
 use crate::oracle;
 use crate::rng::SplitMix64;
 
@@ -581,7 +582,7 @@ fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec
         schedule,
     );
     for (shard, text) in wals {
-        let _ = std::fs::write(format!("{dir}/fed-seed-{seed}-shard-{shard}.wal"), text);
+        let _ = write_wal_artifact(&format!("{dir}/fed-seed-{seed}-shard-{shard}"), text);
     }
     let _ = std::fs::write(format!("{dir}/fed-seed-{seed}.flightrec.jsonl"), flightrec);
 }

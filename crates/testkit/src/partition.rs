@@ -23,6 +23,7 @@ use reshape_core::{Backoff, JobSpec, ProcessorConfig, TopologyPref};
 use reshape_federation::sim::{run_with_fed, FedSimConfig, PartitionPlan};
 use reshape_federation::{Federation, FederationConfig, TenantConfig};
 
+use crate::crashrestart::write_wal_artifact;
 use crate::federation::{check_ledger, generate_federation, FedChaosReport};
 use crate::rng::SplitMix64;
 
@@ -174,10 +175,7 @@ fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec
     let _ = std::fs::create_dir_all(&dir);
     let _ = std::fs::write(format!("{dir}/partition-seed-{seed}.schedule.txt"), schedule);
     for (shard, text) in wals {
-        let _ = std::fs::write(
-            format!("{dir}/partition-seed-{seed}-shard-{shard}.wal"),
-            text,
-        );
+        let _ = write_wal_artifact(&format!("{dir}/partition-seed-{seed}-shard-{shard}"), text);
     }
     let _ = std::fs::write(
         format!("{dir}/partition-seed-{seed}.flightrec.jsonl"),
