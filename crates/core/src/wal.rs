@@ -918,16 +918,13 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
     let (crc_hex, payload) = line
         .split_once(' ')
         .ok_or_else(|| "missing checksum field".to_string())?;
-    // Exactly the eight lowercase hex digits `encode_line` writes:
-    // `from_str_radix` alone also takes `+`, upper case and any length, so
-    // a flipped case bit in a checksum letter would go unnoticed.
-    if crc_hex.len() != 8 || !crc_hex.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
-        return Err("bad checksum field".to_string());
-    }
-    let want = u32::from_str_radix(crc_hex, 16).map_err(|_| "bad checksum field".to_string())?;
+    // Compared as text against the one spelling `encode_line` writes, so an
+    // upper-case digit, a sign or a different length is a mismatch too
+    // (`from_str_radix` would take all three, and a flipped case bit in a
+    // checksum letter would go unnoticed).
     let got = crc32(payload.as_bytes());
-    if want != got {
-        return Err(format!("checksum mismatch (stored {want:08x}, computed {got:08x})"));
+    if crc_hex.as_bytes() != hex_digits::<8>(got as u64) {
+        return Err(format!("checksum mismatch (stored {crc_hex}, computed {got:08x})"));
     }
     let mut fields = Fields(payload.split(' '));
     let rec = fields
@@ -1394,7 +1391,7 @@ mod tests {
             wal.append(r);
         }
         let mut text = wal.encode();
-        // Flip a byte inside the second line's JSON.
+        // Flip a byte inside the second line's payload.
         let second_line_start = text.find('\n').unwrap() + 1;
         let pos = second_line_start + 12;
         unsafe { text.as_bytes_mut()[pos] ^= 0x01 };
@@ -1484,7 +1481,7 @@ mod tests {
             wal.append(r);
         }
         let mut text = wal.encode();
-        // Bit-flip inside the fourth line's JSON payload.
+        // Bit-flip inside the fourth line's payload.
         let mut start = 0;
         for _ in 0..3 {
             start = text[start..].find('\n').unwrap() + start + 1;
