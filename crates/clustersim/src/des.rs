@@ -35,12 +35,13 @@
 //! by the *live* job count, not the trace length.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::BuildHasherDefault;
 use std::rc::Rc;
 
 use reshape_core::{
-    Directive, EventKind, JobId, JobSpec, JobState, ProcessorConfig, QueuePolicy, SchedulerCore,
-    TopologyPref,
+    Directive, EventKind, IdHasher, JobId, JobSpec, JobState, ProcessorConfig, QueuePolicy,
+    SchedulerCore, TopologyPref,
 };
 use serde::{Deserialize, Serialize};
 
@@ -329,7 +330,9 @@ const FOLD_THRESHOLD: usize = 16_384;
 #[derive(Debug)]
 enum ScaleEv {
     Arrival(u64),
-    IterationEnd(JobId),
+    /// A job finished an iteration; the redistribution cost it paid just
+    /// before that iteration rides along.
+    IterationEnd(JobId, f64),
 }
 
 fn u01(h: u64) -> f64 {
@@ -375,7 +378,6 @@ fn mean_gap(cfg: &ScaleConfig) -> f64 {
 struct LiveScaleJob {
     work: f64,
     remaining: usize,
-    last_redist: f64,
 }
 
 /// The single self-scheduling component of the scale sweep: arrival
@@ -384,7 +386,7 @@ struct ScaleDriver {
     cfg: ScaleConfig,
     me: ComponentId,
     core: SchedulerCore,
-    live: HashMap<JobId, LiveScaleJob>,
+    live: HashMap<JobId, LiveScaleJob, BuildHasherDefault<IdHasher>>,
     mean_gap: f64,
     last_now: f64,
     terminal_since_fold: usize,
@@ -405,7 +407,7 @@ impl ScaleDriver {
             core: SchedulerCore::new(cfg.nodes, QueuePolicy::Fcfs),
             cfg,
             me: 0,
-            live: HashMap::new(),
+            live: HashMap::default(),
             last_now: 0.0,
             terminal_since_fold: 0,
             finished: 0,
@@ -454,12 +456,11 @@ impl ScaleDriver {
         ctx: &mut SimCtx<'_, ScaleEv>,
     ) {
         for s in starts {
-            let j = self.live.get_mut(&s.job).expect("started job was submitted");
-            j.last_redist = 0.0;
+            let work = self.live[&s.job].work;
             ctx.schedule(
-                now + j.work / s.config.procs() as f64,
+                now + work / s.config.procs() as f64,
                 self.me,
-                ScaleEv::IterationEnd(s.job),
+                ScaleEv::IterationEnd(s.job, 0.0),
             );
         }
     }
@@ -496,7 +497,6 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                     LiveScaleJob {
                         work: p.work,
                         remaining: p.iterations,
-                        last_redist: 0.0,
                     },
                 );
                 self.handle_starts(starts, now, ctx);
@@ -509,15 +509,15 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                     self.fold();
                 }
             }
-            ScaleEv::IterationEnd(id) => {
-                let (work, remaining) = {
-                    let j = self.live.get_mut(&id).expect("iteration end for live job");
-                    j.remaining -= 1;
-                    (j.work, j.remaining)
+            ScaleEv::IterationEnd(id, last_redist) => {
+                let Entry::Occupied(mut live) = self.live.entry(id) else {
+                    unreachable!("iteration end for a job that is not live");
                 };
-                if remaining == 0 {
+                live.get_mut().remaining -= 1;
+                let work = live.get().work;
+                if live.get().remaining == 0 {
+                    live.remove();
                     let starts = self.core.on_finished(id, now);
-                    self.live.remove(&id);
                     self.terminal_since_fold += 1;
                     self.handle_starts(starts, now, ctx);
                     return;
@@ -531,7 +531,6 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                     }
                 };
                 let iter_time = work / config.procs() as f64;
-                let last_redist = self.live[&id].last_redist;
                 let (directive, starts) = self.core.resize_point(id, iter_time, last_redist, now);
                 let (next_procs, redist) = match directive {
                     Directive::NoChange => (config.procs(), 0.0),
@@ -547,14 +546,10 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                         (to.procs(), SCALE_SPAWN_COST)
                     }
                 };
-                {
-                    let j = self.live.get_mut(&id).expect("still live");
-                    j.last_redist = redist;
-                }
                 ctx.schedule(
                     now + redist + work / next_procs as f64,
                     self.me,
-                    ScaleEv::IterationEnd(id),
+                    ScaleEv::IterationEnd(id, redist),
                 );
                 self.handle_starts(starts, now, ctx);
             }

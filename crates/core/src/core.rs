@@ -10,12 +10,12 @@
 //! same policy code drive both real threads and simulated clusters.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
-use crate::job::{JobId, JobSpec, JobState};
+use crate::job::{IdMap, IdSet, JobId, JobSpec, JobState};
 use crate::policy::{decide_with, RemapDecision, RemapPolicy, SystemSnapshot};
 use crate::pool::ResourcePool;
 use crate::profiler::{JobProfile, Profiler, Resize};
@@ -199,7 +199,7 @@ pub struct SchedulerCore {
     /// A requeue path would break that and need an explicit sequence
     /// number in the key.
     queue: BTreeMap<(Reverse<u8>, JobId), usize>,
-    jobs: HashMap<JobId, JobRecord>,
+    jobs: IdMap<JobId, JobRecord>,
     profiler: Profiler,
     next_id: u64,
     events: Vec<SchedEvent>,
@@ -211,10 +211,10 @@ pub struct SchedulerCore {
     reservations: Vec<Reservation>,
     next_reservation: u64,
     /// Job → reservation it is entitled to draw on.
-    bindings: HashMap<JobId, ReservationId>,
+    bindings: IdMap<JobId, ReservationId>,
     /// Running jobs with a user cancellation pending (delivered at the next
     /// resize point).
-    pending_cancel: std::collections::HashSet<JobId>,
+    pending_cancel: IdSet<JobId>,
     // Utilization integral: busy processor-seconds and its last update time.
     busy_proc_seconds: f64,
     last_tick: f64,
@@ -229,7 +229,7 @@ pub struct SchedulerCore {
     /// Open causal-trace spans per live job: `(job root, queue-wait)`.
     /// Runtime-only bookkeeping — not part of [`CoreSnapshot`] equality
     /// (traces are an observability layer, not scheduler state).
-    trace_ids: HashMap<JobId, (u64, u64)>,
+    trace_ids: IdMap<JobId, (u64, u64)>,
     /// Lender-side lease ledger: lease id → native slots lent under it.
     lent_leases: BTreeMap<u64, Vec<usize>>,
     /// Borrower-side lease ledger: lease id → attached foreign slots.
@@ -251,7 +251,7 @@ impl SchedulerCore {
             pool: ResourcePool::new(total_procs),
             policy,
             queue: BTreeMap::new(),
-            jobs: HashMap::new(),
+            jobs: IdMap::default(),
             profiler: Profiler::new(),
             next_id: 1,
             events: Vec::new(),
@@ -260,13 +260,13 @@ impl SchedulerCore {
             remap_policy: RemapPolicy::default(),
             reservations: Vec::new(),
             next_reservation: 1,
-            bindings: HashMap::new(),
-            pending_cancel: std::collections::HashSet::new(),
+            bindings: IdMap::default(),
+            pending_cancel: IdSet::default(),
             busy_proc_seconds: 0.0,
             last_tick: 0.0,
             chaos_leak_on_failure: false,
             wal: None,
-            trace_ids: HashMap::new(),
+            trace_ids: IdMap::default(),
             lent_leases: BTreeMap::new(),
             borrowed_leases: BTreeMap::new(),
             expand_paused: false,
@@ -1678,20 +1678,25 @@ impl SchedulerCore {
     /// replays the full history — so durable deployments should prune only
     /// if they can tolerate a recovered core retaining terminal records.
     pub fn prune_terminal(&mut self) -> usize {
-        let dead: Vec<JobId> = self
-            .jobs
-            .iter()
-            .filter(|(_, r)| r.state.is_terminal())
-            .map(|(id, _)| *id)
-            .collect();
-        for id in &dead {
-            self.jobs.remove(id);
+        let before = self.jobs.len();
+        // One visit per record; the side tables are empty on most cores, so
+        // their probes are skipped together.
+        let side_tables = !(self.bindings.is_empty()
+            && self.pending_cancel.is_empty()
+            && self.trace_ids.is_empty());
+        self.jobs.retain(|id, rec| {
+            if rec.state.is_active() {
+                return true;
+            }
             self.profiler.forget(*id);
-            self.bindings.remove(id);
-            self.pending_cancel.remove(id);
-            self.trace_ids.remove(id);
-        }
-        dead.len()
+            if side_tables {
+                self.bindings.remove(id);
+                self.pending_cancel.remove(id);
+                self.trace_ids.remove(id);
+            }
+            false
+        });
+        before - self.jobs.len()
     }
 
     /// Alias of [`SchedulerCore::dropped_events`] (original name).

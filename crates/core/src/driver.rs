@@ -1083,7 +1083,7 @@ mod tests {
         assert!(
             prof.visited().len() >= 2,
             "expected at least one expansion, visited {:?}",
-            prof.visited()
+            prof.visited().collect::<Vec<_>>()
         );
         assert!(prof.ever_expanded());
         drop(core);
@@ -1146,7 +1146,7 @@ mod tests {
             crate::job::JobState::Finished { .. }
         ));
         let prof = core.profiler().profile(job).unwrap();
-        let visited: Vec<String> = prof.visited().iter().map(|c| c.to_string()).collect();
+        let visited: Vec<String> = prof.visited().map(|c| c.to_string()).collect();
         assert!(visited.contains(&"2x2".to_string()), "visited {visited:?}");
         assert!(visited.contains(&"2x3".to_string()), "visited {visited:?}");
         // Final configuration at finish was the sweet spot.
@@ -1400,7 +1400,7 @@ mod tests {
         assert!(
             prof.ever_expanded(),
             "retry never rescued the expansion: visited {:?}",
-            prof.visited()
+            prof.visited().collect::<Vec<_>>()
         );
         assert_eq!(core.idle_procs(), 16);
         drop(core);
@@ -1488,7 +1488,7 @@ mod tests {
         assert!(
             prof.ever_expanded(),
             "expansion never committed under message faults: visited {:?}",
-            prof.visited()
+            prof.visited().collect::<Vec<_>>()
         );
         assert_eq!(core.idle_procs(), 16, "pool accounting diverged");
         drop(core);

@@ -1,4 +1,11 @@
 //! Job model: what the scheduler knows about an application.
+//!
+//! Also home to [`IdHasher`], the hash behind every map the scheduler keys
+//! by something it minted itself — [`JobId`]s, and the handful of
+//! [`ProcessorConfig`]s in one job's profile.
+
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +20,43 @@ impl std::fmt::Display for JobId {
         write!(f, "job{}", self.0)
     }
 }
+
+/// Hasher for keys the scheduler mints: each word written is multiplied in,
+/// and `finish` folds the high half of the state into the low. `hashbrown`
+/// takes a bucket from the low bits of a hash and its control byte from the
+/// top seven; the multiply mixes upwards only, so the fold is what lets the
+/// high bits of a key reach the bucket index.
+///
+/// Unkeyed, so it is for maps whose keys come from the program — job ids are
+/// a counter and per-job configuration maps hold a few entries. A map keyed
+/// by anything a client chooses keeps `std`'s default hasher.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Everything submitted with a job (the command line + configuration file of
 /// the paper's submission process).

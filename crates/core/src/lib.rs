@@ -38,7 +38,7 @@ pub use crate::core::{
 };
 pub use backoff::Backoff;
 pub use wal::{HealAction, Wal, WalError, WalRecord, WalSalvage};
-pub use job::{JobId, JobSpec, JobState};
+pub use job::{IdHasher, JobId, JobSpec, JobState};
 pub use policy::{decide, decide_with, RemapDecision, RemapPolicy, SystemSnapshot};
 pub use pool::{AllocOrder, ResourcePool};
 pub use profiler::{JobProfile, PerfRecord, Profiler, Resize, ShrinkPoint};

@@ -168,8 +168,7 @@ fn expansion_pays_off(
     let cost = profile.redist_cost(current, next).or_else(|| {
         profile
             .visited()
-            .iter()
-            .flat_map(|&a| profile.visited().iter().map(move |&b| (a, b)))
+            .flat_map(|a| profile.visited().map(move |b| (a, b)))
             .filter_map(|(a, b)| profile.redist_cost(a, b))
             .fold(None, |acc: Option<f64>, c| Some(acc.map_or(c, |m| m.max(c))))
     });

@@ -9,6 +9,12 @@
 //! pace of their slowest processor, so concentrating fast slots matters)
 //! or id-ordered (the homogeneous default, which keeps co-scheduled jobs
 //! packed onto adjacent nodes).
+//!
+//! The free set is a bitmap, one bit per slot id ever minted, because every
+//! job start and finish goes through it: id-ordered allocation pops the
+//! lowest set bits in one walk and a release sets one bit per slot. The
+//! lent and borrowed sets change only when a lease does and stay ordered
+//! sets.
 
 use std::collections::BTreeSet;
 
@@ -21,6 +27,99 @@ pub enum AllocOrder {
     LowestId,
     /// Fastest free slots first (heterogeneity-aware; ties by id).
     FastestFirst,
+}
+
+/// A set of slot ids as a bitmap of 64-slot words.
+#[derive(Clone, Debug)]
+struct SlotSet {
+    words: Vec<u64>,
+    /// Members.
+    len: usize,
+    /// Every word below this index is zero, so a walk for the lowest
+    /// members starts here: on a pool whose low slots are all held, it does
+    /// not re-scan them on every allocation. Only a lower bound — removing
+    /// single members never raises it.
+    low: usize,
+}
+
+/// Membership equality: `len` follows from `words`, and `low` is a hint that
+/// depends on the route taken to a state.
+impl PartialEq for SlotSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+impl SlotSet {
+    /// The set `0..n`.
+    fn first(n: usize) -> Self {
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            *words.last_mut().expect("n > 0") = (1 << (n % 64)) - 1;
+        }
+        SlotSet {
+            words,
+            len: n,
+            low: 0,
+        }
+    }
+
+    /// Make room for ids below `n`.
+    fn grow_to(&mut self, n: usize) {
+        let words = n.div_ceil(64).max(self.words.len());
+        self.words.resize(words, 0);
+    }
+
+    /// Whether `slot` was absent. The id must be below what the set has
+    /// room for.
+    fn insert(&mut self, slot: usize) -> bool {
+        let (w, bit) = (slot / 64, 1 << (slot % 64));
+        let absent = self.words[w] & bit == 0;
+        self.words[w] |= bit;
+        self.len += absent as usize;
+        self.low = self.low.min(w);
+        absent
+    }
+
+    /// Whether `slot` was present.
+    fn remove(&mut self, slot: usize) -> bool {
+        let (w, bit) = (slot / 64, 1 << (slot % 64));
+        let present = self.words[w] & bit != 0;
+        self.words[w] &= !bit;
+        self.len -= present as usize;
+        present
+    }
+
+    /// Members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words.iter().enumerate().skip(self.low);
+        words.flat_map(|(w, &word)| {
+            // Clearing the lowest set bit steps to the next member.
+            std::iter::successors(Some(word), |&rest| Some(rest & rest.wrapping_sub(1)))
+                .take_while(|&rest| rest != 0)
+                .map(move |rest| w * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+
+    /// Remove and return the `n <= len` lowest members, ascending.
+    fn take_lowest(&mut self, n: usize) -> Vec<usize> {
+        let mut out = Vec::with_capacity(n);
+        let mut w = self.low;
+        while out.len() < n {
+            let word = &mut self.words[w];
+            while *word != 0 && out.len() < n {
+                out.push(w * 64 + word.trailing_zeros() as usize);
+                *word &= *word - 1;
+            }
+            if *word == 0 {
+                w += 1;
+            }
+        }
+        // Words passed over were zero or have just been emptied.
+        self.low = w;
+        self.len -= n;
+        out
+    }
 }
 
 /// A pool of processor slots. Native slots are identified `0..total`; slot
@@ -41,7 +140,7 @@ pub enum AllocOrder {
 #[derive(Clone, Debug, PartialEq)]
 pub struct ResourcePool {
     total: usize,
-    free: BTreeSet<usize>,
+    free: SlotSet,
     /// Relative speed of each slot (1.0 = nominal).
     speeds: Vec<f64>,
     order: AllocOrder,
@@ -59,7 +158,7 @@ impl ResourcePool {
     pub fn new(total: usize) -> Self {
         ResourcePool {
             total,
-            free: (0..total).collect(),
+            free: SlotSet::first(total),
             speeds: vec![1.0; total],
             order: AllocOrder::LowestId,
             lent: BTreeSet::new(),
@@ -79,7 +178,7 @@ impl ResourcePool {
         let total = speeds.len();
         ResourcePool {
             total,
-            free: (0..total).collect(),
+            free: SlotSet::first(total),
             speeds,
             order: AllocOrder::FastestFirst,
             lent: BTreeSet::new(),
@@ -107,11 +206,11 @@ impl ResourcePool {
     }
 
     pub fn idle(&self) -> usize {
-        self.free.len()
+        self.free.len
     }
 
     pub fn busy(&self) -> usize {
-        self.owned() - self.free.len()
+        self.owned() - self.free.len
     }
 
     /// Native slots currently lent away, ascending.
@@ -158,19 +257,19 @@ impl ResourcePool {
 
     /// The currently free slot ids, ascending.
     pub fn free_slots(&self) -> Vec<usize> {
-        self.free.iter().copied().collect()
+        self.free.iter().collect()
     }
 
     /// Allocate `n` slots according to the pool's order. Returns `None`
     /// without side effects if fewer than `n` are free.
     pub fn allocate(&mut self, n: usize) -> Option<Vec<usize>> {
-        if self.free.len() < n {
+        if self.free.len < n {
             return None;
         }
-        let slots: Vec<usize> = match self.order {
-            AllocOrder::LowestId => self.free.iter().take(n).copied().collect(),
+        Some(match self.order {
+            AllocOrder::LowestId => self.free.take_lowest(n),
             AllocOrder::FastestFirst => {
-                let mut all: Vec<usize> = self.free.iter().copied().collect();
+                let mut all: Vec<usize> = self.free.iter().collect();
                 // Stable by id already; sort by descending speed, ties keep
                 // id order.
                 all.sort_by(|&a, &b| {
@@ -180,13 +279,12 @@ impl ResourcePool {
                         .then(a.cmp(&b))
                 });
                 all.truncate(n);
+                for &s in &all {
+                    self.free.remove(s);
+                }
                 all
             }
-        };
-        for s in &slots {
-            self.free.remove(s);
-        }
-        Some(slots)
+        })
     }
 
     /// Return slots to the pool.
@@ -233,6 +331,7 @@ impl ResourcePool {
     /// speed-agnostic). The new slots start free.
     pub fn attach_foreign(&mut self, n: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(n);
+        self.free.grow_to(self.next_foreign + n);
         for _ in 0..n {
             let id = self.next_foreign;
             self.next_foreign += 1;
@@ -255,7 +354,7 @@ impl ResourcePool {
     /// Panics if `slot` is not an attached borrowed slot.
     pub fn detach_foreign_slot(&mut self, slot: usize) -> bool {
         assert!(self.foreign.remove(&slot), "slot {slot} not borrowed");
-        self.free.remove(&slot)
+        self.free.remove(slot)
     }
 }
 

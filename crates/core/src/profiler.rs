@@ -3,11 +3,9 @@
 //! measured redistribution costs between configurations, and the possible
 //! shrink points with their expected performance degradation.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use crate::job::JobId;
+use crate::job::{IdMap, JobId};
 use crate::topology::ProcessorConfig;
 
 /// One recorded iteration.
@@ -43,16 +41,24 @@ pub struct ShrinkPoint {
     pub degradation: f64,
 }
 
+/// Iteration times a job has reported at one configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+struct ConfigTimes {
+    config: ProcessorConfig,
+    sum: f64,
+    count: usize,
+}
+
 /// Per-job performance bookkeeping.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobProfile {
     history: Vec<PerfRecord>,
-    /// Aggregated (sum, count) iteration time per configuration.
-    stats: HashMap<ProcessorConfig, (f64, usize)>,
-    /// Configurations in first-visit order.
-    visited: Vec<ProcessorConfig>,
+    /// One entry per configuration run on, in first-visit order. A job
+    /// visits a handful, so a scan beats a map and the list is the visit
+    /// order too.
+    times: Vec<ConfigTimes>,
     /// Measured redistribution seconds between configuration pairs.
-    redist_costs: HashMap<(ProcessorConfig, ProcessorConfig), f64>,
+    redist_costs: IdMap<(ProcessorConfig, ProcessorConfig), f64>,
     last_resize: Option<Resize>,
     /// Set when the job's most recent expansion attempt could not be
     /// actuated (spawn failure) and the job reverted to `from`. Cleared by
@@ -63,11 +69,15 @@ pub struct JobProfile {
 impl JobProfile {
     /// Mean iteration time observed at `config`.
     pub fn time_at(&self, config: ProcessorConfig) -> Option<f64> {
-        self.stats.get(&config).map(|&(sum, n)| sum / n as f64)
+        self.times
+            .iter()
+            .find(|t| t.config == config)
+            .map(|t| t.sum / t.count as f64)
     }
 
-    pub fn visited(&self) -> &[ProcessorConfig] {
-        &self.visited
+    /// Configurations the job has run on, in first-visit order.
+    pub fn visited(&self) -> impl ExactSizeIterator<Item = ProcessorConfig> + Clone + '_ {
+        self.times.iter().map(|t| t.config)
     }
 
     pub fn history(&self) -> &[PerfRecord] {
@@ -136,10 +146,9 @@ impl JobProfile {
     pub fn shrink_points(&self, current: ProcessorConfig) -> Vec<ShrinkPoint> {
         let cur_time = self.time_at(current);
         let mut pts: Vec<ShrinkPoint> = self
-            .visited
-            .iter()
+            .visited()
             .filter(|c| c.procs() < current.procs())
-            .map(|&c| ShrinkPoint {
+            .map(|c| ShrinkPoint {
                 config: c,
                 frees: current.procs() - c.procs(),
                 degradation: match (self.time_at(c), cur_time) {
@@ -155,7 +164,7 @@ impl JobProfile {
     /// The smallest configuration ever used (the job's "starting processor
     /// set" in the paper's smallest-shrink-point rule).
     pub fn smallest_visited(&self) -> Option<ProcessorConfig> {
-        self.visited.iter().copied().min_by_key(|c| c.procs())
+        self.visited().min_by_key(|c| c.procs())
     }
 
     /// Measured redistribution cost between two configurations, if any.
@@ -167,7 +176,7 @@ impl JobProfile {
 /// The profiler proper: one [`JobProfile`] per job.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profiler {
-    jobs: HashMap<JobId, JobProfile>,
+    jobs: IdMap<JobId, JobProfile>,
 }
 
 impl Profiler {
@@ -185,12 +194,17 @@ impl Profiler {
         redist_time: f64,
     ) {
         let p = self.jobs.entry(job).or_default();
-        if !p.visited.contains(&config) {
-            p.visited.push(config);
+        match p.times.iter_mut().find(|t| t.config == config) {
+            Some(t) => {
+                t.sum += iter_time;
+                t.count += 1;
+            }
+            None => p.times.push(ConfigTimes {
+                config,
+                sum: iter_time,
+                count: 1,
+            }),
         }
-        let (sum, n) = p.stats.entry(config).or_insert((0.0, 0));
-        *sum += iter_time;
-        *n += 1;
         p.history.push(PerfRecord {
             config,
             iter_time,
@@ -252,8 +266,7 @@ impl Profiler {
     pub fn reset_timing(&mut self, job: JobId) {
         if let Some(p) = self.jobs.get_mut(&job) {
             p.history.clear();
-            p.stats.clear();
-            p.visited.clear();
+            p.times.clear();
             p.last_resize = None;
             p.failed_expansion = None;
         }
@@ -276,7 +289,7 @@ mod tests {
         p.record_iteration(j, cfg(1, 2), 12.0, 0.0);
         let prof = p.profile(j).unwrap();
         assert_eq!(prof.time_at(cfg(1, 2)), Some(11.0));
-        assert_eq!(prof.visited(), &[cfg(1, 2)]);
+        assert!(prof.visited().eq([cfg(1, 2)]));
         assert_eq!(prof.history().len(), 2);
     }
 
@@ -381,7 +394,7 @@ mod tests {
         p.reset_timing(j);
         let prof = p.profile(j).unwrap();
         assert!(prof.history().is_empty());
-        assert!(prof.visited().is_empty());
+        assert_eq!(prof.visited().len(), 0);
         assert_eq!(prof.last_resize(), None);
         assert_eq!(prof.last_expansion_improved(), None);
         // The measured cost survives — it is layout physics, not phase

@@ -45,7 +45,7 @@ fn main() {
             "  {:>5}  ({} procs): {:>8.3} s/iter",
             cfg.to_string(),
             cfg.procs(),
-            profile.time_at(*cfg).unwrap_or(f64::NAN)
+            profile.time_at(cfg).unwrap_or(f64::NAN)
         );
     }
     println!("\nscheduling events:");

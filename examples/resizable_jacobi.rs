@@ -40,7 +40,7 @@ fn main() {
 
     let core = runtime.core().lock();
     let profile = core.profiler().profile(job).expect("ran");
-    let visited: Vec<String> = profile.visited().iter().map(|c| c.to_string()).collect();
+    let visited: Vec<String> = profile.visited().map(|c| c.to_string()).collect();
     println!("configurations visited: {visited:?}");
     assert!(
         visited.len() > 1,

@@ -17,7 +17,7 @@ fn finish(
     let visited = core
         .profiler()
         .profile(job)
-        .map(|p| p.visited().to_vec())
+        .map(|p| p.visited().collect())
         .unwrap_or_default();
     (state, visited)
 }
