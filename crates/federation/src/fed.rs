@@ -119,6 +119,18 @@ impl HealRepairKind {
     }
 }
 
+/// Record a tenant's admission latency. The label string is built only when
+/// telemetry is on: admission is on every job's path.
+fn observe_admit_latency(tenant: u32, seconds: f64) {
+    if telemetry::enabled() {
+        telemetry::observe_labeled(
+            "fed.tenant_admit_latency",
+            &[("tenant", &tenant.to_string())],
+            seconds,
+        );
+    }
+}
+
 /// Short span label for a bus delivery of `msg`.
 fn msg_name(msg: &LeaseMsg) -> &'static str {
     match msg {
@@ -569,11 +581,7 @@ impl Federation {
             if let Some(shard) = self.route(need) {
                 self.assign(shard, tenant, tag, spec, now, &mut out);
                 // Immediate admission: zero queueing latency.
-                telemetry::observe_labeled(
-                    "fed.tenant_admit_latency",
-                    &[("tenant", &tenant.to_string())],
-                    0.0,
-                );
+                observe_admit_latency(tenant, 0.0);
                 self.maybe_lend(now, &mut out);
                 return out;
             }
@@ -1850,11 +1858,7 @@ impl Federation {
                     .pop_front()
                     .unwrap();
                 telemetry::observe("fed.router_wait", now - qj.queued_at);
-                telemetry::observe_labeled(
-                    "fed.tenant_admit_latency",
-                    &[("tenant", &tenant.to_string())],
-                    now - qj.queued_at,
-                );
+                observe_admit_latency(tenant, now - qj.queued_at);
                 self.assign(shard, tenant, qj.tag, qj.spec, now, out);
                 admitted = true;
                 break;
@@ -1872,12 +1876,13 @@ impl Federation {
             return;
         };
         let depth = core.queue_len();
-        let label = shard.to_string();
-        telemetry::gauge_labeled(
-            "fed.shard_queue_depth",
-            &[("shard", label.as_str())],
-            depth as f64,
-        );
+        if telemetry::enabled() {
+            telemetry::gauge_labeled(
+                "fed.shard_queue_depth",
+                &[("shard", &shard.to_string())],
+                depth as f64,
+            );
+        }
         if !self.shards[shard].brownout && depth >= self.brownout_cfg.queue_high {
             self.engage_brownout(shard, now, BrownoutReason::QueueDepth, out);
         } else if self.shards[shard].brownout && depth <= self.brownout_cfg.queue_low {

@@ -278,6 +278,8 @@ pub fn run_with_fed(
         report.per_tenant.entry(j.tenant).or_default();
     }
 
+    // Fixed when the federation is built.
+    let tenants = fed.tenant_ids();
     loop {
         let (t, notices) = if let Some((t, ev)) = q.pop() {
             let notices = match ev {
@@ -442,7 +444,7 @@ pub fn run_with_fed(
 
         // Sample per-tenant SLO state after every event (virtual-time
         // keyed, so identical runs produce identical series).
-        for tenant in fed.tenant_ids() {
+        for &tenant in &tenants {
             report.slo.samples.push((
                 t,
                 tenant,
