@@ -3,7 +3,9 @@
 //! Messages are carried as [`bytes::Bytes`]. Element types that may appear in
 //! a message implement the [`Pod`] marker; the conversions are raw byte
 //! copies, which is sound because every implementor is a fixed-layout
-//! primitive with no padding and no invalid bit patterns.
+//! primitive with no padding and no invalid bit patterns. An owned vector
+//! needs no copy at all: [`vec_to_bytes`] hands its buffer to the payload as
+//! the byte owner.
 
 use bytes::Bytes;
 
@@ -16,7 +18,7 @@ use bytes::Bytes;
 /// bytes (this is what makes the byte-level round trip in [`to_bytes`] /
 /// [`from_bytes`] sound). All implementations in this crate are primitive
 /// numeric types.
-pub unsafe trait Pod: Copy + Send + 'static {}
+pub unsafe trait Pod: Copy + Send + Sync + 'static {}
 
 unsafe impl Pod for u8 {}
 unsafe impl Pod for i8 {}
@@ -39,6 +41,28 @@ pub fn to_bytes<T: Pod>(data: &[T]) -> Bytes {
         std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
     };
     Bytes::copy_from_slice(raw)
+}
+
+/// A vector of POD elements lending its buffer as bytes.
+struct PodVec<T: Pod>(Vec<T>);
+
+impl<T: Pod> AsRef<[u8]> for PodVec<T> {
+    fn as_ref(&self) -> &[u8] {
+        // SAFETY: as in `to_bytes`: `T: Pod` has no padding, so the vector's
+        // initialized elements are initialized bytes.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.0.as_ptr() as *const u8,
+                std::mem::size_of_val(&self.0[..]),
+            )
+        }
+    }
+}
+
+/// Turn an owned vector into a payload without copying it: the vector's
+/// buffer becomes the message, and is freed with the last view of it.
+pub(crate) fn vec_to_bytes<T: Pod>(data: Vec<T>) -> Bytes {
+    Bytes::from_owner(PodVec(data))
 }
 
 /// Deserialize a byte buffer produced by [`to_bytes`] back into elements.

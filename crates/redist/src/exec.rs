@@ -22,8 +22,15 @@
 //! Steps execute in order; within a step each rank fires at most one send
 //! and completes at most one receive (the schedule is a partial
 //! permutation). The paper arms MPI persistent requests per step; buffered
-//! sends give identical semantics here, and the receive buffer is reused
-//! across steps.
+//! sends give identical semantics here.
+//!
+//! In direct mode no element is copied more than it must be. A remote move
+//! is packed once, into an exactly sized vector that becomes the message
+//! ([`Comm::send_vec`]), and the receiver unpacks it straight out of the
+//! payload's bytes ([`Comm::recv_with`]): two copies. A local move copies
+//! span to span from the old panel into the new one: one copy. Within a
+//! step a rank fires its remote sends before its local copies, so their
+//! receivers start while it copies.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -68,11 +75,13 @@ impl Schedule<'_> {
 /// When received elements reach the destination panel.
 #[derive(Clone, Copy)]
 pub(crate) enum Commit {
-    /// `send` / `recv_into`, each payload unpacked as it arrives. A dead
-    /// peer panics or wedges the transport mid-move.
+    /// `send_vec` / `recv_with`, each payload unpacked straight out of the
+    /// message as it arrives. A dead peer panics or wedges the transport
+    /// mid-move.
     Direct,
-    /// `try_send` / `recv_or_failed` into shadow buffers, then an all-to-all
-    /// vote; the destination panel is written only if every rank voted OK.
+    /// `try_send` / `recv_or_failed` into shadow buffers (copying, as those
+    /// calls do), then an all-to-all vote; the destination panel is written
+    /// only if every rank voted OK.
     Staged,
 }
 
@@ -222,57 +231,70 @@ fn execute<T: Pod + Default>(
     // unpack, beside its move. Local moves are staged too, so an abort
     // after a partial step leaves no trace anywhere.
     let mut staged: Vec<(&GTransfer2d, Vec<T>)> = Vec::new();
-    // Where a payload that reached this rank goes: straight into the panel,
-    // or (taking the buffer) into the staging area until the vote.
-    let mut land = |mv, payload: &mut Vec<T>| match mode {
-        Commit::Direct => timed(tel, &mut unpack_s, || {
-            let out = out.as_deref_mut().expect("a payload implies a destination panel");
-            unpack(payload, d, dst_lcols, mv, out)
-        }),
-        Commit::Staged => staged.push((mv, std::mem::take(payload))),
-    };
     // First failure observed (staged mode). A rank that observes a failure
     // keeps driving the remaining sends and receives so its live peers make
     // progress; it just remembers to vote ABORT.
     let mut dead: Option<usize> = None;
 
-    let mut buf: Vec<T> = Vec::new();
     for (t, step) in sched.steps.iter().enumerate() {
         let tag = sched.tag_base + t as u32;
-        for mv in step.iter().filter(|mv| mv.src == my_src) {
+        // Remote sends first, so their receivers can start while this rank
+        // copies its local moves.
+        for mv in step.iter().filter(|mv| mv.src == my_src && mv.dst != my_dst) {
             let local = src.expect("a move from this rank implies a source panel");
-            timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv, &mut buf));
-            if mv.dst == my_dst {
-                land(mv, &mut buf); // local move: both endpoints are this rank
-                continue;
-            }
+            let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
             let to = mv.dst.0 * d.npcol + mv.dst.1;
+            transfers += 1;
+            bytes_sent += std::mem::size_of_val(&payload[..]) as u64;
             let sent = timed(tel, &mut xfer_s, || match mode {
                 Commit::Direct => {
-                    comm.send(to, tag, &buf);
+                    comm.send_vec(to, tag, payload);
                     Ok(())
                 }
-                Commit::Staged => comm.try_send(to, tag, &buf),
+                Commit::Staged => comm.try_send(to, tag, &payload),
             });
             if sent.is_err() {
                 dead.get_or_insert(to);
             }
-            transfers += 1;
-            bytes_sent += std::mem::size_of_val(&buf[..]) as u64;
+        }
+        // Local moves: both endpoints are this rank.
+        for mv in step.iter().filter(|mv| mv.src == my_src && mv.dst == my_dst) {
+            let local = src.expect("a move from this rank implies a source panel");
+            match mode {
+                Commit::Direct => {
+                    let out = out.as_deref_mut().expect("a move to this rank implies a panel");
+                    timed(tel, &mut unpack_s, || {
+                        copy_local(local, s, src_lcols, out, d, dst_lcols, mv)
+                    });
+                }
+                Commit::Staged => {
+                    staged.push((mv, timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv))))
+                }
+            }
         }
         for mv in step.iter().filter(|mv| mv.dst == my_dst && mv.src != my_src) {
             let from = mv.src.0 * s.npcol + mv.src.1;
             match mode {
-                Commit::Direct => timed(tel, &mut xfer_s, || comm.recv_into(from, tag, &mut buf)),
+                Commit::Direct => {
+                    let out = out.as_deref_mut().expect("a payload implies a destination panel");
+                    // The wait is transfer time; the copy out of the
+                    // payload, inside the receive, is unpack time.
+                    let mut copy_s = 0.0;
+                    timed(tel, &mut xfer_s, || {
+                        comm.recv_with(from, tag, |payload| {
+                            timed(tel, &mut copy_s, || unpack(payload, d, dst_lcols, mv, out))
+                        })
+                    });
+                    xfer_s -= copy_s;
+                    unpack_s += copy_s;
+                }
                 Commit::Staged => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
-                    Ok(payload) => buf = payload,
+                    Ok(payload) => staged.push((mv, payload)),
                     Err(()) => {
                         dead.get_or_insert(from);
-                        continue;
                     }
                 },
             }
-            land(mv, &mut buf);
         }
     }
 
@@ -281,7 +303,7 @@ fn execute<T: Pod + Default>(
         if let Some(out) = out {
             timed(tel, &mut unpack_s, || {
                 for (mv, payload) in &staged {
-                    unpack(payload, d, dst_lcols, mv, out);
+                    unpack(bytes_of(payload), d, dst_lcols, mv, out);
                 }
             });
         }
@@ -365,23 +387,65 @@ fn spans<'a>(
     })
 }
 
-/// Serialize a move's elements from the source panel into `buf`.
-fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d, buf: &mut Vec<T>) {
-    buf.clear();
+/// Serialize a move's elements from the source panel into an exactly sized
+/// vector: one allocation, no doubling. In direct mode the vector is the
+/// message.
+fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d) -> Vec<T> {
+    let mut buf = Vec::with_capacity(mv.elems());
     for span in spans(d, lcols, mv) {
         buf.extend_from_slice(&local[span]);
     }
+    buf
 }
 
-/// Mirror of [`pack`] on the destination layout.
-fn unpack<T: Pod>(payload: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d, local: &mut [T]) {
-    let mut rest = payload;
+/// Mirror of [`pack`] on the destination layout, straight from a payload's
+/// bytes. Each span is one byte copy of `size_of::<T>()` times its length,
+/// so the payload need not be aligned for `T`.
+///
+/// # Panics
+///
+/// Panics if the payload is not exactly the move's elements.
+fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &GTransfer2d, local: &mut [T]) {
+    let esz = std::mem::size_of::<T>();
+    assert_eq!(payload.len(), mv.elems() * esz, "transfer payload length mismatch");
+    let local = bytes_of_mut(local);
+    let mut at = 0;
     for span in spans(d, lcols, mv) {
-        let (head, tail) = rest.split_at(span.len());
-        local[span].copy_from_slice(head);
-        rest = tail;
+        let len = span.len() * esz;
+        local[span.start * esz..][..len].copy_from_slice(&payload[at..at + len]);
+        at += len;
     }
-    assert!(rest.is_empty(), "transfer payload length mismatch");
+}
+
+/// A local move: each span of the old panel straight into its span of the
+/// new one, with no buffer in between. Both layouts walk the move in payload
+/// order, and paired spans are one column run, so their lengths agree.
+fn copy_local<T: Pod>(
+    src: &[T],
+    s: &Descriptor,
+    src_lcols: usize,
+    out: &mut [T],
+    d: &Descriptor,
+    dst_lcols: usize,
+    mv: &GTransfer2d,
+) {
+    for (from, to) in spans(s, src_lcols, mv).zip(spans(d, dst_lcols, mv)) {
+        out[to].copy_from_slice(&src[from]);
+    }
+}
+
+/// `s`'s elements as bytes.
+fn bytes_of<T: Pod>(s: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` has no padding, so every byte of the slice is
+    // initialized; the view borrows `s` and covers exactly its bytes.
+    unsafe { std::slice::from_raw_parts(s.as_ptr().cast(), std::mem::size_of_val(s)) }
+}
+
+/// `s`'s elements as writable bytes.
+fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
+    // SAFETY: as for `bytes_of`, and `T: Pod` makes every bit pattern a
+    // valid `T`, so any bytes written through the view leave valid elements.
+    unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast(), std::mem::size_of_val(s)) }
 }
 
 #[cfg(test)]
@@ -396,6 +460,19 @@ mod tests {
     /// redistribute to the q-grid, and verify every element landed on its
     /// new owner with its value intact.
     fn round_trip(m: usize, n: usize, mb: usize, nb: usize, sg: (usize, usize), dg: (usize, usize)) {
+        round_trip_of(m, n, mb, nb, sg, dg, |x| x as f64);
+    }
+
+    /// [`round_trip`] with element `(i, j)` = `val(i * 7919 + j)`.
+    fn round_trip_of<T: Pod + Default + PartialEq + std::fmt::Debug>(
+        m: usize,
+        n: usize,
+        mb: usize,
+        nb: usize,
+        sg: (usize, usize),
+        dg: (usize, usize),
+        val: fn(usize) -> T,
+    ) {
         let p = sg.0 * sg.1;
         let q = dg.0 * dg.1;
         let ranks = p.max(q);
@@ -405,9 +482,8 @@ mod tests {
             let dst_desc = Descriptor::new(m, n, mb, nb, dg.0, dg.1);
             let plan = plan_2d(src_desc, dst_desc);
             let me = comm.rank();
-            let src = (me < p).then(|| {
-                DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, |i, j| (i * 7919 + j) as f64)
-            });
+            let src = (me < p)
+                .then(|| DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, |i, j| val(i * 7919 + j)));
             let out = redistribute_2d(&comm, &plan, src.as_ref());
             if me < q {
                 let out = out.expect("destination rank gets a panel");
@@ -417,7 +493,7 @@ mod tests {
                         let gj = dst_desc.local_to_global_col(lj, out.mycol);
                         assert_eq!(
                             out.get_local(li, lj),
-                            (gi * 7919 + gj) as f64,
+                            val(gi * 7919 + gj),
                             "element ({gi},{gj}) corrupted"
                         );
                     }
@@ -427,6 +503,67 @@ mod tests {
             }
         })
         .join_ok();
+    }
+
+    /// Unpack scales every span by the element's size, so each width must
+    /// land whole: an expand, a shrink, and ragged blocks on both ends.
+    fn every_shape_of<T: Pod + Default + PartialEq + std::fmt::Debug>(val: fn(usize) -> T) {
+        round_trip_of(24, 32, 2, 2, (1, 2), (2, 2), val);
+        round_trip_of(24, 32, 2, 2, (2, 2), (1, 2), val);
+        round_trip_of(17, 23, 4, 5, (2, 2), (3, 2), val);
+    }
+
+    #[test]
+    fn u8_payloads() {
+        every_shape_of(|x| x as u8);
+    }
+
+    #[test]
+    fn i16_payloads() {
+        every_shape_of(|x| (x as i16).wrapping_mul(-3));
+    }
+
+    #[test]
+    fn f32_payloads() {
+        every_shape_of(|x| x as f32 * 0.25 - 1.0);
+    }
+
+    #[test]
+    fn u64_payloads() {
+        every_shape_of(|x| (x as u64) << 37 | 0x5a5a);
+    }
+
+    /// A move of rows 0..2 x columns 0..2 on rank (0,0) of a 1x2 grid.
+    fn corner_move() -> (Descriptor, GTransfer2d) {
+        let d = Descriptor::square(8, 2, 1, 2);
+        let mv = GTransfer2d {
+            src: (0, 0),
+            dst: (0, 0),
+            row_runs: vec![(0, 2)],
+            col_runs: vec![(0, 2)],
+        };
+        (d, mv)
+    }
+
+    #[test]
+    fn unpack_reads_an_unaligned_payload() {
+        let (d, mv) = corner_move();
+        let want = [u64::MAX, 1, 2 << 40, 3];
+        // One byte ahead of the elements, so no view of them is aligned.
+        let framed: Vec<u8> = std::iter::once(0).chain(want.iter().flat_map(|v| v.to_ne_bytes())).collect();
+        let mut local = vec![0u64; d.local_rows(0) * d.local_cols(0)];
+        unpack(&framed[1..], &d, d.local_cols(0), &mv, &mut local);
+        let lcols = d.local_cols(0);
+        assert_eq!([local[0], local[1], local[lcols], local[lcols + 1]], want);
+    }
+
+    #[test]
+    #[should_panic(expected = "transfer payload length mismatch")]
+    fn unpack_rejects_a_payload_of_the_wrong_length() {
+        let (d, mv) = corner_move();
+        let mut local = vec![0u32; d.local_rows(0) * d.local_cols(0)];
+        // Four u32 elements are 16 bytes; one short must not be unpacked.
+        unpack(&[0u8; 15], &d, d.local_cols(0), &mv, &mut local);
     }
 
     #[test]

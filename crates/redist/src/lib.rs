@@ -36,8 +36,10 @@
 //! | [`checkpoint_redistribute`] | none — funnel through rank 0 and a file | — | no |
 //! | [`try_checkpoint_redistribute`] | as above | — | yes |
 //!
-//! *Direct* commit sends with `send` / `recv_into` and unpacks each payload
-//! into the new panel as it arrives. *Staged* commit sends with `try_send` /
+//! *Direct* commit packs each remote move once, into the vector that
+//! becomes the message (`send_vec`), unpacks it straight out of the
+//! payload's bytes as it arrives (`recv_with`), and copies local moves span
+//! to span between panels. *Staged* commit sends with `try_send` /
 //! `recv_or_failed`, parks payloads in shadow buffers, and unpacks only
 //! after an all-to-all vote — a death inside the movement leaves the old
 //! layout bitwise intact and returns [`RedistAbort`]. *Pre-flight* scans
