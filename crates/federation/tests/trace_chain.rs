@@ -94,7 +94,10 @@ fn fenced_lease_trace_chain_is_parent_connected() {
     assert_eq!(heal.parent, fence.id, "heal repair caused by the fence");
     assert_eq!(fence.parent, bump.id, "fence caused by the epoch bump");
     assert!(fence.start >= bump.start, "fence never precedes its bump");
-    assert_eq!(bump.parent, suspect.id, "bump caused by the suspicion timeout");
+    assert_eq!(
+        bump.parent, suspect.id,
+        "bump caused by the suspicion timeout"
+    );
     assert_eq!(suspect.parent, severed.id, "suspicion armed by the cut");
     assert_eq!(severed.parent, grant.id, "cut severed the granted lease");
     // The whole chain closes transitively at a root span (parent 0).
@@ -126,7 +129,9 @@ fn fenced_lease_trace_chain_is_parent_connected() {
     // In-band bus delivery spans exist for grant, ack and release.
     for kind in ["bus:grant", "bus:ack", "bus:release"] {
         assert!(
-            spans.iter().any(|s| s.trace == ltrace && s.name.starts_with(kind)),
+            spans
+                .iter()
+                .any(|s| s.trace == ltrace && s.name.starts_with(kind)),
             "missing {kind} delivery span"
         );
     }
@@ -146,7 +151,11 @@ fn tracing_does_not_change_scheduling_or_notices() {
         fed.inject_partition(vec![vec![0], vec![1]], 5.0, 25.0);
         notices.extend(drain_until(&mut fed, 40.0));
         notices.extend(fed.run_timers(40.0));
-        (format!("{notices:?}"), fed.transitions(), fed.heal_repairs())
+        (
+            format!("{notices:?}"),
+            fed.transitions(),
+            fed.heal_repairs(),
+        )
     };
     trace::reset();
     trace::set_enabled(false);

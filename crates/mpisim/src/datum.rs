@@ -33,14 +33,16 @@ unsafe impl Pod for isize {}
 unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
 
+/// View a slice of POD elements as its bytes.
+fn bytes_of<T: Pod>(data: &[T]) -> &[u8] {
+    // SAFETY: `T: Pod` guarantees no padding, so viewing the slice as bytes
+    // reads only initialized memory; the view borrows `data`.
+    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
+}
+
 /// Serialize a slice of POD elements into an owned byte buffer.
 pub fn to_bytes<T: Pod>(data: &[T]) -> Bytes {
-    // SAFETY: `T: Pod` guarantees no padding, so viewing the slice as bytes
-    // reads only initialized memory.
-    let raw = unsafe {
-        std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
-    };
-    Bytes::copy_from_slice(raw)
+    Bytes::copy_from_slice(bytes_of(data))
 }
 
 /// A vector of POD elements lending its buffer as bytes.
@@ -48,14 +50,7 @@ struct PodVec<T: Pod>(Vec<T>);
 
 impl<T: Pod> AsRef<[u8]> for PodVec<T> {
     fn as_ref(&self) -> &[u8] {
-        // SAFETY: as in `to_bytes`: `T: Pod` has no padding, so the vector's
-        // initialized elements are initialized bytes.
-        unsafe {
-            std::slice::from_raw_parts(
-                self.0.as_ptr() as *const u8,
-                std::mem::size_of_val(&self.0[..]),
-            )
-        }
+        bytes_of(&self.0)
     }
 }
 
