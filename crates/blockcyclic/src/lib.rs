@@ -399,6 +399,30 @@ mod tests {
         .join_ok();
     }
 
+    /// Rank (0,0) of a 1536² matrix in 64² blocks on a 2×2 grid walks all
+    /// of its blocks through `get_block` (the executor's pack) and
+    /// `set_block` (its unpack): 144 blocks, 4 718 592 bytes, and the
+    /// unpacked panel equals the source.
+    #[test]
+    fn block_walk_packs_the_whole_panel() {
+        let n = 1536;
+        let d = Descriptor::square(n, 64, 2, 2);
+        let src = DistMatrix::from_fn(d, 0, 0, |i, j| (i * n + j) as f64);
+        let mut dst = DistMatrix::<f64>::new(d, 0, 0);
+        let mut blocks = 0;
+        let mut bytes = 0;
+        for bi in (0..n.div_ceil(64)).step_by(2) {
+            for bj in (0..n.div_ceil(64)).step_by(2) {
+                let blk = src.get_block(bi, bj);
+                blocks += 1;
+                bytes += blk.len() * std::mem::size_of::<f64>();
+                dst.set_block(bi, bj, &blk);
+            }
+        }
+        assert_eq!((blocks, bytes), (144, 4_718_592));
+        assert_eq!(dst.local_data(), src.local_data());
+    }
+
     #[test]
     #[should_panic(expected = "panel size mismatch")]
     fn set_local_data_validates_size() {

@@ -729,4 +729,25 @@ mod tests {
             "{r:?}"
         );
     }
+
+    /// The default sweep at 500 nodes and 5 000 jobs, seed 42, pinned to
+    /// recorded values: every count, the makespan and the utilization bit
+    /// for bit.
+    #[test]
+    fn default_sweep_is_pinned() {
+        let r = run_scale(&ScaleConfig::new(500, 5_000).with_seed(42));
+        assert_eq!(r.jobs_finished, 5_000, "{r:?}");
+        assert_eq!(r.events_processed, 14_973, "{r:?}");
+        assert_eq!(r.expansions + r.shrinks, 520, "{r:?}");
+        assert_eq!(
+            r.makespan.to_bits(),
+            4528.515063116382_f64.to_bits(),
+            "{r:?}"
+        );
+        assert_eq!(
+            r.utilization.to_bits(),
+            0.6444349204443196_f64.to_bits(),
+            "{r:?}"
+        );
+    }
 }

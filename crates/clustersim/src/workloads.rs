@@ -424,6 +424,33 @@ mod tests {
         assert!(names1 != names2 || arr1 != arr2);
     }
 
+    /// A 24-job random mix on 36 processors, seed 42, pinned to recorded
+    /// values: the workload generator and the simulator must reproduce its
+    /// makespan, utilization, turnarounds and resize traffic bit for bit.
+    #[test]
+    fn random_sweep_is_pinned() {
+        let w = random_workload(42, 24, 36);
+        let r = ClusterSim::new(w.total_procs, MachineParams::system_x()).run(&w.jobs);
+        let t = &r.telemetry;
+        assert_eq!(t.expansions + t.shrinks, 112, "{t:?}");
+        assert_eq!(t.bytes_redistributed, 102_919_054_848, "{t:?}");
+        let bits = [
+            r.makespan,
+            r.utilization,
+            t.mean_turnaround,
+            t.p95_turnaround,
+        ]
+        .map(f64::to_bits);
+        let want = [
+            9246.754682223009_f64,
+            0.43422253544078127,
+            550.937410892087,
+            1657.3460976623364,
+        ]
+        .map(f64::to_bits);
+        assert_eq!(bits, want, "{t:?}");
+    }
+
     #[test]
     fn dynamic_beats_static_on_average_over_random_mixes() {
         // The paper's headline claim, checked statistically over ten random

@@ -111,3 +111,35 @@ fn heterogeneous_pool_genesis_survives_recovery() {
         );
     }
 }
+
+/// Sixty short job lives, one at a time on 16 slots: submit, start, four
+/// resize points, finish. The journal holds a recorded number of records;
+/// a transition that journals one record more or fewer moves it.
+#[test]
+fn short_job_lives_journal_a_pinned_record_count() {
+    let mut core = SchedulerCore::new(16, QueuePolicy::Fcfs).with_wal(Wal::in_memory());
+    let mut now = 0.0;
+    for j in 0..60 {
+        let spec = JobSpec::new(
+            format!("wal-bench-{j}"),
+            TopologyPref::Grid { problem_size: 8000 },
+            ProcessorConfig::new(2, 2),
+            6,
+        );
+        let (id, _) = core.submit(spec, now);
+        core.try_schedule(now);
+        now += 1.0;
+        for it in 0..4 {
+            core.resize_point(id, 10.0 - it as f64, 0.5, now);
+            now += 1.0;
+        }
+        core.on_finished(id, now);
+        now += 1.0;
+    }
+    assert_eq!(
+        core.wal().expect("WAL attached").encode().lines().count(),
+        421
+    );
+    let recovered = recover_from_text(&mut core);
+    assert_eq!(recovered.snapshot(), core.snapshot());
+}

@@ -485,6 +485,38 @@ mod tests {
         uni.join_spawned();
     }
 
+    /// The ReSHAPE grow path on Gigabit Ethernet: `parents` ranks spawn as
+    /// many children, merge, and barrier. Rank 0's virtual cost of the whole
+    /// expansion is pinned to recorded bits for 2 → 4 and 4 → 8.
+    #[test]
+    fn expansion_latency_is_pinned() {
+        use std::sync::{Arc, Mutex};
+        for (parents, want) in [(2, 0.2504955119999996_f64), (4, 0.25074647199999933)] {
+            let uni = Universe::new(2 * parents, 1, NetModel::gigabit_ethernet());
+            let seen = Arc::new(Mutex::new(f64::NAN));
+            let sink = seen.clone();
+            uni.launch(parents, None, "parents", move |comm| {
+                let t0 = comm.vtime();
+                let bigger = comm.spawn_merge(parents, None, "kids", |ctx| {
+                    ctx.parent.merge().barrier();
+                });
+                bigger.barrier();
+                if comm.rank() == 0 {
+                    *sink.lock().unwrap() = comm.vtime() - t0;
+                }
+            })
+            .join_ok();
+            uni.join_spawned();
+            let got = *seen.lock().unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{parents} -> {}: {got}",
+                2 * parents
+            );
+        }
+    }
+
     #[test]
     fn spawned_children_inherit_parent_vtime() {
         let uni = Universe::new(4, 1, NetModel::ideal());
