@@ -81,5 +81,5 @@ fn main() {
     if let Some(path) = json_arg() {
         write_json(&path, &rows);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

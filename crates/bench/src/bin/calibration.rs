@@ -121,5 +121,5 @@ fn main() {
     if let Some(path) = json_arg() {
         write_json(&path, &anchors);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -125,5 +125,5 @@ fn main() {
         println!("trace: {} spans exported", spans.len());
         reshape_telemetry::trace::write_trace_files(&spans);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

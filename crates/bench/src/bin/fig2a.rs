@@ -71,23 +71,9 @@ fn main() {
         t20,
         (t16 - t20) / t16 * 100.0
     );
-    reshape_bench::record_metric(
-        "fig2a",
-        "lu24000_iter_16p_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        t16,
-    );
-    reshape_bench::record_metric(
-        "fig2a",
-        "lu24000_iter_20p_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        t20,
-    );
 
     if let Some(path) = json_arg() {
         write_json(&path, &series);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

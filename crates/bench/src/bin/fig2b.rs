@@ -79,23 +79,9 @@ fn main() {
         "\n8000: first expansion {first_8000:.2}s vs last {last_8000:.2}s (cost falls with procs)\n\
          24000 first expansion {first_24000:.2}s vs 8000 first {first_8000:.2}s (cost grows with N)"
     );
-    reshape_bench::record_metric(
-        "fig2b",
-        "redist_8000_first_expand_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        first_8000,
-    );
-    reshape_bench::record_metric(
-        "fig2b",
-        "redist_24000_first_expand_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        first_24000,
-    );
 
     if let Some(path) = json_arg() {
         write_json(&path, &series);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -48,5 +48,5 @@ fn main() {
     if let Some(path) = json_arg() {
         write_json(&path, job);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -91,21 +91,6 @@ fn main() {
             format!("{:.0}", resh.total),
             ratio,
         ]);
-        let slug = job.spec.name.to_lowercase().replace([' ', '-'], "_");
-        reshape_bench::record_metric(
-            "fig3b",
-            &format!("{slug}_reshape_total_virtual_s"),
-            "s",
-            reshape_perfbase::MetricKind::Virtual,
-            resh.total,
-        );
-        reshape_bench::record_metric(
-            "fig3b",
-            &format!("{slug}_reshape_redist_virtual_s"),
-            "s",
-            reshape_perfbase::MetricKind::Virtual,
-            resh.redist_time,
-        );
         rows.push(AppRow {
             app: job.spec.name.clone(),
             static_: stat,
@@ -122,5 +107,5 @@ fn main() {
     if let Some(path) = json_arg() {
         write_json(&path, &rows);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

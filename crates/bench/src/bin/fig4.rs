@@ -79,20 +79,6 @@ fn main() {
         "Makespan: static {:.0}s, dynamic {:.0}s",
         stat.makespan, dynamic.makespan
     );
-    reshape_bench::record_metric(
-        "fig4",
-        "workload1_dynamic_makespan_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        dynamic.makespan,
-    );
-    reshape_bench::record_metric(
-        "fig4",
-        "workload1_dynamic_utilization",
-        "ratio",
-        reshape_perfbase::MetricKind::Virtual,
-        dynamic.utilization,
-    );
     // Window series feed the OpenMetrics exporter when RESHAPE_METRICS is
     // set (utilization / queue-wait / resizes per sim-time window).
     dynamic.publish_metrics(8);
@@ -109,5 +95,5 @@ fn main() {
             },
         );
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -83,5 +83,5 @@ fn main() {
             },
         );
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -195,23 +195,6 @@ fn main() {
          gap widens with cluster size (the funnel serializes at one NIC)."
     );
 
-    for r in &results {
-        reshape_bench::record_metric(
-            "recovery",
-            &format!("n{}_buddy_total_virtual_s", r.n),
-            "s",
-            reshape_perfbase::MetricKind::Virtual,
-            r.buddy_total_s,
-        );
-        reshape_bench::record_metric(
-            "recovery",
-            &format!("n{}_ckpt_roundtrip_virtual_s", r.n),
-            "s",
-            reshape_perfbase::MetricKind::Virtual,
-            r.ckpt_roundtrip_s,
-        );
-    }
-
     if let Some(path) = json_arg() {
         write_json(&path, &results);
     }
@@ -220,5 +203,5 @@ fn main() {
     if trace::enabled() {
         trace::write_trace_files(&trace::drain_spans());
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

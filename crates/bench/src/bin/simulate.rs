@@ -395,5 +395,5 @@ fn main() {
     if let Some(out) = json_arg() {
         write_json(&out, &result);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

@@ -105,23 +105,8 @@ fn main() {
         results.len()
     );
 
-    reshape_bench::record_metric(
-        "stress",
-        "paper_mean_tat_virtual_s",
-        "s",
-        reshape_perfbase::MetricKind::Virtual,
-        mean(&|r: &SeedResult| r.paper_mean_tat),
-    );
-    reshape_bench::record_metric(
-        "stress",
-        "paper_mean_improvement",
-        "ratio",
-        reshape_perfbase::MetricKind::Virtual,
-        mean(&|r: &SeedResult| r.paper_improvement),
-    );
-
     if let Some(path) = json_arg() {
         write_json(&path, &results);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

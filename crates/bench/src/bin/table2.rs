@@ -76,5 +76,5 @@ fn main() {
     if let Some(path) = json_arg() {
         write_json(&path, &json);
     }
-    reshape_bench::flush_telemetry();
+    reshape_telemetry::flush();
 }

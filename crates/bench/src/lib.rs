@@ -14,8 +14,6 @@
 //!
 //! Each binary prints the paper-comparable rows/series to stdout and, when
 //! `--json <path>` is given, writes the raw data as JSON for plotting.
-//! Criterion microbenchmarks of the runtime library itself live under
-//! `benches/`.
 
 use std::io::Write as _;
 
@@ -77,24 +75,6 @@ pub fn telemetry_from_args() {
     {
         reshape_telemetry::set_mode(reshape_telemetry::Mode::Text);
     }
-}
-
-/// End-of-run telemetry dump to `RESHAPE_TELEMETRY_PATH` or stderr
-/// (no-op when telemetry is off), plus the perfbase sink flush: headline
-/// numbers recorded via [`record_metric`] land in `BENCH_<area>.json`
-/// files under `PERFBASE_OUT` when that variable is set. Call last in a
-/// bench binary's `main`.
-pub fn flush_telemetry() {
-    reshape_telemetry::flush();
-    reshape_perfbase::flush_sink_env();
-}
-
-/// Report one headline measurement into the perfbase sink so every bench
-/// binary feeds the same `BENCH_<area>.json` trajectory format that
-/// `perfbase run` produces (see `bin/perfbase`). Free when `PERFBASE_OUT`
-/// is unset beyond a map insert.
-pub fn record_metric(area: &str, name: &str, unit: &str, kind: reshape_perfbase::MetricKind, value: f64) {
-    reshape_perfbase::sink_metric(area, name, unit, kind, value);
 }
 
 /// Parse `--json <path>` from argv; returns the path if present.

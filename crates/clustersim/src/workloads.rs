@@ -291,8 +291,8 @@ pub fn random_workload(seed: u64, n_jobs: usize, total_procs: usize) -> Workload
 /// timed to land while the job is likely still active. This is the input
 /// of the DES-vs-legacy differential suite, which needs the cancellation
 /// and failure event paths exercised; `random_workload` itself is left
-/// untouched because the committed `BENCH_clustersim.json` baseline
-/// depends on its exact output.
+/// untouched because the DES snapshots, recorded through this function,
+/// and `random_sweep_is_pinned` below depend on its exact output.
 pub fn random_workload_with_faults(seed: u64, n_jobs: usize, total_procs: usize) -> Workload {
     let mut w = random_workload(seed, n_jobs, total_procs);
     // A separate stream so fault draws cannot perturb the job mix.
