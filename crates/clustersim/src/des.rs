@@ -11,9 +11,8 @@
 //! program order pop them in the same order, execute the same component
 //! code against the same [`SchedulerCore`] state, and therefore produce
 //! byte-identical results — floating point included, because the sequence
-//! of arithmetic is identical. `sim.rs` exploits this to keep the DES
-//! engine bitwise-equal to the legacy step loop (proved over 256 seeds by
-//! `tests/des_equivalence.rs`).
+//! of arithmetic is identical. `tests/des_equivalence.rs` holds
+//! `ClusterSim::run` to recorded digests of 260 runs on this basis.
 //!
 //! # Clock-source rules
 //!
@@ -105,7 +104,8 @@ impl<'a, P> Default for Simulation<'a, P> {
 
 impl<'a, P> Simulation<'a, P> {
     /// A simulation whose simultaneous events drain in scheduling order
-    /// (FIFO tie-break — the legacy-compatible total order).
+    /// (FIFO tie-break — the order the recorded snapshots were taken
+    /// under).
     pub fn new() -> Self {
         Self::with_tie_break(TieBreak::Fifo)
     }
@@ -189,9 +189,8 @@ impl<'a, P> Simulation<'a, P> {
 /// takes (and its phase decomposition, when available) and how long
 /// process spawning takes. The default model ([`MachineLatency`]) prices
 /// redistribution from the real communication schedules under the
-/// machine's network model and treats spawning as free — exactly the
-/// legacy simulator's behavior, which keeps default runs bitwise-identical
-/// to it.
+/// machine's network model and treats spawning as free — the pricing
+/// every run in `des_results.txt` was recorded under.
 pub trait LatencyModel {
     /// Seconds to redistribute `model`'s data between the two
     /// configurations, plus the pack/transfer/unpack decomposition when
@@ -204,7 +203,7 @@ pub trait LatencyModel {
     ) -> (f64, Option<RedistProfile>);
 
     /// Seconds to spawn the processes of an expansion (paid before the
-    /// redistribution). Defaults to free, matching the legacy simulator.
+    /// redistribution). Defaults to free.
     fn spawn_overhead(&self, _from: ProcessorConfig, _to: ProcessorConfig) -> f64 {
         0.0
     }

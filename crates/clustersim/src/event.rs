@@ -6,16 +6,15 @@
 //! The tie-break policy is pluggable:
 //!
 //! * [`TieBreak::Fifo`] (the default) drains simultaneous events in
-//!   insertion order — exactly what the legacy step loop in `sim.rs` did
-//!   with its `(time, seq)` heap, which is what keeps the DES engine
-//!   bitwise-equal to it.
+//!   insertion order. FIFO is the order `des_results.txt` was recorded
+//!   under.
 //! * [`TieBreak::Seeded`] applies a SplitMix64-style permutation of the
 //!   insertion counter, giving a *seeded total order* among simultaneous
 //!   events: still perfectly reproducible for a fixed seed, but no longer
 //!   correlated with program push order — the tool for shaking out hidden
 //!   ordering assumptions in components.
 //! * [`EventQueue::push_keyed`] lets the caller rank simultaneous events
-//!   explicitly (the testkit's `DesHarness` uses it to encode
+//!   explicitly (the testkit's scenario `Driver` uses it to encode
 //!   "submissions before check-ins, then lowest job id" as a key).
 //!
 //! Push and pop are `O(log n)`; the queue never allocates per event beyond
@@ -27,7 +26,7 @@ use std::collections::BinaryHeap;
 /// Ordering policy among events with equal timestamps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum TieBreak {
-    /// Simultaneous events drain in insertion order (legacy-compatible).
+    /// Simultaneous events drain in insertion order.
     Fifo,
     /// Simultaneous events drain in a pseudo-random but fully seeded
     /// order: the tie key is a SplitMix64 permutation of the insertion

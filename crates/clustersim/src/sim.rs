@@ -8,13 +8,17 @@
 //! milliseconds while exercising exactly the scheduling code a real cluster
 //! would.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use reshape_core::{
     Directive, EventKind, JobId, JobSpec, QueuePolicy, SchedEvent, SchedulerCore, StartAction,
 };
 use serde::{Deserialize, Serialize};
 
-use crate::des::{LatencyModel, MachineLatency};
+use crate::des::{
+    ComponentId, EventHandler, LatencyModel, MachineLatency, SimCtx, Simulation,
+};
 use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
 
 /// How resizing redistributions are priced (the three bars of Figure 3(b)).
@@ -338,12 +342,10 @@ impl SimResult {
     }
 }
 
-/// Simulator event payloads for the DES engine, which routes
-/// arrivals/cancels/failures to the arrival-source component and
-/// iteration ends to the job-driver component. The DES queue's FIFO
-/// tie-break preserves the `(time, seq)` order the deleted legacy step
-/// loop established, which is what keeps runs bitwise-stable against the
-/// recorded snapshots.
+/// Simulator event payloads, all handled by the [`ClusterEngine`]. Under
+/// the default FIFO tie-break, simultaneous events pop in the order they
+/// were scheduled, which is the order the recorded snapshots were taken
+/// under.
 #[derive(Debug)]
 enum Ev {
     Arrival(usize),
@@ -399,7 +401,8 @@ pub struct ClusterSim {
     /// Ignore speeds when allocating (placement ablation).
     naive_placement: bool,
     /// Pluggable spawn/redistribution pricing; `None` = the default
-    /// [`MachineLatency`] model (bitwise-identical to the pre-DES engine).
+    /// [`MachineLatency`] model, the pricing `des_results.txt` was
+    /// recorded under.
     latency: Option<Box<dyn LatencyModel>>,
     /// Ordering of simultaneous events in the DES queue. [`TieBreak::Fifo`]
     /// (the default) reproduces the recorded-snapshot order; seeded
@@ -503,8 +506,8 @@ impl ClusterSim {
     }
 
     /// Process-startup overhead charged before an expansion's
-    /// redistribution. Zero under the default model, which keeps default
-    /// runs bitwise-identical to the pre-DES engine.
+    /// redistribution. Zero under the default model, as in every run
+    /// `des_results.txt` pins.
     fn spawn_cost(
         &self,
         from: reshape_core::ProcessorConfig,
@@ -518,98 +521,27 @@ impl ClusterSim {
 
     /// Run the workload to completion and report outcomes.
     ///
-    /// Since the DES rewrite this drives the event-queue engine in
-    /// [`crate::des`]. The original inline step loop (`run_legacy`) was
-    /// deleted after the 256-seed bitwise differential suite soaked in
-    /// CI; its behaviour is pinned as recorded result digests in
-    /// `tests/snapshots/des_results.txt`, re-checked by
-    /// `tests/des_equivalence.rs` on every run.
+    /// The [`ClusterEngine`] is the one component of a DES
+    /// [`Simulation`]: arrivals, cancellations, failure injections and
+    /// iteration ends all pop from its `(time, key, seq)` queue. The results
+    /// are pinned as recorded digests in `tests/snapshots/des_results.txt`,
+    /// re-checked by `tests/des_equivalence.rs`.
     pub fn run(&self, workload: &[SimJob]) -> SimResult {
-        self.run_des(workload)
-    }
-
-    /// Run the workload on the DES engine: an arrival-source component
-    /// (submissions, cancellations, failure injections) and a job-driver
-    /// component (iteration ends / resize points) exchange events through
-    /// the global queue, both mutating the shared `ClusterEngine`. The
-    /// queue's FIFO tie-break reproduces the legacy loop's `(time, seq)`
-    /// order exactly, because events are scheduled in the same program
-    /// order the legacy loop pushed them.
-    fn run_des(&self, workload: &[SimJob]) -> SimResult {
-        use crate::des::{ComponentId, EventHandler, SimCtx, Simulation};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        const ARRIVALS: ComponentId = 0;
-        const DRIVER: ComponentId = 1;
-
-        fn route(ev: &Ev) -> ComponentId {
-            match ev {
-                Ev::IterationEnd(_) => DRIVER,
-                _ => ARRIVALS,
-            }
-        }
-
-        struct ArrivalSource<'w> {
-            engine: Rc<RefCell<ClusterEngine<'w>>>,
-        }
-        impl<'w> EventHandler<Ev> for ArrivalSource<'w> {
-            fn handle(&mut self, ev: Ev, ctx: &mut SimCtx<'_, Ev>) {
-                let mut eng = self.engine.borrow_mut();
-                let now = ctx.now();
-                eng.note_now(now);
-                let mut push = |t: f64, e: Ev| {
-                    let c = route(&e);
-                    ctx.schedule(t, c, e);
-                };
-                match ev {
-                    Ev::Arrival(i) => eng.on_arrival(i, now, &mut push),
-                    Ev::Cancel(i) => eng.on_cancel(i, now, &mut push),
-                    Ev::Fail(i) => eng.on_fail(i, now, &mut push),
-                    Ev::IterationEnd(_) => unreachable!("routed to the job driver"),
-                }
-            }
-        }
-
-        struct JobDriver<'w> {
-            engine: Rc<RefCell<ClusterEngine<'w>>>,
-        }
-        impl<'w> EventHandler<Ev> for JobDriver<'w> {
-            fn handle(&mut self, ev: Ev, ctx: &mut SimCtx<'_, Ev>) {
-                let mut eng = self.engine.borrow_mut();
-                let now = ctx.now();
-                eng.note_now(now);
-                let mut push = |t: f64, e: Ev| {
-                    let c = route(&e);
-                    ctx.schedule(t, c, e);
-                };
-                match ev {
-                    Ev::IterationEnd(id) => eng.on_iteration_end(id, now, &mut push),
-                    other => unreachable!("{other:?} routed to the arrival source"),
-                }
-            }
-        }
-
         let engine = Rc::new(RefCell::new(ClusterEngine::new(self, workload)));
         let mut sim: Simulation<'_, Ev> = Simulation::with_tie_break(self.tie_break);
-        let arrivals = sim.add_component(Rc::new(RefCell::new(ArrivalSource {
-            engine: engine.clone(),
-        })));
-        let driver = sim.add_component(Rc::new(RefCell::new(JobDriver {
-            engine: engine.clone(),
-        })));
-        assert_eq!((arrivals, driver), (ARRIVALS, DRIVER));
-        // Seed the initial events in the same program order as the legacy
-        // loop; the FIFO tie-break then reproduces its (time, seq) order.
+        assert_eq!(sim.add_component(engine.clone()), ENGINE);
+        // Seed order sets the FIFO tie-break among simultaneous initial
+        // events: per job, arrival, then cancel, then failure. It is the
+        // order `des_results.txt` was recorded under.
         for (i, j) in workload.iter().enumerate() {
-            sim.schedule(j.arrival, ARRIVALS, Ev::Arrival(i));
+            sim.schedule(j.arrival, ENGINE, Ev::Arrival(i));
             if let Some(t) = j.cancel_at {
                 assert!(t >= j.arrival, "cannot cancel before arrival");
-                sim.schedule(t, ARRIVALS, Ev::Cancel(i));
+                sim.schedule(t, ENGINE, Ev::Cancel(i));
             }
             if let Some(t) = j.fail_at {
                 assert!(t >= j.arrival, "cannot fail before arrival");
-                sim.schedule(t, ARRIVALS, Ev::Fail(i));
+                sim.schedule(t, ENGINE, Ev::Fail(i));
             }
         }
         sim.run();
@@ -619,7 +551,24 @@ impl ClusterSim {
             .into_inner()
             .finish()
     }
+}
 
+/// The component id of the [`ClusterEngine`], the only component of a
+/// [`ClusterSim::run`] simulation.
+const ENGINE: ComponentId = 0;
+
+impl EventHandler<Ev> for ClusterEngine<'_> {
+    fn handle(&mut self, ev: Ev, ctx: &mut SimCtx<'_, Ev>) {
+        let now = ctx.now();
+        self.note_now(now);
+        let mut push = |t: f64, e: Ev| ctx.schedule(t, ENGINE, e);
+        match ev {
+            Ev::Arrival(i) => self.on_arrival(i, now, &mut push),
+            Ev::Cancel(i) => self.on_cancel(i, now, &mut push),
+            Ev::Fail(i) => self.on_fail(i, now, &mut push),
+            Ev::IterationEnd(id) => self.on_iteration_end(id, now, &mut push),
+        }
+    }
 }
 
 /// The shared transition logic of the cluster simulator: scheduler calls,
@@ -810,9 +759,9 @@ impl<'w> ClusterEngine<'w> {
                 1.0
             }
         };
-        // Spawn overhead is zero under the default latency model, keeping
-        // the pause (and every timestamp derived from it) bitwise-equal to
-        // the pre-DES engine; a custom model pays it before redistributing.
+        // Spawn overhead is zero under the default latency model, so the
+        // pause is the redistribution alone; a custom model pays it before
+        // redistributing.
         let spawn_cost = if expanded {
             self.cfg.spawn_cost(pre, next_cfg)
         } else {

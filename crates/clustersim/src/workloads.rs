@@ -289,8 +289,8 @@ pub fn random_workload(seed: u64, n_jobs: usize, total_procs: usize) -> Workload
 /// [`random_workload`] plus a seeded fault schedule: roughly one job in
 /// five gets a scripted cancellation and one in six an injected failure,
 /// timed to land while the job is likely still active. This is the input
-/// of the DES-vs-legacy differential suite, which needs the cancellation
-/// and failure event paths exercised; `random_workload` itself is left
+/// of the recorded DES snapshot suite, which needs the cancellation and
+/// failure event paths exercised; `random_workload` itself is left
 /// untouched because the DES snapshots, recorded through this function,
 /// and `random_sweep_is_pinned` below depend on its exact output.
 pub fn random_workload_with_faults(seed: u64, n_jobs: usize, total_procs: usize) -> Workload {

@@ -1,13 +1,10 @@
-//! Differential snapshot suite for the DES engine behind
+//! Recorded snapshot suite for the DES engine behind
 //! [`ClusterSim::run`].
 //!
-//! Historically this suite ran every workload through both the DES engine
-//! and the original inline step loop (`run_legacy`) and demanded bitwise
-//! equality. That suite soaked in CI across the full 256-seed sweep, so
-//! the legacy loop has been deleted; its behaviour lives on as **recorded
-//! snapshots**: an FNV-1a digest of each run's serialized `SimResult`
-//! (decision outcomes, event feed, makespan, utilization, telemetry
-//! snapshot — every `f64` to the last bit), committed at
+//! Every pinned run is kept as a **recorded snapshot**: an FNV-1a digest
+//! of the run's serialized `SimResult` (decision outcomes, event feed,
+//! makespan, utilization, telemetry snapshot — every `f64` to the last
+//! bit), committed at
 //! `tests/snapshots/des_results.txt` and re-checked here. Any engine
 //! change that perturbs a single bit of any of the 260 pinned runs fails
 //! the sweep.
@@ -89,7 +86,7 @@ fn pinned_runs() -> Vec<(String, SimResult)> {
 }
 
 /// The 256-seed sweep plus the paper workloads must reproduce the
-/// recorded (legacy-equivalent) results bitwise.
+/// recorded results bitwise.
 #[test]
 fn des_matches_recorded_snapshots() {
     let runs = pinned_runs();

@@ -170,9 +170,8 @@ fn normalize(spans: &[SpanRecord]) -> Vec<SpanRecord> {
 /// the same workload drain the same spans in the same order with the same
 /// bitwise timestamps, names, categories, tracks, and (structurally
 /// resolved) parent edges — on plain runs and on fault-heavy random
-/// workloads. (This was originally a DES-vs-legacy differential; the
-/// legacy loop is deleted and overall run behaviour is pinned by the
-/// recorded snapshots in `des_equivalence.rs`.)
+/// workloads. Overall run behaviour is pinned by the recorded snapshots
+/// in `des_equivalence.rs`.
 #[test]
 fn des_traces_replay_identically_structurally() {
     let _g = lock();

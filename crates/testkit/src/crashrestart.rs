@@ -6,8 +6,8 @@
 //!    **baseline** final state;
 //! 2. rerun it on a WAL-attached core and "crash" the scheduler at a
 //!    seeded transition index (the applications keep running — the
-//!    [`crate::harness::Driver`]'s live bookkeeping survives the crash,
-//!    like the paper's decoupled resize library);
+//!    [`crate::harness::Driver`]'s live bookkeeping and pending event
+//!    queue survive the crash, like the paper's decoupled resize library);
 //! 3. serialize the WAL to its on-disk text format and parse it back —
 //!    the recovery input is exactly what a restarted scheduler would read;
 //! 4. [`SchedulerCore::recover`] and assert the recovered snapshot equals

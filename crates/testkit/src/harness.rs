@@ -9,9 +9,27 @@
 //! [`Driver::step`] call so crash-restart drills can stop mid-run, recover
 //! a core from its write-ahead log, splice it in with
 //! [`Driver::swap_core`], and continue under the same oracles.
+//!
+//! Pending events sit on `reshape-clustersim`'s `(time, key, seq)`
+//! [`EventQueue`], ranked among simultaneous events by an explicit key:
+//!
+//! * every submission is queued up-front at its arrival time with key `0`
+//!   (arrivals are non-decreasing and pushed in index order, so the FIFO
+//!   `seq` tie keeps submissions in submission order);
+//! * a check-in for job `j` is queued with key `1 + j.0` — job ids start
+//!   at 1, so any simultaneous submission outranks it, and simultaneous
+//!   check-ins drain lowest-id first.
+//!
+//! A job has exactly one *valid* pending check-in at a time; re-pacing
+//! (cancel → `now + 0.01`, hang → watchdog deadline, node loss → survivor
+//! pace) bumps a per-job generation counter, and pops whose generation is
+//! stale are skipped without counting as transitions.
+//! `tests/harness_pins.rs` holds every seed of the sweep to recorded
+//! digests of its [`RunStats`] and final core snapshot.
 
 use std::collections::BTreeMap;
 
+use reshape_clustersim::EventQueue;
 use reshape_core::{Directive, EventKind, JobId, JobState, SchedulerCore, StartAction};
 
 use crate::oracle;
@@ -42,23 +60,36 @@ pub struct RunStats {
 /// Virtual seconds a hung job sits silent before the modeled watchdog
 /// kills it (the deadline a real deployment derives from the profiled
 /// iteration time; a constant is fine for the virtual-time harness).
-pub(crate) const WATCHDOG_DEADLINE: f64 = 500.0;
+const WATCHDOG_DEADLINE: f64 = 500.0;
+
+/// Upper bound on scheduler transitions per run; generated workloads use a
+/// few hundred, so hitting this means a livelock.
+const MAX_TRANSITIONS: usize = 100_000;
+
+/// One event on the harness clock.
+#[derive(Clone, Copy, Debug)]
+enum Ev {
+    /// Submit scenario job `index`.
+    Submit(usize),
+    /// Check-in (or watchdog deadline) for a running job. `gen` is the
+    /// pacing generation it was scheduled under; a mismatch means the job
+    /// was re-paced (or removed) after this event was queued, and the pop
+    /// is ignored.
+    Checkin { job: JobId, gen: u64 },
+}
 
 /// Per-running-job bookkeeping of the simulated application side.
 struct Live {
     plan: usize,
-    next_checkin: f64,
     checkins: usize,
     /// `ExpandFailure` fault not yet fired.
     expand_fault_armed: bool,
     /// Job stopped checking in ([`Fault::HangAtCheckin`] fired); its next
-    /// "event" is the watchdog deadline, not a check-in.
+    /// event is the watchdog deadline, not a check-in.
     hung: bool,
+    /// Pacing generation of the job's one valid pending check-in.
+    gen: u64,
 }
-
-/// Upper bound on scheduler transitions per run; generated workloads use a
-/// few hundred, so hitting this means a livelock.
-pub(crate) const MAX_TRANSITIONS: usize = 100_000;
 
 /// Expand `seed` and drive it. See [`run_scenario`].
 pub fn run_seed(seed: u64) -> Result<RunStats, String> {
@@ -87,7 +118,7 @@ pub struct Driver<'a> {
     core: SchedulerCore,
     live: BTreeMap<JobId, Live>,
     ids: Vec<Option<JobId>>,
-    next_submission: usize,
+    queue: EventQueue<Ev>,
     transitions: usize,
     hangs_injected: usize,
     watchdog_kills: usize,
@@ -96,12 +127,16 @@ pub struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     pub fn new(sc: &'a Scenario, core: SchedulerCore) -> Self {
+        let mut queue = EventQueue::new();
+        for (i, plan) in sc.jobs.iter().enumerate() {
+            queue.push_keyed(plan.arrival, 0, Ev::Submit(i));
+        }
         Driver {
             sc,
             core,
             live: BTreeMap::new(),
-            ids: Vec::new(),
-            next_submission: 0,
+            ids: vec![None; sc.jobs.len()],
+            queue,
             transitions: 0,
             hangs_injected: 0,
             watchdog_kills: 0,
@@ -109,7 +144,7 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Transitions executed so far.
+    /// Transitions executed so far (stale pops excluded).
     pub fn transitions(&self) -> usize {
         self.transitions
     }
@@ -124,9 +159,9 @@ impl<'a> Driver<'a> {
 
     /// Replace the scheduler mid-run (crash-restart drills splice in a core
     /// recovered from the crashed one's WAL) and return the old core. The
-    /// application side (`live` bookkeeping) is untouched: the simulated
-    /// jobs kept running while the scheduler was down, exactly like the
-    /// paper's decoupled resize library.
+    /// application side (`live` bookkeeping and the pending events) is
+    /// untouched: the simulated jobs kept running while the scheduler was
+    /// down, exactly like the paper's decoupled resize library.
     pub fn swap_core(&mut self, core: SchedulerCore) -> SchedulerCore {
         std::mem::replace(&mut self.core, core)
     }
@@ -134,34 +169,18 @@ impl<'a> Driver<'a> {
     /// Execute one transition. `Ok(true)` means progress was made,
     /// `Ok(false)` means the scenario is exhausted.
     pub fn step(&mut self) -> Result<bool, String> {
-        if self.ids.len() != self.sc.jobs.len() {
-            self.ids.resize(self.sc.jobs.len(), None);
-        }
-        // Earliest pending event: the next submission or the earliest
-        // check-in; ties go to the submission, then to the lowest JobId
-        // (BTreeMap iteration order), keeping replays bit-identical.
-        let sub_at =
-            (self.next_submission < self.sc.jobs.len()).then(|| self.sc.jobs[self.next_submission].arrival);
-        let next_checkin = self
-            .live
-            .iter()
-            .min_by(|a, b| {
-                a.1.next_checkin
-                    .partial_cmp(&b.1.next_checkin)
-                    .expect("finite times")
-            })
-            .map(|(id, l)| (*id, l.next_checkin));
-        let (now, event) = match (sub_at, next_checkin) {
-            (None, None) => return Ok(false),
-            (Some(t), None) => (t, None),
-            (None, Some((id, t))) => (t, Some(id)),
-            (Some(ts), Some((id, tc))) => {
-                if ts <= tc {
-                    (ts, None)
-                } else {
-                    (tc, Some(id))
+        let (now, ev) = loop {
+            let Some((now, ev)) = self.queue.pop() else {
+                return Ok(false);
+            };
+            // Stale pacing generation: the job was re-paced or went
+            // terminal after this check-in was queued.
+            if let Ev::Checkin { job, gen } = ev {
+                if self.live.get(&job).is_none_or(|l| l.gen != gen) {
+                    continue;
                 }
             }
+            break (now, ev);
         };
 
         self.transitions += 1;
@@ -171,15 +190,14 @@ impl<'a> Driver<'a> {
             )));
         }
 
-        match event {
-            None => {
-                let plan = &self.sc.jobs[self.next_submission];
+        match ev {
+            Ev::Submit(index) => {
+                let plan = &self.sc.jobs[index];
                 let (id, starts) = self.core.submit(plan.spec.clone(), now);
-                self.ids[self.next_submission] = Some(id);
-                self.next_submission += 1;
-                register(&mut self.live, &starts, self.sc, &self.ids, now);
+                self.ids[index] = Some(id);
+                self.register(&starts, now);
             }
-            Some(id) => self.checkin(id, now)?,
+            Ev::Checkin { job, .. } => self.checkin(job, now)?,
         }
         oracle::check_invariants(&self.core).map_err(|e| self.fail(e))?;
         Ok(true)
@@ -217,6 +235,40 @@ impl<'a> Driver<'a> {
         format!("seed {}: {}", self.sc.seed, msg)
     }
 
+    /// Re-pace `id`: bump its generation and queue the one valid pending
+    /// check-in at `at`, ranked below simultaneous submissions and among
+    /// simultaneous check-ins by job id.
+    fn pace(&mut self, id: JobId, at: f64) {
+        let l = self.live.get_mut(&id).expect("pacing a live job");
+        l.gen += 1;
+        let gen = l.gen;
+        self.queue.push_keyed(at, 1 + id.0, Ev::Checkin { job: id, gen });
+    }
+
+    /// Record scheduler-started jobs as live applications and queue their
+    /// first check-ins.
+    fn register(&mut self, starts: &[StartAction], now: f64) {
+        for s in starts {
+            let plan = self
+                .ids
+                .iter()
+                .position(|i| *i == Some(s.job))
+                .expect("started job was submitted");
+            let work = self.sc.jobs[plan].work;
+            self.live.insert(
+                s.job,
+                Live {
+                    plan,
+                    checkins: 0,
+                    expand_fault_armed: true,
+                    hung: false,
+                    gen: 0,
+                },
+            );
+            self.pace(s.job, now + work / s.config.procs() as f64);
+        }
+    }
+
     /// Process one application check-in (or watchdog deadline), firing any
     /// due fault.
     fn checkin(&mut self, id: JobId, now: f64) -> Result<(), String> {
@@ -235,8 +287,8 @@ impl<'a> Driver<'a> {
             let starts = self
                 .core
                 .on_failed(id, "hung: missed watchdog heartbeat deadline".into(), now);
-            register(&mut self.live, &starts, self.sc, &self.ids, now);
             self.live.remove(&id);
+            self.register(&starts, now);
             self.watchdog_kills += 1;
             return Ok(());
         }
@@ -247,7 +299,7 @@ impl<'a> Driver<'a> {
             Some(JobState::Running { config }) => config,
             _ => {
                 let (d, starts) = self.core.resize_point(id, 0.0, 0.0, now);
-                register(&mut self.live, &starts, self.sc, &self.ids, now);
+                self.register(&starts, now);
                 if d != Directive::Terminate {
                     return Err(format!("{id}: expected Terminate after cancel, got {d:?}"));
                 }
@@ -259,23 +311,22 @@ impl<'a> Driver<'a> {
         match plan.fault {
             Some(Fault::FailAtCheckin(k)) if k == checkins => {
                 let starts = self.core.on_failed(id, "injected node failure".into(), now);
-                register(&mut self.live, &starts, self.sc, &self.ids, now);
                 self.live.remove(&id);
+                self.register(&starts, now);
                 return Ok(());
             }
             Some(Fault::CancelAtCheckin(k)) if k == checkins => {
                 let starts = self.core.cancel(id, now);
-                register(&mut self.live, &starts, self.sc, &self.ids, now);
+                self.register(&starts, now);
                 // One more check-in to receive Terminate.
-                self.live.get_mut(&id).expect("still live").next_checkin = now + 0.01;
+                self.pace(id, now + 0.01);
                 return Ok(());
             }
             Some(Fault::HangAtCheckin(k)) if k == checkins => {
                 // The job goes silent: no resize point, no completion. Its
                 // next event is the watchdog deadline.
-                let l = self.live.get_mut(&id).expect("still live");
-                l.hung = true;
-                l.next_checkin = now + WATCHDOG_DEADLINE;
+                self.live.get_mut(&id).expect("still live").hung = true;
+                self.pace(id, now + WATCHDOG_DEADLINE);
                 self.hangs_injected += 1;
                 return Ok(());
             }
@@ -293,18 +344,17 @@ impl<'a> Driver<'a> {
                         .expect("running job holds at least one slot")];
                     let to = reshape_core::ProcessorConfig::new(1, config.procs() - 1);
                     let starts = self.core.on_node_failed(id, &dead, to, now);
-                    register(&mut self.live, &starts, self.sc, &self.ids, now);
+                    self.register(&starts, now);
                     self.node_losses_survived += 1;
-                    self.live.get_mut(&id).expect("still live").next_checkin =
-                        now + plan.work / to.procs() as f64;
+                    self.pace(id, now + plan.work / to.procs() as f64);
                 } else {
                     // The rank's buddy died with it (or there was nobody
                     // left to shrink onto): redundancy lost, job over.
                     let starts =
                         self.core
                             .on_failed(id, "node lost with its buddy".into(), now);
-                    register(&mut self.live, &starts, self.sc, &self.ids, now);
                     self.live.remove(&id);
+                    self.register(&starts, now);
                 }
                 return Ok(());
             }
@@ -313,59 +363,31 @@ impl<'a> Driver<'a> {
 
         let iter_time = plan.work / config.procs() as f64;
         let (directive, starts) = self.core.resize_point(id, iter_time, 0.0, now);
-        register(&mut self.live, &starts, self.sc, &self.ids, now);
+        self.register(&starts, now);
         if let Directive::Expand { .. } = directive {
             if armed && matches!(plan.fault, Some(Fault::ExpandFailure)) {
                 let starts = self.core.on_expand_failed(id, now);
-                register(&mut self.live, &starts, self.sc, &self.ids, now);
+                self.register(&starts, now);
                 self.live.get_mut(&id).expect("still live").expand_fault_armed = false;
             }
         }
 
         if checkins >= plan.spec.iterations {
             let starts = self.core.on_finished(id, now);
-            register(&mut self.live, &starts, self.sc, &self.ids, now);
             self.live.remove(&id);
+            self.register(&starts, now);
         } else {
             let procs = match self.core.job(id).map(|r| r.state.clone()) {
                 Some(JobState::Running { config }) => config.procs(),
                 _ => config.procs(),
             };
-            self.live.get_mut(&id).expect("still live").next_checkin =
-                now + plan.work / procs as f64;
+            self.pace(id, now + plan.work / procs as f64);
         }
         Ok(())
     }
 }
 
-/// Record scheduler-started jobs as live applications.
-fn register(
-    live: &mut BTreeMap<JobId, Live>,
-    starts: &[StartAction],
-    sc: &Scenario,
-    ids: &[Option<JobId>],
-    now: f64,
-) {
-    for s in starts {
-        let plan = ids
-            .iter()
-            .position(|i| *i == Some(s.job))
-            .expect("started job was submitted");
-        let work = sc.jobs[plan].work;
-        live.insert(
-            s.job,
-            Live {
-                plan,
-                next_checkin: now + work / s.config.procs() as f64,
-                checkins: 0,
-                expand_fault_armed: true,
-                hung: false,
-            },
-        );
-    }
-}
-
-pub(crate) fn stats(transitions: usize, events: &[reshape_core::SchedEvent]) -> RunStats {
+fn stats(transitions: usize, events: &[reshape_core::SchedEvent]) -> RunStats {
     let mut st = RunStats {
         transitions,
         ..Default::default()

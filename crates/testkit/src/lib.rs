@@ -12,13 +12,11 @@
 //!   double-allocated, pool accounting exact, FCFS/backfill admission
 //!   order respected, every job terminal and the cluster drained.
 //! * [`harness`] — drives a [`reshape_core::SchedulerCore`] through a
-//!   scenario, fires the faults, and runs the oracle after every
-//!   transition; the step-able [`harness::Driver`] lets drills stop and
-//!   splice in a different core mid-run.
-//! * [`des`] — the same scenarios and oracles driven by the
-//!   discrete-event queue from `reshape-clustersim`; `tests/des_sweep.rs`
-//!   proves it transition-equivalent to [`harness::Driver`] across the
-//!   full seed sweep.
+//!   scenario on the discrete-event queue from `reshape-clustersim`, fires
+//!   the faults, and runs the oracle after every transition; the
+//!   step-able [`harness::Driver`] lets drills stop and splice in a
+//!   different core mid-run. `tests/harness_pins.rs` holds its runs over
+//!   the full seed sweep to recorded digests.
 //! * [`crashrestart`] — kills the scheduler at a seeded transition,
 //!   recovers a fresh core from the write-ahead log's durable text form,
 //!   asserts exact snapshot equality, and finishes the run on the
@@ -53,7 +51,6 @@
 //! ```
 
 pub mod crashrestart;
-pub mod des;
 pub mod differential;
 pub mod federation;
 pub mod harness;
@@ -64,7 +61,6 @@ pub mod scenario;
 pub mod survival;
 
 pub use crashrestart::{run_crash_restart, CrashReport};
-pub use des::{run_seed_des, DesHarness};
 pub use federation::{
     check_ledger, generate_federation, run_federation_chaos, run_planted_double_grant,
     run_planted_double_grant_with_fed, FedChaosReport,

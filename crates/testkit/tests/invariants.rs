@@ -22,6 +22,8 @@ fn two_hundred_fifty_six_seeded_schedules_hold_invariants() {
         agg.expand_failures += st.expand_failures;
         agg.job_failures += st.job_failures;
         agg.cancellations += st.cancellations;
+        agg.hangs_injected += st.hangs_injected;
+        agg.watchdog_kills += st.watchdog_kills;
         agg.node_losses_survived += st.node_losses_survived;
     }
     // The sweep must genuinely exercise the recovery machinery, not just
@@ -32,6 +34,11 @@ fn two_hundred_fifty_six_seeded_schedules_hold_invariants() {
     assert!(agg.expand_failures > 10, "expand-failure path unexercised: {agg:?}");
     assert!(agg.job_failures > 20, "failure path unexercised: {agg:?}");
     assert!(agg.cancellations > 20, "cancel path unexercised: {agg:?}");
+    assert!(agg.hangs_injected > 0, "hang path unexercised: {agg:?}");
+    assert_eq!(
+        agg.hangs_injected, agg.watchdog_kills,
+        "every hang must be watchdog-killed and no healthy job killed: {agg:?}"
+    );
     assert!(
         agg.node_losses_survived > 10,
         "forced-shrink path unexercised: {agg:?}"
