@@ -20,10 +20,10 @@
 //!   at 1, so any simultaneous submission outranks it, and simultaneous
 //!   check-ins drain lowest-id first.
 //!
-//! A job has exactly one *valid* pending check-in at a time; re-pacing
-//! (cancel → `now + 0.01`, hang → watchdog deadline, node loss → survivor
-//! pace) bumps a per-job generation counter, and pops whose generation is
-//! stale are skipped without counting as transitions.
+//! A live job has exactly one pending check-in. It is queued when the job
+//! starts and again only while its previous check-in is being handled
+//! (next iteration, cancel → `now + 0.01`, hang → watchdog deadline, node
+//! loss → survivor pace), so every pop is one transition.
 //! `tests/harness_pins.rs` holds every seed of the sweep to recorded
 //! digests of its [`RunStats`] and final core snapshot.
 
@@ -71,11 +71,8 @@ const MAX_TRANSITIONS: usize = 100_000;
 enum Ev {
     /// Submit scenario job `index`.
     Submit(usize),
-    /// Check-in (or watchdog deadline) for a running job. `gen` is the
-    /// pacing generation it was scheduled under; a mismatch means the job
-    /// was re-paced (or removed) after this event was queued, and the pop
-    /// is ignored.
-    Checkin { job: JobId, gen: u64 },
+    /// Check-in (or watchdog deadline) for a running job.
+    Checkin(JobId),
 }
 
 /// Per-running-job bookkeeping of the simulated application side.
@@ -87,8 +84,6 @@ struct Live {
     /// Job stopped checking in ([`Fault::HangAtCheckin`] fired); its next
     /// event is the watchdog deadline, not a check-in.
     hung: bool,
-    /// Pacing generation of the job's one valid pending check-in.
-    gen: u64,
 }
 
 /// Expand `seed` and drive it. See [`run_scenario`].
@@ -144,7 +139,7 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Transitions executed so far (stale pops excluded).
+    /// Transitions executed so far.
     pub fn transitions(&self) -> usize {
         self.transitions
     }
@@ -169,20 +164,9 @@ impl<'a> Driver<'a> {
     /// Execute one transition. `Ok(true)` means progress was made,
     /// `Ok(false)` means the scenario is exhausted.
     pub fn step(&mut self) -> Result<bool, String> {
-        let (now, ev) = loop {
-            let Some((now, ev)) = self.queue.pop() else {
-                return Ok(false);
-            };
-            // Stale pacing generation: the job was re-paced or went
-            // terminal after this check-in was queued.
-            if let Ev::Checkin { job, gen } = ev {
-                if self.live.get(&job).is_none_or(|l| l.gen != gen) {
-                    continue;
-                }
-            }
-            break (now, ev);
+        let Some((now, ev)) = self.queue.pop() else {
+            return Ok(false);
         };
-
         self.transitions += 1;
         if self.transitions > MAX_TRANSITIONS {
             return Err(self.fail(format!(
@@ -197,7 +181,7 @@ impl<'a> Driver<'a> {
                 self.ids[index] = Some(id);
                 self.register(&starts, now);
             }
-            Ev::Checkin { job, .. } => self.checkin(job, now)?,
+            Ev::Checkin(id) => self.checkin(id, now)?,
         }
         oracle::check_invariants(&self.core).map_err(|e| self.fail(e))?;
         Ok(true)
@@ -235,14 +219,10 @@ impl<'a> Driver<'a> {
         format!("seed {}: {}", self.sc.seed, msg)
     }
 
-    /// Re-pace `id`: bump its generation and queue the one valid pending
-    /// check-in at `at`, ranked below simultaneous submissions and among
-    /// simultaneous check-ins by job id.
+    /// Queue `id`'s next check-in at `at`, ranked below simultaneous
+    /// submissions and among simultaneous check-ins by job id.
     fn pace(&mut self, id: JobId, at: f64) {
-        let l = self.live.get_mut(&id).expect("pacing a live job");
-        l.gen += 1;
-        let gen = l.gen;
-        self.queue.push_keyed(at, 1 + id.0, Ev::Checkin { job: id, gen });
+        self.queue.push_keyed(at, 1 + id.0, Ev::Checkin(id));
     }
 
     /// Record scheduler-started jobs as live applications and queue their
@@ -262,7 +242,6 @@ impl<'a> Driver<'a> {
                     checkins: 0,
                     expand_fault_armed: true,
                     hung: false,
-                    gen: 0,
                 },
             );
             self.pace(s.job, now + work / s.config.procs() as f64);
