@@ -16,9 +16,7 @@ use reshape_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::des::{
-    ComponentId, EventHandler, LatencyModel, MachineLatency, SimCtx, Simulation,
-};
+use crate::des::{ComponentId, EventHandler, LatencyModel, MachineLatency, SimCtx, Simulation};
 use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
 
 /// How resizing redistributions are priced (the three bars of Figure 3(b)).

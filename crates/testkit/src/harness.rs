@@ -263,9 +263,9 @@ impl<'a> Driver<'a> {
         // The watchdog deadline for a hung job: the modeled supervisor
         // declares it dead, the scheduler reclaims like any failure.
         if hung {
-            let starts = self
-                .core
-                .on_failed(id, "hung: missed watchdog heartbeat deadline".into(), now);
+            let starts =
+                self.core
+                    .on_failed(id, "hung: missed watchdog heartbeat deadline".into(), now);
             self.live.remove(&id);
             self.register(&starts, now);
             self.watchdog_kills += 1;
@@ -309,7 +309,10 @@ impl<'a> Driver<'a> {
                 self.hangs_injected += 1;
                 return Ok(());
             }
-            Some(Fault::NodeLoss { checkin: k, buddy_intact }) if k == checkins => {
+            Some(Fault::NodeLoss {
+                checkin: k,
+                buddy_intact,
+            }) if k == checkins => {
                 if buddy_intact && config.procs() > 1 {
                     // The driver recovered onto the survivors and reports
                     // the forced shrink: one slot (the dead node's) is
@@ -329,9 +332,9 @@ impl<'a> Driver<'a> {
                 } else {
                     // The rank's buddy died with it (or there was nobody
                     // left to shrink onto): redundancy lost, job over.
-                    let starts =
-                        self.core
-                            .on_failed(id, "node lost with its buddy".into(), now);
+                    let starts = self
+                        .core
+                        .on_failed(id, "node lost with its buddy".into(), now);
                     self.live.remove(&id);
                     self.register(&starts, now);
                 }
@@ -347,7 +350,10 @@ impl<'a> Driver<'a> {
             if armed && matches!(plan.fault, Some(Fault::ExpandFailure)) {
                 let starts = self.core.on_expand_failed(id, now);
                 self.register(&starts, now);
-                self.live.get_mut(&id).expect("still live").expand_fault_armed = false;
+                self.live
+                    .get_mut(&id)
+                    .expect("still live")
+                    .expand_fault_armed = false;
             }
         }
 
