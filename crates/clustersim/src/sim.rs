@@ -344,7 +344,6 @@ impl SimResult {
 /// the default FIFO tie-break, simultaneous events pop in the order they
 /// were scheduled, which is the order the recorded snapshots were taken
 /// under.
-#[derive(Debug)]
 enum Ev {
     Arrival(usize),
     IterationEnd(JobId),

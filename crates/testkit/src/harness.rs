@@ -67,7 +67,6 @@ const WATCHDOG_DEADLINE: f64 = 500.0;
 const MAX_TRANSITIONS: usize = 100_000;
 
 /// One event on the harness clock.
-#[derive(Clone, Copy, Debug)]
 enum Ev {
     /// Submit scenario job `index`.
     Submit(usize),
