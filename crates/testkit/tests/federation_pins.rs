@@ -1,0 +1,265 @@
+//! Recorded digests of whole federation runs.
+//!
+//! Each run is rendered the way `trace_determinism.rs` fingerprints one —
+//! the `FedReport`'s `Debug` (SLO series included), every shard's final WAL
+//! text, and the flight-recorder JSONL — and hashed with FNV-1a. The digests
+//! are committed at `tests/snapshots/federation_runs.txt`, so a change to the
+//! federation or its driver that moves one notice, one WAL record, one SLO
+//! sample or one bit of a virtual time fails here.
+//!
+//! The runs:
+//!
+//! * seeds 0..256 of `generate_federation` and of `generate_partition`;
+//! * the `fed-steady` benchmark's tiny shape (16 shards of 32, 2 000 jobs,
+//!   1 % wide jobs), at bus latency 0 as the benchmark runs it and at the
+//!   default 0.05 s, where a wide job can collect more than one lease (24
+//!   grants at latency 0, 27 at 0.05 s, on seed 31337) — this pins today's
+//!   over-grant, so a change to lending cannot move it silently;
+//! * a hand-built job list given out of arrival order, whose duplicate
+//!   integer arrival times coincide with check-ins and with a shard's
+//!   recovery: it pins the order of simultaneous events (a submission
+//!   before a check-in or recovery at the same instant, equal arrivals in
+//!   list order).
+//!
+//! To re-record after an *intentional* behaviour change:
+//!
+//! ```text
+//! RESHAPE_BLESS=1 cargo test -p reshape-testkit --test federation_pins
+//! ```
+//!
+//! and commit the rewritten snapshot file (the bless run fails the test on
+//! purpose so a stale green is impossible).
+
+use std::collections::BTreeMap;
+
+use reshape_core::{JobSpec, ProcessorConfig, TopologyPref};
+use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
+use reshape_federation::TenantConfig;
+use reshape_testkit::{generate_federation, generate_partition, SplitMix64};
+
+const SNAPSHOT_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/snapshots/federation_runs.txt"
+);
+
+/// FNV-1a over one run's rendering.
+fn fnv1a(text: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.as_bytes() {
+        h ^= *b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{h:016x}")
+}
+
+/// Run `cfg` and digest everything observable about it: the full report,
+/// every shard's final WAL text, and the flight-recorder dump.
+fn digest(cfg: FedSimConfig) -> (FedReport, String) {
+    let (report, fed) = run_with_fed(cfg, |_, _| {});
+    let mut out = format!("{report:?}\n");
+    for sh in fed.shards() {
+        let wal = sh
+            .core()
+            .and_then(|c| c.wal())
+            .map(|w| w.encode())
+            .unwrap_or_default();
+        out.push_str(&wal);
+        out.push('\n');
+    }
+    out.push_str(&fed.flightrec().dump_jsonl());
+    (report, fnv1a(&out))
+}
+
+fn any_count(name: String, procs: usize, iterations: usize) -> JobSpec {
+    JobSpec::new(
+        name,
+        TopologyPref::AnyCount {
+            min: 1,
+            max: 64,
+            step: 1,
+        },
+        ProcessorConfig::linear(procs),
+        iterations,
+    )
+}
+
+/// The benchmark's `fed-steady` stream at its tiny size: 16 shards of 32
+/// processors, 8 tenants whose quotas and router queues never bind, 2 000
+/// Poisson arrivals at 0.7 load of 1-4-processor jobs (10 % resizable) and
+/// 1 % static 34-processor jobs that fit no shard and must borrow.
+fn steady_tiny(seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
+    const SHARDS: usize = 16;
+    const SHARD_PROCS: usize = 32;
+    const TENANTS: u64 = 8;
+    const JOBS: usize = 2_000;
+    const WIDE_PERMILLE: u64 = 10;
+    const WIDE_PROCS: usize = SHARD_PROCS + 2;
+    let total = (SHARDS * SHARD_PROCS) as f64;
+    let wide = WIDE_PERMILLE as f64 / 1000.0;
+    let cpu_s = (1.0 - wide) * 2.5 * 3.0 * 60.0 + wide * WIDE_PROCS as f64 * 4.5 * 60.0;
+    let mean_gap = cpu_s / (0.7 * total);
+
+    let mut rng = SplitMix64::new(seed);
+    let mut arrival = 0.0;
+    let jobs = (0..JOBS)
+        .map(|i| {
+            let is_wide = rng.next_u64() % 1000 < WIDE_PERMILLE;
+            let tenant = (rng.next_u64() % TENANTS) as u32;
+            let resizable = rng.next_u64() % 100 < 10;
+            let (procs, iterations) = if is_wide {
+                (WIDE_PROCS, 4 + (rng.next_u64() % 2) as usize)
+            } else {
+                (
+                    1 + (rng.next_u64() % 4) as usize,
+                    1 + (rng.next_u64() % 5) as usize,
+                )
+            };
+            let iter_time = rng.f64_range(20.0, 100.0);
+            let spec = any_count(format!("j{i}"), procs, iterations);
+            let job = FedJob {
+                tenant,
+                spec: if resizable && !is_wide {
+                    spec
+                } else {
+                    spec.static_job()
+                },
+                arrival,
+                work: iter_time * procs as f64,
+                fail_at: None,
+                cancel_at: None,
+            };
+            arrival += -mean_gap * rng.f64_range(0.0, 1.0).max(1e-12).ln();
+            job
+        })
+        .collect();
+    let tenant = TenantConfig::new(SHARDS * SHARD_PROCS, 1.0, 1 << 20);
+    let mut cfg = FedSimConfig::new(
+        vec![SHARD_PROCS; SHARDS],
+        vec![tenant; TENANTS as usize],
+        jobs,
+    );
+    if let Some(latency) = bus_latency {
+        cfg.bus.latency = latency;
+    }
+    cfg
+}
+
+/// Simultaneous events, by construction: static jobs whose iterations take
+/// whole seconds arrive at whole seconds, listed out of arrival order with
+/// several sharing an instant, so check-ins land on arrival times; a shard
+/// killed early comes back at a whole second on which jobs also arrive.
+fn tie_order() -> FedSimConfig {
+    // (arrival, tenant, procs, iterations, seconds per iteration)
+    let plan: [(f64, u32, usize, usize, f64); 16] = [
+        (4.0, 0, 2, 3, 2.0),
+        (0.0, 1, 2, 3, 2.0),
+        (2.0, 0, 1, 2, 2.0),
+        (0.0, 0, 4, 2, 2.0),
+        (2.0, 1, 3, 3, 2.0),
+        (4.0, 1, 2, 2, 1.0),
+        (1.0, 0, 6, 2, 2.0),
+        (6.0, 1, 1, 1, 2.0),
+        (4.0, 0, 1, 3, 1.0),
+        (8.0, 1, 2, 2, 2.0),
+        (6.0, 0, 2, 2, 2.0),
+        (2.0, 1, 1, 3, 1.0),
+        (8.0, 0, 3, 2, 2.0),
+        (0.0, 1, 1, 4, 2.0),
+        (6.0, 1, 4, 1, 2.0),
+        (10.0, 0, 2, 2, 2.0),
+    ];
+    let jobs = plan
+        .iter()
+        .enumerate()
+        .map(|(i, &(arrival, tenant, procs, iterations, secs))| FedJob {
+            tenant,
+            spec: any_count(format!("t{i}"), procs, iterations).static_job(),
+            arrival,
+            work: secs * procs as f64,
+            fail_at: (i == 10).then_some(1),
+            cancel_at: (i == 11).then_some(2),
+        })
+        .collect();
+    let tenants = vec![TenantConfig::new(12, 1.0, 8), TenantConfig::new(12, 2.0, 8)];
+    let mut cfg = FedSimConfig::new(vec![4, 4, 4], tenants, jobs);
+    cfg.kills = vec![KillPlan {
+        at_transition: 6,
+        shard: 1,
+        down_for: 4.0,
+    }];
+    cfg
+}
+
+fn runs() -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for seed in 0..256u64 {
+        out.push((
+            format!("fed-seed-{seed}"),
+            digest(generate_federation(seed)).1,
+        ));
+    }
+    for seed in 0..256u64 {
+        out.push((
+            format!("part-seed-{seed}"),
+            digest(generate_partition(seed)).1,
+        ));
+    }
+    let (steady, d) = digest(steady_tiny(31337, Some(0.0)));
+    assert!(
+        steady.leases_granted > 0,
+        "the tiny steady shape must lend: {} leases",
+        steady.leases_granted
+    );
+    out.push(("steady-tiny-bus-0".to_string(), d));
+    out.push((
+        "steady-tiny-bus-default".to_string(),
+        digest(steady_tiny(31337, None)).1,
+    ));
+    let (ties, d) = digest(tie_order());
+    assert_eq!(ties.submitted, 16);
+    assert_eq!(ties.shard_kills, 1, "the scripted kill must fire");
+    out.push(("tie-order".to_string(), d));
+    out
+}
+
+fn recorded() -> BTreeMap<String, String> {
+    let text = std::fs::read_to_string(SNAPSHOT_PATH)
+        .unwrap_or_else(|e| panic!("cannot read {SNAPSHOT_PATH}: {e}"));
+    text.lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (label, hash) = l.rsplit_once(' ').expect("snapshot line: <label> <digest>");
+            (label.to_string(), hash.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn federation_runs_match_recorded_digests() {
+    let runs = runs();
+    if std::env::var("RESHAPE_BLESS").is_ok() {
+        let mut out = String::from(
+            "# FNV-1a digests of each federation run's FedReport, shard WALs and flight\n\
+             # recorder; re-record with\n\
+             # RESHAPE_BLESS=1 cargo test -p reshape-testkit --test federation_pins\n",
+        );
+        for (label, d) in &runs {
+            out.push_str(&format!("{label} {d}\n"));
+        }
+        std::fs::write(SNAPSHOT_PATH, out).expect("write snapshot file");
+        panic!("snapshots re-recorded at {SNAPSHOT_PATH}; inspect the diff and commit");
+    }
+    let want = recorded();
+    assert_eq!(want.len(), runs.len(), "snapshot count mismatch");
+    let diverged: Vec<String> = runs
+        .iter()
+        .filter(|(label, got)| want.get(label) != Some(got))
+        .map(|(label, got)| format!("{label}: recorded {:?}, got {got}", want.get(label)))
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "{} runs diverged from recorded digests:\n{}",
+        diverged.len(),
+        diverged.join("\n")
+    );
+}
