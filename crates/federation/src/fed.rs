@@ -7,12 +7,13 @@
 //! reactive pipeline: brownout hysteresis → router drain → lending. All
 //! externally visible effects come back as [`Notice`]s.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::BuildHasherDefault;
 
 use reshape_clustersim::EventQueue;
 use reshape_core::{
-    Directive, HealAction, JobId, JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore,
-    StartAction, Wal,
+    Directive, HealAction, IdHasher, JobId, JobSpec, ProcessorConfig, QueuePolicy,
+    SchedulerCore, StartAction, Wal,
 };
 use reshape_telemetry as telemetry;
 use reshape_telemetry::trace;
@@ -226,11 +227,53 @@ pub enum Notice {
     },
 }
 
+/// A map keyed by ids the federation or its driver minted (shard index,
+/// job id), looked up and never iterated, so its order does not matter.
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 #[derive(Clone, Copy, Debug)]
 struct JobMeta {
     tenant: u32,
     tag: u64,
     procs: usize,
+}
+
+/// What routing and lending read of one shard, so neither has to visit
+/// every core on every transition. A down shard reads as all zeros.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct ShardSummary {
+    live: bool,
+    queue_len: usize,
+    idle: usize,
+    /// Lending deficit: queue-head need minus idle processors (0 when the
+    /// queue is empty or its head can start).
+    deficit: usize,
+    /// Donor spare: idle processors above `min_spare` when the queue is
+    /// empty and nothing is borrowed, else 0 — a shard can lend a
+    /// `deficit` exactly when its spare covers it.
+    spare: usize,
+}
+
+impl ShardSummary {
+    fn of(shard: &Shard, min_spare: usize) -> Self {
+        let Some(core) = shard.core() else {
+            return ShardSummary::default();
+        };
+        let (queue_len, idle) = (core.queue_len(), core.idle_procs());
+        ShardSummary {
+            live: true,
+            queue_len,
+            idle,
+            deficit: core
+                .queue_head_need()
+                .map_or(0, |need| need.saturating_sub(idle)),
+            spare: if queue_len == 0 && core.borrowed_procs() == 0 {
+                idle.saturating_sub(min_spare)
+            } else {
+                0
+            },
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -284,7 +327,14 @@ pub struct Federation {
     next_lease: u64,
     /// `(shard, job id) → admission metadata`; an entry exists exactly
     /// while the job is in flight.
-    job_meta: BTreeMap<(usize, u64), JobMeta>,
+    job_meta: IdMap<(usize, u64), JobMeta>,
+    /// One [`ShardSummary`] per shard. Every core mutation goes through
+    /// [`Federation::core_mut`], which lists the shard in `stale`; stale
+    /// entries are recomputed before `route` or `maybe_lend` reads any.
+    view: Vec<ShardSummary>,
+    stale: Vec<usize>,
+    /// Live shards whose queue head cannot start (`deficit > 0`).
+    starved: usize,
     /// Last lend attempt per `(lender, borrower)` pair, for backoff.
     lend_attempts: BTreeMap<(usize, usize), f64>,
     now_hwm: f64,
@@ -348,6 +398,10 @@ impl Federation {
                 ..Default::default()
             })
             .collect();
+        let view = shards
+            .iter()
+            .map(|s| ShardSummary::of(s, cfg.lease.min_spare))
+            .collect();
         Federation {
             lease_cfg: cfg.lease,
             brownout_cfg: cfg.brownout,
@@ -361,7 +415,10 @@ impl Federation {
             timers: EventQueue::new(),
             leases: BTreeMap::new(),
             next_lease: 1,
-            job_meta: BTreeMap::new(),
+            job_meta: IdMap::default(),
+            view,
+            stale: Vec::new(),
+            starved: 0,
             lend_attempts: BTreeMap::new(),
             now_hwm: 0.0,
             transitions: 0,
@@ -488,6 +545,17 @@ impl Federation {
         self.tenants.keys().copied().collect()
     }
 
+    /// Every tenant's `(router queue depth, quota utilization)`, in the
+    /// order of [`Self::tenant_ids`]: one pass for the SLO sampler.
+    pub(crate) fn tenant_slo(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.tenants.values().map(|t| {
+            (
+                t.queued.len(),
+                t.in_flight_procs as f64 / t.cfg.quota_procs.max(1) as f64,
+            )
+        })
+    }
+
     /// A tenant's processor quota (0 for unknown tenants).
     pub fn tenant_quota(&self, tenant: u32) -> usize {
         self.tenants.get(&tenant).map_or(0, |t| t.cfg.quota_procs)
@@ -578,7 +646,7 @@ impl Federation {
             ts.in_flight_procs + need <= ts.cfg.quota_procs
         };
         if under_quota {
-            if let Some(shard) = self.route(need) {
+            if let Some(shard) = self.route() {
                 self.assign(shard, tenant, tag, spec, now, &mut out);
                 // Immediate admission: zero queueing latency.
                 observe_admit_latency(tenant, 0.0);
@@ -673,6 +741,7 @@ impl Federation {
     /// on federation timers; traffic addressed to it is buffered.
     pub fn kill_shard(&mut self, shard: usize, now: f64) -> (bool, Vec<Notice>) {
         let mut out = self.begin(now);
+        self.mark(shard);
         let sh = &mut self.shards[shard];
         let ShardState::Live(core) = &mut sh.state else {
             return (false, out);
@@ -752,6 +821,7 @@ impl Federation {
         let snapshot_match = core.snapshot() == **crash;
         sh.state = ShardState::Live(core);
         sh.last_seen = now;
+        self.mark(shard);
         telemetry::incr("fed.shard_recoveries", 1);
         let down = self.shard_traces[shard].down;
         trace::end(down, now);
@@ -907,6 +977,39 @@ impl Federation {
         out
     }
 
+    /// The only way to a shard's core for writing: it marks the shard's
+    /// summary stale, so no mutation can leave [`Self::view`] behind.
+    fn core_mut(&mut self, shard: usize) -> Option<&mut SchedulerCore> {
+        self.mark(shard);
+        match &mut self.shards[shard].state {
+            ShardState::Live(c) => Some(c),
+            ShardState::Down { .. } => None,
+        }
+    }
+
+    fn mark(&mut self, shard: usize) {
+        if !self.stale.contains(&shard) {
+            self.stale.push(shard);
+        }
+    }
+
+    /// Recompute the summaries of shards changed since the last read.
+    fn refresh_view(&mut self) {
+        while let Some(shard) = self.stale.pop() {
+            let fresh = ShardSummary::of(&self.shards[shard], self.lease_cfg.min_spare);
+            let old = std::mem::replace(&mut self.view[shard], fresh);
+            self.starved = self.starved + usize::from(fresh.deficit > 0) - usize::from(old.deficit > 0);
+        }
+        debug_assert!(
+            self.shards
+                .iter()
+                .zip(&self.view)
+                .all(|(s, v)| *v == ShardSummary::of(s, self.lease_cfg.min_spare))
+                && self.starved == self.view.iter().filter(|v| v.deficit > 0).count(),
+            "a shard summary went stale without a mark"
+        );
+    }
+
     fn sched_bus(&mut self, evs: Vec<(f64, BusEvent)>) {
         for (t, ev) in evs {
             self.timers.push(t, Timer::Bus(ev));
@@ -937,7 +1040,7 @@ impl Federation {
         now: f64,
         out: &mut Vec<Notice>,
     ) -> u64 {
-        if let Some(core) = self.shards[shard].core_mut() {
+        if let Some(core) = self.core_mut(shard) {
             core.journal_heal_repair(lease, action, now);
         }
         self.heal_repairs += 1;
@@ -1164,10 +1267,7 @@ impl Federation {
                     );
                     self.flightrec
                         .record(now, "suspect_timeout", Some(lender), Some(id), "");
-                    let epoch = self.shards[lender]
-                        .core_mut()
-                        .unwrap()
-                        .bump_epoch(now);
+                    let epoch = self.core_mut(lender).unwrap().bump_epoch(now);
                     self.shards[lender].last_seen = now;
                     // The epoch bump lives on the lender's control-plane
                     // trace but is *caused by* the suspicion timeout — a
@@ -1326,8 +1426,8 @@ impl Federation {
                     return;
                 }
                 self.shards[to].last_seen = now;
-                let starts = self.shards[to]
-                    .core_mut()
+                let starts = self
+                    .core_mut(to)
                     .unwrap()
                     .borrow_attach(lease, &global, lender_epoch, now);
                 {
@@ -1561,8 +1661,8 @@ impl Federation {
     /// detach them, tell the lender. `cause` is the span that forced the
     /// eviction (0 → parent to the lease trace's head).
     fn evict_lease(&mut self, borrower: usize, id: u64, now: f64, cause: u64, out: &mut Vec<Notice>) {
-        let outcome = self.shards[borrower]
-            .core_mut()
+        let outcome = self
+            .core_mut(borrower)
             .expect("evict_lease needs a live borrower")
             .borrow_evict(id, now);
         self.shards[borrower].last_seen = now;
@@ -1618,8 +1718,8 @@ impl Federation {
     /// Lender-side reclaim: reattach the slots, restart queued work.
     /// `cause` is the span that triggered the reclaim (0 → lease head).
     fn reclaim_lease(&mut self, lender: usize, id: u64, now: f64, cause: u64, out: &mut Vec<Notice>) {
-        let starts = self.shards[lender]
-            .core_mut()
+        let starts = self
+            .core_mut(lender)
             .expect("reclaim_lease needs a live lender")
             .lend_reclaim(id, now);
         self.shards[lender].last_seen = now;
@@ -1658,8 +1758,8 @@ impl Federation {
         out: &mut Vec<Notice>,
     ) {
         self.shards[shard].last_seen = now;
-        let (directive, starts) = self.shards[shard]
-            .core_mut()
+        let (directive, starts) = self
+            .core_mut(shard)
             .unwrap()
             .resize_point(job, iter_time, redist_time, now);
         out.push(Notice::Directive {
@@ -1674,7 +1774,7 @@ impl Federation {
 
     fn apply_finished(&mut self, shard: usize, job: JobId, now: f64, out: &mut Vec<Notice>) {
         self.shards[shard].last_seen = now;
-        let starts = self.shards[shard].core_mut().unwrap().on_finished(job, now);
+        let starts = self.core_mut(shard).unwrap().on_finished(job, now);
         if let Some(meta) = self.job_terminal(shard, job) {
             let ts = self.tenants.get_mut(&meta.tenant).unwrap();
             ts.finished += 1;
@@ -1695,10 +1795,7 @@ impl Federation {
         out: &mut Vec<Notice>,
     ) {
         self.shards[shard].last_seen = now;
-        let starts = self.shards[shard]
-            .core_mut()
-            .unwrap()
-            .on_failed(job, reason, now);
+        let starts = self.core_mut(shard).unwrap().on_failed(job, reason, now);
         self.job_terminal(shard, job);
         telemetry::incr("fed.failed", 1);
         self.start_notices(shard, &starts, out);
@@ -1709,7 +1806,7 @@ impl Federation {
 
     fn apply_cancel(&mut self, shard: usize, job: JobId, now: f64, out: &mut Vec<Notice>) {
         self.shards[shard].last_seen = now;
-        let starts = self.shards[shard].core_mut().unwrap().cancel(job, now);
+        let starts = self.core_mut(shard).unwrap().cancel(job, now);
         self.job_terminal(shard, job);
         telemetry::incr("fed.cancelled", 1);
         self.start_notices(shard, &starts, out);
@@ -1761,30 +1858,17 @@ impl Federation {
         }
     }
 
-    /// Pick a shard for a `need`-processor job: prefer one that can start
-    /// it immediately (most idle wins), else the shortest queue (largest
-    /// pool, then lowest id, break ties).
-    fn route(&self, need: usize) -> Option<usize> {
-        let mut immediate: Option<(usize, usize)> = None; // (idle, id)
-        let mut queued: Option<(usize, usize, usize)> = None; // (queue, -idle, id)
-        for s in &self.shards {
-            let Some(core) = s.core() else { continue };
-            let idle = core.idle_procs();
-            if core.queue_len() == 0
-                && idle >= need
-                && immediate.is_none_or(|(best, _)| idle > best)
-            {
-                immediate = Some((idle, s.id));
-            }
-            // Queue placement: shortest queue first, then most idle
-            // processors — the smallest lending deficit if it comes to
-            // that — then lowest id.
-            let key = (core.queue_len(), usize::MAX - idle, s.id);
-            if queued.is_none_or(|q| key < q) {
-                queued = Some(key);
-            }
-        }
-        immediate.map(|(_, id)| id).or(queued.map(|(_, _, id)| id))
+    /// Pick a live shard for a job: shortest queue first, then most idle
+    /// processors — the smallest lending deficit if it comes to that —
+    /// then lowest id. A shard that can start the job at once (empty
+    /// queue, enough idle) is always this pick: the most idle shard with
+    /// an empty queue, if any can start it, can. So the answer does not
+    /// depend on the job.
+    fn route(&mut self) -> Option<usize> {
+        self.refresh_view();
+        (0..self.view.len())
+            .filter(|&id| self.view[id].live)
+            .min_by_key(|&id| (self.view[id].queue_len, usize::MAX - self.view[id].idle, id))
     }
 
     fn assign(
@@ -1798,7 +1882,7 @@ impl Federation {
     ) {
         let need = spec.initial.procs();
         self.shards[shard].last_seen = now;
-        let (job, starts) = self.shards[shard].core_mut().unwrap().submit(spec, now);
+        let (job, starts) = self.core_mut(shard).unwrap().submit(spec, now);
         self.job_meta.insert(
             (shard, job.0),
             JobMeta {
@@ -1841,15 +1925,15 @@ impl Federation {
             order.sort();
             let mut admitted = false;
             for (_, tenant) in order {
-                let (need, ok) = {
+                let ok = {
                     let ts = &self.tenants[&tenant];
                     let need = ts.queued.front().unwrap().spec.initial.procs();
-                    (need, ts.in_flight_procs + need <= ts.cfg.quota_procs)
+                    ts.in_flight_procs + need <= ts.cfg.quota_procs
                 };
                 if !ok {
                     continue;
                 }
-                let Some(shard) = self.route(need) else { continue };
+                let Some(shard) = self.route() else { continue };
                 let qj = self
                     .tenants
                     .get_mut(&tenant)
@@ -1887,10 +1971,7 @@ impl Federation {
             self.engage_brownout(shard, now, BrownoutReason::QueueDepth, out);
         } else if self.shards[shard].brownout && depth <= self.brownout_cfg.queue_low {
             self.shards[shard].brownout = false;
-            self.shards[shard]
-                .core_mut()
-                .unwrap()
-                .set_expand_paused(false, now);
+            self.core_mut(shard).unwrap().set_expand_paused(false, now);
             telemetry::incr("fed.brownout_released", 1);
             trace::end(self.shard_traces[shard].brownout, now);
             self.shard_traces[shard].brownout = 0;
@@ -1914,10 +1995,7 @@ impl Federation {
     ) {
         let depth = self.shards[shard].queue_len();
         self.shards[shard].brownout = true;
-        self.shards[shard]
-            .core_mut()
-            .unwrap()
-            .set_expand_paused(true, now);
+        self.core_mut(shard).unwrap().set_expand_paused(true, now);
         telemetry::incr("fed.brownout_engaged", 1);
         self.shard_traces[shard].brownout = trace::begin(
             trace::shard_trace(shard),
@@ -1972,14 +2050,20 @@ impl Federation {
     /// Lend idle processors to starved shards: for each live shard whose
     /// queue head cannot start, find a donor with enough spare, escrow
     /// the slots in the donor's WAL, and put a grant on the bus.
+    ///
+    /// The shard summaries answer the common case without visiting a core:
+    /// nothing is starved, or no other shard's spare covers the deficit —
+    /// the donor test below, so the search would find no donor.
     fn maybe_lend(&mut self, now: f64, out: &mut Vec<Notice>) {
+        self.refresh_view();
+        if self.starved == 0 {
+            return;
+        }
         for b in 0..self.shards.len() {
-            let deficit = {
-                let Some(core) = self.shards[b].core() else { continue };
-                let Some(need) = core.queue_head_need() else { continue };
-                need.saturating_sub(core.idle_procs())
-            };
-            if deficit == 0 {
+            let deficit = self.view[b].deficit;
+            if deficit == 0
+                || !(0..self.view.len()).any(|d| d != b && self.view[d].spare >= deficit)
+            {
                 continue;
             }
             for d in 0..self.shards.len() {
@@ -2003,6 +2087,8 @@ impl Federation {
                     }
                 }
                 if self.grant_lease(d, b, deficit, now, out) {
+                    // The lender escrowed processors: its spare shrank.
+                    self.refresh_view();
                     break;
                 }
             }
@@ -2021,8 +2107,8 @@ impl Federation {
         // Escrow first: the lender journals `lend_grant` before anything
         // touches the wire, so a lender crash after this point still
         // reclaims the slots deterministically from its own WAL.
-        let Some(slots) = self.shards[lender]
-            .core_mut()
+        let Some(slots) = self
+            .core_mut(lender)
             .unwrap()
             .lend_grant(id, n, now)
         else {

@@ -116,15 +116,10 @@ impl Shard {
         matches!(self.state, ShardState::Live(_))
     }
 
+    /// The live core, read-only. Mutation goes through the federation,
+    /// which keeps a summary of every shard in step with its core.
     pub fn core(&self) -> Option<&SchedulerCore> {
         match &self.state {
-            ShardState::Live(c) => Some(c),
-            ShardState::Down { .. } => None,
-        }
-    }
-
-    pub(crate) fn core_mut(&mut self) -> Option<&mut SchedulerCore> {
-        match &mut self.state {
             ShardState::Live(c) => Some(c),
             ShardState::Down { .. } => None,
         }

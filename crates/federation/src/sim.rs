@@ -3,14 +3,16 @@
 //! the chaos sweeps in `reshape-testkit` drive the same [`Federation`]
 //! API with seeded faults and a ledger oracle after every transition.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use reshape_clustersim::EventQueue;
 use reshape_core::{Directive, JobSpec, QueuePolicy};
 use reshape_telemetry as telemetry;
 
 use crate::bus::BusConfig;
-use crate::fed::{BrownoutConfig, Federation, FederationConfig, HealRepairKind, Notice};
+use crate::fed::{BrownoutConfig, Federation, FederationConfig, HealRepairKind, IdMap, Notice};
 use crate::flightrec::DEFAULT_CAP;
 use crate::lease::LeaseConfig;
 use crate::tenant::TenantConfig;
@@ -101,7 +103,131 @@ pub struct SloSeries {
     pub sheds: Vec<(f64, u32)>,
     /// `(t, tenant, router queue depth, quota utilization)` sampled after
     /// every simulation event.
-    pub samples: Vec<(f64, u32, usize, f64)>,
+    pub samples: SloSamples,
+}
+
+/// The per-tenant samples of a run: `(t, tenant, router queue depth, quota
+/// utilization)` for every tenant after every simulation event, ordered by
+/// event, then tenant id.
+///
+/// Stored losslessly as change points: each event's time once, plus a
+/// tenant's pair only at the events where it differs, bit for bit, from
+/// that tenant's pair at the previous event. Most events move one tenant
+/// at most, so the series grows with the changes, not with events ×
+/// tenants. [`SloSamples::iter`] expands every sample back, and `Debug`
+/// prints the same list a `Vec` of the tuples would.
+#[derive(Clone, Default)]
+pub struct SloSamples {
+    /// Tenant ids, ascending: the order of the samples within an event.
+    tenants: Vec<u32>,
+    /// Virtual time of each event.
+    times: Vec<f64>,
+    /// Every change, ordered by event, then tenant.
+    changes: Vec<Change>,
+    /// Each tenant's latest `(depth, util bits)`, to detect the next change.
+    last: Vec<(usize, u64)>,
+}
+
+/// Tenant `tenant` (an index into [`SloSamples::tenants`]) holds `(depth,
+/// util)` from event `event` until its next change.
+#[derive(Clone, Copy)]
+struct Change {
+    event: usize,
+    tenant: usize,
+    depth: usize,
+    util: f64,
+}
+
+impl SloSamples {
+    pub(crate) fn new(tenants: Vec<u32>) -> Self {
+        SloSamples {
+            last: vec![(0, 0); tenants.len()],
+            tenants,
+            ..SloSamples::default()
+        }
+    }
+
+    /// Record one event at `t`: every tenant's `(depth, util)`, in tenant
+    /// order.
+    pub(crate) fn push(&mut self, t: f64, pairs: impl Iterator<Item = (usize, f64)>) {
+        let event = self.times.len();
+        self.times.push(t);
+        for (k, (depth, util)) in pairs.enumerate() {
+            let key = (depth, util.to_bits());
+            if event == 0 || self.last[k] != key {
+                self.last[k] = key;
+                self.changes.push(Change {
+                    event,
+                    tenant: k,
+                    depth,
+                    util,
+                });
+            }
+        }
+    }
+
+    /// Samples recorded: events × tenants.
+    pub fn len(&self) -> usize {
+        self.times.len() * self.tenants.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every sample, in order.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, u32, usize, f64)> + '_ {
+        Samples {
+            series: self,
+            event: 0,
+            tenant: 0,
+            next: 0,
+            current: vec![(0, 0.0); self.tenants.len()],
+        }
+    }
+}
+
+impl fmt::Debug for SloSamples {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Expands [`SloSamples`]: `current` holds every tenant's pair as of
+/// `event`, advanced through `changes[next..]` at each event's first
+/// tenant.
+struct Samples<'a> {
+    series: &'a SloSamples,
+    event: usize,
+    tenant: usize,
+    next: usize,
+    current: Vec<(usize, f64)>,
+}
+
+impl Iterator for Samples<'_> {
+    type Item = (f64, u32, usize, f64);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let s = self.series;
+        if s.tenants.is_empty() {
+            return None;
+        }
+        let &t = s.times.get(self.event)?;
+        if self.tenant == 0 {
+            while let Some(c) = s.changes.get(self.next).filter(|c| c.event == self.event) {
+                self.current[c.tenant] = (c.depth, c.util);
+                self.next += 1;
+            }
+        }
+        let k = self.tenant;
+        let (depth, util) = self.current[k];
+        self.tenant += 1;
+        if self.tenant == s.tenants.len() {
+            self.tenant = 0;
+            self.event += 1;
+        }
+        Some((t, s.tenants[k], depth, util))
+    }
 }
 
 /// What a federation run did.
@@ -161,57 +287,91 @@ impl FedReport {
         }
         let span = if self.makespan > 0.0 { self.makespan } else { 1.0 };
         let width = span / windows as f64;
-        let tenants: std::collections::BTreeSet<u32> = self
-            .slo
-            .samples
+        // Right-inclusive last window so the makespan sample lands. The
+        // windows tile [0, span], so at most one holds any `t`, and it is
+        // within one of the arithmetic guess (rounding moves `t / width`
+        // by far less than a window); a `t` past the last edge has none.
+        let in_win = |w: usize, t: f64| {
+            let (lo, hi) = (w as f64 * width, (w + 1) as f64 * width);
+            t >= lo && (t < hi || (w == windows - 1 && t <= hi))
+        };
+        let window_of = |t: f64| {
+            let guess = ((t / width) as usize).min(windows - 1);
+            [guess.saturating_sub(1), guess, guess + 1]
+                .into_iter()
+                .find(|&w| w < windows && in_win(w, t))
+        };
+        let s = &self.slo.samples;
+        let tenants: BTreeSet<u32> = s
+            .tenants
             .iter()
-            .map(|&(_, t, _, _)| t)
+            .filter(|_| !s.times.is_empty())
+            .copied()
             .chain(self.slo.sheds.iter().map(|&(_, t)| t))
             .chain(self.slo.admits.iter().map(|&(_, t, _)| t))
             .collect();
-        for tenant in tenants {
+        let mut acc: BTreeMap<u32, Vec<WindowAcc>> = tenants
+            .into_iter()
+            .map(|t| (t, vec![WindowAcc::default(); windows]))
+            .collect();
+
+        // One visit per change segment: a tenant's pair holds from its
+        // change to its next one, and each event of the segment adds it to
+        // the event's window — in event order, as a scan of every sample
+        // would.
+        let mut open: Vec<Option<Change>> = vec![None; s.tenants.len()];
+        let mut fold = |seg: Change, end: usize| {
+            let wins = acc.get_mut(&s.tenants[seg.tenant]).expect("sampled tenant");
+            for &t in &s.times[seg.event..end] {
+                if let Some(w) = window_of(t) {
+                    wins[w].n += 1;
+                    wins[w].depth += seg.depth as f64;
+                    wins[w].util += seg.util;
+                }
+            }
+        };
+        for &c in &s.changes {
+            if let Some(seg) = open[c.tenant].replace(c) {
+                fold(seg, c.event);
+            }
+        }
+        for seg in open.into_iter().flatten() {
+            fold(seg, s.times.len());
+        }
+        for &(t, tenant) in &self.slo.sheds {
+            if let Some(w) = window_of(t) {
+                acc.get_mut(&tenant).expect("shedding tenant")[w].sheds += 1;
+            }
+        }
+        for &(t, tenant, wait) in &self.slo.admits {
+            if let Some(w) = window_of(t) {
+                acc.get_mut(&tenant).expect("admitted tenant")[w].waits.push(wait);
+            }
+        }
+
+        for (tenant, wins) in acc {
             let t_label = tenant.to_string();
-            for w in 0..windows {
-                let (lo, hi) = (w as f64 * width, (w + 1) as f64 * width);
-                // Right-inclusive last window so the makespan sample lands.
-                let in_win = |t: f64| t >= lo && (t < hi || (w == windows - 1 && t <= hi));
+            for (w, win) in wins.into_iter().enumerate() {
                 let w_label = w.to_string();
                 let labels = [("tenant", t_label.as_str()), ("window", w_label.as_str())];
-                let (mut n, mut depth, mut util) = (0u64, 0.0, 0.0);
-                for &(t, tn, d, u) in &self.slo.samples {
-                    if tn == tenant && in_win(t) {
-                        n += 1;
-                        depth += d as f64;
-                        util += u;
-                    }
-                }
-                if n > 0 {
-                    telemetry::gauge_labeled("fed.tenant_queue_depth_mean", &labels, depth / n as f64);
+                if win.n > 0 {
+                    telemetry::gauge_labeled(
+                        "fed.tenant_queue_depth_mean",
+                        &labels,
+                        win.depth / win.n as f64,
+                    );
                     telemetry::gauge_labeled(
                         "fed.tenant_quota_utilization_mean",
                         &labels,
-                        util / n as f64,
+                        win.util / win.n as f64,
                     );
                 }
-                let sheds = self
-                    .slo
-                    .sheds
-                    .iter()
-                    .filter(|&&(t, tn)| tn == tenant && in_win(t))
-                    .count();
-                telemetry::gauge_labeled("fed.tenant_shed_rate", &labels, sheds as f64 / width);
-                let waits: Vec<f64> = self
-                    .slo
-                    .admits
-                    .iter()
-                    .filter(|&&(t, tn, _)| tn == tenant && in_win(t))
-                    .map(|&(_, _, w)| w)
-                    .collect();
-                if !waits.is_empty() {
+                telemetry::gauge_labeled("fed.tenant_shed_rate", &labels, win.sheds as f64 / width);
+                if !win.waits.is_empty() {
                     telemetry::gauge_labeled(
                         "fed.tenant_admit_latency_mean",
                         &labels,
-                        waits.iter().sum::<f64>() / waits.len() as f64,
+                        win.waits.iter().sum::<f64>() / win.waits.len() as f64,
                     );
                 }
             }
@@ -219,8 +379,18 @@ impl FedReport {
     }
 }
 
+/// One `{tenant, window}` cell of [`FedReport::publish_metrics`].
+#[derive(Clone, Default)]
+struct WindowAcc {
+    n: u64,
+    depth: f64,
+    util: f64,
+    sheds: usize,
+    waits: Vec<f64>,
+}
+
+/// What the event queue holds; arrivals stream from the job list instead.
 enum Ev {
-    Submit(usize),
     Checkin { shard: usize, job: u64 },
     Recover { shard: usize },
 }
@@ -261,57 +431,72 @@ pub fn run_with_fed(
         fed.inject_partition(p.groups.clone(), p.t_start, p.t_heal);
     }
 
-    let mut q: EventQueue<Ev> = EventQueue::new();
-    for (i, j) in cfg.jobs.iter().enumerate() {
-        q.push(j.arrival, Ev::Submit(i));
+    // Arrivals in time order; a stable sort keeps equal arrivals in list
+    // order.
+    for j in &cfg.jobs {
+        assert!(j.arrival.is_finite(), "arrival time must be finite, got {}", j.arrival);
     }
+    let mut arrivals: Vec<usize> = (0..cfg.jobs.len()).collect();
+    arrivals.sort_by(|&a, &b| {
+        let (ta, tb) = (cfg.jobs[a].arrival, cfg.jobs[b].arrival);
+        ta.partial_cmp(&tb).expect("arrival times are finite")
+    });
+    let mut arrivals = arrivals.into_iter().peekable();
+    let mut q: EventQueue<Ev> = EventQueue::new();
     let mut kills = cfg.kills.clone();
     kills.sort_by_key(|k| k.at_transition);
     let mut kill_idx = 0;
 
-    let mut live: BTreeMap<(usize, u64), LiveJob> = BTreeMap::new();
+    let mut live: IdMap<(usize, u64), LiveJob> = IdMap::default();
     let mut report = FedReport {
         recoveries_matched: true,
+        slo: SloSeries {
+            // Fixed when the federation is built.
+            samples: SloSamples::new(fed.tenant_ids()),
+            ..SloSeries::default()
+        },
         ..FedReport::default()
     };
     for j in &cfg.jobs {
         report.per_tenant.entry(j.tenant).or_default();
     }
 
-    // Fixed when the federation is built.
-    let tenants = fed.tenant_ids();
     loop {
-        let (t, notices) = if let Some((t, ev)) = q.pop() {
+        // An arrival wins a tie: it comes before any check-in or recovery
+        // at the same instant.
+        let arrival = arrivals
+            .next_if(|&i| q.peek_time().is_none_or(|tq| cfg.jobs[i].arrival <= tq));
+        let (t, notices) = if let Some(i) = arrival {
+            let (j, t) = (&cfg.jobs[i], cfg.jobs[i].arrival);
+            report.submitted += 1;
+            report.per_tenant.entry(j.tenant).or_default().submitted += 1;
+            (t, fed.submit(j.tenant, i as u64, j.spec.clone(), t))
+        } else if let Some((t, ev)) = q.pop() {
             let notices = match ev {
-                Ev::Submit(i) => {
-                    report.submitted += 1;
-                    report.per_tenant.entry(cfg.jobs[i].tenant).or_default().submitted += 1;
-                    fed.submit(cfg.jobs[i].tenant, i as u64, cfg.jobs[i].spec.clone(), t)
-                }
                 Ev::Checkin { shard, job } => {
-                    let Some(lj) = live.get_mut(&(shard, job)) else {
+                    let Entry::Occupied(mut e) = live.entry((shard, job)) else {
                         continue; // job left the system (evicted, failed)
                     };
+                    let lj = e.get_mut();
                     lj.checkins += 1;
-                    let (idx, n) = (lj.idx, lj.checkins);
+                    let (idx, n, procs) = (lj.idx, lj.checkins, lj.procs);
                     let fj = &cfg.jobs[idx];
                     let jid = reshape_core::JobId(job);
                     if fj.cancel_at == Some(n) {
-                        live.remove(&(shard, job));
+                        e.remove();
                         report.cancelled += 1;
                         fed.cancel(shard, jid, t)
                     } else if fj.fail_at == Some(n) {
-                        live.remove(&(shard, job));
+                        e.remove();
                         report.failed += 1;
                         fed.failed(shard, jid, "injected fault".into(), t)
                     } else if n as usize >= fj.spec.iterations {
-                        live.remove(&(shard, job));
+                        e.remove();
                         report.finished += 1;
                         report.per_tenant.entry(fj.tenant).or_default().finished += 1;
                         fed.finished(shard, jid, t)
                     } else {
-                        let procs = live[&(shard, job)].procs.max(1);
-                        fed.checkin(shard, jid, fj.work / procs as f64, 0.0, t)
+                        fed.checkin(shard, jid, fj.work / procs.max(1) as f64, 0.0, t)
                     }
                 }
                 Ev::Recover { shard } => {
@@ -375,18 +560,18 @@ pub fn run_with_fed(
                     job,
                     directive,
                 } => {
-                    if let Some(lj) = live.get_mut(&(*shard, job.0)) {
+                    if let Entry::Occupied(mut e) = live.entry((*shard, job.0)) {
                         match directive {
                             Directive::Terminate => {
-                                live.remove(&(*shard, job.0));
+                                e.remove();
                             }
                             d => {
+                                let lj = e.get_mut();
                                 if let Directive::Expand { to, .. } | Directive::Shrink { to } = d {
                                     lj.procs = to.procs();
                                 }
-                                let procs = live[&(*shard, job.0)].procs.max(1);
-                                let work = cfg.jobs[live[&(*shard, job.0)].idx].work;
-                                q.push(t + work / procs as f64, Ev::Checkin {
+                                let work = cfg.jobs[lj.idx].work;
+                                q.push(t + work / lj.procs.max(1) as f64, Ev::Checkin {
                                     shard: *shard,
                                     job: job.0,
                                 });
@@ -444,14 +629,7 @@ pub fn run_with_fed(
 
         // Sample per-tenant SLO state after every event (virtual-time
         // keyed, so identical runs produce identical series).
-        for &tenant in &tenants {
-            report.slo.samples.push((
-                t,
-                tenant,
-                fed.tenant_queue_len(tenant),
-                fed.tenant_in_flight(tenant) as f64 / fed.tenant_quota(tenant).max(1) as f64,
-            ));
-        }
+        report.slo.samples.push(t, fed.tenant_slo());
 
         hook(&fed, t);
     }
