@@ -115,8 +115,12 @@ mod tests {
     use reshape_mpisim::{NetModel, Universe};
 
     fn image(n: usize) -> (Vec<f64>, Vec<f64>) {
-        let re: Vec<f64> = (0..n * n).map(|x| ((x * 37 + 11) % 101) as f64 / 50.0 - 1.0).collect();
-        let im: Vec<f64> = (0..n * n).map(|x| ((x * 17 + 3) % 89) as f64 / 44.0 - 1.0).collect();
+        let re: Vec<f64> = (0..n * n)
+            .map(|x| ((x * 37 + 11) % 101) as f64 / 50.0 - 1.0)
+            .collect();
+        let im: Vec<f64> = (0..n * n)
+            .map(|x| ((x * 17 + 3) % 89) as f64 / 44.0 - 1.0)
+            .collect();
         (re, im)
     }
 
@@ -154,10 +158,8 @@ mod tests {
                 let (re_full, im_full) = image(n);
                 let rf = re_full.clone();
                 let if_ = im_full.clone();
-                let mut re =
-                    DistMatrix::from_fn(d, 0, grid.mycol(), move |i, j| rf[i * n + j]);
-                let mut im =
-                    DistMatrix::from_fn(d, 0, grid.mycol(), move |i, j| if_[i * n + j]);
+                let mut re = DistMatrix::from_fn(d, 0, grid.mycol(), move |i, j| rf[i * n + j]);
+                let mut im = DistMatrix::from_fn(d, 0, grid.mycol(), move |i, j| if_[i * n + j]);
                 fft2d(&grid, &mut re, &mut im, false);
                 let gr = re.gather(&grid);
                 let gi = im.gather(&grid);
@@ -225,9 +227,8 @@ mod tests {
             .launch(p, None, "fft-rt", move |comm| {
                 let grid = GridContext::new(&comm, 1, p);
                 let d = Descriptor::new(n, n, n, 4, 1, p);
-                let mut re = DistMatrix::from_fn(d, 0, grid.mycol(), |i, j| {
-                    ((i * 7 + j * 3) % 23) as f64
-                });
+                let mut re =
+                    DistMatrix::from_fn(d, 0, grid.mycol(), |i, j| ((i * 7 + j * 3) % 23) as f64);
                 let mut im = DistMatrix::<f64>::new(d, 0, grid.mycol());
                 let re0 = re.local_data().to_vec();
                 fft2d(&grid, &mut re, &mut im, false);

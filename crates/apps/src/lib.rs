@@ -103,9 +103,7 @@ pub fn mm_app(n: usize, nb: usize, rate: f64) -> AppDef {
         move |grid| {
             let desc = Descriptor::square(n, nb, grid.nprow(), grid.npcol());
             let a = DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), &init_elem);
-            let b = DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                init_elem(j, i)
-            });
+            let b = DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| init_elem(j, i));
             let c = DistMatrix::new(desc, grid.myrow(), grid.mycol());
             vec![a, b, c]
         },
@@ -170,7 +168,9 @@ pub fn fft_app(n: usize, nb: usize, rate: f64) -> AppDef {
         move |grid, mats, _iter| {
             let (re, im) = mats.split_at_mut(1);
             refill(&mut im[0], |_, _| 0.0);
-            refill(&mut re[0], |i, j| ((i * 31 + j * 7) % 251) as f64 / 125.0 - 1.0);
+            refill(&mut re[0], |i, j| {
+                ((i * 31 + j * 7) % 251) as f64 / 125.0 - 1.0
+            });
             fft::fft2d(grid, &mut re[0], &mut im[0], false);
             let p = (grid.nprow() * grid.npcol()) as f64;
             grid.comm().advance(fft::fft_flops(n) / (rate * p));

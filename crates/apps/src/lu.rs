@@ -72,11 +72,15 @@ fn gemm_sub(c: &mut [f64], a: &[f64], b: &[f64], nb: usize) {
 
 /// My local trailing block-row indices `> k`.
 fn my_block_rows(n_blocks: usize, k: usize, nprow: usize, myrow: usize) -> Vec<usize> {
-    ((k + 1)..n_blocks).filter(|bi| bi % nprow == myrow).collect()
+    ((k + 1)..n_blocks)
+        .filter(|bi| bi % nprow == myrow)
+        .collect()
 }
 
 fn my_block_cols(n_blocks: usize, k: usize, npcol: usize, mycol: usize) -> Vec<usize> {
-    ((k + 1)..n_blocks).filter(|bj| bj % npcol == mycol).collect()
+    ((k + 1)..n_blocks)
+        .filter(|bj| bj % npcol == mycol)
+        .collect()
 }
 
 /// In-place distributed LU factorization: on return `a` holds `L\U` (unit

@@ -71,10 +71,7 @@ pub fn lu_factorize_pivoted(grid: &GridContext, a: &mut DistMatrix<f64>) -> Vec<
                         win = (v, gi);
                     }
                 }
-                assert!(
-                    win.0 > 0.0,
-                    "matrix is singular: zero pivot column at {gj}"
-                );
+                assert!(win.0 > 0.0, "matrix is singular: zero pivot column at {gj}");
                 win.1
             } else {
                 0
@@ -200,7 +197,9 @@ fn swap_global_rows(grid: &GridContext, a: &mut DistMatrix<f64>, r1: usize, r2: 
         }
     } else if myrow == p1 || myrow == p2 {
         let (my_l, peer) = if myrow == p1 { (l1, p2) } else { (l2, p1) };
-        let mine: Vec<f64> = (0..a.local_cols()).map(|lj| a.get_local(my_l, lj)).collect();
+        let mine: Vec<f64> = (0..a.local_cols())
+            .map(|lj| a.get_local(my_l, lj))
+            .collect();
         let theirs = grid.col_comm().sendrecv(peer, peer, TAG_SWAP, &mine);
         for (lj, v) in theirs.into_iter().enumerate() {
             a.set_local(my_l, lj, v);
@@ -393,12 +392,7 @@ mod tests {
 /// each row's dot product is computed in parallel across the owning process
 /// row and combined with a small reduction — adequate for validation and
 /// moderate sizes.
-pub fn lu_solve(
-    grid: &GridContext,
-    lu: &DistMatrix<f64>,
-    piv: &[usize],
-    b: &[f64],
-) -> Vec<f64> {
+pub fn lu_solve(grid: &GridContext, lu: &DistMatrix<f64>, piv: &[usize], b: &[f64]) -> Vec<f64> {
     let d = lu.desc;
     let n = d.m;
     assert_eq!(b.len(), n, "right-hand side length mismatch");
@@ -507,7 +501,13 @@ mod solve_tests {
                 let mut a = DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), f.clone());
                 // Known solution: x_true = [1, -1, 2, -2, ...].
                 let x_true: Vec<f64> = (0..n)
-                    .map(|i| if i % 2 == 0 { (i / 2 + 1) as f64 } else { -((i / 2 + 1) as f64) })
+                    .map(|i| {
+                        if i % 2 == 0 {
+                            (i / 2 + 1) as f64
+                        } else {
+                            -((i / 2 + 1) as f64)
+                        }
+                    })
                     .collect();
                 let b: Vec<f64> = (0..n)
                     .map(|i| (0..n).map(|j| f(i, j) * x_true[j]).sum())
@@ -516,10 +516,7 @@ mod solve_tests {
                 let x = lu_solve(&grid, &a, &piv, &b);
                 let scale: f64 = x_true.iter().map(|v| v.abs()).fold(1.0, f64::max);
                 for (xi, ti) in x.iter().zip(&x_true) {
-                    assert!(
-                        (xi - ti).abs() < 1e-6 * scale * n as f64,
-                        "{xi} vs {ti}"
-                    );
+                    assert!((xi - ti).abs() < 1e-6 * scale * n as f64, "{xi} vs {ti}");
                 }
             })
             .join_ok();

@@ -11,7 +11,12 @@ use reshape_grid::GridContext;
 
 /// `C += A · B` distributed; all three matrices square `n × n` with the
 /// same square blocking on the same grid. Collective.
-pub fn summa(grid: &GridContext, a: &DistMatrix<f64>, b: &DistMatrix<f64>, c: &mut DistMatrix<f64>) {
+pub fn summa(
+    grid: &GridContext,
+    a: &DistMatrix<f64>,
+    b: &DistMatrix<f64>,
+    c: &mut DistMatrix<f64>,
+) {
     let d = a.desc;
     assert_eq!(d.m, d.n, "SUMMA here is square-only");
     assert_eq!(d.mb, d.nb, "square blocks required");
@@ -28,7 +33,7 @@ pub fn summa(grid: &GridContext, a: &DistMatrix<f64>, b: &DistMatrix<f64>, c: &m
     for k in 0..n_blocks {
         let pcol = k % d.npcol; // owner column of A[:,k]
         let prow = k % d.nprow; // owner row of B[k,:]
-        // Panel of A: blocks A[bi, k] for my block rows.
+                                // Panel of A: blocks A[bi, k] for my block rows.
         let a_panel: Vec<f64> = if mycol == pcol {
             let mut buf = Vec::with_capacity(my_rows.len() * nb * nb);
             for &bi in &my_rows {

@@ -8,7 +8,10 @@ pub fn lu_nopivot(a: &mut [f64], n: usize) {
     assert_eq!(a.len(), n * n);
     for k in 0..n {
         let pivot = a[k * n + k];
-        assert!(pivot.abs() > 1e-300, "zero pivot at {k}; matrix not diagonally dominant?");
+        assert!(
+            pivot.abs() > 1e-300,
+            "zero pivot at {k}; matrix not diagonally dominant?"
+        );
         for i in (k + 1)..n {
             a[i * n + k] /= pivot;
             let lik = a[i * n + k];
@@ -250,7 +253,10 @@ mod tests {
         let f = test_matrix_at(10, 42);
         assert_eq!(f(3, 7), a[37]);
         for i in 0..10 {
-            let off: f64 = (0..10).filter(|&j| j != i).map(|j| a[i * 10 + j].abs()).sum();
+            let off: f64 = (0..10)
+                .filter(|&j| j != i)
+                .map(|j| a[i * 10 + j].abs())
+                .sum();
             assert!(a[i * 10 + i] > off);
         }
     }

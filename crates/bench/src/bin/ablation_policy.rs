@@ -78,7 +78,10 @@ fn main() {
         ),
     ];
 
-    println!("Policy ablation on workload 1 ({} processors)\n", w.total_procs);
+    println!(
+        "Policy ablation on workload 1 ({} processors)\n",
+        w.total_procs
+    );
     let mut table = Table::new(vec![
         "variant",
         "mean turnaround (s)",

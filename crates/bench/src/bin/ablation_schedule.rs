@@ -41,7 +41,13 @@ fn main() {
 
     println!("Ablation: contention-free circulant schedule vs naive single burst");
     println!("(same bytes moved; contention-aware cost model with incast penalty)\n");
-    let mut table = Table::new(vec!["N", "transition", "scheduled (s)", "naive (s)", "naive/scheduled"]);
+    let mut table = Table::new(vec![
+        "N",
+        "transition",
+        "scheduled (s)",
+        "naive (s)",
+        "naive/scheduled",
+    ]);
     let mut rows = Vec::new();
     for (n, from, to) in cases {
         let src = Descriptor::square(n, MODEL_BLOCK, from.0, from.1);
@@ -54,7 +60,11 @@ fn main() {
             from.1,
             to.0,
             to.1,
-            if to.0 * to.1 > from.0 * from.1 { "expand" } else { "shrink" }
+            if to.0 * to.1 > from.0 * from.1 {
+                "expand"
+            } else {
+                "shrink"
+            }
         );
         table.row(vec![
             n.to_string(),

@@ -50,7 +50,11 @@ fn main() {
     let lu24 = AppModel::Lu { n: 24000 };
     let t16 = lu24.iter_time(ProcessorConfig::new(4, 4), &m);
     let t20 = lu24.iter_time(ProcessorConfig::new(4, 5), &m);
-    push("LU-24000 improvement 16->20 (%)", 19.1, (t16 - t20) / t16 * 100.0);
+    push(
+        "LU-24000 improvement 16->20 (%)",
+        19.1,
+        (t16 - t20) / t16 * 100.0,
+    );
 
     // Redistribution costs for LU-12000 expansions (Figure 3(a)).
     for (from, to, paper) in [
@@ -76,13 +80,20 @@ fn main() {
     push(
         "MW(W1) iter time @ 2 procs",
         147.47 / 10.0,
-        AppModel::MasterWorker { units: 20000, unit_time: 0.7375e-3 }
-            .iter_time(ProcessorConfig::linear(2), &m),
+        AppModel::MasterWorker {
+            units: 20000,
+            unit_time: 0.7375e-3,
+        }
+        .iter_time(ProcessorConfig::linear(2), &m),
     );
     push(
         "Jacobi-8000(W1) iter time @ 4 procs",
         3266.40 / 10.0,
-        AppModel::Jacobi { n: 8000, sweeps: 34300 }.iter_time(ProcessorConfig::linear(4), &m),
+        AppModel::Jacobi {
+            n: 8000,
+            sweeps: 34300,
+        }
+        .iter_time(ProcessorConfig::linear(4), &m),
     );
     push(
         "FFT-8192(W1) iter time @ 4 procs",
@@ -106,12 +117,12 @@ fn main() {
         ]);
     }
     table.print();
-    let mean_abs: f64 = anchors
-        .iter()
-        .map(|a| a.rel_err_percent.abs())
-        .sum::<f64>()
-        / anchors.len() as f64;
-    println!("\nmean |relative error| over {} anchors: {mean_abs:.1}%", anchors.len());
+    let mean_abs: f64 =
+        anchors.iter().map(|a| a.rel_err_percent.abs()).sum::<f64>() / anchors.len() as f64;
+    println!(
+        "\nmean |relative error| over {} anchors: {mean_abs:.1}%",
+        anchors.len()
+    );
     println!(
         "(Shapes, not absolutes, are the reproduction target — see\n\
          EXPERIMENTS.md; the largest errors are the paper's own non-smooth\n\

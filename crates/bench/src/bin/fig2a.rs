@@ -41,7 +41,16 @@ fn main() {
     }
 
     println!("Figure 2(a): Running time for LU factorization (seconds per iteration)");
-    let mut table = Table::new(vec!["procs \\ N", "8000", "12000", "14000", "16000", "20000", "21000", "24000"]);
+    let mut table = Table::new(vec![
+        "procs \\ N",
+        "8000",
+        "12000",
+        "14000",
+        "16000",
+        "20000",
+        "21000",
+        "24000",
+    ]);
     // Collect the union of processor counts, ascending.
     let mut all_procs: Vec<usize> = series
         .iter()

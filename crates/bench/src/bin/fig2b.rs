@@ -51,7 +51,14 @@ fn main() {
 
     println!("Figure 2(b): Redistribution overhead for expansion (seconds)");
     let mut table = Table::new(vec![
-        "procs \\ N", "8000", "12000", "14000", "16000", "20000", "21000", "24000",
+        "procs \\ N",
+        "8000",
+        "12000",
+        "14000",
+        "16000",
+        "20000",
+        "21000",
+        "24000",
     ]);
     let mut all_procs: Vec<usize> = series
         .iter()

@@ -29,10 +29,10 @@
 use std::sync::{Arc, Mutex};
 
 use reshape_bench::{json_arg, write_json, Table};
-use reshape_telemetry::trace;
 use reshape_blockcyclic::{recover_matrix, BuddyStore, Descriptor, DistMatrix};
 use reshape_mpisim::{NetModel, Universe};
 use reshape_redist::{checkpoint_cost, checkpoint_redistribute, CheckpointParams};
+use reshape_telemetry::trace;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -69,7 +69,14 @@ fn measure(n: usize) -> SizeResult {
         // With RESHAPE_TRACE set, each phase becomes a span under a per-size
         // root (trace id = N), stamped with the simulator's virtual clock.
         let root = if me == 0 {
-            trace::begin(n as u64, 0, format!("recovery n={n}"), "job", "recovery", comm.vtime())
+            trace::begin(
+                n as u64,
+                0,
+                format!("recovery n={n}"),
+                "job",
+                "recovery",
+                comm.vtime(),
+            )
         } else {
             0
         };
@@ -78,25 +85,35 @@ fn measure(n: usize) -> SizeResult {
         let store = BuddyStore::replicate(&comm, std::slice::from_ref(&src));
         let t_rep = comm.vtime() - t0;
         if me == 0 {
-            trace::complete(n as u64, root, "buddy_replicate", "redist", "recovery", t0, t0 + t_rep);
+            trace::complete(
+                n as u64,
+                root,
+                "buddy_replicate",
+                "redist",
+                "recovery",
+                t0,
+                t0 + t_rep,
+            );
         }
 
         // Checkpoint/restart round trip onto the survivors. All four ranks
         // take part in the funnel (the checkpoint is written while the
         // soon-to-die rank is still alive); only ranks 0..3 receive.
         let t0 = comm.vtime();
-        let out = checkpoint_redistribute(
-            &comm,
-            s,
-            d,
-            Some(&src),
-            &CheckpointParams::default(),
-            None,
-        );
+        let out =
+            checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default(), None);
         let t_ck = comm.vtime() - t0;
         assert_eq!(out.is_some(), me < 3, "1x3 grid covers ranks 0..3");
         if me == 0 {
-            trace::complete(n as u64, root, "ckpt_roundtrip", "redist", "recovery", t0, t0 + t_ck);
+            trace::complete(
+                n as u64,
+                root,
+                "ckpt_roundtrip",
+                "redist",
+                "recovery",
+                t0,
+                t0 + t_ck,
+            );
         }
 
         // Buddy restore: rank 3 is dead from here on and sits out. The
@@ -112,7 +129,15 @@ fn measure(n: usize) -> SizeResult {
             t_rec = comm.vtime() - t0;
             assert!(out.is_some(), "every survivor owns part of the 1x3 layout");
             if me == 0 {
-                trace::complete(n as u64, root, "buddy_restore", "recovery", "recovery", t0, t0 + t_rec);
+                trace::complete(
+                    n as u64,
+                    root,
+                    "buddy_restore",
+                    "recovery",
+                    "recovery",
+                    t0,
+                    t0 + t_rec,
+                );
             }
         }
         if me == 0 {
@@ -123,9 +148,7 @@ fn measure(n: usize) -> SizeResult {
     .join_ok();
 
     let deltas = deltas.lock().expect("delta sink");
-    let max = |f: &dyn Fn(&(f64, f64, f64)) -> f64| {
-        deltas.iter().map(f).fold(0.0, f64::max)
-    };
+    let max = |f: &dyn Fn(&(f64, f64, f64)) -> f64| deltas.iter().map(f).fold(0.0, f64::max);
     let buddy_replicate_s = max(&|d| d.0);
     let ckpt_roundtrip_s = max(&|d| d.1);
     let buddy_restore_s = max(&|d| d.2);

@@ -119,7 +119,10 @@ fn summary_json_arg(args: &[String]) -> Option<std::path::PathBuf> {
 
 /// Parse a `--flag <value>` numeric option.
 fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let raw = args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1))?;
+    let raw = args
+        .iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))?;
     match raw.parse() {
         Ok(v) => Some(v),
         Err(_) => {
@@ -176,17 +179,32 @@ fn run_scale_sweep(args: &[String], nodes: usize) {
     table.row(vec!["seed".into(), r.seed.to_string()]);
     table.row(vec![
         "finished / failed / cancelled".into(),
-        format!("{} / {} / {}", r.jobs_finished, r.jobs_failed, r.jobs_cancelled),
+        format!(
+            "{} / {} / {}",
+            r.jobs_finished, r.jobs_failed, r.jobs_cancelled
+        ),
     ]);
     table.row(vec![
         "expansions / shrinks".into(),
         format!("{} / {}", r.expansions, r.shrinks),
     ]);
-    table.row(vec!["makespan (virtual s)".into(), format!("{:.0}", r.makespan)]);
-    table.row(vec!["utilization".into(), format!("{:.1}%", r.utilization * 100.0)]);
-    table.row(vec!["peak queue depth".into(), r.peak_queue_depth.to_string()]);
+    table.row(vec![
+        "makespan (virtual s)".into(),
+        format!("{:.0}", r.makespan),
+    ]);
+    table.row(vec![
+        "utilization".into(),
+        format!("{:.1}%", r.utilization * 100.0),
+    ]);
+    table.row(vec![
+        "peak queue depth".into(),
+        r.peak_queue_depth.to_string(),
+    ]);
     table.row(vec!["records pruned".into(), r.records_pruned.to_string()]);
-    table.row(vec!["events processed".into(), r.events_processed.to_string()]);
+    table.row(vec![
+        "events processed".into(),
+        r.events_processed.to_string(),
+    ]);
     table.row(vec![
         "wall (s) / events per sec".into(),
         format!("{:.2} / {:.0}", r.wall_seconds, r.events_per_sec),
@@ -240,13 +258,19 @@ fn main() {
         .map(|j| {
             if let Some(t) = j.cancel_at {
                 if t < j.arrival {
-                    eprintln!("job '{}': cancel_at {t} precedes arrival {}", j.name, j.arrival);
+                    eprintln!(
+                        "job '{}': cancel_at {t} precedes arrival {}",
+                        j.name, j.arrival
+                    );
                     std::process::exit(2);
                 }
             }
             if let Some(t) = j.fail_at {
                 if t < j.arrival {
-                    eprintln!("job '{}': fail_at {t} precedes arrival {}", j.name, j.arrival);
+                    eprintln!(
+                        "job '{}': fail_at {t} precedes arrival {}",
+                        j.name, j.arrival
+                    );
                     std::process::exit(2);
                 }
             }
@@ -301,7 +325,12 @@ fn main() {
     }
 
     let mut table = Table::new(vec![
-        "job", "arrival", "started", "finished", "turnaround", "redist (s)",
+        "job",
+        "arrival",
+        "started",
+        "finished",
+        "turnaround",
+        "redist (s)",
     ]);
     for j in &result.jobs {
         table.row(vec![
@@ -328,7 +357,10 @@ fn main() {
     let mut summary = Table::new(vec!["metric", "value"]);
     summary.row(vec![
         "jobs finished / failed / cancelled".to_string(),
-        format!("{} / {} / {}", t.jobs_finished, t.jobs_failed, t.jobs_cancelled),
+        format!(
+            "{} / {} / {}",
+            t.jobs_finished, t.jobs_failed, t.jobs_cancelled
+        ),
     ]);
     summary.row(vec![
         "expansions / shrinks".to_string(),
@@ -347,7 +379,10 @@ fn main() {
     ]);
     summary.row(vec![
         "compute / redistribution (s)".to_string(),
-        format!("{:.1} / {:.1}", t.compute_seconds_total, t.redist_seconds_total),
+        format!(
+            "{:.1} / {:.1}",
+            t.compute_seconds_total, t.redist_seconds_total
+        ),
     ]);
     summary.row(vec![
         "bytes redistributed".to_string(),

@@ -63,9 +63,8 @@ fn main() {
         });
     }
 
-    let mean = |f: &dyn Fn(&SeedResult) -> f64| {
-        results.iter().map(f).sum::<f64>() / results.len() as f64
-    };
+    let mean =
+        |f: &dyn Fn(&SeedResult) -> f64| results.iter().map(f).sum::<f64>() / results.len() as f64;
     let min_max = |f: &dyn Fn(&SeedResult) -> f64| {
         let vals: Vec<f64> = results.iter().map(f).collect();
         (
@@ -78,12 +77,30 @@ fn main() {
     let mut table = Table::new(vec!["metric", "mean", "min", "max"]);
     type Metric = Box<dyn Fn(&SeedResult) -> f64>;
     let metrics: Vec<(&str, Metric)> = vec![
-        ("static mean TAT (s)", Box::new(|r: &SeedResult| r.static_mean_tat)),
-        ("paper mean TAT (s)", Box::new(|r: &SeedResult| r.paper_mean_tat)),
-        ("greedy mean TAT (s)", Box::new(|r: &SeedResult| r.greedy_mean_tat)),
-        ("never-shrink mean TAT (s)", Box::new(|r: &SeedResult| r.never_shrink_mean_tat)),
-        ("paper improvement", Box::new(|r: &SeedResult| r.paper_improvement)),
-        ("static utilization", Box::new(|r: &SeedResult| r.static_util)),
+        (
+            "static mean TAT (s)",
+            Box::new(|r: &SeedResult| r.static_mean_tat),
+        ),
+        (
+            "paper mean TAT (s)",
+            Box::new(|r: &SeedResult| r.paper_mean_tat),
+        ),
+        (
+            "greedy mean TAT (s)",
+            Box::new(|r: &SeedResult| r.greedy_mean_tat),
+        ),
+        (
+            "never-shrink mean TAT (s)",
+            Box::new(|r: &SeedResult| r.never_shrink_mean_tat),
+        ),
+        (
+            "paper improvement",
+            Box::new(|r: &SeedResult| r.paper_improvement),
+        ),
+        (
+            "static utilization",
+            Box::new(|r: &SeedResult| r.static_util),
+        ),
         ("paper utilization", Box::new(|r: &SeedResult| r.paper_util)),
     ];
     for (name, f) in &metrics {

@@ -93,7 +93,10 @@ fn main() {
             }
             std::process::exit(1);
         }
-        println!("trace_check: {sidecar}: OK — {} jobs, buckets sum to makespan", paths.len());
+        println!(
+            "trace_check: {sidecar}: OK — {} jobs, buckets sum to makespan",
+            paths.len()
+        );
     }
 }
 
@@ -104,9 +107,8 @@ fn check_federation(spans: &[trace::SpanRecord]) -> Vec<String> {
 
     let mut problems = Vec::new();
     let by_id: BTreeMap<u64, &trace::SpanRecord> = spans.iter().map(|s| (s.id, s)).collect();
-    let fed = |s: &trace::SpanRecord| {
-        trace::is_lease_trace(s.trace) || trace::is_shard_trace(s.trace)
-    };
+    let fed =
+        |s: &trace::SpanRecord| trace::is_lease_trace(s.trace) || trace::is_shard_trace(s.trace);
     if !spans.iter().any(&fed) {
         return problems;
     }
@@ -140,8 +142,14 @@ fn check_federation(spans: &[trace::SpanRecord]) -> Vec<String> {
     //    recorded on (the span's track names the acting shard; the shard
     //    control trace's root span is that shard's lifetime).
     let mut shard_roots: BTreeMap<String, (f64, f64)> = BTreeMap::new();
-    for s in spans.iter().filter(|s| trace::is_shard_trace(s.trace) && s.parent == 0) {
-        shard_roots.insert(format!("shard {}", trace::shard_of(s.trace)), (s.start, s.end));
+    for s in spans
+        .iter()
+        .filter(|s| trace::is_shard_trace(s.trace) && s.parent == 0)
+    {
+        shard_roots.insert(
+            format!("shard {}", trace::shard_of(s.trace)),
+            (s.start, s.end),
+        );
     }
     for s in spans.iter().filter(|s| trace::is_lease_trace(s.trace)) {
         let Some(&(lo, hi)) = shard_roots.get(&s.track) else {
@@ -195,7 +203,11 @@ fn check_sidecar(
     };
     let rows: Vec<JobCritPath> = match serde_json::from_str(&text) {
         Ok(r) => r,
-        Err(e) => return vec![format!("not a critical-path sidecar (schema violation): {e}")],
+        Err(e) => {
+            return vec![format!(
+                "not a critical-path sidecar (schema violation): {e}"
+            )]
+        }
     };
     let mut problems = Vec::new();
     for r in &rows {
@@ -210,7 +222,10 @@ fn check_sidecar(
         ];
         for (name, v) in buckets {
             if !v.is_finite() || v < 0.0 {
-                problems.push(format!("trace {} ({}): {name} = {v} is not a duration", r.trace, r.name));
+                problems.push(format!(
+                    "trace {} ({}): {name} = {v} is not a duration",
+                    r.trace, r.name
+                ));
             }
         }
         // The buckets partition the root interval, so their sum must equal
@@ -235,7 +250,10 @@ fn check_sidecar(
     }
     for (got, want) in rows.iter().zip(recomputed) {
         if got.trace != want.trace {
-            problems.push(format!("job order mismatch: sidecar trace {} vs trace {}", got.trace, want.trace));
+            problems.push(format!(
+                "job order mismatch: sidecar trace {} vs trace {}",
+                got.trace, want.trace
+            ));
             continue;
         }
         let tol = 1e-6 * (1.0 + want.makespan.abs());

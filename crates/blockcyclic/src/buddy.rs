@@ -91,7 +91,12 @@ impl<T: Pod + Default> BuddyStore<T> {
         }
         reshape_telemetry::incr("buddy.replications", 1);
         reshape_telemetry::incr("buddy.bytes_replicated", bytes);
-        BuddyStore { buddy, ward, entries, own }
+        BuddyStore {
+            buddy,
+            ward,
+            entries,
+            own,
+        }
     }
 
     /// The rank this store's owner replicates to.
@@ -168,7 +173,10 @@ pub fn recover_matrix<T: Pod + Default>(
         survivors.windows(2).all(|w| w[0] < w[1]),
         "survivor list must be strictly ascending"
     );
-    assert!(survivors.contains(&me), "recover_matrix is collective over survivors");
+    assert!(
+        survivors.contains(&me),
+        "recover_matrix is collective over survivors"
+    );
     assert_eq!(
         dst.nprow * dst.npcol,
         survivors.len(),
@@ -320,10 +328,12 @@ mod tests {
             assert_eq!(store.ward(), ward);
             assert_eq!(store.buddy(), (me + 1) % 4);
             let restored = store.restore(0);
-            let expect =
-                DistMatrix::from_fn(desc, ward / 2, ward % 2, |i, j| (i * 100 + j) as f64);
+            let expect = DistMatrix::from_fn(desc, ward / 2, ward % 2, |i, j| (i * 100 + j) as f64);
             assert_eq!(restored.local_data(), expect.local_data());
-            assert_eq!((restored.myrow, restored.mycol), (expect.myrow, expect.mycol));
+            assert_eq!(
+                (restored.myrow, restored.mycol),
+                (expect.myrow, expect.mycol)
+            );
         })
         .join_ok();
     }

@@ -124,7 +124,10 @@ pub struct DistMatrix<T> {
 impl<T: Pod + Default> DistMatrix<T> {
     /// Zero-initialized local panel for grid position `(myrow, mycol)`.
     pub fn new(desc: Descriptor, myrow: usize, mycol: usize) -> Self {
-        assert!(myrow < desc.nprow && mycol < desc.npcol, "position outside grid");
+        assert!(
+            myrow < desc.nprow && mycol < desc.npcol,
+            "position outside grid"
+        );
         let lrows = desc.local_rows(myrow);
         let lcols = desc.local_cols(mycol);
         reshape_telemetry::incr("blockcyclic.panels_built", 1);
@@ -361,9 +364,8 @@ mod tests {
         uni.launch(6, None, "gather", |comm| {
             let grid = GridContext::new(&comm, 2, 3);
             let d = Descriptor::new(9, 11, 2, 3, 2, 3);
-            let m = DistMatrix::from_fn(d, grid.myrow(), grid.mycol(), |i, j| {
-                (i * 1000 + j) as f64
-            });
+            let m =
+                DistMatrix::from_fn(d, grid.myrow(), grid.mycol(), |i, j| (i * 1000 + j) as f64);
             let full = m.gather(&grid);
             if comm.rank() == 0 {
                 let full = full.unwrap();

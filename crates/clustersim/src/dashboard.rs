@@ -75,7 +75,11 @@ fn iters_known_by(j: &JobOutcome, t: f64) -> usize {
     if !j.started.is_finite() || t < j.started || j.iter_log.is_empty() {
         return 0;
     }
-    let end = if j.finished.is_finite() { j.finished } else { j.started + 1.0 };
+    let end = if j.finished.is_finite() {
+        j.finished
+    } else {
+        j.started + 1.0
+    };
     let frac = ((t - j.started) / (end - j.started).max(1e-12)).clamp(0.0, 1.0);
     ((frac * j.iter_log.len() as f64).ceil() as usize).min(j.iter_log.len())
 }
@@ -89,7 +93,9 @@ pub fn frame(result: &SimResult, decisions: &[Event], t: f64, width: usize) -> S
     let total = result.total_procs.max(1);
     let bar_w = 20usize;
     let filled = (busy * bar_w + total / 2) / total;
-    let bar: String = (0..bar_w).map(|i| if i < filled { '#' } else { '.' }).collect();
+    let bar: String = (0..bar_w)
+        .map(|i| if i < filled { '#' } else { '.' })
+        .collect();
     let _ = writeln!(
         out,
         "reshape --top   t={t:9.1}s / {:.1}s   pool {busy:>3}/{total} [{bar}]   util {:.2}",
@@ -166,7 +172,9 @@ mod tests {
         let job = SimJob {
             spec: JobSpec::new(
                 "LU12000",
-                TopologyPref::Grid { problem_size: 12000 },
+                TopologyPref::Grid {
+                    problem_size: 12000,
+                },
                 ProcessorConfig::new(1, 2),
                 10,
             ),

@@ -229,9 +229,7 @@ impl LatencyModel for MachineLatency {
                 let prof = model.redist_profile(from, to, &self.machine);
                 (prof.total_seconds, Some(prof))
             }
-            RedistMode::Checkpoint => {
-                (model.checkpoint_redist_cost(from, to, &self.machine), None)
-            }
+            RedistMode::Checkpoint => (model.checkpoint_redist_cost(from, to, &self.machine), None),
         }
     }
 }
@@ -501,7 +499,8 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                 self.handle_starts(starts, now, ctx);
                 self.peak_queue_depth = self.peak_queue_depth.max(self.core.queue_len());
                 if i + 1 < self.cfg.jobs {
-                    let gap = -self.mean_gap * u01(mix(self.cfg.seed ^ mix(i) ^ 0xA5A5)).max(1e-12).ln();
+                    let gap =
+                        -self.mean_gap * u01(mix(self.cfg.seed ^ mix(i) ^ 0xA5A5)).max(1e-12).ln();
                     ctx.schedule(now + gap, self.me, ScaleEv::Arrival(i + 1));
                 }
                 if self.terminal_since_fold >= FOLD_THRESHOLD {
@@ -540,8 +539,7 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                         return;
                     }
                     Directive::Expand { to, .. } | Directive::Shrink { to } => {
-                        self.core
-                            .note_redist_cost(id, config, to, SCALE_SPAWN_COST);
+                        self.core.note_redist_cost(id, config, to, SCALE_SPAWN_COST);
                         (to.procs(), SCALE_SPAWN_COST)
                     }
                 };
@@ -634,10 +632,7 @@ mod tests {
         sim.schedule(0.0, a, 3);
         assert_eq!(sim.run(), 4);
         assert_eq!(sim.now(), 3.0);
-        assert_eq!(
-            *seen.borrow(),
-            vec![(0.0, 3), (1.0, 2), (2.0, 1), (3.0, 0)]
-        );
+        assert_eq!(*seen.borrow(), vec![(0.0, 3), (1.0, 2), (2.0, 1), (3.0, 0)]);
     }
 
     #[test]
@@ -683,7 +678,10 @@ mod tests {
         assert_eq!(a.utilization, b.utilization);
         assert_eq!(a.events_processed, b.events_processed);
         assert!(a.utilization > 0.0 && a.utilization <= 1.0);
-        assert!(a.events_processed >= 400 * 2, "arrival + at least one iteration each");
+        assert!(
+            a.events_processed >= 400 * 2,
+            "arrival + at least one iteration each"
+        );
     }
 
     #[test]
@@ -694,7 +692,10 @@ mod tests {
         };
         let r = run_scale(&cfg);
         assert_eq!(r.jobs_finished, 40_000, "{r:?}");
-        assert!(r.expansions > 0, "resizable jobs on a paced cluster must expand: {r:?}");
+        assert!(
+            r.expansions > 0,
+            "resizable jobs on a paced cluster must expand: {r:?}"
+        );
         assert!(
             r.records_pruned > 0,
             "a 40k-job sweep must fold terminal records mid-run: {r:?}"

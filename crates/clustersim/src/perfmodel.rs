@@ -194,14 +194,13 @@ impl AppModel {
                 let compute = 10.0 * nf * nf * nf.log2() / (p * m.rate);
                 // Two transposes of two planes: 4 · n²·8/p bytes per proc,
                 // plus per-peer message latencies.
-                let transpose = 4.0 * (nf * nf * 8.0 / p) / m.bandwidth
-                    + 4.0 * (p - 1.0) * (m.latency + 5e-4);
+                let transpose =
+                    4.0 * (nf * nf * 8.0 / p) / m.bandwidth + 4.0 * (p - 1.0) * (m.latency + 5e-4);
                 batch as f64 * (compute + transpose)
             }
             AppModel::MasterWorker { units, unit_time } => {
                 let workers = (cfg.procs().saturating_sub(1)).max(1) as f64;
-                units as f64 * unit_time / workers
-                    + units as f64 / 50.0 * 2.0 * m.latency / workers
+                units as f64 * unit_time / workers + units as f64 / 50.0 * 2.0 * m.latency / workers
             }
             AppModel::Table { ref points } => {
                 assert!(!points.is_empty(), "empty measured profile");
@@ -239,7 +238,11 @@ impl AppModel {
                 // the paper redistributes "the global data", and for cost
                 // shape it is the dominant O(n²) volume that matters; MM
                 // carries 3 arrays.
-                let count = if matches!(self, AppModel::Mm { .. }) { 3 } else { 1 };
+                let count = if matches!(self, AppModel::Mm { .. }) {
+                    3
+                } else {
+                    1
+                };
                 vec![(n, n, b, b); count]
             }
             AppModel::Jacobi { n, .. } => {
@@ -262,7 +265,12 @@ impl AppModel {
     /// Redistribution cost between two configurations, from the *actual*
     /// contention-free schedules priced under the network model. Expansion
     /// additionally pays the process-spawn overhead.
-    pub fn redist_cost(&self, from: ProcessorConfig, to: ProcessorConfig, m: &MachineParams) -> f64 {
+    pub fn redist_cost(
+        &self,
+        from: ProcessorConfig,
+        to: ProcessorConfig,
+        m: &MachineParams,
+    ) -> f64 {
         if from == to {
             return 0.0;
         }
@@ -407,7 +415,10 @@ mod tests {
     #[test]
     fn jacobi_and_fft_scale_down_with_processors() {
         let m = MachineParams::system_x();
-        let j = AppModel::Jacobi { n: 8000, sweeps: 30000 };
+        let j = AppModel::Jacobi {
+            n: 8000,
+            sweeps: 30000,
+        };
         assert!(j.iter_time(cfg(1, 8), &m) < j.iter_time(cfg(1, 4), &m));
         let f = AppModel::Fft { n: 8192, batch: 17 };
         assert!(f.iter_time(cfg(1, 16), &m) < f.iter_time(cfg(1, 2), &m));
@@ -416,9 +427,15 @@ mod tests {
     #[test]
     fn master_worker_scales_with_workers() {
         let m = MachineParams::system_x();
-        let mw = AppModel::MasterWorker { units: 20000, unit_time: 0.74e-3 };
+        let mw = AppModel::MasterWorker {
+            units: 20000,
+            unit_time: 0.74e-3,
+        };
         let t2 = mw.iter_time(cfg(1, 2), &m);
-        assert!((t2 - 14.8).abs() < 1.0, "1 worker ~14.8 s/iter (Table 4), got {t2}");
+        assert!(
+            (t2 - 14.8).abs() < 1.0,
+            "1 worker ~14.8 s/iter (Table 4), got {t2}"
+        );
         let t4 = mw.iter_time(cfg(1, 4), &m);
         assert!(t4 < t2 / 2.5, "3 workers should be ~3x faster");
     }
@@ -466,7 +483,9 @@ mod tests {
         let prof = lu.redist_profile(from, to, &m);
         assert!(prof.bytes > 0);
         assert!(prof.plan_steps > 0 && prof.transfers >= prof.plan_steps);
-        let phase_sum = prof.pack_seconds + prof.transfer_seconds + prof.unpack_seconds
+        let phase_sum = prof.pack_seconds
+            + prof.transfer_seconds
+            + prof.unpack_seconds
             + m.redist_net().spawn_overhead; // expansion pays the spawn
         assert!(
             (phase_sum - prof.total_seconds).abs() < 1e-9 * prof.total_seconds.max(1.0),
@@ -500,7 +519,10 @@ mod tests {
     #[test]
     fn master_worker_has_no_redist_cost() {
         let m = MachineParams::system_x();
-        let mw = AppModel::MasterWorker { units: 20000, unit_time: 1e-3 };
+        let mw = AppModel::MasterWorker {
+            units: 20000,
+            unit_time: 1e-3,
+        };
         // No data: only the spawn overhead on expansion, nothing on shrink.
         assert_eq!(mw.redist_cost(cfg(1, 4), cfg(1, 2), &m), 0.0);
         assert!(mw.redist_cost(cfg(1, 2), cfg(1, 4), &m) <= 0.3);

@@ -209,9 +209,7 @@ impl SimResult {
                     .sum();
                 // Half-open windows; the final one is closed so an event at
                 // exactly `makespan` is not dropped.
-                let in_window = |t: f64| {
-                    t >= start && (t < end || (i + 1 == nwindows && t <= end))
-                };
+                let in_window = |t: f64| t >= start && (t < end || (i + 1 == nwindows && t <= end));
                 let resizes = self
                     .events
                     .iter()
@@ -618,14 +616,12 @@ impl<'w> ClusterEngine<'w> {
     /// Schedule the first iteration of every newly started job. On a
     /// heterogeneous cluster, iteration time stretches by the slowest
     /// assigned slot (synchronous SPMD pace).
-    fn handle_starts(
-        &mut self,
-        starts: Vec<StartAction>,
-        now: f64,
-        push: &mut dyn FnMut(f64, Ev),
-    ) {
+    fn handle_starts(&mut self, starts: Vec<StartAction>, now: f64, push: &mut dyn FnMut(f64, Ev)) {
         for s in starts {
-            let js = self.sims.get_mut(&s.job).expect("started job was submitted");
+            let js = self
+                .sims
+                .get_mut(&s.job)
+                .expect("started job was submitted");
             let t_iter =
                 js.model.iter_time_at(0, s.config, &self.cfg.machine) / self.core.job_speed(s.job);
             js.last_iter_time = t_iter;
@@ -961,8 +957,8 @@ mod tests {
             model: AppModel::Lu { n },
             arrival,
             cancel_at: None,
-        fail_at: None,
-        tenant: 0,
+            fail_at: None,
+            tenant: 0,
         }
     }
 
@@ -987,7 +983,11 @@ mod tests {
             .map(|&(_, p)| p)
             .max()
             .unwrap();
-        assert!(max_procs > 2, "allocation history {:?}", dynamic.jobs[0].alloc_history);
+        assert!(
+            max_procs > 2,
+            "allocation history {:?}",
+            dynamic.jobs[0].alloc_history
+        );
     }
 
     #[test]
@@ -1046,7 +1046,12 @@ mod tests {
         ]);
         let a = &result.jobs[0];
         let b = &result.jobs[1];
-        assert!(b.started >= a.finished - 1e-9, "B started {} before A finished {}", b.started, a.finished);
+        assert!(
+            b.started >= a.finished - 1e-9,
+            "B started {} before A finished {}",
+            b.started,
+            a.finished
+        );
     }
 
     #[test]
@@ -1074,15 +1079,22 @@ mod tests {
                 SimJob {
                     spec: JobSpec::new(
                         "MW",
-                        TopologyPref::AnyCount { min: 2, max: 22, step: 2 },
+                        TopologyPref::AnyCount {
+                            min: 2,
+                            max: 22,
+                            step: 2,
+                        },
                         ProcessorConfig::linear(2),
                         10,
                     ),
-                    model: AppModel::MasterWorker { units: 20000, unit_time: 0.74e-3 },
+                    model: AppModel::MasterWorker {
+                        units: 20000,
+                        unit_time: 0.74e-3,
+                    },
                     arrival: 50.0,
                     cancel_at: None,
-        fail_at: None,
-        tenant: 0,
+                    fail_at: None,
+                    tenant: 0,
                 },
             ]
         };
@@ -1183,8 +1195,8 @@ mod tests {
             },
             arrival: 0.0,
             cancel_at: None,
-        fail_at: None,
-        tenant: 0,
+            fail_at: None,
+            tenant: 0,
         };
         let result = ClusterSim::new(40, machine).run(&[job]);
         let lu = &result.jobs[0];
@@ -1218,10 +1230,7 @@ mod tests {
     #[test]
     fn phase_at_maps_iterations_to_phases() {
         let m = AppModel::Phased {
-            phases: vec![
-                (3, AppModel::Lu { n: 8000 }),
-                (2, AppModel::Mm { n: 8000 }),
-            ],
+            phases: vec![(3, AppModel::Lu { n: 8000 }), (2, AppModel::Mm { n: 8000 })],
         };
         assert!(matches!(m.phase_at(0), (AppModel::Lu { .. }, false)));
         assert!(matches!(m.phase_at(2), (AppModel::Lu { .. }, false)));
@@ -1343,7 +1352,11 @@ mod tests {
         let queued = lu_job(12000, (2, 3), 5, 10.0); // blocked on an 8-proc cluster
         let result = ClusterSim::new(8, machine).run(&[flaky, queued]);
         let f = &result.jobs[0];
-        assert!(f.finished <= 300.0 + 1e-9, "failed at 300, got {}", f.finished);
+        assert!(
+            f.finished <= 300.0 + 1e-9,
+            "failed at 300, got {}",
+            f.finished
+        );
         let q = &result.jobs[1];
         assert!(
             (q.started - 300.0).abs() < 1e-6,
@@ -1359,13 +1372,15 @@ mod tests {
     #[test]
     fn busy_series_is_consistent_with_events() {
         let machine = MachineParams::system_x();
-        let result = ClusterSim::new(36, machine).run(&[
-            lu_job(12000, (1, 2), 5, 0.0),
-            lu_job(8000, (2, 2), 5, 10.0),
-        ]);
+        let result = ClusterSim::new(36, machine)
+            .run(&[lu_job(12000, (1, 2), 5, 0.0), lu_job(8000, (2, 2), 5, 10.0)]);
         let series = result.busy_series();
         assert_eq!(series.first(), Some(&(0.0, 0)));
-        assert_eq!(series.last().map(|&(_, b)| b), Some(0), "cluster drains at the end");
+        assert_eq!(
+            series.last().map(|&(_, b)| b),
+            Some(0),
+            "cluster drains at the end"
+        );
         for w in series.windows(2) {
             assert!(w[0].0 <= w[1].0, "series must be time-ordered");
         }
@@ -1387,7 +1402,10 @@ mod tests {
         assert!((windows[7].end - result.makespan).abs() < 1e-9);
         for (i, w) in windows.iter().enumerate() {
             assert_eq!(w.index, i);
-            assert!(w.utilization >= 0.0 && w.utilization <= 1.0 + 1e-9, "window {i}");
+            assert!(
+                w.utilization >= 0.0 && w.utilization <= 1.0 + 1e-9,
+                "window {i}"
+            );
             assert!(w.queue_wait_s >= 0.0);
             assert!((w.queue_depth - w.queue_wait_s / (w.end - w.start)).abs() < 1e-9);
         }
@@ -1413,17 +1431,19 @@ mod tests {
     #[test]
     fn publish_metrics_feeds_the_openmetrics_exporter() {
         let machine = MachineParams::system_x();
-        let result = ClusterSim::new(36, machine).run(&[
-            lu_job(12000, (1, 2), 5, 0.0),
-            lu_job(8000, (2, 2), 5, 10.0),
-        ]);
+        let result = ClusterSim::new(36, machine)
+            .run(&[lu_job(12000, (1, 2), 5, 0.0), lu_job(8000, (2, 2), 5, 10.0)]);
         let before = reshape_telemetry::mode();
         reshape_telemetry::set_mode(reshape_telemetry::Mode::Metrics);
         result.publish_metrics(4);
-        let text =
-            reshape_telemetry::render_openmetrics(&reshape_telemetry::Registry::global().snapshot());
+        let text = reshape_telemetry::render_openmetrics(
+            &reshape_telemetry::Registry::global().snapshot(),
+        );
         reshape_telemetry::set_mode(before);
-        assert!(text.contains("# TYPE reshape_sim_utilization gauge"), "{text}");
+        assert!(
+            text.contains("# TYPE reshape_sim_utilization gauge"),
+            "{text}"
+        );
         for w in 0..4 {
             assert!(text.contains(&format!("reshape_sim_utilization{{window=\"{w}\"}}")));
             assert!(text.contains(&format!("reshape_sim_queue_wait_seconds{{window=\"{w}\"}}")));

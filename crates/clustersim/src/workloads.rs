@@ -61,13 +61,7 @@ fn grid_job(
     }
 }
 
-fn linear_job(
-    name: &str,
-    n: usize,
-    initial: usize,
-    model: AppModel,
-    arrival: f64,
-) -> SimJob {
+fn linear_job(name: &str, n: usize, initial: usize, model: AppModel, arrival: f64) -> SimJob {
     SimJob {
         spec: JobSpec::new(
             name,
@@ -130,7 +124,13 @@ pub fn workload1() -> Workload {
                 },
                 465.0,
             ),
-            linear_job("2D FFT", 8192, 4, AppModel::Fft { n: 8192, batch: 17 }, 465.0),
+            linear_job(
+                "2D FFT",
+                8192,
+                4,
+                AppModel::Fft { n: 8192, batch: 17 },
+                465.0,
+            ),
         ],
     }
 }
@@ -139,7 +139,13 @@ pub fn workload1() -> Workload {
 /// Jacobi(8000) at 10 at t=0, Master-worker at t=560, a *statically
 /// scheduled* 2-D FFT at t=650, on 30 processors.
 pub fn workload2() -> Workload {
-    let mut fft = linear_job("2D FFT", 8192, 4, AppModel::Fft { n: 8192, batch: 6 }, 650.0);
+    let mut fft = linear_job(
+        "2D FFT",
+        8192,
+        4,
+        AppModel::Fft { n: 8192, batch: 6 },
+        650.0,
+    );
     fft.spec = fft.spec.static_job(); // the paper schedules W2's FFT statically
     Workload {
         name: "W2",
@@ -268,7 +274,13 @@ pub fn random_workload(seed: u64, n_jobs: usize, total_procs: usize) -> Workload
             }
             3 => {
                 let batch = 4 + (rng.next() % 16) as usize;
-                linear_job("FFT", 8192, *rng.pick(&[2usize, 4]), AppModel::Fft { n: 8192, batch }, arrival)
+                linear_job(
+                    "FFT",
+                    8192,
+                    *rng.pick(&[2usize, 4]),
+                    AppModel::Fft { n: 8192, batch },
+                    arrival,
+                )
             }
             _ => {
                 let unit = 0.5e-3 + rng.uniform() * 4e-3;
@@ -361,7 +373,10 @@ mod tests {
         let b = random_workload_with_faults(42, 8, 36);
         let tenants = |w: &Workload| w.jobs.iter().map(|j| j.tenant).collect::<Vec<_>>();
         assert_eq!(tenants(&a), tenants(&b), "tenant draw must be seeded");
-        assert!(a.jobs.iter().all(|j| j.tenant >= 1), "0 is reserved for untenanted");
+        assert!(
+            a.jobs.iter().all(|j| j.tenant >= 1),
+            "0 is reserved for untenanted"
+        );
 
         // Everything *except* the tenant field matches the tenant-free
         // generator plus the fault stream it has always used.
@@ -482,9 +497,8 @@ mod tests {
         let ckpt_run = ClusterSim::new(w.total_procs, machine)
             .with_redist_mode(crate::sim::RedistMode::Checkpoint)
             .run(&w.jobs);
-        let total_redist = |r: &crate::sim::SimResult| {
-            r.jobs.iter().map(|j| j.redist_total).sum::<f64>()
-        };
+        let total_redist =
+            |r: &crate::sim::SimResult| r.jobs.iter().map(|j| j.redist_total).sum::<f64>();
         assert!(
             total_redist(&ckpt_run) > 3.0 * total_redist(&reshape_run),
             "checkpoint {} vs reshape {}",

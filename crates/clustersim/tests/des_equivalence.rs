@@ -131,11 +131,8 @@ fn sweep_exercises_fault_and_resize_paths() {
     let mut expanded = 0usize;
     let mut shrunk = 0usize;
     for seed in 0..256u64 {
-        let w = random_workload_with_faults(
-            seed,
-            2 + (seed % 7) as usize,
-            8 + (seed % 5) as usize * 8,
-        );
+        let w =
+            random_workload_with_faults(seed, 2 + (seed % 7) as usize, 8 + (seed % 5) as usize * 8);
         let r = ClusterSim::new(w.total_procs, machine).run(&w.jobs);
         cancelled += r.telemetry.jobs_cancelled;
         failed += r.telemetry.jobs_failed;

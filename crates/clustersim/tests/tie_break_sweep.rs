@@ -83,7 +83,11 @@ fn tie_break_sweep_leaves_job_dispositions_invariant() {
         let terminal = baseline.telemetry.jobs_finished
             + baseline.telemetry.jobs_failed
             + baseline.telemetry.jobs_cancelled;
-        assert_eq!(terminal, jobs.len(), "{label}: FIFO run left jobs non-terminal");
+        assert_eq!(
+            terminal,
+            jobs.len(),
+            "{label}: FIFO run left jobs non-terminal"
+        );
         for tie_seed in [1u64, 0xDEAD_BEEF, 0x5EED_0001] {
             let tie = TieBreak::Seeded(tie_seed);
             let a = run_with(jobs, *procs, tie);
@@ -99,8 +103,13 @@ fn tie_break_sweep_leaves_job_dispositions_invariant() {
                 "{label}: tie seed {tie_seed:#x} changed a job's terminal disposition — \
                  a policy is leaning on incidental event push order"
             );
-            let t = a.telemetry.jobs_finished + a.telemetry.jobs_failed + a.telemetry.jobs_cancelled;
-            assert_eq!(t, jobs.len(), "{label}: tie seed {tie_seed:#x} left jobs non-terminal");
+            let t =
+                a.telemetry.jobs_finished + a.telemetry.jobs_failed + a.telemetry.jobs_cancelled;
+            assert_eq!(
+                t,
+                jobs.len(),
+                "{label}: tie seed {tie_seed:#x} left jobs non-terminal"
+            );
         }
     }
 }
@@ -124,11 +133,31 @@ fn scale_sweep_honours_seeded_tie_break() {
                 "tie seed {tie_seed}: every job must terminate"
             );
         }
-        assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "tie seed {tie_seed}");
-        assert_eq!(a.utilization.to_bits(), b.utilization.to_bits(), "tie seed {tie_seed}");
         assert_eq!(
-            (a.jobs_finished, a.jobs_failed, a.jobs_cancelled, a.expansions, a.shrinks),
-            (b.jobs_finished, b.jobs_failed, b.jobs_cancelled, b.expansions, b.shrinks),
+            a.makespan.to_bits(),
+            b.makespan.to_bits(),
+            "tie seed {tie_seed}"
+        );
+        assert_eq!(
+            a.utilization.to_bits(),
+            b.utilization.to_bits(),
+            "tie seed {tie_seed}"
+        );
+        assert_eq!(
+            (
+                a.jobs_finished,
+                a.jobs_failed,
+                a.jobs_cancelled,
+                a.expansions,
+                a.shrinks
+            ),
+            (
+                b.jobs_finished,
+                b.jobs_failed,
+                b.jobs_cancelled,
+                b.expansions,
+                b.shrinks
+            ),
             "tie seed {tie_seed}: seeded scale run must replay identically"
         );
         // The job stream is seed-derived, not order-derived: totals match

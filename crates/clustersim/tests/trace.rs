@@ -49,14 +49,21 @@ fn find(spans: &[SpanRecord], pred: impl Fn(&SpanRecord) -> bool) -> Option<&Spa
 #[test]
 fn every_expansion_produces_the_full_causal_chain() {
     let (result, spans) = traced_run(&[lu_job(12000, 12, 0.0)]);
-    assert!(trace::validate(&spans).is_empty(), "{:?}", trace::validate(&spans));
+    assert!(
+        trace::validate(&spans).is_empty(),
+        "{:?}",
+        trace::validate(&spans)
+    );
 
     let expansions: Vec<_> = result
         .events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::Expanded { .. }))
         .collect();
-    assert!(!expansions.is_empty(), "idle 16-slot cluster must expand the job");
+    assert!(
+        !expansions.is_empty(),
+        "idle 16-slot cluster must expand the job"
+    );
 
     for e in &expansions {
         let jid = e.job.0;
@@ -82,7 +89,10 @@ fn every_expansion_produces_the_full_causal_chain() {
         // ...and compute resumes under the redistribution.
         let compute = find(&spans, |s| s.parent == redist.id && s.cat == "compute")
             .expect("resumed compute span parented to the redist");
-        assert!(compute.start >= redist.end - 1e-9, "compute resumes after redist");
+        assert!(
+            compute.start >= redist.end - 1e-9,
+            "compute resumes after redist"
+        );
     }
 
     // Lifecycle spans: one root and one queue-wait per job, and the root
@@ -125,7 +135,10 @@ fn critical_path_accounts_for_the_whole_makespan() {
     // The second job arrives while the first holds the cluster's fast
     // slots; some queue wait or redistribution must be attributed overall.
     let total_redist: f64 = paths.iter().map(|p| p.redistribution).sum();
-    assert!(total_redist > 0.0, "expansions must charge redistribution time");
+    assert!(
+        total_redist > 0.0,
+        "expansions must charge redistribution time"
+    );
 }
 
 #[test]
@@ -139,7 +152,12 @@ fn chrome_export_round_trips_and_validates() {
     for (a, b) in spans.iter().zip(&back) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.parent, b.parent);
-        assert!((a.start - b.start).abs() < 2e-6, "{} vs {}", a.start, b.start);
+        assert!(
+            (a.start - b.start).abs() < 2e-6,
+            "{} vs {}",
+            a.start,
+            b.start
+        );
         assert!(b.end >= b.start);
     }
 }
@@ -176,9 +194,11 @@ fn normalize(spans: &[SpanRecord]) -> Vec<SpanRecord> {
 fn des_traces_replay_identically_structurally() {
     let _g = lock();
     let machine = MachineParams::system_x();
-    let mut workloads: Vec<(String, Vec<SimJob>, usize)> = vec![
-        ("lu-pair".into(), vec![lu_job(12000, 12, 0.0), lu_job(8000, 8, 5.0)], 16),
-    ];
+    let mut workloads: Vec<(String, Vec<SimJob>, usize)> = vec![(
+        "lu-pair".into(),
+        vec![lu_job(12000, 12, 0.0), lu_job(8000, 8, 5.0)],
+        16,
+    )];
     for seed in [5u64, 23, 77] {
         let w = reshape_clustersim::random_workload_with_faults(seed, 5, 36);
         workloads.push((format!("random+faults seed {seed}"), w.jobs, w.total_procs));
@@ -220,7 +240,10 @@ fn des_trace_edges_close_and_critpath_buckets_sum_to_makespan() {
     // Parent-edge closure: the validator demands every non-zero parent
     // resolve to a recorded span and child intervals nest in their parent.
     let violations = trace::validate(&spans);
-    assert!(violations.is_empty(), "DES trace violations: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "DES trace violations: {violations:?}"
+    );
     // ...and closure within the owning trace specifically: a cross-job
     // parent edge would pass a pure id lookup but corrupts attribution.
     let by_id: std::collections::HashMap<u64, &SpanRecord> =

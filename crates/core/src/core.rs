@@ -80,17 +80,34 @@ pub struct SchedEvent {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
     Submitted,
-    Started { config: ProcessorConfig },
-    Expanded { from: ProcessorConfig, to: ProcessorConfig },
-    Shrunk { from: ProcessorConfig, to: ProcessorConfig },
+    Started {
+        config: ProcessorConfig,
+    },
+    Expanded {
+        from: ProcessorConfig,
+        to: ProcessorConfig,
+    },
+    Shrunk {
+        from: ProcessorConfig,
+        to: ProcessorConfig,
+    },
     /// An expansion directive could not be actuated (spawn failure); the job
     /// reverted to `from` and the granted processors returned to the pool.
-    ExpandFailed { from: ProcessorConfig, to: ProcessorConfig },
+    ExpandFailed {
+        from: ProcessorConfig,
+        to: ProcessorConfig,
+    },
     /// A node hosting part of the job died; the dead slots were reclaimed
     /// and the job kept running, force-shrunk to the survivors.
-    NodeFailed { from: ProcessorConfig, to: ProcessorConfig, lost: usize },
+    NodeFailed {
+        from: ProcessorConfig,
+        to: ProcessorConfig,
+        lost: usize,
+    },
     Finished,
-    Failed { reason: String },
+    Failed {
+        reason: String,
+    },
     Cancelled,
 }
 
@@ -318,14 +335,20 @@ impl SchedulerCore {
     /// factors; allocation prefers fast slots). Must be called before any
     /// job is submitted.
     pub fn with_slot_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert!(self.jobs.is_empty(), "set slot speeds before submitting jobs");
+        assert!(
+            self.jobs.is_empty(),
+            "set slot speeds before submitting jobs"
+        );
         self.pool = ResourcePool::new_heterogeneous(speeds);
         self
     }
 
     /// Replace the pool's allocation order (placement ablations).
     pub fn with_alloc_order(mut self, order: crate::pool::AllocOrder) -> Self {
-        assert!(self.jobs.is_empty(), "set allocation order before submitting jobs");
+        assert!(
+            self.jobs.is_empty(),
+            "set allocation order before submitting jobs"
+        );
         self.pool = self.pool.with_order(order);
         self
     }
@@ -343,7 +366,10 @@ impl SchedulerCore {
     /// submitted; writes the genesis [`WalRecord::Open`] capturing the
     /// core's configuration so [`SchedulerCore::recover`] can rebuild it.
     pub fn with_wal(mut self, mut wal: Wal) -> Self {
-        assert!(self.jobs.is_empty(), "attach the WAL before submitting jobs");
+        assert!(
+            self.jobs.is_empty(),
+            "attach the WAL before submitting jobs"
+        );
         assert!(
             wal.is_empty(),
             "WAL already holds records; recover from it instead of re-attaching"
@@ -809,7 +835,11 @@ impl SchedulerCore {
         if let Some(&(_, qw)) = self.trace_ids.get(&id) {
             reshape_telemetry::trace::end(qw, now);
         }
-        StartAction { job: id, config, slots }
+        StartAction {
+            job: id,
+            config,
+            slots,
+        }
     }
 
     /// Run the queue policy against the free pool.
@@ -1232,10 +1262,7 @@ impl SchedulerCore {
         self.tick(now);
         // The reverted-to configuration is the `from` of the job's last
         // recorded resize, which expand actuation always records.
-        let last_expand = self
-            .profiler
-            .profile(job)
-            .and_then(|p| p.last_resize());
+        let last_expand = self.profiler.profile(job).and_then(|p| p.last_resize());
         let Some(Resize::Expanded { from, to }) = last_expand else {
             return Vec::new();
         };
@@ -1774,7 +1801,11 @@ mod tests {
         let (_big, s) = core.submit(lu(8000, 2, 4), 1.0);
         assert!(s.is_empty());
         let (small, s) = core.submit(lu(8000, 2, 2), 2.0);
-        assert_eq!(s.len(), 1, "backfill starts the small job past the blocked head");
+        assert_eq!(
+            s.len(),
+            1,
+            "backfill starts the small job past the blocked head"
+        );
         assert_eq!(s[0].job, small);
     }
 
@@ -1788,7 +1819,10 @@ mod tests {
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job, b);
         assert_eq!(started[0].slots.len(), 8);
-        assert!(matches!(core.job(a).unwrap().state, JobState::Finished { .. }));
+        assert!(matches!(
+            core.job(a).unwrap().state,
+            JobState::Finished { .. }
+        ));
     }
 
     #[test]
@@ -2116,7 +2150,7 @@ mod tests {
         let (a, _) = core.submit(lu(8000, 1, 2), 0.0);
         core.resize_point(a, 100.0, 0.0, 5.0); // 2x2
         core.resize_point(a, 80.0, 1.0, 10.0); // 2x4 = whole cluster
-        // A reservation for 4 procs activates at t=20 with 0 idle.
+                                               // A reservation for 4 procs activates at t=20 with 0 idle.
         core.reserve(20.0, 100.0, 4);
         let (d, _) = core.resize_point(a, 60.0, 1.0, 25.0);
         match d {
@@ -2169,7 +2203,11 @@ mod tests {
             core.job(big).unwrap().state,
             JobState::Cancelled { .. }
         ));
-        let running = core.jobs().find(|(_, r)| matches!(r.state, JobState::Running { .. })).map(|(id, _)| *id).unwrap();
+        let running = core
+            .jobs()
+            .find(|(_, r)| matches!(r.state, JobState::Running { .. }))
+            .map(|(id, _)| *id)
+            .unwrap();
         let started = core.on_finished(running, 10.0);
         assert_eq!(started.len(), 1);
         assert_eq!(started[0].job, small);
@@ -2212,7 +2250,11 @@ mod tests {
         // original and the freshly granted slots, and all of them must
         // come back.
         core.cancel(a, 11.0);
-        assert_eq!(core.idle_procs(), 16, "cancel leaked in-flight expansion slots");
+        assert_eq!(
+            core.idle_procs(),
+            16,
+            "cancel leaked in-flight expansion slots"
+        );
         // The driver's expansion attempt resolves after the cancel — both
         // outcomes must be inert against the cancelled record.
         let starts = core.on_expand_failed(a, 12.0);
@@ -2231,7 +2273,10 @@ mod tests {
         let (a, _) = core.submit(lu(8000, 2, 2), 0.0);
         core.on_finished(a, 5.0);
         assert!(core.cancel(a, 6.0).is_empty());
-        assert!(matches!(core.job(a).unwrap().state, JobState::Finished { .. }));
+        assert!(matches!(
+            core.job(a).unwrap().state,
+            JobState::Finished { .. }
+        ));
     }
 
     #[test]
@@ -2242,8 +2287,16 @@ mod tests {
             core.on_finished(a, i as f64 + 0.5);
         }
         // 6 jobs x (Submitted, Started, Finished) = 18 events against cap 4.
-        assert!(core.events().len() <= 4, "cap not enforced: {}", core.events().len());
-        assert!(core.events_dropped() >= 14, "drops uncounted: {}", core.events_dropped());
+        assert!(
+            core.events().len() <= 4,
+            "cap not enforced: {}",
+            core.events().len()
+        );
+        assert!(
+            core.events_dropped() >= 14,
+            "drops uncounted: {}",
+            core.events_dropped()
+        );
         let drained = core.drain_events();
         assert!(!drained.is_empty());
         assert!(core.events().is_empty());
@@ -2269,7 +2322,10 @@ mod tests {
         let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
         let slots = core.lend_grant(1, 3, 0.0).unwrap();
         assert_eq!(slots, vec![0, 1, 2]);
-        assert_eq!((core.owned_procs(), core.idle_procs(), core.lent_procs()), (5, 5, 3));
+        assert_eq!(
+            (core.owned_procs(), core.idle_procs(), core.lent_procs()),
+            (5, 5, 3)
+        );
         // A duplicate grant for the same lease id is refused.
         assert!(core.lend_grant(1, 2, 1.0).is_none());
         // Lending beyond idle is refused without side effects.
@@ -2277,7 +2333,10 @@ mod tests {
         assert_eq!(core.idle_procs(), 5);
         // Reclaim brings them home and is idempotent.
         core.lend_reclaim(1, 5.0);
-        assert_eq!((core.owned_procs(), core.idle_procs(), core.lent_procs()), (8, 8, 0));
+        assert_eq!(
+            (core.owned_procs(), core.idle_procs(), core.lent_procs()),
+            (8, 8, 0)
+        );
         assert!(core.lend_reclaim(1, 6.0).is_empty());
         assert_eq!(core.idle_procs(), 8);
     }
@@ -2316,7 +2375,10 @@ mod tests {
         let (a, s) = core.submit(mw(4), 0.0);
         assert!(s.is_empty());
         core.borrow_attach(9, &[100, 101], 0, 1.0);
-        assert!(matches!(core.job(a).unwrap().state, JobState::Running { .. }));
+        assert!(matches!(
+            core.job(a).unwrap().state,
+            JobState::Running { .. }
+        ));
         let out = core.borrow_evict(9, 10.0);
         assert_eq!(out.detached, 2);
         assert_eq!(out.shrunk.len(), 1);
@@ -2324,7 +2386,10 @@ mod tests {
         assert_eq!(job, a);
         assert_eq!((from.procs(), to.procs()), (4, 2));
         // The job survived on its native slots; the pool shrank back.
-        assert_eq!((core.owned_procs(), core.busy_procs(), core.borrowed_procs()), (2, 2, 0));
+        assert_eq!(
+            (core.owned_procs(), core.busy_procs(), core.borrowed_procs()),
+            (2, 2, 0)
+        );
         assert_eq!(core.job(a).unwrap().slots, vec![0, 1]);
         // Duplicate eviction: strict no-op.
         let out2 = core.borrow_evict(9, 11.0);
@@ -2341,8 +2406,14 @@ mod tests {
         let out = core.borrow_evict(9, 10.0);
         assert_eq!(out.failed, vec![b]);
         assert!(out.shrunk.is_empty());
-        assert!(matches!(core.job(b).unwrap().state, JobState::Failed { .. }));
-        assert!(matches!(core.job(a).unwrap().state, JobState::Running { .. }));
+        assert!(matches!(
+            core.job(b).unwrap().state,
+            JobState::Failed { .. }
+        ));
+        assert!(matches!(
+            core.job(a).unwrap().state,
+            JobState::Running { .. }
+        ));
         assert_eq!((core.owned_procs(), core.busy_procs()), (2, 2));
     }
 
@@ -2403,7 +2474,11 @@ mod tests {
         assert_eq!(before.epoch, 2);
         let wal = core.take_wal().unwrap();
         let recovered = SchedulerCore::recover(Wal::decode(&wal.encode()).unwrap()).unwrap();
-        assert_eq!(recovered.epoch(), 2, "replay must restore the epoch exactly");
+        assert_eq!(
+            recovered.epoch(),
+            2,
+            "replay must restore the epoch exactly"
+        );
         assert_eq!(recovered.snapshot(), before);
     }
 }

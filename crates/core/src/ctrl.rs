@@ -212,10 +212,7 @@ pub fn reliable_channel<T: Clone + Send + 'static>(
                     Err(RecvTimeoutError::Timeout) => {
                         // Retransmit the full unacked window.
                         if !unacked.is_empty() {
-                            reshape_telemetry::incr(
-                                "ctrl.retransmits",
-                                unacked.len() as u64,
-                            );
+                            reshape_telemetry::incr("ctrl.retransmits", unacked.len() as u64);
                         }
                         for (&seq, payload) in &unacked {
                             transmit(
@@ -583,16 +580,28 @@ mod tests {
     fn seq_receiver_reorders_and_dedups() {
         use super::seq::{Frame, SeqReceiver};
         let mut rx: SeqReceiver<&str> = SeqReceiver::new();
-        let (out, ack) = rx.on_frame(Frame { seq: 2, payload: "c" });
+        let (out, ack) = rx.on_frame(Frame {
+            seq: 2,
+            payload: "c",
+        });
         assert!(out.is_empty() && ack.is_none());
-        let (out, ack) = rx.on_frame(Frame { seq: 0, payload: "a" });
+        let (out, ack) = rx.on_frame(Frame {
+            seq: 0,
+            payload: "a",
+        });
         assert_eq!(out, vec!["a"]);
         assert_eq!(ack, Some(0));
         // Duplicate of an already-delivered frame re-acks, delivers nothing.
-        let (out, ack) = rx.on_frame(Frame { seq: 0, payload: "a" });
+        let (out, ack) = rx.on_frame(Frame {
+            seq: 0,
+            payload: "a",
+        });
         assert!(out.is_empty());
         assert_eq!(ack, Some(0));
-        let (out, ack) = rx.on_frame(Frame { seq: 1, payload: "b" });
+        let (out, ack) = rx.on_frame(Frame {
+            seq: 1,
+            payload: "b",
+        });
         assert_eq!(out, vec!["b", "c"], "gap fill flushes the buffer");
         assert_eq!(ack, Some(2));
     }

@@ -297,7 +297,11 @@ impl ResizeContext {
     /// `redistribute` itself (Figure 1(b)). Codes using the simple API go
     /// through [`run_resizable`] instead.
     pub fn attach(shared: Arc<DriverShared>, comm: Comm, config: ProcessorConfig) -> Self {
-        assert_eq!(comm.size(), config.procs(), "communicator must match config");
+        assert_eq!(
+            comm.size(),
+            config.procs(),
+            "communicator must match config"
+        );
         Self::new(shared, comm, config, 0)
     }
 
@@ -338,7 +342,9 @@ impl ResizeContext {
     /// next resize point (collective: the logged value is the maximum over
     /// all processes, like the paper's average-and-log step).
     pub fn log(&mut self, local_iter_time: f64) -> f64 {
-        let agreed = self.comm.allreduce(reshape_mpisim::ReduceOp::Max, &[local_iter_time])[0];
+        let agreed = self
+            .comm
+            .allreduce(reshape_mpisim::ReduceOp::Max, &[local_iter_time])[0];
         if self.comm.rank() == 0 {
             self.log.push(agreed);
         }
@@ -458,7 +464,10 @@ impl ResizeContext {
                 let s = trace::complete(
                     job,
                     trace::head(job),
-                    format!("spawn +{delta} ({attempt} attempt{})", if attempt == 1 { "" } else { "s" }),
+                    format!(
+                        "spawn +{delta} ({attempt} attempt{})",
+                        if attempt == 1 { "" } else { "s" }
+                    ),
                     "spawn",
                     "driver",
                     t0,
@@ -480,7 +489,12 @@ impl ResizeContext {
             mats.len() as u64,
         ];
         for m in mats.iter() {
-            hdr.extend([m.desc.m as u64, m.desc.n as u64, m.desc.mb as u64, m.desc.nb as u64]);
+            hdr.extend([
+                m.desc.m as u64,
+                m.desc.n as u64,
+                m.desc.mb as u64,
+                m.desc.nb as u64,
+            ]);
         }
         merged.bcast(0, &hdr);
         // Move the data; parents are sources and (low-rank) destinations.
@@ -521,7 +535,10 @@ impl ResizeContext {
         mats: &mut Vec<DistMatrix<f64>>,
     ) -> Resolution {
         let from = self.config;
-        assert!(to.procs() < from.procs(), "shrink must reduce the processor count");
+        assert!(
+            to.procs() < from.procs(),
+            "shrink must reduce the processor count"
+        );
         let t0 = self.comm.vtime();
         let out = redistribute_over(&self.comm, from, to, std::mem::take(mats), true);
         let dt = self.comm.vtime() - t0;
@@ -567,10 +584,7 @@ impl ResizeContext {
         from: ProcessorConfig,
         to: ProcessorConfig,
     ) -> Option<DistMatrix<f64>> {
-        let plan = plan_2d(
-            grid_desc(&mat.desc, from),
-            grid_desc(&mat.desc, to),
-        );
+        let plan = plan_2d(grid_desc(&mat.desc, from), grid_desc(&mat.desc, to));
         redistribute_2d(&self.comm, &plan, Some(&mat))
     }
 
@@ -736,7 +750,12 @@ fn check_survivors(comm: &Comm) -> Vec<usize> {
         }
     }
     for (r, d) in dead.iter_mut().enumerate() {
-        if r != me && !*d && comm.recv_or_failed::<u64>(r, TAG_HEARTBEAT_CONFIRM).is_err() {
+        if r != me
+            && !*d
+            && comm
+                .recv_or_failed::<u64>(r, TAG_HEARTBEAT_CONFIRM)
+                .is_err()
+        {
             *d = true;
         }
     }
@@ -779,7 +798,14 @@ fn recover_from_loss(
         // Feed the *snapshot* of this rank's panel — not the live matrix —
         // so all sources agree on the epoch being reassembled.
         let mine = buddy.own_snapshot(idx);
-        match recover_matrix(&ctx.comm, &survivors, &mine, buddy, idx, grid_desc(&mine.desc, to)) {
+        match recover_matrix(
+            &ctx.comm,
+            &survivors,
+            &mine,
+            buddy,
+            idx,
+            grid_desc(&mine.desc, to),
+        ) {
             Ok(Some(v)) => out.push(v),
             Ok(None) => unreachable!("every survivor is inside the shrunken grid"),
             Err(lost) => {
@@ -834,7 +860,10 @@ fn recover_from_loss(
                 ctx.comm.vtime(),
             );
             trace::set_head(job, s);
-            trace::set_current(TraceCtx { trace: job, parent: s });
+            trace::set_current(TraceCtx {
+                trace: job,
+                parent: s,
+            });
         }
         reshape_telemetry::record(reshape_telemetry::Event::NodeFailed {
             time: t0,
@@ -902,7 +931,11 @@ fn drive_loop(mut ctx: ResizeContext, mut mats: Vec<DistMatrix<f64>>) {
             // Virtual iteration time — what the profiler sees.
             reshape_telemetry::observe("driver.iter_vtime_seconds", t_iter);
             if trace::enabled() {
-                let cat = if ctx.iter < traced_iter { "replay" } else { "compute" };
+                let cat = if ctx.iter < traced_iter {
+                    "replay"
+                } else {
+                    "compute"
+                };
                 let s = trace::complete(
                     shared.job.0,
                     trace::head(shared.job.0),
@@ -1007,9 +1040,12 @@ mod tests {
         AppDef::new(
             move |grid| {
                 let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                    (i * n + j) as f64
-                })]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |i, j| (i * n + j) as f64,
+                )]
             },
             move |grid, _mats, _iter| {
                 let p = (grid.nprow() * grid.npcol()) as f64;
@@ -1046,14 +1082,16 @@ mod tests {
             let init = base.init.clone();
             AppDef {
                 init,
-                iterate: Arc::new(move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
-                    (base.iterate)(grid, mats, it);
-                    let sum = checksum(grid, &mats[0]);
-                    assert!(
-                        (sum - expected).abs() < 1e-6,
-                        "data corrupted at iteration {it}: {sum} != {expected}"
-                    );
-                }),
+                iterate: Arc::new(
+                    move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
+                        (base.iterate)(grid, mats, it);
+                        let sum = checksum(grid, &mats[0]);
+                        assert!(
+                            (sum - expected).abs() < 1e-6,
+                            "data corrupted at iteration {it}: {sum} != {expected}"
+                        );
+                    },
+                ),
                 phase_starts: Vec::new(),
             }
         };
@@ -1107,7 +1145,12 @@ mod tests {
         let app = AppDef::new(
             move |grid| {
                 let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 1.0)]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |_, _| 1.0,
+                )]
             },
             |grid, _mats, _it| {
                 let p = grid.nprow() * grid.npcol();
@@ -1141,10 +1184,7 @@ mod tests {
         let core = link.0.lock();
         let rec = core.job(job).unwrap();
         // Ends at the 2x2 sweet spot, not at the failed 2x3.
-        assert!(matches!(
-            rec.state,
-            crate::job::JobState::Finished { .. }
-        ));
+        assert!(matches!(rec.state, crate::job::JobState::Finished { .. }));
         let prof = core.profiler().profile(job).unwrap();
         let visited: Vec<String> = prof.visited().map(|c| c.to_string()).collect();
         assert!(visited.contains(&"2x2".to_string()), "visited {visited:?}");
@@ -1180,14 +1220,16 @@ mod tests {
             let init = base.init.clone();
             AppDef {
                 init,
-                iterate: Arc::new(move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
-                    (base.iterate)(grid, mats, it);
-                    let sum = checksum(grid, &mats[0]);
-                    assert!(
-                        (sum - expected).abs() < 1e-6,
-                        "data corrupted at iteration {it}: {sum} != {expected}"
-                    );
-                }),
+                iterate: Arc::new(
+                    move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
+                        (base.iterate)(grid, mats, it);
+                        let sum = checksum(grid, &mats[0]);
+                        assert!(
+                            (sum - expected).abs() < 1e-6,
+                            "data corrupted at iteration {it}: {sum} != {expected}"
+                        );
+                    },
+                ),
                 phase_starts: Vec::new(),
             }
         };
@@ -1343,14 +1385,16 @@ mod tests {
         let init = base.init.clone();
         let app = AppDef {
             init,
-            iterate: Arc::new(move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
-                (base.iterate)(grid, mats, it);
-                let sum = checksum(grid, &mats[0]);
-                assert!(
-                    (sum - expected).abs() < 1e-6,
-                    "data corrupted at iteration {it}: {sum} != {expected}"
-                );
-            }),
+            iterate: Arc::new(
+                move |grid: &GridContext, mats: &mut Vec<DistMatrix<f64>>, it| {
+                    (base.iterate)(grid, mats, it);
+                    let sum = checksum(grid, &mats[0]);
+                    assert!(
+                        (sum - expected).abs() < 1e-6,
+                        "data corrupted at iteration {it}: {sum} != {expected}"
+                    );
+                },
+            ),
             phase_starts: Vec::new(),
         };
         Arc::new(DriverShared {
@@ -1525,9 +1569,12 @@ mod tests {
         let app = AppDef::new(
             move |grid| {
                 let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                    (i * n + j) as f64
-                })]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |i, j| (i * n + j) as f64,
+                )]
             },
             move |grid, mats, it| {
                 // Deterministic per-element evolution: replay after a
@@ -1595,13 +1642,16 @@ mod tests {
             rec.state
         );
         assert!(
-            core.events().iter().any(|e| matches!(
-                e.kind,
-                crate::core::EventKind::NodeFailed { lost: 1, .. }
-            )),
+            core.events()
+                .iter()
+                .any(|e| matches!(e.kind, crate::core::EventKind::NodeFailed { lost: 1, .. })),
             "forced shrink was never reported to the scheduler"
         );
-        assert_eq!(core.idle_procs(), 4, "dead and finished slots both return to the pool");
+        assert_eq!(
+            core.idle_procs(),
+            4,
+            "dead and finished slots both return to the pool"
+        );
         drop(core);
 
         // The recovered run must agree with the fault-free run *bitwise*:
@@ -1624,7 +1674,10 @@ mod tests {
         // survivors must agree, report the failure once, and exit.
         let (survived, link, job, failed) = run_survivable(n, 6, &[(2, 6.0), (3, 6.0)]);
         assert_eq!(failed, 2);
-        assert!(survived.is_empty(), "no final gather after an unrecoverable loss");
+        assert!(
+            survived.is_empty(),
+            "no final gather after an unrecoverable loss"
+        );
 
         let core = link.0.lock();
         let rec = core.job(job).unwrap();
@@ -1633,7 +1686,11 @@ mod tests {
             "expected Failed after losing a buddy pair, got {:?}",
             rec.state
         );
-        assert_eq!(core.idle_procs(), 4, "failed job's slots were not reclaimed");
+        assert_eq!(
+            core.idle_procs(),
+            4,
+            "failed job's slots were not reclaimed"
+        );
         drop(core);
     }
 }

@@ -37,9 +37,9 @@ pub use crate::core::{
     Reservation, ReservationId, SchedEvent, SchedulerCore, StartAction,
 };
 pub use backoff::Backoff;
-pub use wal::{HealAction, Wal, WalError, WalRecord, WalSalvage};
 pub use job::{IdHasher, JobId, JobSpec, JobState};
 pub use policy::{decide, decide_with, RemapDecision, RemapPolicy, SystemSnapshot};
 pub use pool::{AllocOrder, ResourcePool};
 pub use profiler::{JobProfile, PerfRecord, Profiler, Resize, ShrinkPoint};
 pub use topology::{ProcessorConfig, TopologyPref};
+pub use wal::{HealAction, Wal, WalError, WalRecord, WalSalvage};

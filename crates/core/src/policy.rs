@@ -170,7 +170,9 @@ fn expansion_pays_off(
             .visited()
             .flat_map(|a| profile.visited().map(move |b| (a, b)))
             .filter_map(|(a, b)| profile.redist_cost(a, b))
-            .fold(None, |acc: Option<f64>, c| Some(acc.map_or(c, |m| m.max(c))))
+            .fold(None, |acc: Option<f64>, c| {
+                Some(acc.map_or(c, |m| m.max(c)))
+            })
     });
     match cost {
         Some(c) => gain_per_iter * remaining_iters.max(1) as f64 > c,
@@ -293,7 +295,12 @@ mod tests {
     fn shrinks_to_largest_config_that_frees_enough() {
         let mut p = Profiler::new();
         let j = JobId(1);
-        for (c, t) in [(cfg(1, 2), 129.6), (cfg(2, 2), 112.5), (cfg(2, 3), 82.3), (cfg(3, 3), 79.6)] {
+        for (c, t) in [
+            (cfg(1, 2), 129.6),
+            (cfg(2, 2), 112.5),
+            (cfg(2, 3), 82.3),
+            (cfg(3, 3), 79.6),
+        ] {
             p.record_iteration(j, c, t, 0.0);
         }
         let sys = SystemSnapshot {
@@ -376,9 +383,23 @@ mod tests {
         let mut p = Profiler::new();
         let j = JobId(1);
         p.record_iteration(j, cfg(2, 2), 112.5, 0.0);
-        p.record_resize(j, crate::profiler::Resize::Expanded { from: cfg(2, 2), to: cfg(2, 3) }, 7.7);
+        p.record_resize(
+            j,
+            crate::profiler::Resize::Expanded {
+                from: cfg(2, 2),
+                to: cfg(2, 3),
+            },
+            7.7,
+        );
         p.record_iteration(j, cfg(2, 3), 82.3, 7.7);
-        p.record_resize(j, crate::profiler::Resize::Shrunk { from: cfg(2, 3), to: cfg(2, 2) }, 7.7);
+        p.record_resize(
+            j,
+            crate::profiler::Resize::Shrunk {
+                from: cfg(2, 3),
+                to: cfg(2, 2),
+            },
+            7.7,
+        );
         p.record_iteration(j, cfg(2, 2), 112.5, 7.7);
         let d = decide(&lu_spec(), cfg(2, 2), p.profile(j).unwrap(), &idle(36), 48);
         assert_eq!(d, RemapDecision::Expand { to: cfg(2, 3) });
@@ -393,7 +414,10 @@ mod tests {
         p.record_iteration(j, cfg(2, 2), 10.0, 0.0);
         p.record_resize(
             j,
-            crate::profiler::Resize::Expanded { from: cfg(2, 2), to: cfg(2, 3) },
+            crate::profiler::Resize::Expanded {
+                from: cfg(2, 2),
+                to: cfg(2, 3),
+            },
             8.0,
         );
         p.record_iteration(j, cfg(2, 3), 9.0, 8.0);

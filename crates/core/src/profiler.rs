@@ -337,7 +337,12 @@ mod tests {
     fn shrink_points_are_visited_configs_largest_first() {
         let mut p = Profiler::new();
         let j = JobId(1);
-        for (c, t) in [(cfg(1, 2), 100.0), (cfg(2, 2), 70.0), (cfg(2, 3), 55.0), (cfg(3, 3), 50.0)] {
+        for (c, t) in [
+            (cfg(1, 2), 100.0),
+            (cfg(2, 2), 70.0),
+            (cfg(2, 3), 55.0),
+            (cfg(3, 3), 50.0),
+        ] {
             p.record_iteration(j, c, t, 0.0);
         }
         let pts = p.profile(j).unwrap().shrink_points(cfg(3, 3));
@@ -347,10 +352,7 @@ mod tests {
         assert!((pts[0].degradation - 5.0).abs() < 1e-12);
         assert_eq!(pts[2].config, cfg(1, 2));
         assert_eq!(pts[2].frees, 7);
-        assert_eq!(
-            p.profile(j).unwrap().smallest_visited(),
-            Some(cfg(1, 2))
-        );
+        assert_eq!(p.profile(j).unwrap().smallest_visited(), Some(cfg(1, 2)));
     }
 
     #[test]
@@ -376,9 +378,23 @@ mod tests {
         let mut p = Profiler::new();
         let j = JobId(2);
         p.record_iteration(j, cfg(2, 2), 50.0, 0.0);
-        p.record_resize(j, Resize::Expanded { from: cfg(2, 2), to: cfg(2, 3) }, 1.0);
+        p.record_resize(
+            j,
+            Resize::Expanded {
+                from: cfg(2, 2),
+                to: cfg(2, 3),
+            },
+            1.0,
+        );
         p.record_iteration(j, cfg(2, 3), 40.0, 1.0);
-        p.record_resize(j, Resize::Shrunk { from: cfg(2, 3), to: cfg(2, 2) }, 1.0);
+        p.record_resize(
+            j,
+            Resize::Shrunk {
+                from: cfg(2, 3),
+                to: cfg(2, 2),
+            },
+            1.0,
+        );
         p.record_iteration(j, cfg(2, 2), 50.0, 1.0);
         // Latest expansion (2x2 -> 2x3) improved, so the job may grow again.
         assert_eq!(p.profile(j).unwrap().last_expansion_improved(), Some(true));
@@ -389,7 +405,14 @@ mod tests {
         let mut p = Profiler::new();
         let j = JobId(3);
         p.record_iteration(j, cfg(2, 2), 50.0, 0.0);
-        p.record_resize(j, Resize::Expanded { from: cfg(2, 2), to: cfg(2, 3) }, 4.0);
+        p.record_resize(
+            j,
+            Resize::Expanded {
+                from: cfg(2, 2),
+                to: cfg(2, 3),
+            },
+            4.0,
+        );
         p.record_iteration(j, cfg(2, 3), 40.0, 4.0);
         p.reset_timing(j);
         let prof = p.profile(j).unwrap();
@@ -412,7 +435,14 @@ mod tests {
         assert_eq!(prof.failed_expansion(), Some((cfg(2, 2), cfg(2, 4))));
         assert_eq!(prof.last_expansion_improved(), Some(false));
         // A later successful resize clears the verdict.
-        p.record_resize(j, Resize::Expanded { from: cfg(2, 2), to: cfg(4, 4) }, 1.0);
+        p.record_resize(
+            j,
+            Resize::Expanded {
+                from: cfg(2, 2),
+                to: cfg(4, 4),
+            },
+            1.0,
+        );
         assert_eq!(p.profile(j).unwrap().failed_expansion(), None);
         // ...and a phase change does too.
         p.mark_expansion_failed(j, cfg(2, 2), cfg(2, 4));

@@ -332,7 +332,12 @@ impl SchedThreadCtx {
                 survivable,
             });
             let config = s.config;
-            let start_vtime = self.core.lock().job(s.job).and_then(|r| r.started_at).unwrap_or(0.0);
+            let start_vtime = self
+                .core
+                .lock()
+                .job(s.job)
+                .and_then(|r| r.started_at)
+                .unwrap_or(0.0);
             let handle = self.universe.launch_at(
                 config.procs(),
                 Some(nodes),
@@ -368,7 +373,9 @@ impl SchedThreadCtx {
             return;
         }
         let mut hearts = self.hearts.lock();
-        let Some(hb) = hearts.get_mut(&job) else { return };
+        let Some(hb) = hearts.get_mut(&job) else {
+            return;
+        };
         let now = Instant::now();
         let gap = now.duration_since(hb.last).as_secs_f64();
         hb.mean_gap = if hb.beats == 0 {
@@ -409,10 +416,10 @@ impl SchedThreadCtx {
                     // the core call, so the decision span it emits parents
                     // to the driver-side span that sent this message.
                     let _g = trace::ctx_guard(ctx);
-                    let (directive, starts) = self
-                        .core
-                        .lock()
-                        .resize_point(job, iter_time, redist_time, now);
+                    let (directive, starts) =
+                        self.core
+                            .lock()
+                            .resize_point(job, iter_time, redist_time, now);
                     let _ = reply.send(directive);
                     self.actuate(starts);
                 }
@@ -703,9 +710,7 @@ impl ReshapeRuntime {
                                 .jobs()
                                 .find(|(_, r)| {
                                     matches!(r.state, JobState::Running { .. })
-                                        && r.slots
-                                            .iter()
-                                            .any(|&s| (s / spn) as u32 == ev.node.0)
+                                        && r.slots.iter().any(|&s| (s / spn) as u32 == ev.node.0)
                                 })
                                 .map(|(id, _)| *id);
                             found
@@ -867,9 +872,12 @@ mod tests {
         AppDef::new(
             move |grid| {
                 let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                    (i + j) as f64
-                })]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |i, j| (i + j) as f64,
+                )]
             },
             move |grid, _m, _it| {
                 let p = (grid.nprow() * grid.npcol()) as f64;
@@ -931,7 +939,12 @@ mod tests {
         let app = AppDef::new(
             |grid| {
                 let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 0.0)]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |_, _| 0.0,
+                )]
             },
             |grid, _m, it| {
                 if it == 2 && grid.comm().rank() == 0 {
@@ -1015,7 +1028,12 @@ mod tests {
         let app = AppDef::new(
             |grid| {
                 let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 0.0)]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |_, _| 0.0,
+                )]
             },
             |grid, _m, it| {
                 if it == 2 {
@@ -1101,7 +1119,12 @@ mod tests {
         let app = AppDef::new(
             |grid| {
                 let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 0.0)]
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |_, _| 0.0,
+                )]
             },
             |grid, _m, it| {
                 // One rank stalling stalls the whole job (the peer blocks in
@@ -1125,9 +1148,7 @@ mod tests {
         let finished = {
             let core = rt.core().lock();
             core.jobs()
-                .filter(|(id, r)| {
-                    **id != first && matches!(r.state, JobState::Finished { .. })
-                })
+                .filter(|(id, r)| **id != first && matches!(r.state, JobState::Finished { .. }))
                 .count()
         };
         assert_eq!(finished, 1, "hung job was not requeued to completion");

@@ -62,11 +62,7 @@ pub enum TopologyPref {
         even_only: bool,
     },
     /// Any count from `min` to `max` in steps of `step` (master–worker).
-    AnyCount {
-        min: usize,
-        max: usize,
-        step: usize,
-    },
+    AnyCount { min: usize, max: usize, step: usize },
     /// An explicit user-specified list of legal configurations, in growth
     /// order — the moldable-job style of Cirne & Berman that the paper
     /// contrasts with ("possible processor configurations are specified by

@@ -262,7 +262,10 @@ pub enum WalError {
     Io(std::io::Error),
     /// A non-final line failed its checksum or did not parse. `line` is
     /// 1-based.
-    Corrupt { line: usize, reason: String },
+    Corrupt {
+        line: usize,
+        reason: String,
+    },
     /// The stream does not start with a usable [`WalRecord::Open`].
     BadGenesis(String),
 }
@@ -299,7 +302,11 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         tables[0][i] = c;
@@ -769,7 +776,9 @@ impl<'a> Fields<'a> {
                 step: self.usize()?,
             },
             "exp" => TopologyPref::Explicit {
-                configs: (0..self.usize()?).map(|_| self.config()).collect::<Result<_, _>>()?,
+                configs: (0..self.usize()?)
+                    .map(|_| self.config())
+                    .collect::<Result<_, _>>()?,
             },
             tok => return Err(format!("unknown topology `{tok}`")),
         };
@@ -810,7 +819,11 @@ impl<'a> Fields<'a> {
                     tok => return Err(format!("unknown allocation order `{tok}`")),
                 },
                 slot_speeds: if self.bool()? {
-                    Some((0..self.usize()?).map(|_| self.f64()).collect::<Result<_, _>>()?)
+                    Some(
+                        (0..self.usize()?)
+                            .map(|_| self.f64())
+                            .collect::<Result<_, _>>()?,
+                    )
                 } else {
                     None
                 },
@@ -924,7 +937,9 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
     // checksum letter would go unnoticed).
     let got = crc32(payload.as_bytes());
     if crc_hex.as_bytes() != hex_digits::<8>(got as u64) {
-        return Err(format!("checksum mismatch (stored {crc_hex}, computed {got:08x})"));
+        return Err(format!(
+            "checksum mismatch (stored {crc_hex}, computed {got:08x})"
+        ));
     }
     let mut fields = Fields(payload.split(' '));
     let rec = fields
@@ -1321,8 +1336,14 @@ mod tests {
                 lease: 7,
                 now: 15.0,
             },
-            WalRecord::PauseExpansion { on: true, now: 16.0 },
-            WalRecord::EpochBump { epoch: 3, now: 17.0 },
+            WalRecord::PauseExpansion {
+                on: true,
+                now: 16.0,
+            },
+            WalRecord::EpochBump {
+                epoch: 3,
+                now: 17.0,
+            },
             WalRecord::HealRepair {
                 lease: 8,
                 action: HealAction::EvictStaleBorrow,
@@ -1366,7 +1387,10 @@ mod tests {
             Some(r#"{"type":"failed","job":3,"reason":"node 2 crashed","now":9.25}"#)
         );
         // One-way: the loaders take the line codec only.
-        assert!(matches!(Wal::decode(&dump), Err(WalError::Corrupt { line: 1, .. })));
+        assert!(matches!(
+            Wal::decode(&dump),
+            Err(WalError::Corrupt { line: 1, .. })
+        ));
     }
 
     #[test]
@@ -1422,10 +1446,7 @@ mod tests {
         drop(wal);
         let again = Wal::load(&path).unwrap();
         assert_eq!(again.len(), sample().len() + 1);
-        assert_eq!(
-            again.records().last(),
-            Some(&WalRecord::Tick { now: 42.0 })
-        );
+        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 42.0 }));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1493,7 +1514,10 @@ mod tests {
         assert!(salvage.reason.contains("checksum"), "{}", salvage.reason);
         assert_eq!(back.records(), &wal.records()[..3]);
         // Everything from the corrupt line onward is quarantined verbatim.
-        assert_eq!(salvage.quarantined, &text[text.len() - salvage.quarantined.len()..]);
+        assert_eq!(
+            salvage.quarantined,
+            &text[text.len() - salvage.quarantined.len()..]
+        );
         assert!(salvage.quarantined.starts_with(&text[start..start + 8]));
         // A clean stream salvages nothing.
         let (clean, none) = Wal::decode_salvage(&wal.encode());
@@ -1503,8 +1527,7 @@ mod tests {
 
     #[test]
     fn file_salvage_quarantines_and_truncates() {
-        let dir =
-            std::env::temp_dir().join(format!("reshape-wal-salvage-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("reshape-wal-salvage-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sched.wal");
         {
@@ -1527,8 +1550,14 @@ mod tests {
         let salvage = salvage.expect("bit flip must be reported");
         assert!(wal.len() < sample().len());
         assert_eq!(wal.records(), &sample()[..wal.len()]);
-        let qpath = salvage.quarantine_path.clone().expect("file-backed quarantine");
-        assert_eq!(std::fs::read_to_string(&qpath).unwrap(), salvage.quarantined);
+        let qpath = salvage
+            .quarantine_path
+            .clone()
+            .expect("file-backed quarantine");
+        assert_eq!(
+            std::fs::read_to_string(&qpath).unwrap(),
+            salvage.quarantined
+        );
 
         // The WAL file itself was truncated to the clean prefix and appends
         // continue from there; a strict reload now succeeds.
@@ -1568,7 +1597,11 @@ mod tests {
     #[test]
     fn histogram_counts_types() {
         let h = record_histogram(&sample());
-        assert_eq!(h.len(), sample().len(), "sample() holds one record per variant");
+        assert_eq!(
+            h.len(),
+            sample().len(),
+            "sample() holds one record per variant"
+        );
         assert_eq!(h.get("open"), Some(&1));
         assert_eq!(h.get("try_schedule"), Some(&1));
         assert_eq!(h.get("failed"), Some(&1));

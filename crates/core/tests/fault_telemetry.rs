@@ -20,9 +20,12 @@ fn toy(n: usize, per_iter: f64) -> AppDef {
     AppDef::new(
         move |grid| {
             let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                (i + j) as f64
-            })]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |i, j| (i + j) as f64,
+            )]
         },
         move |grid, _m, _it| {
             let p = (grid.nprow() * grid.npcol()) as f64;
@@ -111,7 +114,11 @@ fn injected_faults_leave_a_complete_telemetry_trail() {
     );
 
     // The fault counters moved.
-    for name in ["mpisim.spawn_shortfalls", "core.expand_failures", "core.job_failures"] {
+    for name in [
+        "mpisim.spawn_shortfalls",
+        "core.expand_failures",
+        "core.job_failures",
+    ] {
         assert!(
             reshape_telemetry::counter(name).get() > 0,
             "counter {name} never incremented"
@@ -133,10 +140,17 @@ fn injected_faults_leave_a_complete_telemetry_trail() {
         kinds.insert(ty.to_string());
     }
     for required in ["spawn_fault", "recovery", "metrics"] {
-        assert!(kinds.contains(required), "JSONL missing {required}: {kinds:?}");
+        assert!(
+            kinds.contains(required),
+            "JSONL missing {required}: {kinds:?}"
+        );
     }
     assert!(
-        jsonl.lines().last().unwrap().contains("\"type\":\"metrics\""),
+        jsonl
+            .lines()
+            .last()
+            .unwrap()
+            .contains("\"type\":\"metrics\""),
         "metrics summary is not the final JSONL line"
     );
 

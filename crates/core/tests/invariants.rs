@@ -38,7 +38,11 @@ const SIZES: [(usize, usize); 4] = [(1, 2), (2, 2), (2, 3), (3, 4)];
 
 fn check_invariants(core: &SchedulerCore) {
     let total = core.total_procs();
-    assert_eq!(core.busy_procs() + core.idle_procs(), total, "slot count conserved");
+    assert_eq!(
+        core.busy_procs() + core.idle_procs(),
+        total,
+        "slot count conserved"
+    );
     // Every slot assigned to exactly one running job; none out of range.
     let mut seen: HashSet<usize> = HashSet::new();
     let mut busy = 0usize;
@@ -130,7 +134,11 @@ fn run_ops(total: usize, policy: QueuePolicy, remap: RemapPolicy, ops: Vec<Op>) 
         core.on_finished(id, now);
         check_invariants(&core);
     }
-    assert_eq!(core.idle_procs(), total, "all processors returned at the end");
+    assert_eq!(
+        core.idle_procs(),
+        total,
+        "all processors returned at the end"
+    );
 }
 
 proptest! {

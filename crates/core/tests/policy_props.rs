@@ -16,7 +16,11 @@ use reshape_core::{
 
 /// Replay a random walk along the job's configuration chain, recording
 /// iterations and resizes, and return (profiler, current configuration).
-fn build_profile(spec: &JobSpec, moves: &[(u8, f64)], max_procs: usize) -> (Profiler, ProcessorConfig) {
+fn build_profile(
+    spec: &JobSpec,
+    moves: &[(u8, f64)],
+    max_procs: usize,
+) -> (Profiler, ProcessorConfig) {
     let chain = spec.topology.chain_from(spec.initial, max_procs);
     let job = JobId(1);
     let mut prof = Profiler::new();

@@ -20,7 +20,12 @@ use serde_json::Value;
 /// One record of every variant, used only for its shape: [`arbitrary`]
 /// redraws every field.
 fn one_of_each() -> Vec<WalRecord> {
-    let spec = JobSpec::new("t", TopologyPref::Grid { problem_size: 8 }, ProcessorConfig::new(1, 1), 1);
+    let spec = JobSpec::new(
+        "t",
+        TopologyPref::Grid { problem_size: 8 },
+        ProcessorConfig::new(1, 1),
+        1,
+    );
     let job = JobId(0);
     let cfg = ProcessorConfig::new(1, 1);
     vec![
@@ -32,27 +37,75 @@ fn one_of_each() -> Vec<WalRecord> {
             alloc_order: AllocOrder::LowestId,
             slot_speeds: None,
         },
-        WalRecord::Submit { spec: spec.clone(), now: 0.0 },
-        WalRecord::SubmitReserved { spec, reservation: ReservationId(0), now: 0.0 },
+        WalRecord::Submit {
+            spec: spec.clone(),
+            now: 0.0,
+        },
+        WalRecord::SubmitReserved {
+            spec,
+            reservation: ReservationId(0),
+            now: 0.0,
+        },
         WalRecord::TrySchedule { now: 0.0 },
-        WalRecord::ResizePoint { job, iter_time: 0.0, redist_time: 0.0, now: 0.0 },
+        WalRecord::ResizePoint {
+            job,
+            iter_time: 0.0,
+            redist_time: 0.0,
+            now: 0.0,
+        },
         WalRecord::PhaseChange { job, now: 0.0 },
-        WalRecord::NoteRedist { job, from: cfg, to: cfg, seconds: 0.0 },
+        WalRecord::NoteRedist {
+            job,
+            from: cfg,
+            to: cfg,
+            seconds: 0.0,
+        },
         WalRecord::Finished { job, now: 0.0 },
-        WalRecord::Failed { job, reason: String::new(), now: 0.0 },
-        WalRecord::NodeFailed { job, dead_slots: vec![], to: cfg, now: 0.0 },
+        WalRecord::Failed {
+            job,
+            reason: String::new(),
+            now: 0.0,
+        },
+        WalRecord::NodeFailed {
+            job,
+            dead_slots: vec![],
+            to: cfg,
+            now: 0.0,
+        },
         WalRecord::ExpandFailed { job, now: 0.0 },
         WalRecord::Cancel { job, now: 0.0 },
-        WalRecord::Reserve { start: 0.0, end: 0.0, procs: 0 },
-        WalRecord::CancelReservation { id: ReservationId(0) },
+        WalRecord::Reserve {
+            start: 0.0,
+            end: 0.0,
+            procs: 0,
+        },
+        WalRecord::CancelReservation {
+            id: ReservationId(0),
+        },
         WalRecord::Tick { now: 0.0 },
-        WalRecord::LendGrant { lease: 0, slots: vec![], now: 0.0 },
+        WalRecord::LendGrant {
+            lease: 0,
+            slots: vec![],
+            now: 0.0,
+        },
         WalRecord::LendReclaim { lease: 0, now: 0.0 },
-        WalRecord::BorrowAttach { lease: 0, global_slots: vec![], lender_epoch: 0, now: 0.0 },
+        WalRecord::BorrowAttach {
+            lease: 0,
+            global_slots: vec![],
+            lender_epoch: 0,
+            now: 0.0,
+        },
         WalRecord::BorrowEvict { lease: 0, now: 0.0 },
-        WalRecord::PauseExpansion { on: false, now: 0.0 },
+        WalRecord::PauseExpansion {
+            on: false,
+            now: 0.0,
+        },
         WalRecord::EpochBump { epoch: 0, now: 0.0 },
-        WalRecord::HealRepair { lease: 0, action: HealAction::ReturnEscrow, now: 0.0 },
+        WalRecord::HealRepair {
+            lease: 0,
+            action: HealAction::ReturnEscrow,
+            now: 0.0,
+        },
     ]
 }
 
@@ -62,7 +115,10 @@ fn pick<T: Clone>(rng: &mut TestRng, from: &[T]) -> T {
 
 fn int(rng: &mut TestRng) -> u64 {
     match rng.gen_range_u64(0, 4) {
-        0 => pick(rng, &[0, 1, 9, 10, u64::from(u32::MAX), u64::MAX - 1, u64::MAX]),
+        0 => pick(
+            rng,
+            &[0, 1, 9, 10, u64::from(u32::MAX), u64::MAX - 1, u64::MAX],
+        ),
         1 => rng.gen_range_u64(0, 1000),
         _ => rng.next_u64(),
     }
@@ -135,7 +191,9 @@ fn config(rng: &mut TestRng) -> ProcessorConfig {
 
 fn spec(rng: &mut TestRng) -> JobSpec {
     let topology = match rng.gen_range_u64(0, 4) {
-        0 => TopologyPref::Grid { problem_size: size(rng) },
+        0 => TopologyPref::Grid {
+            problem_size: size(rng),
+        },
         1 => TopologyPref::Linear {
             problem_size: size(rng),
             even_only: rng.next_u64() & 1 == 1,
@@ -185,10 +243,17 @@ fn arbitrary(like: &WalRecord, rng: &mut TestRng) -> WalRecord {
             alloc_order: pick(rng, &[AllocOrder::LowestId, AllocOrder::FastestFirst]),
             slot_speeds: match rng.gen_range_u64(0, 2) {
                 0 => None,
-                _ => Some((0..pick(rng, &[0, 1, 5, 1000])).map(|_| float(rng)).collect()),
+                _ => Some(
+                    (0..pick(rng, &[0, 1, 5, 1000]))
+                        .map(|_| float(rng))
+                        .collect(),
+                ),
             },
         },
-        WalRecord::Submit { .. } => WalRecord::Submit { spec: spec(rng), now: float(rng) },
+        WalRecord::Submit { .. } => WalRecord::Submit {
+            spec: spec(rng),
+            now: float(rng),
+        },
         WalRecord::SubmitReserved { .. } => WalRecord::SubmitReserved {
             spec: spec(rng),
             reservation: ReservationId(int(rng)),
@@ -201,51 +266,81 @@ fn arbitrary(like: &WalRecord, rng: &mut TestRng) -> WalRecord {
             redist_time: float(rng),
             now: float(rng),
         },
-        WalRecord::PhaseChange { .. } => WalRecord::PhaseChange { job, now: float(rng) },
+        WalRecord::PhaseChange { .. } => WalRecord::PhaseChange {
+            job,
+            now: float(rng),
+        },
         WalRecord::NoteRedist { .. } => WalRecord::NoteRedist {
             job,
             from: config(rng),
             to: config(rng),
             seconds: float(rng),
         },
-        WalRecord::Finished { .. } => WalRecord::Finished { job, now: float(rng) },
-        WalRecord::Failed { .. } => WalRecord::Failed { job, reason: text(rng), now: float(rng) },
+        WalRecord::Finished { .. } => WalRecord::Finished {
+            job,
+            now: float(rng),
+        },
+        WalRecord::Failed { .. } => WalRecord::Failed {
+            job,
+            reason: text(rng),
+            now: float(rng),
+        },
         WalRecord::NodeFailed { .. } => WalRecord::NodeFailed {
             job,
             dead_slots: slots(rng),
             to: config(rng),
             now: float(rng),
         },
-        WalRecord::ExpandFailed { .. } => WalRecord::ExpandFailed { job, now: float(rng) },
-        WalRecord::Cancel { .. } => WalRecord::Cancel { job, now: float(rng) },
+        WalRecord::ExpandFailed { .. } => WalRecord::ExpandFailed {
+            job,
+            now: float(rng),
+        },
+        WalRecord::Cancel { .. } => WalRecord::Cancel {
+            job,
+            now: float(rng),
+        },
         WalRecord::Reserve { .. } => WalRecord::Reserve {
             start: float(rng),
             end: float(rng),
             procs: size(rng),
         },
-        WalRecord::CancelReservation { .. } => WalRecord::CancelReservation { id: ReservationId(int(rng)) },
+        WalRecord::CancelReservation { .. } => WalRecord::CancelReservation {
+            id: ReservationId(int(rng)),
+        },
         WalRecord::Tick { .. } => WalRecord::Tick { now: float(rng) },
         WalRecord::LendGrant { .. } => WalRecord::LendGrant {
             lease: int(rng),
             slots: slots(rng),
             now: float(rng),
         },
-        WalRecord::LendReclaim { .. } => WalRecord::LendReclaim { lease: int(rng), now: float(rng) },
+        WalRecord::LendReclaim { .. } => WalRecord::LendReclaim {
+            lease: int(rng),
+            now: float(rng),
+        },
         WalRecord::BorrowAttach { .. } => WalRecord::BorrowAttach {
             lease: int(rng),
             global_slots: slots(rng),
             lender_epoch: int(rng),
             now: float(rng),
         },
-        WalRecord::BorrowEvict { .. } => WalRecord::BorrowEvict { lease: int(rng), now: float(rng) },
+        WalRecord::BorrowEvict { .. } => WalRecord::BorrowEvict {
+            lease: int(rng),
+            now: float(rng),
+        },
         WalRecord::PauseExpansion { .. } => WalRecord::PauseExpansion {
             on: rng.next_u64() & 1 == 1,
             now: float(rng),
         },
-        WalRecord::EpochBump { .. } => WalRecord::EpochBump { epoch: int(rng), now: float(rng) },
+        WalRecord::EpochBump { .. } => WalRecord::EpochBump {
+            epoch: int(rng),
+            now: float(rng),
+        },
         WalRecord::HealRepair { .. } => WalRecord::HealRepair {
             lease: int(rng),
-            action: pick(rng, &[HealAction::EvictStaleBorrow, HealAction::ReturnEscrow]),
+            action: pick(
+                rng,
+                &[HealAction::EvictStaleBorrow, HealAction::ReturnEscrow],
+            ),
             now: float(rng),
         },
     }
@@ -260,7 +355,10 @@ impl Strategy for OneOfEach {
     type Value = Vec<WalRecord>;
 
     fn generate(&self, rng: &mut TestRng) -> Vec<WalRecord> {
-        one_of_each().iter().map(|like| arbitrary(like, rng)).collect()
+        one_of_each()
+            .iter()
+            .map(|like| arbitrary(like, rng))
+            .collect()
     }
 }
 
@@ -286,7 +384,11 @@ fn same_bits(a: &Value, b: &Value) -> bool {
 fn every_variant_is_generated() {
     let shapes = one_of_each();
     let kinds = reshape_core::wal::record_histogram(&shapes);
-    assert_eq!(kinds.len(), 22, "one_of_each() must list every WalRecord variant");
+    assert_eq!(
+        kinds.len(),
+        22,
+        "one_of_each() must list every WalRecord variant"
+    );
     assert!(kinds.values().all(|&n| n == 1), "{kinds:?}");
 }
 
@@ -334,7 +436,11 @@ fn well_formed_payloads_decode() {
     ] {
         let wal = Wal::decode(&framed(payload)).unwrap_or_else(|e| panic!("`{payload}`: {e}"));
         assert_eq!(wal.len(), 1, "`{payload}`");
-        assert_eq!(wal.encode(), framed(payload), "`{payload}` is the canonical spelling");
+        assert_eq!(
+            wal.encode(),
+            framed(payload),
+            "`{payload}` is the canonical spelling"
+        );
     }
 }
 
@@ -363,24 +469,57 @@ fn malformed_payloads_are_errors_not_panics() {
         ("pause true 400c000000000000", "spelled-out flag"),
         ("fail 3 bad\\x 4022800000000000", "unknown escape"),
         ("fail 3 dangling\\ 4022800000000000", "escape cut short"),
-        ("fail 3 a\\eb 4022800000000000", "the empty marker inside a string"),
+        (
+            "fail 3 a\\eb 4022800000000000",
+            "the empty marker inside a string",
+        ),
         ("fail 3  4022800000000000", "empty string written bare"),
         ("nr 1 0 2 2 3 4020cccccccccccd", "rows == 0"),
         ("nr 1 2 2 2 0 4020cccccccccccd", "cols == 0"),
-        ("nf 4 2 5 6 0 1 4023000000000000", "degenerate surviving configuration"),
-        ("nf 4 3 5 6 1 2 4023000000000000", "slot count larger than the slots present"),
-        ("lg 7 18446744073709551615 0 1 4026000000000000", "absurd slot count"),
+        (
+            "nf 4 2 5 6 0 1 4023000000000000",
+            "degenerate surviving configuration",
+        ),
+        (
+            "nf 4 3 5 6 1 2 4023000000000000",
+            "slot count larger than the slots present",
+        ),
+        (
+            "lg 7 18446744073709551615 0 1 4026000000000000",
+            "absurd slot count",
+        ),
         ("open 8 lifo paper 1024 lowest 0", "unknown queue policy"),
         ("open 8 fcfs eager 1024 lowest 0", "unknown remap policy"),
-        ("open 8 fcfs paper 1024 highest 0", "unknown allocation order"),
-        ("open 8 fcfs paper 1024 lowest 1 2 3ff0000000000000", "fewer speeds than announced"),
+        (
+            "open 8 fcfs paper 1024 highest 0",
+            "unknown allocation order",
+        ),
+        (
+            "open 8 fcfs paper 1024 lowest 1 2 3ff0000000000000",
+            "fewer speeds than announced",
+        ),
         ("open 8 fcfs paper 1024 lowest", "speeds marker missing"),
         ("heal 8 shrug 4032000000000000", "unknown heal action"),
-        ("sub LU torus 8000 2 2 10 1 0 0 0000000000000000", "unknown topology"),
-        ("sub LU grid 8000 0 2 10 1 0 0 0000000000000000", "degenerate initial configuration"),
-        ("sub LU exp 1 0 4 1 4 10 1 0 0 0000000000000000", "degenerate explicit configuration"),
-        ("sub LU grid 8000 2 2 10 1 256 0 0000000000000000", "priority past u8"),
-        ("{\"type\":\"finished\",\"job\":12,\"now\":3.5}", "a pre-codec JSON payload"),
+        (
+            "sub LU torus 8000 2 2 10 1 0 0 0000000000000000",
+            "unknown topology",
+        ),
+        (
+            "sub LU grid 8000 0 2 10 1 0 0 0000000000000000",
+            "degenerate initial configuration",
+        ),
+        (
+            "sub LU exp 1 0 4 1 4 10 1 0 0 0000000000000000",
+            "degenerate explicit configuration",
+        ),
+        (
+            "sub LU grid 8000 2 2 10 1 256 0 0000000000000000",
+            "priority past u8",
+        ),
+        (
+            "{\"type\":\"finished\",\"job\":12,\"now\":3.5}",
+            "a pre-codec JSON payload",
+        ),
     ] {
         match Wal::decode(&framed(payload)) {
             Err(WalError::Corrupt { line: 1, reason }) => assert!(

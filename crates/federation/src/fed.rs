@@ -12,8 +12,8 @@ use std::hash::BuildHasherDefault;
 
 use reshape_clustersim::EventQueue;
 use reshape_core::{
-    Directive, HealAction, IdHasher, JobId, JobSpec, ProcessorConfig, QueuePolicy,
-    SchedulerCore, StartAction, Wal,
+    Directive, HealAction, IdHasher, JobId, JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore,
+    StartAction, Wal,
 };
 use reshape_telemetry as telemetry;
 use reshape_telemetry::trace;
@@ -154,9 +154,15 @@ pub enum Notice {
     },
     /// A submission is waiting at the router (quota exhausted or no live
     /// shard).
-    RouterQueued { tenant: u32, tag: u64 },
+    RouterQueued {
+        tenant: u32,
+        tag: u64,
+    },
     /// A submission was dropped: the tenant's router queue is full.
-    Shed { tenant: u32, tag: u64 },
+    Shed {
+        tenant: u32,
+        tag: u64,
+    },
     /// A job began (or re-began) executing on a shard.
     Started {
         shard: usize,
@@ -180,7 +186,11 @@ pub enum Notice {
     },
     /// A job failed at lease eviction because every one of its processors
     /// was borrowed.
-    EvictFailed { shard: usize, job: JobId, tag: u64 },
+    EvictFailed {
+        shard: usize,
+        job: JobId,
+        tag: u64,
+    },
     LeaseGranted {
         lease: u64,
         lender: usize,
@@ -189,28 +199,42 @@ pub enum Notice {
         expires: f64,
     },
     /// The borrower acked (attached) the lease.
-    LeaseActivated { lease: u64 },
+    LeaseActivated {
+        lease: u64,
+    },
     /// The borrower is done with the lease (evicted, refused, or idle).
-    LeaseReleased { lease: u64 },
+    LeaseReleased {
+        lease: u64,
+    },
     /// The lender reattached the lease's processors.
-    LeaseReclaimed { lease: u64 },
+    LeaseReclaimed {
+        lease: u64,
+    },
     BrownoutEngaged {
         shard: usize,
         queue_depth: usize,
         reason: BrownoutReason,
     },
-    BrownoutReleased { shard: usize },
-    ShardKilled { shard: usize },
+    BrownoutReleased {
+        shard: usize,
+    },
+    ShardKilled {
+        shard: usize,
+    },
     ShardRecovered {
         shard: usize,
         snapshot_match: bool,
         wal_records: usize,
     },
     /// A scripted partition began severing cross-group traffic.
-    PartitionStarted { id: usize },
+    PartitionStarted {
+        id: usize,
+    },
     /// A scripted partition healed; formerly-severed live pairs exchange
     /// anti-entropy digests.
-    PartitionHealed { id: usize },
+    PartitionHealed {
+        id: usize,
+    },
     /// The lender's suspicion timeout fired: it bumped its epoch to
     /// `epoch` and fenced this lease (never honored or extended again).
     LeaseFenced {
@@ -764,7 +788,8 @@ impl Federation {
             "control",
             now,
         );
-        self.flightrec.record(now, "shard_kill", Some(shard), None, "");
+        self.flightrec
+            .record(now, "shard_kill", Some(shard), None, "");
         out.push(Notice::ShardKilled { shard });
         (true, out)
     }
@@ -772,7 +797,11 @@ impl Federation {
     /// Restart a down shard: decode its WAL, replay it, verify the replay
     /// reproduces the crash snapshot, fix up expired leases, then replay
     /// everything that was addressed to the shard while it was down.
-    pub fn recover_shard(&mut self, shard: usize, now: f64) -> (Option<RecoverReport>, Vec<Notice>) {
+    pub fn recover_shard(
+        &mut self,
+        shard: usize,
+        now: f64,
+    ) -> (Option<RecoverReport>, Vec<Notice>) {
         let mut out = self.begin(now);
         let sh = &mut self.shards[shard];
         let ShardState::Down {
@@ -803,8 +832,13 @@ impl Federation {
             Err(e) => {
                 *down_text = wal_text;
                 telemetry::incr("fed.shard_recover_failures", 1);
-                self.flightrec
-                    .record(now, "shard_recover_failed", Some(shard), None, e.to_string());
+                self.flightrec.record(
+                    now,
+                    "shard_recover_failed",
+                    Some(shard),
+                    None,
+                    e.to_string(),
+                );
                 return (None, out);
             }
         };
@@ -998,7 +1032,8 @@ impl Federation {
         while let Some(shard) = self.stale.pop() {
             let fresh = ShardSummary::of(&self.shards[shard], self.lease_cfg.min_spare);
             let old = std::mem::replace(&mut self.view[shard], fresh);
-            self.starved = self.starved + usize::from(fresh.deficit > 0) - usize::from(old.deficit > 0);
+            self.starved =
+                self.starved + usize::from(fresh.deficit > 0) - usize::from(old.deficit > 0);
         }
         debug_assert!(
             self.shards
@@ -1092,7 +1127,11 @@ impl Federation {
                     };
                     let ctx = TraceCtx {
                         trace: ctx.trace,
-                        parent: if delivered != 0 { delivered } else { ctx.parent },
+                        parent: if delivered != 0 {
+                            delivered
+                        } else {
+                            ctx.parent
+                        },
                     };
                     if self.shards[to].is_live() {
                         self.apply_msg(now, from, to, msg, ctx, out);
@@ -1155,10 +1194,7 @@ impl Federation {
                     .map(|l| l.id)
                     .collect();
                 for lease in suspects {
-                    let grant = self
-                        .lease_traces
-                        .get(&lease)
-                        .map_or(0, |t| t.grant);
+                    let grant = self.lease_traces.get(&lease).map_or(0, |t| t.grant);
                     let severed = trace::complete(
                         trace::lease_trace(lease),
                         grant,
@@ -1397,7 +1433,11 @@ impl Federation {
                     let refused = trace::complete(
                         trace::lease_trace(lease),
                         parent,
-                        if stale { "grant:refused (fenced)" } else { "grant:refused" },
+                        if stale {
+                            "grant:refused (fenced)"
+                        } else {
+                            "grant:refused"
+                        },
                         "lease",
                         &format!("shard {to}"),
                         now,
@@ -1408,7 +1448,11 @@ impl Federation {
                         "grant_refused",
                         Some(to),
                         Some(lease),
-                        if stale { "stale epoch" } else { "expired or done" },
+                        if stale {
+                            "stale epoch"
+                        } else {
+                            "expired or done"
+                        },
                     );
                     let evs = self.bus.send(
                         now,
@@ -1426,10 +1470,10 @@ impl Federation {
                     return;
                 }
                 self.shards[to].last_seen = now;
-                let starts = self
-                    .core_mut(to)
-                    .unwrap()
-                    .borrow_attach(lease, &global, lender_epoch, now);
+                let starts =
+                    self.core_mut(to)
+                        .unwrap()
+                        .borrow_attach(lease, &global, lender_epoch, now);
                 {
                     let l = self.leases.get_mut(&lease).unwrap();
                     if l.attached_at.is_none() {
@@ -1660,7 +1704,14 @@ impl Federation {
     /// Borrower-side eviction: force every job off the lease's slots,
     /// detach them, tell the lender. `cause` is the span that forced the
     /// eviction (0 → parent to the lease trace's head).
-    fn evict_lease(&mut self, borrower: usize, id: u64, now: f64, cause: u64, out: &mut Vec<Notice>) {
+    fn evict_lease(
+        &mut self,
+        borrower: usize,
+        id: u64,
+        now: f64,
+        cause: u64,
+        out: &mut Vec<Notice>,
+    ) {
         let outcome = self
             .core_mut(borrower)
             .expect("evict_lease needs a live borrower")
@@ -1670,7 +1721,11 @@ impl Federation {
         telemetry::incr("fed.lease_evictions", 1);
         let evicted = trace::complete(
             trace::lease_trace(id),
-            if cause != 0 { cause } else { self.lease_head_span(id) },
+            if cause != 0 {
+                cause
+            } else {
+                self.lease_head_span(id)
+            },
             "evict",
             "lease",
             &format!("shard {borrower}"),
@@ -1717,7 +1772,14 @@ impl Federation {
 
     /// Lender-side reclaim: reattach the slots, restart queued work.
     /// `cause` is the span that triggered the reclaim (0 → lease head).
-    fn reclaim_lease(&mut self, lender: usize, id: u64, now: f64, cause: u64, out: &mut Vec<Notice>) {
+    fn reclaim_lease(
+        &mut self,
+        lender: usize,
+        id: u64,
+        now: f64,
+        cause: u64,
+        out: &mut Vec<Notice>,
+    ) {
         let starts = self
             .core_mut(lender)
             .expect("reclaim_lease needs a live lender")
@@ -1730,7 +1792,11 @@ impl Federation {
         telemetry::incr("fed.leases_reclaimed", 1);
         trace::complete(
             trace::lease_trace(id),
-            if cause != 0 { cause } else { self.lease_head_span(id) },
+            if cause != 0 {
+                cause
+            } else {
+                self.lease_head_span(id)
+            },
             "reclaim",
             "lease",
             &format!("shard {lender}"),
@@ -1758,10 +1824,10 @@ impl Federation {
         out: &mut Vec<Notice>,
     ) {
         self.shards[shard].last_seen = now;
-        let (directive, starts) = self
-            .core_mut(shard)
-            .unwrap()
-            .resize_point(job, iter_time, redist_time, now);
+        let (directive, starts) =
+            self.core_mut(shard)
+                .unwrap()
+                .resize_point(job, iter_time, redist_time, now);
         out.push(Notice::Directive {
             shard,
             job,
@@ -1830,7 +1896,9 @@ impl Federation {
         if !telemetry::enabled() {
             return;
         }
-        let Some(ts) = self.tenants.get(&tenant) else { return };
+        let Some(ts) = self.tenants.get(&tenant) else {
+            return;
+        };
         let t = tenant.to_string();
         telemetry::gauge_labeled(
             "fed.tenant_queue_depth",
@@ -1847,7 +1915,9 @@ impl Federation {
     fn start_notices(&mut self, shard: usize, starts: &[StartAction], out: &mut Vec<Notice>) {
         for s in starts {
             let meta = self.job_meta.get(&(shard, s.job.0));
-            let (tenant, tag) = meta.map(|m| (m.tenant, m.tag)).unwrap_or((u32::MAX, u64::MAX));
+            let (tenant, tag) = meta
+                .map(|m| (m.tenant, m.tag))
+                .unwrap_or((u32::MAX, u64::MAX));
             out.push(Notice::Started {
                 shard,
                 job: s.job,
@@ -2071,7 +2141,9 @@ impl Federation {
                     continue;
                 }
                 let eligible = {
-                    let Some(core) = self.shards[d].core() else { continue };
+                    let Some(core) = self.shards[d].core() else {
+                        continue;
+                    };
                     // A donor never re-lends borrowed processors (no
                     // sublease chains), never lends while work is queued.
                     core.queue_len() == 0
@@ -2107,11 +2179,7 @@ impl Federation {
         // Escrow first: the lender journals `lend_grant` before anything
         // touches the wire, so a lender crash after this point still
         // reclaims the slots deterministically from its own WAL.
-        let Some(slots) = self
-            .core_mut(lender)
-            .unwrap()
-            .lend_grant(id, n, now)
-        else {
+        let Some(slots) = self.core_mut(lender).unwrap().lend_grant(id, n, now) else {
             return false;
         };
         self.next_lease += 1;
@@ -2278,10 +2346,7 @@ mod tests {
     }
 
     fn two_shard_fed() -> Federation {
-        let mut cfg = FederationConfig::new(
-            vec![4, 4],
-            vec![TenantConfig::new(64, 1.0, 32)],
-        );
+        let mut cfg = FederationConfig::new(vec![4, 4], vec![TenantConfig::new(64, 1.0, 32)]);
         cfg.lease.min_spare = 0;
         cfg.lease.term = 30.0;
         cfg.lease.grace = 10.0;
@@ -2319,9 +2384,14 @@ mod tests {
         // Let the grant cross the bus and the job start.
         let drained = drain_until(&mut fed, 3.0);
         assert!(
-            drained
-                .iter()
-                .any(|n| matches!(n, Notice::Started { tag: 1, procs: 6, .. })),
+            drained.iter().any(|n| matches!(
+                n,
+                Notice::Started {
+                    tag: 1,
+                    procs: 6,
+                    ..
+                }
+            )),
             "big job should start on native+borrowed procs: {drained:?}"
         );
         // The big job finishes; the idle borrower releases the lease
@@ -2373,7 +2443,10 @@ mod tests {
         let lease = fed.leases().next().expect("lease granted").id;
         let expires = fed.lease(lease).unwrap().expires;
         drain_until(&mut fed, expires);
-        assert!(fed.lease(lease).unwrap().acked, "borrower should have acked");
+        assert!(
+            fed.lease(lease).unwrap().acked,
+            "borrower should have acked"
+        );
         // Expiry evicts the borrower's jobs off the borrowed slots.
         let n = fed.run_timers(expires);
         assert!(
@@ -2408,7 +2481,9 @@ mod tests {
         let mut engaged_at = None;
         for i in 1..=3u64 {
             let n = fed.submit(0, i, spec(&format!("q{i}"), 2, 1), i as f64);
-            if n.iter().any(|x| matches!(x, Notice::BrownoutEngaged { .. })) {
+            if n.iter()
+                .any(|x| matches!(x, Notice::BrownoutEngaged { .. }))
+            {
                 engaged_at = Some(i);
             }
         }
@@ -2435,7 +2510,9 @@ mod tests {
                 let n = fed.finished(0, id, t);
                 t += 1.0;
                 let depth = fed.shards()[0].core().unwrap().queue_len();
-                if n.iter().any(|x| matches!(x, Notice::BrownoutReleased { .. })) {
+                if n.iter()
+                    .any(|x| matches!(x, Notice::BrownoutReleased { .. }))
+                {
                     released = true;
                     assert!(
                         depth <= 1,
@@ -2458,10 +2535,7 @@ mod tests {
 
     #[test]
     fn killed_borrower_recovers_evicts_overdue_lease_and_ledger_heals() {
-        let mut cfg = FederationConfig::new(
-            vec![4, 4],
-            vec![TenantConfig::new(64, 1.0, 32)],
-        );
+        let mut cfg = FederationConfig::new(vec![4, 4], vec![TenantConfig::new(64, 1.0, 32)]);
         cfg.lease.min_spare = 0;
         cfg.lease.term = 10.0;
         cfg.lease.grace = 5.0;
@@ -2488,10 +2562,18 @@ mod tests {
         // fixup evicts the overdue lease before anything can schedule.
         let (report, notices) = fed.recover_shard(borrower, 20.0);
         let report = report.expect("shard was down");
-        assert!(report.snapshot_match, "WAL replay must equal crash snapshot");
-        assert!(report.quarantined.is_none(), "clean WAL quarantines nothing");
         assert!(
-            notices.iter().any(|x| matches!(x, Notice::LeaseReleased { .. })),
+            report.snapshot_match,
+            "WAL replay must equal crash snapshot"
+        );
+        assert!(
+            report.quarantined.is_none(),
+            "clean WAL quarantines nothing"
+        );
+        assert!(
+            notices
+                .iter()
+                .any(|x| matches!(x, Notice::LeaseReleased { .. })),
             "recovery fixup must evict the overdue lease: {notices:?}"
         );
         assert_eq!(fed.shards()[borrower].core().unwrap().borrowed_procs(), 0);
@@ -2590,9 +2672,18 @@ mod tests {
             .iter()
             .filter(|x| matches!(x, Notice::Evicted { .. }))
             .count();
-        assert_eq!(evicted, 1, "one eviction despite duplicate expiries: {all:?}");
-        assert_eq!(released, 1, "one release despite duplicate expiries: {all:?}");
-        assert_eq!(reclaimed, 1, "one reclaim despite duplicate deadlines: {all:?}");
+        assert_eq!(
+            evicted, 1,
+            "one eviction despite duplicate expiries: {all:?}"
+        );
+        assert_eq!(
+            released, 1,
+            "one release despite duplicate expiries: {all:?}"
+        );
+        assert_eq!(
+            reclaimed, 1,
+            "one reclaim despite duplicate deadlines: {all:?}"
+        );
         assert!(fed.lease(lease).unwrap().resolved());
         for s in fed.shards() {
             let c = s.core().unwrap();
@@ -2623,10 +2714,13 @@ mod tests {
         // before the lease term.
         fed.inject_partition(vec![vec![lender], vec![borrower]], 5.0, 25.0);
         let n = drain_until(&mut fed, 24.0);
-        assert!(n.iter().any(|x| matches!(x, Notice::PartitionStarted { .. })));
+        assert!(n
+            .iter()
+            .any(|x| matches!(x, Notice::PartitionStarted { .. })));
         assert!(
-            n.iter()
-                .any(|x| matches!(x, Notice::LeaseFenced { lease: l, epoch: 1, .. } if *l == lease)),
+            n.iter().any(
+                |x| matches!(x, Notice::LeaseFenced { lease: l, epoch: 1, .. } if *l == lease)
+            ),
             "suspicion must fence the severed lease: {n:?}"
         );
         assert_eq!(fed.shards()[lender].core().unwrap().epoch(), 1);
@@ -2636,7 +2730,9 @@ mod tests {
         // yet); the heal digest is what evicts it, as a journaled repair.
         let mut all = drain_until(&mut fed, 40.0);
         all.extend(fed.run_timers(40.0));
-        assert!(all.iter().any(|x| matches!(x, Notice::PartitionHealed { .. })));
+        assert!(all
+            .iter()
+            .any(|x| matches!(x, Notice::PartitionHealed { .. })));
         assert!(
             all.iter().any(|x| matches!(
                 x,
@@ -2734,7 +2830,10 @@ mod tests {
         );
         let l = fed.lease(lease).unwrap();
         assert!(l.resolved(), "lease must resolve well before expires+grace");
-        assert!(l.attached_at.is_none(), "the late grant redelivery must be refused");
+        assert!(
+            l.attached_at.is_none(),
+            "the late grant redelivery must be refused"
+        );
         assert_eq!(fed.shards()[lender].core().unwrap().lent_procs(), 0);
         assert_eq!(fed.shards()[lender].core().unwrap().owned_procs(), 4);
     }
@@ -2797,10 +2896,17 @@ mod tests {
             assert!(fed.chaos_corrupt_down_wal(0, pos));
             let damaged = fed.shards()[0].down_wal().unwrap().to_string();
             let (report, _) = fed.recover_shard(0, now);
-            assert!(report.is_none(), "byte {pos}: nothing replayable, nothing to report");
+            assert!(
+                report.is_none(),
+                "byte {pos}: nothing replayable, nothing to report"
+            );
             let sh = &fed.shards()[0];
             assert!(!sh.is_live(), "byte {pos}: shard must stay down");
-            assert_eq!(sh.down_wal(), Some(damaged.as_str()), "byte {pos}: evidence kept");
+            assert_eq!(
+                sh.down_wal(),
+                Some(damaged.as_str()),
+                "byte {pos}: evidence kept"
+            );
             assert!(sh.crash_snapshot().is_some());
             assert!(fed.chaos_corrupt_down_wal(0, pos)); // flip it back
             now += 0.01;

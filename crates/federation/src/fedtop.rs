@@ -17,7 +17,10 @@ const BAR: usize = 10;
 /// Render one dashboard frame for `fed` at virtual time `t`.
 pub fn frame(fed: &Federation, t: f64) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "── federation @ t={t:<9.2} ─────────────────────────────────");
+    let _ = writeln!(
+        s,
+        "── federation @ t={t:<9.2} ─────────────────────────────────"
+    );
     let _ = writeln!(
         s,
         "{:>5}  {:<5} {:>5} {:>5} {:>5} {:>5} {:>8}  flags",

@@ -285,7 +285,11 @@ impl FedReport {
                 wait,
             );
         }
-        let span = if self.makespan > 0.0 { self.makespan } else { 1.0 };
+        let span = if self.makespan > 0.0 {
+            self.makespan
+        } else {
+            1.0
+        };
         let width = span / windows as f64;
         // Right-inclusive last window so the makespan sample lands. The
         // windows tile [0, span], so at most one holds any `t`, and it is
@@ -345,7 +349,9 @@ impl FedReport {
         }
         for &(t, tenant, wait) in &self.slo.admits {
             if let Some(w) = window_of(t) {
-                acc.get_mut(&tenant).expect("admitted tenant")[w].waits.push(wait);
+                acc.get_mut(&tenant).expect("admitted tenant")[w]
+                    .waits
+                    .push(wait);
             }
         }
 
@@ -434,7 +440,11 @@ pub fn run_with_fed(
     // Arrivals in time order; a stable sort keeps equal arrivals in list
     // order.
     for j in &cfg.jobs {
-        assert!(j.arrival.is_finite(), "arrival time must be finite, got {}", j.arrival);
+        assert!(
+            j.arrival.is_finite(),
+            "arrival time must be finite, got {}",
+            j.arrival
+        );
     }
     let mut arrivals: Vec<usize> = (0..cfg.jobs.len()).collect();
     arrivals.sort_by(|&a, &b| {
@@ -464,8 +474,8 @@ pub fn run_with_fed(
     loop {
         // An arrival wins a tie: it comes before any check-in or recovery
         // at the same instant.
-        let arrival = arrivals
-            .next_if(|&i| q.peek_time().is_none_or(|tq| cfg.jobs[i].arrival <= tq));
+        let arrival =
+            arrivals.next_if(|&i| q.peek_time().is_none_or(|tq| cfg.jobs[i].arrival <= tq));
         let (t, notices) = if let Some(i) = arrival {
             let (j, t) = (&cfg.jobs[i], cfg.jobs[i].arrival);
             report.submitted += 1;
@@ -537,7 +547,11 @@ pub fn run_with_fed(
                     report.slo.sheds.push((t, *tenant));
                 }
                 Notice::Started {
-                    shard, job, tag, procs, ..
+                    shard,
+                    job,
+                    tag,
+                    procs,
+                    ..
                 } => {
                     let idx = *tag as usize;
                     let e = live.entry((*shard, job.0)).or_insert(LiveJob {
@@ -549,10 +563,13 @@ pub fn run_with_fed(
                     // First start schedules the checkin loop.
                     if e.checkins == 0 {
                         let work = cfg.jobs[idx].work;
-                        q.push(t + work / (*procs).max(1) as f64, Ev::Checkin {
-                            shard: *shard,
-                            job: job.0,
-                        });
+                        q.push(
+                            t + work / (*procs).max(1) as f64,
+                            Ev::Checkin {
+                                shard: *shard,
+                                job: job.0,
+                            },
+                        );
                     }
                 }
                 Notice::Directive {
@@ -571,10 +588,13 @@ pub fn run_with_fed(
                                     lj.procs = to.procs();
                                 }
                                 let work = cfg.jobs[lj.idx].work;
-                                q.push(t + work / lj.procs.max(1) as f64, Ev::Checkin {
-                                    shard: *shard,
-                                    job: job.0,
-                                });
+                                q.push(
+                                    t + work / lj.procs.max(1) as f64,
+                                    Ev::Checkin {
+                                        shard: *shard,
+                                        job: job.0,
+                                    },
+                                );
                             }
                         }
                     }
@@ -688,7 +708,10 @@ mod tests {
 
     #[test]
     fn kills_recover_to_equal_snapshots_and_work_completes() {
-        let tenants = vec![TenantConfig::new(32, 1.0, 16), TenantConfig::new(32, 1.0, 16)];
+        let tenants = vec![
+            TenantConfig::new(32, 1.0, 16),
+            TenantConfig::new(32, 1.0, 16),
+        ];
         let mut cfg = FedSimConfig::new(vec![4, 4, 4], tenants, small_workload(24, 2));
         cfg.kills = vec![
             KillPlan {
@@ -705,7 +728,10 @@ mod tests {
         let report = run(cfg);
         assert_eq!(report.shard_kills, report.shard_recoveries);
         assert!(report.shard_kills >= 1, "kill plan should fire");
-        assert!(report.recoveries_matched, "WAL replay must equal crash snapshot");
+        assert!(
+            report.recoveries_matched,
+            "WAL replay must equal crash snapshot"
+        );
         assert_eq!(
             report.finished + report.failed + report.cancelled + report.evict_failed + report.shed,
             report.submitted
@@ -741,7 +767,10 @@ mod tests {
         let report = run_with(cfg, |fed, _| quiesced = fed.quiesced());
         assert_eq!(report.partitions_started, 1);
         assert_eq!(report.partitions_healed, 1);
-        assert!(report.leases_fenced >= 1, "suspicion must fence: {report:?}");
+        assert!(
+            report.leases_fenced >= 1,
+            "suspicion must fence: {report:?}"
+        );
         assert!(report.heal_repairs >= 1, "heal must repair: {report:?}");
         assert_eq!(report.finished, report.submitted);
         assert_eq!(report.leases_granted, report.leases_reclaimed);

@@ -21,7 +21,10 @@ pub struct TenantConfig {
 
 impl TenantConfig {
     pub fn new(quota_procs: usize, weight: f64, max_queue: usize) -> Self {
-        assert!(weight > 0.0 && weight.is_finite(), "weight must be positive");
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "weight must be positive"
+        );
         TenantConfig {
             quota_procs,
             weight,

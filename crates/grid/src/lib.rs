@@ -103,7 +103,10 @@ impl GridContext {
 
     /// Rank of the process at `(prow, pcol)` (BLACS `BLACS_PNUM`).
     pub fn pnum(&self, prow: usize, pcol: usize) -> usize {
-        assert!(prow < self.nprow && pcol < self.npcol, "coordinate out of grid");
+        assert!(
+            prow < self.nprow && pcol < self.npcol,
+            "coordinate out of grid"
+        );
         prow * self.npcol + pcol
     }
 
@@ -179,7 +182,12 @@ mod tests {
     use super::*;
     use reshape_mpisim::{NetModel, Universe};
 
-    fn on_grid(p: usize, nprow: usize, npcol: usize, f: impl Fn(GridContext) + Send + Sync + 'static) {
+    fn on_grid(
+        p: usize,
+        nprow: usize,
+        npcol: usize,
+        f: impl Fn(GridContext) + Send + Sync + 'static,
+    ) {
         Universe::new(p, 1, NetModel::ideal())
             .launch(p, None, "grid", move |comm| {
                 f(GridContext::new(&comm, nprow, npcol));

@@ -6,7 +6,9 @@
 
 use bytes::Bytes;
 
-use crate::comm::{Comm, TAG_ALLGATHER, TAG_ALLTOALL, TAG_BARRIER, TAG_BCAST, TAG_GATHER, TAG_REDUCE, TAG_SCATTER};
+use crate::comm::{
+    Comm, TAG_ALLGATHER, TAG_ALLTOALL, TAG_BARRIER, TAG_BCAST, TAG_GATHER, TAG_REDUCE, TAG_SCATTER,
+};
 use crate::datum::{from_bytes, to_bytes, Pod, Reducible};
 
 /// Elementwise reduction operator for [`Comm::reduce`] / [`Comm::allreduce`].
@@ -292,7 +294,11 @@ mod tests {
     #[test]
     fn bcast_non_power_of_two() {
         run(7, |comm| {
-            let data = if comm.rank() == 3 { vec![99u64] } else { vec![] };
+            let data = if comm.rank() == 3 {
+                vec![99u64]
+            } else {
+                vec![]
+            };
             assert_eq!(comm.bcast(3, &data), vec![99]);
         });
     }
@@ -348,7 +354,11 @@ mod tests {
     #[test]
     fn allgather_with_empty_contribution() {
         run(3, |comm| {
-            let mine: Vec<u32> = if comm.rank() == 1 { vec![] } else { vec![comm.rank() as u32] };
+            let mine: Vec<u32> = if comm.rank() == 1 {
+                vec![]
+            } else {
+                vec![comm.rank() as u32]
+            };
             let got = comm.allgather(&mine);
             assert_eq!(got[0], vec![0]);
             assert!(got[1].is_empty());

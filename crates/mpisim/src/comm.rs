@@ -231,7 +231,9 @@ impl Comm {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         self.check_crashed();
         self.stats.msgs.set(self.stats.msgs.get() + 1);
-        self.stats.bytes.set(self.stats.bytes.get() + payload.len() as u64);
+        self.stats
+            .bytes
+            .set(self.stats.bytes.get() + payload.len() as u64);
         reshape_telemetry::incr("mpisim.msgs_sent", 1);
         reshape_telemetry::incr("mpisim.bytes_sent", payload.len() as u64);
         // Injected link degradation multiplies both serialization and wire
@@ -284,7 +286,9 @@ impl Comm {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         self.check_crashed();
         self.stats.msgs.set(self.stats.msgs.get() + 1);
-        self.stats.bytes.set(self.stats.bytes.get() + payload.len() as u64);
+        self.stats
+            .bytes
+            .set(self.stats.bytes.get() + payload.len() as u64);
         reshape_telemetry::incr("mpisim.msgs_sent", 1);
         reshape_telemetry::incr("mpisim.bytes_sent", payload.len() as u64);
         let slow = self
@@ -461,10 +465,7 @@ impl Comm {
     pub fn split(&self, color: Option<u32>, key: i64) -> Option<Comm> {
         const NO_COLOR: u64 = u64::MAX;
         // Encode (color, key) per rank and gather at rank 0.
-        let mine = [
-            color.map_or(NO_COLOR, |c| c as u64),
-            key as u64,
-        ];
+        let mine = [color.map_or(NO_COLOR, |c| c as u64), key as u64];
         if self.rank == 0 {
             let mut entries: Vec<(u64, i64, usize)> = Vec::with_capacity(self.size());
             entries.push((mine[0], mine[1] as i64, 0));
@@ -515,7 +516,8 @@ impl Comm {
                     self.send_raw(old_rank, TAG_SPLIT, to_bytes(&msg));
                 }
             }
-            my_assignment.map(|(id, new_rank, old_ranks)| self.subgroup_comm(id, new_rank, &old_ranks))
+            my_assignment
+                .map(|(id, new_rank, old_ranks)| self.subgroup_comm(id, new_rank, &old_ranks))
         } else {
             self.send_raw(0, TAG_SPLIT, to_bytes(&mine));
             let v: Vec<u64> = {
@@ -762,7 +764,11 @@ mod tests {
                         .collect();
                     assert_eq!(back, want, "payload bytes");
                     let sender = at.load(Ordering::Relaxed);
-                    assert_eq!(ptr == sender, owned, "owned sends arrive in the sender's buffer");
+                    assert_eq!(
+                        ptr == sender,
+                        owned,
+                        "owned sends arrive in the sender's buffer"
+                    );
                     out.lock().unwrap()[3] = comm.vtime().to_bits();
                 }
             })

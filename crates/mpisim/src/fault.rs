@@ -82,13 +82,19 @@ impl FaultState {
     }
 
     pub fn inject_link_slowdown(&self, src: NodeId, dst: NodeId, factor: f64) {
-        assert!(factor.is_finite() && factor > 0.0, "slowdown factor must be positive");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "slowdown factor must be positive"
+        );
         self.link_slow.lock().insert((src.0, dst.0), factor);
         self.armed.store(true, Ordering::Release);
     }
 
     fn with_msg_faults(&self, p: f64, seed: u64, set: impl FnOnce(&mut MsgFaults, f64)) {
-        assert!((0.0..1.0).contains(&p), "fault probability must be in [0, 1)");
+        assert!(
+            (0.0..1.0).contains(&p),
+            "fault probability must be in [0, 1)"
+        );
         let mut guard = self.msg_faults.lock();
         let mf = guard.get_or_insert_with(MsgFaults::new);
         set(mf, p);
@@ -207,7 +213,11 @@ impl FaultState {
                 None => None,
                 Some(mf) => {
                     let (loss, dup, reorder) = (mf.loss, mf.dup, mf.reorder);
-                    Some((mf.rng.chance(loss), mf.rng.chance(dup), mf.rng.chance(reorder)))
+                    Some((
+                        mf.rng.chance(loss),
+                        mf.rng.chance(dup),
+                        mf.rng.chance(reorder),
+                    ))
                 }
             }
         } else {

@@ -44,8 +44,8 @@
 //! h.join_ok();
 //! ```
 
-mod comm;
 mod collectives;
+mod comm;
 mod datum;
 mod endpoint;
 mod fault;

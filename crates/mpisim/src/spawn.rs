@@ -387,14 +387,9 @@ mod tests {
         uni.inject_node_crash(NodeId(3), 0.0);
         let h = uni.launch(1, None, "root", |comm| {
             comm.advance(1.0);
-            let inter = comm.spawn(
-                2,
-                Some(vec![NodeId(2), NodeId(3)]),
-                "kids",
-                |ctx| {
-                    assert_eq!(ctx.world.size(), 1, "only the live node spawned");
-                },
-            );
+            let inter = comm.spawn(2, Some(vec![NodeId(2), NodeId(3)]), "kids", |ctx| {
+                assert_eq!(ctx.world.size(), 1, "only the live node spawned");
+            });
             assert_eq!(inter.remote_size(), 1, "dead-node placement declined");
         });
         h.join_ok();

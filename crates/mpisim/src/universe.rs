@@ -73,11 +73,8 @@ impl UniverseCore {
         let handle = std::thread::Builder::new()
             .name(name)
             .spawn(move || {
-                let ep = std::rc::Rc::new(std::cell::RefCell::new(Endpoint::new(
-                    pid,
-                    rx,
-                    start_vtime,
-                )));
+                let ep =
+                    std::rc::Rc::new(std::cell::RefCell::new(Endpoint::new(pid, rx, start_vtime)));
                 let result = std::panic::catch_unwind(AssertUnwindSafe(|| make_and_run(ep)));
                 let status = match result {
                     Ok(()) => ProcStatus::Finished,
@@ -231,7 +228,13 @@ impl Universe {
     /// Launch a fresh group of `n` processes, each running `entry` with its
     /// own [`Comm`] over a new world communicator. Placement defaults to
     /// round-robin if `nodes` is `None`.
-    pub fn launch<F>(&self, n: usize, nodes: Option<Vec<NodeId>>, name: &str, entry: F) -> GroupHandle
+    pub fn launch<F>(
+        &self,
+        n: usize,
+        nodes: Option<Vec<NodeId>>,
+        name: &str,
+        entry: F,
+    ) -> GroupHandle
     where
         F: Fn(Comm) + Send + Sync + 'static,
     {
@@ -416,7 +419,14 @@ mod tests {
         let p = uni.default_placement(6);
         assert_eq!(
             p,
-            vec![NodeId(0), NodeId(0), NodeId(1), NodeId(1), NodeId(2), NodeId(2)]
+            vec![
+                NodeId(0),
+                NodeId(0),
+                NodeId(1),
+                NodeId(1),
+                NodeId(2),
+                NodeId(2)
+            ]
         );
         assert_eq!(uni.total_slots(), 6);
     }

@@ -51,7 +51,11 @@ pub fn checkpoint_redistribute<T: Pod + Default>(
     params: &CheckpointParams,
     file: Option<&Path>,
 ) -> Option<DistMatrix<T>> {
-    assert_eq!((src_desc.m, src_desc.n), (dst_desc.m, dst_desc.n), "shape mismatch");
+    assert_eq!(
+        (src_desc.m, src_desc.n),
+        (dst_desc.m, dst_desc.n),
+        "shape mismatch"
+    );
     let p = src_desc.nprow * src_desc.npcol;
     let q = dst_desc.nprow * dst_desc.npcol;
     assert!(comm.size() >= p.max(q));
@@ -99,8 +103,7 @@ pub fn checkpoint_redistribute<T: Pod + Default>(
         }
         // Charge disk time regardless of whether a real file was used.
         comm.advance(
-            volume_bytes as f64 / params.disk_write_bw
-                + volume_bytes as f64 / params.disk_read_bw,
+            volume_bytes as f64 / params.disk_write_bw + volume_bytes as f64 / params.disk_read_bw,
         );
         Some(full)
     } else {
@@ -182,13 +185,13 @@ mod tests {
 
     fn round_trip_via_checkpoint(file: bool) {
         let uni = Universe::new(4, 1, NetModel::ideal());
-        let tmp = file.then(|| std::env::temp_dir().join(format!("reshape-ckpt-{}.bin", std::process::id())));
+        let tmp = file
+            .then(|| std::env::temp_dir().join(format!("reshape-ckpt-{}.bin", std::process::id())));
         uni.launch(4, None, "ckpt", move |comm| {
             let s = Descriptor::square(12, 2, 2, 2);
             let d = Descriptor::square(12, 2, 1, 4);
             let me = comm.rank();
-            let src =
-                DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 1000 + j) as f64);
+            let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 1000 + j) as f64);
             let out = checkpoint_redistribute(
                 &comm,
                 s,
@@ -221,7 +224,8 @@ mod tests {
 
     #[test]
     fn checkpoint_file_removed_after_success() {
-        let tmp = std::env::temp_dir().join(format!("reshape-ckpt-clean-{}.bin", std::process::id()));
+        let tmp =
+            std::env::temp_dir().join(format!("reshape-ckpt-clean-{}.bin", std::process::id()));
         let uni = Universe::new(2, 1, NetModel::ideal());
         let path = tmp.clone();
         uni.launch(2, None, "ckpt-clean", move |comm| {
@@ -240,7 +244,10 @@ mod tests {
             .expect("both ranks are in the destination grid");
         })
         .join_ok();
-        assert!(!tmp.exists(), "checkpoint file must be cleaned up on success");
+        assert!(
+            !tmp.exists(),
+            "checkpoint file must be cleaned up on success"
+        );
     }
 
     #[test]

@@ -171,7 +171,10 @@ mod tests {
         );
         let cs = evaluate_2d(&small, 8, &net).seconds;
         let cl = evaluate_2d(&large, 8, &net).seconds;
-        assert!(cl > cs * 4.0, "16x the data should cost well over 4x: {cs} vs {cl}");
+        assert!(
+            cl > cs * 4.0,
+            "16x the data should cost well over 4x: {cs} vs {cl}"
+        );
     }
 
     #[test]

@@ -90,12 +90,18 @@ pub(crate) fn lower_steps<X>(
     steps: &[Vec<X>],
     lower: impl Fn(&X) -> GTransfer2d,
 ) -> Cow<'static, [Vec<GTransfer2d>]> {
-    steps.iter().map(|step| step.iter().map(&lower).collect()).collect()
+    steps
+        .iter()
+        .map(|step| step.iter().map(&lower).collect())
+        .collect()
 }
 
 /// The runs covering global blocks `blocks` of `plan`'s dimension.
 pub(crate) fn block_runs(plan: &Redist1d, blocks: &[usize]) -> Vec<(usize, usize)> {
-    blocks.iter().map(|&k| (k * plan.b, plan.block_len(k))).collect()
+    blocks
+        .iter()
+        .map(|&k| (k * plan.b, plan.block_len(k)))
+        .collect()
 }
 
 pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
@@ -150,7 +156,13 @@ pub(crate) fn run_2d<T: Pod + Default>(
     });
     let mut out =
         (me < d.nprow * d.npcol).then(|| DistMatrix::<T>::new(*d, me / d.npcol, me % d.npcol));
-    execute(comm, sched, mode, local, out.as_mut().map(|m| m.local_data_mut()))?;
+    execute(
+        comm,
+        sched,
+        mode,
+        local,
+        out.as_mut().map(|m| m.local_data_mut()),
+    )?;
     Ok(out)
 }
 
@@ -172,7 +184,13 @@ pub(crate) fn run_1d<T: Pod + Default>(
         v.local_data()
     });
     let mut out = (me < d.npcol).then(|| DistVector::<T>::new(d.n, d.nb, me, d.npcol));
-    execute(comm, sched, Commit::Direct, local, out.as_mut().map(|v| v.local_data_mut()))?;
+    execute(
+        comm,
+        sched,
+        Commit::Direct,
+        local,
+        out.as_mut().map(|v| v.local_data_mut()),
+    )?;
     Ok(out)
 }
 
@@ -240,7 +258,10 @@ fn execute<T: Pod + Default>(
         let tag = sched.tag_base + t as u32;
         // Remote sends first, so their receivers can start while this rank
         // copies its local moves.
-        for mv in step.iter().filter(|mv| mv.src == my_src && mv.dst != my_dst) {
+        for mv in step
+            .iter()
+            .filter(|mv| mv.src == my_src && mv.dst != my_dst)
+        {
             let local = src.expect("a move from this rank implies a source panel");
             let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
             let to = mv.dst.0 * d.npcol + mv.dst.1;
@@ -258,25 +279,36 @@ fn execute<T: Pod + Default>(
             }
         }
         // Local moves: both endpoints are this rank.
-        for mv in step.iter().filter(|mv| mv.src == my_src && mv.dst == my_dst) {
+        for mv in step
+            .iter()
+            .filter(|mv| mv.src == my_src && mv.dst == my_dst)
+        {
             let local = src.expect("a move from this rank implies a source panel");
             match mode {
                 Commit::Direct => {
-                    let out = out.as_deref_mut().expect("a move to this rank implies a panel");
+                    let out = out
+                        .as_deref_mut()
+                        .expect("a move to this rank implies a panel");
                     timed(tel, &mut unpack_s, || {
                         copy_local(local, s, src_lcols, out, d, dst_lcols, mv)
                     });
                 }
-                Commit::Staged => {
-                    staged.push((mv, timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv))))
-                }
+                Commit::Staged => staged.push((
+                    mv,
+                    timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
+                )),
             }
         }
-        for mv in step.iter().filter(|mv| mv.dst == my_dst && mv.src != my_src) {
+        for mv in step
+            .iter()
+            .filter(|mv| mv.dst == my_dst && mv.src != my_src)
+        {
             let from = mv.src.0 * s.npcol + mv.src.1;
             match mode {
                 Commit::Direct => {
-                    let out = out.as_deref_mut().expect("a payload implies a destination panel");
+                    let out = out
+                        .as_deref_mut()
+                        .expect("a payload implies a destination panel");
                     // The wait is transfer time; the copy out of the
                     // payload, inside the receive, is unpack time.
                     let mut copy_s = 0.0;
@@ -288,12 +320,14 @@ fn execute<T: Pod + Default>(
                     xfer_s -= copy_s;
                     unpack_s += copy_s;
                 }
-                Commit::Staged => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
-                    Ok(payload) => staged.push((mv, payload)),
-                    Err(()) => {
-                        dead.get_or_insert(from);
+                Commit::Staged => {
+                    match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
+                        Ok(payload) => staged.push((mv, payload)),
+                        Err(()) => {
+                            dead.get_or_insert(from);
+                        }
                     }
-                },
+                }
             }
         }
     }
@@ -326,7 +360,11 @@ fn execute<T: Pod + Default>(
             ctx.parent,
             format!(
                 "redist_exec {}x{}->{}x{} ({} steps)",
-                s.nprow, s.npcol, d.nprow, d.npcol, sched.steps.len()
+                s.nprow,
+                s.npcol,
+                d.nprow,
+                d.npcol,
+                sched.steps.len()
             ),
             "redist_exec",
             "redist",
@@ -380,7 +418,10 @@ fn spans<'a>(
     rows.flat_map(move |gi| {
         let row = g2l(gi, d.mb, d.nprow).1 * lcols;
         mv.col_runs.iter().map(move |&(j0, len)| {
-            debug_assert!(j0 % d.nb + len <= d.nb, "column run crosses a block boundary");
+            debug_assert!(
+                j0 % d.nb + len <= d.nb,
+                "column run crosses a block boundary"
+            );
             let at = row + g2l(j0, d.nb, d.npcol).1;
             at..at + len
         })
@@ -407,7 +448,11 @@ fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d) -> 
 /// Panics if the payload is not exactly the move's elements.
 fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &GTransfer2d, local: &mut [T]) {
     let esz = std::mem::size_of::<T>();
-    assert_eq!(payload.len(), mv.elems() * esz, "transfer payload length mismatch");
+    assert_eq!(
+        payload.len(),
+        mv.elems() * esz,
+        "transfer payload length mismatch"
+    );
     let local = bytes_of_mut(local);
     let mut at = 0;
     for span in spans(d, lcols, mv) {
@@ -459,7 +504,14 @@ mod tests {
     /// Launch max(p,q) ranks, build the source matrix on the p-grid,
     /// redistribute to the q-grid, and verify every element landed on its
     /// new owner with its value intact.
-    fn round_trip(m: usize, n: usize, mb: usize, nb: usize, sg: (usize, usize), dg: (usize, usize)) {
+    fn round_trip(
+        m: usize,
+        n: usize,
+        mb: usize,
+        nb: usize,
+        sg: (usize, usize),
+        dg: (usize, usize),
+    ) {
         round_trip_of(m, n, mb, nb, sg, dg, |x| x as f64);
     }
 
@@ -482,8 +534,9 @@ mod tests {
             let dst_desc = Descriptor::new(m, n, mb, nb, dg.0, dg.1);
             let plan = plan_2d(src_desc, dst_desc);
             let me = comm.rank();
-            let src = (me < p)
-                .then(|| DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, |i, j| val(i * 7919 + j)));
+            let src = (me < p).then(|| {
+                DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, |i, j| val(i * 7919 + j))
+            });
             let out = redistribute_2d(&comm, &plan, src.as_ref());
             if me < q {
                 let out = out.expect("destination rank gets a panel");
@@ -550,7 +603,9 @@ mod tests {
         let (d, mv) = corner_move();
         let want = [u64::MAX, 1, 2 << 40, 3];
         // One byte ahead of the elements, so no view of them is aligned.
-        let framed: Vec<u8> = std::iter::once(0).chain(want.iter().flat_map(|v| v.to_ne_bytes())).collect();
+        let framed: Vec<u8> = std::iter::once(0)
+            .chain(want.iter().flat_map(|v| v.to_ne_bytes()))
+            .collect();
         let mut local = vec![0u64; d.local_rows(0) * d.local_cols(0)];
         unpack(&framed[1..], &d, d.local_cols(0), &mv, &mut local);
         let lcols = d.local_cols(0);

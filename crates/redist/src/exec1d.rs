@@ -51,9 +51,8 @@ mod tests {
             .launch(ranks, None, "r1d", move |comm| {
                 let plan = plan_1d(n, b, p, q);
                 let me = comm.rank();
-                let src = (me < p).then(|| {
-                    DistVector::from_fn(n, b, me, p, |g| (g * 31 + 7) as f64)
-                });
+                let src =
+                    (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| (g * 31 + 7) as f64));
                 let out = redistribute_1d(&comm, &plan, src.as_ref());
                 if me < q {
                     let out = out.expect("in destination layout");

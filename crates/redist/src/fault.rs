@@ -111,7 +111,9 @@ pub fn try_checkpoint_redistribute<T: Pod + Default>(
         }
         return Err(abort);
     }
-    Ok(checkpoint_redistribute(comm, src_desc, dst_desc, src, params, file))
+    Ok(checkpoint_redistribute(
+        comm, src_desc, dst_desc, src, params, file,
+    ))
 }
 
 #[cfg(test)]
@@ -170,7 +172,8 @@ mod tests {
     /// checkpoint file: a stale file would shadow the next resize's data.
     #[test]
     fn aborted_checkpoint_removes_stale_file() {
-        let tmp = std::env::temp_dir().join(format!("reshape-ckpt-abort-{}.bin", std::process::id()));
+        let tmp =
+            std::env::temp_dir().join(format!("reshape-ckpt-abort-{}.bin", std::process::id()));
         std::fs::write(&tmp, b"stale checkpoint from a previous resize").unwrap();
         let uni = Universe::new(4, 1, NetModel::ideal());
         let path = tmp.clone();

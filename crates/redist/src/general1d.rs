@@ -75,7 +75,10 @@ impl GeneralPlan1d {
 /// Build the plan for moving an `n`-element array from `(b_src, p)` to
 /// `(b_dst, q)` block-cyclic layout.
 pub fn plan_general_1d(n: usize, b_src: usize, p: usize, b_dst: usize, q: usize) -> GeneralPlan1d {
-    assert!(b_src > 0 && b_dst > 0 && p > 0 && q > 0, "degenerate layout");
+    assert!(
+        b_src > 0 && b_dst > 0 && p > 0 && q > 0,
+        "degenerate layout"
+    );
     // Phase 1: cut into constant-owner-pair runs and coalesce per pair.
     let mut pair_runs: std::collections::BTreeMap<(usize, usize), Vec<(usize, usize)>> =
         std::collections::BTreeMap::new();
@@ -123,20 +126,19 @@ fn color_bipartite(edges: &[(usize, usize)], nl: usize, nr: usize) -> Vec<usize>
         dl[u] += 1;
         dr[v] += 1;
     }
-    let delta = dl
-        .iter()
-        .chain(dr.iter())
-        .copied()
-        .max()
-        .unwrap_or(0);
+    let delta = dl.iter().chain(dr.iter()).copied().max().unwrap_or(0);
     // colored[u][c] = Some(v): left u matched to right v in color c.
     let mut left: Vec<Vec<Option<usize>>> = vec![vec![None; delta]; nl];
     let mut right: Vec<Vec<Option<usize>>> = vec![vec![None; delta]; nr];
     let mut colors = vec![usize::MAX; edges.len()];
 
     for &(u, v) in edges.iter() {
-        let cu = (0..delta).find(|&c| left[u][c].is_none()).expect("degree bound");
-        let cv = (0..delta).find(|&c| right[v][c].is_none()).expect("degree bound");
+        let cu = (0..delta)
+            .find(|&c| left[u][c].is_none())
+            .expect("degree bound");
+        let cv = (0..delta)
+            .find(|&c| right[v][c].is_none())
+            .expect("degree bound");
         if cu != cv {
             // Make cu free at v: walk the maximal alternating (cu, cv) path
             // starting from v's cu-colored edge and swap the two colors
@@ -179,7 +181,10 @@ fn color_bipartite(edges: &[(usize, usize)], nl: usize, nr: usize) -> Vec<usize>
             }
         }
         debug_assert!(left[u][cu].is_none(), "cu must be free at u");
-        debug_assert!(right[v][cu].is_none(), "cu must be free at v after the flip");
+        debug_assert!(
+            right[v][cu].is_none(),
+            "cu must be free at v after the flip"
+        );
         left[u][cu] = Some(v);
         right[v][cu] = Some(u);
     }
@@ -264,8 +269,16 @@ mod tests {
             let mut senders = HashSet::new();
             let mut receivers = HashSet::new();
             for t in step {
-                assert!(senders.insert(t.src), "source {} sends twice in a step", t.src);
-                assert!(receivers.insert(t.dst), "dest {} receives twice in a step", t.dst);
+                assert!(
+                    senders.insert(t.src),
+                    "source {} sends twice in a step",
+                    t.src
+                );
+                assert!(
+                    receivers.insert(t.dst),
+                    "dest {} receives twice in a step",
+                    t.dst
+                );
                 for &(start, len) in &t.runs {
                     for (e, c) in covered.iter_mut().enumerate().skip(start).take(len) {
                         assert_eq!((e / plan.b_src) % plan.p, t.src, "element {e} wrong src");

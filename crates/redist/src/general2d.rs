@@ -162,9 +162,7 @@ mod tests {
                 check_steps_are_matchings(&plan);
                 let me = comm.rank();
                 let src = (me < p).then(|| {
-                    DistMatrix::from_fn(src_d, me / sg.1, me % sg.1, |i, j| {
-                        (i * 4099 + j) as f64
-                    })
+                    DistMatrix::from_fn(src_d, me / sg.1, me % sg.1, |i, j| (i * 4099 + j) as f64)
                 });
                 let out = redistribute_general_2d(&comm, &plan, src.as_ref());
                 if me < q {

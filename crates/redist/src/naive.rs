@@ -110,7 +110,12 @@ mod tests {
         let naive = plan_naive_2d(src, dst);
         let mut seen = std::collections::BTreeSet::new();
         for t in &naive.steps[0] {
-            assert!(seen.insert((t.src, t.dst)), "duplicate message {:?}->{:?}", t.src, t.dst);
+            assert!(
+                seen.insert((t.src, t.dst)),
+                "duplicate message {:?}->{:?}",
+                t.src,
+                t.dst
+            );
         }
     }
 

@@ -55,7 +55,10 @@ impl Redist1d {
 
     /// Bytes moved by a transfer, given the element size.
     pub fn transfer_bytes(&self, t: &Transfer1d, elem_size: usize) -> usize {
-        t.blocks.iter().map(|&k| self.block_len(k) * elem_size).sum()
+        t.blocks
+            .iter()
+            .map(|&k| self.block_len(k) * elem_size)
+            .sum()
     }
 
     /// Total bytes that cross the network (excludes src == dst transfers,
@@ -113,7 +116,11 @@ pub fn plan_1d(n: usize, b: usize, p: usize, q: usize) -> Redist1d {
                     continue;
                 }
                 let dst = first % q;
-                step.push(Transfer1d { src: s, dst, blocks });
+                step.push(Transfer1d {
+                    src: s,
+                    dst,
+                    blocks,
+                });
             }
             if !step.is_empty() {
                 steps.push(step);
@@ -139,7 +146,11 @@ mod tests {
             let mut senders = HashSet::new();
             let mut receivers = HashSet::new();
             for t in step {
-                assert!(senders.insert(t.src), "source {} sends twice in a step", t.src);
+                assert!(
+                    senders.insert(t.src),
+                    "source {} sends twice in a step",
+                    t.src
+                );
                 assert!(
                     receivers.insert(t.dst),
                     "destination {} receives twice in a step",

@@ -45,8 +45,16 @@ impl Redist2d {
     /// Element count of a transfer (product of its ragged row and column
     /// block lengths).
     pub fn transfer_elems(&self, t: &Transfer2d) -> usize {
-        let rows: usize = t.row_blocks.iter().map(|&k| self.row_plan.block_len(k)).sum();
-        let cols: usize = t.col_blocks.iter().map(|&k| self.col_plan.block_len(k)).sum();
+        let rows: usize = t
+            .row_blocks
+            .iter()
+            .map(|&k| self.row_plan.block_len(k))
+            .sum();
+        let cols: usize = t
+            .col_blocks
+            .iter()
+            .map(|&k| self.col_plan.block_len(k))
+            .sum();
         rows * cols
     }
 
@@ -161,8 +169,15 @@ mod tests {
         }
         let nrb = d.m.div_ceil(d.mb);
         let ncb = d.n.div_ceil(d.nb);
-        assert_eq!(covered.len(), nrb * ncb, "every (row,col) block pair covered");
-        assert!(covered.values().all(|&c| c == 1), "no block pair duplicated");
+        assert_eq!(
+            covered.len(),
+            nrb * ncb,
+            "every (row,col) block pair covered"
+        );
+        assert!(
+            covered.values().all(|&c| c == 1),
+            "no block pair duplicated"
+        );
     }
 
     #[test]

@@ -100,9 +100,8 @@ mod tests {
             let d = Descriptor::new(17, 23, 3, 2, 2, 3);
             let plan = plan_2d(s, d);
             let me = comm.rank();
-            let src = (me < 4).then(|| {
-                DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 7919 + j) as f64)
-            });
+            let src = (me < 4)
+                .then(|| DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 7919 + j) as f64));
             let txn = txn_redistribute_2d(&comm, &plan, src.as_ref()).expect("all alive");
             let plain = redistribute_2d(&comm, &plan, src.as_ref());
             match (txn, plain) {
@@ -111,7 +110,10 @@ mod tests {
                     assert_eq!(a.local_cols(), b.local_cols());
                     for li in 0..a.local_rows() {
                         for lj in 0..a.local_cols() {
-                            assert_eq!(a.get_local(li, lj).to_bits(), b.get_local(li, lj).to_bits());
+                            assert_eq!(
+                                a.get_local(li, lj).to_bits(),
+                                b.get_local(li, lj).to_bits()
+                            );
                         }
                     }
                 }
@@ -137,7 +139,10 @@ mod tests {
             let me = comm.rank();
             let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 31 + j) as f64);
             let before: Vec<u64> = (0..src.local_rows() * src.local_cols())
-                .map(|k| src.get_local(k / src.local_cols(), k % src.local_cols()).to_bits())
+                .map(|k| {
+                    src.get_local(k / src.local_cols(), k % src.local_cols())
+                        .to_bits()
+                })
                 .collect();
             let res = txn_redistribute_2d(&comm, &plan, Some(&src));
             if me == 3 {
@@ -145,9 +150,15 @@ mod tests {
             }
             res.expect_err("death mid-redistribution must abort the transaction");
             let after: Vec<u64> = (0..src.local_rows() * src.local_cols())
-                .map(|k| src.get_local(k / src.local_cols(), k % src.local_cols()).to_bits())
+                .map(|k| {
+                    src.get_local(k / src.local_cols(), k % src.local_cols())
+                        .to_bits()
+                })
                 .collect();
-            assert_eq!(before, after, "abort must leave the old layout bitwise intact");
+            assert_eq!(
+                before, after,
+                "abort must leave the old layout bitwise intact"
+            );
             survivor_sync(&comm, &[0, 1, 2]);
         })
         .join();

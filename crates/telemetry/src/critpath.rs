@@ -129,10 +129,7 @@ pub fn analyze(spans: &[SpanRecord]) -> Vec<JobCritPath> {
             .map(|s| (*s, s.start.max(lo), s.end.min(hi)))
             .filter(|&(_, a, b)| b > a)
             .collect();
-        let mut bounds: Vec<f64> = clipped
-            .iter()
-            .flat_map(|&(_, a, b)| [a, b])
-            .collect();
+        let mut bounds: Vec<f64> = clipped.iter().flat_map(|&(_, a, b)| [a, b]).collect();
         bounds.sort_by(|a, b| a.partial_cmp(b).expect("finite span times"));
         bounds.dedup();
         let mut crit = JobCritPath {

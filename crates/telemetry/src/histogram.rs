@@ -399,7 +399,13 @@ mod tests {
             max: 1.0,
         };
         let err = h.merge(&alien).unwrap_err();
-        assert_eq!(err, MergeError::BucketMismatch { expected: BUCKETS, got: 16 });
+        assert_eq!(
+            err,
+            MergeError::BucketMismatch {
+                expected: BUCKETS,
+                got: 16
+            }
+        );
         assert!(err.to_string().contains("expected 64 buckets, got 16"));
         // The refused merge left the histogram untouched.
         assert_eq!(h.snapshot().count, 1);
@@ -432,7 +438,10 @@ mod tests {
         };
         assert_eq!(
             a.try_merge(&b).unwrap_err(),
-            MergeError::BucketMismatch { expected: 8, got: 4 }
+            MergeError::BucketMismatch {
+                expected: 8,
+                got: 4
+            }
         );
         // Identity cases still succeed: empty other, or empty self.
         a.try_merge(&HistogramSnapshot::default()).unwrap();
@@ -446,8 +455,14 @@ mod tests {
         // Quantile estimates after merging two halves equal the estimates
         // of recording the whole stream into one histogram — the property
         // a cross-rank aggregation needs to report honest p95s.
-        let evens: Vec<f64> = (10..20).step_by(2).map(|k| MIN_BOUND * 2f64.powi(k)).collect();
-        let odds: Vec<f64> = (11..20).step_by(2).map(|k| MIN_BOUND * 2f64.powi(k)).collect();
+        let evens: Vec<f64> = (10..20)
+            .step_by(2)
+            .map(|k| MIN_BOUND * 2f64.powi(k))
+            .collect();
+        let odds: Vec<f64> = (11..20)
+            .step_by(2)
+            .map(|k| MIN_BOUND * 2f64.powi(k))
+            .collect();
         let mut merged = snap_of(&evens);
         merged.try_merge(&snap_of(&odds)).unwrap();
         let all: Vec<f64> = evens.iter().chain(odds.iter()).copied().collect();

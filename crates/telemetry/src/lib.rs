@@ -37,8 +37,8 @@ pub use histogram::{
     bucket_index, bucket_upper_bound, Histogram, HistogramSnapshot, MergeError, BUCKETS, MIN_BOUND,
 };
 pub use journal::{
-    drain as drain_journal, dropped as journal_dropped, record, set_capacity as set_journal_capacity,
-    snapshot_events, Event, DEFAULT_CAPACITY,
+    drain as drain_journal, dropped as journal_dropped, record,
+    set_capacity as set_journal_capacity, snapshot_events, Event, DEFAULT_CAPACITY,
 };
 pub use metrics::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use openmetrics::{encode_labels, escape_label_value, render_openmetrics, sanitize_name};
@@ -211,7 +211,8 @@ pub fn text_report() -> String {
         }
     }
     let events = snapshot_events();
-    let mut tally: std::collections::BTreeMap<&'static str, usize> = std::collections::BTreeMap::new();
+    let mut tally: std::collections::BTreeMap<&'static str, usize> =
+        std::collections::BTreeMap::new();
     for ev in &events {
         *tally.entry(ev.kind()).or_insert(0) += 1;
     }
@@ -252,7 +253,10 @@ pub fn flush() {
              set_journal_capacity to keep them"
         );
     }
-    match std::env::var("RESHAPE_TELEMETRY_PATH").ok().filter(|p| !p.is_empty()) {
+    match std::env::var("RESHAPE_TELEMETRY_PATH")
+        .ok()
+        .filter(|p| !p.is_empty())
+    {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, body) {
                 eprintln!("reshape-telemetry: cannot write {path}: {e}");
@@ -263,7 +267,9 @@ pub fn flush() {
 }
 
 fn metrics_path() -> Option<String> {
-    std::env::var("RESHAPE_METRICS").ok().filter(|p| !p.is_empty())
+    std::env::var("RESHAPE_METRICS")
+        .ok()
+        .filter(|p| !p.is_empty())
 }
 
 /// Write the registry in OpenMetrics text format to `RESHAPE_METRICS`, if

@@ -114,7 +114,9 @@ fn group_families<'a, V>(
     let mut fams: BTreeMap<String, Vec<(String, V)>> = BTreeMap::new();
     for (key, v) in metrics {
         let (family, labels) = split_key(key);
-        fams.entry(family).or_default().push((labels.to_string(), v));
+        fams.entry(family)
+            .or_default()
+            .push((labels.to_string(), v));
     }
     fams
 }
@@ -131,12 +133,21 @@ fn render_histogram(out: &mut String, family: &str, labels: &str, h: &HistogramS
         } else {
             fmt_f64(bucket_upper_bound(i))
         };
-        let _ = writeln!(out, "{family}_bucket{} {cum}", with_label(labels, "le", &le));
+        let _ = writeln!(
+            out,
+            "{family}_bucket{} {cum}",
+            with_label(labels, "le", &le)
+        );
     }
     // The +Inf bucket line is mandatory even when the overflow bucket is
     // empty (and for empty histograms): it carries the total count.
     if h.buckets.last().copied().unwrap_or(0) == 0 {
-        let _ = writeln!(out, "{family}_bucket{} {}", with_label(labels, "le", "+Inf"), h.count);
+        let _ = writeln!(
+            out,
+            "{family}_bucket{} {}",
+            with_label(labels, "le", "+Inf"),
+            h.count
+        );
     }
     let _ = writeln!(out, "{family}_sum{labels} {}", fmt_f64(h.sum));
     let _ = writeln!(out, "{family}_count{labels} {}", h.count);
@@ -216,10 +227,7 @@ mod tests {
     #[test]
     fn injects_le_into_existing_block() {
         assert_eq!(with_label("", "le", "+Inf"), "{le=\"+Inf\"}");
-        assert_eq!(
-            with_label("{w=\"1\"}", "le", "0.5"),
-            "{w=\"1\",le=\"0.5\"}"
-        );
+        assert_eq!(with_label("{w=\"1\"}", "le", "0.5"), "{w=\"1\",le=\"0.5\"}");
     }
 
     #[test]

@@ -384,11 +384,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     }
     let mut tids: BTreeMap<(u64, String), u64> = BTreeMap::new();
     for s in spans {
-        let next = tids
-            .iter()
-            .filter(|((t, _), _)| *t == s.trace)
-            .count() as u64
-            + 1;
+        let next = tids.iter().filter(|((t, _), _)| *t == s.trace).count() as u64 + 1;
         tids.entry((s.trace, s.track.clone())).or_insert(next);
     }
     let mut events = Vec::new();
@@ -528,7 +524,10 @@ pub fn write_trace_files(spans: &[SpanRecord]) {
     if spans.is_empty() {
         return;
     }
-    let Some(path) = std::env::var("RESHAPE_TRACE").ok().filter(|p| !p.is_empty()) else {
+    let Some(path) = std::env::var("RESHAPE_TRACE")
+        .ok()
+        .filter(|p| !p.is_empty())
+    else {
         return;
     };
     if let Err(e) = std::fs::write(&path, chrome_trace_json(spans)) {
@@ -638,7 +637,10 @@ mod tests {
         assert_eq!(head(4), 0);
         assert_eq!(current(), TraceCtx::default());
         {
-            let _c = ctx_guard(TraceCtx { trace: 3, parent: 17 });
+            let _c = ctx_guard(TraceCtx {
+                trace: 3,
+                parent: 17,
+            });
             assert_eq!(current().parent, 17);
         }
         assert_eq!(current(), TraceCtx::default());

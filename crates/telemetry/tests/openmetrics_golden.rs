@@ -14,8 +14,11 @@ fn build_snapshot() -> reshape_telemetry::RegistrySnapshot {
     r.counter("redist.msgs_total").add(7);
     r.counter("jobs_finished_total").add(3);
     // Labeled series share one family with the bare series.
-    r.counter(&format!("jobs_finished_total{}", encode_labels(&[("queue", "batch")])))
-        .add(2);
+    r.counter(&format!(
+        "jobs_finished_total{}",
+        encode_labels(&[("queue", "batch")])
+    ))
+    .add(2);
     r.gauge("sched_procs_free").set(12.0);
     r.gauge(&format!(
         "reshape_sim_utilization{}",
@@ -50,7 +53,8 @@ fn rendering_matches_golden_file() {
         std::fs::write(golden_path, &got).expect("write golden");
         return;
     }
-    let want = std::fs::read_to_string(golden_path).expect("golden file exists — run with BLESS=1 once");
+    let want =
+        std::fs::read_to_string(golden_path).expect("golden file exists — run with BLESS=1 once");
     assert_eq!(
         got, want,
         "OpenMetrics output drifted from tests/golden/openmetrics.prom — \

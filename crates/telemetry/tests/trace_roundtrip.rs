@@ -14,15 +14,79 @@ fn emit() -> Vec<trace::SpanRecord> {
 
     for (job, base) in [(1u64, 0.0f64), (2, 100.0)] {
         let root = trace::begin(job, 0, format!("job {job}"), "job", "scheduler", base);
-        let qw = trace::complete(job, root, "queue_wait", "queue_wait", "scheduler", base, base + 2.0);
+        let qw = trace::complete(
+            job,
+            root,
+            "queue_wait",
+            "queue_wait",
+            "scheduler",
+            base,
+            base + 2.0,
+        );
         let it0 = trace::complete(job, qw, "iter 0", "compute", "sim", base + 2.0, base + 10.0);
-        let dec = trace::complete(job, it0, "decision:expand", "decision", "scheduler", base + 10.0, base + 10.0);
-        let sp = trace::complete(job, dec, "spawn 1x2->2x2", "spawn", "sim", base + 10.0, base + 10.0);
-        let rd = trace::complete(job, sp, "redist 1x2->2x2", "redist", "sim", base + 10.0, base + 13.0);
-        trace::complete(job, rd, "pack", "redist_pack", "sim", base + 10.0, base + 11.0);
-        trace::complete(job, rd, "transfer", "redist_transfer", "sim", base + 11.0, base + 12.5);
-        trace::complete(job, rd, "unpack", "redist_unpack", "sim", base + 12.5, base + 13.0);
-        trace::complete(job, rd, "iter 1", "compute", "sim", base + 13.0, base + 20.0);
+        let dec = trace::complete(
+            job,
+            it0,
+            "decision:expand",
+            "decision",
+            "scheduler",
+            base + 10.0,
+            base + 10.0,
+        );
+        let sp = trace::complete(
+            job,
+            dec,
+            "spawn 1x2->2x2",
+            "spawn",
+            "sim",
+            base + 10.0,
+            base + 10.0,
+        );
+        let rd = trace::complete(
+            job,
+            sp,
+            "redist 1x2->2x2",
+            "redist",
+            "sim",
+            base + 10.0,
+            base + 13.0,
+        );
+        trace::complete(
+            job,
+            rd,
+            "pack",
+            "redist_pack",
+            "sim",
+            base + 10.0,
+            base + 11.0,
+        );
+        trace::complete(
+            job,
+            rd,
+            "transfer",
+            "redist_transfer",
+            "sim",
+            base + 11.0,
+            base + 12.5,
+        );
+        trace::complete(
+            job,
+            rd,
+            "unpack",
+            "redist_unpack",
+            "sim",
+            base + 12.5,
+            base + 13.0,
+        );
+        trace::complete(
+            job,
+            rd,
+            "iter 1",
+            "compute",
+            "sim",
+            base + 13.0,
+            base + 20.0,
+        );
         trace::end(root, base + 20.0);
     }
     trace::complete(0, 0, "wal_append", "wal", "scheduler", 5.0, 5.0);
@@ -59,14 +123,30 @@ fn export_reparses_with_parent_closure_and_ordered_timestamps() {
     // No span ends before it starts — including the one left open, which
     // drain closed at the run's t_max (120.0 > its 50.0 start).
     for s in &back {
-        assert!(s.end >= s.start, "span {} ({}) ends before it starts", s.id, s.name);
+        assert!(
+            s.end >= s.start,
+            "span {} ({}) ends before it starts",
+            s.id,
+            s.name
+        );
     }
-    let open = back.iter().find(|s| s.name == "wal_recovery").expect("open span exported");
-    assert!((open.end - 120.0).abs() < 1e-6, "open span closed at t_max, got {}", open.end);
+    let open = back
+        .iter()
+        .find(|s| s.name == "wal_recovery")
+        .expect("open span exported");
+    assert!(
+        (open.end - 120.0).abs() < 1e-6,
+        "open span closed at t_max, got {}",
+        open.end
+    );
 
     // The validator agrees, and the same checks hold for the file
     // write_trace_files would produce (it serializes this same JSON).
-    assert!(trace::validate(&back).is_empty(), "{:?}", trace::validate(&back));
+    assert!(
+        trace::validate(&back).is_empty(),
+        "{:?}",
+        trace::validate(&back)
+    );
 
     // Round-tripped timestamps survive the microsecond encoding.
     for (a, b) in spans.iter().zip(&back) {

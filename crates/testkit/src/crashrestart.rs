@@ -125,7 +125,9 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     // The interrupted-and-recovered run must land on the baseline's exact
     // final state: recovery is invisible to scheduling outcomes.
     if final_core.snapshot() != baseline {
-        return Err(dump("final state after recovery diverged from the uninterrupted run"));
+        return Err(dump(
+            "final state after recovery diverged from the uninterrupted run",
+        ));
     }
 
     Ok(CrashReport {
@@ -152,7 +154,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let stem = format!("{}/seed-7", dir.display());
         write_wal_artifact(&stem, &text).unwrap();
-        assert_eq!(std::fs::read_to_string(format!("{stem}.wal")).unwrap(), text);
+        assert_eq!(
+            std::fs::read_to_string(format!("{stem}.wal")).unwrap(),
+            text
+        );
         assert_eq!(
             std::fs::read_to_string(format!("{stem}.wal.json")).unwrap(),
             "{\"type\":\"tick\",\"now\":1.0}\n{\"type\":\"tick\",\"now\":null}\n"

@@ -92,8 +92,7 @@ fn run_path_2d(case: &Case2d, which: Path2d) -> Vec<u64> {
         let src_desc = Descriptor::new(m, n, mb, nb, sg.0, sg.1);
         let dst_desc = Descriptor::new(m, n, mb, nb, dg.0, dg.1);
         let me = comm.rank();
-        let src = (me < p)
-            .then(|| DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, value));
+        let src = (me < p).then(|| DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, value));
         let got: Option<DistMatrix<u64>> = match which {
             Path2d::Planned => redistribute_2d(&comm, &plan_2d(src_desc, dst_desc), src.as_ref()),
             Path2d::Naive => {
@@ -166,8 +165,7 @@ pub fn differential_1d(n: usize, b: usize, p: usize, q: usize) -> Result<(), Str
         let uni = Universe::new(ranks, 1, NetModel::ideal());
         uni.launch(ranks, None, "diff1d", move |comm| {
             let me = comm.rank();
-            let src =
-                (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
+            let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
             let got: Option<DistVector<u64>> = if which == 0 {
                 redistribute_1d(&comm, &plan_1d(n, b, p, q), src.as_ref())
             } else {
@@ -229,29 +227,30 @@ pub fn dead_rank_aborts_2d() -> Result<(), String> {
             let src = DistMatrix::from_fn(s, me / 2, me % 2, value);
             let src_1d = DistVector::from_fn(16, 2, me, 4, |g| value(g, 0));
             let snapshot = (src.local_data().to_vec(), src_1d.local_data().to_vec());
-            let err = match which {
-                TryPath::Planned => try_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
+            let err =
+                match which {
+                    TryPath::Planned => try_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
+                        .expect_err("must abort"),
+                    TryPath::General => {
+                        try_redistribute_general_2d(&comm, &plan_general_2d(s, d), Some(&src))
+                            .expect_err("must abort")
+                    }
+                    TryPath::Checkpoint => try_checkpoint_redistribute(
+                        &comm,
+                        s,
+                        d,
+                        Some(&src),
+                        &CheckpointParams::default(),
+                        None,
+                    )
                     .expect_err("must abort"),
-                TryPath::General => {
-                    try_redistribute_general_2d(&comm, &plan_general_2d(s, d), Some(&src))
-                        .expect_err("must abort")
-                }
-                TryPath::Checkpoint => try_checkpoint_redistribute(
-                    &comm,
-                    s,
-                    d,
-                    Some(&src),
-                    &CheckpointParams::default(),
-                    None,
-                )
-                .expect_err("must abort"),
-                TryPath::Txn => txn_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
-                    .expect_err("must abort"),
-                TryPath::Planned1d => {
-                    try_redistribute_1d(&comm, &plan_1d(16, 2, 4, 2), Some(&src_1d))
-                        .expect_err("must abort")
-                }
-            };
+                    TryPath::Txn => txn_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
+                        .expect_err("must abort"),
+                    TryPath::Planned1d => {
+                        try_redistribute_1d(&comm, &plan_1d(16, 2, 4, 2), Some(&src_1d))
+                            .expect_err("must abort")
+                    }
+                };
             assert_eq!(
                 (src.local_data(), src_1d.local_data()),
                 (&snapshot.0[..], &snapshot.1[..]),
@@ -356,8 +355,11 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
             }
         }
         let stats = comm.stats();
-        sink.lock().expect("traffic lock")[me] =
-            (stats.msgs_sent(), stats.bytes_sent(), comm.vtime().to_bits());
+        sink.lock().expect("traffic lock")[me] = (
+            stats.msgs_sent(),
+            stats.bytes_sent(),
+            comm.vtime().to_bits(),
+        );
     })
     .join_ok();
     let seen = seen.lock().expect("traffic lock").clone();

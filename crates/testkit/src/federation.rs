@@ -224,7 +224,9 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
         let (lent, borrowed) = match sh.core() {
             Some(c) => (c.lent_leases(), c.borrowed_leases()),
             None => {
-                let cr = sh.crash_snapshot().expect("down shard has a crash snapshot");
+                let cr = sh
+                    .crash_snapshot()
+                    .expect("down shard has a crash snapshot");
                 (&cr.lent_leases, &cr.borrowed_leases)
             }
         };
@@ -577,10 +579,7 @@ fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec
         return;
     };
     let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(
-        format!("{dir}/fed-seed-{seed}.schedule.txt"),
-        schedule,
-    );
+    let _ = std::fs::write(format!("{dir}/fed-seed-{seed}.schedule.txt"), schedule);
     for (shard, text) in wals {
         let _ = write_wal_artifact(&format!("{dir}/fed-seed-{seed}-shard-{shard}"), text);
     }

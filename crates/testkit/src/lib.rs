@@ -66,8 +66,8 @@ pub use federation::{
     run_planted_double_grant_with_fed, FedChaosReport,
 };
 pub use harness::{run_scenario, run_scenario_on, run_seed, Driver, RunStats};
-pub use partition::{generate_partition, run_partition_chaos, run_planted_stale_epoch_grant};
 pub use oracle::{check_invariants, check_trace};
+pub use partition::{generate_partition, run_partition_chaos, run_planted_stale_epoch_grant};
 pub use rng::SplitMix64;
 pub use scenario::{generate, Fault, JobPlan, Scenario};
 pub use survival::{run_survival, run_txn_rollback, SurvivalReport};

@@ -156,7 +156,9 @@ pub fn run_partition_chaos(seed: u64) -> Result<FedChaosReport, String> {
     }
     if !quiesced {
         dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: federation did not quiesce after the heal"));
+        return Err(format!(
+            "seed {seed}: federation did not quiesce after the heal"
+        ));
     }
     Ok(FedChaosReport {
         report,
@@ -173,7 +175,10 @@ fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec
         return;
     };
     let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(format!("{dir}/partition-seed-{seed}.schedule.txt"), schedule);
+    let _ = std::fs::write(
+        format!("{dir}/partition-seed-{seed}.schedule.txt"),
+        schedule,
+    );
     for (shard, text) in wals {
         let _ = write_wal_artifact(&format!("{dir}/partition-seed-{seed}-shard-{shard}"), text);
     }

@@ -83,7 +83,13 @@ pub fn generate(seed: u64) -> Scenario {
         let fault = gen_fault(&mut rng, &spec, iterations);
         // A job scheduled to survive a node loss must have opted into the
         // recovery machinery, like a real submission would.
-        let spec = if matches!(fault, Some(Fault::NodeLoss { buddy_intact: true, .. })) {
+        let spec = if matches!(
+            fault,
+            Some(Fault::NodeLoss {
+                buddy_intact: true,
+                ..
+            })
+        ) {
             spec.survivable()
         } else {
             spec
@@ -221,8 +227,13 @@ mod tests {
                     Some(Fault::CancelAtCheckin(_)) => cancels += 1,
                     Some(Fault::ExpandFailure) => expands += 1,
                     Some(Fault::HangAtCheckin(_)) => hangs += 1,
-                    Some(Fault::NodeLoss { buddy_intact: true, .. }) => losses_survivable += 1,
-                    Some(Fault::NodeLoss { buddy_intact: false, .. }) => losses_fatal += 1,
+                    Some(Fault::NodeLoss {
+                        buddy_intact: true, ..
+                    }) => losses_survivable += 1,
+                    Some(Fault::NodeLoss {
+                        buddy_intact: false,
+                        ..
+                    }) => losses_fatal += 1,
                     None => {}
                 }
             }

@@ -105,7 +105,9 @@ pub fn run_survival(seed: u64) -> Result<SurvivalReport, String> {
             }
         }
     } else if !matches!(state, JobState::Failed { .. }) {
-        return Err(fail(format!("expected Failed after losing a buddy pair, got {state:?}")));
+        return Err(fail(format!(
+            "expected Failed after losing a buddy pair, got {state:?}"
+        )));
     }
     Ok(SurvivalReport {
         buddy_intact,
@@ -137,9 +139,12 @@ fn run_job(n: usize, iters: usize, crashes: &[(u32, f64)]) -> Result<(JobState, 
     let app = AppDef::new(
         move |grid| {
             let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                (i * n + j) as f64
-            })]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |i, j| (i * n + j) as f64,
+            )]
         },
         move |grid, mats, it| {
             for v in mats[0].local_data_mut() {
@@ -214,11 +219,15 @@ pub fn run_txn_rollback(seed: u64) -> Result<(), String> {
         }
         let report = |msg: String| viol.lock().expect("violation mutex").push(msg);
         if res.is_ok() {
-            report(format!("rank {me}: transaction committed despite the death"));
+            report(format!(
+                "rank {me}: transaction committed despite the death"
+            ));
         }
         let after: Vec<u64> = src.local_data().iter().map(|v| v.to_bits()).collect();
         if before != after {
-            report(format!("rank {me}: abort did not leave the old layout intact"));
+            report(format!(
+                "rank {me}: abort did not leave the old layout intact"
+            ));
         }
         survivor_sync(&comm, &(0..4).filter(|&r| r != victim).collect::<Vec<_>>());
     });
@@ -229,7 +238,9 @@ pub fn run_txn_rollback(seed: u64) -> Result<(), String> {
         .count();
     uni.clear_faults();
     if failed != 1 {
-        return Err(fail(format!("{failed} processes died; expected only the victim")));
+        return Err(fail(format!(
+            "{failed} processes died; expected only the victim"
+        )));
     }
     let violations = violations.lock().expect("violation mutex");
     if let Some(v) = violations.first() {

@@ -28,7 +28,10 @@ fn two_hundred_fifty_six_crash_restarts_recover_exactly() {
         total_records > 256 * 4,
         "WAL streams suspiciously small: {total_records} records over 256 seeds"
     );
-    assert!(late_crashes > 50, "crash points skewed early: {late_crashes}");
+    assert!(
+        late_crashes > 50,
+        "crash points skewed early: {late_crashes}"
+    );
     // Watchdog acceptance: every injected hang is detected and killed —
     // and nothing else is (kills == hangs means zero false positives).
     assert!(hangs > 20, "hang fault unexercised: {hangs}");
@@ -45,7 +48,6 @@ fn crash_restart_seed_from_env() {
         Err(_) => return, // fixed-seed sweep covers the default case
     };
     println!("testkit: crash-restart drill on environment seed {seed}");
-    run_crash_restart(seed).unwrap_or_else(|e| {
-        panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}")
-    });
+    run_crash_restart(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
 }

@@ -86,13 +86,18 @@ fn random_workloads_route_through_federated_admission() {
                 fed.tenant_queue_len(t) <= 4,
                 "seed {seed}: tenant {t} router queue exceeded its bound"
             );
-            accounted += fed.tenant_admitted(t) + fed.tenant_queue_len(t) as u64 + fed.tenant_shed(t);
+            accounted +=
+                fed.tenant_admitted(t) + fed.tenant_queue_len(t) as u64 + fed.tenant_shed(t);
         }
         assert_eq!(
             accounted, submitted,
             "seed {seed}: every submission must be admitted, queued, or shed"
         );
-        assert_eq!(fed.tenant_admitted(0) + fed.tenant_shed(0), 0, "tenant 0 stays unused");
+        assert_eq!(
+            fed.tenant_admitted(0) + fed.tenant_shed(0),
+            0,
+            "tenant 0 stays unused"
+        );
     }
 }
 
@@ -106,7 +111,6 @@ fn federation_chaos_seed_from_env() {
         Err(_) => return, // fixed-seed sweep covers the default case
     };
     println!("testkit: federation chaos drill on environment seed {seed}");
-    run_federation_chaos(seed).unwrap_or_else(|e| {
-        panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}")
-    });
+    run_federation_chaos(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
 }

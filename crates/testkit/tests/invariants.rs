@@ -31,7 +31,10 @@ fn two_hundred_fifty_six_seeded_schedules_hold_invariants() {
     assert!(agg.starts >= 256, "too few starts: {agg:?}");
     assert!(agg.expansions > 50, "expansion path unexercised: {agg:?}");
     assert!(agg.shrinks > 10, "shrink path unexercised: {agg:?}");
-    assert!(agg.expand_failures > 10, "expand-failure path unexercised: {agg:?}");
+    assert!(
+        agg.expand_failures > 10,
+        "expand-failure path unexercised: {agg:?}"
+    );
     assert!(agg.job_failures > 20, "failure path unexercised: {agg:?}");
     assert!(agg.cancellations > 20, "cancel path unexercised: {agg:?}");
     assert!(agg.hangs_injected > 0, "hang path unexercised: {agg:?}");
@@ -55,7 +58,8 @@ fn seed_from_env() {
         Err(_) => return, // fixed-seed sweep covers the default case
     };
     println!("testkit: running environment seed {seed}");
-    run_seed(seed).unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
+    run_seed(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
 }
 
 /// Acceptance check: deliberately break processor reclamation (the chaos
@@ -79,15 +83,17 @@ fn oracle_catches_planted_reclamation_bug() {
         with_failures += 1;
         let mut core = SchedulerCore::new(sc.total_procs, sc.policy);
         core.chaos_skip_release_on_failure(true);
-        let err = run_scenario_on(&sc, core)
-            .expect_err("planted pool leak must trip the oracle");
+        let err = run_scenario_on(&sc, core).expect_err("planted pool leak must trip the oracle");
         assert!(
             err.contains("leak") || err.contains("drain"),
             "seed {seed}: oracle tripped for the wrong reason: {err}"
         );
         caught += 1;
     }
-    assert!(with_failures >= 5, "generator produced too few failure schedules");
+    assert!(
+        with_failures >= 5,
+        "generator produced too few failure schedules"
+    );
     assert_eq!(caught, with_failures, "every leaking run must be caught");
 }
 
@@ -113,5 +119,8 @@ fn sweep_covers_both_policies() {
             QueuePolicy::Backfill => backfill += 1,
         }
     }
-    assert!(fcfs > 10 && backfill > 10, "policy mix skewed: {fcfs}/{backfill}");
+    assert!(
+        fcfs > 10 && backfill > 10,
+        "policy mix skewed: {fcfs}/{backfill}"
+    );
 }

@@ -47,12 +47,19 @@ fn two_hundred_fifty_six_partition_chaos_seeds_hold_the_ledger() {
     assert_eq!(started, healed, "every partition must heal");
     assert!(started > 300, "partition arm unexercised: {started}");
     assert!(fenced > 30, "fencing arm unexercised: {fenced}");
-    assert!(repairs > 10, "anti-entropy repair arm unexercised: {repairs}");
+    assert!(
+        repairs > 10,
+        "anti-entropy repair arm unexercised: {repairs}"
+    );
     // Every repair kind individually, with the exact decomposition: each
     // run already proves its kinds sum to its total, so the sweep-wide
     // sums must too — and all three paths (recovery fixup, evict-stale-
     // borrow, return-escrow) must fire somewhere in the sweep.
-    assert_eq!(fixups + evicts + escrows, repairs, "repair kinds must decompose the total");
+    assert_eq!(
+        fixups + evicts + escrows,
+        repairs,
+        "repair kinds must decompose the total"
+    );
     assert!(fixups > 0, "recovery-fixup repair arm unexercised");
     assert!(evicts > 0, "evict-stale-borrow repair arm unexercised");
     assert!(escrows > 0, "return-escrow repair arm unexercised");
@@ -84,9 +91,8 @@ fn partition_chaos_seed_from_env() {
         Err(_) => return, // fixed-seed sweep covers the default case
     };
     println!("testkit: partition chaos drill on environment seed {seed}");
-    run_partition_chaos(seed).unwrap_or_else(|e| {
-        panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}")
-    });
+    run_partition_chaos(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
 }
 
 /// The scheduled long-chaos sweep: `TESTKIT_SWEEP=N` widens the sweep to

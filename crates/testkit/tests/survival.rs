@@ -48,10 +48,8 @@ fn survival_seed_from_env() {
         Err(_) => return, // fixed-seed drills cover the default case
     };
     println!("testkit: running environment survival seed {seed}");
-    run_survival(seed).unwrap_or_else(|e| {
-        panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}")
-    });
-    run_txn_rollback(seed).unwrap_or_else(|e| {
-        panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}")
-    });
+    run_survival(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
+    run_txn_rollback(seed)
+        .unwrap_or_else(|e| panic!("TESTKIT FAILURE [{e}] — reproduce with TESTKIT_SEED={seed}"));
 }

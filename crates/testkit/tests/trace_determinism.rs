@@ -47,10 +47,7 @@ fn tracing_is_invisible_to_federation_and_partition_sweeps() {
                 !spans.is_empty(),
                 "seed {seed} gen {gi}: tracing-on run must record spans"
             );
-            assert_eq!(
-                off, on,
-                "seed {seed} gen {gi}: tracing perturbed the run"
-            );
+            assert_eq!(off, on, "seed {seed} gen {gi}: tracing perturbed the run");
         }
     }
 }

@@ -30,9 +30,12 @@ fn main() {
     let app = AppDef::new(
         move |grid| {
             let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                (i + j) as f64
-            })]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |i, j| (i + j) as f64,
+            )]
         },
         |grid, _mats, iter| {
             let p = grid.nprow() * grid.npcol();
@@ -71,7 +74,12 @@ fn main() {
             rec.iter_time
         );
     }
-    let max_procs = prof.history().iter().map(|r| r.config.procs()).max().unwrap();
+    let max_procs = prof
+        .history()
+        .iter()
+        .map(|r| r.config.procs())
+        .max()
+        .unwrap();
     assert!(
         max_procs > 4,
         "the heavy phase should have re-expanded past the light phase's sweet spot"

@@ -52,10 +52,14 @@ fn main() {
     let urgent_out = &result.jobs[1];
     let wait = urgent_out.started - urgent_out.submitted;
     println!("  URGENT waited {wait:.0}s for processors");
-    let lu_shrank = result.events.iter().any(|e| {
-        matches!(e.kind, EventKind::Shrunk { .. }) && e.time >= 400.0
-    });
-    assert!(lu_shrank, "the running LU should have shrunk for the arrival");
+    let lu_shrank = result
+        .events
+        .iter()
+        .any(|e| matches!(e.kind, EventKind::Shrunk { .. }) && e.time >= 400.0);
+    assert!(
+        lu_shrank,
+        "the running LU should have shrunk for the arrival"
+    );
 
     // --- Part 2: advance reservation ------------------------------------
     println!("\n== reservation: a 20-processor window at t=800 ==");

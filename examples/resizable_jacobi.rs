@@ -67,5 +67,8 @@ fn main() {
         .fold(0.0, f64::max);
     println!("reference residual after 100 sweeps: {residual:.3e}");
     assert!(residual < 1e-8, "reference solver must converge");
-    println!("resizable_jacobi OK: solver state survived {} resizes", visited.len() - 1);
+    println!(
+        "resizable_jacobi OK: solver state survived {} resizes",
+        visited.len() - 1
+    );
 }

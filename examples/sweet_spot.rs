@@ -36,9 +36,12 @@ fn main() {
     let app = AppDef::new(
         move |grid| {
             let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |i, j| {
-                (i * n + j) as f64
-            })]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |i, j| (i * n + j) as f64,
+            )]
         },
         move |grid, _mats, _iter| {
             let p = grid.nprow() * grid.npcol();
@@ -75,10 +78,7 @@ fn main() {
     );
     assert_eq!(profile.last_expansion_improved(), Some(false));
     // The revert itself is in the resize record.
-    assert!(matches!(
-        profile.last_resize(),
-        Some(Resize::Shrunk { .. })
-    ));
+    assert!(matches!(profile.last_resize(), Some(Resize::Shrunk { .. })));
     println!("sweet_spot OK: expansion past 6 was detected as unprofitable and reverted");
     drop(core);
     let _ = Arc::strong_count(runtime.universe());

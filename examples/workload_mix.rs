@@ -51,7 +51,10 @@ fn real_mode() {
         saw_shrink |= matches!(e.kind, EventKind::Shrunk { .. });
         saw_expand |= matches!(e.kind, EventKind::Expanded { .. });
     }
-    assert!(saw_expand, "job A should have expanded into the idle cluster");
+    assert!(
+        saw_expand,
+        "job A should have expanded into the idle cluster"
+    );
     println!(
         "A expanded into idle processors{}",
         if saw_shrink {

@@ -8,10 +8,7 @@ use reshape::core::runtime::ReshapeRuntime;
 use reshape::core::{JobSpec, JobState, ProcessorConfig, QueuePolicy, TopologyPref};
 use reshape::mpisim::{NetModel, Universe};
 
-fn finish(
-    runtime: &ReshapeRuntime,
-    job: reshape::core::JobId,
-) -> (JobState, Vec<ProcessorConfig>) {
+fn finish(runtime: &ReshapeRuntime, job: reshape::core::JobId) -> (JobState, Vec<ProcessorConfig>) {
     let state = runtime.wait_for(job, Duration::from_secs(120)).unwrap();
     let core = runtime.core().lock();
     let visited = core
@@ -34,7 +31,10 @@ fn resizable_lu_grows_and_finishes() {
     let job = runtime.submit(spec, reshape::apps::lu_app(48, 4, 1.0e6));
     let (state, visited) = finish(&runtime, job);
     assert!(matches!(state, JobState::Finished { .. }), "{state:?}");
-    assert!(visited.len() >= 3, "LU should expand repeatedly: {visited:?}");
+    assert!(
+        visited.len() >= 3,
+        "LU should expand repeatedly: {visited:?}"
+    );
     assert_eq!(runtime.core().lock().idle_procs(), 16);
 }
 
@@ -246,7 +246,12 @@ fn phased_app_reprobes_in_real_mode() {
     let app = AppDef::new(
         move |grid| {
             let desc = Descriptor::square(n, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 1.0)]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |_, _| 1.0,
+            )]
         },
         |grid, _mats, iter| {
             let p = grid.nprow() * grid.npcol();
@@ -296,7 +301,10 @@ fn churn_many_jobs_through_a_small_cluster() {
     // Six mixed jobs (LU, MW, Jacobi) churn through a 10-processor cluster
     // with staggered submissions: every job must finish, the pool must end
     // whole, and at least one resize must have occurred along the way.
-    let runtime = ReshapeRuntime::new(Universe::new(10, 1, NetModel::ideal()), QueuePolicy::Backfill);
+    let runtime = ReshapeRuntime::new(
+        Universe::new(10, 1, NetModel::ideal()),
+        QueuePolicy::Backfill,
+    );
     let mut jobs = Vec::new();
     for round in 0..2 {
         jobs.push(runtime.submit(
@@ -311,7 +319,11 @@ fn churn_many_jobs_through_a_small_cluster() {
         jobs.push(runtime.submit(
             JobSpec::new(
                 format!("MW-{round}"),
-                TopologyPref::AnyCount { min: 2, max: 8, step: 2 },
+                TopologyPref::AnyCount {
+                    min: 2,
+                    max: 8,
+                    step: 2,
+                },
                 ProcessorConfig::linear(2),
                 3,
             ),
@@ -320,7 +332,10 @@ fn churn_many_jobs_through_a_small_cluster() {
         jobs.push(runtime.submit(
             JobSpec::new(
                 format!("Jacobi-{round}"),
-                TopologyPref::Linear { problem_size: 16, even_only: true },
+                TopologyPref::Linear {
+                    problem_size: 16,
+                    even_only: true,
+                },
                 ProcessorConfig::linear(2),
                 4,
             ),
@@ -338,7 +353,12 @@ fn churn_many_jobs_through_a_small_cluster() {
     let resizes = core
         .events()
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::Expanded { .. } | EventKind::Shrunk { .. }))
+        .filter(|e| {
+            matches!(
+                e.kind,
+                EventKind::Expanded { .. } | EventKind::Shrunk { .. }
+            )
+        })
         .count();
     assert!(resizes > 0, "expected some resizing during churn");
 }
@@ -385,13 +405,18 @@ fn non_rank0_failure_is_attributed_by_node() {
     // A worker rank (not rank 0) panics: the System Monitor attributes the
     // failure to the job through node occupancy and reclaims resources
     // immediately, without waiting for rank 0's receive timeout.
-    use reshape::core::driver::AppDef;
     use reshape::blockcyclic::{Descriptor, DistMatrix};
+    use reshape::core::driver::AppDef;
     let runtime = ReshapeRuntime::new(Universe::new(4, 1, NetModel::ideal()), QueuePolicy::Fcfs);
     let app = AppDef::new(
         |grid| {
             let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-            vec![DistMatrix::from_fn(desc, grid.myrow(), grid.mycol(), |_, _| 0.0)]
+            vec![DistMatrix::from_fn(
+                desc,
+                grid.myrow(),
+                grid.mycol(),
+                |_, _| 0.0,
+            )]
         },
         |grid, _m, it| {
             if it == 1 && grid.comm().rank() == 3 {
@@ -451,7 +476,8 @@ fn real_mode_iteration_times_scale_like_the_model() {
         runtime.wait_for(job, Duration::from_secs(60)).unwrap();
         let core = runtime.core().lock();
         let prof = core.profiler().profile(job).unwrap();
-        prof.time_at(ProcessorConfig::new(procs.0, procs.1)).unwrap()
+        prof.time_at(ProcessorConfig::new(procs.0, procs.1))
+            .unwrap()
     };
     let t2 = time_at((1, 2));
     let t8 = time_at((2, 4));
@@ -527,11 +553,18 @@ fn advanced_api_manual_orchestration() {
             retry: RetryPolicy::default(),
             survivable: false,
         });
-        let mut ctx = ResizeContext::attach(Arc::clone(&shared), comm.clone(), ProcessorConfig::new(2, 3));
+        let mut ctx = ResizeContext::attach(
+            Arc::clone(&shared),
+            comm.clone(),
+            ProcessorConfig::new(2, 3),
+        );
         let desc = Descriptor::square(n, 2, 2, 3);
-        let mut mats = vec![DistMatrix::from_fn(desc, ctx.grid().myrow(), ctx.grid().mycol(), |i, j| {
-            (i * n + j) as f64
-        })];
+        let mut mats = vec![DistMatrix::from_fn(
+            desc,
+            ctx.grid().myrow(),
+            ctx.grid().mycol(),
+            |i, j| (i * n + j) as f64,
+        )];
         // One modeled iteration, then the manual resize-point protocol.
         comm.advance(40.0);
         let t = ctx.log(40.0);

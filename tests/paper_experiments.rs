@@ -80,8 +80,10 @@ fn fig2b_redist_cost_monotone_in_n_and_antitone_in_p() {
     let m = machine();
     // Antitone in processor count along the 12000 chain.
     let lu12 = AppModel::Lu { n: 12000 };
-    let chain = TopologyPref::Grid { problem_size: 12000 }
-        .chain_from(ProcessorConfig::new(1, 2), 48);
+    let chain = TopologyPref::Grid {
+        problem_size: 12000,
+    }
+    .chain_from(ProcessorConfig::new(1, 2), 48);
     let costs: Vec<f64> = chain
         .windows(2)
         .map(|w| lu12.redist_cost(w[0], w[1], &m))
@@ -134,7 +136,11 @@ fn fig3a_trajectory_and_deltas_match_paper() {
     let times: Vec<f64> = job.iter_log.iter().map(|r| r.iter_time).collect();
     let expect = [129.63, 112.52, 82.31, 79.61, 69.85, 74.91, 69.85];
     for (i, e) in expect.iter().enumerate() {
-        assert!((times[i] - e).abs() < 1e-6, "iteration {i}: {} vs {e}", times[i]);
+        assert!(
+            (times[i] - e).abs() < 1e-6,
+            "iteration {i}: {} vs {e}",
+            times[i]
+        );
     }
     // Redistribution costs decrease along the trajectory, as in the paper
     // (8.00, 7.74, 5.25, 4.86, 4.41).
@@ -215,8 +221,16 @@ fn table4_dynamic_improves_turnaround_and_utilization() {
             s.turnaround
         );
     }
-    let mw_d = dynamic.jobs.iter().find(|j| j.name == "Master-worker").unwrap();
-    let mw_s = stat.jobs.iter().find(|j| j.name == "Master-worker").unwrap();
+    let mw_d = dynamic
+        .jobs
+        .iter()
+        .find(|j| j.name == "Master-worker")
+        .unwrap();
+    let mw_s = stat
+        .jobs
+        .iter()
+        .find(|j| j.name == "Master-worker")
+        .unwrap();
     assert!((mw_d.turnaround - mw_s.turnaround).abs() < 5.0);
     // Utilization jumps by double digits (paper: 39.7% -> 70.7%).
     assert!(
@@ -252,7 +266,10 @@ fn fig4b_dynamic_keeps_more_processors_busy() {
     let peak = |r: &reshape::clustersim::SimResult| {
         r.busy_series().iter().map(|&(_, b)| b).max().unwrap_or(0)
     };
-    assert!(peak(&dynamic) > peak(&stat), "dynamic should reach higher occupancy");
+    assert!(
+        peak(&dynamic) > peak(&stat),
+        "dynamic should reach higher occupancy"
+    );
     assert!(peak(&dynamic) <= w.total_procs);
 }
 
@@ -289,5 +306,9 @@ fn fig5a_running_jobs_shrink_for_arrivals() {
         .alloc_history
         .windows(2)
         .any(|x| x[1].1 < x[0].1 && x[1].1 > 0);
-    assert!(shrank, "LU should shrink for queued arrivals: {:?}", lu.alloc_history);
+    assert!(
+        shrank,
+        "LU should shrink for queued arrivals: {:?}",
+        lu.alloc_history
+    );
 }
