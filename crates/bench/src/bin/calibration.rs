@@ -4,7 +4,7 @@
 //! recomputes them from the current constants so drift is visible.
 
 use reshape_bench::{json_arg, write_json, Table};
-use reshape_clustersim::{AppModel, MachineParams};
+use reshape_clustersim::{AppModel, MachineParams, RedistMode};
 use reshape_core::ProcessorConfig;
 use serde::Serialize;
 
@@ -64,11 +64,14 @@ fn main() {
         ((3, 3), (3, 4), 4.86),
         ((3, 4), (4, 4), 4.41),
     ] {
-        let c = lu12.redist_cost(
-            ProcessorConfig::new(from.0, from.1),
-            ProcessorConfig::new(to.0, to.1),
-            &m,
-        );
+        let c = lu12
+            .resize_cost(
+                ProcessorConfig::new(from.0, from.1),
+                ProcessorConfig::new(to.0, to.1),
+                &m,
+                RedistMode::Reshape,
+            )
+            .total_seconds;
         push(
             &format!("LU-12000 redist {}x{} -> {}x{}", from.0, from.1, to.0, to.1),
             paper,

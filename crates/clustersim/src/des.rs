@@ -45,8 +45,6 @@ use reshape_core::{
 use serde::{Deserialize, Serialize};
 
 use crate::event::{mix, EventQueue, TieBreak};
-use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
-use crate::sim::RedistMode;
 
 /// Index of a registered component; assigned sequentially by
 /// [`Simulation::add_component`].
@@ -178,59 +176,6 @@ impl<'a, P> Simulation<'a, P> {
             self.step();
         }
         self.processed
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Latency models
-// ---------------------------------------------------------------------------
-
-/// Pluggable pricing of resize side effects: how long a redistribution
-/// takes (and its phase decomposition, when available) and how long
-/// process spawning takes. The default model ([`MachineLatency`]) prices
-/// redistribution from the real communication schedules under the
-/// machine's network model and treats spawning as free — the pricing
-/// every run in `des_results.txt` was recorded under.
-pub trait LatencyModel {
-    /// Seconds to redistribute `model`'s data between the two
-    /// configurations, plus the pack/transfer/unpack decomposition when
-    /// the pricing path has one.
-    fn redistribution(
-        &self,
-        model: &AppModel,
-        from: ProcessorConfig,
-        to: ProcessorConfig,
-    ) -> (f64, Option<RedistProfile>);
-
-    /// Seconds to spawn the processes of an expansion (paid before the
-    /// redistribution). Defaults to free.
-    fn spawn_overhead(&self, _from: ProcessorConfig, _to: ProcessorConfig) -> f64 {
-        0.0
-    }
-}
-
-/// The default latency model: redistribution priced from the calibrated
-/// machine parameters under the selected [`RedistMode`], spawn free.
-#[derive(Clone, Copy, Debug)]
-pub struct MachineLatency {
-    pub machine: MachineParams,
-    pub mode: RedistMode,
-}
-
-impl LatencyModel for MachineLatency {
-    fn redistribution(
-        &self,
-        model: &AppModel,
-        from: ProcessorConfig,
-        to: ProcessorConfig,
-    ) -> (f64, Option<RedistProfile>) {
-        match self.mode {
-            RedistMode::Reshape => {
-                let prof = model.redist_profile(from, to, &self.machine);
-                (prof.total_seconds, Some(prof))
-            }
-            RedistMode::Checkpoint => (model.checkpoint_redist_cost(from, to, &self.machine), None),
-        }
     }
 }
 

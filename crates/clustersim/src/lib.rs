@@ -22,13 +22,10 @@ pub mod perfmodel;
 pub mod sim;
 pub mod workloads;
 
-pub use des::{
-    run_scale, ComponentId, EventHandler, LatencyModel, MachineLatency, ScaleConfig, ScaleReport,
-    SimCtx, Simulation,
-};
+pub use des::{run_scale, ComponentId, EventHandler, ScaleConfig, ScaleReport, SimCtx, Simulation};
 pub use event::{EventQueue, TieBreak};
-pub use perfmodel::{AppModel, MachineParams, RedistProfile, MODEL_BLOCK};
-pub use sim::{ClusterSim, JobOutcome, RedistMode, SimJob, SimResult, SimTelemetry, WindowSample};
+pub use perfmodel::{AppModel, MachineParams, RedistMode, RedistProfile, MODEL_BLOCK};
+pub use sim::{ClusterSim, JobOutcome, SimJob, SimResult, SimTelemetry, WindowSample};
 pub use workloads::{
     fig3a_job, fig3b_jobs, random_workload, random_workload_with_faults, workload1, workload2,
     Workload,

@@ -16,7 +16,7 @@
 use reshape_blockcyclic::Descriptor;
 use reshape_core::ProcessorConfig;
 use reshape_mpisim::NetModel;
-use reshape_redist::{checkpoint_cost, evaluate_2d, plan_2d, CheckpointParams, PACK_BANDWIDTH};
+use reshape_redist::{checkpoint_cost, plan_2d, CheckpointParams, RedistCost};
 use serde::{Deserialize, Serialize};
 
 /// Machine constants for the modeled cluster.
@@ -87,10 +87,18 @@ impl MachineParams {
 /// divides every grid dimension, so 100 keeps schedules small and exact).
 pub const MODEL_BLOCK: usize = 100;
 
-/// Phase-decomposed cost of one modeled redistribution (see
-/// [`AppModel::redist_profile`]). `total_seconds` equals
-/// [`AppModel::redist_cost`] for the same pair of configurations; the phase
-/// fields decompose it minus the spawn overhead.
+/// How resizing redistributions are priced (the three bars of Figure 3(b)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum RedistMode {
+    /// ReSHAPE's message-based contention-free redistribution.
+    Reshape,
+    /// File-based checkpoint/restart through a single node.
+    Checkpoint,
+}
+
+/// Phase-decomposed cost of one modeled resize (see
+/// [`AppModel::resize_cost`]). The phase fields decompose `total_seconds`
+/// minus the spawn overhead.
 #[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct RedistProfile {
     /// Bytes that cross the network, over all redistributed arrays.
@@ -262,36 +270,57 @@ impl AppModel {
         }
     }
 
-    /// Redistribution cost between two configurations, from the *actual*
-    /// contention-free schedules priced under the network model. Expansion
-    /// additionally pays the process-spawn overhead.
-    pub fn redist_cost(
+    /// What resizing from `from` to `to` costs under `mode`: the data moved
+    /// over the *actual* contention-free schedules priced under the network
+    /// model ([`RedistMode::Reshape`]), or funnelled through the checkpoint
+    /// file ([`RedistMode::Checkpoint`]), plus the process spawn once on an
+    /// expansion. Only a schedule has pack / transfer / unpack phases and
+    /// plan-shape counts; a checkpoint price carries its total alone.
+    pub fn resize_cost(
         &self,
         from: ProcessorConfig,
         to: ProcessorConfig,
         m: &MachineParams,
-    ) -> f64 {
+        mode: RedistMode,
+    ) -> RedistProfile {
+        let mut prof = RedistProfile::default();
         if from == to {
-            return 0.0;
+            return prof;
         }
-        let net = m.redist_net();
-        let mut total = 0.0;
-        for (rows, cols, mb, nb) in self.data_shapes() {
-            let src = Descriptor::new(rows, cols, mb, nb, from.rows, from.cols);
-            let dst = Descriptor::new(rows, cols, mb, nb, to.rows, to.cols);
-            let plan = plan_2d(src, dst);
-            total += evaluate_2d(&plan, 8, &net).seconds;
+        match mode {
+            RedistMode::Reshape => {
+                let net = m.redist_net();
+                let mut cost = RedistCost::default();
+                for (rows, cols, mb, nb) in self.data_shapes() {
+                    let src = Descriptor::new(rows, cols, mb, nb, from.rows, from.cols);
+                    let dst = Descriptor::new(rows, cols, mb, nb, to.rows, to.cols);
+                    cost.add_2d(&plan_2d(src, dst), 8, &net);
+                }
+                prof = RedistProfile {
+                    bytes: cost.network_bytes as u64,
+                    plan_steps: cost.steps as u64,
+                    transfers: cost.transfers as u64,
+                    pack_seconds: cost.pack_seconds,
+                    transfer_seconds: cost.transfer_seconds,
+                    unpack_seconds: cost.unpack_seconds,
+                    total_seconds: cost.seconds,
+                };
+            }
+            RedistMode::Checkpoint => {
+                let (net, params) = (m.net(), m.checkpoint_params());
+                for (rows, cols, _, _) in self.data_shapes() {
+                    prof.total_seconds +=
+                        checkpoint_cost(rows, cols, 8, from.procs(), to.procs(), &net, &params);
+                }
+            }
         }
         if to.procs() > from.procs() {
-            total += net.spawn_overhead;
+            prof.total_seconds += m.net().spawn_overhead;
         }
-        total
+        prof
     }
 
-    /// Phase-decomposed redistribution profile between two configurations:
-    /// the same schedules and pricing as [`AppModel::redist_cost`], but with
-    /// the total split into the pack / transfer / unpack phases of the
-    /// contention-free schedule, plus plan-shape counts. Feeds the
+    /// [`Self::resize_cost`] under [`RedistMode::Reshape`]. Feeds the
     /// redistribution audit records in the telemetry journal.
     pub fn redist_profile(
         &self,
@@ -299,66 +328,18 @@ impl AppModel {
         to: ProcessorConfig,
         m: &MachineParams,
     ) -> RedistProfile {
-        let mut prof = RedistProfile::default();
-        if from == to {
-            return prof;
-        }
-        let net = m.redist_net();
-        for (rows, cols, mb, nb) in self.data_shapes() {
-            let src = Descriptor::new(rows, cols, mb, nb, from.rows, from.cols);
-            let dst = Descriptor::new(rows, cols, mb, nb, to.rows, to.cols);
-            let plan = plan_2d(src, dst);
-            let cost = evaluate_2d(&plan, 8, &net);
-            prof.bytes += cost.network_bytes as u64;
-            prof.plan_steps += cost.steps as u64;
-            // Re-walk the steps to split the evaluator's total into phases.
-            for step in &plan.steps {
-                let mut max_wire = 0usize;
-                let mut max_touch = 0usize;
-                for t in step {
-                    let bytes = plan.transfer_elems(t) * 8;
-                    max_touch = max_touch.max(bytes);
-                    if plan.src_rank(t.src) != plan.dst_rank(t.dst) {
-                        max_wire = max_wire.max(bytes);
-                    }
-                }
-                prof.transfers += step.len() as u64;
-                if max_wire > 0 {
-                    prof.transfer_seconds +=
-                        net.latency + 2.0 * net.overhead + max_wire as f64 / net.bandwidth;
-                }
-                let touch = max_touch as f64 / PACK_BANDWIDTH;
-                prof.pack_seconds += touch;
-                prof.unpack_seconds += touch;
-            }
-            prof.total_seconds += cost.seconds;
-        }
-        if to.procs() > from.procs() {
-            prof.total_seconds += net.spawn_overhead;
-        }
-        prof
+        self.resize_cost(from, to, m, RedistMode::Reshape)
     }
 
-    /// Redistribution cost via the file-based checkpoint baseline.
+    /// Total of [`Self::resize_cost`] under [`RedistMode::Checkpoint`].
     pub fn checkpoint_redist_cost(
         &self,
         from: ProcessorConfig,
         to: ProcessorConfig,
         m: &MachineParams,
     ) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        let net = m.net();
-        let params = m.checkpoint_params();
-        let mut total = 0.0;
-        for (rows, cols, _, _) in self.data_shapes() {
-            total += checkpoint_cost(rows, cols, 8, from.procs(), to.procs(), &net, &params);
-        }
-        if to.procs() > from.procs() {
-            total += net.spawn_overhead;
-        }
-        total
+        self.resize_cost(from, to, m, RedistMode::Checkpoint)
+            .total_seconds
     }
 }
 
@@ -459,8 +440,12 @@ mod tests {
         // Figure 2(b): expanding from a larger set costs less.
         let m = MachineParams::system_x();
         let lu = AppModel::Lu { n: 8000 };
-        let early = lu.redist_cost(cfg(1, 2), cfg(2, 2), &m);
-        let late = lu.redist_cost(cfg(4, 5), cfg(5, 5), &m);
+        let early = lu
+            .resize_cost(cfg(1, 2), cfg(2, 2), &m, RedistMode::Reshape)
+            .total_seconds;
+        let late = lu
+            .resize_cost(cfg(4, 5), cfg(5, 5), &m, RedistMode::Reshape)
+            .total_seconds;
         assert!(
             early > late,
             "redistribution from 2 procs ({early}) should cost more than from 20 ({late})"
@@ -470,13 +455,17 @@ mod tests {
     #[test]
     fn redist_cost_increases_with_matrix_size() {
         let m = MachineParams::system_x();
-        let small = AppModel::Lu { n: 8000 }.redist_cost(cfg(2, 2), cfg(2, 4), &m);
-        let large = AppModel::Lu { n: 24000 }.redist_cost(cfg(2, 2), cfg(2, 4), &m);
+        let small = AppModel::Lu { n: 8000 }
+            .resize_cost(cfg(2, 2), cfg(2, 4), &m, RedistMode::Reshape)
+            .total_seconds;
+        let large = AppModel::Lu { n: 24000 }
+            .resize_cost(cfg(2, 2), cfg(2, 4), &m, RedistMode::Reshape)
+            .total_seconds;
         assert!(large > 4.0 * small);
     }
 
     #[test]
-    fn redist_profile_phases_sum_to_redist_cost() {
+    fn redist_profile_phases_sum_to_resize_cost() {
         let m = MachineParams::system_x();
         let lu = AppModel::Lu { n: 8000 };
         let (from, to) = (cfg(2, 2), cfg(2, 3));
@@ -493,8 +482,12 @@ mod tests {
             prof.total_seconds
         );
         assert!(
-            (prof.total_seconds - lu.redist_cost(from, to, &m)).abs() < 1e-12,
-            "profile total must match redist_cost"
+            (prof.total_seconds
+                - lu.resize_cost(from, to, &m, RedistMode::Reshape)
+                    .total_seconds)
+                .abs()
+                < 1e-12,
+            "profile total must match resize_cost"
         );
         // Identity resize is free.
         let idp = lu.redist_profile(from, from, &m);
@@ -507,7 +500,9 @@ mod tests {
         // Figure 3(b): checkpointing is 4.5-14.5x more expensive.
         let m = MachineParams::system_x();
         let lu = AppModel::Lu { n: 12000 };
-        let rd = lu.redist_cost(cfg(2, 2), cfg(2, 3), &m);
+        let rd = lu
+            .resize_cost(cfg(2, 2), cfg(2, 3), &m, RedistMode::Reshape)
+            .total_seconds;
         let ck = lu.checkpoint_redist_cost(cfg(2, 2), cfg(2, 3), &m);
         let ratio = ck / rd;
         assert!(
@@ -524,7 +519,15 @@ mod tests {
             unit_time: 1e-3,
         };
         // No data: only the spawn overhead on expansion, nothing on shrink.
-        assert_eq!(mw.redist_cost(cfg(1, 4), cfg(1, 2), &m), 0.0);
-        assert!(mw.redist_cost(cfg(1, 2), cfg(1, 4), &m) <= 0.3);
+        assert_eq!(
+            mw.resize_cost(cfg(1, 4), cfg(1, 2), &m, RedistMode::Reshape)
+                .total_seconds,
+            0.0
+        );
+        assert!(
+            mw.resize_cost(cfg(1, 2), cfg(1, 4), &m, RedistMode::Reshape)
+                .total_seconds
+                <= 0.3
+        );
     }
 }

@@ -16,17 +16,8 @@ use reshape_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::des::{ComponentId, EventHandler, LatencyModel, MachineLatency, SimCtx, Simulation};
-use crate::perfmodel::{AppModel, MachineParams, RedistProfile};
-
-/// How resizing redistributions are priced (the three bars of Figure 3(b)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RedistMode {
-    /// ReSHAPE's message-based contention-free redistribution.
-    Reshape,
-    /// File-based checkpoint/restart through a single node.
-    Checkpoint,
-}
+use crate::des::{ComponentId, EventHandler, SimCtx, Simulation};
+use crate::perfmodel::{AppModel, MachineParams, RedistMode};
 
 /// A job to simulate: scheduler-visible spec + performance model + arrival.
 #[derive(Clone, Debug)]
@@ -349,6 +340,15 @@ enum Ev {
     Fail(usize),
 }
 
+/// One job's part of the run's trace.
+#[derive(Default)]
+struct Trail {
+    /// `(time, procs)` allocation history.
+    alloc: Vec<(f64, usize)>,
+    expansions: usize,
+    shrinks: usize,
+}
+
 struct JobSim {
     model: AppModel,
     iterations: usize,
@@ -395,10 +395,6 @@ pub struct ClusterSim {
     slot_speeds: Vec<f64>,
     /// Ignore speeds when allocating (placement ablation).
     naive_placement: bool,
-    /// Pluggable spawn/redistribution pricing; `None` = the default
-    /// [`MachineLatency`] model, the pricing `des_results.txt` was
-    /// recorded under.
-    latency: Option<Box<dyn LatencyModel>>,
     /// Ordering of simultaneous events in the DES queue. [`TieBreak::Fifo`]
     /// (the default) reproduces the recorded-snapshot order; seeded
     /// tie-breaks permute simultaneous events to flush order-dependent
@@ -417,7 +413,6 @@ impl ClusterSim {
             reservations: Vec::new(),
             slot_speeds: Vec::new(),
             naive_placement: false,
-            latency: None,
             tie_break: crate::event::TieBreak::Fifo,
         }
     }
@@ -472,48 +467,6 @@ impl ClusterSim {
         self
     }
 
-    /// Replace the default spawn/redistribution pricing with a custom
-    /// [`LatencyModel`] (see `crate::des`). The default — redistribution
-    /// priced from the machine's communication schedules, spawn free — is
-    /// what every paper experiment uses.
-    pub fn with_latency_model(mut self, latency: Box<dyn LatencyModel>) -> Self {
-        self.latency = Some(latency);
-        self
-    }
-
-    /// Price a resize, with the phase decomposition when the message-based
-    /// path is in use (the checkpoint baseline has no pack/transfer/unpack
-    /// schedule to decompose).
-    fn redist_cost(
-        &self,
-        model: &AppModel,
-        from: reshape_core::ProcessorConfig,
-        to: reshape_core::ProcessorConfig,
-    ) -> (f64, Option<RedistProfile>) {
-        match &self.latency {
-            Some(l) => l.redistribution(model, from, to),
-            None => MachineLatency {
-                machine: self.machine,
-                mode: self.redist_mode,
-            }
-            .redistribution(model, from, to),
-        }
-    }
-
-    /// Process-startup overhead charged before an expansion's
-    /// redistribution. Zero under the default model, as in every run
-    /// `des_results.txt` pins.
-    fn spawn_cost(
-        &self,
-        from: reshape_core::ProcessorConfig,
-        to: reshape_core::ProcessorConfig,
-    ) -> f64 {
-        match &self.latency {
-            Some(l) => l.spawn_overhead(from, to),
-            None => 0.0,
-        }
-    }
-
     /// Run the workload to completion and report outcomes.
     ///
     /// The [`ClusterEngine`] is the one component of a DES
@@ -563,6 +516,8 @@ impl EventHandler<Ev> for ClusterEngine<'_> {
             Ev::Fail(i) => self.on_fail(i, now, &mut push),
             Ev::IterationEnd(id) => self.on_iteration_end(id, now, &mut push),
         }
+        // The core keeps a bounded trace; the run keeps all of it.
+        self.events.append(&mut self.core.drain_events());
     }
 }
 
@@ -582,6 +537,8 @@ struct ClusterEngine<'w> {
     submitted: Vec<Option<JobId>>,
     makespan: f64,
     bytes_redistributed: u64,
+    /// The core's scheduling trace, drained after every event.
+    events: Vec<SchedEvent>,
 }
 
 impl<'w> ClusterEngine<'w> {
@@ -605,6 +562,7 @@ impl<'w> ClusterEngine<'w> {
             submitted: vec![None; workload.len()],
             makespan: 0.0,
             bytes_redistributed: 0,
+            events: Vec::new(),
         }
     }
 
@@ -708,14 +666,21 @@ impl<'w> ClusterEngine<'w> {
         }
         let js = self.sims.get_mut(&id).expect("job exists");
         let expanded = matches!(directive, Directive::Expand { .. });
-        let (next_cfg, redist_cost, profile) = match directive {
-            Directive::NoChange => (pre, 0.0, None),
+        let (next_cfg, price) = match directive {
+            Directive::NoChange => (pre, None),
             Directive::Terminate => unreachable!("handled above"),
             Directive::Expand { to, .. } | Directive::Shrink { to } => {
-                let (cost, prof) = self.cfg.redist_cost(&js.model, pre, to);
-                (to, cost, prof)
+                let mode = self.cfg.redist_mode;
+                (
+                    to,
+                    Some(js.model.resize_cost(pre, to, &self.cfg.machine, mode)),
+                )
             }
         };
+        // The price includes the spawn of an expansion's new processes.
+        let redist_cost = price.map_or(0.0, |p| p.total_seconds);
+        // Only the message-based schedule has phases to decompose.
+        let profile = price.filter(|_| self.cfg.redist_mode == RedistMode::Reshape);
         if redist_cost > 0.0 {
             self.core.note_redist_cost(id, pre, next_cfg, redist_cost);
         }
@@ -752,25 +717,17 @@ impl<'w> ClusterEngine<'w> {
                 1.0
             }
         };
-        // Spawn overhead is zero under the default latency model, so the
-        // pause is the redistribution alone; a custom model pays it before
-        // redistributing.
-        let spawn_cost = if expanded {
-            self.cfg.spawn_cost(pre, next_cfg)
-        } else {
-            0.0
-        };
-        let pause = spawn_cost + redist_cost;
         let t_iter = js.model.iter_time_at(done, next_cfg, &self.cfg.machine) / speed;
         js.last_iter_time = t_iter;
-        js.last_redist = pause;
-        js.redist_total += pause;
+        js.last_redist = redist_cost;
+        js.redist_total += redist_cost;
         js.compute_total += t_iter;
         if reshape_telemetry::trace::enabled() {
             // Resize span chain under the decision the core just emitted
             // (and set as the job's trace head): decision → spawn →
             // redist(+phases) → next compute, all stamped with the
-            // deterministic sim clock.
+            // deterministic sim clock. The spawn is priced inside the redist
+            // span, after its phases, so its own span is zero-length.
             use reshape_telemetry::trace;
             let jid = id.0;
             if expanded {
@@ -781,11 +738,10 @@ impl<'w> ClusterEngine<'w> {
                     "spawn",
                     "sim",
                     now,
-                    now + spawn_cost,
+                    now,
                 );
                 trace::set_head(jid, sp);
             }
-            let redist_start = now + spawn_cost;
             if redist_cost > 0.0 {
                 let r = trace::complete(
                     jid,
@@ -793,14 +749,14 @@ impl<'w> ClusterEngine<'w> {
                     format!("redist {pre}->{next_cfg}"),
                     "redist",
                     "sim",
-                    redist_start,
-                    redist_start + redist_cost,
+                    now,
+                    now + redist_cost,
                 );
                 if let Some(prof) = &profile {
-                    let t1 = redist_start + prof.pack_seconds;
+                    let t1 = now + prof.pack_seconds;
                     let t2 = t1 + prof.transfer_seconds;
-                    let t3 = (t2 + prof.unpack_seconds).min(redist_start + redist_cost);
-                    trace::complete(jid, r, "pack", "redist_pack", "sim", redist_start, t1);
+                    let t3 = (t2 + prof.unpack_seconds).min(now + redist_cost);
+                    trace::complete(jid, r, "pack", "redist_pack", "sim", now, t1);
                     trace::complete(jid, r, "transfer", "redist_transfer", "sim", t1, t2);
                     trace::complete(jid, r, "unpack", "redist_unpack", "sim", t2, t3);
                 }
@@ -812,19 +768,57 @@ impl<'w> ClusterEngine<'w> {
                 format!("iter {done}"),
                 "compute",
                 "sim",
-                now + pause,
-                now + pause + t_iter,
+                now + redist_cost,
+                now + redist_cost + t_iter,
             );
             trace::set_head(jid, c);
         }
-        push(now + pause + t_iter, Ev::IterationEnd(id));
+        push(now + redist_cost + t_iter, Ev::IterationEnd(id));
         self.handle_starts(starts, now, push);
     }
 
-    /// Assemble the [`SimResult`]. Draining keeps the core's bounded trace
-    /// empty for any further use of the scheduler state.
+    /// Assemble the [`SimResult`]: one pass over the run's trace gives every
+    /// job's allocation history and resize counts and the run's tallies.
     fn finish(mut self) -> SimResult {
-        let events = self.core.drain_events();
+        self.events.append(&mut self.core.drain_events());
+        let events = std::mem::take(&mut self.events);
+        let mut t = SimTelemetry {
+            bytes_redistributed: self.bytes_redistributed,
+            ..Default::default()
+        };
+        let mut trails: std::collections::HashMap<JobId, Trail> = Default::default();
+        for e in &events {
+            let trail = trails.entry(e.job).or_default();
+            let procs = match &e.kind {
+                EventKind::Submitted => continue,
+                EventKind::Started { config } => config.procs(),
+                EventKind::Expanded { to, .. } => {
+                    t.expansions += 1;
+                    trail.expansions += 1;
+                    to.procs()
+                }
+                EventKind::Shrunk { to, .. } => {
+                    t.shrinks += 1;
+                    trail.shrinks += 1;
+                    to.procs()
+                }
+                EventKind::NodeFailed { to, .. } => to.procs(),
+                EventKind::ExpandFailed { from, .. } => from.procs(),
+                EventKind::Finished => {
+                    t.jobs_finished += 1;
+                    0
+                }
+                EventKind::Failed { .. } => {
+                    t.jobs_failed += 1;
+                    0
+                }
+                EventKind::Cancelled => {
+                    t.jobs_cancelled += 1;
+                    0
+                }
+            };
+            trail.alloc.push((e.time, procs));
+        }
         let mut jobs = Vec::new();
         for (i, j) in self.workload.iter().enumerate() {
             let id = self.submitted[i].expect("all workload jobs were submitted");
@@ -832,32 +826,12 @@ impl<'w> ClusterEngine<'w> {
             let js = &self.sims[&id];
             let started = rec.started_at.unwrap_or(f64::NAN);
             let finished = rec.finished_at.unwrap_or(f64::NAN);
-            let mut alloc: Vec<(f64, usize)> = Vec::new();
-            for e in &events {
-                if e.job != id {
-                    continue;
-                }
-                match &e.kind {
-                    EventKind::Started { config } => alloc.push((e.time, config.procs())),
-                    EventKind::Expanded { to, .. }
-                    | EventKind::Shrunk { to, .. }
-                    | EventKind::NodeFailed { to, .. } => alloc.push((e.time, to.procs())),
-                    EventKind::ExpandFailed { from, .. } => alloc.push((e.time, from.procs())),
-                    EventKind::Finished | EventKind::Failed { .. } | EventKind::Cancelled => {
-                        alloc.push((e.time, 0))
-                    }
-                    EventKind::Submitted => {}
-                }
-            }
+            let Trail {
+                alloc,
+                expansions,
+                shrinks,
+            } = trails.remove(&id).unwrap_or_default();
             if reshape_telemetry::enabled() {
-                let expansions = events
-                    .iter()
-                    .filter(|e| e.job == id && matches!(e.kind, EventKind::Expanded { .. }))
-                    .count();
-                let shrinks = events
-                    .iter()
-                    .filter(|e| e.job == id && matches!(e.kind, EventKind::Shrunk { .. }))
-                    .count();
                 let final_procs = alloc
                     .iter()
                     .rev()
@@ -898,45 +872,28 @@ impl<'w> ClusterEngine<'w> {
             });
         }
         let utilization = self.core.utilization(self.makespan);
-        let telemetry = {
-            let mut t = SimTelemetry {
-                utilization,
-                bytes_redistributed: self.bytes_redistributed,
-                ..Default::default()
-            };
-            for e in &events {
-                match e.kind {
-                    EventKind::Finished => t.jobs_finished += 1,
-                    EventKind::Failed { .. } => t.jobs_failed += 1,
-                    EventKind::Cancelled => t.jobs_cancelled += 1,
-                    EventKind::Expanded { .. } => t.expansions += 1,
-                    EventKind::Shrunk { .. } => t.shrinks += 1,
-                    _ => {}
-                }
-            }
-            let mut turnarounds: Vec<f64> = jobs
-                .iter()
-                .filter(|j| j.turnaround.is_finite())
-                .map(|j| j.turnaround)
-                .collect();
-            turnarounds.sort_by(|a, b| a.partial_cmp(b).expect("finite turnarounds"));
-            if !turnarounds.is_empty() {
-                let n = turnarounds.len();
-                t.mean_turnaround = turnarounds.iter().sum::<f64>() / n as f64;
-                t.p95_turnaround = turnarounds[((n as f64 * 0.95).ceil() as usize).max(1) - 1];
-                t.max_turnaround = turnarounds[n - 1];
-            }
-            t.compute_seconds_total = jobs.iter().map(|j| j.compute_total).sum();
-            t.redist_seconds_total = jobs.iter().map(|j| j.redist_total).sum();
-            t
-        };
+        t.utilization = utilization;
+        let mut turnarounds: Vec<f64> = jobs
+            .iter()
+            .filter(|j| j.turnaround.is_finite())
+            .map(|j| j.turnaround)
+            .collect();
+        turnarounds.sort_by(|a, b| a.partial_cmp(b).expect("finite turnarounds"));
+        if !turnarounds.is_empty() {
+            let n = turnarounds.len();
+            t.mean_turnaround = turnarounds.iter().sum::<f64>() / n as f64;
+            t.p95_turnaround = turnarounds[((n as f64 * 0.95).ceil() as usize).max(1) - 1];
+            t.max_turnaround = turnarounds[n - 1];
+        }
+        t.compute_seconds_total = jobs.iter().map(|j| j.compute_total).sum();
+        t.redist_seconds_total = jobs.iter().map(|j| j.redist_total).sum();
         SimResult {
             jobs,
             events,
             makespan: self.makespan,
             utilization,
             total_procs: self.cfg.total_procs,
-            telemetry,
+            telemetry: t,
         }
     }
 }
@@ -1367,6 +1324,26 @@ mod tests {
             .events
             .iter()
             .any(|e| matches!(e.kind, EventKind::Failed { .. })));
+    }
+
+    #[test]
+    fn long_run_keeps_every_scheduling_event() {
+        // Submit, start and finish per single-iteration job: 75 000 events,
+        // past the core's default trace cap of 65 536.
+        let n = 25_000;
+        let jobs: Vec<SimJob> = (0..n).map(|i| lu_job(1000, (1, 1), 1, i as f64)).collect();
+        let result = ClusterSim::new(4, MachineParams::system_x()).run(&jobs);
+        assert_eq!(result.events.len(), 3 * n);
+        assert_eq!(result.telemetry.jobs_finished, n);
+        for j in &result.jobs {
+            assert_eq!(
+                j.alloc_history.iter().map(|&(_, p)| p).collect::<Vec<_>>(),
+                [1, 0],
+                "{} lost its history",
+                j.name
+            );
+        }
+        assert_eq!(result.busy_series().len(), 2 * n + 1);
     }
 
     #[test]

@@ -495,7 +495,7 @@ mod tests {
         let w = workload1();
         let reshape_run = ClusterSim::new(w.total_procs, machine).run(&w.jobs);
         let ckpt_run = ClusterSim::new(w.total_procs, machine)
-            .with_redist_mode(crate::sim::RedistMode::Checkpoint)
+            .with_redist_mode(crate::perfmodel::RedistMode::Checkpoint)
             .run(&w.jobs);
         let total_redist =
             |r: &crate::sim::SimResult| r.jobs.iter().map(|j| j.redist_total).sum::<f64>();

@@ -5,10 +5,14 @@
 //! without actually moving terabytes. Because the schedule is
 //! contention-free, a step's duration is the *maximum* single message cost
 //! in that step (all messages proceed in parallel on disjoint links), plus
-//! pack/unpack at memory bandwidth on the busiest endpoint.
+//! pack/unpack at memory bandwidth on the busiest endpoint. The evaluators
+//! price the same lowered schedule the executor runs, in one walk
+//! ([`RedistCost::add_2d`] and its crate-private core).
 
 use reshape_mpisim::NetModel;
 
+use crate::exec::{lower_2d, Schedule};
+use crate::exec1d::lower_1d;
 use crate::plan1d::Redist1d;
 use crate::plan2d::Redist2d;
 
@@ -17,58 +21,110 @@ use crate::plan2d::Redist2d;
 pub const PACK_BANDWIDTH: f64 = 2.0e9;
 
 /// Evaluated cost of a redistribution.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RedistCost {
     /// Number of communication steps in the schedule.
     pub steps: usize,
     /// Bytes that actually cross the network.
     pub network_bytes: usize,
+    /// Individual moves (messages and local copies) in the schedule.
+    pub transfers: usize,
+    /// Per-step packing on the busiest sender, summed over the steps.
+    pub pack_seconds: f64,
+    /// Per-step latency, overheads and wire time of the largest message,
+    /// summed over the steps.
+    pub transfer_seconds: f64,
+    /// Per-step unpacking on the busiest receiver.
+    pub unpack_seconds: f64,
     /// Modeled wall-clock seconds for the whole redistribution.
     pub seconds: f64,
 }
 
+impl RedistCost {
+    /// Add `plan`'s cost, as [`evaluate_2d`] prices it, onto this one. The
+    /// counts and the phase split accumulate step by step, so pricing
+    /// several arrays onto one cost sums their phases in schedule order;
+    /// `seconds` adds the plan's own total.
+    pub fn add_2d(&mut self, plan: &Redist2d, elem_size: usize, net: &NetModel) {
+        self.add(&lower_2d(plan), elem_size, net, Sum::PerStep);
+    }
+
+    /// Price `sched`'s steps onto this cost. A step takes the wire time of
+    /// its largest message plus packing and unpacking its largest move;
+    /// `order` is how those terms join the schedule's running total.
+    pub(crate) fn add(
+        &mut self,
+        sched: &Schedule<'_>,
+        elem_size: usize,
+        net: &NetModel,
+        order: Sum,
+    ) {
+        let (src_cols, dst_cols) = (sched.src.npcol, sched.dst.npcol);
+        let mut seconds = 0.0;
+        for step in sched.steps.iter() {
+            let (mut max_wire, mut max_touch) = (0usize, 0usize);
+            for mv in step {
+                let bytes = mv.elems() * elem_size;
+                max_touch = max_touch.max(bytes);
+                // Both endpoints on one rank is a local copy, off the wire.
+                if mv.src.0 * src_cols + mv.src.1 != mv.dst.0 * dst_cols + mv.dst.1 {
+                    max_wire = max_wire.max(bytes);
+                    self.network_bytes += bytes;
+                }
+            }
+            self.transfers += step.len();
+            let wire = if max_wire > 0 {
+                net.latency + 2.0 * net.overhead + max_wire as f64 / net.bandwidth
+            } else {
+                0.0
+            };
+            // Pack on the sender + unpack on the receiver.
+            let touch = 2.0 * max_touch as f64 / PACK_BANDWIDTH;
+            seconds = match order {
+                Sum::PerStep => seconds + (wire + touch),
+                Sum::PerTerm => seconds + wire + touch,
+            };
+            let half = max_touch as f64 / PACK_BANDWIDTH;
+            self.pack_seconds += half;
+            self.transfer_seconds += wire;
+            self.unpack_seconds += half;
+        }
+        self.steps += sched.steps.len();
+        self.seconds += seconds;
+    }
+}
+
+/// How a step's wire and touch terms join a schedule's total. The two
+/// orders round differently, and each evaluator keeps the one its recorded
+/// prices were taken under.
+#[derive(Clone, Copy)]
+pub(crate) enum Sum {
+    /// Add the step's terms together, then the step to the total.
+    PerStep,
+    /// Add each term to the total in turn.
+    PerTerm,
+}
+
+/// Price a whole schedule.
+pub(crate) fn evaluate(
+    sched: &Schedule<'_>,
+    elem_size: usize,
+    net: &NetModel,
+    order: Sum,
+) -> RedistCost {
+    let mut cost = RedistCost::default();
+    cost.add(sched, elem_size, net, order);
+    cost
+}
+
 /// Cost of a 1-D schedule moving elements of `elem_size` bytes under `net`.
 pub fn evaluate_1d(plan: &Redist1d, elem_size: usize, net: &NetModel) -> RedistCost {
-    let mut seconds = 0.0;
-    for step in &plan.steps {
-        let mut max_wire = 0usize;
-        let mut max_touch = 0usize;
-        for t in step {
-            let bytes = plan.transfer_bytes(t, elem_size);
-            max_touch = max_touch.max(bytes);
-            if t.src != t.dst {
-                max_wire = max_wire.max(bytes);
-            }
-        }
-        seconds += step_seconds(max_wire, max_touch, net);
-    }
-    RedistCost {
-        steps: plan.steps.len(),
-        network_bytes: plan.network_bytes(elem_size),
-        seconds,
-    }
+    evaluate(&lower_1d(plan), elem_size, net, Sum::PerStep)
 }
 
 /// Cost of a checkerboard schedule.
 pub fn evaluate_2d(plan: &Redist2d, elem_size: usize, net: &NetModel) -> RedistCost {
-    let mut seconds = 0.0;
-    for step in &plan.steps {
-        let mut max_wire = 0usize;
-        let mut max_touch = 0usize;
-        for t in step {
-            let bytes = plan.transfer_elems(t) * elem_size;
-            max_touch = max_touch.max(bytes);
-            if plan.src_rank(t.src) != plan.dst_rank(t.dst) {
-                max_wire = max_wire.max(bytes);
-            }
-        }
-        seconds += step_seconds(max_wire, max_touch, net);
-    }
-    RedistCost {
-        steps: plan.steps.len(),
-        network_bytes: plan.network_bytes(elem_size),
-        seconds,
-    }
+    evaluate(&lower_2d(plan), elem_size, net, Sum::PerStep)
 }
 
 /// Throughput degradation per extra concurrent sender targeting one
@@ -87,7 +143,11 @@ pub const INCAST_PENALTY: f64 = 0.5;
 /// schedule exists to avoid.
 pub fn evaluate_2d_contended(plan: &Redist2d, elem_size: usize, net: &NetModel) -> RedistCost {
     use std::collections::HashMap;
-    let mut seconds = 0.0;
+    let mut cost = RedistCost {
+        steps: plan.steps.len(),
+        network_bytes: plan.network_bytes(elem_size),
+        ..RedistCost::default()
+    };
     for step in &plan.steps {
         let mut sent: HashMap<usize, (usize, usize)> = HashMap::new(); // rank -> (bytes, msgs)
         let mut recvd: HashMap<usize, (usize, usize)> = HashMap::new();
@@ -118,29 +178,17 @@ pub fn evaluate_2d_contended(plan: &Redist2d, elem_size: usize, net: &NetModel) 
             .fold(0.0, f64::max);
         let wire = send_time.max(recv_time);
         if wire > 0.0 {
-            seconds += net.latency + wire;
+            cost.seconds += net.latency + wire;
+            cost.transfer_seconds += net.latency + wire;
         }
         if max_touch > 0 {
-            seconds += 2.0 * max_touch as f64 / PACK_BANDWIDTH;
+            cost.seconds += 2.0 * max_touch as f64 / PACK_BANDWIDTH;
         }
+        cost.transfers += step.len();
+        cost.pack_seconds += max_touch as f64 / PACK_BANDWIDTH;
+        cost.unpack_seconds += max_touch as f64 / PACK_BANDWIDTH;
     }
-    RedistCost {
-        steps: plan.steps.len(),
-        network_bytes: plan.network_bytes(elem_size),
-        seconds,
-    }
-}
-
-fn step_seconds(max_wire: usize, max_touch: usize, net: &NetModel) -> f64 {
-    let mut s = 0.0;
-    if max_wire > 0 {
-        s += net.latency + 2.0 * net.overhead + max_wire as f64 / net.bandwidth;
-    }
-    if max_touch > 0 {
-        // Pack on the sender + unpack on the receiver.
-        s += 2.0 * max_touch as f64 / PACK_BANDWIDTH;
-    }
-    s
+    cost
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@
 use reshape_blockcyclic::{Descriptor, DistVector};
 use reshape_mpisim::{Comm, NetModel, Pod};
 
-use crate::cost::{RedistCost, PACK_BANDWIDTH};
+use crate::cost::{evaluate, RedistCost, Sum};
 use crate::exec::{lower_steps, run_1d, Schedule};
 use crate::general2d::GTransfer2d;
 
@@ -229,29 +229,7 @@ pub fn redistribute_general_1d<T: Pod + Default>(
 /// Contention-aware analytic cost (steps are matchings, so this matches the
 /// plain per-step-max evaluator).
 pub fn evaluate_general_1d(plan: &GeneralPlan1d, elem_size: usize, net: &NetModel) -> RedistCost {
-    let mut seconds = 0.0;
-    for step in &plan.steps {
-        let mut max_wire = 0usize;
-        let mut max_touch = 0usize;
-        for t in step {
-            let bytes = t.elems() * elem_size;
-            max_touch = max_touch.max(bytes);
-            if t.src != t.dst {
-                max_wire = max_wire.max(bytes);
-            }
-        }
-        if max_wire > 0 {
-            seconds += net.latency + 2.0 * net.overhead + max_wire as f64 / net.bandwidth;
-        }
-        if max_touch > 0 {
-            seconds += 2.0 * max_touch as f64 / PACK_BANDWIDTH;
-        }
-    }
-    RedistCost {
-        steps: plan.steps.len(),
-        network_bytes: plan.network_bytes(elem_size),
-        seconds,
-    }
+    evaluate(&lower_general_1d(plan), elem_size, net, Sum::PerTerm)
 }
 
 #[cfg(test)]

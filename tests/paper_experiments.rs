@@ -86,7 +86,10 @@ fn fig2b_redist_cost_monotone_in_n_and_antitone_in_p() {
     .chain_from(ProcessorConfig::new(1, 2), 48);
     let costs: Vec<f64> = chain
         .windows(2)
-        .map(|w| lu12.redist_cost(w[0], w[1], &m))
+        .map(|w| {
+            lu12.resize_cost(w[0], w[1], &m, RedistMode::Reshape)
+                .total_seconds
+        })
         .collect();
     for w in costs.windows(2) {
         assert!(
@@ -95,16 +98,22 @@ fn fig2b_redist_cost_monotone_in_n_and_antitone_in_p() {
         );
     }
     // Monotone in matrix size for a fixed transition.
-    let c8 = AppModel::Lu { n: 8000 }.redist_cost(
-        ProcessorConfig::new(2, 2),
-        ProcessorConfig::new(2, 4),
-        &m,
-    );
-    let c24 = AppModel::Lu { n: 24000 }.redist_cost(
-        ProcessorConfig::new(2, 2),
-        ProcessorConfig::new(2, 4),
-        &m,
-    );
+    let c8 = AppModel::Lu { n: 8000 }
+        .resize_cost(
+            ProcessorConfig::new(2, 2),
+            ProcessorConfig::new(2, 4),
+            &m,
+            RedistMode::Reshape,
+        )
+        .total_seconds;
+    let c24 = AppModel::Lu { n: 24000 }
+        .resize_cost(
+            ProcessorConfig::new(2, 2),
+            ProcessorConfig::new(2, 4),
+            &m,
+            RedistMode::Reshape,
+        )
+        .total_seconds;
     assert!(c24 > 4.0 * c8);
 }
 
@@ -113,11 +122,14 @@ fn fig2b_absolute_scale_matches_paper_band() {
     // Paper Figure 2(b): costs range from under a second up to ~23 s for
     // the 24000 matrix at small processor counts.
     let m = machine();
-    let worst = AppModel::Lu { n: 24000 }.redist_cost(
-        ProcessorConfig::new(2, 4),
-        ProcessorConfig::new(4, 4),
-        &m,
-    );
+    let worst = AppModel::Lu { n: 24000 }
+        .resize_cost(
+            ProcessorConfig::new(2, 4),
+            ProcessorConfig::new(4, 4),
+            &m,
+            RedistMode::Reshape,
+        )
+        .total_seconds;
     assert!(
         (5.0..40.0).contains(&worst),
         "24000 first expansion should be O(10 s), got {worst:.1}"
