@@ -16,9 +16,9 @@
 //!    to completion under the invariant + trace oracles, and assert the
 //!    final snapshot (minus the still-attached WAL) equals the baseline's.
 //!
-//! On failure with `TESTKIT_WAL_DIR` set, the WAL stream is dumped to
-//! `$TESTKIT_WAL_DIR/seed-<seed>.wal` for offline replay, with a JSON
-//! rendering beside it (`seed-<seed>.wal.json`) for reading.
+//! On failure with `TESTKIT_FAULT_DIR` set, the WAL stream is dumped to
+//! `$TESTKIT_FAULT_DIR/crash-seed-<seed>.wal` for offline replay, with a
+//! JSON rendering beside it (`crash-seed-<seed>.wal.json`) for reading.
 
 use reshape_core::wal::Wal;
 use reshape_core::SchedulerCore;
@@ -51,7 +51,7 @@ pub(crate) fn write_wal_artifact(stem: &str, text: &str) -> std::io::Result<()> 
 }
 
 /// Run the crash-restart drill for `seed`. See the module docs for the
-/// protocol. The error string carries the seed and, when `TESTKIT_WAL_DIR`
+/// protocol. The error string carries the seed and, when `TESTKIT_FAULT_DIR`
 /// is set, the path of the dumped WAL.
 pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     let sc = generate(seed);
@@ -95,8 +95,8 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     let text = wal.encode();
     let dump = |why: &str| -> String {
         let mut msg = fail(why.to_string());
-        if let Ok(dir) = std::env::var("TESTKIT_WAL_DIR") {
-            let stem = format!("{dir}/seed-{seed}");
+        if let Ok(dir) = std::env::var("TESTKIT_FAULT_DIR") {
+            let stem = format!("{dir}/crash-seed-{seed}");
             let _ = std::fs::create_dir_all(&dir);
             match write_wal_artifact(&stem, &text) {
                 Ok(()) => msg.push_str(&format!(" [WAL dumped to {stem}.wal and .wal.json]")),

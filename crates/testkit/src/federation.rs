@@ -497,7 +497,18 @@ pub struct FedChaosReport {
 /// the seed; with `TESTKIT_FAULT_DIR` set, the fault schedule and every
 /// shard's WAL are also dumped to disk.
 pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
-    let cfg = generate_federation(seed);
+    run_chaos(seed, generate_federation(seed), "fed")
+}
+
+/// The chaos drill behind [`run_federation_chaos`] and
+/// [`crate::partition::run_partition_chaos`]: run `cfg` with the ledger
+/// oracle after every event, then the end-of-run acceptance. A failing run
+/// dumps its artifacts under `<prefix>-seed-<seed>`.
+pub(crate) fn run_chaos(
+    seed: u64,
+    cfg: FedSimConfig,
+    prefix: &str,
+) -> Result<FedChaosReport, String> {
     let schedule = format!("{cfg:#?}");
 
     let mut first_err: Option<String> = None;
@@ -521,49 +532,17 @@ pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
             }
         }
     });
-    let flightrec = fed.flightrec().dump_jsonl();
-
-    if let Some(e) = first_err {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: ledger violation: {e}"));
-    }
-    // End-of-run acceptance: full terminal accounting, every recovery
-    // replayed to snapshot equality, every lease round-tripped home.
-    if !report.recoveries_matched {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: a WAL replay diverged from its crash snapshot"
-        ));
-    }
-    let terminal =
-        report.finished + report.failed + report.cancelled + report.evict_failed + report.shed;
-    if terminal != report.submitted {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: accounting leak: {terminal} terminal of {} submitted ({report:?})",
-            report.submitted
-        ));
-    }
-    if report.leases_granted != report.leases_reclaimed {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: {} leases granted but {} reclaimed",
-            report.leases_granted, report.leases_reclaimed
-        ));
-    }
-    let per_kind = report.heal_repairs_recovery_fixup
-        + report.heal_repairs_evict_stale_borrow
-        + report.heal_repairs_return_escrow;
-    if per_kind != report.heal_repairs {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!(
-            "seed {seed}: heal-repair kinds sum to {per_kind} but {} repairs were journaled",
-            report.heal_repairs
-        ));
-    }
-    if !quiesced {
-        dump_artifacts(seed, &schedule, &wal_dump, &flightrec);
-        return Err(format!("seed {seed}: federation did not quiesce"));
+    let failure = first_err
+        .map(|e| format!("ledger violation: {e}"))
+        .or_else(|| acceptance(&report, quiesced).err());
+    if let Some(e) = failure {
+        dump_artifacts(
+            &format!("{prefix}-seed-{seed}"),
+            &schedule,
+            &wal_dump,
+            &fed.flightrec().dump_jsonl(),
+        );
+        return Err(format!("seed {seed}: {e}"));
     }
     Ok(FedChaosReport {
         report,
@@ -572,18 +551,61 @@ pub fn run_federation_chaos(seed: u64) -> Result<FedChaosReport, String> {
     })
 }
 
+/// End-of-run acceptance: full terminal accounting, every recovery
+/// replayed to snapshot equality, every lease round-tripped home, every
+/// partition healed, and full quiescence after the last fault.
+fn acceptance(report: &FedReport, quiesced: bool) -> Result<(), String> {
+    if !report.recoveries_matched {
+        return Err("a WAL replay diverged from its crash snapshot".into());
+    }
+    let terminal =
+        report.finished + report.failed + report.cancelled + report.evict_failed + report.shed;
+    if terminal != report.submitted {
+        return Err(format!(
+            "accounting leak: {terminal} terminal of {} submitted ({report:?})",
+            report.submitted
+        ));
+    }
+    if report.leases_granted != report.leases_reclaimed {
+        return Err(format!(
+            "{} leases granted but {} reclaimed",
+            report.leases_granted, report.leases_reclaimed
+        ));
+    }
+    if report.partitions_started != report.partitions_healed {
+        return Err(format!(
+            "{} partitions started but {} healed",
+            report.partitions_started, report.partitions_healed
+        ));
+    }
+    let per_kind = report.heal_repairs_recovery_fixup
+        + report.heal_repairs_evict_stale_borrow
+        + report.heal_repairs_return_escrow;
+    if per_kind != report.heal_repairs {
+        return Err(format!(
+            "heal-repair kinds sum to {per_kind} but {} repairs were journaled",
+            report.heal_repairs
+        ));
+    }
+    if !quiesced {
+        return Err("federation did not quiesce".into());
+    }
+    Ok(())
+}
+
 /// When `TESTKIT_FAULT_DIR` is set, persist the failing run's fault
-/// schedule, WAL streams, and flight-recorder dump for offline replay.
-fn dump_artifacts(seed: u64, schedule: &str, wals: &[(usize, String)], flightrec: &str) {
+/// schedule, WAL streams, and flight-recorder dump for offline replay,
+/// each named `<stem>...`.
+fn dump_artifacts(stem: &str, schedule: &str, wals: &[(usize, String)], flightrec: &str) {
     let Ok(dir) = std::env::var("TESTKIT_FAULT_DIR") else {
         return;
     };
     let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(format!("{dir}/fed-seed-{seed}.schedule.txt"), schedule);
+    let _ = std::fs::write(format!("{dir}/{stem}.schedule.txt"), schedule);
     for (shard, text) in wals {
-        let _ = write_wal_artifact(&format!("{dir}/fed-seed-{seed}-shard-{shard}"), text);
+        let _ = write_wal_artifact(&format!("{dir}/{stem}-shard-{shard}"), text);
     }
-    let _ = std::fs::write(format!("{dir}/fed-seed-{seed}.flightrec.jsonl"), flightrec);
+    let _ = std::fs::write(format!("{dir}/{stem}.flightrec.jsonl"), flightrec);
 }
 
 // ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //! and recovered from its write-ahead log; recovery must reproduce the
 //! crashed core's state exactly and the finished run must land on the
 //! uninterrupted run's final state. On failure the seed is in the message;
-//! set `TESTKIT_WAL_DIR` to also get the offending WAL stream on disk.
+//! set `TESTKIT_FAULT_DIR` to also get the offending WAL stream on disk.
 
 use reshape_testkit::run_crash_restart;
 
