@@ -283,11 +283,10 @@ impl AppModel {
         m: &MachineParams,
         mode: RedistMode,
     ) -> RedistProfile {
-        let mut prof = RedistProfile::default();
         if from == to {
-            return prof;
+            return RedistProfile::default();
         }
-        match mode {
+        let mut prof = match mode {
             RedistMode::Reshape => {
                 let net = m.redist_net();
                 let mut cost = RedistCost::default();
@@ -296,7 +295,7 @@ impl AppModel {
                     let dst = Descriptor::new(rows, cols, mb, nb, to.rows, to.cols);
                     cost.add_2d(&plan_2d(src, dst), 8, &net);
                 }
-                prof = RedistProfile {
+                RedistProfile {
                     bytes: cost.network_bytes as u64,
                     plan_steps: cost.steps as u64,
                     transfers: cost.transfers as u64,
@@ -304,16 +303,21 @@ impl AppModel {
                     transfer_seconds: cost.transfer_seconds,
                     unpack_seconds: cost.unpack_seconds,
                     total_seconds: cost.seconds,
-                };
+                }
             }
             RedistMode::Checkpoint => {
                 let (net, params) = (m.net(), m.checkpoint_params());
+                let mut total = 0.0;
                 for (rows, cols, _, _) in self.data_shapes() {
-                    prof.total_seconds +=
+                    total +=
                         checkpoint_cost(rows, cols, 8, from.procs(), to.procs(), &net, &params);
                 }
+                RedistProfile {
+                    total_seconds: total,
+                    ..RedistProfile::default()
+                }
             }
-        }
+        };
         if to.procs() > from.procs() {
             prof.total_seconds += m.net().spawn_overhead;
         }
