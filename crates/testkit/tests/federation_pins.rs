@@ -15,6 +15,10 @@
 //!   default 0.05 s, where a wide job can collect more than one lease (24
 //!   grants at latency 0, 27 at 0.05 s, on seed 31337) — this pins today's
 //!   over-grant, so a change to lending cannot move it silently;
+//! * the `fed-recover` benchmark's tiny shape (4 shards of 32, 2 000 jobs, no
+//!   wide jobs, bus latency 0, 8 evenly spaced shard kills of 10 s and 2
+//!   half/half partitions of 40 s): every kill and recovery, with the
+//!   flight recorder's `snapshot_match=true` lines, is in the digest;
 //! * a hand-built job list given out of arrival order, whose duplicate
 //!   integer arrival times coincide with check-ins and with a shard's
 //!   recovery: it pins the order of simultaneous events (a submission
@@ -33,7 +37,9 @@
 use std::collections::BTreeMap;
 
 use reshape_core::{JobSpec, ProcessorConfig, TopologyPref};
-use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
+use reshape_federation::sim::{
+    run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan, PartitionPlan,
+};
 use reshape_federation::TenantConfig;
 use reshape_testkit::{generate_federation, generate_partition, SplitMix64};
 
@@ -83,31 +89,39 @@ fn any_count(name: String, procs: usize, iterations: usize) -> JobSpec {
     )
 }
 
-/// The benchmark's `fed-steady` stream at its tiny size: 16 shards of 32
-/// processors, 8 tenants whose quotas and router queues never bind, 2 000
-/// Poisson arrivals at 0.7 load of 1-4-processor jobs (10 % resizable) and
-/// 1 % static 34-processor jobs that fit no shard and must borrow.
-fn steady_tiny(seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
-    const SHARDS: usize = 16;
-    const SHARD_PROCS: usize = 32;
+const TINY_SHARD_PROCS: usize = 32;
+const TINY_JOBS: usize = 2_000;
+
+/// Mean arrival gap of the tiny streams: 0.7 load of the federation's
+/// cpu-seconds, narrow jobs averaging 2.5 processors x 3 iterations x 60 s
+/// and wide ones 34 processors x 4.5 x 60 s.
+fn tiny_mean_gap(shards: usize, wide_permille: u64) -> f64 {
+    let total = (shards * TINY_SHARD_PROCS) as f64;
+    let wide = wide_permille as f64 / 1000.0;
+    let wide_procs = (TINY_SHARD_PROCS + 2) as f64;
+    let cpu_s = (1.0 - wide) * 2.5 * 3.0 * 60.0 + wide * wide_procs * 4.5 * 60.0;
+    cpu_s / (0.7 * total)
+}
+
+/// The benchmark's federation stream at its tiny size: `shards` shards of
+/// 32 processors, 8 tenants whose quotas and router queues never bind,
+/// 2 000 Poisson arrivals at 0.7 load of 1-4-processor jobs (10 %
+/// resizable) and `wide_permille` static 34-processor jobs per thousand that
+/// fit no shard and must borrow.
+fn tiny_stream(shards: usize, wide_permille: u64, seed: u64) -> FedSimConfig {
     const TENANTS: u64 = 8;
-    const JOBS: usize = 2_000;
-    const WIDE_PERMILLE: u64 = 10;
-    const WIDE_PROCS: usize = SHARD_PROCS + 2;
-    let total = (SHARDS * SHARD_PROCS) as f64;
-    let wide = WIDE_PERMILLE as f64 / 1000.0;
-    let cpu_s = (1.0 - wide) * 2.5 * 3.0 * 60.0 + wide * WIDE_PROCS as f64 * 4.5 * 60.0;
-    let mean_gap = cpu_s / (0.7 * total);
+    let wide_procs = TINY_SHARD_PROCS + 2;
+    let mean_gap = tiny_mean_gap(shards, wide_permille);
 
     let mut rng = SplitMix64::new(seed);
     let mut arrival = 0.0;
-    let jobs = (0..JOBS)
+    let jobs = (0..TINY_JOBS)
         .map(|i| {
-            let is_wide = rng.next_u64() % 1000 < WIDE_PERMILLE;
+            let is_wide = rng.next_u64() % 1000 < wide_permille;
             let tenant = (rng.next_u64() % TENANTS) as u32;
             let resizable = rng.next_u64() % 100 < 10;
             let (procs, iterations) = if is_wide {
-                (WIDE_PROCS, 4 + (rng.next_u64() % 2) as usize)
+                (wide_procs, 4 + (rng.next_u64() % 2) as usize)
             } else {
                 (
                     1 + (rng.next_u64() % 4) as usize,
@@ -132,15 +146,53 @@ fn steady_tiny(seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
             job
         })
         .collect();
-    let tenant = TenantConfig::new(SHARDS * SHARD_PROCS, 1.0, 1 << 20);
-    let mut cfg = FedSimConfig::new(
-        vec![SHARD_PROCS; SHARDS],
+    let tenant = TenantConfig::new(shards * TINY_SHARD_PROCS, 1.0, 1 << 20);
+    FedSimConfig::new(
+        vec![TINY_SHARD_PROCS; shards],
         vec![tenant; TENANTS as usize],
         jobs,
-    );
+    )
+}
+
+/// The `fed-steady` benchmark's tiny shape: 16 shards, 1 % wide jobs.
+fn steady_tiny(seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
+    let mut cfg = tiny_stream(16, 10, seed);
     if let Some(latency) = bus_latency {
         cfg.bus.latency = latency;
     }
+    cfg
+}
+
+/// The `fed-recover` benchmark's tiny shape: 4 shards, no wide jobs, bus
+/// latency 0, 8 shard kills of 10 s evenly spaced in transition count (a
+/// job makes about four transitions) and 2 half/half partitions of 40 s
+/// evenly spaced over the expected makespan.
+fn recover_tiny(seed: u64) -> FedSimConfig {
+    const SHARDS: usize = 4;
+    const KILLS: u64 = 8;
+    const PARTITIONS: usize = 2;
+    let mut cfg = tiny_stream(SHARDS, 0, seed);
+    cfg.bus.latency = 0.0;
+    let transitions = 4 * TINY_JOBS as u64;
+    cfg.kills = (0..KILLS)
+        .map(|k| KillPlan {
+            at_transition: (k + 1) * transitions / (KILLS + 1),
+            shard: k as usize % SHARDS,
+            down_for: 10.0,
+        })
+        .collect();
+    let makespan = TINY_JOBS as f64 * tiny_mean_gap(SHARDS, 0);
+    let half = SHARDS / 2;
+    cfg.partitions = (0..PARTITIONS)
+        .map(|p| {
+            let t_start = (p as f64 + 0.5) * makespan / PARTITIONS as f64;
+            PartitionPlan {
+                groups: vec![(0..half).collect(), (half..SHARDS).collect()],
+                t_start,
+                t_heal: t_start + 40.0,
+            }
+        })
+        .collect();
     cfg
 }
 
@@ -215,6 +267,16 @@ fn runs() -> Vec<(String, String)> {
         "steady-tiny-bus-default".to_string(),
         digest(steady_tiny(31337, None)).1,
     ));
+    let (recover, d) = digest(recover_tiny(31337));
+    assert_eq!(
+        recover.shard_recoveries, 8,
+        "every scripted kill must recover"
+    );
+    assert!(
+        recover.recoveries_matched,
+        "every recovery must replay to the crash image"
+    );
+    out.push(("recover-tiny-bus-0".to_string(), d));
     let (ties, d) = digest(tie_order());
     assert_eq!(ties.submitted, 16);
     assert_eq!(ties.shard_kills, 1, "the scripted kill must fire");
