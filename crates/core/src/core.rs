@@ -632,6 +632,67 @@ impl SchedulerCore {
         }
     }
 
+    /// `self.snapshot() == other.snapshot()`, computed in place without
+    /// building either snapshot: crash recovery compares the replayed core
+    /// with the dead one this way. Every field the snapshot copies is
+    /// compared with the snapshot's normalisation — free slots ascending,
+    /// queue ids in key order, the id-keyed maps and sets as maps and sets
+    /// (hash order does not matter), `f64`s with `==`.
+    pub fn same_state(&self, other: &SchedulerCore) -> bool {
+        // No `..`: a new field does not compile here until it is classed as
+        // compared or excluded.
+        let SchedulerCore {
+            pool,
+            queue,
+            jobs,
+            profiler,
+            next_id,
+            events,
+            events_dropped,
+            reservations,
+            next_reservation,
+            bindings,
+            pending_cancel,
+            busy_proc_seconds,
+            last_tick,
+            lent_leases,
+            borrowed_leases,
+            expand_paused,
+            epoch,
+            // Genesis configuration, rebuilt from the `open` record.
+            policy: _,
+            events_cap: _,
+            remap_policy: _,
+            // Not scheduler state: a test backdoor, the journal itself, and
+            // runtime-only trace spans.
+            chaos_leak_on_failure: _,
+            wal: _,
+            trace_ids: _,
+        } = self;
+        let queue_id = |&(_, id): &(Reverse<u8>, JobId)| id;
+        // Scalars first, then containers, the history-sized ones last.
+        pool.total() == other.pool.total()
+            && pool.foreign_minted() == other.pool.foreign_minted()
+            && *next_id == other.next_id
+            && *next_reservation == other.next_reservation
+            && *busy_proc_seconds == other.busy_proc_seconds
+            && *last_tick == other.last_tick
+            && *events_dropped == other.events_dropped
+            && *expand_paused == other.expand_paused
+            && *epoch == other.epoch
+            && pool.free_iter().eq(other.pool.free_iter())
+            && (queue.keys().map(queue_id)).eq(other.queue.keys().map(queue_id))
+            && *reservations == other.reservations
+            && *bindings == other.bindings
+            && *pending_cancel == other.pending_cancel
+            && *lent_leases == other.lent_leases
+            && *borrowed_leases == other.borrowed_leases
+            && *events == other.events
+            && *jobs == other.jobs
+            // The profiler is its per-job map and nothing else.
+            && *profiler == other.profiler
+    }
+
     /// The slowest slot speed among a job's current allocation — the pace a
     /// synchronous SPMD application actually runs at. 1.0 for jobs without
     /// an allocation.
@@ -2480,5 +2541,103 @@ mod tests {
             "replay must restore the epoch exactly"
         );
         assert_eq!(recovered.snapshot(), before);
+    }
+
+    #[test]
+    fn same_state_agrees_with_snapshot_equality() {
+        // A script that sets every compared field.
+        let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs)
+            .with_event_cap(4)
+            .with_wal(Wal::in_memory());
+        let (a, _) = core.submit(mw(2), 0.0);
+        let (b, _) = core.submit(mw(2), 0.5);
+        core.on_node_failed(a, &[1], ProcessorConfig::linear(1), 1.0);
+        core.lend_grant(1, 2, 2.0).unwrap();
+        core.borrow_attach(2, &[40, 41], 1, 3.0);
+        let r = core.reserve(100.0, 200.0, 2);
+        core.submit_reserved(mw(2), r, 4.0);
+        core.cancel(b, 5.0);
+        core.submit(mw(12), 5.5);
+        core.set_expand_paused(true, 6.0);
+        core.bump_epoch(7.0);
+        core.resize_point(a, 10.0, 0.0, 8.0);
+        assert!(core.queue_len() > 0 && !core.bindings.is_empty());
+        assert!(!core.pending_cancel.is_empty() && !core.lent_leases.is_empty());
+        assert!(!core.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
+        assert!(core.expand_paused && core.epoch == 1 && core.events_dropped > 0);
+        assert!(core.profiler.profile(a).is_some() && core.busy_proc_seconds > 0.0);
+
+        let text = core.wal().unwrap().encode();
+        let twin = || SchedulerCore::recover(Wal::decode(&text).unwrap()).unwrap();
+        let agree = |other: &SchedulerCore| {
+            let same = core.same_state(other);
+            assert_eq!(same, core.snapshot() == other.snapshot());
+            assert_eq!(same, other.same_state(&core), "same_state is symmetric");
+            same
+        };
+        assert!(agree(&twin()), "a recovered twin is the same state");
+
+        type Perturb = fn(&mut SchedulerCore);
+        let differ: [(&str, Perturb); 18] = [
+            ("free slots", |c| {
+                c.pool.allocate(1).unwrap();
+            }),
+            ("queue", |c| {
+                c.queue.pop_first();
+            }),
+            ("jobs", |c| {
+                c.jobs.get_mut(&JobId(1)).unwrap().submitted_at += 1.0;
+            }),
+            ("profiles", |c| {
+                c.profiler.profile_mut(JobId(99));
+            }),
+            ("next_id", |c| c.next_id += 1),
+            ("reservations", |c| c.reservations[0].procs += 1),
+            ("next_reservation", |c| c.next_reservation += 1),
+            ("bindings", |c| {
+                c.bindings.insert(JobId(99), ReservationId(1));
+            }),
+            ("pending_cancel", |c| {
+                c.pending_cancel.insert(JobId(99));
+            }),
+            ("busy_proc_seconds", |c| c.busy_proc_seconds += 1.0),
+            ("last_tick", |c| c.last_tick += 1.0),
+            ("events", |c| {
+                c.events.pop();
+            }),
+            ("events_dropped", |c| c.events_dropped += 1),
+            ("lent_leases", |c| {
+                c.lent_leases.insert(99, Vec::new());
+            }),
+            ("borrowed_leases", |c| {
+                c.borrowed_leases.get_mut(&2).unwrap().lender_epoch += 1;
+            }),
+            ("foreign_minted", |c| {
+                let minted = c.pool.attach_foreign(1);
+                c.pool.detach_foreign_slot(minted[0]);
+            }),
+            ("expand_paused", |c| c.expand_paused = !c.expand_paused),
+            ("epoch", |c| c.epoch += 1),
+        ];
+        for (field, perturb) in differ {
+            let mut t = twin();
+            perturb(&mut t);
+            assert!(!agree(&t), "a twin with another {field} must differ");
+        }
+        let same: [(&str, Perturb); 2] = [
+            ("trace_ids", |c| {
+                c.trace_ids.insert(JobId(99), (1, 2));
+            }),
+            ("hash order", |c| {
+                let mut jobs = IdMap::with_capacity_and_hasher(1024, Default::default());
+                jobs.extend(c.jobs.drain());
+                c.jobs = jobs;
+            }),
+        ];
+        for (what, perturb) in same {
+            let mut t = twin();
+            perturb(&mut t);
+            assert!(agree(&t), "{what} is not state");
+        }
     }
 }

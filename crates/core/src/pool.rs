@@ -257,7 +257,12 @@ impl ResourcePool {
 
     /// The currently free slot ids, ascending.
     pub fn free_slots(&self) -> Vec<usize> {
-        self.free.iter().collect()
+        self.free_iter().collect()
+    }
+
+    /// [`ResourcePool::free_slots`] without the `Vec`.
+    pub(crate) fn free_iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.free.iter()
     }
 
     /// Allocate `n` slots according to the pool's order. Returns `None`

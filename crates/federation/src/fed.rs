@@ -761,8 +761,9 @@ impl Federation {
     }
 
     /// Crash a shard. Its core dies on the spot; only the WAL text and
-    /// the crash-instant snapshot survive. Leases it holds keep running
-    /// on federation timers; traffic addressed to it is buffered.
+    /// the dead core, frozen as the crash image, survive. Leases it holds
+    /// keep running on federation timers; traffic addressed to it is
+    /// buffered.
     pub fn kill_shard(&mut self, shard: usize, now: f64) -> (bool, Vec<Notice>) {
         let mut out = self.begin(now);
         self.mark(shard);
@@ -770,14 +771,17 @@ impl Federation {
         let ShardState::Live(core) = &mut sh.state else {
             return (false, out);
         };
-        let snap = core.snapshot();
-        let wal = core
+        let wal_text = core
             .take_wal()
-            .expect("federation shards always journal to a WAL");
-        sh.state = ShardState::Down {
-            wal_text: wal.encode(),
-            crash: Box::new(snap),
-        };
+            .expect("federation shards always journal to a WAL")
+            .encode();
+        // The dead core moves whole into the crash image. The empty core
+        // left in its place for that move owns no allocation.
+        let crash = Box::new(std::mem::replace(
+            core,
+            SchedulerCore::new(0, QueuePolicy::Fcfs),
+        ));
+        sh.state = ShardState::Down { wal_text, crash };
         sh.kills += 1;
         telemetry::incr("fed.shard_kills", 1);
         self.shard_traces[shard].down = trace::begin(
@@ -795,7 +799,7 @@ impl Federation {
     }
 
     /// Restart a down shard: decode its WAL, replay it, verify the replay
-    /// reproduces the crash snapshot, fix up expired leases, then replay
+    /// reproduces the dead core's state, fix up expired leases, then replay
     /// everything that was addressed to the shard while it was down.
     pub fn recover_shard(
         &mut self,
@@ -812,21 +816,21 @@ impl Federation {
             return (None, out);
         };
         let outage = now - sh.last_seen;
-        // The text moves into the report and the crash snapshot is compared
+        // The text moves into the report and the dead core is compared
         // where it lies: both grow with the shard's whole history.
         let wal_text = std::mem::take(down_text);
 
         // Interior WAL corruption recovers to the last-good prefix; the
         // damaged remainder is quarantined into the report instead of
-        // poisoning the replay. A salvaged replay cannot match the crash
-        // snapshot (records are missing) — the mismatch is the signal.
+        // poisoning the replay. A salvaged replay cannot match the dead
+        // core (records are missing) — the mismatch is the signal.
         let (wal, salvage) = Wal::decode_salvage(&wal_text);
         let quarantined = salvage.map(|s| s.quarantined);
         let wal_records = wal.records().len();
         let core = match SchedulerCore::recover(wal) {
             Ok(core) => core,
             // Nothing replayable (the genesis line itself is damaged): the
-            // shard stays down with its WAL text and crash snapshot intact
+            // shard stays down with its WAL text and crash image intact
             // and its deferred traffic buffered, for an operator or a later
             // retry — bad durable input is an error, not a panic.
             Err(e) => {
@@ -852,7 +856,8 @@ impl Federation {
                 format!("quarantined={}B", q.len()),
             );
         }
-        let snapshot_match = core.snapshot() == **crash;
+        let snapshot_match = core.same_state(crash);
+        // The dead core is dropped here, once the recovered one is live.
         sh.state = ShardState::Live(core);
         sh.last_seen = now;
         self.mark(shard);
@@ -2564,7 +2569,7 @@ mod tests {
         let report = report.expect("shard was down");
         assert!(
             report.snapshot_match,
-            "WAL replay must equal crash snapshot"
+            "WAL replay must equal the crash image"
         );
         assert!(
             report.quarantined.is_none(),
@@ -2865,7 +2870,7 @@ mod tests {
         );
         assert!(
             !report.snapshot_match,
-            "a salvaged prefix cannot reproduce the crash snapshot"
+            "a salvaged prefix cannot reproduce the crash image"
         );
         // The shard is back in service on the last-good prefix.
         assert!(fed.shards()[0].is_live());
@@ -2907,7 +2912,7 @@ mod tests {
                 Some(damaged.as_str()),
                 "byte {pos}: evidence kept"
             );
-            assert!(sh.crash_snapshot().is_some());
+            assert!(sh.crash_core().is_some());
             assert!(fed.chaos_corrupt_down_wal(0, pos)); // flip it back
             now += 0.01;
         }

@@ -15,7 +15,8 @@
 //!   crash-restart of either side.
 //! * **Per-shard recovery** ([`shard`], [`Federation::recover_shard`]) —
 //!   killing any shard at any transition and replaying its WAL restores
-//!   its exact pre-crash state (asserted snapshot-for-snapshot), while
+//!   its exact pre-crash state (asserted field for field against the dead
+//!   core), while
 //!   surviving shards keep admitting and completing work and traffic for
 //!   the dead shard is buffered and replayed in order.
 //! * **Overload control** ([`Federation`] brownout) — per-tenant quotas

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use reshape_core::{CoreSnapshot, JobId, SchedulerCore};
+use reshape_core::{JobId, SchedulerCore};
 use reshape_telemetry::TraceCtx;
 
 use crate::lease::LeaseMsg;
@@ -44,18 +44,19 @@ pub(crate) enum Deferred {
 pub(crate) enum ShardState {
     Live(SchedulerCore),
     /// Crashed: all that survives is the WAL text (what a restart would
-    /// read off disk) and the snapshot at the instant of death (what the
-    /// replay must reproduce field for field).
+    /// read off disk) and the dead core itself, frozen at the instant of
+    /// death (what the replay must reproduce field for field).
     Down {
         wal_text: String,
-        crash: Box<CoreSnapshot>,
+        crash: Box<SchedulerCore>,
     },
 }
 
 /// What [`crate::Federation::recover_shard`] proved about a restart.
 #[derive(Clone, Debug)]
 pub struct RecoverReport {
-    /// Replaying the WAL reproduced the crash-instant snapshot exactly.
+    /// Replaying the WAL reproduced the crash-instant state exactly
+    /// ([`SchedulerCore::same_state`]).
     pub snapshot_match: bool,
     /// Records replayed.
     pub wal_records: usize,
@@ -125,8 +126,8 @@ impl Shard {
         }
     }
 
-    /// The frozen snapshot taken at the instant of the crash (down only).
-    pub fn crash_snapshot(&self) -> Option<&CoreSnapshot> {
+    /// The dead core, frozen at the instant of the crash (down only).
+    pub fn crash_core(&self) -> Option<&SchedulerCore> {
         match &self.state {
             ShardState::Down { crash, .. } => Some(crash),
             ShardState::Live(_) => None,
@@ -141,12 +142,11 @@ impl Shard {
         }
     }
 
-    /// Scheduler queue depth — live from the core, down from the frozen
-    /// snapshot.
+    /// Scheduler queue depth — live from the core, down from the dead one.
     pub fn queue_len(&self) -> usize {
         match &self.state {
             ShardState::Live(c) => c.queue_len(),
-            ShardState::Down { crash, .. } => crash.queue.len(),
+            ShardState::Down { crash, .. } => crash.queue_len(),
         }
     }
 

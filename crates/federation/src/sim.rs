@@ -259,8 +259,7 @@ pub struct FedReport {
     pub heal_repairs_evict_stale_borrow: u64,
     /// Heal repairs journaled by the digest return-escrow path.
     pub heal_repairs_return_escrow: u64,
-    /// Every recovery replayed its WAL to a snapshot equal to the crash
-    /// image.
+    /// Every recovery replayed its WAL to the crash image's exact state.
     pub recoveries_matched: bool,
     pub makespan: f64,
     pub transitions: u64,
@@ -730,7 +729,7 @@ mod tests {
         assert!(report.shard_kills >= 1, "kill plan should fire");
         assert!(
             report.recoveries_matched,
-            "WAL replay must equal crash snapshot"
+            "WAL replay must equal the crash image"
         );
         assert_eq!(
             report.finished + report.failed + report.cancelled + report.evict_failed + report.shed,

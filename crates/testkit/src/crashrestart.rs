@@ -10,11 +10,14 @@
 //!    queue survive the crash, like the paper's decoupled resize library);
 //! 3. serialize the WAL to its on-disk text format and parse it back —
 //!    the recovery input is exactly what a restarted scheduler would read;
-//! 4. [`SchedulerCore::recover`] and assert the recovered snapshot equals
-//!    the crashed core's, field for field;
+//! 4. [`SchedulerCore::recover`] and assert the recovered core is in the
+//!    crashed core's state, field for field ([`SchedulerCore::same_state`]);
 //! 5. splice the recovered core into the still-running scenario, drive it
 //!    to completion under the invariant + trace oracles, and assert the
-//!    final snapshot (minus the still-attached WAL) equals the baseline's.
+//!    final state equals the baseline's.
+//!
+//! Snapshots ([`SchedulerCore::snapshot`]) are built only to word a
+//! failure: the first line at which the two renderings differ.
 //!
 //! On failure with `TESTKIT_FAULT_DIR` set, the WAL stream is dumped to
 //! `$TESTKIT_FAULT_DIR/crash-seed-<seed>.wal` for offline replay, with a
@@ -58,11 +61,10 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     let fail = |msg: String| format!("seed {seed} (crash-restart): {msg}");
 
     // Baseline: the same scenario, never interrupted.
-    let (baseline_stats, baseline_core) =
+    let (baseline_stats, baseline) =
         Driver::new(&sc, SchedulerCore::new(sc.total_procs, sc.policy))
             .finish()
             .map_err(|e| fail(format!("baseline run failed: {e}")))?;
-    let baseline = baseline_core.snapshot();
 
     // Crash index: anywhere in the run, from "immediately after the first
     // transition" to "one before the end" (seeded, so reproducible).
@@ -111,8 +113,11 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
         SchedulerCore::recover(decoded).map_err(|e| dump(&format!("recovery failed: {e:?}")))?;
 
     // Exact state equality with the core that wrote the log.
-    if recovered.snapshot() != driver.core().snapshot() {
-        return Err(dump("recovered snapshot differs from the crashed core's"));
+    if !recovered.same_state(driver.core()) {
+        return Err(dump(&format!(
+            "recovered state differs from the crashed core's: {}",
+            first_difference(&recovered, driver.core())
+        )));
     }
 
     // Splice the recovered scheduler into the still-running scenario and
@@ -124,10 +129,11 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
 
     // The interrupted-and-recovered run must land on the baseline's exact
     // final state: recovery is invisible to scheduling outcomes.
-    if final_core.snapshot() != baseline {
-        return Err(dump(
-            "final state after recovery diverged from the uninterrupted run",
-        ));
+    if !final_core.same_state(&baseline) {
+        return Err(dump(&format!(
+            "final state after recovery diverged from the uninterrupted run: {}",
+            first_difference(&final_core, &baseline)
+        )));
     }
 
     Ok(CrashReport {
@@ -137,10 +143,45 @@ pub fn run_crash_restart(seed: u64) -> Result<CrashReport, String> {
     })
 }
 
+/// Word a state mismatch: the first line at which the two cores' snapshot
+/// renderings differ.
+fn first_difference(got: &SchedulerCore, want: &SchedulerCore) -> String {
+    let got = format!("{:#?}", got.snapshot());
+    let want = format!("{:#?}", want.snapshot());
+    let mut lines = got.lines().zip(want.lines()).enumerate();
+    match lines.find(|(_, (g, w))| g != w) {
+        Some((n, (g, w))) => format!(
+            "snapshot line {}: got `{}`, want `{}`",
+            n + 1,
+            g.trim(),
+            w.trim()
+        ),
+        None => format!(
+            "snapshots of {} and {} lines",
+            got.lines().count(),
+            want.lines().count()
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use reshape_core::wal::WalRecord;
+    use reshape_core::QueuePolicy;
+
+    #[test]
+    fn a_state_mismatch_names_its_first_differing_line() {
+        let a = SchedulerCore::new(4, QueuePolicy::Fcfs);
+        let mut b = SchedulerCore::new(4, QueuePolicy::Fcfs);
+        b.bump_epoch(1.0);
+        assert!(!a.same_state(&b));
+        let msg = first_difference(&a, &b);
+        assert!(
+            msg.contains("last_tick: 0.0") && msg.contains("1.0"),
+            "{msg}"
+        );
+    }
 
     #[test]
     fn wal_artifact_is_a_replayable_file_and_a_readable_one() {

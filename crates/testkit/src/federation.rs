@@ -11,9 +11,9 @@
 //!   reclaimed, or held by a doomed down borrower);
 //! * no processor is ever claimed by two shards, where a shard's claim is
 //!   judged from its *authoritative* state: the live core if it is up, the
-//!   frozen crash snapshot if it is down (a down borrower whose lease has
-//!   expired is doomed — the recovery fixup evicts before its core can run
-//!   again — so its claim does not count);
+//!   dead core frozen at its crash if it is down (a down borrower whose
+//!   lease has expired is doomed — the recovery fixup evicts before its
+//!   core can run again — so its claim does not count);
 //! * every lease a live shard holds appears in the right write-ahead logs:
 //!   the lender journaled `lend_grant`, the borrower `borrow_attach`, and
 //!   — crucially — a lease attached by a borrower that the *lender* never
@@ -34,10 +34,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use reshape_core::ctrl::ChaosConfig;
-use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, TopologyPref, WalRecord};
+use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, WalRecord};
 use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
 use reshape_federation::{
-    BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, TenantConfig,
+    BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, Shard, TenantConfig,
 };
 
 use crate::crashrestart::write_wal_artifact;
@@ -173,6 +173,14 @@ pub fn generate_federation(seed: u64) -> FedSimConfig {
 // The global ledger oracle
 // ----------------------------------------------------------------------
 
+/// A shard's authoritative state: the live core, or the dead one frozen at
+/// its crash.
+fn authority(sh: &Shard) -> &SchedulerCore {
+    sh.core()
+        .or_else(|| sh.crash_core())
+        .expect("a down shard keeps its crash image")
+}
+
 /// Check the federation-wide ownership ledger: exactly-one-owner for every
 /// global processor (or exactly one unreclaimed lease in escrow), lease
 /// records consistent between the shards' authoritative state and the
@@ -218,18 +226,11 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
     }
 
     // Ownership pass. A shard's claim is judged from its authoritative
-    // lease state: the live core, or the frozen crash snapshot.
+    // lease state.
     let mut owners: Vec<Vec<usize>> = vec![Vec::new(); total];
     for sh in fed.shards() {
-        let (lent, borrowed) = match sh.core() {
-            Some(c) => (c.lent_leases(), c.borrowed_leases()),
-            None => {
-                let cr = sh
-                    .crash_snapshot()
-                    .expect("down shard has a crash snapshot");
-                (&cr.lent_leases, &cr.borrowed_leases)
-            }
-        };
+        let core = authority(sh);
+        let (lent, borrowed) = (core.lent_leases(), core.borrowed_leases());
 
         let mut lent_slots: BTreeSet<usize> = BTreeSet::new();
         for (id, slots) in lent {
@@ -363,20 +364,11 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
         }
     }
 
-    // Epoch pass: a lender's current fencing epoch (live core, or the
-    // frozen crash image) must never regress below any lease it minted,
-    // and a fenced lease proves the lender actually advanced past the
-    // mint epoch.
+    // Epoch pass: a lender's current fencing epoch (in its authoritative
+    // state) must never regress below any lease it minted, and a fenced
+    // lease proves the lender actually advanced past the mint epoch.
     for l in fed.leases() {
-        let sh = &fed.shards()[l.lender];
-        let cur = match sh.core() {
-            Some(c) => c.epoch(),
-            None => {
-                sh.crash_snapshot()
-                    .expect("down shard has a crash snapshot")
-                    .epoch
-            }
-        };
+        let cur = authority(&fed.shards()[l.lender]).epoch();
         if cur < l.lender_epoch {
             return Err(format!(
                 "lease {}: minted under epoch {} but lender {} is at epoch {cur} — \
@@ -556,7 +548,7 @@ pub(crate) fn run_chaos(
 /// partition healed, and full quiescence after the last fault.
 fn acceptance(report: &FedReport, quiesced: bool) -> Result<(), String> {
     if !report.recoveries_matched {
-        return Err("a WAL replay diverged from its crash snapshot".into());
+        return Err("a WAL replay diverged from its crash image".into());
     }
     let terminal =
         report.finished + report.failed + report.cancelled + report.evict_failed + report.shed;
