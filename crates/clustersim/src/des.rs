@@ -266,8 +266,11 @@ pub struct ScaleReport {
 const SCALE_SPAWN_COST: f64 = 1.0;
 
 /// Terminal records accumulated before the driver folds scheduler state
-/// (drains the event trace into counters, prunes terminal jobs).
-const FOLD_THRESHOLD: usize = 16_384;
+/// (drains the event trace into counters, prunes terminal jobs). Small
+/// enough that the table of retired jobs stays below the live one's on a
+/// saturated queue; at 16 384 it cost the saturated shape ~15 % more bytes
+/// allocated per job.
+const FOLD_THRESHOLD: usize = 4_096;
 
 #[derive(Debug)]
 enum ScaleEv {

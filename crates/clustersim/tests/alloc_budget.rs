@@ -77,8 +77,8 @@ fn run_scale_stays_inside_its_allocation_budget() {
 
     // (shape, allocations per job, bytes per job), recorded + 2 %.
     for (name, cfg, max_allocs, max_bytes) in [
-        ("saturated", saturated, 6.94, 1420.0),
-        ("paced", paced, 6.73, 921.0),
+        ("saturated", saturated, 6.94, 1384.0),
+        ("paced", paced, 6.73, 686.0),
     ] {
         let (allocs, bytes) = per_job(&cfg);
         println!("{name}: {allocs:.3} allocations and {bytes:.1} bytes per job");

@@ -10,6 +10,7 @@
 //! same policy code drive both real threads and simulated clusters.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
@@ -216,7 +217,14 @@ pub struct SchedulerCore {
     /// A requeue path would break that and need an explicit sequence
     /// number in the key.
     queue: BTreeMap<(Reverse<u8>, JobId), usize>,
+    /// Jobs a later transition can act on: queued, running, and cancelled
+    /// while running until the resize point that delivers `Terminate`.
     jobs: IdMap<JobId, JobRecord>,
+    /// Terminal jobs, moved out of `jobs` by the transition that ended them.
+    /// Their profiles and reservation bindings stay keyed by id in the
+    /// profiler and `bindings`; [`SchedulerCore::prune_terminal`] drops all
+    /// three.
+    retired: IdMap<JobId, JobRecord>,
     profiler: Profiler,
     next_id: u64,
     events: Vec<SchedEvent>,
@@ -269,6 +277,7 @@ impl SchedulerCore {
             policy,
             queue: BTreeMap::new(),
             jobs: IdMap::default(),
+            retired: IdMap::default(),
             profiler: Profiler::new(),
             next_id: 1,
             events: Vec::new(),
@@ -335,10 +344,7 @@ impl SchedulerCore {
     /// factors; allocation prefers fast slots). Must be called before any
     /// job is submitted.
     pub fn with_slot_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "set slot speeds before submitting jobs"
-        );
+        assert!(self.next_id == 1, "set slot speeds before submitting jobs");
         self.pool = ResourcePool::new_heterogeneous(speeds);
         self
     }
@@ -346,7 +352,7 @@ impl SchedulerCore {
     /// Replace the pool's allocation order (placement ablations).
     pub fn with_alloc_order(mut self, order: crate::pool::AllocOrder) -> Self {
         assert!(
-            self.jobs.is_empty(),
+            self.next_id == 1,
             "set allocation order before submitting jobs"
         );
         self.pool = self.pool.with_order(order);
@@ -366,10 +372,7 @@ impl SchedulerCore {
     /// submitted; writes the genesis [`WalRecord::Open`] capturing the
     /// core's configuration so [`SchedulerCore::recover`] can rebuild it.
     pub fn with_wal(mut self, mut wal: Wal) -> Self {
-        assert!(
-            self.jobs.is_empty(),
-            "attach the WAL before submitting jobs"
-        );
+        assert!(self.next_id == 1, "attach the WAL before submitting jobs");
         assert!(
             wal.is_empty(),
             "WAL already holds records; recover from it instead of re-attaching"
@@ -609,7 +612,7 @@ impl SchedulerCore {
             total_procs: self.pool.total(),
             free_slots: self.pool.free_slots(),
             queue: self.queue.keys().map(|&(_, id)| id).collect(),
-            jobs: self.jobs.iter().map(|(k, v)| (*k, v.clone())).collect(),
+            jobs: self.jobs().map(|(k, v)| (*k, v.clone())).collect(),
             profiles: self
                 .profiler
                 .profiles()
@@ -637,7 +640,10 @@ impl SchedulerCore {
     /// with the dead one this way. Every field the snapshot copies is
     /// compared with the snapshot's normalisation — free slots ascending,
     /// queue ids in key order, the id-keyed maps and sets as maps and sets
-    /// (hash order does not matter), `f64`s with `==`.
+    /// (hash order does not matter), `f64`s with `==`. The snapshot's `jobs`
+    /// is the union of the live and the retired jobs; comparing the two maps
+    /// apart is the same test, since a job is retired exactly when it is
+    /// terminal and owed no `Terminate`, and `pending_cancel` is compared.
     pub fn same_state(&self, other: &SchedulerCore) -> bool {
         // No `..`: a new field does not compile here until it is classed as
         // compared or excluded.
@@ -645,6 +651,7 @@ impl SchedulerCore {
             pool,
             queue,
             jobs,
+            retired,
             profiler,
             next_id,
             events,
@@ -689,6 +696,7 @@ impl SchedulerCore {
             && *borrowed_leases == other.borrowed_leases
             && *events == other.events
             && *jobs == other.jobs
+            && *retired == other.retired
             // The profiler is its per-job map and nothing else.
             && *profiler == other.profiler
     }
@@ -957,18 +965,21 @@ impl SchedulerCore {
         });
         self.tick(now);
         if self.pending_cancel.remove(&job) {
+            self.retire(job);
             return (Directive::Terminate, Vec::new());
         }
+        // Zombie fencing: a process group whose job already left the system
+        // (failed by the watchdog or monitor, finished, or cancelled — and
+        // so retired, or pruned since) holds no slots, so any late resize
+        // point tells it to exit rather than letting it iterate forever
+        // unaccounted. A job still queued has no process group to fence.
         let rec = match self.jobs.get(&job) {
             Some(r) => r,
+            None if self.submitted(job) => return (Directive::Terminate, Vec::new()),
             None => return (Directive::NoChange, Vec::new()),
         };
         let current = match rec.state {
             JobState::Running { config } => config,
-            // Zombie fencing: a process group whose job already left the
-            // system (failed by the watchdog or monitor, finished, or
-            // cancelled) holds no slots, so any late resize point tells it
-            // to exit rather than letting it iterate forever unaccounted.
             _ => return (Directive::Terminate, Vec::new()),
         };
         self.profiler
@@ -1139,6 +1150,11 @@ impl SchedulerCore {
             to,
             seconds,
         });
+        if self.submitted(job) && !self.jobs.contains_key(&job) && !self.retired.contains_key(&job)
+        {
+            // Pruned: its profile went with it and stays gone.
+            return;
+        }
         let kind = if to.procs() >= from.procs() {
             Resize::Expanded { from, to }
         } else {
@@ -1161,24 +1177,31 @@ impl SchedulerCore {
         let now = self.sane_now(now);
         self.log(WalRecord::Finished { job, now });
         self.tick(now);
-        if let Some(rec) = self.jobs.get_mut(&job) {
-            if !rec.state.is_active() {
-                return Vec::new();
+        let submitted = self.submitted(job);
+        match self.jobs.entry(job) {
+            Entry::Occupied(e) if e.get().state.is_active() => {
+                let mut rec = e.remove();
+                // Only a job still waiting has an entry in the index.
+                if rec.state == JobState::Queued {
+                    self.queue.remove(&(Reverse(rec.spec.priority), job));
+                }
+                let slots = std::mem::take(&mut rec.slots);
+                rec.state = JobState::Finished { at: now };
+                rec.finished_at = Some(now);
+                self.retired.insert(job, rec);
+                self.pool.release(&slots);
+                self.push_event(SchedEvent {
+                    time: now,
+                    job,
+                    kind: EventKind::Finished,
+                });
+                self.trace_close(job, now);
             }
-            // Only a job still waiting has an entry in the index.
-            if rec.state == JobState::Queued {
-                self.queue.remove(&(Reverse(rec.spec.priority), job));
-            }
-            let slots = std::mem::take(&mut rec.slots);
-            rec.state = JobState::Finished { at: now };
-            rec.finished_at = Some(now);
-            self.pool.release(&slots);
-            self.push_event(SchedEvent {
-                time: now,
-                job,
-                kind: EventKind::Finished,
-            });
-            self.trace_close(job, now);
+            // Cancelled and owed its `Terminate`, or already retired or
+            // pruned: nothing changes.
+            Entry::Occupied(_) => return Vec::new(),
+            Entry::Vacant(_) if submitted => return Vec::new(),
+            Entry::Vacant(_) => {}
         }
         self.schedule_now(now)
     }
@@ -1202,33 +1225,33 @@ impl SchedulerCore {
             });
         }
         self.tick(now);
-        if let Some(rec) = self.jobs.get_mut(&job) {
-            if rec.state == JobState::Queued {
-                self.queue.remove(&(Reverse(rec.spec.priority), job));
-            }
-            let slots = std::mem::take(&mut rec.slots);
-            rec.state = JobState::Failed {
-                at: now,
-                reason: reason.clone(),
-            };
-            rec.finished_at = Some(now);
-            if !self.chaos_leak_on_failure {
-                self.pool.release(&slots);
-            }
-            self.push_event(SchedEvent {
-                time: now,
-                job,
-                kind: EventKind::Failed { reason },
-            });
-            reshape_telemetry::incr("core.job_failures", 1);
-            reshape_telemetry::record(reshape_telemetry::Event::Recovery {
-                time: now,
-                job: job.0,
-                action: "reclaim_failed_job".to_string(),
-                freed: slots.len(),
-            });
-            self.trace_close(job, now);
+        let mut rec = self.jobs.remove(&job).expect("checked active above");
+        if rec.state == JobState::Queued {
+            self.queue.remove(&(Reverse(rec.spec.priority), job));
         }
+        let slots = std::mem::take(&mut rec.slots);
+        rec.state = JobState::Failed {
+            at: now,
+            reason: reason.clone(),
+        };
+        rec.finished_at = Some(now);
+        self.retired.insert(job, rec);
+        if !self.chaos_leak_on_failure {
+            self.pool.release(&slots);
+        }
+        self.push_event(SchedEvent {
+            time: now,
+            job,
+            kind: EventKind::Failed { reason },
+        });
+        reshape_telemetry::incr("core.job_failures", 1);
+        reshape_telemetry::record(reshape_telemetry::Event::Recovery {
+            time: now,
+            job: job.0,
+            action: "reclaim_failed_job".to_string(),
+            freed: slots.len(),
+        });
+        self.trace_close(job, now);
         self.schedule_now(now)
     }
 
@@ -1381,6 +1404,7 @@ impl SchedulerCore {
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
                 self.queue.remove(&(Reverse(rec.spec.priority), job));
+                self.retire(job);
                 self.push_event(SchedEvent {
                     time: now,
                     job,
@@ -1392,7 +1416,7 @@ impl SchedulerCore {
             }
             JobState::Running { .. } => {
                 // Reclaim resources now; the application finds out at its
-                // next resize point.
+                // next resize point, and the job stays live until then.
                 let slots = std::mem::take(&mut rec.slots);
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
@@ -1564,6 +1588,7 @@ impl SchedulerCore {
                     reason: reason.clone(),
                 };
                 rec.finished_at = Some(now);
+                self.retire(job);
                 self.push_event(SchedEvent {
                     time: now,
                     job,
@@ -1695,11 +1720,19 @@ impl SchedulerCore {
     // Introspection
     // ------------------------------------------------------------------
 
+    /// A job's record, live or retired (`None` once pruned).
     pub fn job(&self, id: JobId) -> Option<&JobRecord> {
-        self.jobs.get(&id)
+        self.jobs.get(&id).or_else(|| self.retired.get(&id))
     }
 
+    /// Every job not yet pruned, live and retired, in no particular order.
     pub fn jobs(&self) -> impl Iterator<Item = (&JobId, &JobRecord)> {
+        self.jobs.iter().chain(&self.retired)
+    }
+
+    /// The jobs a later transition can act on — queued, running, or
+    /// cancelled and owed its `Terminate` — in no particular order.
+    pub fn live_jobs(&self) -> impl Iterator<Item = (&JobId, &JobRecord)> {
         self.jobs.iter()
     }
 
@@ -1755,36 +1788,36 @@ impl SchedulerCore {
         self.events_dropped
     }
 
-    /// Drop the records, profiler history, and auxiliary per-job state of
-    /// every terminal job (finished / failed / cancelled); returns how many
-    /// records were pruned. Million-job simulations call this periodically
-    /// (after draining the event trace) so scheduler memory is bounded by
-    /// the *live* job count, not the full arrival history. Safe for
-    /// accounting: the busy-time integral behind
-    /// [`SchedulerCore::utilization`] is a running scalar, and terminal
-    /// jobs hold no pool slots. Prunes are not WAL-logged — recovery
-    /// replays the full history — so durable deployments should prune only
-    /// if they can tolerate a recovered core retaining terminal records.
+    /// Drop every retired job — its record, profiler history and
+    /// reservation binding — and return how many. A job retires in the
+    /// transition that ends it (finished, failed, cancelled while queued, or
+    /// handed its `Terminate` after a cancel while running), so this visits
+    /// only those and never a live job. Million-job simulations call it
+    /// periodically (after draining the event trace) so scheduler memory is
+    /// bounded by the *live* job count, not the full arrival history; the
+    /// federation calls it on every shard it touches. Prunes are not
+    /// WAL-logged and need not be: no transition reads a retired job beyond
+    /// its id being spent, which `next_id` remembers, so a core recovered
+    /// from the WAL differs from the pruned one only by the retired jobs it
+    /// still holds.
     pub fn prune_terminal(&mut self) -> usize {
-        let before = self.jobs.len();
-        // One visit per record; the side tables are empty on most cores, so
-        // their probes are skipped together.
-        let side_tables = !(self.bindings.is_empty()
-            && self.pending_cancel.is_empty()
-            && self.trace_ids.is_empty());
-        self.jobs.retain(|id, rec| {
-            if rec.state.is_active() {
-                return true;
-            }
-            self.profiler.forget(*id);
-            if side_tables {
-                self.bindings.remove(id);
-                self.pending_cancel.remove(id);
-                self.trace_ids.remove(id);
-            }
-            false
-        });
-        before - self.jobs.len()
+        let pruned = self.retired.len();
+        for (id, _) in self.retired.drain() {
+            self.profiler.forget(id);
+            self.bindings.remove(&id);
+        }
+        pruned
+    }
+
+    /// Whether `job` was ever submitted: ids are minted in order from 1.
+    fn submitted(&self, job: JobId) -> bool {
+        (1..self.next_id).contains(&job.0)
+    }
+
+    /// Move a job that just ended out of the live map.
+    fn retire(&mut self, job: JobId) {
+        let rec = self.jobs.remove(&job).expect("only a live job retires");
+        self.retired.insert(job, rec);
     }
 
     /// Alias of [`SchedulerCore::dropped_events`] (original name).
@@ -2341,6 +2374,48 @@ mod tests {
     }
 
     #[test]
+    fn pruning_keeps_a_cancelled_job_until_its_terminate() {
+        let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
+        let (a, _) = core.submit(lu(8000, 2, 2), 0.0);
+        core.cancel(a, 5.0);
+        assert_eq!(core.prune_terminal(), 0, "a is owed its Terminate");
+        let (d, starts) = core.resize_point(a, 50.0, 0.0, 6.0);
+        assert_eq!(d, Directive::Terminate);
+        assert!(starts.is_empty());
+        assert_eq!(core.prune_terminal(), 1, "delivering Terminate retires a");
+        assert!(core.job(a).is_none());
+    }
+
+    #[test]
+    fn a_pruned_job_gets_a_terminal_jobs_answers() {
+        let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
+        let (a, _) = core.submit(lu(8000, 2, 2), 0.0);
+        core.resize_point(a, 10.0, 0.0, 1.0);
+        core.on_finished(a, 2.0);
+        assert!(core.live_jobs().next().is_none() && core.job(a).is_some());
+        assert_eq!(core.prune_terminal(), 1);
+        assert!(core.job(a).is_none() && core.profiler().profile(a).is_none());
+        // The answers a finished record gets.
+        assert_eq!(core.resize_point(a, 10.0, 0.0, 3.0).0, Directive::Terminate);
+        assert!(core.on_finished(a, 3.0).is_empty());
+        assert!(core.cancel(a, 3.0).is_empty());
+        assert!(core.on_failed(a, "late".into(), 3.0).is_empty());
+        // A late redistribution cost does not bring the profile back.
+        core.note_redist_cost(
+            a,
+            ProcessorConfig::new(2, 2),
+            ProcessorConfig::new(2, 4),
+            1.0,
+        );
+        assert!(core.profiler().profile(a).is_none());
+        // An id never submitted is unknown, not terminal.
+        assert_eq!(
+            core.resize_point(JobId(9), 10.0, 0.0, 4.0).0,
+            Directive::NoChange
+        );
+    }
+
+    #[test]
     fn event_trace_is_bounded_and_drainable() {
         let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs).with_event_cap(4);
         for i in 0..6 {
@@ -2557,11 +2632,13 @@ mod tests {
         let r = core.reserve(100.0, 200.0, 2);
         core.submit_reserved(mw(2), r, 4.0);
         core.cancel(b, 5.0);
-        core.submit(mw(12), 5.5);
+        let (q, _) = core.submit(mw(12), 5.5);
+        core.submit(mw(12), 5.6);
+        core.cancel(q, 5.7);
         core.set_expand_paused(true, 6.0);
         core.bump_epoch(7.0);
         core.resize_point(a, 10.0, 0.0, 8.0);
-        assert!(core.queue_len() > 0 && !core.bindings.is_empty());
+        assert!(core.queue_len() > 0 && !core.bindings.is_empty() && !core.retired.is_empty());
         assert!(!core.pending_cancel.is_empty() && !core.lent_leases.is_empty());
         assert!(!core.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
         assert!(core.expand_paused && core.epoch == 1 && core.events_dropped > 0);
@@ -2578,7 +2655,7 @@ mod tests {
         assert!(agree(&twin()), "a recovered twin is the same state");
 
         type Perturb = fn(&mut SchedulerCore);
-        let differ: [(&str, Perturb); 18] = [
+        let differ: [(&str, Perturb); 19] = [
             ("free slots", |c| {
                 c.pool.allocate(1).unwrap();
             }),
@@ -2587,6 +2664,9 @@ mod tests {
             }),
             ("jobs", |c| {
                 c.jobs.get_mut(&JobId(1)).unwrap().submitted_at += 1.0;
+            }),
+            ("retired", |c| {
+                c.retired.get_mut(&JobId(4)).unwrap().submitted_at += 1.0;
             }),
             ("profiles", |c| {
                 c.profiler.profile_mut(JobId(99));
@@ -2632,6 +2712,9 @@ mod tests {
                 let mut jobs = IdMap::with_capacity_and_hasher(1024, Default::default());
                 jobs.extend(c.jobs.drain());
                 c.jobs = jobs;
+                let mut retired = IdMap::with_capacity_and_hasher(1024, Default::default());
+                retired.extend(c.retired.drain());
+                c.retired = retired;
             }),
         ];
         for (what, perturb) in same {

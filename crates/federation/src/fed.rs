@@ -775,8 +775,10 @@ impl Federation {
             .take_wal()
             .expect("federation shards always journal to a WAL")
             .encode();
-        // The dead core moves whole into the crash image. The empty core
-        // left in its place for that move owns no allocation.
+        // The dead core moves whole into the crash image, holding only its
+        // live jobs. The empty core left in its place for that move owns no
+        // allocation.
+        core.prune_terminal();
         let crash = Box::new(std::mem::replace(
             core,
             SchedulerCore::new(0, QueuePolicy::Fcfs),
@@ -827,7 +829,7 @@ impl Federation {
         let (wal, salvage) = Wal::decode_salvage(&wal_text);
         let quarantined = salvage.map(|s| s.quarantined);
         let wal_records = wal.records().len();
-        let core = match SchedulerCore::recover(wal) {
+        let mut core = match SchedulerCore::recover(wal) {
             Ok(core) => core,
             // Nothing replayable (the genesis line itself is damaged): the
             // shard stays down with its WAL text and crash image intact
@@ -856,6 +858,9 @@ impl Federation {
                 format!("quarantined={}B", q.len()),
             );
         }
+        // Replay retires every job the WAL ended; the crash image holds
+        // none, so both are compared on their live jobs.
+        core.prune_terminal();
         let snapshot_match = core.same_state(crash);
         // The dead core is dropped here, once the recovered one is live.
         sh.state = ShardState::Live(core);
@@ -1032,9 +1037,14 @@ impl Federation {
         }
     }
 
-    /// Recompute the summaries of shards changed since the last read.
+    /// Recompute the summaries of shards changed since the last read, and
+    /// drop the jobs those changes ended, so a live core holds only live
+    /// jobs.
     fn refresh_view(&mut self) {
         while let Some(shard) = self.stale.pop() {
+            if let ShardState::Live(core) = &mut self.shards[shard].state {
+                core.prune_terminal();
+            }
             let fresh = ShardSummary::of(&self.shards[shard], self.lease_cfg.min_spare);
             let old = std::mem::replace(&mut self.view[shard], fresh);
             self.starved =
@@ -2108,7 +2118,7 @@ impl Federation {
             core.borrowed_leases()
                 .iter()
                 .filter(|(_, bl)| {
-                    !core.jobs().any(|(_, rec)| {
+                    !core.live_jobs().any(|(_, rec)| {
                         rec.state.is_active() && rec.slots.iter().any(|s| bl.local.contains(s))
                     })
                 })
@@ -2630,7 +2640,8 @@ mod tests {
             "deferred checkin must replay: {notices:?}"
         );
         let core = fed.shards()[0].core().unwrap();
-        assert!(core.job(job).unwrap().state.is_terminal());
+        // Finished, retired, and pruned with the shard's next refresh.
+        assert!(core.job(job).is_none());
         assert_eq!(core.idle_procs(), 2);
     }
 

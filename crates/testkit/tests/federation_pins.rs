@@ -325,3 +325,33 @@ fn federation_runs_match_recorded_digests() {
         diverged.join("\n")
     );
 }
+
+/// The federation prunes every shard it touches, so once the steady stream
+/// drains, each shard core holds records and profiles for its queued and
+/// running jobs only, not for its history; and every recovery of the
+/// `fed-recover` shape still replays to its crash image.
+#[test]
+fn shards_hold_only_live_jobs() {
+    let (steady, fed) = run_with_fed(steady_tiny(31337, Some(0.0)), |_, _| {});
+    assert_eq!(steady.finished, TINY_JOBS as u64);
+    for sh in fed.shards() {
+        let core = sh.core().expect("the steady shape kills no shard");
+        let live = core.jobs().filter(|(_, r)| r.state.is_active()).count();
+        let records = core.jobs().count();
+        let profiles = core.profiler().profiles().count();
+        assert!(
+            records <= live && profiles <= live,
+            "shard {}: {records} records and {profiles} profiles for {live} queued or \
+             running jobs",
+            sh.id()
+        );
+    }
+
+    let (recover, fed) = run_with_fed(recover_tiny(31337), |_, _| {});
+    let matched = fed
+        .flightrec()
+        .dump_jsonl()
+        .matches("snapshot_match=true")
+        .count();
+    assert_eq!((recover.shard_recoveries, matched), (8, 8));
+}

@@ -332,14 +332,7 @@ fn scale_stream(seed: u64, jobs: u64) -> Vec<WalRecord> {
     core.wal().expect("attached").records().to_vec()
 }
 
-// Fails on 54 of the 256 scenario seeds and on the scale stream: 3, 6, 11,
-// 20, 26, 37, 38, 40, 43, 44, 50, 53, 60, 67, 81, 82, 84, 86, 102, 108, 110,
-// 113, 117, 121, 122, 124, 142, 143, 145, 153, 156, 157, 162, 164, 170, 172,
-// 173, 184, 187, 188, 190, 191, 192, 199, 206, 208, 210, 212, 217, 226, 233,
-// 241, 246, 249.
 #[test]
-#[ignore = "a pruned terminal record gets NoChange instead of Terminate at a resize \
-            point, and a prune drops a cancelled job whose Terminate is still owed"]
 fn pruning_twin_gives_the_same_answers() {
     let mut failures = Vec::new();
     for seed in 0..256u64 {
