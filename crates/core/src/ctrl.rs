@@ -466,30 +466,68 @@ mod tests {
 
     #[test]
     fn heavy_chaos_still_delivers_exactly_once_in_order() {
-        for seed in [1u64, 7, 42, 9001] {
-            let cfg = ReliableConfig {
-                chaos: Some(ChaosConfig::heavy(seed)),
-                retransmit_after: Duration::from_millis(2),
-            };
-            let (tx, rx) = reliable_channel::<u64>(cfg);
-            const N: u64 = 500;
-            let producer = std::thread::spawn(move || {
-                for i in 0..N {
-                    tx.send(i).unwrap();
+        let only = |loss, dup, reorder, seed| ChaosConfig {
+            loss,
+            dup,
+            reorder,
+            seed,
+        };
+        let wires = [
+            ChaosConfig::heavy(1),
+            ChaosConfig::heavy(7),
+            ChaosConfig::heavy(42),
+            ChaosConfig::heavy(9001),
+            only(0.3, 0.0, 0.0, 11),
+            only(0.0, 0.3, 0.0, 12),
+            only(0.0, 0.0, 0.3, 13),
+        ];
+        // One producer, then four producers sharing clones of one sender:
+        // each payload is `producer * STRIDE + i`, and every producer's own
+        // stream must come out in its send order.
+        const STRIDE: u64 = 1 << 32;
+        for chaos in wires {
+            for producers in [1u64, 4] {
+                let cfg = ReliableConfig {
+                    chaos: Some(chaos),
+                    retransmit_after: Duration::from_millis(2),
+                };
+                let (tx, rx) = reliable_channel::<u64>(cfg);
+                const N: u64 = 500;
+                let handles: Vec<_> = (0..producers)
+                    .map(|p| {
+                        let tx = tx.clone();
+                        std::thread::spawn(move || {
+                            for i in 0..N {
+                                tx.send(p * STRIDE + i).unwrap();
+                            }
+                        })
+                    })
+                    .collect();
+                drop(tx);
+                let mut next = vec![0u64; producers as usize];
+                for k in 0..producers * N {
+                    let got = rx
+                        .recv_timeout(Duration::from_secs(30))
+                        .unwrap_or_else(|_| {
+                            panic!("{chaos:?} x{producers}: message {k} never arrived")
+                        });
+                    let (p, i) = ((got / STRIDE) as usize, got % STRIDE);
+                    assert_eq!(
+                        i, next[p],
+                        "{chaos:?} x{producers}: producer {p} out of order or duplicated"
+                    );
+                    next[p] += 1;
                 }
-            });
-            for i in 0..N {
-                let got = rx
-                    .recv_timeout(Duration::from_secs(30))
-                    .unwrap_or_else(|_| panic!("seed {seed}: message {i} never arrived"));
-                assert_eq!(got, i, "seed {seed}: out of order or duplicated");
+                for h in handles {
+                    h.join().unwrap();
+                }
+                assert!(next.iter().all(|&n| n == N));
+                // Nothing extra may trickle in: exactly once.
+                assert!(
+                    rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                    "{chaos:?} x{producers}: duplicate delivery after the stream"
+                );
             }
-            producer.join().unwrap();
-            // Nothing extra may trickle in: exactly once.
-            assert!(
-                rx.recv_timeout(Duration::from_millis(50)).is_err(),
-                "seed {seed}: duplicate delivery after the stream"
-            );
         }
     }
 
@@ -617,5 +655,29 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(5)),
             Err(RecvTimeoutError::Disconnected)
         ));
+    }
+
+    #[test]
+    #[ignore = "fails: the sender daemon outlives a dropped receiver and retransmits \
+                forever (`None: 4283 sends still Ok 5 s after the receiver was dropped`)"]
+    fn send_fails_once_the_receiver_is_gone() {
+        for cfg in [
+            ReliableConfig::default(),
+            ReliableConfig::with_chaos(ChaosConfig::heavy(3)),
+        ] {
+            let (tx, rx) = reliable_channel::<u32>(cfg);
+            drop(rx);
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            let mut sent = 0;
+            while tx.send(sent).is_ok() {
+                sent += 1;
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{:?}: {sent} sends still Ok 5 s after the receiver was dropped",
+                    cfg.chaos
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
     }
 }
