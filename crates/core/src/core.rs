@@ -1820,11 +1820,6 @@ impl SchedulerCore {
         self.retired.insert(job, rec);
     }
 
-    /// Alias of [`SchedulerCore::dropped_events`] (original name).
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
-    }
-
     /// Mean utilization over `[0, now]`: the fraction of available
     /// cpu-seconds assigned to running jobs (the paper's footnote 1).
     ///
@@ -2429,9 +2424,9 @@ mod tests {
             core.events().len()
         );
         assert!(
-            core.events_dropped() >= 14,
+            core.dropped_events() >= 14,
             "drops uncounted: {}",
-            core.events_dropped()
+            core.dropped_events()
         );
         let drained = core.drain_events();
         assert!(!drained.is_empty());

@@ -3,22 +3,25 @@
 //! The threaded runtime's drivers talk to the scheduler thread over a
 //! message channel. In-process channels never lose messages, but the
 //! paper's deployment has the resize library talking to the scheduler over
-//! sockets — a control plane that can drop, duplicate or reorder. This
-//! module wraps any `Clone + Send` message type in a sequenced
-//! ack/retransmit protocol so exactly-once, in-order delivery survives an
-//! unreliable link:
+//! sockets — a control plane that can drop, duplicate or reorder. The
+//! sequenced ack/retransmit protocol that masks those faults exists once,
+//! as the pure state machines of [`seq`]:
 //!
 //! * every message gets a monotonically increasing sequence number;
-//! * the sender daemon keeps unacknowledged messages and retransmits the
-//!   whole window every `retransmit_after` until acknowledged — control
+//! * the sender keeps unacknowledged messages and retransmits the whole
+//!   window every `retransmit_after` until acknowledged — control
 //!   messages must eventually arrive;
-//! * the receiver daemon delivers strictly in sequence order, buffering
+//! * the receiver delivers strictly in sequence order, buffering
 //!   out-of-order arrivals and discarding duplicates, and acknowledges
 //!   every frame it sees (acks are cumulative: acking `n` covers all
 //!   `seq <= n`);
 //! * an optional [`ChaosConfig`] makes the simulated wire lossy — a seeded
 //!   deterministic fault stream drops, duplicates and reorders frames so
 //!   tests can prove the protocol masks all three.
+//!
+//! [`reliable_channel`] runs both machines on one daemon thread in wall
+//! seconds, with the chaos wire between them; the federation's lease bus
+//! runs them in virtual time.
 //!
 //! The guarantee tests lean on: every message passed to
 //! [`ReliableSender::send`] is delivered to the receiver **exactly once**,
@@ -32,13 +35,15 @@
 //! (`trace::ctx_guard`) before acting, which is what links driver-side
 //! spans to the scheduler-side spans they cause across this channel.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use reshape_mpisim::SplitMix64;
+
+use seq::{Frame, SeqReceiver, SeqSender};
+
+/// The seeded stream behind every chaos wire: this module's and the
+/// federation's lease bus.
+pub use reshape_mpisim::SplitMix64;
 
 /// Probabilities for the simulated unreliable wire. All in `[0, 1)`;
 /// `seed` makes the fault stream deterministic.
@@ -70,7 +75,8 @@ impl ChaosConfig {
 pub struct ReliableConfig {
     /// `None` models a perfect wire (protocol still runs, nothing to mask).
     pub chaos: Option<ChaosConfig>,
-    /// How long an unacked frame waits before retransmission.
+    /// How long an unacked frame waits before retransmission; must be
+    /// positive.
     pub retransmit_after: Duration,
 }
 
@@ -92,209 +98,166 @@ impl ReliableConfig {
     }
 }
 
-struct Frame<T> {
-    seq: u64,
-    payload: T,
-}
-
 /// Sending half of a reliable channel. Cloneable; drop every clone to shut
 /// the channel down (pending messages are still retransmitted until
 /// acknowledged).
+#[derive(Clone)]
 pub struct ReliableSender<T> {
-    tx: Sender<Frame<T>>,
-    next_seq: Arc<AtomicU64>,
-}
-
-impl<T> Clone for ReliableSender<T> {
-    fn clone(&self) -> Self {
-        ReliableSender {
-            tx: self.tx.clone(),
-            next_seq: Arc::clone(&self.next_seq),
-        }
-    }
+    tx: Sender<T>,
 }
 
 impl<T> ReliableSender<T> {
     /// Queue a message for exactly-once, in-order delivery. Returns `Err`
-    /// only when the receiving side is gone entirely.
+    /// only when the receiving side is gone entirely. The daemon notices
+    /// that when it next delivers, so a send racing the receiver's drop
+    /// can still return `Ok`.
     pub fn send(&self, payload: T) -> Result<(), T> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.tx
-            .send(Frame { seq, payload })
-            .map_err(|e| e.0.payload)
+        self.tx.send(payload).map_err(|e| e.0)
     }
 }
 
 /// Build a reliable channel: messages sent on the [`ReliableSender`] come
 /// out of the returned `Receiver` exactly once and in order, even when
 /// `cfg.chaos` makes the simulated wire lose, duplicate or reorder frames.
-/// The two daemon threads exit on their own once all senders are dropped
-/// and everything in flight is acknowledged.
+/// One daemon thread carries the channel. It exits once all senders are
+/// dropped and everything in flight is acknowledged, or once a delivery
+/// finds the receiver gone.
 pub fn reliable_channel<T: Clone + Send + 'static>(
     cfg: ReliableConfig,
 ) -> (ReliableSender<T>, Receiver<T>) {
-    let (in_tx, in_rx) = unbounded::<Frame<T>>();
-    let (wire_tx, wire_rx) = unbounded::<Frame<T>>();
-    let (ack_tx, ack_rx) = unbounded::<u64>();
+    let (in_tx, in_rx) = unbounded::<T>();
     let (out_tx, out_rx) = unbounded::<T>();
-
-    // Sender daemon: owns the unacked window, applies chaos to every
-    // transmission, retransmits on timeout.
+    let link = Link {
+        sender: SeqSender::new(cfg.retransmit_after.as_secs_f64()),
+        receiver: SeqReceiver::new(),
+        chaos: cfg.chaos,
+        rng: SplitMix64::new(cfg.chaos.map_or(0, |c| c.seed)),
+        held: None,
+        out: out_tx,
+    };
     std::thread::Builder::new()
-        .name("reshape-ctrl-send".into())
-        .spawn(move || {
-            let mut rng = SplitMix64::new(cfg.chaos.map(|c| c.seed).unwrap_or(0));
-            // A frame held back by the reorder fault, delivered after the
-            // next transmission.
-            let mut held: Option<Frame<T>> = None;
-            let mut transmit = |frame: &Frame<T>, held: &mut Option<Frame<T>>| {
-                let chaos = match cfg.chaos {
-                    Some(c) => c,
-                    None => {
-                        let _ = wire_tx.send(Frame {
-                            seq: frame.seq,
-                            payload: frame.payload.clone(),
-                        });
-                        return;
-                    }
-                };
-                if rng.chance(chaos.loss) {
-                    reshape_telemetry::incr("ctrl.frames_lost", 1);
-                } else {
-                    let copies = if rng.chance(chaos.dup) {
-                        reshape_telemetry::incr("ctrl.frames_duped", 1);
-                        2
-                    } else {
-                        1
-                    };
-                    if rng.chance(chaos.reorder) && held.is_none() {
-                        reshape_telemetry::incr("ctrl.frames_reordered", 1);
-                        *held = Some(Frame {
-                            seq: frame.seq,
-                            payload: frame.payload.clone(),
-                        });
-                    } else {
-                        for _ in 0..copies {
-                            let _ = wire_tx.send(Frame {
-                                seq: frame.seq,
-                                payload: frame.payload.clone(),
-                            });
-                        }
-                    }
-                }
-                // Anything held back goes out after this frame.
-                if let Some(h) = held.take() {
-                    let _ = wire_tx.send(h);
-                }
+        .name("reshape-ctrl".into())
+        .spawn(move || link.run(in_rx))
+        .expect("spawn ctrl daemon");
+    (ReliableSender { tx: in_tx }, out_rx)
+}
+
+/// The channel daemon's state: both protocol machines, with the chaos wire
+/// between them.
+struct Link<T> {
+    sender: SeqSender<T>,
+    receiver: SeqReceiver<T>,
+    chaos: Option<ChaosConfig>,
+    rng: SplitMix64,
+    /// A frame held back by the reorder fault, delivered after the next
+    /// transmission.
+    held: Option<Frame<T>>,
+    out: Sender<T>,
+}
+
+impl<T: Clone> Link<T> {
+    /// Block on the input until the sender's next retransmit deadline, or
+    /// with no timeout while nothing is unacked. Sequence times are wall
+    /// seconds since the channel opened.
+    fn run(mut self, input: Receiver<T>) {
+        let opened = Instant::now();
+        loop {
+            let got = match self.sender.next_deadline() {
+                None => input.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(d) => input.recv_timeout(Duration::from_secs_f64(
+                    (d - opened.elapsed().as_secs_f64()).max(0.0),
+                )),
             };
-
-            let mut unacked: BTreeMap<u64, T> = BTreeMap::new();
-            let mut inputs_open = true;
-            loop {
-                // Drain acknowledgments first; they are what lets us stop.
-                while let Ok(acked) = ack_rx.try_recv() {
-                    unacked.retain(|&s, _| s > acked);
+            let now = opened.elapsed().as_secs_f64();
+            let open = match got {
+                Ok(payload) => {
+                    let frame = self.sender.send(now, payload);
+                    self.transmit(frame)
                 }
-                if !inputs_open && unacked.is_empty() {
-                    // Flush a reorder-held frame even though nothing new
-                    // will push it out (it is already acked or about to be
-                    // retransmitted anyway, but do not strand it).
-                    if let Some(h) = held.take() {
-                        let _ = wire_tx.send(h);
-                    }
-                    break;
-                }
-                match in_rx.recv_timeout(cfg.retransmit_after) {
-                    Ok(frame) => {
-                        unacked.insert(frame.seq, frame.payload.clone());
-                        transmit(&frame, &mut held);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Retransmit the full unacked window.
-                        if !unacked.is_empty() {
-                            reshape_telemetry::incr("ctrl.retransmits", unacked.len() as u64);
-                        }
-                        for (&seq, payload) in &unacked {
-                            transmit(
-                                &Frame {
-                                    seq,
-                                    payload: payload.clone(),
-                                },
-                                &mut held,
-                            );
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        inputs_open = false;
-                        if unacked.is_empty() {
-                            break;
-                        }
-                        // Keep retransmitting until everything is acked.
-                        for (&seq, payload) in &unacked {
-                            transmit(
-                                &Frame {
-                                    seq,
-                                    payload: payload.clone(),
-                                },
-                                &mut held,
-                            );
-                        }
-                        std::thread::sleep(cfg.retransmit_after);
-                    }
-                }
+                Err(RecvTimeoutError::Timeout) => true,
+                Err(RecvTimeoutError::Disconnected) => break,
+            };
+            if !open || !self.retransmit(now) {
+                return;
             }
-        })
-        .expect("spawn ctrl sender daemon");
-
-    // Receiver daemon: in-order delivery with dedup, cumulative acks.
-    std::thread::Builder::new()
-        .name("reshape-ctrl-recv".into())
-        .spawn(move || {
-            let mut next_expected = 0u64;
-            let mut pending: BTreeMap<u64, T> = BTreeMap::new();
-            while let Ok(frame) = wire_rx.recv() {
-                if frame.seq >= next_expected {
-                    pending.entry(frame.seq).or_insert(frame.payload);
-                } else {
-                    reshape_telemetry::incr("ctrl.duplicates_discarded", 1);
-                }
-                while let Some(payload) = pending.remove(&next_expected) {
-                    if out_tx.send(payload).is_err() {
-                        return; // consumer gone; stop delivering
-                    }
-                    next_expected += 1;
-                }
-                // Cumulative ack: everything below next_expected arrived.
-                if next_expected > 0 {
-                    let _ = ack_tx.send(next_expected - 1);
-                }
+        }
+        // No input can arrive any more, so there is nothing to wait for:
+        // each remaining retransmit runs at once.
+        while let Some(d) = self.sender.next_deadline() {
+            if !self.retransmit(d) {
+                return;
             }
-        })
-        .expect("spawn ctrl receiver daemon");
+        }
+    }
 
-    (
-        ReliableSender {
-            tx: in_tx,
-            next_seq: Arc::new(AtomicU64::new(0)),
-        },
-        out_rx,
-    )
+    /// Retransmit the unacked window if its deadline has passed at `now`.
+    /// `false` once the receiver is gone.
+    fn retransmit(&mut self, now: f64) -> bool {
+        let window = self.sender.due(now);
+        if !window.is_empty() {
+            reshape_telemetry::incr("ctrl.retransmits", window.len() as u64);
+        }
+        window.into_iter().all(|frame| self.transmit(frame))
+    }
+
+    /// Put one frame on the chaos wire. `false` once the receiver is gone.
+    fn transmit(&mut self, frame: Frame<T>) -> bool {
+        let Some(chaos) = self.chaos else {
+            return self.arrive(frame);
+        };
+        let held = self.held.take();
+        if self.rng.chance(chaos.loss) {
+            reshape_telemetry::incr("ctrl.frames_lost", 1);
+        } else {
+            let dup = self.rng.chance(chaos.dup);
+            if dup {
+                reshape_telemetry::incr("ctrl.frames_duped", 1);
+            }
+            if self.rng.chance(chaos.reorder) && held.is_none() {
+                reshape_telemetry::incr("ctrl.frames_reordered", 1);
+                self.held = Some(frame);
+                return true;
+            }
+            if dup && !self.arrive(frame.clone()) {
+                return false;
+            }
+            if !self.arrive(frame) {
+                return false;
+            }
+        }
+        // Anything held back goes out after this frame.
+        held.is_none_or(|h| self.arrive(h))
+    }
+
+    /// A frame comes off the wire: deliver whatever is now in order and
+    /// hand the cumulative ack straight back to the sender. `false` once
+    /// the receiver is gone.
+    fn arrive(&mut self, frame: Frame<T>) -> bool {
+        if frame.seq < self.receiver.delivered() {
+            reshape_telemetry::incr("ctrl.duplicates_discarded", 1);
+        }
+        let (ready, ack) = self.receiver.on_frame(frame);
+        if let Some(cum) = ack {
+            self.sender.on_ack(cum);
+        }
+        ready
+            .into_iter()
+            .all(|payload| self.out.send(payload).is_ok())
+    }
 }
 
 pub mod seq {
-    //! Thread-free, virtual-time counterparts of the reliable channel above.
+    //! The sequenced ack/retransmit protocol as thread-free state machines.
     //!
-    //! The threaded [`reliable_channel`](super::reliable_channel) daemons
-    //! use wall-clock timeouts, which makes them useless inside a
-    //! discrete-event simulation. [`SeqSender`] and [`SeqReceiver`] are the
-    //! same sequenced ack/retransmit protocol factored into pure state
-    //! machines: the caller owns the clock, the wire, and the event loop —
-    //! it asks the sender what is due at a virtual time, carries frames
-    //! across whatever (chaotic) wire it models, and feeds them to the
-    //! receiver, which hands back in-order payloads plus a cumulative ack.
-    //! The federation's lease control plane drives its shard-to-shard bus
-    //! with exactly these machines, so grant/ack/release survive loss,
-    //! duplication and reordering deterministically.
+    //! [`SeqSender`] and [`SeqReceiver`] own no clock, wire or event loop:
+    //! the caller asks the sender what is due at a time on its own clock,
+    //! carries frames across whatever (chaotic) wire it models, and feeds
+    //! them to the receiver, which hands back in-order payloads plus a
+    //! cumulative ack. Two callers drive them:
+    //! [`reliable_channel`](super::reliable_channel)'s daemon, in wall
+    //! seconds, and the federation's shard-to-shard lease bus, in virtual
+    //! time, so grant/ack/release survive loss, duplication and reordering
+    //! deterministically.
 
     use std::collections::BTreeMap;
 
@@ -327,7 +290,7 @@ pub mod seq {
     }
 
     impl<T: Clone> SeqSender<T> {
-        /// `rto`: virtual seconds before an unacked frame is retransmitted
+        /// `rto`: seconds before an unacked frame is retransmitted
         /// (a fixed-interval schedule; see [`SeqSender::with_backoff`] for
         /// exponential pacing).
         pub fn new(rto: f64) -> Self {
@@ -532,6 +495,33 @@ mod tests {
     }
 
     #[test]
+    fn reorder_fault_delivers_a_held_frame_after_the_next_one() {
+        let (out, delivered) = unbounded();
+        let mut link = Link {
+            sender: SeqSender::new(1.0),
+            receiver: SeqReceiver::new(),
+            chaos: Some(ChaosConfig {
+                loss: 0.0,
+                dup: 0.0,
+                reorder: 1.0,
+                seed: 5,
+            }),
+            rng: SplitMix64::new(5),
+            held: None,
+            out,
+        };
+        let first = link.sender.send(0.0, 'a');
+        assert!(link.transmit(first));
+        assert!(delivered.is_empty(), "the first frame is held back");
+        let second = link.sender.send(0.0, 'b');
+        assert!(link.transmit(second));
+        // `b` arrived first and waited in the receiver for the held `a`.
+        let got: Vec<char> = std::iter::from_fn(|| delivered.try_recv().ok()).collect();
+        assert_eq!(got, vec!['a', 'b']);
+        assert_eq!(link.sender.pending(), 0);
+    }
+
+    #[test]
     fn seq_machines_mask_chaos_deterministically() {
         use super::seq::{Frame, SeqReceiver, SeqSender};
         // Drive the pure state machines through a seeded chaotic wire in
@@ -658,8 +648,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "fails: the sender daemon outlives a dropped receiver and retransmits \
-                forever (`None: 4283 sends still Ok 5 s after the receiver was dropped`)"]
     fn send_fails_once_the_receiver_is_gone() {
         for cfg in [
             ReliableConfig::default(),

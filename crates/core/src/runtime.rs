@@ -7,12 +7,12 @@
 //!   Scheduler and Performance Profiler (all state lives in
 //!   [`SchedulerCore`]) and also plays **Job Startup**: when the core says a
 //!   queued job can run, the thread launches its process group on the
-//!   simulated cluster;
+//!   simulated cluster. It also runs the optional **watchdog**: it
+//!   supervises per-job heartbeats (one per resize point), waking only at
+//!   the earliest heartbeat deadline, and declares jobs that miss their
+//!   deadline hung, killing them and optionally requeueing them;
 //! * the **System Monitor thread** subscribes to process lifecycle events
 //!   from the [`Universe`] and reclaims the resources of failed jobs;
-//! * the optional **watchdog thread** supervises per-job heartbeats (one
-//!   per resize point) and declares jobs that miss their deadline hung,
-//!   killing them through the scheduler and optionally requeueing them;
 //! * applications talk to the scheduler through a [`SchedulerLink`]
 //!   implemented over channels — and, like the paper's socket protocol
 //!   between the resize library and the scheduler, the channel is wrapped
@@ -20,11 +20,10 @@
 //!   control messages survive a lossy wire exactly once and in order.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use reshape_mpisim::{NodeId, ProcId, ProcStatus, Universe};
@@ -92,8 +91,9 @@ enum Msg {
         now: f64,
         ctx: TraceCtx,
     },
-    /// Watchdog verdict: `job` missed its heartbeat deadline. Revalidated
-    /// on the scheduler thread before acting.
+    /// Watchdog verdict: `job` missed its heartbeat deadline. The
+    /// scheduler thread sends it to itself, so it queues behind any
+    /// heartbeat already sent, and revalidates it before acting.
     Hung {
         job: JobId,
     },
@@ -173,7 +173,7 @@ impl SchedulerLink for RuntimeLink {
 }
 
 /// Hung-job watchdog tuning. A job "heartbeats" every time its resize
-/// point reaches the scheduler; the watchdog thread declares it hung when
+/// point reaches the scheduler; the scheduler thread declares it hung when
 /// no heartbeat arrives within `grace + multiplier × (observed mean
 /// inter-heartbeat gap)` of wall time, kills it through the scheduler
 /// (reclaiming its processors like any failure), and optionally requeues
@@ -181,8 +181,6 @@ impl SchedulerLink for RuntimeLink {
 /// job's last-known-good configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct WatchdogConfig {
-    /// How often the watchdog scans for missed heartbeats.
-    pub check_interval: Duration,
     /// Fixed slack added to every deadline (covers startup and resize
     /// pauses before the first heartbeats establish a rhythm).
     pub grace: Duration,
@@ -197,7 +195,6 @@ pub struct WatchdogConfig {
 impl Default for WatchdogConfig {
     fn default() -> Self {
         WatchdogConfig {
-            check_interval: Duration::from_millis(25),
             grace: Duration::from_secs(1),
             multiplier: 4.0,
             requeue: false,
@@ -215,7 +212,7 @@ pub struct RuntimeOptions {
     pub fold_wall_time: bool,
     /// Spawn-shortfall retry behavior handed to every job's driver.
     pub retry: RetryPolicy,
-    /// Hung-job supervision; `None` disables the watchdog thread.
+    /// Hung-job supervision; `None` disables the watchdog.
     pub watchdog: Option<WatchdogConfig>,
     /// Reliability/chaos settings for the scheduler↔driver control
     /// channel. The default is a perfect wire (the protocol still runs).
@@ -261,10 +258,32 @@ struct Heartbeat {
     /// beat).
     mean_gap: f64,
     beats: u64,
+    /// A `Msg::Hung` verdict for this job is in the channel; no second one
+    /// is sent until it is handled.
+    verdict_pending: bool,
 }
 
-fn heartbeat_deadline(wd: &WatchdogConfig, hb: &Heartbeat) -> f64 {
-    wd.grace.as_secs_f64() + wd.multiplier * hb.mean_gap
+/// When `hb`'s job becomes overdue: `grace + multiplier × mean_gap` after
+/// its last beat.
+fn heartbeat_due(wd: &WatchdogConfig, hb: &Heartbeat) -> Instant {
+    let window = wd.grace.as_secs_f64() + wd.multiplier * hb.mean_gap;
+    hb.last + Duration::from_secs_f64(window.max(0.0))
+}
+
+/// Bumped by the scheduler thread after every message it handles, so the
+/// runtime's waits block until the core may have changed instead of
+/// polling it.
+#[derive(Default)]
+struct Progress {
+    lock: std::sync::Mutex<()>,
+    changed: Condvar,
+}
+
+impl Progress {
+    fn bump(&self) {
+        let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.changed.notify_all();
+    }
 }
 
 /// The live ReSHAPE service: submit resizable jobs against a simulated
@@ -279,8 +298,7 @@ pub struct ReshapeRuntime {
     watch: Arc<Mutex<HashMap<ProcId, JobId>>>,
     sched_thread: Option<std::thread::JoinHandle<()>>,
     monitor_thread: Option<std::thread::JoinHandle<()>>,
-    watchdog_thread: Option<std::thread::JoinHandle<()>>,
-    watchdog_stop: Arc<AtomicBool>,
+    progress: Arc<Progress>,
     fold_wall_time: bool,
 }
 
@@ -294,7 +312,8 @@ struct SchedThreadCtx {
     fold_wall_time: bool,
     retry: RetryPolicy,
     watchdog: Option<WatchdogConfig>,
-    hearts: Arc<Mutex<HashMap<JobId, Heartbeat>>>,
+    hearts: HashMap<JobId, Heartbeat>,
+    progress: Arc<Progress>,
     /// Remaining requeue budget per job id (original jobs start at
     /// `max_requeues`; each respawn inherits one less).
     requeue_budget: HashMap<JobId, usize>,
@@ -351,12 +370,13 @@ impl SchedThreadCtx {
             if self.watchdog.is_some() {
                 // Heartbeat clock starts at launch; the first resize point
                 // seeds the mean gap with the first-iteration latency.
-                self.hearts.lock().insert(
+                self.hearts.insert(
                     s.job,
                     Heartbeat {
                         last: Instant::now(),
                         mean_gap: 0.0,
                         beats: 0,
+                        verdict_pending: false,
                     },
                 );
             }
@@ -368,12 +388,8 @@ impl SchedThreadCtx {
 
     /// Record a heartbeat for `job` (its resize point reached the
     /// scheduler) and fold the observed gap into the per-job EWMA.
-    fn beat(&self, job: JobId) {
-        if self.watchdog.is_none() {
-            return;
-        }
-        let mut hearts = self.hearts.lock();
-        let Some(hb) = hearts.get_mut(&job) else {
+    fn beat(&mut self, job: JobId) {
+        let Some(hb) = self.hearts.get_mut(&job) else {
             return;
         };
         let now = Instant::now();
@@ -387,8 +403,49 @@ impl SchedThreadCtx {
         hb.beats += 1;
     }
 
+    /// The watchdog's scan: every running job past its heartbeat deadline
+    /// gets one `Msg::Hung` verdict through the channel. Returns the next
+    /// deadline still to come, `None` while nothing is supervised.
+    fn watch_hearts(&mut self) -> Option<Instant> {
+        let wd = self.watchdog?;
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        self.hearts.retain(|&job, hb| {
+            if hb.verdict_pending {
+                return true;
+            }
+            let due = heartbeat_due(&wd, hb);
+            if now <= due {
+                next = Some(next.map_or(due, |n| n.min(due)));
+                return true;
+            }
+            // Only a running job can be killed; stop watching any other.
+            let running = matches!(
+                self.core.lock().job(job).map(|r| &r.state),
+                Some(JobState::Running { .. })
+            );
+            if running {
+                hb.verdict_pending = true;
+                let _ = self.link_tx.send(Msg::Hung { job });
+            }
+            running
+        });
+        next
+    }
+
     fn run(mut self, rx: Receiver<Msg>) {
-        while let Ok(msg) = rx.recv() {
+        loop {
+            // Block until the next message, or until the next heartbeat
+            // deadline when the watchdog supervises a job.
+            let msg = match self.watch_hearts() {
+                None => rx.recv().ok(),
+                Some(due) => match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => None,
+                },
+            };
+            let Some(msg) = msg else { break };
             // Scheduler-loop latency: how long each message (resize point,
             // submission, completion, ...) holds the scheduler. Recorded on
             // drop, including early exits.
@@ -432,7 +489,7 @@ impl SchedThreadCtx {
                     self.core.lock().note_redist_cost(job, from, to, seconds);
                 }
                 Msg::Finished { job, now, ctx } => {
-                    self.hearts.lock().remove(&job);
+                    self.hearts.remove(&job);
                     let _g = trace::ctx_guard(ctx);
                     let starts = self.core.lock().on_finished(job, now);
                     self.actuate(starts);
@@ -442,7 +499,7 @@ impl SchedThreadCtx {
                 }
                 Msg::Cancel { job } => {
                     let now = self.wall_now();
-                    self.hearts.lock().remove(&job);
+                    self.hearts.remove(&job);
                     let starts = self.core.lock().cancel(job, now);
                     self.actuate(starts);
                 }
@@ -452,7 +509,7 @@ impl SchedThreadCtx {
                     now,
                     ctx,
                 } => {
-                    self.hearts.lock().remove(&job);
+                    self.hearts.remove(&job);
                     let _g = trace::ctx_guard(ctx);
                     let starts = self.core.lock().on_failed(job, reason, now);
                     self.actuate(starts);
@@ -494,6 +551,7 @@ impl SchedThreadCtx {
                 Msg::Hung { job } => self.on_hung(job),
                 Msg::Shutdown => break,
             }
+            self.progress.bump();
         }
     }
 
@@ -502,12 +560,12 @@ impl SchedThreadCtx {
     /// through the channel, in which case the alarm is dropped as false.
     fn on_hung(&mut self, job: JobId) {
         let Some(wd) = self.watchdog else { return };
-        let still_stale = {
-            let hearts = self.hearts.lock();
-            match hearts.get(&job) {
-                Some(hb) => hb.last.elapsed().as_secs_f64() > heartbeat_deadline(&wd, hb),
-                None => false,
+        let still_stale = match self.hearts.get_mut(&job) {
+            Some(hb) => {
+                hb.verdict_pending = false;
+                Instant::now() > heartbeat_due(&wd, hb)
             }
+            None => false,
         };
         let still_running = matches!(
             self.core.lock().job(job).map(|r| r.state.clone()),
@@ -544,7 +602,7 @@ impl SchedThreadCtx {
             let spec = core.job(job).map(|r| r.spec.clone());
             (last_good, spec)
         };
-        self.hearts.lock().remove(&job);
+        self.hearts.remove(&job);
         // Kill through the same path as any monitored failure: the job's
         // processors return to the pool and queued work may start. The hung
         // processes themselves get Directive::Terminate if they ever reach
@@ -622,7 +680,7 @@ impl ReshapeRuntime {
         let total = universe.total_slots();
         let core = Arc::new(Mutex::new(SchedulerCore::new(total, opts.policy)));
         let watch: Arc<Mutex<HashMap<ProcId, JobId>>> = Arc::new(Mutex::new(HashMap::new()));
-        let hearts: Arc<Mutex<HashMap<JobId, Heartbeat>>> = Arc::new(Mutex::new(HashMap::new()));
+        let progress = Arc::new(Progress::default());
         let fold_wall_time = opts.fold_wall_time;
         // The control channel between applications/monitor and the
         // scheduler thread runs the sequenced ack/retransmit protocol; with
@@ -640,51 +698,14 @@ impl ReshapeRuntime {
             fold_wall_time,
             retry: opts.retry,
             watchdog: opts.watchdog,
-            hearts: Arc::clone(&hearts),
+            hearts: HashMap::new(),
+            progress: Arc::clone(&progress),
             requeue_budget: HashMap::new(),
         };
         let sched_thread = std::thread::Builder::new()
             .name("reshape-scheduler".into())
             .spawn(move || ctx.run(rx))
             .expect("spawn scheduler thread");
-
-        // Watchdog: scan heartbeats on a wall-clock cadence; verdicts are
-        // revalidated by the scheduler thread before any kill, so a beat
-        // racing the verdict is a dropped alarm, never a false kill.
-        let watchdog_stop = Arc::new(AtomicBool::new(false));
-        let watchdog_thread = opts.watchdog.map(|wd| {
-            let stop = Arc::clone(&watchdog_stop);
-            let wd_hearts = Arc::clone(&hearts);
-            let wd_core = Arc::clone(&core);
-            let wd_tx = tx.clone();
-            std::thread::Builder::new()
-                .name("reshape-watchdog".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(wd.check_interval);
-                        let stale: Vec<JobId> = {
-                            let hearts = wd_hearts.lock();
-                            hearts
-                                .iter()
-                                .filter(|(_, hb)| {
-                                    hb.last.elapsed().as_secs_f64() > heartbeat_deadline(&wd, hb)
-                                })
-                                .map(|(&j, _)| j)
-                                .collect()
-                        };
-                        for job in stale {
-                            let running = matches!(
-                                wd_core.lock().job(job).map(|r| r.state.clone()),
-                                Some(JobState::Running { .. })
-                            );
-                            if running {
-                                let _ = wd_tx.send(Msg::Hung { job });
-                            }
-                        }
-                    }
-                })
-                .expect("spawn watchdog thread")
-        });
 
         // System Monitor: react to process failures. The per-job
         // application monitor of the paper reports through the job's first
@@ -751,8 +772,7 @@ impl ReshapeRuntime {
             watch,
             sched_thread: Some(sched_thread),
             monitor_thread: Some(monitor_thread),
-            watchdog_thread,
-            watchdog_stop,
+            progress,
             fold_wall_time,
         }
     }
@@ -798,56 +818,58 @@ impl ReshapeRuntime {
     /// failed); [`WaitTimeout`] after `timeout` so callers choose whether
     /// that is fatal (tests `.unwrap()`, services retry or report).
     pub fn wait_quiescent(&self, timeout: Duration) -> Result<(), WaitTimeout> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let core = self.core.lock();
-                let all_done = core.jobs().all(|(_, r)| !r.state.is_active());
-                if all_done {
-                    return Ok(());
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(WaitTimeout {
-                    what: "jobs still active".into(),
-                    timeout,
-                });
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.wait_until(timeout, "jobs still active".into(), |core| {
+            core.jobs().all(|(_, r)| !r.state.is_active()).then_some(())
+        })
     }
 
     /// Wait for one specific job to leave the system and return its final
     /// state, or [`WaitTimeout`] if it is still active after `timeout`.
     pub fn wait_for(&self, job: JobId, timeout: Duration) -> Result<JobState, WaitTimeout> {
+        self.wait_until(timeout, format!("{job} still active"), |core| {
+            core.job(job)
+                .filter(|r| !r.state.is_active())
+                .map(|r| r.state.clone())
+        })
+    }
+
+    /// Block until `done` reads an answer off the core, or [`WaitTimeout`]
+    /// (describing `what`) after `timeout`. `done` runs now and again after
+    /// every message the scheduler thread handles.
+    fn wait_until<R>(
+        &self,
+        timeout: Duration,
+        what: String,
+        done: impl Fn(&SchedulerCore) -> Option<R>,
+    ) -> Result<R, WaitTimeout> {
         let deadline = Instant::now() + timeout;
+        // Held from each check until the wait releases it, so a bump in
+        // between cannot be missed.
+        let mut guard = self
+            .progress
+            .lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         loop {
-            {
-                let core = self.core.lock();
-                if let Some(r) = core.job(job) {
-                    if !r.state.is_active() {
-                        return Ok(r.state.clone());
-                    }
-                }
+            if let Some(answer) = done(&self.core.lock()) {
+                return Ok(answer);
             }
-            if Instant::now() >= deadline {
-                return Err(WaitTimeout {
-                    what: format!("{job} still active"),
-                    timeout,
-                });
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(WaitTimeout { what, timeout });
             }
-            std::thread::sleep(Duration::from_millis(2));
+            guard = self
+                .progress
+                .changed
+                .wait_timeout(guard, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
 
 impl Drop for ReshapeRuntime {
     fn drop(&mut self) {
-        // Watchdog first, so no hang verdict fires into a dying scheduler.
-        self.watchdog_stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.watchdog_thread.take() {
-            let _ = h.join();
-        }
         let _ = self.tx.send(Msg::Shutdown);
         if let Some(h) = self.sched_thread.take() {
             let _ = h.join();
@@ -867,6 +889,7 @@ mod tests {
     use crate::topology::TopologyPref;
     use reshape_blockcyclic::{Descriptor, DistMatrix};
     use reshape_mpisim::NetModel;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn toy(n: usize, per_iter: f64) -> AppDef {
         AppDef::new(
@@ -1001,7 +1024,6 @@ mod tests {
     /// A tight watchdog for tests: millisecond cadence, sub-second grace.
     fn test_watchdog() -> WatchdogConfig {
         WatchdogConfig {
-            check_interval: Duration::from_millis(10),
             grace: Duration::from_millis(250),
             multiplier: 4.0,
             requeue: false,

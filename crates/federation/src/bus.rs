@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use reshape_core::ctrl::seq::{Frame, SeqReceiver, SeqSender};
-use reshape_core::ctrl::ChaosConfig;
+use reshape_core::ctrl::{ChaosConfig, SplitMix64};
 use reshape_core::Backoff;
 
 use crate::lease::TracedMsg;
@@ -120,30 +120,16 @@ pub enum BusEvent {
     Retransmit { from: usize, to: usize },
 }
 
-/// SplitMix64 — deterministic per-link chaos stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        (self.next_u64() >> 11) as f64 / ((1u64 << 53) as f64) < p
-    }
+/// A Bernoulli draw on a link's chaos stream that draws nothing when
+/// `p <= 0`, so a fault kind left off consumes none of the stream.
+fn chance(rng: &mut SplitMix64, p: f64) -> bool {
+    p > 0.0 && rng.chance(p)
 }
 
 struct Link {
     tx: SeqSender<TracedMsg>,
     rx: SeqReceiver<TracedMsg>,
-    rng: Rng,
+    rng: SplitMix64,
     /// One retransmit poll is outstanding on the wheel (keeps the timer
     /// population at ≤ 1 per link).
     retx_scheduled: bool,
@@ -199,9 +185,11 @@ impl Bus {
                 None => SeqSender::new(cfg.rto),
             },
             rx: SeqReceiver::new(),
-            rng: Rng(cfg.chaos.map(|c| c.seed).unwrap_or(0)
-                ^ ((from as u64) << 32 | to as u64)
-                ^ 0xB0_5EED),
+            rng: SplitMix64::new(
+                cfg.chaos.map(|c| c.seed).unwrap_or(0)
+                    ^ ((from as u64) << 32 | to as u64)
+                    ^ 0xB0_5EED,
+            ),
             retx_scheduled: false,
         })
     }
@@ -227,16 +215,16 @@ impl Bus {
         let link = self.link(from, to);
         let mut copies = 1;
         if let Some(c) = chaos {
-            if link.rng.chance(c.loss) {
+            if chance(&mut link.rng, c.loss) {
                 copies = 0;
-            } else if link.rng.chance(c.dup) {
+            } else if chance(&mut link.rng, c.dup) {
                 copies = 2;
             }
         }
         for i in 0..copies {
             let mut at = now + latency * (1 + i) as f64;
             if let Some(c) = chaos {
-                if link.rng.chance(c.reorder) {
+                if chance(&mut link.rng, c.reorder) {
                     // Hold the frame back past the next send window.
                     at += latency * 2.0 + rto * 0.5;
                 }
@@ -317,7 +305,7 @@ impl Bus {
         let (msgs, ack) = link.rx.on_frame(frame);
         let mut evs = Vec::new();
         if let Some(cum) = ack {
-            let lost = chaos.map(|c| link.rng.chance(c.loss)).unwrap_or(false);
+            let lost = chaos.is_some_and(|c| chance(&mut link.rng, c.loss));
             if !lost {
                 evs.push((now + latency, BusEvent::AckDeliver { from, to, cum }));
             }
