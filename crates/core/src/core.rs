@@ -21,7 +21,7 @@ use crate::policy::{decide_with, RemapDecision, RemapPolicy, SystemSnapshot};
 use crate::pool::ResourcePool;
 use crate::profiler::{JobProfile, Profiler, Resize};
 use crate::topology::ProcessorConfig;
-use crate::wal::{HealAction, Wal, WalError, WalRecord};
+use crate::wal::{self, HealAction, Scan, Wal, WalError, WalRecord, WalSalvage};
 
 /// Queueing discipline for initial allocations (paper §3.1: "two basic
 /// resource allocation policies, First Come First Served (FCFS) and simple
@@ -413,22 +413,63 @@ impl SchedulerCore {
     /// trace and the utilization integral all match
     /// ([`SchedulerCore::snapshot`] equality). The WAL stays attached, so
     /// post-recovery transitions continue appending to the same stream.
+    /// A record that replays differently from how it was logged is a
+    /// [`WalError::Corrupt`] naming its line.
     pub fn recover(wal: Wal) -> Result<SchedulerCore, WalError> {
-        let mut records = wal.records().iter();
-        let Some(WalRecord::Open {
+        let (core, scan) = SchedulerCore::replay(wal.text(), None)?;
+        scan.strict()?;
+        Ok(core.recovered(wal))
+    }
+
+    /// Recover straight from WAL text in one pass, salvaging past interior
+    /// corruption the way [`Wal::decode_salvage`] does: a torn final line
+    /// is dropped, the first corrupt interior line ends the replay, and
+    /// the remainder from it on comes back in the [`WalSalvage`] (`None`
+    /// when the text was clean). Each line is framed, checked, parsed and
+    /// applied before the next is read; the attached WAL holds the clean
+    /// prefix. Errors are those of [`SchedulerCore::recover`].
+    pub fn recover_salvage(text: &str) -> Result<(SchedulerCore, Option<WalSalvage>), WalError> {
+        let mut wal = Wal::with_capacity(text.len());
+        let (core, scan) = SchedulerCore::replay(text, Some(&mut wal))?;
+        Ok((core.recovered(wal), scan.salvage(text)))
+    }
+
+    /// The one replay loop: build the core from the genesis line, apply
+    /// every later line as it is decoded, and keep each applied line in
+    /// `copy` when one is given.
+    fn replay(text: &str, mut copy: Option<&mut Wal>) -> Result<(SchedulerCore, Scan), WalError> {
+        let mut core: Option<SchedulerCore> = None;
+        let scan = wal::scan(text, |line, body, rec| {
+            match core.as_mut() {
+                None => core = Some(SchedulerCore::genesis(rec)?),
+                Some(core) => core.apply(line, rec)?,
+            }
+            if let Some(copy) = copy.as_deref_mut() {
+                copy.push_line(body);
+            }
+            Ok::<_, WalError>(())
+        })?;
+        let core =
+            core.ok_or_else(|| WalError::BadGenesis("first WAL record must be `open`".into()))?;
+        Ok((core, scan))
+    }
+
+    /// An empty core from the genesis record.
+    fn genesis(rec: WalRecord) -> Result<SchedulerCore, WalError> {
+        let WalRecord::Open {
             total_procs,
             policy,
             remap_policy,
             events_cap,
             alloc_order,
             slot_speeds,
-        }) = records.next().cloned()
+        } = rec
         else {
             return Err(WalError::BadGenesis(
                 "first WAL record must be `open`".into(),
             ));
         };
-        let mut core = match slot_speeds {
+        let core = match slot_speeds {
             Some(speeds) => {
                 if speeds.len() != total_procs {
                     return Err(WalError::BadGenesis(format!(
@@ -440,39 +481,40 @@ impl SchedulerCore {
             }
             None => SchedulerCore::new(total_procs, policy),
         };
-        core = core
+        Ok(core
             .with_remap_policy(remap_policy)
             .with_event_cap(events_cap)
-            .with_alloc_order(alloc_order);
-        for rec in records {
-            if matches!(rec, WalRecord::Open { .. }) {
-                return Err(WalError::BadGenesis(
-                    "duplicate `open` record mid-stream".into(),
-                ));
-            }
-            core.apply(rec.clone());
-        }
+            .with_alloc_order(alloc_order))
+    }
+
+    /// A replayed core takes over `wal` and goes live.
+    fn recovered(mut self, wal: Wal) -> SchedulerCore {
         reshape_telemetry::incr("core.wal_recoveries", 1);
         if reshape_telemetry::trace::enabled() {
             reshape_telemetry::trace::complete(
                 0,
                 0,
-                format!("wal_recovery ({} records)", wal.records().len()),
+                format!("wal_recovery ({} records)", wal.len()),
                 "recovery",
                 "scheduler",
                 0.0,
-                core.last_tick,
+                self.last_tick,
             );
         }
-        core.wal = Some(wal);
-        Ok(core)
+        self.wal = Some(wal);
+        self
     }
 
-    /// Replay one logged transition. Only called with `self.wal == None`,
-    /// so nothing is re-logged.
-    fn apply(&mut self, rec: WalRecord) {
+    /// Replay the transition logged at `line`. Only called with
+    /// `self.wal == None`, so nothing is re-logged.
+    fn apply(&mut self, line: usize, rec: WalRecord) -> Result<(), WalError> {
+        let diverged = |reason: String| WalError::Corrupt { line, reason };
         match rec {
-            WalRecord::Open { .. } => unreachable!("genesis handled by recover"),
+            WalRecord::Open { .. } => {
+                return Err(WalError::BadGenesis(
+                    "duplicate `open` record mid-stream".into(),
+                ))
+            }
             WalRecord::Submit { spec, now } => {
                 self.submit_inner(spec, None, now);
             }
@@ -531,11 +573,12 @@ impl SchedulerCore {
                 // The pool pick is deterministic, so replay must re-derive
                 // the logged slots exactly; anything else means the WAL and
                 // the state machine disagree and recovery cannot be trusted.
-                assert_eq!(
-                    got.as_deref(),
-                    Some(slots.as_slice()),
-                    "WAL replay diverged on lend_grant(lease {lease})"
-                );
+                if got.as_deref() != Some(slots.as_slice()) {
+                    return Err(diverged(format!(
+                        "replay diverged on lend_grant(lease {lease}): logged slots \
+                         {slots:?}, replay gave {got:?}"
+                    )));
+                }
             }
             WalRecord::LendReclaim { lease, now } => {
                 self.lend_reclaim(lease, now);
@@ -556,22 +599,24 @@ impl SchedulerCore {
                 let got = self.bump_epoch(now);
                 // Epochs are logged as absolute values so replay can prove
                 // the restored counter matches the live one exactly.
-                assert_eq!(
-                    got, epoch,
-                    "WAL replay diverged on epoch bump (got {got}, logged {epoch})"
-                );
+                if got != epoch {
+                    return Err(diverged(format!(
+                        "replay diverged on epoch bump (got {got}, logged {epoch})"
+                    )));
+                }
             }
             WalRecord::HealRepair { lease, action, now } => {
                 self.journal_heal_repair(lease, action, now);
             }
         }
+        Ok(())
     }
 
     /// Append to the WAL if one is attached (no-op otherwise — replay runs
     /// with the WAL detached precisely so it does not re-log itself).
-    fn log(&mut self, rec: WalRecord) {
+    fn log(&mut self, rec: &WalRecord) {
         if let Some(w) = self.wal.as_mut() {
-            w.append(rec);
+            w.push(rec);
             // Durability work belongs to the scheduler's own trace (trace
             // 0): a zero-duration marker at the last observed virtual time
             // keeps WAL pressure visible in Perfetto without perturbing
@@ -728,7 +773,7 @@ impl SchedulerCore {
             procs <= self.pool.total(),
             "cannot reserve more processors than the cluster has"
         );
-        self.log(WalRecord::Reserve { start, end, procs });
+        self.log(&WalRecord::Reserve { start, end, procs });
         let id = ReservationId(self.next_reservation);
         self.next_reservation += 1;
         self.reservations.push(Reservation {
@@ -742,7 +787,7 @@ impl SchedulerCore {
 
     /// Cancel a reservation (no effect on jobs already started against it).
     pub fn cancel_reservation(&mut self, id: ReservationId) {
-        self.log(WalRecord::CancelReservation { id });
+        self.log(&WalRecord::CancelReservation { id });
         self.reservations.retain(|r| r.id != id);
     }
 
@@ -792,12 +837,12 @@ impl SchedulerCore {
     /// (stable among equals).
     pub fn submit(&mut self, spec: JobSpec, now: f64) -> (JobId, Vec<StartAction>) {
         let now = self.sane_now(now);
-        if self.wal.is_some() {
-            self.log(WalRecord::Submit {
-                spec: spec.clone(),
-                now,
-            });
-        }
+        // Logged by reference, then the spec moves back out: no clone.
+        let rec = WalRecord::Submit { spec, now };
+        self.log(&rec);
+        let WalRecord::Submit { spec, .. } = rec else {
+            unreachable!("built above")
+        };
         self.submit_inner(spec, None, now)
     }
 
@@ -814,13 +859,15 @@ impl SchedulerCore {
             "unknown reservation {reservation:?}"
         );
         let now = self.sane_now(now);
-        if self.wal.is_some() {
-            self.log(WalRecord::SubmitReserved {
-                spec: spec.clone(),
-                reservation,
-                now,
-            });
-        }
+        let rec = WalRecord::SubmitReserved {
+            spec,
+            reservation,
+            now,
+        };
+        self.log(&rec);
+        let WalRecord::SubmitReserved { spec, .. } = rec else {
+            unreachable!("built above")
+        };
         self.submit_inner(spec, Some(reservation), now)
     }
 
@@ -914,7 +961,7 @@ impl SchedulerCore {
     /// Run the queue policy against the free pool.
     pub fn try_schedule(&mut self, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        self.log(WalRecord::TrySchedule { now });
+        self.log(&WalRecord::TrySchedule { now });
         self.schedule_now(now)
     }
 
@@ -957,7 +1004,7 @@ impl SchedulerCore {
         now: f64,
     ) -> (Directive, Vec<StartAction>) {
         let now = self.sane_now(now);
-        self.log(WalRecord::ResizePoint {
+        self.log(&WalRecord::ResizePoint {
             job,
             iter_time,
             redist_time,
@@ -1124,7 +1171,7 @@ impl SchedulerCore {
     /// property of the data layout, not the phase).
     pub fn phase_change(&mut self, job: JobId, now: f64) {
         let now = self.sane_now(now);
-        self.log(WalRecord::PhaseChange { job, now });
+        self.log(&WalRecord::PhaseChange { job, now });
         self.tick(now);
         if matches!(
             self.jobs.get(&job).map(|r| &r.state),
@@ -1144,7 +1191,7 @@ impl SchedulerCore {
         to: ProcessorConfig,
         seconds: f64,
     ) {
-        self.log(WalRecord::NoteRedist {
+        self.log(&WalRecord::NoteRedist {
             job,
             from,
             to,
@@ -1175,7 +1222,7 @@ impl SchedulerCore {
     /// A job finished; reclaim its processors and start queued work.
     pub fn on_finished(&mut self, job: JobId, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        self.log(WalRecord::Finished { job, now });
+        self.log(&WalRecord::Finished { job, now });
         self.tick(now);
         let submitted = self.submitted(job);
         match self.jobs.entry(job) {
@@ -1217,13 +1264,11 @@ impl SchedulerCore {
         if !self.jobs.get(&job).is_some_and(|r| r.state.is_active()) {
             return Vec::new();
         }
-        if self.wal.is_some() {
-            self.log(WalRecord::Failed {
-                job,
-                reason: reason.clone(),
-                now,
-            });
-        }
+        let rec = WalRecord::Failed { job, reason, now };
+        self.log(&rec);
+        let WalRecord::Failed { reason, .. } = rec else {
+            unreachable!("built above")
+        };
         self.tick(now);
         let mut rec = self.jobs.remove(&job).expect("checked active above");
         if rec.state == JobState::Queued {
@@ -1285,7 +1330,7 @@ impl SchedulerCore {
         if !valid {
             return Vec::new();
         }
-        self.log(WalRecord::NodeFailed {
+        self.log(&WalRecord::NodeFailed {
             job,
             dead_slots: dead_slots.to_vec(),
             to,
@@ -1342,7 +1387,7 @@ impl SchedulerCore {
     /// work that now fits. Returns the jobs started with the freed capacity.
     pub fn on_expand_failed(&mut self, job: JobId, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        self.log(WalRecord::ExpandFailed { job, now });
+        self.log(&WalRecord::ExpandFailed { job, now });
         self.tick(now);
         // The reverted-to configuration is the `from` of the job's last
         // recorded resize, which expand actuation always records.
@@ -1394,7 +1439,7 @@ impl SchedulerCore {
     /// intervention happens. Returns any jobs started with freed capacity.
     pub fn cancel(&mut self, job: JobId, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        self.log(WalRecord::Cancel { job, now });
+        self.log(&WalRecord::Cancel { job, now });
         self.tick(now);
         let Some(rec) = self.jobs.get_mut(&job) else {
             return Vec::new();
@@ -1457,7 +1502,7 @@ impl SchedulerCore {
         }
         self.tick(now);
         let slots = self.pool.lend(n)?;
-        self.log(WalRecord::LendGrant {
+        self.log(&WalRecord::LendGrant {
             lease,
             slots: slots.clone(),
             now,
@@ -1480,7 +1525,7 @@ impl SchedulerCore {
         if !self.lent_leases.contains_key(&lease) {
             return Vec::new();
         }
-        self.log(WalRecord::LendReclaim { lease, now });
+        self.log(&WalRecord::LendReclaim { lease, now });
         self.tick(now);
         let slots = self.lent_leases.remove(&lease).expect("checked above");
         self.pool.reattach(&slots);
@@ -1511,7 +1556,7 @@ impl SchedulerCore {
         if global_slots.is_empty() || self.borrowed_leases.contains_key(&lease) {
             return Vec::new();
         }
-        self.log(WalRecord::BorrowAttach {
+        self.log(&WalRecord::BorrowAttach {
             lease,
             global_slots: global_slots.to_vec(),
             lender_epoch,
@@ -1556,7 +1601,7 @@ impl SchedulerCore {
         if !self.borrowed_leases.contains_key(&lease) {
             return outcome;
         }
-        self.log(WalRecord::BorrowEvict { lease, now });
+        self.log(&WalRecord::BorrowEvict { lease, now });
         self.tick(now);
         let bl = self.borrowed_leases.remove(&lease).expect("checked above");
         let dead: BTreeSet<usize> = bl.local.iter().copied().collect();
@@ -1634,7 +1679,7 @@ impl SchedulerCore {
         if self.expand_paused == on {
             return;
         }
-        self.log(WalRecord::PauseExpansion { on, now });
+        self.log(&WalRecord::PauseExpansion { on, now });
         self.tick(now);
         self.expand_paused = on;
         reshape_telemetry::gauge_set("core.expand_paused", if on { 1.0 } else { 0.0 });
@@ -1659,7 +1704,7 @@ impl SchedulerCore {
     pub fn bump_epoch(&mut self, now: f64) -> u64 {
         let now = self.sane_now(now);
         let next = self.epoch + 1;
-        self.log(WalRecord::EpochBump { epoch: next, now });
+        self.log(&WalRecord::EpochBump { epoch: next, now });
         self.tick(now);
         self.epoch = next;
         reshape_telemetry::incr("core.epoch_bumps", 1);
@@ -1674,7 +1719,7 @@ impl SchedulerCore {
     /// silently and replay stays exact.
     pub fn journal_heal_repair(&mut self, lease: u64, action: HealAction, now: f64) {
         let now = self.sane_now(now);
-        self.log(WalRecord::HealRepair { lease, action, now });
+        self.log(&WalRecord::HealRepair { lease, action, now });
         self.tick(now);
         reshape_telemetry::incr("core.heal_repairs", 1);
     }
@@ -1831,7 +1876,7 @@ impl SchedulerCore {
         let now = self.sane_now(now);
         // A query, but it advances the busy-time integral — exact-state
         // recovery needs the same advance on replay.
-        self.log(WalRecord::Tick { now });
+        self.log(&WalRecord::Tick { now });
         self.tick(now);
         if now <= 0.0 {
             return 0.0;
@@ -2611,6 +2656,51 @@ mod tests {
             "replay must restore the epoch exactly"
         );
         assert_eq!(recovered.snapshot(), before);
+    }
+
+    /// Hand-framed `{crc:08x} {payload}\n` lines after an 8-processor
+    /// genesis, so a test can log what the state machine never would.
+    fn after_open_8(payloads: &[&str]) -> String {
+        ["open 8 fcfs paper 1024 lowest 0"]
+            .iter()
+            .chain(payloads)
+            .map(|p| format!("{:08x} {p}\n", crate::wal::crc32(p.as_bytes())))
+            .collect()
+    }
+
+    /// Both recovery entry points refuse `text` at `line` with a reason
+    /// that contains `says`.
+    fn assert_diverges(text: &str, line: usize, says: &str) {
+        let strict = SchedulerCore::recover(Wal::decode(text).expect("every line checks"));
+        let one_pass = SchedulerCore::recover_salvage(text);
+        for err in [strict.err(), one_pass.err()] {
+            match err {
+                Some(WalError::Corrupt { line: at, reason }) if at == line => {
+                    assert!(reason.contains(says), "{reason}")
+                }
+                other => panic!("expected a divergence at line {line}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn lend_grant_replay_divergence_is_an_error() {
+        // Lowest-id order lends slot 0; the record claims slot 99.
+        let text = after_open_8(&["lg 1 1 99 0000000000000000"]);
+        assert_diverges(&text, 2, "lend_grant(lease 1)");
+        // More slots than the pool has: the replayed grant is refused.
+        let text = after_open_8(&[
+            "ts 0000000000000000",
+            "lg 4 9 0 1 2 3 4 5 6 7 8 3ff0000000000000",
+        ]);
+        assert_diverges(&text, 3, "replay gave None");
+    }
+
+    #[test]
+    fn epoch_replay_divergence_is_an_error() {
+        // A fresh core's first bump reaches epoch 1, not the logged 5.
+        let text = after_open_8(&["epoch 5 0000000000000000"]);
+        assert_diverges(&text, 2, "got 1, logged 5");
     }
 
     #[test]

@@ -82,11 +82,21 @@
 //! A torn final line (the crash landed mid-append) is tolerated and dropped
 //! on load; a checksum mismatch or garbage anywhere earlier is reported as
 //! corruption — a WAL with a damaged interior cannot be trusted for replay.
-//! The salvage loaders ([`Wal::load_salvage`], [`Wal::decode_salvage`])
+//! The salvage loaders ([`Wal::load_salvage`], [`Wal::decode_salvage`],
+//! [`SchedulerCore::recover_salvage`](crate::SchedulerCore::recover_salvage))
 //! instead recover the last-good prefix, quarantine the damaged remainder
 //! (to `<path>.quarantine` for file-backed WALs), and report the truncation
 //! in a [`WalSalvage`] so recovery can proceed with a shorter history
 //! rather than none.
+//!
+//! # In memory
+//!
+//! A [`Wal`] holds its wire bytes and a record count, not decoded records:
+//! [`Wal::append`] encodes the line once, [`Wal::encode`] is a copy of
+//! bytes that already exist, and recovery frames, checks, parses and
+//! applies each line in one pass with no list of records in between.
+//! [`Wal::records`] decodes the whole stream on every call, so it costs
+//! `O(history)`; it is for tests and diagnostics, not for hot paths.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -260,8 +270,9 @@ pub enum HealAction {
 #[derive(Debug)]
 pub enum WalError {
     Io(std::io::Error),
-    /// A non-final line failed its checksum or did not parse. `line` is
-    /// 1-based.
+    /// A non-final line failed its checksum or did not parse, or a
+    /// checksummed line replayed differently from how it was logged.
+    /// `line` is 1-based.
     Corrupt {
         line: usize,
         reason: String,
@@ -403,15 +414,23 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     if s.is_empty() {
         out.extend_from_slice(b"\\e");
     }
-    for &b in s.as_bytes() {
-        match b {
-            b'\\' => out.extend_from_slice(b"\\\\"),
-            b' ' => out.extend_from_slice(b"\\s"),
-            b'\n' => out.extend_from_slice(b"\\n"),
-            b'\r' => out.extend_from_slice(b"\\r"),
-            b => out.push(b),
-        }
+    // Runs between escapes are copied whole; an escape-free string is one
+    // copy.
+    let mut rest = s.as_bytes();
+    while let Some(at) = rest
+        .iter()
+        .position(|b| matches!(b, b'\\' | b' ' | b'\n' | b'\r'))
+    {
+        out.extend_from_slice(&rest[..at]);
+        out.extend_from_slice(match rest[at] {
+            b'\\' => b"\\\\",
+            b' ' => b"\\s",
+            b'\n' => b"\\n",
+            _ => b"\\r",
+        });
+        rest = &rest[at + 1..];
     }
+    out.extend_from_slice(rest);
 }
 
 fn put_slots(out: &mut Vec<u8>, slots: &[usize]) {
@@ -660,19 +679,66 @@ fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
     out.push(b'\n');
 }
 
-/// The space-separated tokens of one payload, read front to back. Every
-/// reader fails with a reason instead of panicking: the bytes come from
-/// disk.
-struct Fields<'a>(std::str::Split<'a, char>);
+/// The value of lowercase hex `digits`, at most 16 of them; `None` for any
+/// other byte.
+fn hex_value(digits: &[u8]) -> Option<u64> {
+    let mut bits = 0u64;
+    for &d in digits {
+        let nibble = match d {
+            b'0'..=b'9' => d - b'0',
+            b'a'..=b'f' => d - b'a' + 10,
+            _ => return None,
+        };
+        bits = bits << 4 | nibble as u64;
+    }
+    Some(bits)
+}
+
+/// The space-separated tokens of one payload, read front to back: what is
+/// left of the payload, `None` once its last token was read. Every reader
+/// fails with a reason instead of panicking: the bytes come from disk.
+struct Fields<'a>(Option<&'a str>);
 
 impl<'a> Fields<'a> {
+    /// The next token, up to the next space or the end of the payload.
     fn token(&mut self) -> Result<&'a str, String> {
-        self.0.next().ok_or_else(|| "missing field".to_string())
+        let rest = self.0.ok_or_else(|| "missing field".to_string())?;
+        Ok(match rest.bytes().position(|b| b == b' ') {
+            Some(at) => {
+                self.0 = Some(&rest[at + 1..]);
+                &rest[..at]
+            }
+            None => {
+                self.0 = None;
+                rest
+            }
+        })
+    }
+
+    /// Step past a `len`-byte token at the front of `rest`, the payload
+    /// left, and the space after it.
+    fn skip(&mut self, rest: &'a str, len: usize) {
+        self.0 = rest.get(len + 1..);
     }
 
     /// Canonical decimal only (no sign, no leading zero), so that decoding
     /// and re-encoding a stream reproduces it byte for byte.
     fn u64(&mut self) -> Result<u64, String> {
+        // Up to 19 digits cannot overflow: read them in the pass that finds
+        // the token's end. Anything else takes the checked path below.
+        if let Some(rest) = self.0 {
+            let b = rest.as_bytes();
+            let (mut n, mut len) = (0u64, 0);
+            while len < 19 && b.get(len).is_some_and(u8::is_ascii_digit) {
+                n = n * 10 + (b[len] - b'0') as u64;
+                len += 1;
+            }
+            let canonical = len == 1 || (len > 1 && b[0] != b'0');
+            if canonical && matches!(b.get(len), None | Some(b' ')) {
+                self.skip(rest, len);
+                return Ok(n);
+            }
+        }
         let tok = self.token()?;
         let digits = tok.as_bytes();
         if digits.is_empty() || (digits.len() > 1 && digits[0] == b'0') {
@@ -697,23 +763,32 @@ impl<'a> Fields<'a> {
     }
 
     fn f64(&mut self) -> Result<f64, String> {
+        // Every float is 16 digits: when a space or the end follows them,
+        // take them without scanning for the token's end.
+        if let Some(rest) = self.0 {
+            let b = rest.as_bytes();
+            if matches!(b.get(16), None | Some(b' ')) {
+                if let Some(bits) = b.get(..16).and_then(hex_value) {
+                    self.skip(rest, 16);
+                    return Ok(f64::from_bits(bits));
+                }
+            }
+        }
         let tok = self.token()?;
-        if tok.len() != 16 {
-            return Err(format!("bad float `{tok}`"));
+        match hex_value(tok.as_bytes()) {
+            Some(bits) if tok.len() == 16 => Ok(f64::from_bits(bits)),
+            _ => Err(format!("bad float `{tok}`")),
         }
-        let mut bits = 0u64;
-        for &d in tok.as_bytes() {
-            let nibble = match d {
-                b'0'..=b'9' => d - b'0',
-                b'a'..=b'f' => d - b'a' + 10,
-                _ => return Err(format!("bad float `{tok}`")),
-            };
-            bits = bits << 4 | nibble as u64;
-        }
-        Ok(f64::from_bits(bits))
     }
 
     fn bool(&mut self) -> Result<bool, String> {
+        if let Some(rest) = self.0 {
+            let b = rest.as_bytes();
+            if matches!(b.first(), Some(b'0' | b'1')) && matches!(b.get(1), None | Some(b' ')) {
+                self.skip(rest, 1);
+                return Ok(b[0] == b'1');
+            }
+        }
         match self.token()? {
             "0" => Ok(false),
             "1" => Ok(true),
@@ -729,6 +804,11 @@ impl<'a> Fields<'a> {
         if tok.is_empty() {
             return Err("empty string field".to_string());
         }
+        // A raw `\r` is refused like a bad escape: the encoder writes `\r`
+        // as an escape, and a stored line must be the one spelling.
+        if !tok.bytes().any(|b| b == b'\\' || b == b'\r') {
+            return Ok(tok.to_string());
+        }
         let mut s = String::with_capacity(tok.len());
         let mut chars = tok.chars();
         while let Some(c) = chars.next() {
@@ -740,6 +820,7 @@ impl<'a> Fields<'a> {
                     Some('r') => '\r',
                     _ => return Err(format!("bad escape in `{tok}`")),
                 },
+                '\r' => return Err(format!("raw carriage return in `{tok}`")),
                 c => c,
             });
         }
@@ -928,9 +1009,14 @@ impl<'a> Fields<'a> {
 }
 
 fn decode_line(line: &str) -> Result<WalRecord, String> {
-    let (crc_hex, payload) = line
-        .split_once(' ')
-        .ok_or_else(|| "missing checksum field".to_string())?;
+    // A well-formed line has its first space at byte 8.
+    let head = line.as_bytes().get(..9);
+    let (crc_hex, payload) = match head {
+        Some([crc @ .., b' ']) if !crc.contains(&b' ') => (&line[..8], &line[9..]),
+        _ => line
+            .split_once(' ')
+            .ok_or_else(|| "missing checksum field".to_string())?,
+    };
     // Compared as text against the one spelling `encode_line` writes, so an
     // upper-case digit, a sign or a different length is a mismatch too
     // (`from_str_radix` would take all three, and a flipped case bit in a
@@ -941,22 +1027,29 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
             "checksum mismatch (stored {crc_hex}, computed {got:08x})"
         ));
     }
-    let mut fields = Fields(payload.split(' '));
+    let mut fields = Fields(Some(payload));
     let rec = fields
         .record()
         .map_err(|why| format!("unparseable record: {why}"))?;
-    match fields.0.next() {
+    match fields.0 {
         None => Ok(rec),
-        Some(tok) => Err(format!("unparseable record: trailing field `{tok}`")),
+        Some(_) => Err(format!(
+            "unparseable record: trailing field `{}`",
+            fields.token()?
+        )),
     }
 }
 
-/// An append-only, checksummed record stream. Purely in-memory by default;
-/// [`Wal::create`]/[`Wal::load`] back it with a file that is flushed on
-/// every append (write-ahead: the record is durable before the transition's
-/// effects are observable).
+/// An append-only, checksummed record stream, held as its wire bytes plus
+/// a record count (see *In memory* in the module doc). Purely in-memory by
+/// default; [`Wal::create`]/[`Wal::load`] back it with a file that is
+/// flushed on every append (write-ahead: the record is durable before the
+/// transition's effects are observable).
 pub struct Wal {
-    records: Vec<WalRecord>,
+    /// Every record's `{crc:08x} {payload}\n` line, in append order:
+    /// ASCII around the UTF-8 of logged strings.
+    bytes: Vec<u8>,
+    records: usize,
     file: Option<BufWriter<File>>,
     path: Option<PathBuf>,
 }
@@ -964,7 +1057,7 @@ pub struct Wal {
 impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
-            .field("records", &self.records.len())
+            .field("records", &self.records)
             .field("path", &self.path)
             .finish()
     }
@@ -974,7 +1067,8 @@ impl Wal {
     /// A WAL held only in memory (tests, simulators, crash-restart drills).
     pub fn in_memory() -> Self {
         Wal {
-            records: Vec::new(),
+            bytes: Vec::new(),
+            records: 0,
             file: None,
             path: None,
         }
@@ -985,9 +1079,9 @@ impl Wal {
         let path = path.as_ref().to_path_buf();
         let file = File::create(&path)?;
         Ok(Wal {
-            records: Vec::new(),
             file: Some(BufWriter::new(file)),
             path: Some(path),
+            ..Wal::in_memory()
         })
     }
 
@@ -999,27 +1093,26 @@ impl Wal {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut text = String::new();
         file.read_to_string(&mut text)?;
-        let (records, clean_len) = parse_stream(&text)?;
+        let (wal, scan) = Wal::scanned(&text);
+        let clean_len = scan.clean_len;
+        scan.strict()?;
         // Drop any torn tail from the file so future appends start clean.
         if clean_len < text.len() {
             file.set_len(clean_len as u64)?;
         }
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
-            records,
             file: Some(BufWriter::new(file)),
             path: Some(path),
+            ..wal
         })
     }
 
     /// Parse an encoded stream (see [`Wal::encode`]) into an in-memory WAL.
     pub fn decode(text: &str) -> Result<Self, WalError> {
-        let (records, _) = parse_stream(text)?;
-        Ok(Wal {
-            records,
-            file: None,
-            path: None,
-        })
+        let (wal, scan) = Wal::scanned(text);
+        scan.strict()?;
+        Ok(wal)
     }
 
     /// Parse an encoded stream, salvaging past interior corruption: the WAL
@@ -1028,21 +1121,8 @@ impl Wal {
     /// tolerance of [`Wal::decode`] is unchanged — a torn final line is
     /// dropped silently, not reported as salvage.
     pub fn decode_salvage(text: &str) -> (Self, Option<WalSalvage>) {
-        let (records, clean_len, corrupt) = scan_stream(text);
-        let salvage = corrupt.map(|(line, reason)| WalSalvage {
-            line,
-            reason,
-            quarantined: text[clean_len..].to_string(),
-            quarantine_path: None,
-        });
-        (
-            Wal {
-                records,
-                file: None,
-                path: None,
-            },
-            salvage,
-        )
+        let (wal, scan) = Wal::scanned(text);
+        (wal, scan.salvage(text))
     }
 
     /// Load a file-backed WAL, salvaging past interior corruption: the
@@ -1056,21 +1136,14 @@ impl Wal {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut text = String::new();
         file.read_to_string(&mut text)?;
-        let (records, clean_len, corrupt) = scan_stream(&text);
-        let salvage = match corrupt {
-            Some((line, reason)) => {
-                let quarantined = text[clean_len..].to_string();
-                let qpath = PathBuf::from(format!("{}.quarantine", path.display()));
-                std::fs::write(&qpath, &quarantined)?;
-                Some(WalSalvage {
-                    line,
-                    reason,
-                    quarantined,
-                    quarantine_path: Some(qpath),
-                })
-            }
-            None => None,
-        };
+        let (wal, scan) = Wal::scanned(&text);
+        let clean_len = scan.clean_len;
+        let mut salvage = scan.salvage(&text);
+        if let Some(s) = salvage.as_mut() {
+            let qpath = PathBuf::from(format!("{}.quarantine", path.display()));
+            std::fs::write(&qpath, &s.quarantined)?;
+            s.quarantine_path = Some(qpath);
+        }
         // Drop the quarantined remainder and/or torn tail from the file so
         // future appends start clean.
         if clean_len < text.len() {
@@ -1079,23 +1152,18 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
         Ok((
             Wal {
-                records,
                 file: Some(BufWriter::new(file)),
                 path: Some(path),
+                ..wal
             },
             salvage,
         ))
     }
 
     /// The full stream in wire format (what a file-backed WAL would
-    /// contain).
+    /// contain): a copy of the bytes the WAL holds.
     pub fn encode(&self) -> String {
-        // ~57 bytes a record on federation streams; one buffer for the lot.
-        let mut out = Vec::with_capacity(self.records.len() * 64);
-        for rec in &self.records {
-            encode_line(&mut out, rec);
-        }
-        String::from_utf8(out).expect("the codec writes ASCII around UTF-8 strings")
+        self.text().to_owned()
     }
 
     /// The records as JSON, one object per line and no checksums: a
@@ -1103,8 +1171,8 @@ impl Wal {
     /// back, and non-finite floats print as `null`.
     pub fn dump_json(&self) -> String {
         let mut out = String::new();
-        for rec in &self.records {
-            out.push_str(&serde_json::to_string(rec).expect("WAL records always serialize"));
+        for rec in self.records() {
+            out.push_str(&serde_json::to_string(&rec).expect("WAL records always serialize"));
             out.push('\n');
         }
         out
@@ -1118,46 +1186,133 @@ impl Wal {
     /// Panics if the backing file cannot be written — a WAL that silently
     /// loses records is worse than no WAL.
     pub fn append(&mut self, rec: WalRecord) {
+        self.push(&rec);
+    }
+
+    /// [`Wal::append`] by reference: the record is encoded, not kept, so a
+    /// caller can move its fields back out afterwards.
+    pub(crate) fn push(&mut self, rec: &WalRecord) {
+        let start = self.bytes.len();
+        encode_line(&mut self.bytes, rec);
+        self.records += 1;
         if let Some(f) = self.file.as_mut() {
-            let mut line = Vec::new();
-            encode_line(&mut line, &rec);
-            f.write_all(&line)
+            f.write_all(&self.bytes[start..])
                 .and_then(|_| f.flush())
                 .expect("WAL append failed");
         }
-        self.records.push(rec);
     }
 
-    pub fn records(&self) -> &[WalRecord] {
-        &self.records
+    /// Keep one line that [`scan`] accepted: `body` without its line break.
+    pub(crate) fn push_line(&mut self, body: &str) {
+        self.bytes.extend_from_slice(body.as_bytes());
+        self.bytes.push(b'\n');
+        self.records += 1;
+    }
+
+    /// An empty in-memory WAL with room for `bytes` of text.
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Wal {
+            bytes: Vec::with_capacity(bytes),
+            ..Wal::in_memory()
+        }
+    }
+
+    /// The stream's wire text.
+    pub(crate) fn text(&self) -> &str {
+        std::str::from_utf8(&self.bytes).expect("the codec writes ASCII around UTF-8 strings")
+    }
+
+    /// The records, decoded from the stream on every call: `O(history)`.
+    pub fn records(&self) -> Vec<WalRecord> {
+        let mut out = Vec::with_capacity(self.records);
+        scan(self.text(), |_, _, rec| {
+            out.push(rec);
+            Ok::<_, std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {})
+        .strict()
+        .expect("a WAL holds only lines its codec wrote or accepted");
+        out
     }
 
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.records == 0
     }
 
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
     }
+
+    /// An in-memory WAL of `text`'s clean prefix, and the scan that found
+    /// it.
+    fn scanned(text: &str) -> (Self, Scan) {
+        let mut wal = Wal::with_capacity(text.len());
+        let scan = scan(text, |_, body, _| {
+            wal.push_line(body);
+            Ok::<_, std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {});
+        (wal, scan)
+    }
 }
 
-/// Scan `text` into records. Returns the records of the clean prefix, the
-/// byte length of that prefix (fully parsed, newline-terminated), and —
-/// when an *interior* line failed its checksum or did not parse — the
-/// 1-based line number and reason of the first corruption. A torn final
-/// line (unterminated: the crash landed mid-append) is dropped silently
-/// and is not corruption.
-fn scan_stream(text: &str) -> (Vec<WalRecord>, usize, Option<(usize, String)>) {
-    let mut records = Vec::new();
+/// Where a [`scan`] stopped.
+pub(crate) struct Scan {
+    /// Byte length of the clean prefix: every line fully parsed and
+    /// newline-terminated (or the final line, if it parsed without one).
+    clean_len: usize,
+    /// The 1-based line number and reason of the first *interior* line
+    /// that failed its checksum or did not parse.
+    corrupt: Option<(usize, String)>,
+}
+
+impl Scan {
+    /// Interior corruption as an error, for the strict loaders.
+    pub(crate) fn strict(self) -> Result<(), WalError> {
+        match self.corrupt {
+            None => Ok(()),
+            Some((line, reason)) => Err(WalError::Corrupt { line, reason }),
+        }
+    }
+
+    /// Interior corruption as a salvage report on `text`, the scanned
+    /// stream: everything past the clean prefix is quarantined.
+    pub(crate) fn salvage(self, text: &str) -> Option<WalSalvage> {
+        let clean_len = self.clean_len;
+        self.corrupt.map(|(line, reason)| WalSalvage {
+            line,
+            reason,
+            quarantined: text[clean_len..].to_string(),
+            quarantine_path: None,
+        })
+    }
+}
+
+/// Walk `text` line by line — frame, check the CRC, parse — and hand each
+/// record to `each` with its 1-based line number and its line without the
+/// line break. Blank lines are skipped. A torn final line (unterminated:
+/// the crash landed mid-append) that does not decode is dropped silently
+/// and is not corruption; the first interior line that does not decode
+/// stops the walk and is reported in the [`Scan`]. An error from `each`
+/// stops the walk and is returned as is.
+pub(crate) fn scan<E>(
+    text: &str,
+    mut each: impl FnMut(usize, &str, WalRecord) -> Result<(), E>,
+) -> Result<Scan, E> {
     let mut clean_len = 0usize;
     let mut offset = 0usize;
     for (idx, line) in text.split_inclusive('\n').enumerate() {
+        // The line without its `\n` and any `\r`s before it.
         let terminated = line.ends_with('\n');
-        let body = line.trim_end_matches(['\n', '\r']);
+        let mut end = line.len() - terminated as usize;
+        while line.as_bytes()[..end].last() == Some(&b'\r') {
+            end -= 1;
+        }
+        let body = &line[..end];
         offset += line.len();
         if body.is_empty() {
             clean_len = offset;
@@ -1165,26 +1320,23 @@ fn scan_stream(text: &str) -> (Vec<WalRecord>, usize, Option<(usize, String)>) {
         }
         match decode_line(body) {
             Ok(rec) => {
-                records.push(rec);
+                each(idx + 1, body, rec)?;
                 clean_len = offset;
             }
             // Torn tail: the crash interrupted the final append. Drop it.
             Err(_) if !terminated => break,
-            Err(reason) => return (records, clean_len, Some((idx + 1, reason))),
+            Err(reason) => {
+                return Ok(Scan {
+                    clean_len,
+                    corrupt: Some((idx + 1, reason)),
+                })
+            }
         }
     }
-    (records, clean_len, None)
-}
-
-/// Parse `text` into records; returns the records and the byte length of
-/// the clean (fully parsed, newline-terminated) prefix. Interior
-/// corruption is an error — use the salvage loaders to recover the prefix
-/// instead.
-fn parse_stream(text: &str) -> Result<(Vec<WalRecord>, usize), WalError> {
-    match scan_stream(text) {
-        (records, clean_len, None) => Ok((records, clean_len)),
-        (_, _, Some((line, reason))) => Err(WalError::Corrupt { line, reason }),
-    }
+    Ok(Scan {
+        clean_len,
+        corrupt: None,
+    })
 }
 
 /// What a salvage load recovered from a WAL with a corrupt interior: the
@@ -1592,6 +1744,23 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn raw_carriage_return_in_a_string_is_refused() {
+        // The encoder escapes `\r`, so a raw one is not its spelling, even
+        // under a valid checksum: kept, it would make the stored line
+        // differ from the record's re-encoding.
+        let payload = "fail 3 node\r2 4022800000000000";
+        let line = format!("{:08x} {payload}\n", crc32(payload.as_bytes()));
+        let err = Wal::decode(&line).expect_err("raw \\r must not decode");
+        assert!(
+            matches!(&err, WalError::Corrupt { line: 1, reason } if reason.contains("raw carriage return")),
+            "{err}"
+        );
+        let escaped = payload.replace('\r', "\\r");
+        let line = format!("{:08x} {escaped}\n", crc32(escaped.as_bytes()));
+        assert_eq!(Wal::decode(&line).unwrap().encode(), line);
     }
 
     #[test]

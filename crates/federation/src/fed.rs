@@ -760,10 +760,10 @@ impl Federation {
         out
     }
 
-    /// Crash a shard. Its core dies on the spot; only the WAL text and
-    /// the dead core, frozen as the crash image, survive. Leases it holds
-    /// keep running on federation timers; traffic addressed to it is
-    /// buffered.
+    /// Crash a shard. Its core dies on the spot; only the WAL text (a copy
+    /// of the bytes the WAL already holds) and the dead core, frozen as the
+    /// crash image, survive. Leases it holds keep running on federation
+    /// timers; traffic addressed to it is buffered.
     pub fn kill_shard(&mut self, shard: usize, now: f64) -> (bool, Vec<Notice>) {
         let mut out = self.begin(now);
         self.mark(shard);
@@ -800,7 +800,7 @@ impl Federation {
         (true, out)
     }
 
-    /// Restart a down shard: decode its WAL, replay it, verify the replay
+    /// Restart a down shard: replay its WAL text, verify the replay
     /// reproduces the dead core's state, fix up expired leases, then replay
     /// everything that was addressed to the shard while it was down.
     pub fn recover_shard(
@@ -822,19 +822,20 @@ impl Federation {
         // where it lies: both grow with the shard's whole history.
         let wal_text = std::mem::take(down_text);
 
-        // Interior WAL corruption recovers to the last-good prefix; the
-        // damaged remainder is quarantined into the report instead of
-        // poisoning the replay. A salvaged replay cannot match the dead
-        // core (records are missing) — the mismatch is the signal.
-        let (wal, salvage) = Wal::decode_salvage(&wal_text);
-        let quarantined = salvage.map(|s| s.quarantined);
-        let wal_records = wal.records().len();
-        let mut core = match SchedulerCore::recover(wal) {
-            Ok(core) => core,
-            // Nothing replayable (the genesis line itself is damaged): the
-            // shard stays down with its WAL text and crash image intact
-            // and its deferred traffic buffered, for an operator or a later
-            // retry — bad durable input is an error, not a panic.
+        // One pass over the text: each line is checked, parsed and
+        // replayed in turn. Interior WAL corruption recovers to the
+        // last-good prefix; the damaged remainder is quarantined into the
+        // report instead of poisoning the replay. A salvaged replay cannot
+        // match the dead core (records are missing) — the mismatch is the
+        // signal.
+        let (mut core, quarantined) = match SchedulerCore::recover_salvage(&wal_text) {
+            Ok((core, salvage)) => (core, salvage.map(|s| s.quarantined)),
+            // Nothing replayable (the genesis line itself is damaged), or a
+            // checksummed record that replays differently from how it was
+            // logged: the shard stays down with its WAL text and crash
+            // image intact and its deferred traffic buffered, for an
+            // operator or a later retry — bad durable input is an error,
+            // not a panic.
             Err(e) => {
                 *down_text = wal_text;
                 telemetry::incr("fed.shard_recover_failures", 1);
@@ -848,6 +849,7 @@ impl Federation {
                 return (None, out);
             }
         };
+        let wal_records = core.wal().map_or(0, Wal::len);
         if let Some(q) = &quarantined {
             telemetry::incr("fed.wal_quarantines", 1);
             self.flightrec.record(

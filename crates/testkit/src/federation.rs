@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use reshape_core::ctrl::ChaosConfig;
-use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, WalRecord};
+use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, Wal};
 use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
 use reshape_federation::{
     BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, Shard, TenantConfig,
@@ -187,6 +187,12 @@ fn authority(sh: &Shard) -> &SchedulerCore {
 /// federation's lease table, and every live-held lease present in the
 /// WALs that must know about it.
 pub fn check_ledger(fed: &Federation) -> Result<(), String> {
+    check_ledger_with(fed, &mut Journals::default())
+}
+
+/// [`check_ledger`], reading the WALs through `journals`, which a caller
+/// that checks after every event keeps from one check to the next.
+pub(crate) fn check_ledger_with(fed: &Federation, journals: &mut Journals) -> Result<(), String> {
     let now = fed.now();
     let total = fed.total_procs();
 
@@ -414,32 +420,13 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
     // WAL containment: leases held by live shards must be journaled. A
     // lease attached by a borrower that the lender never journaled is a
     // forged grant (the planted double-grant takes exactly this shape).
-    let mut wal_grants: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
-    let mut wal_attaches: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
     for sh in fed.shards() {
-        let Some(wal) = sh.core().and_then(|c| c.wal()) else {
+        let Some(core) = sh.core() else {
+            journals.0.remove(&sh.id());
             continue;
         };
-        let (grants, attaches) = (
-            wal_grants.entry(sh.id()).or_default(),
-            wal_attaches.entry(sh.id()).or_default(),
-        );
-        for r in wal.records() {
-            match r {
-                WalRecord::LendGrant { lease, .. } => {
-                    grants.insert(*lease);
-                }
-                WalRecord::BorrowAttach { lease, .. } => {
-                    attaches.insert(*lease);
-                }
-                _ => {}
-            }
-        }
-    }
-    for sh in fed.shards() {
-        let Some(core) = sh.core() else { continue };
         for id in core.lent_leases().keys() {
-            if !wal_grants.get(&sh.id()).is_some_and(|s| s.contains(id)) {
+            if journals.has(sh, Tag::Grant, *id)? != Some(true) {
                 return Err(format!(
                     "lease {id}: escrowed on shard {} but absent from its WAL",
                     sh.id()
@@ -447,15 +434,16 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
             }
         }
         for id in core.borrowed_leases().keys() {
-            if !wal_attaches.get(&sh.id()).is_some_and(|s| s.contains(id)) {
+            if journals.has(sh, Tag::Attach, *id)? != Some(true) {
                 return Err(format!(
                     "lease {id}: attached on shard {} but absent from its WAL",
                     sh.id()
                 ));
             }
             let lender = fed.lease(*id).expect("checked above").lender;
-            if let Some(g) = wal_grants.get(&lender) {
-                if !g.contains(id) {
+            let lender_shard = fed.shards().iter().find(|s| s.id() == lender);
+            if let Some(lender_shard) = lender_shard {
+                if journals.has(lender_shard, Tag::Grant, *id)? == Some(false) {
                     return Err(format!(
                         "lease {id}: attached by shard {} but never journaled by lender \
                          {lender} — forged grant",
@@ -466,6 +454,89 @@ pub fn check_ledger(fed: &Federation) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The lease records the containment check looks for.
+#[derive(Clone, Copy)]
+enum Tag {
+    /// `LendGrant`, written by the lender.
+    Grant,
+    /// `BorrowAttach`, written by the borrower.
+    Attach,
+}
+
+/// The leases each live shard's WAL journals, as far as the oracle has
+/// read it. A shard's WAL is read only when a lease the oracle must find
+/// is missing from what was read and the WAL has changed since: after
+/// every event that is the shards that gained a lease, not every shard's
+/// whole history. A journaled lease stays journaled while the shard lives
+/// (its WAL is append-only), and a shard seen down is forgotten, because
+/// its recovery may salvage a shorter stream.
+#[derive(Default)]
+pub(crate) struct Journals(BTreeMap<usize, Journal>);
+
+/// One shard's journaled leases, read at `records` records.
+#[derive(Default)]
+struct Journal {
+    records: usize,
+    grants: BTreeSet<u64>,
+    attaches: BTreeSet<u64>,
+}
+
+impl Journal {
+    /// Read the whole WAL text. A record has one spelling, so a line
+    /// `{crc} lg {lease} …` is a `LendGrant` of that lease, `{crc} ba
+    /// {lease} …` a `BorrowAttach`, and no other line starts that way.
+    fn read(shard: &Shard, wal: &Wal) -> Result<Journal, String> {
+        let mut j = Journal {
+            records: wal.len(),
+            ..Journal::default()
+        };
+        for line in wal.encode().lines() {
+            let Some(payload) = line.get(9..) else {
+                continue;
+            };
+            let (leases, rest) = if let Some(rest) = payload.strip_prefix("lg ") {
+                (&mut j.grants, rest)
+            } else if let Some(rest) = payload.strip_prefix("ba ") {
+                (&mut j.attaches, rest)
+            } else {
+                continue;
+            };
+            let lease = rest.split(' ').next().and_then(|t| t.parse().ok());
+            let Some(lease) = lease else {
+                return Err(format!(
+                    "shard {}: unreadable WAL line `{line}`",
+                    shard.id()
+                ));
+            };
+            leases.insert(lease);
+        }
+        Ok(j)
+    }
+
+    fn leases(&self, tag: Tag) -> &BTreeSet<u64> {
+        match tag {
+            Tag::Grant => &self.grants,
+            Tag::Attach => &self.attaches,
+        }
+    }
+}
+
+impl Journals {
+    /// Whether `shard`'s WAL journals `lease` as `tag`; `None` while the
+    /// shard is down or keeps no WAL.
+    fn has(&mut self, shard: &Shard, tag: Tag, lease: u64) -> Result<Option<bool>, String> {
+        let Some(wal) = shard.core().and_then(|c| c.wal()) else {
+            self.0.remove(&shard.id());
+            return Ok(None);
+        };
+        let j = self.0.entry(shard.id()).or_default();
+        if !j.leases(tag).contains(&lease) && wal.len() != j.records {
+            *j = Journal::read(shard, wal)?;
+        }
+        Ok(Some(j.leases(tag).contains(&lease)))
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -507,13 +578,14 @@ pub(crate) fn run_chaos(
     let mut wal_dump: Vec<(usize, String)> = Vec::new();
     let mut checks = 0u64;
     let mut quiesced = false;
+    let mut journals = Journals::default();
     let (report, fed) = run_with_fed(cfg, |fed, t| {
         checks += 1;
         quiesced = fed.quiesced();
         if first_err.is_some() {
             return; // keep the first violation; the run stays deterministic
         }
-        if let Err(e) = check_ledger(fed) {
+        if let Err(e) = check_ledger_with(fed, &mut journals) {
             first_err = Some(format!("t={t:.3} {e}"));
             for sh in fed.shards() {
                 let text = match sh.core().and_then(|c| c.wal()) {
