@@ -1096,11 +1096,7 @@ impl Wal {
         let (wal, scan) = Wal::scanned(&text);
         let clean_len = scan.clean_len;
         scan.strict()?;
-        // Drop any torn tail from the file so future appends start clean.
-        if clean_len < text.len() {
-            file.set_len(clean_len as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
+        end_at_clean_prefix(&mut file, &text, clean_len)?;
         Ok(Wal {
             file: Some(BufWriter::new(file)),
             path: Some(path),
@@ -1144,12 +1140,7 @@ impl Wal {
             std::fs::write(&qpath, &s.quarantined)?;
             s.quarantine_path = Some(qpath);
         }
-        // Drop the quarantined remainder and/or torn tail from the file so
-        // future appends start clean.
-        if clean_len < text.len() {
-            file.set_len(clean_len as u64)?;
-        }
-        file.seek(SeekFrom::End(0))?;
+        end_at_clean_prefix(&mut file, &text, clean_len)?;
         Ok((
             Wal {
                 file: Some(BufWriter::new(file)),
@@ -1258,6 +1249,21 @@ impl Wal {
         .unwrap_or_else(|never| match never {});
         (wal, scan)
     }
+}
+
+/// Cut a loaded WAL file back to its clean prefix (dropping a torn tail or
+/// a quarantined remainder) and position it for appending. A final record
+/// that parsed without its line break (the crash landed just before it)
+/// gets one, so the next append starts a line of its own.
+fn end_at_clean_prefix(file: &mut File, text: &str, clean_len: usize) -> std::io::Result<()> {
+    if clean_len < text.len() {
+        file.set_len(clean_len as u64)?;
+    }
+    file.seek(SeekFrom::End(0))?;
+    if clean_len > 0 && !text[..clean_len].ends_with('\n') {
+        file.write_all(b"\n")?;
+    }
+    Ok(())
 }
 
 /// Where a [`scan`] stopped.
@@ -1599,6 +1605,32 @@ mod tests {
         let again = Wal::load(&path).unwrap();
         assert_eq!(again.len(), sample().len() + 1);
         assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 42.0 }));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_after_an_unterminated_final_record_starts_a_new_line() {
+        // The crash landed after a record's payload but before its line
+        // break: the record parses and is kept, and the next append must
+        // not be glued onto it.
+        let dir =
+            std::env::temp_dir().join(format!("reshape-wal-unterminated-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sched.wal");
+        let mut wal = Wal::in_memory();
+        for r in sample() {
+            wal.append(r);
+        }
+        let text = wal.encode();
+        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
+        let mut loaded = Wal::load(&path).unwrap();
+        assert_eq!(loaded.len(), sample().len());
+        loaded.append(WalRecord::Tick { now: 42.0 });
+        drop(loaded);
+        let again = Wal::load(&path).unwrap();
+        assert_eq!(again.len(), sample().len() + 1);
+        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 42.0 }));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), again.encode());
         std::fs::remove_dir_all(&dir).ok();
     }
 
