@@ -407,10 +407,11 @@ impl SchedulerCore {
 
     /// Rebuild a scheduler from its write-ahead log by replaying every
     /// logged transition against a fresh core built from the genesis
-    /// record. Because the state machine is deterministic, the recovered
-    /// core is *exactly* equal to the one that wrote the log — pool
-    /// accounting, queue order, job records, profiler history, the event
-    /// trace and the utilization integral all match
+    /// record (and the checkpoint after it, when the WAL was compacted).
+    /// Because the state machine is deterministic, the recovered core is
+    /// *exactly* equal to the one that wrote the log — pool accounting,
+    /// queue order, job records, profiler history, the event trace since
+    /// the last compaction and the utilization integral all match
     /// ([`SchedulerCore::snapshot`] equality). The WAL stays attached, so
     /// post-recovery transitions continue appending to the same stream.
     /// A record that replays differently from how it was logged is a
@@ -439,18 +440,26 @@ impl SchedulerCore {
     /// `copy` when one is given.
     fn replay(text: &str, mut copy: Option<&mut Wal>) -> Result<(SchedulerCore, Scan), WalError> {
         let mut core: Option<SchedulerCore> = None;
+        // Whether the next record directly follows genesis, the one place
+        // a checkpoint may stand.
+        let mut after_genesis = false;
         let scan = wal::scan(text, |line, body, rec| {
             match core.as_mut() {
-                None => core = Some(SchedulerCore::genesis(rec)?),
-                Some(core) => core.apply(line, rec)?,
+                None => {
+                    core = Some(SchedulerCore::genesis(rec)?);
+                    after_genesis = true;
+                }
+                Some(core) => core.apply(line, rec, std::mem::take(&mut after_genesis))?,
             }
             if let Some(copy) = copy.as_deref_mut() {
                 copy.push_line(body);
             }
             Ok::<_, WalError>(())
         })?;
-        let core =
-            core.ok_or_else(|| WalError::BadGenesis("first WAL record must be `open`".into()))?;
+        // A damaged checkpoint leaves no clean prefix, genesis included.
+        let core = core
+            .filter(|_| scan.clean_len > 0)
+            .ok_or_else(|| WalError::BadGenesis("first WAL record must be `open`".into()))?;
         Ok((core, scan))
     }
 
@@ -469,12 +478,23 @@ impl SchedulerCore {
                 "first WAL record must be `open`".into(),
             ));
         };
+        if events_cap == 0 {
+            return Err(WalError::BadGenesis("events_cap must be at least 1".into()));
+        }
         let core = match slot_speeds {
             Some(speeds) => {
                 if speeds.len() != total_procs {
                     return Err(WalError::BadGenesis(format!(
                         "slot_speeds length {} != total_procs {total_procs}",
                         speeds.len()
+                    )));
+                }
+                if speeds.is_empty() {
+                    return Err(WalError::BadGenesis("slot_speeds is empty".into()));
+                }
+                if let Some(bad) = speeds.iter().find(|s| !(s.is_finite() && **s > 0.0)) {
+                    return Err(WalError::BadGenesis(format!(
+                        "slot speed {bad} is not positive and finite"
                     )));
                 }
                 SchedulerCore::new(total_procs, policy).with_slot_speeds(speeds)
@@ -505,15 +525,197 @@ impl SchedulerCore {
         self
     }
 
-    /// Replay the transition logged at `line`. Only called with
-    /// `self.wal == None`, so nothing is re-logged.
-    fn apply(&mut self, line: usize, rec: WalRecord) -> Result<(), WalError> {
+    /// Compact the attached WAL: drop the terminal jobs (as
+    /// [`SchedulerCore::prune_terminal`] does) and the event trace, then
+    /// rewrite the WAL as its genesis line and one
+    /// [`WalRecord::Checkpoint`] of what is left. Recovering the compacted
+    /// WAL, or it plus any records appended since, gives a core
+    /// [`SchedulerCore::same_state`] with this one, so a recovery replays
+    /// the live state and the records since the last compaction, not the
+    /// whole history. The trace goes because a checkpoint does not carry
+    /// it; [`SchedulerCore::dropped_events`] stays. Without a WAL this only
+    /// prunes and drops the trace.
+    pub fn compact_wal(&mut self) {
+        self.prune_terminal();
+        self.events = Vec::new();
+        // Taken out while the checkpoint reads the core, then put back.
+        if let Some(mut wal) = self.wal.take() {
+            wal.compact(&self.checkpoint());
+            self.wal = Some(wal);
+            reshape_telemetry::incr("core.wal_compactions", 1);
+        }
+    }
+
+    /// The live state as one [`WalRecord::Checkpoint`]. Its maps are
+    /// ordered by id, so the record has one spelling whatever order the
+    /// core's hash maps hold.
+    fn checkpoint(&self) -> WalRecord {
+        WalRecord::Checkpoint {
+            next_id: self.next_id,
+            next_reservation: self.next_reservation,
+            epoch: self.epoch,
+            events_dropped: self.events_dropped,
+            busy_proc_seconds: self.busy_proc_seconds,
+            last_tick: self.last_tick,
+            expand_paused: self.expand_paused,
+            foreign_minted: self.pool.foreign_minted(),
+            free_slots: self.pool.free_slots(),
+            reservations: self.reservations.clone(),
+            lent_leases: self.lent_leases.clone(),
+            borrowed_leases: self.borrowed_leases.clone(),
+            jobs: self.jobs.iter().map(|(&id, r)| (id, r.clone())).collect(),
+            bindings: self.bindings.iter().map(|(&id, &r)| (id, r)).collect(),
+            pending_cancel: {
+                let mut ids: Vec<JobId> = self.pending_cancel.iter().copied().collect();
+                ids.sort_unstable();
+                ids
+            },
+            profiles: self
+                .profiler
+                .profiles()
+                .map(|(&id, p)| (id, p.clone()))
+                .collect(),
+        }
+    }
+
+    /// Install a checkpoint's state on a core fresh from genesis. The line
+    /// was checksummed, not necessarily written by a core, so a state that
+    /// would trip a later transition is refused here: every owned slot is
+    /// free or held by exactly one live job, lent slots are native and
+    /// borrowed ones minted, a running job holds as many slots as its
+    /// configuration has processors, and only a job owed its `Terminate` is
+    /// cancelled.
+    fn restore(&mut self, checkpoint: WalRecord) -> Result<(), String> {
+        let WalRecord::Checkpoint {
+            next_id,
+            next_reservation,
+            epoch,
+            events_dropped,
+            busy_proc_seconds,
+            last_tick,
+            expand_paused,
+            foreign_minted,
+            free_slots,
+            reservations,
+            lent_leases,
+            borrowed_leases,
+            jobs,
+            bindings,
+            pending_cancel,
+            profiles,
+        } = checkpoint
+        else {
+            unreachable!("only a checkpoint is restored");
+        };
+        let procs = |c: ProcessorConfig| c.rows.checked_mul(c.cols);
+        if next_id == 0 || next_reservation == 0 {
+            return Err("ids are minted from 1".into());
+        }
+        let total = self.pool.total();
+        let minted_end = total
+            .checked_add(foreign_minted)
+            .ok_or("foreign slot ids overflow")?;
+        let mut lent = BTreeSet::new();
+        for &s in lent_leases.values().flatten() {
+            if s >= total || !lent.insert(s) {
+                return Err(format!("slot {s} cannot be lent"));
+            }
+        }
+        let mut foreign = BTreeSet::new();
+        for &s in borrowed_leases.values().flat_map(|b| &b.local) {
+            if !(total..minted_end).contains(&s) || !foreign.insert(s) {
+                return Err(format!("slot {s} cannot be borrowed"));
+            }
+        }
+        let owned = |s: usize| {
+            if s < total {
+                !lent.contains(&s)
+            } else {
+                foreign.contains(&s)
+            }
+        };
+        let mut claimed = BTreeSet::new();
+        for &s in free_slots
+            .iter()
+            .chain(jobs.values().flat_map(|j| &j.slots))
+        {
+            if !owned(s) || !claimed.insert(s) {
+                return Err(format!("slot {s} is not owned, or claimed twice"));
+            }
+        }
+        if claimed.len() != total - lent.len() + foreign.len() {
+            return Err("an owned slot is neither free nor held".into());
+        }
+        let pending_cancel: IdSet<JobId> = pending_cancel.into_iter().collect();
+        let mut queue = BTreeMap::new();
+        for (&id, job) in &jobs {
+            let fits = match &job.state {
+                JobState::Queued => job.slots.is_empty(),
+                JobState::Running { config } => procs(*config) == Some(job.slots.len()),
+                JobState::Cancelled { .. } => job.slots.is_empty() && pending_cancel.contains(&id),
+                JobState::Finished { .. } | JobState::Failed { .. } => false,
+            };
+            if !(1..next_id).contains(&id.0) || !fits {
+                return Err(format!("job {id} cannot be live as {:?}", job.state));
+            }
+            if job.state == JobState::Queued {
+                let need = procs(job.spec.initial).ok_or("a queued job's need overflows")?;
+                queue.insert((Reverse(job.spec.priority), id), need);
+            }
+        }
+        if let Some(id) = pending_cancel.iter().find(
+            |id| !matches!(jobs.get(id), Some(j) if matches!(j.state, JobState::Cancelled { .. })),
+        ) {
+            return Err(format!(
+                "job {id} is owed a Terminate but was not cancelled"
+            ));
+        }
+        for (id, p) in &profiles {
+            if let Some(Resize::Expanded { from, to }) = p.last_resize {
+                if procs(from).zip(procs(to)).is_none_or(|(f, t)| f > t) {
+                    return Err(format!("job {id} expanded from {from} to {to}"));
+                }
+            }
+        }
+        if reservations.iter().any(|r| r.id.0 >= next_reservation) {
+            return Err("a reservation id was never minted".into());
+        }
+        self.pool
+            .restore(&free_slots, lent, foreign, foreign_minted);
+        self.queue = queue;
+        self.jobs = jobs.into_iter().collect();
+        self.profiler.jobs = profiles.into_iter().collect();
+        self.bindings = bindings.into_iter().collect();
+        self.pending_cancel = pending_cancel;
+        self.reservations = reservations;
+        self.lent_leases = lent_leases;
+        self.borrowed_leases = borrowed_leases;
+        self.next_id = next_id;
+        self.next_reservation = next_reservation;
+        self.epoch = epoch;
+        self.events_dropped = events_dropped;
+        self.busy_proc_seconds = busy_proc_seconds;
+        self.last_tick = last_tick;
+        self.expand_paused = expand_paused;
+        Ok(())
+    }
+
+    /// Replay the transition logged at `line`, which directly follows
+    /// genesis when `after_genesis`. Only called with `self.wal == None`,
+    /// so nothing is re-logged.
+    fn apply(&mut self, line: usize, rec: WalRecord, after_genesis: bool) -> Result<(), WalError> {
         let diverged = |reason: String| WalError::Corrupt { line, reason };
         match rec {
             WalRecord::Open { .. } => {
                 return Err(WalError::BadGenesis(
                     "duplicate `open` record mid-stream".into(),
                 ))
+            }
+            WalRecord::Checkpoint { .. } if after_genesis => self
+                .restore(rec)
+                .map_err(|why| WalError::BadGenesis(format!("checkpoint: {why}")))?,
+            WalRecord::Checkpoint { .. } => {
+                return Err(diverged("a checkpoint must directly follow genesis".into()))
             }
             WalRecord::Submit { spec, now } => {
                 self.submit_inner(spec, None, now);
@@ -2703,9 +2905,9 @@ mod tests {
         assert_diverges(&text, 2, "got 1, logged 5");
     }
 
-    #[test]
-    fn same_state_agrees_with_snapshot_equality() {
-        // A script that sets every compared field.
+    /// A journaling core whose script sets every field `same_state`
+    /// compares; its job 1 is running and resizable.
+    fn every_field() -> SchedulerCore {
         let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs)
             .with_event_cap(4)
             .with_wal(Wal::in_memory());
@@ -2728,7 +2930,12 @@ mod tests {
         assert!(!core.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
         assert!(core.expand_paused && core.epoch == 1 && core.events_dropped > 0);
         assert!(core.profiler.profile(a).is_some() && core.busy_proc_seconds > 0.0);
+        core
+    }
 
+    #[test]
+    fn same_state_agrees_with_snapshot_equality() {
+        let core = every_field();
         let text = core.wal().unwrap().encode();
         let twin = || SchedulerCore::recover(Wal::decode(&text).unwrap()).unwrap();
         let agree = |other: &SchedulerCore| {
@@ -2807,5 +3014,185 @@ mod tests {
             perturb(&mut t);
             assert!(agree(&t), "{what} is not state");
         }
+    }
+
+    /// Recovered from `core`'s WAL text.
+    fn reread(core: &SchedulerCore) -> SchedulerCore {
+        SchedulerCore::recover(Wal::decode(&core.wal().unwrap().encode()).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn compaction_keeps_every_compared_field() {
+        let mut core = every_field();
+        let before = core.wal().unwrap().appended_bytes();
+        core.compact_wal();
+        let wal = core.wal().unwrap();
+        assert_eq!(wal.len(), 2, "genesis and one checkpoint");
+        assert!(wal.appended_bytes() > before, "a compaction writes");
+        assert!(core.events().is_empty() && core.retired.is_empty());
+        let mut twin = reread(&core);
+        assert!(twin.same_state(&core));
+        // Both go on identically, and the writer's WAL still recovers to it.
+        for c in [&mut core, &mut twin] {
+            c.set_expand_paused(false, 9.0);
+            c.resize_point(JobId(1), 9.0, 0.0, 10.0);
+            c.submit(mw(2), 11.0);
+        }
+        assert!(twin.same_state(&core));
+        assert!(reread(&core).same_state(&core));
+        // A second compaction replaces the first checkpoint.
+        core.compact_wal();
+        assert_eq!(core.wal().unwrap().len(), 2);
+        assert!(reread(&core).same_state(&core));
+    }
+
+    #[test]
+    fn file_backed_compaction_survives_reload() {
+        let dir = std::env::temp_dir().join(format!("reshape-compact-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sched.wal");
+        let mut core =
+            SchedulerCore::new(8, QueuePolicy::Fcfs).with_wal(Wal::create(&path).unwrap());
+        let (a, _) = core.submit(mw(2), 0.0);
+        core.resize_point(a, 10.0, 0.0, 1.0);
+        core.compact_wal();
+        core.submit(mw(4), 2.0);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, core.wal().unwrap().encode(), "the file is the stream");
+        let reloaded = SchedulerCore::recover(Wal::load(&path).unwrap()).unwrap();
+        assert!(reloaded.same_state(&core));
+        assert!(!dir.join("sched.wal.compact").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The payload of a valid checkpoint of an idle 8-processor core, with
+    /// `free` in place of its free slots and `rest` after them.
+    fn ckpt(next_id: u64, free: &str, rest: &str) -> String {
+        format!("ckpt {next_id} 1 0 0 0000000000000000 0000000000000000 0 0 {free} {rest}")
+    }
+
+    const ALL_FREE: &str = "8 0 1 2 3 4 5 6 7";
+    const NOTHING: &str = "0 0 0 0 0 0 0";
+
+    #[test]
+    fn checkpoint_restores_only_after_genesis() {
+        let valid = ckpt(1, ALL_FREE, NOTHING);
+        let text = after_open_8(&[&valid, "ts 0000000000000000"]);
+        assert_eq!(
+            SchedulerCore::recover_salvage(&text)
+                .unwrap()
+                .0
+                .idle_procs(),
+            8
+        );
+        let text = after_open_8(&["ts 0000000000000000", &valid]);
+        assert_diverges(&text, 3, "directly follow genesis");
+    }
+
+    #[test]
+    fn checkpoint_no_core_could_write_is_refused() {
+        let running = "1 1 LU grid 8000 2 2 10 1 0 0 running 2 2 1 0 0000000000000000 0 0";
+        for (payload, says) in [
+            (ckpt(0, ALL_FREE, NOTHING), "minted from 1"),
+            (ckpt(1, "7 0 1 2 3 4 5 6", NOTHING), "neither free nor held"),
+            (ckpt(1, "9 0 1 2 3 4 5 6 7 7", NOTHING), "claimed twice"),
+            (
+                ckpt(1, ALL_FREE, "0 1 3 1 9 0 0 0 0 0"),
+                "slot 9 cannot be lent",
+            ),
+            (
+                ckpt(1, ALL_FREE, "0 0 1 3 1 2 1 40 0 0 0 0 0"),
+                "cannot be borrowed",
+            ),
+            (
+                ckpt(2, "7 1 2 3 4 5 6 7", &format!("0 0 0 {running} 0 0 0")),
+                "cannot be live",
+            ),
+            (
+                ckpt(
+                    2,
+                    ALL_FREE,
+                    "0 0 0 1 1 LU grid 8000 2 2 10 1 0 0 queued 0 \
+                     0000000000000000 0 0 0 1 1 0",
+                ),
+                "owed a Terminate",
+            ),
+            (
+                ckpt(2, ALL_FREE, "0 0 0 0 0 0 1 1 0 0 0 grow 2 2 1 1 0"),
+                "expanded from 2x2 to 1x1",
+            ),
+        ] {
+            let text = after_open_8(&[&payload]);
+            let strict = SchedulerCore::recover(Wal::decode(&text).expect("checksummed"));
+            for err in [strict.err(), SchedulerCore::recover_salvage(&text).err()] {
+                match err {
+                    Some(WalError::BadGenesis(why)) => assert!(why.contains(says), "{why}"),
+                    other => panic!("`{payload}`: expected a refusal, got {other:?}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_checkpoint_is_refused_not_salvaged() {
+        let mut core = every_field();
+        core.compact_wal();
+        core.submit(mw(2), 9.0);
+        let text = core.wal().unwrap().encode();
+        let genesis = text.find('\n').unwrap() + 1;
+        let mut flipped = text.clone().into_bytes();
+        flipped[genesis + 20] ^= 0x01;
+        let flipped = String::from_utf8(flipped).unwrap();
+        let torn = &text[..genesis + 40];
+        for damaged in [flipped.as_str(), torn] {
+            assert!(matches!(
+                Wal::decode(damaged),
+                Err(WalError::Corrupt { line: 2, reason }) if reason.contains("damaged checkpoint")
+            ));
+            let (wal, salvage) = Wal::decode_salvage(damaged);
+            assert!(wal.is_empty(), "the genesis goes with its checkpoint");
+            assert_eq!(salvage.unwrap().quarantined, damaged);
+            assert!(matches!(
+                SchedulerCore::recover_salvage(damaged),
+                Err(WalError::BadGenesis(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn genesis_no_core_can_be_built_from_is_an_error() {
+        // Each passes its checksum and parses: an event cap of 0, slot
+        // speeds that are 0, negative, infinite or NaN, and no slot speeds.
+        for (payload, says) in [
+            ("open 4 fcfs paper 0 lowest 0", "events_cap"),
+            (
+                "open 2 fcfs paper 1024 lowest 1 2 3ff0000000000000 0000000000000000",
+                "slot speed",
+            ),
+            (
+                "open 1 fcfs paper 1024 lowest 1 1 bff0000000000000",
+                "slot speed",
+            ),
+            (
+                "open 1 fcfs paper 1024 lowest 1 1 7ff0000000000000",
+                "slot speed",
+            ),
+            (
+                "open 1 fcfs paper 1024 lowest 1 1 7ff8000000000000",
+                "slot speed",
+            ),
+            ("open 0 fcfs paper 1024 lowest 1 0", "slot_speeds is empty"),
+        ] {
+            let text = format!("{:08x} {payload}\n", crate::wal::crc32(payload.as_bytes()));
+            let strict = SchedulerCore::recover(Wal::decode(&text).expect("checksummed"));
+            for err in [strict.err(), SchedulerCore::recover_salvage(&text).err()] {
+                match err {
+                    Some(WalError::BadGenesis(why)) => assert!(why.contains(says), "{why}"),
+                    other => panic!("`{payload}`: expected a refusal, got {other:?}"),
+                }
+            }
+        }
+        let payload = "open 4 fcfs paper 0 lowest 0";
+        assert_eq!(crate::wal::crc32(payload.as_bytes()), 0x9ec4_9eff);
     }
 }

@@ -350,6 +350,34 @@ impl ResourcePool {
         out
     }
 
+    /// Put the pool where a checkpoint left it: `free` slots free, `lent`
+    /// native slots away, `foreign` borrowed ids attached and `minted`
+    /// foreign ids ever minted; every other owned slot is held. The caller
+    /// has checked that the sets are disjoint and in range.
+    pub(crate) fn restore(
+        &mut self,
+        free: &[usize],
+        lent: BTreeSet<usize>,
+        foreign: BTreeSet<usize>,
+        minted: usize,
+    ) {
+        self.next_foreign = self.total + minted;
+        self.speeds
+            .resize(self.speeds.len().max(self.next_foreign), 1.0);
+        // The bitmap has room for every id minted, as `attach_foreign`
+        // leaves it.
+        self.free = SlotSet {
+            words: vec![0; self.total.max(self.next_foreign).div_ceil(64)],
+            len: 0,
+            low: 0,
+        };
+        for &s in free {
+            self.free.insert(s);
+        }
+        self.lent = lent;
+        self.foreign = foreign;
+    }
+
     /// Detach one borrowed slot (lease expiry / release). The slot may be
     /// free (graceful detach) or held by a job the caller just evicted —
     /// either way it leaves the pool entirely. Returns whether it was free.

@@ -43,27 +43,27 @@ pub struct ShrinkPoint {
 
 /// Iteration times a job has reported at one configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-struct ConfigTimes {
-    config: ProcessorConfig,
-    sum: f64,
-    count: usize,
+pub(crate) struct ConfigTimes {
+    pub(crate) config: ProcessorConfig,
+    pub(crate) sum: f64,
+    pub(crate) count: usize,
 }
 
 /// Per-job performance bookkeeping.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct JobProfile {
-    history: Vec<PerfRecord>,
+    pub(crate) history: Vec<PerfRecord>,
     /// One entry per configuration run on, in first-visit order. A job
     /// visits a handful, so a scan beats a map and the list is the visit
     /// order too.
-    times: Vec<ConfigTimes>,
+    pub(crate) times: Vec<ConfigTimes>,
     /// Measured redistribution seconds between configuration pairs.
-    redist_costs: IdMap<(ProcessorConfig, ProcessorConfig), f64>,
-    last_resize: Option<Resize>,
+    pub(crate) redist_costs: IdMap<(ProcessorConfig, ProcessorConfig), f64>,
+    pub(crate) last_resize: Option<Resize>,
     /// Set when the job's most recent expansion attempt could not be
     /// actuated (spawn failure) and the job reverted to `from`. Cleared by
     /// the next successful resize or a phase change.
-    failed_expansion: Option<(ProcessorConfig, ProcessorConfig)>,
+    pub(crate) failed_expansion: Option<(ProcessorConfig, ProcessorConfig)>,
 }
 
 impl JobProfile {
@@ -176,7 +176,7 @@ impl JobProfile {
 /// The profiler proper: one [`JobProfile`] per job.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Profiler {
-    jobs: IdMap<JobId, JobProfile>,
+    pub(crate) jobs: IdMap<JobId, JobProfile>,
 }
 
 impl Profiler {

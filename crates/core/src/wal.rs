@@ -106,10 +106,11 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
-use crate::core::{QueuePolicy, ReservationId};
-use crate::job::{JobId, JobSpec};
+use crate::core::{BorrowedLease, JobRecord, QueuePolicy, Reservation, ReservationId};
+use crate::job::{IdMap, JobId, JobSpec, JobState};
 use crate::policy::RemapPolicy;
 use crate::pool::AllocOrder;
+use crate::profiler::{ConfigTimes, JobProfile, PerfRecord, Resize};
 use crate::topology::{ProcessorConfig, TopologyPref};
 
 /// One logged scheduler transition. The first record of every WAL is
@@ -253,6 +254,37 @@ pub enum WalRecord {
         lease: u64,
         action: HealAction,
         now: f64,
+    },
+    /// Compaction: the core's whole live state, written by
+    /// [`SchedulerCore::compact_wal`](crate::SchedulerCore::compact_wal) as
+    /// the only record after genesis. Replay applies it wholesale; the
+    /// records after it replay on top. It holds every field
+    /// [`SchedulerCore::same_state`](crate::SchedulerCore::same_state)
+    /// compares, bar the event trace and the terminal jobs, which the
+    /// compaction dropped. The queue is the queued jobs, ordered by their
+    /// priority and id, each needing its initial configuration; the lent
+    /// and borrowed slots of the pool are the lease tables' slots.
+    Checkpoint {
+        next_id: u64,
+        next_reservation: u64,
+        epoch: u64,
+        events_dropped: u64,
+        busy_proc_seconds: f64,
+        last_tick: f64,
+        expand_paused: bool,
+        /// Foreign-slot ids ever minted.
+        foreign_minted: usize,
+        /// Free slot ids, ascending.
+        free_slots: Vec<usize>,
+        reservations: Vec<Reservation>,
+        lent_leases: BTreeMap<u64, Vec<usize>>,
+        borrowed_leases: BTreeMap<u64, BorrowedLease>,
+        /// Live jobs: queued, running, or cancelled and owed `Terminate`.
+        jobs: BTreeMap<JobId, JobRecord>,
+        bindings: BTreeMap<JobId, ReservationId>,
+        /// Ascending.
+        pending_cancel: Vec<JobId>,
+        profiles: BTreeMap<JobId, JobProfile>,
     },
 }
 
@@ -481,6 +513,88 @@ fn put_spec(out: &mut Vec<u8>, spec: &JobSpec) {
     put_bool(out, spec.survivable);
 }
 
+fn put_opt_f64(out: &mut Vec<u8>, f: Option<f64>) {
+    put_bool(out, f.is_some());
+    if let Some(f) = f {
+        put_f64(out, f);
+    }
+}
+
+fn put_pair(out: &mut Vec<u8>, (from, to): (ProcessorConfig, ProcessorConfig)) {
+    put_config(out, from);
+    put_config(out, to);
+}
+
+fn put_state(out: &mut Vec<u8>, state: &JobState) {
+    match state {
+        JobState::Queued => put_name(out, "queued"),
+        JobState::Running { config } => {
+            put_name(out, "running");
+            put_config(out, *config);
+        }
+        JobState::Finished { at } => {
+            put_name(out, "finished");
+            put_f64(out, *at);
+        }
+        JobState::Failed { at, reason } => {
+            put_name(out, "failed");
+            put_f64(out, *at);
+            put_str(out, reason);
+        }
+        JobState::Cancelled { at } => {
+            put_name(out, "cancelled");
+            put_f64(out, *at);
+        }
+    }
+}
+
+fn put_job(out: &mut Vec<u8>, job: &JobRecord) {
+    put_spec(out, &job.spec);
+    put_state(out, &job.state);
+    put_slots(out, &job.slots);
+    put_f64(out, job.submitted_at);
+    put_opt_f64(out, job.started_at);
+    put_opt_f64(out, job.finished_at);
+}
+
+fn put_profile(out: &mut Vec<u8>, p: &JobProfile) {
+    put_usize(out, p.history.len());
+    for h in &p.history {
+        put_config(out, h.config);
+        put_f64(out, h.iter_time);
+        put_f64(out, h.redist_time);
+    }
+    put_usize(out, p.times.len());
+    for t in &p.times {
+        put_config(out, t.config);
+        put_f64(out, t.sum);
+        put_usize(out, t.count);
+    }
+    // A hash map: written in key order, the one spelling.
+    let mut costs: Vec<_> = p.redist_costs.iter().collect();
+    costs.sort_unstable_by_key(|(&pair, _)| pair);
+    put_usize(out, costs.len());
+    for (&pair, &seconds) in costs {
+        put_pair(out, pair);
+        put_f64(out, seconds);
+    }
+    match p.last_resize {
+        None => put_name(out, "none"),
+        Some(Resize::Expanded { from, to }) => {
+            put_name(out, "grow");
+            put_pair(out, (from, to));
+        }
+        Some(Resize::Shrunk { from, to }) => {
+            put_name(out, "shrink");
+            put_pair(out, (from, to));
+        }
+    }
+    put_bool(out, p.failed_expansion.is_some());
+    if let Some(pair) = p.failed_expansion {
+        put_pair(out, pair);
+    }
+}
+
 /// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
 fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
     let start = out.len();
@@ -672,6 +786,73 @@ fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
                 },
             );
             put_f64(out, *now);
+        }
+        WalRecord::Checkpoint {
+            next_id,
+            next_reservation,
+            epoch,
+            events_dropped,
+            busy_proc_seconds,
+            last_tick,
+            expand_paused,
+            foreign_minted,
+            free_slots,
+            reservations,
+            lent_leases,
+            borrowed_leases,
+            jobs,
+            bindings,
+            pending_cancel,
+            profiles,
+        } => {
+            out.extend_from_slice(b"ckpt");
+            put_u64(out, *next_id);
+            put_u64(out, *next_reservation);
+            put_u64(out, *epoch);
+            put_u64(out, *events_dropped);
+            put_f64(out, *busy_proc_seconds);
+            put_f64(out, *last_tick);
+            put_bool(out, *expand_paused);
+            put_usize(out, *foreign_minted);
+            put_slots(out, free_slots);
+            put_usize(out, reservations.len());
+            for r in reservations {
+                put_u64(out, r.id.0);
+                put_f64(out, r.start);
+                put_f64(out, r.end);
+                put_usize(out, r.procs);
+            }
+            put_usize(out, lent_leases.len());
+            for (&lease, slots) in lent_leases {
+                put_u64(out, lease);
+                put_slots(out, slots);
+            }
+            put_usize(out, borrowed_leases.len());
+            for (&lease, b) in borrowed_leases {
+                put_u64(out, lease);
+                put_slots(out, &b.local);
+                put_slots(out, &b.global);
+                put_u64(out, b.lender_epoch);
+            }
+            put_usize(out, jobs.len());
+            for (id, job) in jobs {
+                put_u64(out, id.0);
+                put_job(out, job);
+            }
+            put_usize(out, bindings.len());
+            for (id, r) in bindings {
+                put_u64(out, id.0);
+                put_u64(out, r.0);
+            }
+            put_usize(out, pending_cancel.len());
+            for id in pending_cancel {
+                put_u64(out, id.0);
+            }
+            put_usize(out, profiles.len());
+            for (id, p) in profiles {
+                put_u64(out, id.0);
+                put_profile(out, p);
+            }
         }
     }
     let crc = crc32(&out[start + 9..]);
@@ -877,6 +1058,115 @@ impl<'a> Fields<'a> {
         })
     }
 
+    fn opt_f64(&mut self) -> Result<Option<f64>, String> {
+        Ok(if self.bool()? {
+            Some(self.f64()?)
+        } else {
+            None
+        })
+    }
+
+    fn pair(&mut self) -> Result<(ProcessorConfig, ProcessorConfig), String> {
+        Ok((self.config()?, self.config()?))
+    }
+
+    /// A length, then that many `entry`s, keys strictly ascending: the one
+    /// order the encoder writes a map in.
+    fn ascending<K: Ord + fmt::Debug, V>(
+        &mut self,
+        mut entry: impl FnMut(&mut Self) -> Result<(K, V), String>,
+    ) -> Result<BTreeMap<K, V>, String> {
+        let mut map = BTreeMap::new();
+        for _ in 0..self.usize()? {
+            let (key, value) = entry(self)?;
+            if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+                return Err(format!("key {key:?} out of order"));
+            }
+            map.insert(key, value);
+        }
+        Ok(map)
+    }
+
+    fn job_id(&mut self) -> Result<JobId, String> {
+        Ok(JobId(self.u64()?))
+    }
+
+    fn state(&mut self) -> Result<JobState, String> {
+        Ok(match self.token()? {
+            "queued" => JobState::Queued,
+            "running" => JobState::Running {
+                config: self.config()?,
+            },
+            "finished" => JobState::Finished { at: self.f64()? },
+            "failed" => JobState::Failed {
+                at: self.f64()?,
+                reason: self.string()?,
+            },
+            "cancelled" => JobState::Cancelled { at: self.f64()? },
+            tok => return Err(format!("unknown job state `{tok}`")),
+        })
+    }
+
+    fn job(&mut self) -> Result<JobRecord, String> {
+        Ok(JobRecord {
+            spec: self.spec()?,
+            state: self.state()?,
+            slots: self.slots()?,
+            submitted_at: self.f64()?,
+            started_at: self.opt_f64()?,
+            finished_at: self.opt_f64()?,
+        })
+    }
+
+    fn profile(&mut self) -> Result<JobProfile, String> {
+        let history = (0..self.usize()?)
+            .map(|_| {
+                Ok(PerfRecord {
+                    config: self.config()?,
+                    iter_time: self.f64()?,
+                    redist_time: self.f64()?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let times = (0..self.usize()?)
+            .map(|_| {
+                Ok(ConfigTimes {
+                    config: self.config()?,
+                    sum: self.f64()?,
+                    count: self.usize()?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let redist_costs: IdMap<_, _> = self
+            .ascending(|f| Ok((f.pair()?, f.f64()?)))?
+            .into_iter()
+            .collect();
+        let last_resize = match self.token()? {
+            "none" => None,
+            "grow" => {
+                let (from, to) = self.pair()?;
+                Some(Resize::Expanded { from, to })
+            }
+            "shrink" => {
+                let (from, to) = self.pair()?;
+                Some(Resize::Shrunk { from, to })
+            }
+            tok => return Err(format!("unknown resize `{tok}`")),
+        };
+        let failed_expansion = if self.bool()? {
+            Some(self.pair()?)
+        } else {
+            None
+        };
+        Ok(JobProfile {
+            history,
+            times,
+            redist_costs,
+            last_resize,
+            failed_expansion,
+        })
+    }
+
     fn record(&mut self) -> Result<WalRecord, String> {
         Ok(match self.token()? {
             "open" => WalRecord::Open {
@@ -1003,6 +1293,45 @@ impl<'a> Fields<'a> {
                 },
                 now: self.f64()?,
             },
+            "ckpt" => WalRecord::Checkpoint {
+                next_id: self.u64()?,
+                next_reservation: self.u64()?,
+                epoch: self.u64()?,
+                events_dropped: self.u64()?,
+                busy_proc_seconds: self.f64()?,
+                last_tick: self.f64()?,
+                expand_paused: self.bool()?,
+                foreign_minted: self.usize()?,
+                free_slots: self.slots()?,
+                reservations: (0..self.usize()?)
+                    .map(|_| {
+                        Ok(Reservation {
+                            id: ReservationId(self.u64()?),
+                            start: self.f64()?,
+                            end: self.f64()?,
+                            procs: self.usize()?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?,
+                lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
+                borrowed_leases: self.ascending(|f| {
+                    Ok((
+                        f.u64()?,
+                        BorrowedLease {
+                            local: f.slots()?,
+                            global: f.slots()?,
+                            lender_epoch: f.u64()?,
+                        },
+                    ))
+                })?,
+                jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
+                bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
+                pending_cancel: self
+                    .ascending(|f| Ok((f.job_id()?, ())))?
+                    .into_keys()
+                    .collect(),
+                profiles: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
+            },
             tok => return Err(format!("unknown record tag `{tok}`")),
         })
     }
@@ -1050,6 +1379,8 @@ pub struct Wal {
     /// ASCII around the UTF-8 of logged strings.
     bytes: Vec<u8>,
     records: usize,
+    /// Bytes written since the WAL was opened, see [`Wal::appended_bytes`].
+    appended: u64,
     file: Option<BufWriter<File>>,
     path: Option<PathBuf>,
 }
@@ -1069,6 +1400,7 @@ impl Wal {
         Wal {
             bytes: Vec::new(),
             records: 0,
+            appended: 0,
             file: None,
             path: None,
         }
@@ -1186,6 +1518,7 @@ impl Wal {
         let start = self.bytes.len();
         encode_line(&mut self.bytes, rec);
         self.records += 1;
+        self.appended += (self.bytes.len() - start) as u64;
         if let Some(f) = self.file.as_mut() {
             f.write_all(&self.bytes[start..])
                 .and_then(|_| f.flush())
@@ -1198,6 +1531,37 @@ impl Wal {
         self.bytes.extend_from_slice(body.as_bytes());
         self.bytes.push(b'\n');
         self.records += 1;
+        self.appended += body.len() as u64 + 1;
+    }
+
+    /// Rewrite the stream as its genesis line and `checkpoint`, a
+    /// [`WalRecord::Checkpoint`]. A file-backed WAL writes the new stream
+    /// beside the old one and renames it over, so a crash leaves one or
+    /// the other whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is empty or the backing file cannot be
+    /// rewritten, as [`Wal::append`] does.
+    pub(crate) fn compact(&mut self, checkpoint: &WalRecord) {
+        let genesis = self
+            .bytes
+            .iter()
+            .position(|&b| b == b'\n')
+            .expect("a WAL in use holds its genesis line")
+            + 1;
+        self.bytes.truncate(genesis);
+        encode_line(&mut self.bytes, checkpoint);
+        self.records = 2;
+        self.appended += (self.bytes.len() - genesis) as u64;
+        if let Some(path) = &self.path {
+            let next = PathBuf::from(format!("{}.compact", path.display()));
+            let file = std::fs::write(&next, &self.bytes)
+                .and_then(|_| std::fs::rename(&next, path))
+                .and_then(|_| OpenOptions::new().append(true).open(path))
+                .expect("WAL compaction failed");
+            self.file = Some(BufWriter::new(file));
+        }
     }
 
     /// An empty in-memory WAL with room for `bytes` of text.
@@ -1230,6 +1594,14 @@ impl Wal {
         self.records
     }
 
+    /// Bytes written to the stream since this WAL was created, loaded or
+    /// recovered: every appended line, and the checkpoint line of every
+    /// compaction. It never decreases, so it tells how much a compaction
+    /// is owed, and any change to the stream changes it.
+    pub fn appended_bytes(&self) -> u64 {
+        self.appended
+    }
+
     pub fn is_empty(&self) -> bool {
         self.records == 0
     }
@@ -1247,6 +1619,10 @@ impl Wal {
             Ok::<_, std::convert::Infallible>(())
         })
         .unwrap_or_else(|never| match never {});
+        if scan.clean_len == 0 {
+            // A damaged checkpoint took its genesis line with it.
+            wal = Wal::in_memory();
+        }
         (wal, scan)
     }
 }
@@ -1270,7 +1646,8 @@ fn end_at_clean_prefix(file: &mut File, text: &str, clean_len: usize) -> std::io
 pub(crate) struct Scan {
     /// Byte length of the clean prefix: every line fully parsed and
     /// newline-terminated (or the final line, if it parsed without one).
-    clean_len: usize,
+    /// Zero when the checkpoint after genesis is damaged.
+    pub(crate) clean_len: usize,
     /// The 1-based line number and reason of the first *interior* line
     /// that failed its checksum or did not parse.
     corrupt: Option<(usize, String)>,
@@ -1305,12 +1682,18 @@ impl Scan {
 /// and is not corruption; the first interior line that does not decode
 /// stops the walk and is reported in the [`Scan`]. An error from `each`
 /// stops the walk and is returned as is.
+///
+/// The record after genesis that reads as a checkpoint (its payload starts
+/// `ckpt `) but does not decode, torn or not, is corruption that leaves no
+/// clean prefix at all: it held the whole state the rest of the stream
+/// builds on, and a genesis without it is not a state the writer was in.
 pub(crate) fn scan<E>(
     text: &str,
     mut each: impl FnMut(usize, &str, WalRecord) -> Result<(), E>,
 ) -> Result<Scan, E> {
     let mut clean_len = 0usize;
     let mut offset = 0usize;
+    let mut records = 0usize;
     for (idx, line) in text.split_inclusive('\n').enumerate() {
         // The line without its `\n` and any `\r`s before it.
         let terminated = line.ends_with('\n');
@@ -1328,6 +1711,13 @@ pub(crate) fn scan<E>(
             Ok(rec) => {
                 each(idx + 1, body, rec)?;
                 clean_len = offset;
+                records += 1;
+            }
+            Err(reason) if records == 1 && body.as_bytes().get(9..14) == Some(b"ckpt ") => {
+                return Ok(Scan {
+                    clean_len: 0,
+                    corrupt: Some((idx + 1, format!("damaged checkpoint: {reason}"))),
+                })
             }
             // Torn tail: the crash interrupted the final append. Drop it.
             Err(_) if !terminated => break,
@@ -1388,6 +1778,7 @@ pub fn record_histogram(records: &[WalRecord]) -> BTreeMap<&'static str, usize> 
             WalRecord::PauseExpansion { .. } => "pause_expansion",
             WalRecord::EpochBump { .. } => "epoch_bump",
             WalRecord::HealRepair { .. } => "heal_repair",
+            WalRecord::Checkpoint { .. } => "checkpoint",
         };
         *h.entry(k).or_insert(0) += 1;
     }

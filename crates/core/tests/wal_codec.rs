@@ -8,12 +8,15 @@
 //! written is an error, never a panic and never a second spelling of a
 //! record.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 use proptest::TestRng;
 use reshape_core::wal::crc32;
 use reshape_core::{
-    AllocOrder, HealAction, JobId, JobSpec, ProcessorConfig, QueuePolicy, RemapPolicy,
-    ReservationId, TopologyPref, Wal, WalError, WalRecord,
+    AllocOrder, BorrowedLease, HealAction, JobId, JobProfile, JobRecord, JobSpec, JobState,
+    ProcessorConfig, Profiler, QueuePolicy, RemapPolicy, Reservation, ReservationId, Resize,
+    TopologyPref, Wal, WalError, WalRecord,
 };
 use serde_json::Value;
 
@@ -105,6 +108,24 @@ fn one_of_each() -> Vec<WalRecord> {
             lease: 0,
             action: HealAction::ReturnEscrow,
             now: 0.0,
+        },
+        WalRecord::Checkpoint {
+            next_id: 1,
+            next_reservation: 1,
+            epoch: 0,
+            events_dropped: 0,
+            busy_proc_seconds: 0.0,
+            last_tick: 0.0,
+            expand_paused: false,
+            foreign_minted: 0,
+            free_slots: Vec::new(),
+            reservations: Vec::new(),
+            lent_leases: BTreeMap::new(),
+            borrowed_leases: BTreeMap::new(),
+            jobs: BTreeMap::new(),
+            bindings: BTreeMap::new(),
+            pending_cancel: Vec::new(),
+            profiles: BTreeMap::new(),
         },
     ]
 }
@@ -218,6 +239,58 @@ fn spec(rng: &mut TestRng) -> JobSpec {
         priority: rng.gen_range_u64(0, 256) as u8,
         survivable: rng.next_u64() & 1 == 1,
     }
+}
+
+fn opt_float(rng: &mut TestRng) -> Option<f64> {
+    (rng.next_u64() & 1 == 1).then(|| float(rng))
+}
+
+/// Up to four entries under distinct arbitrary keys.
+fn map<K: Ord, V>(
+    rng: &mut TestRng,
+    key: impl Fn(u64) -> K,
+    mut value: impl FnMut(&mut TestRng) -> V,
+) -> BTreeMap<K, V> {
+    (0..rng.gen_range_u64(0, 5))
+        .map(|_| (key(int(rng)), value(rng)))
+        .collect()
+}
+
+fn state(rng: &mut TestRng) -> JobState {
+    match rng.gen_range_u64(0, 5) {
+        0 => JobState::Queued,
+        1 => JobState::Running {
+            config: config(rng),
+        },
+        2 => JobState::Finished { at: float(rng) },
+        3 => JobState::Failed {
+            at: float(rng),
+            reason: text(rng),
+        },
+        _ => JobState::Cancelled { at: float(rng) },
+    }
+}
+
+/// A profile built through the profiler's own calls, which are the only
+/// way to one from outside the crate.
+fn profile(rng: &mut TestRng) -> JobProfile {
+    let mut p = Profiler::new();
+    let job = JobId(1);
+    for _ in 0..rng.gen_range_u64(0, 5) {
+        p.record_iteration(job, config(rng), float(rng), float(rng));
+    }
+    for _ in 0..rng.gen_range_u64(0, 4) {
+        let (from, to) = (config(rng), config(rng));
+        let resize = match rng.next_u64() & 1 {
+            0 => Resize::Expanded { from, to },
+            _ => Resize::Shrunk { from, to },
+        };
+        p.record_resize(job, resize, float(rng));
+    }
+    if rng.next_u64() & 1 == 1 {
+        p.mark_expansion_failed(job, config(rng), config(rng));
+    }
+    p.profile_mut(job).clone()
 }
 
 /// An arbitrary record of the same variant as `like`. The match has no
@@ -343,6 +416,46 @@ fn arbitrary(like: &WalRecord, rng: &mut TestRng) -> WalRecord {
             ),
             now: float(rng),
         },
+        WalRecord::Checkpoint { .. } => WalRecord::Checkpoint {
+            next_id: int(rng),
+            next_reservation: int(rng),
+            epoch: int(rng),
+            events_dropped: int(rng),
+            busy_proc_seconds: float(rng),
+            last_tick: float(rng),
+            expand_paused: rng.next_u64() & 1 == 1,
+            foreign_minted: size(rng),
+            free_slots: slots(rng),
+            reservations: (0..rng.gen_range_u64(0, 4))
+                .map(|_| Reservation {
+                    id: ReservationId(int(rng)),
+                    start: float(rng),
+                    end: float(rng),
+                    procs: size(rng),
+                })
+                .collect(),
+            lent_leases: map(rng, |k| k, slots),
+            borrowed_leases: map(
+                rng,
+                |k| k,
+                |rng| BorrowedLease {
+                    local: slots(rng),
+                    global: slots(rng),
+                    lender_epoch: int(rng),
+                },
+            ),
+            jobs: map(rng, JobId, |rng| JobRecord {
+                spec: spec(rng),
+                state: state(rng),
+                slots: slots(rng),
+                submitted_at: float(rng),
+                started_at: opt_float(rng),
+                finished_at: opt_float(rng),
+            }),
+            bindings: map(rng, JobId, |rng| ReservationId(int(rng))),
+            pending_cancel: map(rng, JobId, |_| ()).into_keys().collect(),
+            profiles: map(rng, JobId, profile),
+        },
     }
 }
 
@@ -386,7 +499,7 @@ fn every_variant_is_generated() {
     let kinds = reshape_core::wal::record_histogram(&shapes);
     assert_eq!(
         kinds.len(),
-        22,
+        23,
         "one_of_each() must list every WalRecord variant"
     );
     assert!(kinds.values().all(|&n| n == 1), "{kinds:?}");
@@ -433,6 +546,12 @@ fn well_formed_payloads_decode() {
         "nr 1 2 2 2 3 4020cccccccccccd",
         "open 8 fcfs paper 1024 lowest 1 2 3ff0000000000000 7ff8000000000000",
         "sub LU grid 8000 2 2 10 1 255 0 0000000000000000",
+        "ckpt 1 1 0 0 0000000000000000 0000000000000000 0 0 0 0 0 0 0 0 0 0",
+        "ckpt 3 2 1 0 4000000000000000 4010000000000000 1 2 1 5 1 1 4000000000000000 \
+         4010000000000000 2 1 3 1 2 1 8 1 9 1 40 0 2 1 LU any 1 8 1 1 1 1 1 1 0 running 1 1 \
+         1 4 0000000000000000 1 3ff0000000000000 0 2 LU grid 8000 2 2 10 1 0 0 queued 0 \
+         3ff0000000000000 0 0 1 2 1 0 1 1 1 1 1 3ff0000000000000 0000000000000000 1 1 1 \
+         3ff0000000000000 1 1 1 1 1 2 3fe0000000000000 grow 1 1 1 2 0",
     ] {
         let wal = Wal::decode(&framed(payload)).unwrap_or_else(|e| panic!("`{payload}`: {e}"));
         assert_eq!(wal.len(), 1, "`{payload}`");
@@ -519,6 +638,33 @@ fn malformed_payloads_are_errors_not_panics() {
         (
             "{\"type\":\"finished\",\"job\":12,\"now\":3.5}",
             "a pre-codec JSON payload",
+        ),
+        (
+            "ckpt 1 1 0 0 0000000000000000 0000000000000000 0 0 0 0 2 7 0 5 0 0 0 0 0 0",
+            "lent leases out of order",
+        ),
+        (
+            "ckpt 1 1 0 0 0000000000000000 0000000000000000 0 0 0 0 2 7 0 7 0 0 0 0 0 0",
+            "a lent lease twice",
+        ),
+        (
+            "ckpt 3 1 0 0 0000000000000000 0000000000000000 0 0 0 0 0 0 \
+             1 1 LU grid 8000 2 2 10 1 0 0 parked 0 0000000000000000 0 0 0 0 0",
+            "unknown job state",
+        ),
+        (
+            "ckpt 3 1 0 0 0000000000000000 0000000000000000 0 0 0 0 0 0 0 0 0 \
+             1 1 0 0 2 1 1 1 2 3ff0000000000000 1 1 1 1 4000000000000000 none 0",
+            "redistribution costs out of order",
+        ),
+        (
+            "ckpt 3 1 0 0 0000000000000000 0000000000000000 0 0 0 0 0 0 0 0 0 \
+             1 1 0 0 0 sideways 0",
+            "unknown resize",
+        ),
+        (
+            "ckpt 3 1 0 0 0000000000000000 0000000000000000 0 0 0 0 0 0 0 0 0",
+            "profiles missing",
         ),
     ] {
         match Wal::decode(&framed(payload)) {

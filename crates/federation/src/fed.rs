@@ -22,7 +22,7 @@ use reshape_telemetry::TraceCtx;
 use crate::bus::{Bus, BusConfig, BusEvent, PartitionSchedule};
 use crate::flightrec::{FlightRecorder, DEFAULT_CAP};
 use crate::lease::{digest_hash, DigestEntry, Lease, LeaseConfig, LeaseMsg, TracedMsg};
-use crate::shard::{Deferred, RecoverReport, Shard, ShardState};
+use crate::shard::{Deferred, RecoverReport, Shard, ShardState, WalMark};
 use crate::tenant::{QueuedJob, TenantConfig, TenantState};
 
 /// Overload-control thresholds.
@@ -776,9 +776,10 @@ impl Federation {
             .expect("federation shards always journal to a WAL")
             .encode();
         // The dead core moves whole into the crash image, holding only its
-        // live jobs. The empty core left in its place for that move owns no
-        // allocation.
+        // live jobs and no event trace. The empty core left in its place for
+        // that move owns no allocation.
         core.prune_terminal();
+        drop(core.drain_events());
         let crash = Box::new(std::mem::replace(
             core,
             SchedulerCore::new(0, QueuePolicy::Fcfs),
@@ -819,7 +820,8 @@ impl Federation {
         };
         let outage = now - sh.last_seen;
         // The text moves into the report and the dead core is compared
-        // where it lies: both grow with the shard's whole history.
+        // where it lies. The text is the last checkpoint and what was
+        // appended since; the dead core holds only live jobs.
         let wal_text = std::mem::take(down_text);
 
         // One pass over the text: each line is checked, parsed and
@@ -860,9 +862,13 @@ impl Federation {
                 format!("quarantined={}B", q.len()),
             );
         }
-        // Replay retires every job the WAL ended; the crash image holds
-        // none, so both are compared on their live jobs.
-        core.prune_terminal();
+        // Replay retires every job the WAL ended and rebuilds the event
+        // trace of the records since the checkpoint; the crash image holds
+        // neither, so both are compared on their live jobs with an empty
+        // trace. The restarted WAL counts toward its next compaction from
+        // its start.
+        sh.wal_mark = WalMark::default();
+        sh.wal_mark.tidy(&mut core);
         let snapshot_match = core.same_state(crash);
         // The dead core is dropped here, once the recovered one is live.
         sh.state = ShardState::Live(core);
@@ -1040,12 +1046,13 @@ impl Federation {
     }
 
     /// Recompute the summaries of shards changed since the last read, and
-    /// drop the jobs those changes ended, so a live core holds only live
-    /// jobs.
+    /// tidy the cores those changes touched, so a live core holds only
+    /// live jobs, no event trace, and a WAL compacted when due.
     fn refresh_view(&mut self) {
         while let Some(shard) = self.stale.pop() {
-            if let ShardState::Live(core) = &mut self.shards[shard].state {
-                core.prune_terminal();
+            let sh = &mut self.shards[shard];
+            if let ShardState::Live(core) = &mut sh.state {
+                sh.wal_mark.tidy(core);
             }
             let fresh = ShardSummary::of(&self.shards[shard], self.lease_cfg.min_spare);
             let old = std::mem::replace(&mut self.view[shard], fresh);
@@ -2943,6 +2950,47 @@ mod tests {
             assert!(report.expect("shard was down").snapshot_match);
             assert!(fed.shards()[shard].is_live());
         }
+    }
+
+    #[test]
+    fn checksummed_bad_genesis_leaves_the_shard_down_without_panicking() {
+        let mut fed = Federation::new(FederationConfig::new(
+            vec![2],
+            vec![TenantConfig::new(64, 1.0, 32)],
+        ));
+        fed.submit(0, 0, spec("a", 2, 10), 0.0);
+        fed.kill_shard(0, 1.0);
+        // Each passes its checksum and parses, but no core can be built
+        // from it: an event cap of 0, a slot speed of 0, no slot speeds.
+        let bad = [
+            "open 4 fcfs paper 0 lowest 0",
+            "open 2 fcfs paper 1024 lowest 1 2 3ff0000000000000 0000000000000000",
+            "open 0 fcfs paper 1024 lowest 1 0",
+        ];
+        for (i, payload) in bad.iter().enumerate() {
+            let line = format!(
+                "{:08x} {payload}\n",
+                reshape_core::wal::crc32(payload.as_bytes())
+            );
+            let ShardState::Down { wal_text, .. } = &mut fed.shards[0].state else {
+                unreachable!("killed above");
+            };
+            *wal_text = line.clone();
+            let (report, _) = fed.recover_shard(0, 2.0 + i as f64);
+            assert!(report.is_none(), "`{payload}` must not recover");
+            assert!(!fed.shards()[0].is_live(), "`{payload}`: shard stays down");
+            assert_eq!(fed.shards()[0].down_wal(), Some(line.as_str()));
+        }
+        let failures: Vec<String> = fed
+            .flightrec()
+            .events()
+            .filter(|e| e.kind == "shard_recover_failed")
+            .map(|e| e.detail.clone())
+            .collect();
+        assert_eq!(failures.len(), bad.len(), "{failures:?}");
+        assert!(failures[0].contains("events_cap"), "{failures:?}");
+        assert!(failures[1].contains("slot speed"), "{failures:?}");
+        assert!(failures[2].contains("slot_speeds is empty"), "{failures:?}");
     }
 
     #[test]

@@ -5,10 +5,52 @@
 
 use std::collections::VecDeque;
 
-use reshape_core::{JobId, SchedulerCore};
+use reshape_core::{JobId, SchedulerCore, Wal};
 use reshape_telemetry::TraceCtx;
 
 use crate::lease::LeaseMsg;
+
+/// A shard's WAL is compacted once the bytes appended since its last
+/// checkpoint reach `COMPACT_FLOOR`, or `COMPACT_RATIO` times the
+/// checkpoint line when that is larger. A restart then replays the
+/// checkpoint and at most about that much after it, and checkpoints cost
+/// at most one byte in `COMPACT_RATIO` of what the shard appends. The floor
+/// is above every shard WAL the pinned and chaos runs write (119 699 bytes
+/// at most), so their recorded digests hold uncompacted streams.
+const COMPACT_FLOOR: u64 = 128 * 1024;
+const COMPACT_RATIO: u64 = 4;
+
+/// Where a shard's WAL was last compacted, in
+/// [`Wal::appended_bytes`] of the live core's WAL.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct WalMark {
+    /// The count just after the last compaction: 0 before any, and after a
+    /// restart, which counts from the start of the recovered stream.
+    at: u64,
+    /// Bytes of the checkpoint line that compaction wrote.
+    checkpoint: u64,
+}
+
+impl WalMark {
+    /// Tidy a live core where the federation prunes: drop the jobs it has
+    /// ended and its event trace, which nothing in the federation reads,
+    /// and compact its WAL when the trigger above is due.
+    pub(crate) fn tidy(&mut self, core: &mut SchedulerCore) {
+        core.prune_terminal();
+        drop(core.drain_events());
+        let Some(before) = core.wal().map(Wal::appended_bytes) else {
+            return;
+        };
+        if before.saturating_sub(self.at) >= COMPACT_FLOOR.max(COMPACT_RATIO * self.checkpoint) {
+            core.compact_wal();
+            let at = core.wal().map_or(before, Wal::appended_bytes);
+            *self = WalMark {
+                at,
+                checkpoint: at - before,
+            };
+        }
+    }
+}
 
 /// Traffic addressed to a shard while it was down, replayed in arrival
 /// order at recovery.
@@ -82,6 +124,7 @@ pub struct Shard {
     pub(crate) brownout: bool,
     pub(crate) deferred: VecDeque<Deferred>,
     pub(crate) kills: u64,
+    pub(crate) wal_mark: WalMark,
 }
 
 impl Shard {
@@ -96,6 +139,7 @@ impl Shard {
             brownout: false,
             deferred: VecDeque::new(),
             kills: 0,
+            wal_mark: WalMark::default(),
         }
     }
 

@@ -34,7 +34,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use reshape_core::ctrl::ChaosConfig;
-use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, Wal};
+use reshape_core::{
+    JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, Wal, WalRecord,
+};
 use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
 use reshape_federation::{
     BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, Shard, TenantConfig,
@@ -466,19 +468,22 @@ enum Tag {
 }
 
 /// The leases each live shard's WAL journals, as far as the oracle has
-/// read it. A shard's WAL is read only when a lease the oracle must find
-/// is missing from what was read and the WAL has changed since: after
-/// every event that is the shards that gained a lease, not every shard's
-/// whole history. A journaled lease stays journaled while the shard lives
-/// (its WAL is append-only), and a shard seen down is forgotten, because
-/// its recovery may salvage a shorter stream.
+/// read it. A shard's WAL is read only when the oracle must find a lease
+/// in it and the WAL has changed since it was last read: after every event
+/// that is the shards that hold a lease and journaled something, not every
+/// shard's whole history. Any append or compaction changes the WAL's
+/// [`Wal::appended_bytes`], and a compaction can drop the lines of leases
+/// that ended, so nothing read before a change is trusted after it. A
+/// shard seen down is forgotten, because its recovery may salvage a
+/// shorter stream.
 #[derive(Default)]
 pub(crate) struct Journals(BTreeMap<usize, Journal>);
 
-/// One shard's journaled leases, read at `records` records.
+/// One shard's journaled leases, read when its WAL had `appended` bytes
+/// appended.
 #[derive(Default)]
 struct Journal {
-    records: usize,
+    appended: u64,
     grants: BTreeSet<u64>,
     attaches: BTreeSet<u64>,
 }
@@ -486,16 +491,32 @@ struct Journal {
 impl Journal {
     /// Read the whole WAL text. A record has one spelling, so a line
     /// `{crc} lg {lease} …` is a `LendGrant` of that lease, `{crc} ba
-    /// {lease} …` a `BorrowAttach`, and no other line starts that way.
+    /// {lease} …` a `BorrowAttach`, and no other line starts that way. A
+    /// checkpoint journals every lease of its lease tables.
     fn read(shard: &Shard, wal: &Wal) -> Result<Journal, String> {
         let mut j = Journal {
-            records: wal.len(),
+            appended: wal.appended_bytes(),
             ..Journal::default()
         };
+        let unreadable = |line: &str| format!("shard {}: unreadable WAL line `{line}`", shard.id());
         for line in wal.encode().lines() {
             let Some(payload) = line.get(9..) else {
                 continue;
             };
+            if payload.starts_with("ckpt ") {
+                let records = Wal::decode(line).map_err(|_| unreadable(line))?.records();
+                let Some(WalRecord::Checkpoint {
+                    lent_leases,
+                    borrowed_leases,
+                    ..
+                }) = records.first()
+                else {
+                    return Err(unreadable(line));
+                };
+                j.grants.extend(lent_leases.keys());
+                j.attaches.extend(borrowed_leases.keys());
+                continue;
+            }
             let (leases, rest) = if let Some(rest) = payload.strip_prefix("lg ") {
                 (&mut j.grants, rest)
             } else if let Some(rest) = payload.strip_prefix("ba ") {
@@ -505,10 +526,7 @@ impl Journal {
             };
             let lease = rest.split(' ').next().and_then(|t| t.parse().ok());
             let Some(lease) = lease else {
-                return Err(format!(
-                    "shard {}: unreadable WAL line `{line}`",
-                    shard.id()
-                ));
+                return Err(unreadable(line));
             };
             leases.insert(lease);
         }
@@ -532,7 +550,7 @@ impl Journals {
             return Ok(None);
         };
         let j = self.0.entry(shard.id()).or_default();
-        if !j.leases(tag).contains(&lease) && wal.len() != j.records {
+        if wal.appended_bytes() != j.appended {
             *j = Journal::read(shard, wal)?;
         }
         Ok(Some(j.leases(tag).contains(&lease)))
@@ -751,6 +769,62 @@ mod tests {
         assert!(
             msg.contains("double-owned") || msg.contains("forged") || msg.contains("reclaimed"),
             "unexpected violation message: {msg}"
+        );
+    }
+
+    /// `generate_federation(seed)`'s job stream played `repeats` times back
+    /// to back, so every shard appends far past the compaction floor.
+    fn stretched(seed: u64, repeats: usize) -> FedSimConfig {
+        let mut cfg = generate_federation(seed);
+        let span = cfg.jobs.last().map_or(0.0, |j| j.arrival) + 30.0;
+        let once = std::mem::take(&mut cfg.jobs);
+        cfg.jobs = (0..repeats)
+            .flat_map(|r| {
+                once.iter().map(move |j| FedJob {
+                    arrival: j.arrival + r as f64 * span,
+                    ..j.clone()
+                })
+            })
+            .collect();
+        cfg
+    }
+
+    /// The ledger, read through one `Journals` after every event, holds
+    /// while shards compact their WALs with leases live: a checkpoint's
+    /// lease tables count as journaled, and a compaction drops what was
+    /// read before it. Each stretched run also kills and recovers shards,
+    /// and must pass the chaos drill's end-of-run acceptance.
+    #[test]
+    fn ledger_holds_while_shards_compact_under_live_leases() {
+        let mut compacted_leased = 0;
+        for seed in 0..4u64 {
+            let mut journals = Journals::default();
+            let mut records: BTreeMap<usize, usize> = BTreeMap::new();
+            let mut violation = None;
+            let (report, fed) = run_with_fed(stretched(seed, 80), |fed, t| {
+                for sh in fed.shards() {
+                    let Some(core) = sh.core() else {
+                        records.remove(&sh.id());
+                        continue;
+                    };
+                    let len = core.wal().map_or(0, Wal::len);
+                    let leased =
+                        !core.lent_leases().is_empty() || !core.borrowed_leases().is_empty();
+                    let shrank = records.insert(sh.id(), len).is_some_and(|was| len < was);
+                    compacted_leased += usize::from(shrank && leased);
+                }
+                if violation.is_none() {
+                    violation = check_ledger_with(fed, &mut journals)
+                        .err()
+                        .map(|e| format!("seed {seed} t={t:.3} {e}"));
+                }
+            });
+            assert_eq!(violation, None);
+            acceptance(&report, fed.quiesced()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+        assert!(
+            compacted_leased > 0,
+            "no shard compacted while holding a lease"
         );
     }
 

@@ -24,7 +24,7 @@ use reshape_testkit::{generate, generate_partition, Driver};
 
 /// Compact `core`'s WAL in place.
 fn compact(core: &mut SchedulerCore) {
-    let _ = core;
+    core.compact_wal();
 }
 
 /// Issue `rec` as the public call it journals; the rendering of what the
