@@ -1,8 +1,8 @@
-//! The discrete-event simulation core (ROADMAP item 1, modeled on the
-//! dslab idiom): a [`Simulation`] owns the global [`EventQueue`] and a set
-//! of registered [`EventHandler`] components; each pop advances the
-//! virtual clock and dispatches the payload to its target component, which
-//! may schedule follow-up events through the [`SimCtx`] it is handed.
+//! The discrete-event simulation core, modeled on the dslab idiom: a
+//! [`Simulation`] owns the global [`EventQueue`] and a set of registered
+//! [`EventHandler`] components; each pop advances the virtual clock and
+//! dispatches the payload to its target component, which may schedule
+//! follow-up events through the [`SimCtx`] it is handed.
 //!
 //! # Determinism contract
 //!

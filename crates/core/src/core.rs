@@ -206,6 +206,38 @@ pub struct CoreSnapshot {
     pub epoch: u64,
 }
 
+/// The live state of a core whose WAL was compacted: what a
+/// [`WalRecord::Checkpoint`] carries. It holds every field
+/// [`SchedulerCore::same_state`] compares, bar the event trace and the
+/// terminal jobs, which compaction drops. The queue is the queued jobs,
+/// ordered by priority and id, each needing its initial configuration; the
+/// pool's lent and borrowed slots are the lease tables' slots. Not
+/// exported: [`SchedulerCore::compact_wal`] builds it and replay restores
+/// it.
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub struct Checkpoint {
+    pub(crate) next_id: u64,
+    pub(crate) next_reservation: u64,
+    pub(crate) epoch: u64,
+    pub(crate) events_dropped: u64,
+    pub(crate) busy_proc_seconds: f64,
+    pub(crate) last_tick: f64,
+    pub(crate) expand_paused: bool,
+    /// Foreign-slot ids ever minted.
+    pub(crate) foreign_minted: usize,
+    /// Free slot ids, ascending.
+    pub(crate) free_slots: Vec<usize>,
+    pub(crate) reservations: Vec<Reservation>,
+    pub(crate) lent_leases: BTreeMap<u64, Vec<usize>>,
+    pub(crate) borrowed_leases: BTreeMap<u64, BorrowedLease>,
+    /// Live jobs: queued, running, or cancelled and owed `Terminate`.
+    pub(crate) jobs: BTreeMap<JobId, JobRecord>,
+    pub(crate) bindings: BTreeMap<JobId, ReservationId>,
+    /// Ascending.
+    pub(crate) pending_cancel: Vec<JobId>,
+    pub(crate) profiles: BTreeMap<JobId, JobProfile>,
+}
+
 /// The combined scheduler state machine.
 pub struct SchedulerCore {
     pool: ResourcePool,
@@ -540,17 +572,19 @@ impl SchedulerCore {
         self.events = Vec::new();
         // Taken out while the checkpoint reads the core, then put back.
         if let Some(mut wal) = self.wal.take() {
-            wal.compact(&self.checkpoint());
+            wal.compact(&WalRecord::Checkpoint {
+                state: Box::new(self.checkpoint()),
+            });
             self.wal = Some(wal);
             reshape_telemetry::incr("core.wal_compactions", 1);
         }
     }
 
-    /// The live state as one [`WalRecord::Checkpoint`]. Its maps are
-    /// ordered by id, so the record has one spelling whatever order the
-    /// core's hash maps hold.
-    fn checkpoint(&self) -> WalRecord {
-        WalRecord::Checkpoint {
+    /// The live state as a [`Checkpoint`]. Its maps are ordered by id, so
+    /// the record has one spelling whatever order the core's hash maps
+    /// hold.
+    fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
             next_id: self.next_id,
             next_reservation: self.next_reservation,
             epoch: self.epoch,
@@ -585,8 +619,8 @@ impl SchedulerCore {
     /// borrowed ones minted, a running job holds as many slots as its
     /// configuration has processors, and only a job owed its `Terminate` is
     /// cancelled.
-    fn restore(&mut self, checkpoint: WalRecord) -> Result<(), String> {
-        let WalRecord::Checkpoint {
+    fn restore(&mut self, checkpoint: Checkpoint) -> Result<(), String> {
+        let Checkpoint {
             next_id,
             next_reservation,
             epoch,
@@ -603,10 +637,7 @@ impl SchedulerCore {
             bindings,
             pending_cancel,
             profiles,
-        } = checkpoint
-        else {
-            unreachable!("only a checkpoint is restored");
-        };
+        } = checkpoint;
         let procs = |c: ProcessorConfig| c.rows.checked_mul(c.cols);
         if next_id == 0 || next_reservation == 0 {
             return Err("ids are minted from 1".into());
@@ -711,8 +742,8 @@ impl SchedulerCore {
                     "duplicate `open` record mid-stream".into(),
                 ))
             }
-            WalRecord::Checkpoint { .. } if after_genesis => self
-                .restore(rec)
+            WalRecord::Checkpoint { state } if after_genesis => self
+                .restore(*state)
                 .map_err(|why| WalError::BadGenesis(format!("checkpoint: {why}")))?,
             WalRecord::Checkpoint { .. } => {
                 return Err(diverged("a checkpoint must directly follow genesis".into()))

@@ -10,7 +10,15 @@
 //! [`SchedulerCore::recover`](crate::SchedulerCore::recover) replays the
 //! stream into a fresh core after a crash. Replay reproduces the pre-crash
 //! state exactly (pool accounting, queue order, job records, profiler
-//! history, the event trace, even the utilization integral).
+//! history, the event trace of the records since the last compaction, even
+//! the utilization integral).
+//!
+//! [`SchedulerCore::compact_wal`](crate::SchedulerCore::compact_wal)
+//! rewrites the stream as its genesis line and one checkpoint (`ckpt`) of
+//! the live state, as in Raft's log compaction; replay applies the
+//! checkpoint wholesale and replays what was appended after it, so a
+//! recovery costs the live state plus the records since, not the whole
+//! history.
 //!
 //! # Wire format
 //!
@@ -47,6 +55,7 @@
 //! | `PauseExpansion` | `pause` | `on` `now` |
 //! | `EpochBump` | `epoch` | `epoch` `now` |
 //! | `HealRepair` | `heal` | `lease` *action* `now` |
+//! | `Checkpoint` | `ckpt` | `next_id` `next_reservation` `epoch` `events_dropped` `busy_proc_seconds` `last_tick` `expand_paused` `foreign_minted` *free_slots* *reservations* *lent_leases* *borrowed_leases* *jobs* *bindings* *pending_cancel* *profiles* |
 //!
 //! Field encodings:
 //!
@@ -70,7 +79,20 @@
 //! * *spec* — `name` *topology* `initial` `iterations` `resizable`
 //!   `priority` `survivable`, where *topology* is `grid problem_size`,
 //!   `lin problem_size even_only`, `any min max step`, or `exp`, the
-//!   length, and that many `rows cols` pairs.
+//!   length, and that many `rows cols` pairs;
+//! * a checkpoint's lists and maps — the length, then the entries; map
+//!   keys strictly ascending. *reservations*: `id start end procs`;
+//!   *lent_leases*: `lease` *slots*; *borrowed_leases*: `lease` *local*
+//!   *global* `lender_epoch`; *jobs*: `id` *spec* *state* *slots*
+//!   `submitted_at` *started_at* *finished_at*, an optional float being `0`,
+//!   or `1` and the float; *bindings*: `id reservation`; *pending_cancel*:
+//!   `id`; *profiles*: `id` *history* *times* *costs* *last* *failed*;
+//! * *state* — `queued`, `running rows cols`, `finished at`,
+//!   `failed at reason` or `cancelled at`;
+//! * a profile's *history* — entries `rows cols iter_time redist_time`;
+//!   *times* — `rows cols sum count`; *costs* — `rows cols rows cols
+//!   seconds`, keyed by the configuration pair; *last* — `none`, or `grow`
+//!   or `shrink` and the pair; *failed* — `0`, or `1` and the pair.
 //!
 //! Each record has exactly one spelling: the decoder rejects anything the
 //! encoder would not have written (unknown tags or names, non-canonical
@@ -87,7 +109,10 @@
 //! instead recover the last-good prefix, quarantine the damaged remainder
 //! (to `<path>.quarantine` for file-backed WALs), and report the truncation
 //! in a [`WalSalvage`] so recovery can proceed with a shorter history
-//! rather than none.
+//! rather than none. A damaged checkpoint is the exception: it held the
+//! state the whole rest of the stream builds on, so it leaves no clean
+//! prefix at all, genesis included, and recovery refuses it as it refuses a
+//! damaged genesis.
 //!
 //! # In memory
 //!
@@ -96,7 +121,8 @@
 //! bytes that already exist, and recovery frames, checks, parses and
 //! applies each line in one pass with no list of records in between.
 //! [`Wal::records`] decodes the whole stream on every call, so it costs
-//! `O(history)`; it is for tests and diagnostics, not for hot paths.
+//! `O(history)` since the last compaction; it is for tests and diagnostics,
+//! not for hot paths.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -106,7 +132,7 @@ use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
-use crate::core::{BorrowedLease, JobRecord, QueuePolicy, Reservation, ReservationId};
+use crate::core::{BorrowedLease, Checkpoint, JobRecord, QueuePolicy, Reservation, ReservationId};
 use crate::job::{IdMap, JobId, JobSpec, JobState};
 use crate::policy::RemapPolicy;
 use crate::pool::AllocOrder;
@@ -258,33 +284,10 @@ pub enum WalRecord {
     /// Compaction: the core's whole live state, written by
     /// [`SchedulerCore::compact_wal`](crate::SchedulerCore::compact_wal) as
     /// the only record after genesis. Replay applies it wholesale; the
-    /// records after it replay on top. It holds every field
-    /// [`SchedulerCore::same_state`](crate::SchedulerCore::same_state)
-    /// compares, bar the event trace and the terminal jobs, which the
-    /// compaction dropped. The queue is the queued jobs, ordered by their
-    /// priority and id, each needing its initial configuration; the lent
-    /// and borrowed slots of the pool are the lease tables' slots.
+    /// records after it replay on top. The state type is not exported: only
+    /// compaction builds one and only replay reads one.
     Checkpoint {
-        next_id: u64,
-        next_reservation: u64,
-        epoch: u64,
-        events_dropped: u64,
-        busy_proc_seconds: f64,
-        last_tick: f64,
-        expand_paused: bool,
-        /// Foreign-slot ids ever minted.
-        foreign_minted: usize,
-        /// Free slot ids, ascending.
-        free_slots: Vec<usize>,
-        reservations: Vec<Reservation>,
-        lent_leases: BTreeMap<u64, Vec<usize>>,
-        borrowed_leases: BTreeMap<u64, BorrowedLease>,
-        /// Live jobs: queued, running, or cancelled and owed `Terminate`.
-        jobs: BTreeMap<JobId, JobRecord>,
-        bindings: BTreeMap<JobId, ReservationId>,
-        /// Ascending.
-        pending_cancel: Vec<JobId>,
-        profiles: BTreeMap<JobId, JobProfile>,
+        state: Box<Checkpoint>,
     },
 }
 
@@ -595,6 +598,78 @@ fn put_profile(out: &mut Vec<u8>, p: &JobProfile) {
     }
 }
 
+/// A checkpoint's fields. Out of line: it is written once per
+/// compaction, and inlined it would bloat `encode_line`, which every
+/// transition runs.
+#[inline(never)]
+fn put_checkpoint(out: &mut Vec<u8>, state: &Checkpoint) {
+    let Checkpoint {
+        next_id,
+        next_reservation,
+        epoch,
+        events_dropped,
+        busy_proc_seconds,
+        last_tick,
+        expand_paused,
+        foreign_minted,
+        free_slots,
+        reservations,
+        lent_leases,
+        borrowed_leases,
+        jobs,
+        bindings,
+        pending_cancel,
+        profiles,
+    } = state;
+    put_u64(out, *next_id);
+    put_u64(out, *next_reservation);
+    put_u64(out, *epoch);
+    put_u64(out, *events_dropped);
+    put_f64(out, *busy_proc_seconds);
+    put_f64(out, *last_tick);
+    put_bool(out, *expand_paused);
+    put_usize(out, *foreign_minted);
+    put_slots(out, free_slots);
+    put_usize(out, reservations.len());
+    for r in reservations {
+        put_u64(out, r.id.0);
+        put_f64(out, r.start);
+        put_f64(out, r.end);
+        put_usize(out, r.procs);
+    }
+    put_usize(out, lent_leases.len());
+    for (&lease, slots) in lent_leases {
+        put_u64(out, lease);
+        put_slots(out, slots);
+    }
+    put_usize(out, borrowed_leases.len());
+    for (&lease, b) in borrowed_leases {
+        put_u64(out, lease);
+        put_slots(out, &b.local);
+        put_slots(out, &b.global);
+        put_u64(out, b.lender_epoch);
+    }
+    put_usize(out, jobs.len());
+    for (id, job) in jobs {
+        put_u64(out, id.0);
+        put_job(out, job);
+    }
+    put_usize(out, bindings.len());
+    for (id, r) in bindings {
+        put_u64(out, id.0);
+        put_u64(out, r.0);
+    }
+    put_usize(out, pending_cancel.len());
+    for id in pending_cancel {
+        put_u64(out, id.0);
+    }
+    put_usize(out, profiles.len());
+    for (id, p) in profiles {
+        put_u64(out, id.0);
+        put_profile(out, p);
+    }
+}
+
 /// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
 fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
     let start = out.len();
@@ -787,72 +862,9 @@ fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
             );
             put_f64(out, *now);
         }
-        WalRecord::Checkpoint {
-            next_id,
-            next_reservation,
-            epoch,
-            events_dropped,
-            busy_proc_seconds,
-            last_tick,
-            expand_paused,
-            foreign_minted,
-            free_slots,
-            reservations,
-            lent_leases,
-            borrowed_leases,
-            jobs,
-            bindings,
-            pending_cancel,
-            profiles,
-        } => {
+        WalRecord::Checkpoint { state } => {
             out.extend_from_slice(b"ckpt");
-            put_u64(out, *next_id);
-            put_u64(out, *next_reservation);
-            put_u64(out, *epoch);
-            put_u64(out, *events_dropped);
-            put_f64(out, *busy_proc_seconds);
-            put_f64(out, *last_tick);
-            put_bool(out, *expand_paused);
-            put_usize(out, *foreign_minted);
-            put_slots(out, free_slots);
-            put_usize(out, reservations.len());
-            for r in reservations {
-                put_u64(out, r.id.0);
-                put_f64(out, r.start);
-                put_f64(out, r.end);
-                put_usize(out, r.procs);
-            }
-            put_usize(out, lent_leases.len());
-            for (&lease, slots) in lent_leases {
-                put_u64(out, lease);
-                put_slots(out, slots);
-            }
-            put_usize(out, borrowed_leases.len());
-            for (&lease, b) in borrowed_leases {
-                put_u64(out, lease);
-                put_slots(out, &b.local);
-                put_slots(out, &b.global);
-                put_u64(out, b.lender_epoch);
-            }
-            put_usize(out, jobs.len());
-            for (id, job) in jobs {
-                put_u64(out, id.0);
-                put_job(out, job);
-            }
-            put_usize(out, bindings.len());
-            for (id, r) in bindings {
-                put_u64(out, id.0);
-                put_u64(out, r.0);
-            }
-            put_usize(out, pending_cancel.len());
-            for id in pending_cancel {
-                put_u64(out, id.0);
-            }
-            put_usize(out, profiles.len());
-            for (id, p) in profiles {
-                put_u64(out, id.0);
-                put_profile(out, p);
-            }
+            put_checkpoint(out, state);
         }
     }
     let crc = crc32(&out[start + 9..]);
@@ -1294,45 +1306,51 @@ impl<'a> Fields<'a> {
                 now: self.f64()?,
             },
             "ckpt" => WalRecord::Checkpoint {
-                next_id: self.u64()?,
-                next_reservation: self.u64()?,
-                epoch: self.u64()?,
-                events_dropped: self.u64()?,
-                busy_proc_seconds: self.f64()?,
-                last_tick: self.f64()?,
-                expand_paused: self.bool()?,
-                foreign_minted: self.usize()?,
-                free_slots: self.slots()?,
-                reservations: (0..self.usize()?)
-                    .map(|_| {
-                        Ok(Reservation {
-                            id: ReservationId(self.u64()?),
-                            start: self.f64()?,
-                            end: self.f64()?,
-                            procs: self.usize()?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-                lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
-                borrowed_leases: self.ascending(|f| {
-                    Ok((
-                        f.u64()?,
-                        BorrowedLease {
-                            local: f.slots()?,
-                            global: f.slots()?,
-                            lender_epoch: f.u64()?,
-                        },
-                    ))
-                })?,
-                jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
-                bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
-                pending_cancel: self
-                    .ascending(|f| Ok((f.job_id()?, ())))?
-                    .into_keys()
-                    .collect(),
-                profiles: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
+                state: Box::new(self.checkpoint()?),
             },
             tok => return Err(format!("unknown record tag `{tok}`")),
+        })
+    }
+
+    fn checkpoint(&mut self) -> Result<Checkpoint, String> {
+        Ok(Checkpoint {
+            next_id: self.u64()?,
+            next_reservation: self.u64()?,
+            epoch: self.u64()?,
+            events_dropped: self.u64()?,
+            busy_proc_seconds: self.f64()?,
+            last_tick: self.f64()?,
+            expand_paused: self.bool()?,
+            foreign_minted: self.usize()?,
+            free_slots: self.slots()?,
+            reservations: (0..self.usize()?)
+                .map(|_| {
+                    Ok(Reservation {
+                        id: ReservationId(self.u64()?),
+                        start: self.f64()?,
+                        end: self.f64()?,
+                        procs: self.usize()?,
+                    })
+                })
+                .collect::<Result<_, String>>()?,
+            lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
+            borrowed_leases: self.ascending(|f| {
+                Ok((
+                    f.u64()?,
+                    BorrowedLease {
+                        local: f.slots()?,
+                        global: f.slots()?,
+                        lender_epoch: f.u64()?,
+                    },
+                ))
+            })?,
+            jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
+            bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
+            pending_cancel: self
+                .ascending(|f| Ok((f.job_id()?, ())))?
+                .into_keys()
+                .collect(),
+            profiles: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
         })
     }
 }

@@ -8,15 +8,12 @@
 //! written is an error, never a panic and never a second spelling of a
 //! record.
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 use proptest::TestRng;
 use reshape_core::wal::crc32;
 use reshape_core::{
-    AllocOrder, BorrowedLease, HealAction, JobId, JobProfile, JobRecord, JobSpec, JobState,
-    ProcessorConfig, Profiler, QueuePolicy, RemapPolicy, Reservation, ReservationId, Resize,
-    TopologyPref, Wal, WalError, WalRecord,
+    AllocOrder, HealAction, JobId, JobSpec, ProcessorConfig, QueuePolicy, RemapPolicy,
+    ReservationId, SchedulerCore, TopologyPref, Wal, WalError, WalRecord,
 };
 use serde_json::Value;
 
@@ -109,24 +106,7 @@ fn one_of_each() -> Vec<WalRecord> {
             action: HealAction::ReturnEscrow,
             now: 0.0,
         },
-        WalRecord::Checkpoint {
-            next_id: 1,
-            next_reservation: 1,
-            epoch: 0,
-            events_dropped: 0,
-            busy_proc_seconds: 0.0,
-            last_tick: 0.0,
-            expand_paused: false,
-            foreign_minted: 0,
-            free_slots: Vec::new(),
-            reservations: Vec::new(),
-            lent_leases: BTreeMap::new(),
-            borrowed_leases: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            bindings: BTreeMap::new(),
-            pending_cancel: Vec::new(),
-            profiles: BTreeMap::new(),
-        },
+        compacted(SchedulerCore::new(1, QueuePolicy::Fcfs).with_wal(Wal::in_memory())),
     ]
 }
 
@@ -241,56 +221,59 @@ fn spec(rng: &mut TestRng) -> JobSpec {
     }
 }
 
-fn opt_float(rng: &mut TestRng) -> Option<f64> {
-    (rng.next_u64() & 1 == 1).then(|| float(rng))
+/// The checkpoint `core` writes when it compacts: the only way to one from
+/// outside the crate, whose state type is not exported.
+fn compacted(mut core: SchedulerCore) -> WalRecord {
+    core.compact_wal();
+    core.wal()
+        .expect("a journaling core")
+        .records()
+        .swap_remove(1)
 }
 
-/// Up to four entries under distinct arbitrary keys.
-fn map<K: Ord, V>(
-    rng: &mut TestRng,
-    key: impl Fn(u64) -> K,
-    mut value: impl FnMut(&mut TestRng) -> V,
-) -> BTreeMap<K, V> {
-    (0..rng.gen_range_u64(0, 5))
-        .map(|_| (key(int(rng)), value(rng)))
-        .collect()
-}
-
-fn state(rng: &mut TestRng) -> JobState {
-    match rng.gen_range_u64(0, 5) {
-        0 => JobState::Queued,
-        1 => JobState::Running {
-            config: config(rng),
-        },
-        2 => JobState::Finished { at: float(rng) },
-        3 => JobState::Failed {
-            at: float(rng),
-            reason: text(rng),
-        },
-        _ => JobState::Cancelled { at: float(rng) },
-    }
-}
-
-/// A profile built through the profiler's own calls, which are the only
-/// way to one from outside the crate.
-fn profile(rng: &mut TestRng) -> JobProfile {
-    let mut p = Profiler::new();
-    let job = JobId(1);
-    for _ in 0..rng.gen_range_u64(0, 5) {
-        p.record_iteration(job, config(rng), float(rng), float(rng));
-    }
-    for _ in 0..rng.gen_range_u64(0, 4) {
-        let (from, to) = (config(rng), config(rng));
-        let resize = match rng.next_u64() & 1 {
-            0 => Resize::Expanded { from, to },
-            _ => Resize::Shrunk { from, to },
+/// An arbitrary checkpoint: a core of 1-8 processors takes submissions
+/// under hostile names, resize points and redistribution prices of any
+/// float bits, a cancellation, leases both ways, a reservation, a pause and
+/// an epoch bump, then compacts.
+fn checkpoint(rng: &mut TestRng) -> WalRecord {
+    let procs = rng.gen_range_u64(1, 9) as usize;
+    let mut core = SchedulerCore::new(procs, QueuePolicy::Fcfs).with_wal(Wal::in_memory());
+    let jobs = rng.gen_range_u64(0, 6);
+    for i in 0..jobs {
+        let spec = JobSpec {
+            name: text(rng),
+            topology: TopologyPref::AnyCount {
+                min: 1,
+                max: procs,
+                step: 1,
+            },
+            initial: ProcessorConfig::linear(rng.gen_range_u64(1, procs as u64 + 1) as usize),
+            iterations: rng.gen_range_u64(1, 10) as usize,
+            resizable: rng.next_u64() & 1 == 1,
+            priority: rng.gen_range_u64(0, 256) as u8,
+            survivable: rng.next_u64() & 1 == 1,
         };
-        p.record_resize(job, resize, float(rng));
+        core.submit(spec, i as f64);
     }
-    if rng.next_u64() & 1 == 1 {
-        p.mark_expansion_failed(job, config(rng), config(rng));
+    let now = jobs as f64;
+    for id in 1..=jobs {
+        let (job, c) = (JobId(id), config(rng));
+        core.resize_point(job, float(rng), float(rng), now);
+        core.note_redist_cost(job, c, ProcessorConfig::linear(1), float(rng));
     }
-    p.profile_mut(job).clone()
+    if jobs > 0 && rng.next_u64() & 1 == 1 {
+        core.cancel(JobId(rng.gen_range_u64(1, jobs + 1)), now);
+    }
+    core.lend_grant(int(rng), 1, now);
+    core.borrow_attach(int(rng), &slots(rng), int(rng), now);
+    core.reserve(
+        now,
+        now + 1.0 + rng.gen_f64(),
+        rng.gen_range_u64(0, procs as u64 + 1) as usize,
+    );
+    core.set_expand_paused(rng.next_u64() & 1 == 1, now);
+    core.bump_epoch(now);
+    compacted(core)
 }
 
 /// An arbitrary record of the same variant as `like`. The match has no
@@ -416,46 +399,7 @@ fn arbitrary(like: &WalRecord, rng: &mut TestRng) -> WalRecord {
             ),
             now: float(rng),
         },
-        WalRecord::Checkpoint { .. } => WalRecord::Checkpoint {
-            next_id: int(rng),
-            next_reservation: int(rng),
-            epoch: int(rng),
-            events_dropped: int(rng),
-            busy_proc_seconds: float(rng),
-            last_tick: float(rng),
-            expand_paused: rng.next_u64() & 1 == 1,
-            foreign_minted: size(rng),
-            free_slots: slots(rng),
-            reservations: (0..rng.gen_range_u64(0, 4))
-                .map(|_| Reservation {
-                    id: ReservationId(int(rng)),
-                    start: float(rng),
-                    end: float(rng),
-                    procs: size(rng),
-                })
-                .collect(),
-            lent_leases: map(rng, |k| k, slots),
-            borrowed_leases: map(
-                rng,
-                |k| k,
-                |rng| BorrowedLease {
-                    local: slots(rng),
-                    global: slots(rng),
-                    lender_epoch: int(rng),
-                },
-            ),
-            jobs: map(rng, JobId, |rng| JobRecord {
-                spec: spec(rng),
-                state: state(rng),
-                slots: slots(rng),
-                submitted_at: float(rng),
-                started_at: opt_float(rng),
-                finished_at: opt_float(rng),
-            }),
-            bindings: map(rng, JobId, |rng| ReservationId(int(rng))),
-            pending_cancel: map(rng, JobId, |_| ()).into_keys().collect(),
-            profiles: map(rng, JobId, profile),
-        },
+        WalRecord::Checkpoint { .. } => checkpoint(rng),
     }
 }
 

@@ -34,9 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use reshape_core::ctrl::ChaosConfig;
-use reshape_core::{
-    JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, Wal, WalRecord,
-};
+use reshape_core::{JobSpec, ProcessorConfig, QueuePolicy, SchedulerCore, TopologyPref, Wal};
 use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
 use reshape_federation::{
     BrownoutConfig, BusConfig, Federation, FederationConfig, LeaseConfig, Shard, TenantConfig,
@@ -499,22 +497,20 @@ impl Journal {
             ..Journal::default()
         };
         let unreadable = |line: &str| format!("shard {}: unreadable WAL line `{line}`", shard.id());
-        for line in wal.encode().lines() {
+        let text = wal.encode();
+        let genesis = text.lines().next().unwrap_or_default();
+        for line in text.lines() {
             let Some(payload) = line.get(9..) else {
                 continue;
             };
             if payload.starts_with("ckpt ") {
-                let records = Wal::decode(line).map_err(|_| unreadable(line))?.records();
-                let Some(WalRecord::Checkpoint {
-                    lent_leases,
-                    borrowed_leases,
-                    ..
-                }) = records.first()
-                else {
-                    return Err(unreadable(line));
-                };
-                j.grants.extend(lent_leases.keys());
-                j.attaches.extend(borrowed_leases.keys());
+                // The checkpoint's lease tables, read through the core it
+                // restores.
+                let core = Wal::decode(&format!("{genesis}\n{line}\n"))
+                    .and_then(SchedulerCore::recover)
+                    .map_err(|_| unreadable(line))?;
+                j.grants.extend(core.lent_leases().keys());
+                j.attaches.extend(core.borrowed_leases().keys());
                 continue;
             }
             let (leases, rest) = if let Some(rest) = payload.strip_prefix("lg ") {

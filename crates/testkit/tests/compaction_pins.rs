@@ -172,7 +172,11 @@ fn final_wals(fed: &Federation) -> Vec<String> {
 /// The digests, and the final shard WALs that were compacted.
 fn runs() -> (Vec<(String, String)>, Vec<String>) {
     let (steady, fed, d, _) = run(stream(16, 12_000, 10, 31337));
-    assert_eq!(steady.finished, 12_000, "steady: {} finished", steady.finished);
+    assert_eq!(
+        steady.finished, 12_000,
+        "steady: {} finished",
+        steady.finished
+    );
     assert!(steady.leases_granted > 0, "the steady shape must lend");
     let mut wals = final_wals(&fed);
     let mut out = vec![("steady-16x32-12000".to_string(), d)];
@@ -185,15 +189,15 @@ fn runs() -> (Vec<(String, String)>, Vec<String>) {
         (7_997, 3),
         "recover: every job accounted for"
     );
-    assert_eq!(recover.shard_recoveries, 8, "every scripted kill must recover");
+    assert_eq!(
+        recover.shard_recoveries, 8,
+        "every scripted kill must recover"
+    );
     assert!(
         recover.recoveries_matched,
         "every recovery must replay to the crash image"
     );
-    assert!(
-        compacted_kills > 0,
-        "no recovery replayed a compacted WAL"
-    );
+    assert!(compacted_kills > 0, "no recovery replayed a compacted WAL");
     wals.extend(final_wals(&fed));
     out.push(("recover-4x32-8000".to_string(), d));
 
@@ -292,5 +296,8 @@ fn compacting_runs_match_recorded_digests() {
             }
         }
     }
-    assert!(refused > 0 && salvaged > 0, "{refused} refused, {salvaged} salvaged");
+    assert!(
+        refused > 0 && salvaged > 0,
+        "{refused} refused, {salvaged} salvaged"
+    );
 }
