@@ -3226,4 +3226,139 @@ mod tests {
         let payload = "open 4 fcfs paper 0 lowest 0";
         assert_eq!(crate::wal::crc32(payload.as_bytes()), 0x9ec4_9eff);
     }
+
+    /// Checkpoints assembled at random — an 8-processor pool with 3 foreign
+    /// ids, its slots dealt to running jobs, free, lent or borrowed, job
+    /// states and pending cancels that mostly agree, and now and then a
+    /// defect — then restored: whatever `restore` accepts, every later
+    /// transition on every job and lease must run without a panic.
+    #[test]
+    fn accepted_checkpoints_never_panic_later() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut accepted, mut refused) = (0, 0);
+        for _ in 0..4000 {
+            let mut unused: Vec<usize> = (0..11).collect();
+            let mut jobs = BTreeMap::new();
+            for id in 1..=1 + next(4) {
+                let mut slots = Vec::new();
+                let state = match next(8) {
+                    0 | 1 => JobState::Queued,
+                    2 => JobState::Cancelled { at: 1.0 },
+                    3 if next(4) == 0 => JobState::Finished { at: 1.0 },
+                    _ => {
+                        for _ in 0..(1 + next(3) as usize).min(unused.len()) {
+                            let at = next(unused.len() as u64) as usize;
+                            slots.push(unused.swap_remove(at));
+                        }
+                        let config = if next(8) == 0 {
+                            ProcessorConfig::new(1 + next(3) as usize, 1 + next(3) as usize)
+                        } else {
+                            ProcessorConfig::linear(slots.len().max(1))
+                        };
+                        JobState::Running { config }
+                    }
+                };
+                let any = TopologyPref::AnyCount {
+                    min: 1,
+                    max: 9,
+                    step: 1,
+                };
+                let initial = ProcessorConfig::linear(1 + next(4) as usize);
+                let rec = JobRecord {
+                    spec: JobSpec::new("J", any, initial, 3),
+                    state,
+                    slots,
+                    submitted_at: 0.0,
+                    started_at: None,
+                    finished_at: None,
+                };
+                jobs.insert(JobId(id), rec);
+            }
+            let (mut free, mut lent, mut local) = (Vec::new(), Vec::new(), Vec::new());
+            for slot in unused {
+                match next(6) {
+                    0 if slot < 8 => lent.push(slot),
+                    1 if slot >= 8 => local.push(slot),
+                    2 if next(16) == 0 => {}
+                    _ if slot < 8 => free.push(slot),
+                    _ => {}
+                }
+            }
+            let mut profiler = Profiler::new();
+            for &id in jobs.keys() {
+                let mut cfg = || ProcessorConfig::new(1 + next(3) as usize, 1 + next(3) as usize);
+                profiler.record_iteration(id, cfg(), 10.0, 0.0);
+                let (from, to) = (cfg(), cfg());
+                let resize = if next(2) == 0 {
+                    Resize::Expanded { from, to }
+                } else {
+                    Resize::Shrunk { from, to }
+                };
+                profiler.record_resize(id, resize, 1.0);
+            }
+            let pending_cancel: Vec<JobId> = jobs
+                .iter()
+                .filter(|(_, j)| matches!(j.state, JobState::Cancelled { .. }) || next(16) == 0)
+                .map(|(&id, _)| id)
+                .collect();
+            let borrowed = BorrowedLease {
+                local: local.clone(),
+                global: local,
+                lender_epoch: 0,
+            };
+            let checkpoint = Checkpoint {
+                next_id: jobs.len() as u64 + 1,
+                next_reservation: 1,
+                epoch: 0,
+                events_dropped: 0,
+                busy_proc_seconds: 0.0,
+                last_tick: 1.0,
+                expand_paused: false,
+                foreign_minted: 3,
+                free_slots: free,
+                reservations: Vec::new(),
+                lent_leases: [(1, lent)].into_iter().collect(),
+                borrowed_leases: [(2, borrowed)].into_iter().collect(),
+                jobs,
+                bindings: BTreeMap::new(),
+                pending_cancel,
+                profiles: profiler.jobs.into_iter().collect(),
+            };
+            let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
+            if core.restore(checkpoint).is_err() {
+                refused += 1;
+                continue;
+            }
+            accepted += 1;
+            let ids: Vec<JobId> = core.jobs.keys().copied().collect();
+            let mut now = 2.0;
+            for id in ids {
+                now += 1.0;
+                core.resize_point(id, 5.0, 0.0, now);
+                core.on_expand_failed(id, now);
+                let held = core.jobs.get(&id).map_or(0, |j| j.slots.len());
+                if held > 1 {
+                    let dead = [core.jobs[&id].slots[0]];
+                    core.on_node_failed(id, &dead, ProcessorConfig::linear(held - 1), now);
+                }
+                core.cancel(id, now);
+                core.resize_point(id, 5.0, 0.0, now);
+                core.on_finished(id, now);
+            }
+            core.borrow_evict(2, now);
+            core.lend_reclaim(1, now);
+            core.submit(mw(2), now);
+            core.try_schedule(now);
+        }
+        assert!(
+            accepted > 300 && refused > 300,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
 }
