@@ -55,7 +55,7 @@
 //! | `PauseExpansion` | `pause` | `on` `now` |
 //! | `EpochBump` | `epoch` | `epoch` `now` |
 //! | `HealRepair` | `heal` | `lease` *action* `now` |
-//! | `Checkpoint` | `ckpt` | `next_id` `next_reservation` `epoch` `events_dropped` `busy_proc_seconds` `last_tick` `expand_paused` `foreign_minted` *free_slots* *reservations* *lent_leases* *borrowed_leases* *jobs* *bindings* *pending_cancel* *profiles* |
+//! | `Checkpoint` | `ckpt` | its `state`: `next_id` `next_reservation` `epoch` `events_dropped` `busy_proc_seconds` `last_tick` `expand_paused` `foreign_minted` *free_slots* *reservations* *lent_leases* *borrowed_leases* *jobs* *bindings* *pending_cancel* *profiles* |
 //!
 //! Field encodings:
 //!
