@@ -16,11 +16,11 @@
 use std::sync::{Arc, Mutex};
 
 use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
-use reshape_mpisim::{NetModel, Universe};
+use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{
     checkpoint_redistribute, plan_1d, plan_2d, plan_general_1d, plan_general_2d, plan_naive_2d,
-    redistribute_1d, redistribute_2d, redistribute_general_1d, redistribute_general_2d,
-    try_checkpoint_redistribute, try_redistribute_1d, try_redistribute_2d,
+    redistribute_1d, redistribute_2d, redistribute_general, redistribute_general_1d,
+    redistribute_general_2d, try_checkpoint_redistribute, try_redistribute_1d, try_redistribute_2d,
     try_redistribute_general_2d, txn_redistribute_2d, CheckpointParams,
 };
 
@@ -364,6 +364,308 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
     .join_ok();
     let seen = seen.lock().expect("traffic lock").clone();
     seen
+}
+
+/// One randomized 1-D layout pair: `n` elements in blocks of `b`, `p` → `q`
+/// ranks.
+#[derive(Clone, Copy, Debug)]
+pub struct Case1d {
+    pub n: usize,
+    pub b: usize,
+    pub p: usize,
+    pub q: usize,
+}
+
+/// Draw a 1-D case.
+pub fn gen_case_1d(rng: &mut SplitMix64) -> Case1d {
+    Case1d {
+        n: rng.usize_range(1, 120),
+        b: rng.usize_range(1, 6),
+        p: rng.usize_range(1, 5),
+        q: rng.usize_range(1, 5),
+    }
+}
+
+/// The input one [`Path`] runs on.
+#[derive(Clone, Copy, Debug)]
+pub enum Case {
+    TwoD(Case2d),
+    OneD(Case1d),
+    /// The dead-rank matrix: 8×8 in 2×2 blocks, 2×2 → 1×4 (16 elements in
+    /// blocks of 2, 4 → 2 ranks for a 1-D path), rank 3 dead before the
+    /// call.
+    DeadRank,
+}
+
+impl Case {
+    /// Source and destination descriptors of a 2-D path.
+    fn layout_2d(&self) -> (Descriptor, Descriptor) {
+        match *self {
+            Case::TwoD(c) => (
+                Descriptor::new(c.m, c.n, c.mb, c.nb, c.src_grid.0, c.src_grid.1),
+                Descriptor::new(c.m, c.n, c.mb, c.nb, c.dst_grid.0, c.dst_grid.1),
+            ),
+            Case::DeadRank => (
+                Descriptor::square(8, 2, 2, 2),
+                Descriptor::square(8, 2, 1, 4),
+            ),
+            Case::OneD(_) => panic!("a 2-D path needs a 2-D case"),
+        }
+    }
+
+    /// `(n, b, p, q)` of a 1-D path.
+    fn layout_1d(&self) -> Case1d {
+        match *self {
+            Case::OneD(c) => c,
+            Case::DeadRank => Case1d {
+                n: 16,
+                b: 2,
+                p: 4,
+                q: 2,
+            },
+            Case::TwoD(_) => panic!("a 1-D path needs a 1-D case"),
+        }
+    }
+
+    /// Ranks in the universe and cells in the output image.
+    fn size(&self) -> (usize, usize) {
+        match *self {
+            Case::TwoD(c) => (
+                (c.src_grid.0 * c.src_grid.1).max(c.dst_grid.0 * c.dst_grid.1),
+                c.m * c.n,
+            ),
+            Case::OneD(c) => (c.p.max(c.q), c.n),
+            Case::DeadRank => (4, 64),
+        }
+    }
+
+    /// The rank that is dead before the call, if any.
+    fn dead(&self) -> Option<usize> {
+        matches!(self, Case::DeadRank).then_some(3)
+    }
+}
+
+/// Every way to move an array that the redistribution crate offered before
+/// its entry points were merged, one variant per (entry point, plan).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Path {
+    /// `redistribute_2d` over `plan_2d`.
+    Planned2d,
+    /// `redistribute_2d` over `plan_naive_2d`.
+    Naive2d,
+    /// `redistribute_general_2d` over `plan_general_2d`.
+    General2d,
+    /// `txn_redistribute_2d` over `plan_2d`.
+    Txn2d,
+    /// `try_redistribute_2d` over `plan_2d`.
+    TryPlanned2d,
+    /// `try_redistribute_general_2d` over `plan_general_2d`.
+    TryGeneral2d,
+    /// `checkpoint_redistribute`.
+    Checkpoint,
+    /// `try_checkpoint_redistribute`.
+    TryCheckpoint,
+    /// `redistribute_general`, element binning over one `alltoallv`.
+    Binning,
+    /// `redistribute_1d` over `plan_1d`.
+    Planned1d,
+    /// `redistribute_general_1d` over `plan_general_1d`, blocks unchanged.
+    General1d,
+    /// `try_redistribute_1d` over `plan_1d`.
+    TryPlanned1d,
+}
+
+/// The paths that move a 2-D array.
+pub const PATHS_2D: [Path; 9] = [
+    Path::Planned2d,
+    Path::Naive2d,
+    Path::General2d,
+    Path::Txn2d,
+    Path::TryPlanned2d,
+    Path::TryGeneral2d,
+    Path::Checkpoint,
+    Path::TryCheckpoint,
+    Path::Binning,
+];
+
+/// The paths that move a 1-D array.
+pub const PATHS_1D: [Path; 3] = [Path::Planned1d, Path::General1d, Path::TryPlanned1d];
+
+/// The rows of the dead-rank matrix: every path that can refuse to move.
+pub const DEAD_RANK_PATHS: [Path; 5] = [
+    Path::TryPlanned2d,
+    Path::TryGeneral2d,
+    Path::TryCheckpoint,
+    Path::Txn2d,
+    Path::TryPlanned1d,
+];
+
+/// Verdict of a rank whose call returned its layout.
+const MOVED: u64 = u64::MAX;
+
+/// Run `path` on this rank: `Ok` with the `(global index, value)` cells
+/// it holds afterwards, or `Err` with the dead rank it blamed.
+fn dispatch(path: Path, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>, usize> {
+    let me = comm.rank();
+    if PATHS_1D.contains(&path) {
+        let Case1d { n, b, p, q } = case.layout_1d();
+        let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
+        let src = src.as_ref();
+        let got = match path {
+            Path::Planned1d => Ok(redistribute_1d(comm, &plan_1d(n, b, p, q), src)),
+            Path::General1d => Ok(redistribute_general_1d(
+                comm,
+                &plan_general_1d(n, b, p, b, q),
+                src,
+            )),
+            _ => try_redistribute_1d(comm, &plan_1d(n, b, p, q), src).map_err(|e| e.dead_rank),
+        };
+        return got.map(|part| {
+            part.map_or_else(Vec::new, |v| {
+                (0..v.local_len())
+                    .map(|l| (v.global_index(l), v.get_local(l)))
+                    .collect()
+            })
+        });
+    }
+    let (s, d) = case.layout_2d();
+    let src =
+        (me < s.nprow * s.npcol).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, value));
+    let src = src.as_ref();
+    let ckpt = CheckpointParams::default();
+    let got = match path {
+        Path::Planned2d => Ok(redistribute_2d(comm, &plan_2d(s, d), src)),
+        Path::Naive2d => Ok(redistribute_2d(comm, &plan_naive_2d(s, d), src)),
+        Path::General2d => Ok(redistribute_general_2d(comm, &plan_general_2d(s, d), src)),
+        Path::Txn2d => txn_redistribute_2d(comm, &plan_2d(s, d), src).map_err(|e| e.dead_rank),
+        Path::TryPlanned2d => {
+            try_redistribute_2d(comm, &plan_2d(s, d), src).map_err(|e| e.dead_rank)
+        }
+        Path::TryGeneral2d => {
+            try_redistribute_general_2d(comm, &plan_general_2d(s, d), src).map_err(|e| e.dead_rank)
+        }
+        Path::Checkpoint => Ok(checkpoint_redistribute(comm, s, d, src, &ckpt, None)),
+        Path::TryCheckpoint => {
+            try_checkpoint_redistribute(comm, s, d, src, &ckpt, None).map_err(|e| e.dead_rank)
+        }
+        _ => Ok(redistribute_general(comm, s, d, src)),
+    };
+    got.map(|mat| {
+        mat.map_or_else(Vec::new, |m| {
+            let mut cells = Vec::with_capacity(m.local_rows() * m.local_cols());
+            for li in 0..m.local_rows() {
+                let gi = d.local_to_global_row(li, m.myrow);
+                for lj in 0..m.local_cols() {
+                    let gj = d.local_to_global_col(lj, m.mycol);
+                    cells.push((gi * d.n + gj, m.get_local(li, lj)));
+                }
+            }
+            cells
+        })
+    })
+}
+
+/// What one path leaves behind on one case.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Run {
+    /// Every destination cell, [`UNWRITTEN`] where no rank returned it.
+    image: Vec<u64>,
+    /// Per rank, as its call returns: messages sent, payload bytes sent,
+    /// bits of the virtual clock.
+    traffic: Vec<(u64, u64, u64)>,
+    /// Per rank: the dead rank its call blamed, or [`MOVED`].
+    verdicts: Vec<u64>,
+}
+
+/// Run `path` on `case` in a fresh universe over Gigabit Ethernet.
+///
+/// Ranks wait for the case's dead rank by yielding, not by advancing their
+/// clocks, so every clock starts at zero and the traffic is a pure function
+/// of the path and the case. After recording, every live rank waits for the
+/// others, so no rank's exit looks like a death to a peer's pre-flight.
+fn run(path: Path, case: &Case) -> Run {
+    let (ranks, cells) = case.size();
+    let dead = case.dead();
+    let state = Arc::new(Mutex::new(Run {
+        image: vec![UNWRITTEN; cells],
+        traffic: vec![(0, 0, 0); ranks],
+        verdicts: vec![MOVED; ranks],
+    }));
+    let sink = state.clone();
+    let case = *case;
+    let uni = Universe::new(ranks, 1, NetModel::gigabit_ethernet());
+    uni.launch(ranks, None, "diffpath", move |comm| {
+        let me = comm.rank();
+        if Some(me) == dead {
+            return;
+        }
+        if let Some(r) = dead {
+            while comm.rank_alive(r) {
+                std::thread::yield_now();
+            }
+        }
+        let got = dispatch(path, &comm, &case);
+        {
+            let stats = comm.stats();
+            let mut run = sink.lock().expect("run lock");
+            run.traffic[me] = (
+                stats.msgs_sent(),
+                stats.bytes_sent(),
+                comm.vtime().to_bits(),
+            );
+            match got {
+                Ok(cells) => {
+                    for (g, v) in cells {
+                        run.image[g] = v;
+                    }
+                }
+                Err(rank) => run.verdicts[me] = rank as u64,
+            }
+        }
+        let live: Vec<usize> = (0..ranks).filter(|&r| Some(r) != dead).collect();
+        hold(&comm, &live);
+    })
+    .join_ok();
+    let run = state.lock().expect("run lock").clone();
+    run
+}
+
+/// Keep every rank in `live` registered until all of them get here.
+fn hold(comm: &Comm, live: &[usize]) {
+    const TAG_SYNC: u32 = 7_700_000;
+    let (root, rest) = (live[0], &live[1..]);
+    let mut buf: Vec<u64> = Vec::new();
+    if comm.rank() == root {
+        for &r in rest {
+            comm.recv_into(r, TAG_SYNC, &mut buf);
+        }
+        for &r in rest {
+            comm.send(r, TAG_SYNC, &[1u64]);
+        }
+    } else {
+        comm.send(root, TAG_SYNC, &[1u64]);
+        comm.recv_into(root, TAG_SYNC, &mut buf);
+    }
+}
+
+/// FNV-1a over everything `path` leaves behind on `case`: the output image,
+/// each rank's `(messages, bytes, vtime bits)` and the dead-rank verdicts.
+/// A pinned table of these holds every path's results and wire traffic
+/// while the code behind the paths changes.
+pub fn path_digest(path: Path, case: &Case) -> u64 {
+    let run = run(path, case);
+    let words = run
+        .image
+        .iter()
+        .copied()
+        .chain(run.traffic.iter().flat_map(|&(m, b, t)| [m, b, t]))
+        .chain(run.verdicts.iter().copied());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.flat_map(u64::to_le_bytes) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
