@@ -100,8 +100,8 @@ fn measure(n: usize) -> SizeResult {
         // take part in the funnel (the checkpoint is written while the
         // soon-to-die rank is still alive); only ranks 0..3 receive.
         let t0 = comm.vtime();
-        let out =
-            checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default(), None);
+        let out = checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default())
+            .expect("every rank is alive and in the source grid");
         let t_ck = comm.vtime() - t0;
         assert_eq!(out.is_some(), me < 3, "1x3 grid covers ranks 0..3");
         if me == 0 {

@@ -469,7 +469,7 @@ impl ClusterSim {
 
     /// Run the workload to completion and report outcomes.
     ///
-    /// The [`ClusterEngine`] is the one component of a DES
+    /// The `ClusterEngine` is the one component of a DES
     /// [`Simulation`]: arrivals, cancellations, failure injections and
     /// iteration ends all pop from its `(time, key, seq)` queue. The results
     /// are pinned as recorded digests in `tests/snapshots/des_results.txt`,

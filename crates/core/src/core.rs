@@ -348,8 +348,8 @@ impl SchedulerCore {
     }
 
     /// Cap the scheduling trace at `cap` events (default
-    /// [`DEFAULT_EVENT_CAP`]); the oldest events are dropped beyond it and
-    /// counted in [`SchedulerCore::events_dropped`]. Consumers that need
+    /// `DEFAULT_EVENT_CAP`, 65 536); the oldest events are dropped beyond it
+    /// and counted in [`CoreSnapshot::events_dropped`]. Consumers that need
     /// the full trace should call [`SchedulerCore::drain_events`]
     /// periodically instead of raising the cap.
     pub fn with_event_cap(mut self, cap: usize) -> Self {

@@ -539,9 +539,9 @@ impl Comm {
     /// this communicator are dead and a collective `split` would wedge.
     ///
     /// Every survivor derives the same communicator id locally by hashing
-    /// the parent id and the survivor set; bit 63 is forced on, and
-    /// [`crate::router::Router::alloc_comm_id`] allocates sequentially from
-    /// 1, so derived ids can never collide with allocated ones. Two
+    /// the parent id and the survivor set; bit 63 is forced on, and the
+    /// router's `alloc_comm_id` allocates sequentially from 1, so derived
+    /// ids can never collide with allocated ones. Two
     /// different survivor sets of the same parent hash to different ids, so
     /// stale traffic from a disagreeing peer cannot match.
     ///

@@ -4,16 +4,18 @@
 //! Prior systems (DRMS, SRS) resize by checkpointing the global data through
 //! a single node to disk and restarting on the new processor set. This
 //! module reproduces that data path: every source panel funnels to rank 0,
-//! is written to (and read back from) a file, and is scattered to the new
+//! is written to (and read back from) disk, and is scattered to the new
 //! layout. The virtual-time cost model charges the serial funnel plus disk
 //! bandwidth, which is what makes checkpointing 4.5–14.5× slower than
 //! message-based redistribution in the paper.
 
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::Path;
+use std::borrow::Cow;
 
 use reshape_blockcyclic::{Descriptor, DistMatrix};
-use reshape_mpisim::{from_bytes, to_bytes, Comm, NetModel, Pod};
+use reshape_mpisim::{Comm, NetModel, Pod};
+
+use crate::exec::{procs, source_panel};
+use crate::fault::RedistError;
 
 const TAG_CKPT_GATHER: u32 = 8_500_000;
 const TAG_CKPT_SCATTER: u32 = 8_500_001;
@@ -40,112 +42,81 @@ impl Default for CheckpointParams {
 /// Redistribute via checkpoint/restart through rank 0.
 ///
 /// Collective over `comm` (which covers `max(P, Q)` ranks, old grid in the
-/// low `P`, new grid in the low `Q`). If `file` is given the global matrix
-/// genuinely round-trips through that file; otherwise the disk is only
-/// charged in virtual time. Returns the new panel on destination ranks.
+/// low `P`, new grid in the low `Q`). The disk write and read-back of the
+/// global matrix are charged in virtual time on rank 0. Returns the new
+/// panel on destination ranks.
+///
+/// Caller errors are checked before this rank sends anything, as in
+/// [`redistribute`](crate::redistribute): two layouts of different shapes or
+/// a communicator too small fail on every rank, a missing or mismatched
+/// source panel on that rank only. [`preflight`](crate::preflight) with
+/// `max(P, Q)` first turns a dead rank into an error too.
 pub fn checkpoint_redistribute<T: Pod + Default>(
     comm: &Comm,
     src_desc: Descriptor,
     dst_desc: Descriptor,
     src: Option<&DistMatrix<T>>,
     params: &CheckpointParams,
-    file: Option<&Path>,
-) -> Option<DistMatrix<T>> {
-    assert_eq!(
-        (src_desc.m, src_desc.n),
-        (dst_desc.m, dst_desc.n),
-        "shape mismatch"
-    );
-    let p = src_desc.nprow * src_desc.npcol;
-    let q = dst_desc.nprow * dst_desc.npcol;
-    assert!(comm.size() >= p.max(q));
-    let me = comm.rank();
-    let volume_bytes = src_desc.m * src_desc.n * std::mem::size_of::<T>();
-
-    // Phase 1: funnel all panels to rank 0.
-    let full: Option<Vec<T>> = if me == 0 {
-        let mut full = vec![T::default(); src_desc.m * src_desc.n];
-        let place = |full: &mut Vec<T>, panel: &[T], pr: usize, pc: usize| {
-            let lr = src_desc.local_rows(pr);
-            let lc = src_desc.local_cols(pc);
-            assert_eq!(panel.len(), lr * lc);
-            for li in 0..lr {
-                let gi = src_desc.local_to_global_row(li, pr);
-                for lj in 0..lc {
-                    let gj = src_desc.local_to_global_col(lj, pc);
-                    full[gi * src_desc.n + gj] = panel[li * lc + lj];
-                }
-            }
-        };
-        let mine = src.expect("rank 0 is in the source grid");
-        place(&mut full, mine.local_data(), 0, 0);
-        for r in 1..p {
-            let panel: Vec<T> = comm.recv(r, TAG_CKPT_GATHER);
-            place(&mut full, &panel, r / src_desc.npcol, r % src_desc.npcol);
-        }
-        // Phase 2: the checkpoint file itself.
-        if let Some(path) = file {
-            let bytes = to_bytes(&full);
-            let mut f = std::fs::File::create(path).expect("create checkpoint file");
-            f.write_all(&bytes).expect("write checkpoint");
-            f.sync_all().ok();
-            drop(f);
-            let mut f = std::fs::File::open(path).expect("reopen checkpoint file");
-            f.seek(SeekFrom::Start(0)).expect("seek");
-            let mut back = Vec::with_capacity(bytes.len());
-            f.read_to_end(&mut back).expect("read checkpoint");
-            assert_eq!(back.len(), bytes.len(), "checkpoint file truncated");
-            full = from_bytes(&bytes::Bytes::from(back));
-            // The checkpoint exists only to bridge the resize; once read
-            // back it is dead weight (and a stale one would shadow the next
-            // resize's data), so remove it eagerly.
-            let _ = std::fs::remove_file(path);
-        }
-        // Charge disk time regardless of whether a real file was used.
-        comm.advance(
-            volume_bytes as f64 / params.disk_write_bw + volume_bytes as f64 / params.disk_read_bw,
-        );
-        Some(full)
-    } else {
-        if me < p {
-            let mine = src.expect("source rank must supply its panel");
-            comm.send(0, TAG_CKPT_GATHER, mine.local_data());
-        }
-        None
-    };
-
-    // Phase 3: scatter the new layout from rank 0.
-    if me == 0 {
-        let full = full.expect("root holds the matrix");
-        for r in (0..q).rev() {
-            let pr = r / dst_desc.npcol;
-            let pc = r % dst_desc.npcol;
-            let lr = dst_desc.local_rows(pr);
-            let lc = dst_desc.local_cols(pc);
-            let mut panel = Vec::with_capacity(lr * lc);
-            for li in 0..lr {
-                let gi = dst_desc.local_to_global_row(li, pr);
-                for lj in 0..lc {
-                    let gj = dst_desc.local_to_global_col(lj, pc);
-                    panel.push(full[gi * dst_desc.n + gj]);
-                }
-            }
-            if r == 0 {
-                let mut out = DistMatrix::new(dst_desc, 0, 0);
-                out.set_local_data(panel);
-                return Some(out);
-            }
-            comm.send(r, TAG_CKPT_SCATTER, &panel);
-        }
-        unreachable!("loop returns at r == 0");
-    } else if me < q {
-        let panel: Vec<T> = comm.recv(0, TAG_CKPT_SCATTER);
-        let mut out = DistMatrix::new(dst_desc, me / dst_desc.npcol, me % dst_desc.npcol);
-        out.set_local_data(panel);
-        Some(out)
-    } else {
-        None
+) -> Result<Option<DistMatrix<T>>, RedistError> {
+    let (s, d) = (&src_desc, &dst_desc);
+    if (s.m, s.n) != (d.m, d.n) {
+        return Err(RedistError::ShapeMismatch {
+            src: (s.m, s.n),
+            dst: (d.m, d.n),
+        });
     }
+    let local = source_panel(comm, s, d, src)?;
+    let (p, q) = (procs(s), procs(d));
+    let me = comm.rank();
+    if me != 0 {
+        if let Some(panel) = local {
+            comm.send(0, TAG_CKPT_GATHER, panel);
+        }
+        return Ok((me < q).then(|| {
+            let mut out = DistMatrix::new(*d, me / d.npcol, me % d.npcol);
+            out.set_local_data(comm.recv(0, TAG_CKPT_SCATTER));
+            out
+        }));
+    }
+
+    // Phase 1: funnel all panels to rank 0, which is always a source rank.
+    let mut full = vec![T::default(); s.m * s.n];
+    for r in 0..p {
+        let panel = match local {
+            Some(mine) if r == 0 => Cow::Borrowed(mine),
+            _ => Cow::Owned(comm.recv(r, TAG_CKPT_GATHER)),
+        };
+        let (pr, pc) = (r / s.npcol, r % s.npcol);
+        let lc = s.local_cols(pc);
+        debug_assert_eq!(panel.len(), s.local_rows(pr) * lc);
+        for (k, &v) in panel.iter().enumerate() {
+            let gi = s.local_to_global_row(k / lc, pr);
+            full[gi * s.n + s.local_to_global_col(k % lc, pc)] = v;
+        }
+    }
+    // Phase 2: the checkpoint file, written and read back, in virtual time.
+    let volume_bytes = (s.m * s.n * std::mem::size_of::<T>()) as f64;
+    comm.advance(volume_bytes / params.disk_write_bw + volume_bytes / params.disk_read_bw);
+
+    // Phase 3: scatter the new layout from rank 0, its own panel last.
+    let panel_of = |r: usize| {
+        let (pr, pc) = (r / d.npcol, r % d.npcol);
+        let lc = d.local_cols(pc);
+        let mut panel = Vec::with_capacity(d.local_rows(pr) * lc);
+        for li in 0..d.local_rows(pr) {
+            let gi = d.local_to_global_row(li, pr);
+            for lj in 0..lc {
+                panel.push(full[gi * d.n + d.local_to_global_col(lj, pc)]);
+            }
+        }
+        panel
+    };
+    for r in (1..q).rev() {
+        comm.send(r, TAG_CKPT_SCATTER, &panel_of(r));
+    }
+    let mut out = DistMatrix::new(*d, 0, 0);
+    out.set_local_data(panel_of(0));
+    Ok(Some(out))
 }
 
 /// Analytic cost of checkpoint-based redistribution for an `m × n` matrix
@@ -183,24 +154,18 @@ mod tests {
     use super::*;
     use reshape_mpisim::{NetModel, Universe};
 
-    fn round_trip_via_checkpoint(file: bool) {
+    #[test]
+    fn checkpoint_preserves_data_in_memory() {
         let uni = Universe::new(4, 1, NetModel::ideal());
-        let tmp = file
-            .then(|| std::env::temp_dir().join(format!("reshape-ckpt-{}.bin", std::process::id())));
         uni.launch(4, None, "ckpt", move |comm| {
             let s = Descriptor::square(12, 2, 2, 2);
             let d = Descriptor::square(12, 2, 1, 4);
             let me = comm.rank();
             let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 1000 + j) as f64);
-            let out = checkpoint_redistribute(
-                &comm,
-                s,
-                d,
-                Some(&src),
-                &CheckpointParams::default(),
-                tmp.as_deref(),
-            )
-            .expect("all 4 ranks are in the destination grid");
+            let out =
+                checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default())
+                    .unwrap()
+                    .expect("all 4 ranks are in the destination grid");
             for li in 0..out.local_rows() {
                 let gi = d.local_to_global_row(li, out.myrow);
                 for lj in 0..out.local_cols() {
@@ -213,44 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_preserves_data_in_memory() {
-        round_trip_via_checkpoint(false);
-    }
-
-    #[test]
-    fn checkpoint_preserves_data_through_real_file() {
-        round_trip_via_checkpoint(true);
-    }
-
-    #[test]
-    fn checkpoint_file_removed_after_success() {
-        let tmp =
-            std::env::temp_dir().join(format!("reshape-ckpt-clean-{}.bin", std::process::id()));
-        let uni = Universe::new(2, 1, NetModel::ideal());
-        let path = tmp.clone();
-        uni.launch(2, None, "ckpt-clean", move |comm| {
-            let s = Descriptor::square(8, 2, 1, 2);
-            let d = Descriptor::square(8, 2, 2, 1);
-            let me = comm.rank();
-            let src = DistMatrix::from_fn(s, 0, me, |i, j| (i * 9 + j) as f64);
-            checkpoint_redistribute(
-                &comm,
-                s,
-                d,
-                Some(&src),
-                &CheckpointParams::default(),
-                Some(&path),
-            )
-            .expect("both ranks are in the destination grid");
-        })
-        .join_ok();
-        assert!(
-            !tmp.exists(),
-            "checkpoint file must be cleaned up on success"
-        );
-    }
-
-    #[test]
     fn shrink_through_checkpoint() {
         let uni = Universe::new(4, 1, NetModel::ideal());
         uni.launch(4, None, "ckpt-shrink", |comm| {
@@ -258,14 +185,9 @@ mod tests {
             let d = Descriptor::square(8, 2, 1, 2);
             let me = comm.rank();
             let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i + j) as f64);
-            let out = checkpoint_redistribute(
-                &comm,
-                s,
-                d,
-                Some(&src),
-                &CheckpointParams::default(),
-                None,
-            );
+            let out =
+                checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default())
+                    .unwrap();
             if me < 2 {
                 let out = out.unwrap();
                 for li in 0..out.local_rows() {
@@ -291,7 +213,7 @@ mod tests {
             let me = comm.rank();
             let src = DistMatrix::from_fn(s, 0, me, |i, j| (i * j) as f64);
             let t0 = comm.vtime();
-            checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default(), None);
+            checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default()).unwrap();
             if me == 0 {
                 let vol = (64 * 64 * 8) as f64;
                 let expect = vol / 60e6 + vol / 80e6;

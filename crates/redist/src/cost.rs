@@ -12,8 +12,7 @@
 use reshape_mpisim::NetModel;
 
 use crate::exec::{lower_2d, Schedule};
-use crate::exec1d::lower_1d;
-use crate::plan1d::Redist1d;
+use crate::plan1d::{lower_1d, Redist1d};
 use crate::plan2d::Redist2d;
 
 /// Memory bandwidth assumed for packing/unpacking message buffers

@@ -1,6 +1,7 @@
 //! The schedule executor: every scheduled redistribution in this crate —
-//! planned or naive or general, 1-D or 2-D, direct or transactional — is
-//! lowered to one [`Schedule`] and run by the one step loop in [`execute`].
+//! planned or naive or general, 1-D or 2-D, direct or staged — is one
+//! [`Plan`], lowered by [`redistribute`] to one [`Schedule`] and run by the
+//! one step loop in [`execute`].
 //!
 //! The executor runs over a single communicator covering `max(P, Q)` ranks,
 //! where the old grid occupies ranks `0..P` (row-major) and the new grid
@@ -39,17 +40,20 @@ use std::time::Instant;
 use reshape_blockcyclic::{g2l, Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, Pod};
 
-use crate::fault::RedistAbort;
-use crate::general2d::GTransfer2d;
-use crate::plan1d::Redist1d;
+use crate::fault::RedistError;
+use crate::general1d::{lower_general_1d, GeneralPlan1d};
+use crate::general2d::{lower_general_2d, GTransfer2d, GeneralPlan2d};
+use crate::plan1d::{lower_1d, Redist1d};
 use crate::plan2d::Redist2d;
 
-/// Base of the tag range used by [`redistribute_2d`]'s steps. Redistribution
-/// runs at a resize point with no other application traffic in flight, so a
-/// fixed range is safe; it is kept far from small user tags as defense in
-/// depth. Every other entry point has its own range (`8_100_000` txn,
-/// `8_200_000` 1-D, `8_300_000` general 1-D, `8_400_000` general 2-D).
-const TAG_REDIST_BASE: u32 = 8_000_000;
+/// Base of the tag range of a direct move's steps (`base + step`).
+/// Redistribution runs at a resize point with no other application traffic
+/// in flight, so a fixed range is safe; it is kept far from small user tags
+/// as defense in depth.
+const TAG_DIRECT_BASE: u32 = 8_000_000;
+/// Base of a staged move's steps, disjoint from the direct range so an
+/// aborted staged epoch's stragglers can never match a later direct move.
+const TAG_STAGED_BASE: u32 = 8_100_000;
 /// Tag of the staged mode's all-to-all commit vote round.
 const TAG_TXN_VOTE: u32 = 8_199_000;
 
@@ -60,29 +64,190 @@ const VOTE_ABORT: u64 = 0;
 pub(crate) struct Schedule<'a> {
     pub src: Descriptor,
     pub dst: Descriptor,
-    /// Step `t`'s messages carry tag `tag_base + t`.
-    pub tag_base: u32,
     pub steps: Cow<'a, [Vec<GTransfer2d>]>,
 }
 
 impl Schedule<'_> {
     /// Every rank the schedule can name as a source or destination.
     pub fn world(&self) -> usize {
-        (self.src.nprow * self.src.npcol).max(self.dst.nprow * self.dst.npcol)
+        procs(&self.src).max(procs(&self.dst))
+    }
+}
+
+/// Processes in `d`'s grid.
+pub(crate) fn procs(d: &Descriptor) -> usize {
+    d.nprow * d.npcol
+}
+
+/// The `1 × n` layout whose local panels are bit for bit the local parts of
+/// an `n`-element array in blocks of `nb` over `p` processes.
+pub(crate) fn view_1d(n: usize, nb: usize, p: usize) -> Descriptor {
+    Descriptor {
+        m: 1,
+        n,
+        mb: 1,
+        nb,
+        nprow: 1,
+        npcol: p,
+    }
+}
+
+/// A redistribution plan of any kind, borrowed: building one copies neither
+/// the plan nor any data. Every kind lowers to the same step list, so one
+/// [`redistribute`] runs them all; a 1-D kind moves a [`DistVector`] as the
+/// `1 × n` matrix it is.
+#[derive(Clone, Copy, Debug)]
+pub enum Plan<'a> {
+    /// Planned 2-D ([`plan_2d`](crate::plan_2d)) or the naive single burst
+    /// ([`plan_naive_2d`](crate::plan_naive_2d)).
+    TwoD(&'a Redist2d),
+    /// General 2-D: block sizes may change too
+    /// ([`plan_general_2d`](crate::plan_general_2d)).
+    General2d(&'a GeneralPlan2d),
+    /// Planned 1-D ([`plan_1d`](crate::plan_1d)).
+    OneD(&'a Redist1d),
+    /// General 1-D ([`plan_general_1d`](crate::plan_general_1d)).
+    General1d(&'a GeneralPlan1d),
+}
+
+impl<'a> From<&'a Redist2d> for Plan<'a> {
+    fn from(plan: &'a Redist2d) -> Self {
+        Plan::TwoD(plan)
+    }
+}
+
+impl<'a> From<&'a GeneralPlan2d> for Plan<'a> {
+    fn from(plan: &'a GeneralPlan2d) -> Self {
+        Plan::General2d(plan)
+    }
+}
+
+impl<'a> From<&'a Redist1d> for Plan<'a> {
+    fn from(plan: &'a Redist1d) -> Self {
+        Plan::OneD(plan)
+    }
+}
+
+impl<'a> From<&'a GeneralPlan1d> for Plan<'a> {
+    fn from(plan: &'a GeneralPlan1d) -> Self {
+        Plan::General1d(plan)
+    }
+}
+
+impl<'a> From<&Plan<'a>> for Plan<'a> {
+    fn from(plan: &Plan<'a>) -> Self {
+        *plan
+    }
+}
+
+impl<'a> Plan<'a> {
+    /// Every rank the plan can name: the larger layout's process count, the
+    /// ranks [`preflight`](crate::preflight) scans.
+    pub fn world(self) -> usize {
+        match self {
+            Plan::TwoD(p) => procs(&p.src).max(procs(&p.dst)),
+            Plan::General2d(p) => procs(&p.src).max(procs(&p.dst)),
+            Plan::OneD(p) => p.p.max(p.q),
+            Plan::General1d(p) => p.p.max(p.q),
+        }
+    }
+
+    pub(crate) fn lower(self) -> Schedule<'a> {
+        match self {
+            Plan::TwoD(p) => lower_2d(p),
+            Plan::General2d(p) => lower_general_2d(p),
+            Plan::OneD(p) => lower_1d(p),
+            Plan::General1d(p) => lower_general_1d(p),
+        }
     }
 }
 
 /// When received elements reach the destination panel.
-#[derive(Clone, Copy)]
-pub(crate) enum Commit {
-    /// `send_vec` / `recv_with`, each payload unpacked straight out of the
-    /// message as it arrives. A dead peer panics or wedges the transport
-    /// mid-move.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Commit {
+    /// Each payload is packed once into the vector that becomes the message
+    /// (`send_vec`) and unpacked straight out of it as it arrives
+    /// (`recv_with`). A peer that dies mid-move panics or wedges the
+    /// transport.
     Direct,
-    /// `try_send` / `recv_or_failed` into shadow buffers (copying, as those
-    /// calls do), then an all-to-all vote; the destination panel is written
-    /// only if every rank voted OK.
+    /// Survive a rank death inside the movement: sends go through
+    /// `try_send`, which fails once the destination's node has crashed, and
+    /// receives through `recv_or_failed`, which fails once the sender has
+    /// died without sending. Payloads (local moves too) are parked in shadow
+    /// buffers, copying as those calls do. A rank that sees a failure keeps
+    /// driving its remaining sends and receives, so live peers never wait on
+    /// it, but votes ABORT in a final all-to-all round. Only a rank that
+    /// completed every transfer and collected an OK vote from every peer
+    /// unpacks; every other survivor returns [`RedistError::Aborted`] with
+    /// its source untouched and no destination panel.
+    ///
+    /// The vote gives local atomicity, not global agreement: if a rank dies
+    /// midway through casting its votes, a survivor that already has its OK
+    /// may commit while another aborts. The driver's recovery fence resolves
+    /// this: any death during the resize epoch is detected there and every
+    /// survivor discards the epoch's output, committed or not.
     Staged,
+}
+
+/// An array [`redistribute`] can move: a [`DistMatrix`], or a [`DistVector`],
+/// whose local part is bit for bit its panel of the `1 × n` matrix.
+pub trait DistArray: Sized + sealed::Sealed {
+    type Elem: Pod + Default;
+    /// The layout this array is one panel of, and the panel's grid position.
+    fn layout(&self) -> (Descriptor, (usize, usize));
+    /// Whether this array type can be a panel of layout `d`.
+    fn holds(d: &Descriptor) -> bool;
+    /// A zeroed panel of `d`, which [`holds`](Self::holds) accepts, at grid
+    /// position `at`.
+    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self;
+    fn panel(&self) -> &[Self::Elem];
+    fn panel_mut(&mut self) -> &mut [Self::Elem];
+}
+
+mod sealed {
+    /// Only this crate's array types: [`redistribute`](super::redistribute)
+    /// trusts their panels to match their layouts.
+    pub trait Sealed {}
+    impl<T> Sealed for reshape_blockcyclic::DistMatrix<T> {}
+    impl<T> Sealed for reshape_blockcyclic::DistVector<T> {}
+}
+
+impl<T: Pod + Default> DistArray for DistMatrix<T> {
+    type Elem = T;
+    fn layout(&self) -> (Descriptor, (usize, usize)) {
+        (self.desc, (self.myrow, self.mycol))
+    }
+    fn holds(_: &Descriptor) -> bool {
+        true
+    }
+    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self {
+        DistMatrix::new(*d, at.0, at.1)
+    }
+    fn panel(&self) -> &[T] {
+        self.local_data()
+    }
+    fn panel_mut(&mut self) -> &mut [T] {
+        self.local_data_mut()
+    }
+}
+
+impl<T: Pod + Default> DistArray for DistVector<T> {
+    type Elem = T;
+    fn layout(&self) -> (Descriptor, (usize, usize)) {
+        (view_1d(self.n, self.nb, self.nprocs), (0, self.iproc))
+    }
+    fn holds(d: &Descriptor) -> bool {
+        *d == view_1d(d.n, d.nb, d.npcol)
+    }
+    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self {
+        DistVector::new(d.n, d.nb, at.1, d.npcol)
+    }
+    fn panel(&self) -> &[T] {
+        self.local_data()
+    }
+    fn panel_mut(&mut self) -> &mut [T] {
+        self.local_data_mut()
+    }
 }
 
 /// Lower a plan's `steps`, one transfer at a time.
@@ -108,7 +273,6 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
     Schedule {
         src: plan.src,
         dst: plan.dst,
-        tag_base: TAG_REDIST_BASE,
         steps: lower_steps(&plan.steps, |t| GTransfer2d {
             src: t.src,
             dst: t.dst,
@@ -118,80 +282,75 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
     }
 }
 
-/// Execute `plan` collectively. Ranks `0..P` supply their old panel in
-/// `src`; ranks `0..Q` get the new panel back. A rank outside both ranges
-/// (possible transiently during shrink) passes `None` and gets `None`.
+/// Move a distributed array from `plan`'s source layout to its destination
+/// layout, collectively over `comm`: the old layout on ranks `0..P`
+/// (row-major), the new on ranks `0..Q`. Ranks `0..P` pass their panel of
+/// the old layout; ranks `0..Q` get their panel of the new one back, and
+/// every other rank gets `None`. A rank outside the source layout may pass
+/// `None`.
+///
+/// Every rank checks its own arguments before it sends anything. A
+/// communicator smaller than the larger layout, or an array type that
+/// cannot hold the plan's layouts, fails on every rank alike. A source rank
+/// that passes no panel ([`RedistError::MissingSource`]), or a panel whose
+/// descriptor or grid position disagrees with the plan
+/// ([`RedistError::LayoutMismatch`]), fails on that rank only, and as with
+/// a panic, its peers are left waiting inside the collective. Under
+/// [`Commit::Direct`] a peer that dies mid-move may panic or wedge the
+/// collective too; [`preflight`](crate::preflight) first, or
+/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`].
+pub fn redistribute<'p, A: DistArray>(
+    comm: &Comm,
+    plan: impl Into<Plan<'p>>,
+    src: Option<&A>,
+    commit: Commit,
+) -> Result<Option<A>, RedistError> {
+    let sched = plan.into().lower();
+    let (s, d) = (&sched.src, &sched.dst);
+    let local = source_panel(comm, s, d, src)?;
+    let me = comm.rank();
+    let mut out = (me < procs(d)).then(|| A::zeroed(d, (me / d.npcol, me % d.npcol)));
+    execute(comm, &sched, commit, local, out.as_mut().map(A::panel_mut))?;
+    Ok(out)
+}
+
+/// [`redistribute`] of a 2-D plan in [`Commit::Direct`] mode.
 ///
 /// # Panics
 ///
-/// Panics if a rank that the plan says owns source data passes `None`, or
-/// if the supplied matrix disagrees with the plan's source descriptor.
+/// Panics where [`redistribute`] returns an error.
 pub fn redistribute_2d<T: Pod + Default>(
     comm: &Comm,
     plan: &Redist2d,
     src: Option<&DistMatrix<T>>,
 ) -> Option<DistMatrix<T>> {
-    run_2d(comm, &lower_2d(plan), Commit::Direct, src).expect("direct commit cannot abort")
+    redistribute(comm, plan, src, Commit::Direct).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Check this rank's source panel against `sched`, run the schedule, and
-/// return this rank's panel of the new layout.
-pub(crate) fn run_2d<T: Pod + Default>(
+/// Check a call moving `src` from layout `s` to `d` over `comm`, and return
+/// this rank's source panel (`None` outside the source layout).
+pub(crate) fn source_panel<'a, A: DistArray>(
     comm: &Comm,
-    sched: &Schedule<'_>,
-    mode: Commit,
-    src: Option<&DistMatrix<T>>,
-) -> Result<Option<DistMatrix<T>>, RedistAbort> {
-    let (s, d) = (&sched.src, &sched.dst);
-    let me = comm.rank();
-    let local = (me < s.nprow * s.npcol).then(|| {
-        let m = src.unwrap_or_else(|| panic!("rank {me} owns source data but supplied none"));
-        assert_eq!(m.desc, *s, "source matrix descriptor mismatch");
-        assert_eq!(
-            (m.myrow, m.mycol),
-            (me / s.npcol, me % s.npcol),
-            "source matrix grid position mismatch"
-        );
-        m.local_data()
-    });
-    let mut out =
-        (me < d.nprow * d.npcol).then(|| DistMatrix::<T>::new(*d, me / d.npcol, me % d.npcol));
-    execute(
-        comm,
-        sched,
-        mode,
-        local,
-        out.as_mut().map(|m| m.local_data_mut()),
-    )?;
-    Ok(out)
-}
-
-/// [`run_2d`] for a 1-D array on a `1 × n` schedule; always direct.
-pub(crate) fn run_1d<T: Pod + Default>(
-    comm: &Comm,
-    sched: &Schedule<'_>,
-    src: Option<&DistVector<T>>,
-) -> Result<Option<DistVector<T>>, RedistAbort> {
-    let (s, d) = (&sched.src, &sched.dst);
-    let me = comm.rank();
-    let local = (me < s.npcol).then(|| {
-        let v = src.expect("source rank must supply its part");
-        assert_eq!(
-            (v.n, v.nb, v.nprocs, v.iproc),
-            (s.n, s.nb, s.npcol, me),
-            "source layout mismatch"
-        );
-        v.local_data()
-    });
-    let mut out = (me < d.npcol).then(|| DistVector::<T>::new(d.n, d.nb, me, d.npcol));
-    execute(
-        comm,
-        sched,
-        Commit::Direct,
-        local,
-        out.as_mut().map(|v| v.local_data_mut()),
-    )?;
-    Ok(out)
+    s: &Descriptor,
+    d: &Descriptor,
+    src: Option<&'a A>,
+) -> Result<Option<&'a [A::Elem]>, RedistError> {
+    let (size, world) = (comm.size(), procs(s).max(procs(d)));
+    if size < world {
+        return Err(RedistError::CommTooSmall { size, world });
+    }
+    let rank = comm.rank();
+    if !A::holds(s) || !A::holds(d) {
+        return Err(RedistError::LayoutMismatch { rank });
+    }
+    if rank >= procs(s) {
+        return Ok(None);
+    }
+    let a = src.ok_or(RedistError::MissingSource { rank })?;
+    if a.layout() != (*s, (rank / s.npcol, rank % s.npcol)) {
+        return Err(RedistError::LayoutMismatch { rank });
+    }
+    Ok(Some(a.panel()))
 }
 
 /// Run `f`, adding its wall time to `acc` when `on`. Keeps the hot loop
@@ -221,18 +380,20 @@ fn execute<T: Pod + Default>(
     mode: Commit,
     src: Option<&[T]>,
     mut out: Option<&mut [T]>,
-) -> Result<(), RedistAbort> {
+) -> Result<(), RedistError> {
     let (s, d) = (&sched.src, &sched.dst);
     let world = sched.world();
-    assert!(
-        comm.size() >= world,
-        "communicator ({}) smaller than the larger layout ({world})",
-        comm.size()
-    );
     let me = comm.rank();
-    // This rank's coordinates in each grid; outside a grid they match no move.
-    let (my_src, my_dst) = ((me / s.npcol, me % s.npcol), (me / d.npcol, me % d.npcol));
-    let (src_lcols, dst_lcols) = (s.local_cols(my_src.1), d.local_cols(my_dst.1));
+    // This rank's coordinates in each grid it holds a panel of; a rank
+    // outside a grid matches no move there. `my_dst` is set exactly when
+    // `out` is.
+    let my_src = src.is_some().then_some((me / s.npcol, me % s.npcol));
+    let my_dst = out.is_some().then_some((me / d.npcol, me % d.npcol));
+    let (src_lcols, dst_lcols) = (s.local_cols(me % s.npcol), d.local_cols(me % d.npcol));
+    let tag_base = match mode {
+        Commit::Direct => TAG_DIRECT_BASE,
+        Commit::Staged => TAG_STAGED_BASE,
+    };
 
     // Causal trace: one executor span per rank-0 execution, stamped in
     // *virtual* time and parented to whatever span the caller is inside
@@ -255,60 +416,47 @@ fn execute<T: Pod + Default>(
     let mut dead: Option<usize> = None;
 
     for (t, step) in sched.steps.iter().enumerate() {
-        let tag = sched.tag_base + t as u32;
-        // Remote sends first, so their receivers can start while this rank
-        // copies its local moves.
-        for mv in step
-            .iter()
-            .filter(|mv| mv.src == my_src && mv.dst != my_dst)
-        {
-            let local = src.expect("a move from this rank implies a source panel");
-            let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
-            let to = mv.dst.0 * d.npcol + mv.dst.1;
-            transfers += 1;
-            bytes_sent += std::mem::size_of_val(&payload[..]) as u64;
-            let sent = timed(tel, &mut xfer_s, || match mode {
-                Commit::Direct => {
-                    comm.send_vec(to, tag, payload);
-                    Ok(())
+        let tag = tag_base + t as u32;
+        let mine = step.iter().filter(|mv| Some(mv.src) == my_src);
+        if let Some(local) = src {
+            // Remote sends first, so their receivers can start while this
+            // rank copies its local moves.
+            for mv in mine.clone().filter(|mv| Some(mv.dst) != my_dst) {
+                let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
+                let to = mv.dst.0 * d.npcol + mv.dst.1;
+                transfers += 1;
+                bytes_sent += std::mem::size_of_val(&payload[..]) as u64;
+                let sent = timed(tel, &mut xfer_s, || match mode {
+                    Commit::Direct => {
+                        comm.send_vec(to, tag, payload);
+                        Ok(())
+                    }
+                    Commit::Staged => comm.try_send(to, tag, &payload),
+                });
+                if sent.is_err() {
+                    dead.get_or_insert(to);
                 }
-                Commit::Staged => comm.try_send(to, tag, &payload),
-            });
-            if sent.is_err() {
-                dead.get_or_insert(to);
             }
-        }
-        // Local moves: both endpoints are this rank.
-        for mv in step
-            .iter()
-            .filter(|mv| mv.src == my_src && mv.dst == my_dst)
-        {
-            let local = src.expect("a move from this rank implies a source panel");
-            match mode {
-                Commit::Direct => {
-                    let out = out
-                        .as_deref_mut()
-                        .expect("a move to this rank implies a panel");
-                    timed(tel, &mut unpack_s, || {
+            // Local moves: both endpoints are this rank.
+            for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
+                match (mode, out.as_deref_mut()) {
+                    (Commit::Direct, Some(out)) => timed(tel, &mut unpack_s, || {
                         copy_local(local, s, src_lcols, out, d, dst_lcols, mv)
-                    });
+                    }),
+                    _ => staged.push((
+                        mv,
+                        timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
+                    )),
                 }
-                Commit::Staged => staged.push((
-                    mv,
-                    timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
-                )),
             }
         }
         for mv in step
             .iter()
-            .filter(|mv| mv.dst == my_dst && mv.src != my_src)
+            .filter(|mv| Some(mv.dst) == my_dst && Some(mv.src) != my_src)
         {
             let from = mv.src.0 * s.npcol + mv.src.1;
-            match mode {
-                Commit::Direct => {
-                    let out = out
-                        .as_deref_mut()
-                        .expect("a payload implies a destination panel");
+            match (mode, out.as_deref_mut()) {
+                (Commit::Direct, Some(out)) => {
                     // The wait is transfer time; the copy out of the
                     // payload, inside the receive, is unpack time.
                     let mut copy_s = 0.0;
@@ -320,14 +468,12 @@ fn execute<T: Pod + Default>(
                     xfer_s -= copy_s;
                     unpack_s += copy_s;
                 }
-                Commit::Staged => {
-                    match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
-                        Ok(payload) => staged.push((mv, payload)),
-                        Err(()) => {
-                            dead.get_or_insert(from);
-                        }
+                _ => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
+                    Ok(payload) => staged.push((mv, payload)),
+                    Err(()) => {
+                        dead.get_or_insert(from);
                     }
-                }
+                },
             }
         }
     }
@@ -378,7 +524,7 @@ fn execute<T: Pod + Default>(
 /// Commit vote: every rank in the world tells every other whether its own
 /// transfers all completed. A dead peer counts as an ABORT vote. `dead` is
 /// the first failure this rank saw while moving data, if any.
-fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(), RedistAbort> {
+fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(), RedistError> {
     let me = comm.rank();
     let my_vote = if dead.is_none() { VOTE_OK } else { VOTE_ABORT };
     for peer in (0..world).filter(|&r| r != me) {
@@ -398,7 +544,7 @@ fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(),
     if !commit {
         reshape_telemetry::incr("redist.txn_aborts", 1);
         // The staging area is dropped unread; the source was never written.
-        return Err(RedistAbort {
+        return Err(RedistError::Aborted {
             dead_rank: dead.unwrap_or(me),
         });
     }
@@ -496,7 +642,9 @@ fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan1d::plan_1d;
     use crate::plan2d::plan_2d;
+    use proptest::prelude::*;
     use reshape_blockcyclic::Descriptor;
     use reshape_grid::GridContext;
     use reshape_mpisim::{NetModel, Universe};
@@ -710,5 +858,62 @@ mod tests {
             }
         })
         .join_ok();
+    }
+
+    /// A 1-D plan moves a [`DistVector`] through the same executor.
+    fn round_trip_1d(n: usize, b: usize, p: usize, q: usize) {
+        let ranks = p.max(q);
+        Universe::new(ranks, 1, NetModel::ideal())
+            .launch(ranks, None, "r1d", move |comm| {
+                let plan = plan_1d(n, b, p, q);
+                let me = comm.rank();
+                let src =
+                    (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| (g * 31 + 7) as f64));
+                let out = redistribute(&comm, &plan, src.as_ref(), Commit::Direct).unwrap();
+                if me < q {
+                    let out = out.expect("in destination layout");
+                    for l in 0..out.local_len() {
+                        let g = out.global_index(l);
+                        assert_eq!(out.get_local(l), (g * 31 + 7) as f64, "element {g}");
+                    }
+                } else {
+                    assert!(out.is_none());
+                }
+            })
+            .join_ok();
+    }
+
+    #[test]
+    fn expand_2_to_5() {
+        round_trip_1d(40, 2, 2, 5);
+    }
+
+    #[test]
+    fn shrink_6_to_2() {
+        round_trip_1d(36, 3, 6, 2);
+    }
+
+    #[test]
+    fn ragged_tail_block() {
+        round_trip_1d(17, 4, 3, 4);
+    }
+
+    #[test]
+    fn identity_layout() {
+        round_trip_1d(24, 4, 3, 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn random_1d_layouts_preserve_data(
+            n in 1usize..200,
+            b in 1usize..8,
+            p in 1usize..6,
+            q in 1usize..6,
+        ) {
+            round_trip_1d(n, b, p, q);
+        }
     }
 }

@@ -22,14 +22,11 @@
 //! insert edges one at a time; if the endpoints' free colors differ, flip
 //! an alternating path to make one available.
 
-use reshape_blockcyclic::{Descriptor, DistVector};
-use reshape_mpisim::{Comm, NetModel, Pod};
+use reshape_mpisim::NetModel;
 
 use crate::cost::{evaluate, RedistCost, Sum};
-use crate::exec::{lower_steps, run_1d, Schedule};
+use crate::exec::{lower_steps, view_1d, Schedule};
 use crate::general2d::GTransfer2d;
-
-const TAG_GENERAL1D_BASE: u32 = 8_300_000;
 
 /// One coalesced message: `src` (rank in the old layout) sends the listed
 /// global element runs `(start, len)` to `dst` (rank in the new layout).
@@ -202,11 +199,10 @@ fn color_bipartite(edges: &[(usize, usize)], nl: usize, nr: usize) -> Vec<usize>
 }
 
 /// The plan as a schedule over the `1 × n` view of the array.
-fn lower_general_1d(plan: &GeneralPlan1d) -> Schedule<'static> {
+pub(crate) fn lower_general_1d(plan: &GeneralPlan1d) -> Schedule<'static> {
     Schedule {
-        src: Descriptor::new(1, plan.n, 1, plan.b_src, 1, plan.p),
-        dst: Descriptor::new(1, plan.n, 1, plan.b_dst, 1, plan.q),
-        tag_base: TAG_GENERAL1D_BASE,
+        src: view_1d(plan.n, plan.b_src, plan.p),
+        dst: view_1d(plan.n, plan.b_dst, plan.q),
         steps: lower_steps(&plan.steps, |t| GTransfer2d {
             src: (0, t.src),
             dst: (0, t.dst),
@@ -214,16 +210,6 @@ fn lower_general_1d(plan: &GeneralPlan1d) -> Schedule<'static> {
             col_runs: t.runs.clone(),
         }),
     }
-}
-
-/// Execute a general plan collectively over `comm` (old layout ranks
-/// `0..p`, new layout ranks `0..q`).
-pub fn redistribute_general_1d<T: Pod + Default>(
-    comm: &Comm,
-    plan: &GeneralPlan1d,
-    src: Option<&DistVector<T>>,
-) -> Option<DistVector<T>> {
-    run_1d(comm, &lower_general_1d(plan), src).expect("direct commit cannot abort")
 }
 
 /// Contention-aware analytic cost (steps are matchings, so this matches the
@@ -235,7 +221,9 @@ pub fn evaluate_general_1d(plan: &GeneralPlan1d, elem_size: usize, net: &NetMode
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{redistribute, Commit};
     use proptest::prelude::*;
+    use reshape_blockcyclic::DistVector;
     use reshape_mpisim::{NetModel, Universe};
     use std::collections::HashSet;
 
@@ -327,7 +315,7 @@ mod tests {
                 let me = comm.rank();
                 let src =
                     (me < p).then(|| DistVector::from_fn(n, b1, me, p, |g| (g * 17 + 3) as f64));
-                let out = redistribute_general_1d(&comm, &plan, src.as_ref());
+                let out = redistribute(&comm, &plan, src.as_ref(), Commit::Direct).unwrap();
                 if me < q {
                     let out = out.expect("in destination layout");
                     for l in 0..out.local_len() {
@@ -379,7 +367,7 @@ mod tests {
                     let me = comm.rank();
                     let src = (me < p)
                         .then(|| DistVector::from_fn(n, b1, me, p, |g| (g * 7 + 1) as u64));
-                    let out = redistribute_general_1d(&comm, &plan, src.as_ref());
+                    let out = redistribute(&comm, &plan, src.as_ref(), Commit::Direct).unwrap();
                     if me < q {
                         let out = out.expect("in destination layout");
                         for l in 0..out.local_len() {

@@ -10,19 +10,13 @@
 //! handles two messages in a step. Step count is Δ_row · Δ_col; unlike the
 //! 1-D case this product is not always the global optimum, but it
 //! preserves the contention-freedom that matters.
-//!
-//! Compared with [`crate::redistribute_general`] (single-burst element
-//! binning), this pays the same bytes in scheduled, incast-free steps.
 
 use std::borrow::Cow;
 
-use reshape_blockcyclic::{Descriptor, DistMatrix};
-use reshape_mpisim::{Comm, Pod};
+use reshape_blockcyclic::Descriptor;
 
-use crate::exec::{run_2d, Commit, Schedule};
+use crate::exec::Schedule;
 use crate::general1d::{plan_general_1d, GeneralPlan1d};
-
-const TAG_GENERAL2D_BASE: u32 = 8_400_000;
 
 /// One coalesced 2-D message: every element whose global row lies in a
 /// `row_runs` run and whose global column lies in a `col_runs` run.
@@ -110,25 +104,16 @@ pub(crate) fn lower_general_2d(plan: &GeneralPlan2d) -> Schedule<'_> {
     Schedule {
         src: plan.src,
         dst: plan.dst,
-        tag_base: TAG_GENERAL2D_BASE,
         steps: Cow::Borrowed(&plan.steps),
     }
-}
-
-/// Execute a general 2-D plan collectively over `comm` (old grid ranks
-/// `0..P` row-major, new grid ranks `0..Q`).
-pub fn redistribute_general_2d<T: Pod + Default>(
-    comm: &Comm,
-    plan: &GeneralPlan2d,
-    src: Option<&DistMatrix<T>>,
-) -> Option<DistMatrix<T>> {
-    run_2d(comm, &lower_general_2d(plan), Commit::Direct, src).expect("direct commit cannot abort")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{redistribute, Commit};
     use proptest::prelude::*;
+    use reshape_blockcyclic::DistMatrix;
     use reshape_mpisim::{NetModel, Universe};
     use std::collections::HashSet;
 
@@ -164,7 +149,7 @@ mod tests {
                 let src = (me < p).then(|| {
                     DistMatrix::from_fn(src_d, me / sg.1, me % sg.1, |i, j| (i * 4099 + j) as f64)
                 });
-                let out = redistribute_general_2d(&comm, &plan, src.as_ref());
+                let out = redistribute(&comm, &plan, src.as_ref(), Commit::Direct).unwrap();
                 if me < q {
                     let out = out.expect("destination rank gets a panel");
                     for li in 0..out.local_rows() {
@@ -203,27 +188,6 @@ mod tests {
         let general = plan_general_2d(src, dst);
         let fixed = crate::plan_2d(src, dst);
         assert_eq!(general.network_bytes(8), fixed.network_bytes(8));
-    }
-
-    #[test]
-    fn agrees_with_element_binning_general() {
-        // Two independent implementations of the same move must agree.
-        let (m, n) = (21, 18);
-        Universe::new(6, 1, NetModel::ideal())
-            .launch(6, None, "agree-general", move |comm| {
-                let src_d = Descriptor::new(m, n, 3, 2, 2, 3);
-                let dst_d = Descriptor::new(m, n, 4, 5, 3, 2);
-                let me = comm.rank();
-                let src = DistMatrix::from_fn(src_d, me / 3, me % 3, |i, j| (i * 77 + j) as f64);
-                let a = redistribute_general_2d(&comm, &plan_general_2d(src_d, dst_d), Some(&src));
-                let b = crate::redistribute_general(&comm, src_d, dst_d, Some(&src));
-                match (a, b) {
-                    (Some(x), Some(y)) => assert_eq!(x.local_data(), y.local_data()),
-                    (None, None) => {}
-                    _ => panic!("presence mismatch on rank {me}"),
-                }
-            })
-            .join_ok();
     }
 
     proptest! {

@@ -12,29 +12,26 @@
 //! Planners ([`plan_1d`], [`plan_2d`], [`plan_naive_2d`],
 //! [`plan_general_1d`], [`plan_general_2d`]) build schedules; [`cost`] turns
 //! a schedule plus a [`NetModel`](reshape_mpisim::NetModel) into seconds of
-//! virtual time (Figure 2(b), the cluster simulator); and eleven entry
-//! points move real data over a merged communicator (old layout on ranks
-//! `0..P`, new on `0..Q`). Nine of them are shims over **one step-loop
-//! executor** (`exec.rs`): each lowers its plan to a list of steps of
-//! `(from, to, row runs × column runs)` moves — the 2-D checkerboard
-//! schedule is the cross product of two 1-D schedules, so a 1-D array is
-//! just the `1 × n` case — and runs it in one of two commit modes. (The
-//! paper arms MPI persistent requests per step; sends here are buffered,
-//! which is semantically identical.)
+//! virtual time (Figure 2(b), the cluster simulator); and [`redistribute`]
+//! moves real data over a merged communicator (old layout on ranks `0..P`,
+//! new on `0..Q`). It takes any planned kind as one [`Plan`], lowers it to
+//! a list of steps of `(from, to, row runs × column runs)` moves — the 2-D
+//! checkerboard schedule is the cross product of two 1-D schedules, so a
+//! 1-D array is just the `1 × n` case — and runs it through **one step-loop
+//! executor** (`exec.rs`) in one of two [`Commit`] modes. (The paper arms
+//! MPI persistent requests per step; sends here are buffered, which is
+//! semantically identical.)
 //!
-//! | entry point | schedule | commit | pre-flight |
+//! | [`Plan`] | array | [`Commit`] | [`preflight`] first |
 //! |---|---|---|---|
-//! | [`redistribute_2d`] | planned 2-D ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | direct | no |
-//! | [`redistribute_1d`] | planned 1-D ([`plan_1d`]) | direct | no |
-//! | [`redistribute_general_2d`] | general 2-D, blocks may change ([`plan_general_2d`]) | direct | no |
-//! | [`redistribute_general_1d`] | general 1-D ([`plan_general_1d`]) | direct | no |
-//! | [`txn_redistribute_2d`] | planned or naive 2-D | staged | no |
-//! | [`try_redistribute_2d`] | planned or naive 2-D | direct | yes |
-//! | [`try_redistribute_1d`] | planned 1-D | direct | yes |
-//! | [`try_redistribute_general_2d`] | general 2-D | direct | yes |
-//! | [`redistribute_general`] | none — element binning over one `alltoallv` | — | no |
-//! | [`checkpoint_redistribute`] | none — funnel through rank 0 and a file | — | no |
-//! | [`try_checkpoint_redistribute`] | as above | — | yes |
+//! | [`Plan::TwoD`]: planned 2-D ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | [`DistMatrix`](reshape_blockcyclic::DistMatrix) | `Direct` or `Staged` | optional |
+//! | [`Plan::General2d`]: blocks may change ([`plan_general_2d`]) | `DistMatrix` | `Direct` or `Staged` | optional |
+//! | [`Plan::OneD`]: planned 1-D ([`plan_1d`]) | [`DistVector`](reshape_blockcyclic::DistVector) | `Direct` or `Staged` | optional |
+//! | [`Plan::General1d`]: blocks may change ([`plan_general_1d`]) | `DistVector` | `Direct` or `Staged` | optional |
+//! | none — [`checkpoint_redistribute`], funnel through rank 0 and disk | `DistMatrix` | — | optional |
+//!
+//! [`redistribute_2d`] is [`redistribute`] of a 2-D plan in `Direct` mode
+//! that panics instead of returning an error.
 //!
 //! *Direct* commit packs each remote move once, into the vector that
 //! becomes the message (`send_vec`), unpacks it straight out of the
@@ -42,46 +39,40 @@
 //! to span between panels. *Staged* commit sends with `try_send` /
 //! `recv_or_failed`, parks payloads in shadow buffers, and unpacks only
 //! after an all-to-all vote — a death inside the movement leaves the old
-//! layout bitwise intact and returns [`RedistAbort`]. *Pre-flight* scans
-//! `rank_alive` over `0..max(P, Q)` and aborts before any element moves.
-//! It is not always on: `rank_alive` also reports a peer that has *finished
-//! and exited* as dead, and callers of the infallible entry points return
-//! straight after the call, so an always-on scan would turn a fast peer's
-//! normal exit into a false abort. Only the `try_*` callers, who hold every
-//! rank until all have scanned, opt in.
+//! layout bitwise intact and returns [`RedistError::Aborted`]. *Pre-flight*
+//! scans `rank_alive` over `0..max(P, Q)` and aborts before any element
+//! moves. It is not always on: `rank_alive` also reports a peer that has
+//! *finished and exited* as dead, and a caller that returns straight after
+//! the move would turn a fast peer's normal exit into a false abort. Only
+//! callers who hold every rank until all have scanned opt in.
 //!
-//! The last three rows are independent implementations, not shims: the
-//! differential checker compares the executor against them
-//! ([`redistribute_general`]) and the paper compares ReSHAPE against them
-//! ([`checkpoint`], the DRMS/SRS-style baseline of Figure 3(b)).
+//! A caller's mistake — a communicator smaller than the larger layout, a
+//! source rank that passes no panel, a panel of another layout, or (for the
+//! checkpoint funnel) layouts of different shapes — is a [`RedistError`],
+//! returned before the rank sends anything.
+//!
+//! The checkpoint funnel is an independent implementation, not a plan: the
+//! paper compares ReSHAPE against it ([`checkpoint`], the DRMS/SRS-style
+//! baseline of Figure 3(b)). The differential checker in `reshape-testkit`
+//! compares the executor against it and against a second independent one,
+//! element binning over one `alltoallv`.
 
 pub mod checkpoint;
 pub mod cost;
 mod exec;
-mod exec1d;
 mod fault;
-mod general;
 mod general1d;
 mod general2d;
 mod naive;
 mod plan1d;
 mod plan2d;
-mod txn;
 
 pub use checkpoint::{checkpoint_cost, checkpoint_redistribute, CheckpointParams};
 pub use cost::{evaluate_1d, evaluate_2d, evaluate_2d_contended, RedistCost, PACK_BANDWIDTH};
-pub use exec::redistribute_2d;
-pub use exec1d::redistribute_1d;
-pub use fault::{
-    try_checkpoint_redistribute, try_redistribute_1d, try_redistribute_2d,
-    try_redistribute_general_2d, RedistAbort,
-};
-pub use general::redistribute_general;
-pub use general1d::{
-    evaluate_general_1d, plan_general_1d, redistribute_general_1d, GTransfer, GeneralPlan1d,
-};
-pub use general2d::{plan_general_2d, redistribute_general_2d, GTransfer2d, GeneralPlan2d};
+pub use exec::{redistribute, redistribute_2d, Commit, DistArray, Plan};
+pub use fault::{preflight, RedistError};
+pub use general1d::{evaluate_general_1d, plan_general_1d, GTransfer, GeneralPlan1d};
+pub use general2d::{plan_general_2d, GTransfer2d, GeneralPlan2d};
 pub use naive::plan_naive_2d;
 pub use plan1d::{plan_1d, Redist1d, Transfer1d};
 pub use plan2d::{plan_2d, Redist2d, Transfer2d};
-pub use txn::txn_redistribute_2d;

@@ -71,8 +71,8 @@ fn recovery_round_trip_virtual_times_are_pinned() {
         let store = BuddyStore::replicate(&comm, std::slice::from_ref(&src));
         let replicate = comm.vtime() - t0;
         let t0 = comm.vtime();
-        let out =
-            checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default(), None);
+        let out = checkpoint_redistribute(&comm, s, d, Some(&src), &CheckpointParams::default())
+            .expect("every rank is alive and in the source grid");
         let checkpoint = comm.vtime() - t0;
         assert_eq!(out.is_some(), me < 3);
         let mut restore = 0.0;

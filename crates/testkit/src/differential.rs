@@ -1,17 +1,24 @@
 //! Differential redistribution checker.
 //!
-//! The redist crate ships five 2-D data paths (the paper's contention-free
-//! schedule, the naive single-step baseline, the generalized
-//! block-size-changing executor, the checkpoint/restart funnel, and the
-//! transactional commit of the paper's schedule) and two 1-D paths. For any
-//! source/destination layout they must all produce the *bitwise identical*
-//! destination matrix — and under an injected node death, all fault-checked
-//! variants must refuse to move a single element. [`executor_traffic`]
-//! additionally pins what each scheduled path puts on the wire.
+//! The redist crate moves a distributed array through one `redistribute`,
+//! over a (plan × commit × pre-flight) product: four plan kinds (planned or
+//! naive 2-D, general 2-D, planned 1-D, general 1-D), direct or staged
+//! commit, with or without the liveness pre-flight. Beside it stand two
+//! independent implementations: the checkpoint/restart funnel, and the
+//! [`binning`](crate::binning) oracle, which shares no code with the
+//! crate. For any source/destination layout every [`Route`] through them
+//! must produce the *bitwise identical* destination — and under an injected
+//! node death, every pre-flighted or staged route must refuse to move a
+//! single element.
 //!
-//! Each path runs in its own fresh [`Universe`] over identical seeded
-//! inputs; destination panels are written into a shared full-matrix image
-//! and the images are compared byte for byte.
+//! Two pins hold the code behind the routes still: [`path_digest`] hashes
+//! the output, traffic and verdicts of each of the eleven entry points the
+//! crate had before they became one (each a [`Path`]), and
+//! [`executor_traffic`] records what each scheduled path puts on the wire.
+//!
+//! Each route runs in its own fresh [`Universe`] over identical seeded
+//! inputs; destination panels are written into a shared full-array image
+//! and the images are compared element for element.
 
 use std::sync::{Arc, Mutex};
 
@@ -19,14 +26,13 @@ use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{
     checkpoint_redistribute, plan_1d, plan_2d, plan_general_1d, plan_general_2d, plan_naive_2d,
-    redistribute_1d, redistribute_2d, redistribute_general, redistribute_general_1d,
-    redistribute_general_2d, try_checkpoint_redistribute, try_redistribute_1d, try_redistribute_2d,
-    try_redistribute_general_2d, txn_redistribute_2d, CheckpointParams,
+    preflight, redistribute, CheckpointParams, Commit, RedistError,
 };
 
+use crate::binning::redistribute_general;
 use crate::rng::SplitMix64;
 
-/// One randomized 2-D layout pair. All five 2-D paths must agree on it.
+/// One randomized 2-D layout pair. Every 2-D route must agree on it.
 #[derive(Clone, Copy, Debug)]
 pub struct Case2d {
     pub m: usize,
@@ -38,7 +44,7 @@ pub struct Case2d {
 }
 
 /// Draw a 2-D case. Grids are kept ≤ 3×3 so a full differential sweep over
-/// five paths stays fast; matrix shapes and block sizes are ragged on
+/// every route stays fast; matrix shapes and block sizes are ragged on
 /// purpose.
 pub fn gen_case_2d(rng: &mut SplitMix64) -> Case2d {
     Case2d {
@@ -60,222 +66,126 @@ fn value(gi: usize, gj: usize) -> u64 {
 /// Sentinel for "no path wrote this element".
 const UNWRITTEN: u64 = u64::MAX;
 
+/// What moves the array along a [`Route`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Path2d {
-    Planned,
-    Naive,
-    General,
+pub enum Mover {
+    /// `redistribute` of a `plan_2d` plan.
+    Planned2d,
+    /// `redistribute` of a `plan_naive_2d` plan.
+    Naive2d,
+    /// `redistribute` of a `plan_general_2d` plan, blocks unchanged.
+    General2d,
+    /// `redistribute` of a `plan_1d` plan.
+    Planned1d,
+    /// `redistribute` of a `plan_general_1d` plan, blocks unchanged.
+    General1d,
+    /// `checkpoint_redistribute`.
     Checkpoint,
-    Txn,
+    /// The [`binning`](crate::binning) oracle.
+    Binning,
 }
 
-const ALL_2D: [Path2d; 5] = [
-    Path2d::Planned,
-    Path2d::Naive,
-    Path2d::General,
-    Path2d::Checkpoint,
-    Path2d::Txn,
+/// Every mover of a 2-D array.
+pub const MOVERS_2D: [Mover; 5] = [
+    Mover::Planned2d,
+    Mover::Naive2d,
+    Mover::General2d,
+    Mover::Checkpoint,
+    Mover::Binning,
 ];
 
-/// Run one 2-D path to completion and return the assembled destination
-/// image.
-fn run_path_2d(case: &Case2d, which: Path2d) -> Vec<u64> {
-    let (m, n, mb, nb) = (case.m, case.n, case.mb, case.nb);
-    let (sg, dg) = (case.src_grid, case.dst_grid);
-    let p = sg.0 * sg.1;
-    let q = dg.0 * dg.1;
-    let ranks = p.max(q);
-    let image = Arc::new(Mutex::new(vec![UNWRITTEN; m * n]));
-    let out = image.clone();
-    let uni = Universe::new(ranks, 1, NetModel::ideal());
-    uni.launch(ranks, None, "diff2d", move |comm| {
-        let src_desc = Descriptor::new(m, n, mb, nb, sg.0, sg.1);
-        let dst_desc = Descriptor::new(m, n, mb, nb, dg.0, dg.1);
-        let me = comm.rank();
-        let src = (me < p).then(|| DistMatrix::from_fn(src_desc, me / sg.1, me % sg.1, value));
-        let got: Option<DistMatrix<u64>> = match which {
-            Path2d::Planned => redistribute_2d(&comm, &plan_2d(src_desc, dst_desc), src.as_ref()),
-            Path2d::Naive => {
-                redistribute_2d(&comm, &plan_naive_2d(src_desc, dst_desc), src.as_ref())
-            }
-            Path2d::General => {
-                redistribute_general_2d(&comm, &plan_general_2d(src_desc, dst_desc), src.as_ref())
-            }
-            Path2d::Checkpoint => checkpoint_redistribute(
-                &comm,
-                src_desc,
-                dst_desc,
-                src.as_ref(),
-                &CheckpointParams::default(),
-                None,
-            ),
-            Path2d::Txn => txn_redistribute_2d(&comm, &plan_2d(src_desc, dst_desc), src.as_ref())
-                .expect("every rank is alive, so the transaction commits"),
-        };
-        if let Some(mat) = got {
-            let mut buf = out.lock().expect("image lock");
-            for li in 0..mat.local_rows() {
-                let gi = dst_desc.local_to_global_row(li, mat.myrow);
-                for lj in 0..mat.local_cols() {
-                    let gj = dst_desc.local_to_global_col(lj, mat.mycol);
-                    buf[gi * n + gj] = mat.get_local(li, lj);
-                }
-            }
-        }
-    })
-    .join_ok();
-    let img = image.lock().expect("image lock").clone();
-    img
+/// Every mover of a 1-D array.
+pub const MOVERS_1D: [Mover; 2] = [Mover::Planned1d, Mover::General1d];
+
+/// One way to move an array: a mover, the commit mode of a plan's move, and
+/// whether the liveness pre-flight runs first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Route {
+    pub mover: Mover,
+    pub commit: Commit,
+    pub preflight: bool,
 }
 
-/// Run every 2-D path on `case` and demand bitwise-identical, complete,
+/// Every route through `movers`: a plan moves in either commit mode, the
+/// checkpoint funnel has none, and the oracle never pre-flights.
+pub fn routes(movers: &[Mover]) -> Vec<Route> {
+    let mut all = Vec::new();
+    for &mover in movers {
+        let commits: &[Commit] = match mover {
+            Mover::Checkpoint | Mover::Binning => &[Commit::Direct],
+            _ => &[Commit::Direct, Commit::Staged],
+        };
+        let checks: &[bool] = match mover {
+            Mover::Binning => &[false],
+            _ => &[false, true],
+        };
+        for &commit in commits {
+            for &preflight in checks {
+                all.push(Route {
+                    mover,
+                    commit,
+                    preflight,
+                });
+            }
+        }
+    }
+    all
+}
+
+/// Demand that every route through `movers` writes `case`'s whole array,
+/// element for element as [`value`] made it.
+fn agree(movers: &[Mover], case: &Case, expected: &[u64]) -> Result<(), String> {
+    for route in routes(movers) {
+        let img = run(route, case).image;
+        if let Some(bad) = img.iter().zip(expected).position(|(a, b)| a != b) {
+            return Err(format!(
+                "{route:?} diverges on {case:?} at element {bad}: got {}, want {}",
+                img[bad], expected[bad]
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Run every 2-D route on `case` and demand bitwise-identical, complete,
 /// correct destination images.
 pub fn differential_2d(case: &Case2d) -> Result<(), String> {
     let expected: Vec<u64> = (0..case.m)
         .flat_map(|i| (0..case.n).map(move |j| value(i, j)))
         .collect();
-    for which in ALL_2D {
-        let img = run_path_2d(case, which);
-        if img != expected {
-            let bad = img
-                .iter()
-                .zip(&expected)
-                .position(|(a, b)| a != b)
-                .expect("images differ");
-            return Err(format!(
-                "{which:?} diverges on {case:?} at element ({}, {}): got {}, want {}",
-                bad / case.n,
-                bad % case.n,
-                img[bad],
-                expected[bad]
-            ));
-        }
-    }
-    Ok(())
+    agree(&MOVERS_2D, &Case::TwoD(*case), &expected)
 }
 
-/// 1-D differential: the table-based 1-D schedule against the generalized
-/// 1-D executor, element-for-element.
+/// 1-D differential: every route of the table-based 1-D schedule and the
+/// generalized 1-D plan, element for element.
 pub fn differential_1d(n: usize, b: usize, p: usize, q: usize) -> Result<(), String> {
-    let mut images: Vec<Vec<u64>> = Vec::new();
-    for which in 0..2u8 {
-        let image = Arc::new(Mutex::new(vec![UNWRITTEN; n]));
-        let out = image.clone();
-        let ranks = p.max(q);
-        let uni = Universe::new(ranks, 1, NetModel::ideal());
-        uni.launch(ranks, None, "diff1d", move |comm| {
-            let me = comm.rank();
-            let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
-            let got: Option<DistVector<u64>> = if which == 0 {
-                redistribute_1d(&comm, &plan_1d(n, b, p, q), src.as_ref())
-            } else {
-                redistribute_general_1d(&comm, &plan_general_1d(n, b, p, b, q), src.as_ref())
-            };
-            if let Some(part) = got {
-                let mut buf = out.lock().expect("image lock");
-                for l in 0..part.local_len() {
-                    buf[part.global_index(l)] = part.get_local(l);
-                }
-            }
-        })
-        .join_ok();
-        let img = image.lock().expect("image lock").clone();
-        images.push(img);
-    }
     let expected: Vec<u64> = (0..n).map(|g| value(g, 0)).collect();
-    for (i, img) in images.iter().enumerate() {
-        if *img != expected {
-            return Err(format!(
-                "1-D path {i} diverges for n={n} b={b} p={p}->q={q}"
-            ));
-        }
-    }
-    Ok(())
+    agree(&MOVERS_1D, &Case::OneD(Case1d { n, b, p, q }), &expected)
 }
 
-/// Every fault-aware variant must abort — identically, and without touching
-/// the source — when a rank in the layout is dead.
+/// Every pre-flighted or staged route must abort — identically, and without
+/// returning any destination panel — when a rank in the layout is dead; a
+/// pre-flighted one before sending a single message.
 pub fn dead_rank_aborts_2d() -> Result<(), String> {
-    #[derive(Clone, Copy)]
-    enum TryPath {
-        Planned,
-        General,
-        Checkpoint,
-        Txn,
-        Planned1d,
-    }
-    for (label, which) in [
-        ("planned", TryPath::Planned),
-        ("general", TryPath::General),
-        ("checkpoint", TryPath::Checkpoint),
-        ("txn", TryPath::Txn),
-        ("planned-1d", TryPath::Planned1d),
-    ] {
-        let verdicts = Arc::new(Mutex::new(Vec::<usize>::new()));
-        let sink = verdicts.clone();
-        let uni = Universe::new(4, 1, NetModel::ideal());
-        uni.launch(4, None, "deadrank", move |comm| {
-            let s = Descriptor::square(8, 2, 2, 2);
-            let d = Descriptor::square(8, 2, 1, 4);
-            let me = comm.rank();
-            if me == 3 {
-                return; // the injected death
-            }
-            while comm.rank_alive(3) {
-                comm.advance(0.001);
-            }
-            let src = DistMatrix::from_fn(s, me / 2, me % 2, value);
-            let src_1d = DistVector::from_fn(16, 2, me, 4, |g| value(g, 0));
-            let snapshot = (src.local_data().to_vec(), src_1d.local_data().to_vec());
-            let err =
-                match which {
-                    TryPath::Planned => try_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
-                        .expect_err("must abort"),
-                    TryPath::General => {
-                        try_redistribute_general_2d(&comm, &plan_general_2d(s, d), Some(&src))
-                            .expect_err("must abort")
-                    }
-                    TryPath::Checkpoint => try_checkpoint_redistribute(
-                        &comm,
-                        s,
-                        d,
-                        Some(&src),
-                        &CheckpointParams::default(),
-                        None,
-                    )
-                    .expect_err("must abort"),
-                    TryPath::Txn => txn_redistribute_2d(&comm, &plan_2d(s, d), Some(&src))
-                        .expect_err("must abort"),
-                    TryPath::Planned1d => {
-                        try_redistribute_1d(&comm, &plan_1d(16, 2, 4, 2), Some(&src_1d))
-                            .expect_err("must abort")
-                    }
-                };
-            assert_eq!(
-                (src.local_data(), src_1d.local_data()),
-                (&snapshot.0[..], &snapshot.1[..]),
-                "abort moved data"
-            );
-            sink.lock().expect("verdict lock").push(err.dead_rank);
-            // Hold every survivor until all three have scanned liveness, so
-            // a finished peer is not mistaken for a dead one.
-            const TAG_SYNC: u32 = 7_700_000;
-            let mut buf: Vec<u64> = Vec::new();
-            if me == 0 {
-                comm.recv_into(1, TAG_SYNC, &mut buf);
-                comm.recv_into(2, TAG_SYNC, &mut buf);
-                comm.send(1, TAG_SYNC, &[1u64]);
-                comm.send(2, TAG_SYNC, &[1u64]);
-            } else {
-                comm.send(0, TAG_SYNC, &[me as u64]);
-                comm.recv_into(0, TAG_SYNC, &mut buf);
-            }
-        })
-        .join_ok();
-        let verdicts = verdicts.lock().expect("verdict lock").clone();
-        if verdicts != vec![3, 3, 3] {
+    let all: Vec<Mover> = MOVERS_2D.iter().chain(&MOVERS_1D).copied().collect();
+    for route in routes(&all) {
+        if !route.preflight && route.commit == Commit::Direct {
+            continue;
+        }
+        let run = run(route, &Case::DeadRank);
+        if run.verdicts[..3] != [3, 3, 3] {
             return Err(format!(
-                "{label}: expected all three survivors to blame rank 3, got {verdicts:?}"
+                "{route:?}: expected all three survivors to blame rank 3, got {:?}",
+                run.verdicts
+            ));
+        }
+        if run.image.iter().any(|&v| v != UNWRITTEN) {
+            return Err(format!("{route:?}: an aborted move returned data"));
+        }
+        if route.preflight && run.traffic.iter().any(|&(msgs, _, _)| msgs != 0) {
+            return Err(format!(
+                "{route:?}: pre-flight abort sent messages: {:?}",
+                run.traffic
             ));
         }
     }
@@ -286,20 +196,20 @@ pub fn dead_rank_aborts_2d() -> Result<(), String> {
 /// measures, one fixed layout pair each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficPath {
-    /// `redistribute_2d`, 17×23 in 3×2 blocks, 2×2 → 2×3.
+    /// `plan_2d`, direct, 17×23 in 3×2 blocks, 2×2 → 2×3.
     PlannedExpand,
-    /// `redistribute_2d`, the same matrix 2×3 → 2×2.
+    /// `plan_2d`, direct, the same matrix 2×3 → 2×2.
     PlannedShrink,
-    /// `redistribute_2d` over `plan_naive_2d`, 2×2 → 2×3.
+    /// `plan_naive_2d`, direct, 2×2 → 2×3.
     Naive,
-    /// `redistribute_general_2d`, 20×24 from 2×3 blocks on 2×2 to 5×4
+    /// `plan_general_2d`, direct, 20×24 from 2×3 blocks on 2×2 to 5×4
     /// blocks on 3×2.
     General2d,
-    /// `redistribute_1d`, 37 elements in blocks of 3, 3 → 5 ranks.
+    /// `plan_1d`, direct, 37 elements in blocks of 3, 3 → 5 ranks.
     Planned1d,
-    /// `redistribute_general_1d`, 50 elements, blocks 3 → 7, 2 → 4 ranks.
+    /// `plan_general_1d`, direct, 50 elements, blocks 3 → 7, 2 → 4 ranks.
     General1d,
-    /// `txn_redistribute_2d` committing the `PlannedExpand` move.
+    /// `plan_2d`, staged, committing the `PlannedExpand` move.
     TxnCommit,
 }
 
@@ -327,33 +237,37 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
         };
         let narrow = Descriptor::new(17, 23, 3, 2, 2, 2);
         let wide = Descriptor::new(17, 23, 3, 2, 2, 3);
-        match path {
+        let direct = Commit::Direct;
+        let moved = match path {
             TrafficPath::PlannedExpand => {
-                redistribute_2d(&comm, &plan_2d(narrow, wide), mat(narrow).as_ref());
+                redistribute(&comm, &plan_2d(narrow, wide), mat(narrow).as_ref(), direct).map(drop)
             }
             TrafficPath::PlannedShrink => {
-                redistribute_2d(&comm, &plan_2d(wide, narrow), mat(wide).as_ref());
+                redistribute(&comm, &plan_2d(wide, narrow), mat(wide).as_ref(), direct).map(drop)
             }
             TrafficPath::Naive => {
-                redistribute_2d(&comm, &plan_naive_2d(narrow, wide), mat(narrow).as_ref());
+                let plan = plan_naive_2d(narrow, wide);
+                redistribute(&comm, &plan, mat(narrow).as_ref(), direct).map(drop)
             }
             TrafficPath::General2d => {
                 let s = Descriptor::new(20, 24, 2, 3, 2, 2);
                 let d = Descriptor::new(20, 24, 5, 4, 3, 2);
-                redistribute_general_2d(&comm, &plan_general_2d(s, d), mat(s).as_ref());
+                redistribute(&comm, &plan_general_2d(s, d), mat(s).as_ref(), direct).map(drop)
             }
             TrafficPath::Planned1d => {
-                redistribute_1d(&comm, &plan_1d(37, 3, 3, 5), vec(37, 3, 3).as_ref());
+                let plan = plan_1d(37, 3, 3, 5);
+                redistribute(&comm, &plan, vec(37, 3, 3).as_ref(), direct).map(drop)
             }
             TrafficPath::General1d => {
                 let plan = plan_general_1d(50, 3, 2, 7, 4);
-                redistribute_general_1d(&comm, &plan, vec(50, 3, 2).as_ref());
+                redistribute(&comm, &plan, vec(50, 3, 2).as_ref(), direct).map(drop)
             }
             TrafficPath::TxnCommit => {
-                txn_redistribute_2d(&comm, &plan_2d(narrow, wide), mat(narrow).as_ref())
-                    .expect("every rank is alive, so the transaction commits");
+                let plan = plan_2d(narrow, wide);
+                redistribute(&comm, &plan, mat(narrow).as_ref(), Commit::Staged).map(drop)
             }
-        }
+        };
+        moved.expect("every rank is alive, so the move commits");
         let stats = comm.stats();
         sink.lock().expect("traffic lock")[me] = (
             stats.msgs_sent(),
@@ -445,8 +359,8 @@ impl Case {
     }
 }
 
-/// Every way to move an array that the redistribution crate offered before
-/// its entry points were merged, one variant per (entry point, plan).
+/// Every way to move an array that the redistribution crate offered while
+/// it had eleven entry points, one variant per (entry point, plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Path {
     /// `redistribute_2d` over `plan_2d`.
@@ -473,6 +387,31 @@ pub enum Path {
     General1d,
     /// `try_redistribute_1d` over `plan_1d`.
     TryPlanned1d,
+}
+
+impl Path {
+    /// The route this entry point now is.
+    pub fn route(self) -> Route {
+        let (mover, commit, preflight) = match self {
+            Path::Planned2d => (Mover::Planned2d, Commit::Direct, false),
+            Path::Naive2d => (Mover::Naive2d, Commit::Direct, false),
+            Path::General2d => (Mover::General2d, Commit::Direct, false),
+            Path::Txn2d => (Mover::Planned2d, Commit::Staged, false),
+            Path::TryPlanned2d => (Mover::Planned2d, Commit::Direct, true),
+            Path::TryGeneral2d => (Mover::General2d, Commit::Direct, true),
+            Path::Checkpoint => (Mover::Checkpoint, Commit::Direct, false),
+            Path::TryCheckpoint => (Mover::Checkpoint, Commit::Direct, true),
+            Path::Binning => (Mover::Binning, Commit::Direct, false),
+            Path::Planned1d => (Mover::Planned1d, Commit::Direct, false),
+            Path::General1d => (Mover::General1d, Commit::Direct, false),
+            Path::TryPlanned1d => (Mover::Planned1d, Commit::Direct, true),
+        };
+        Route {
+            mover,
+            commit,
+            preflight,
+        }
+    }
 }
 
 /// The paths that move a 2-D array.
@@ -503,66 +442,52 @@ pub const DEAD_RANK_PATHS: [Path; 5] = [
 /// Verdict of a rank whose call returned its layout.
 const MOVED: u64 = u64::MAX;
 
-/// Run `path` on this rank: `Ok` with the `(global index, value)` cells
-/// it holds afterwards, or `Err` with the dead rank it blamed.
-fn dispatch(path: Path, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>, usize> {
+/// Move `case`'s array along `route` on this rank: `Ok` with the
+/// `(global index, value)` cells it holds afterwards.
+fn dispatch(route: Route, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>, RedistError> {
     let me = comm.rank();
-    if PATHS_1D.contains(&path) {
+    if MOVERS_1D.contains(&route.mover) {
         let Case1d { n, b, p, q } = case.layout_1d();
+        if route.preflight {
+            preflight(comm, p.max(q))?;
+        }
         let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
         let src = src.as_ref();
-        let got = match path {
-            Path::Planned1d => Ok(redistribute_1d(comm, &plan_1d(n, b, p, q), src)),
-            Path::General1d => Ok(redistribute_general_1d(
-                comm,
-                &plan_general_1d(n, b, p, b, q),
-                src,
-            )),
-            _ => try_redistribute_1d(comm, &plan_1d(n, b, p, q), src).map_err(|e| e.dead_rank),
-        };
-        return got.map(|part| {
-            part.map_or_else(Vec::new, |v| {
-                (0..v.local_len())
-                    .map(|l| (v.global_index(l), v.get_local(l)))
-                    .collect()
-            })
-        });
+        let got: Option<DistVector<u64>> = match route.mover {
+            Mover::Planned1d => redistribute(comm, &plan_1d(n, b, p, q), src, route.commit),
+            _ => redistribute(comm, &plan_general_1d(n, b, p, b, q), src, route.commit),
+        }?;
+        return Ok(got.map_or_else(Vec::new, |v| {
+            (0..v.local_len())
+                .map(|l| (v.global_index(l), v.get_local(l)))
+                .collect()
+        }));
     }
     let (s, d) = case.layout_2d();
-    let src =
-        (me < s.nprow * s.npcol).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, value));
+    let (p, q) = (s.nprow * s.npcol, d.nprow * d.npcol);
+    if route.preflight {
+        preflight(comm, p.max(q))?;
+    }
+    let src = (me < p).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, value));
     let src = src.as_ref();
-    let ckpt = CheckpointParams::default();
-    let got = match path {
-        Path::Planned2d => Ok(redistribute_2d(comm, &plan_2d(s, d), src)),
-        Path::Naive2d => Ok(redistribute_2d(comm, &plan_naive_2d(s, d), src)),
-        Path::General2d => Ok(redistribute_general_2d(comm, &plan_general_2d(s, d), src)),
-        Path::Txn2d => txn_redistribute_2d(comm, &plan_2d(s, d), src).map_err(|e| e.dead_rank),
-        Path::TryPlanned2d => {
-            try_redistribute_2d(comm, &plan_2d(s, d), src).map_err(|e| e.dead_rank)
-        }
-        Path::TryGeneral2d => {
-            try_redistribute_general_2d(comm, &plan_general_2d(s, d), src).map_err(|e| e.dead_rank)
-        }
-        Path::Checkpoint => Ok(checkpoint_redistribute(comm, s, d, src, &ckpt, None)),
-        Path::TryCheckpoint => {
-            try_checkpoint_redistribute(comm, s, d, src, &ckpt, None).map_err(|e| e.dead_rank)
-        }
+    let got = match route.mover {
+        Mover::Planned2d => redistribute(comm, &plan_2d(s, d), src, route.commit),
+        Mover::Naive2d => redistribute(comm, &plan_naive_2d(s, d), src, route.commit),
+        Mover::General2d => redistribute(comm, &plan_general_2d(s, d), src, route.commit),
+        Mover::Checkpoint => checkpoint_redistribute(comm, s, d, src, &CheckpointParams::default()),
         _ => Ok(redistribute_general(comm, s, d, src)),
-    };
-    got.map(|mat| {
-        mat.map_or_else(Vec::new, |m| {
-            let mut cells = Vec::with_capacity(m.local_rows() * m.local_cols());
-            for li in 0..m.local_rows() {
-                let gi = d.local_to_global_row(li, m.myrow);
-                for lj in 0..m.local_cols() {
-                    let gj = d.local_to_global_col(lj, m.mycol);
-                    cells.push((gi * d.n + gj, m.get_local(li, lj)));
-                }
+    }?;
+    Ok(got.map_or_else(Vec::new, |m| {
+        let mut cells = Vec::with_capacity(m.local_rows() * m.local_cols());
+        for li in 0..m.local_rows() {
+            let gi = d.local_to_global_row(li, m.myrow);
+            for lj in 0..m.local_cols() {
+                let gj = d.local_to_global_col(lj, m.mycol);
+                cells.push((gi * d.n + gj, m.get_local(li, lj)));
             }
-            cells
-        })
-    })
+        }
+        cells
+    }))
 }
 
 /// What one path leaves behind on one case.
@@ -577,13 +502,13 @@ struct Run {
     verdicts: Vec<u64>,
 }
 
-/// Run `path` on `case` in a fresh universe over Gigabit Ethernet.
+/// Run `route` on `case` in a fresh universe over Gigabit Ethernet.
 ///
 /// Ranks wait for the case's dead rank by yielding, not by advancing their
 /// clocks, so every clock starts at zero and the traffic is a pure function
 /// of the path and the case. After recording, every live rank waits for the
 /// others, so no rank's exit looks like a death to a peer's pre-flight.
-fn run(path: Path, case: &Case) -> Run {
+fn run(route: Route, case: &Case) -> Run {
     let (ranks, cells) = case.size();
     let dead = case.dead();
     let state = Arc::new(Mutex::new(Run {
@@ -604,7 +529,7 @@ fn run(path: Path, case: &Case) -> Run {
                 std::thread::yield_now();
             }
         }
-        let got = dispatch(path, &comm, &case);
+        let got = dispatch(route, &comm, &case);
         {
             let stats = comm.stats();
             let mut run = sink.lock().expect("run lock");
@@ -619,7 +544,8 @@ fn run(path: Path, case: &Case) -> Run {
                         run.image[g] = v;
                     }
                 }
-                Err(rank) => run.verdicts[me] = rank as u64,
+                Err(RedistError::Aborted { dead_rank }) => run.verdicts[me] = dead_rank as u64,
+                Err(e) => panic!("{route:?} on {case:?}: {e}"),
             }
         }
         let live: Vec<usize> = (0..ranks).filter(|&r| Some(r) != dead).collect();
@@ -653,7 +579,7 @@ fn hold(comm: &Comm, live: &[usize]) {
 /// A pinned table of these holds every path's results and wire traffic
 /// while the code behind the paths changes.
 pub fn path_digest(path: Path, case: &Case) -> u64 {
-    let run = run(path, case);
+    let run = run(path.route(), case);
     let words = run
         .image
         .iter()

@@ -21,10 +21,10 @@
 //!   recovers a fresh core from the write-ahead log's durable text form,
 //!   asserts exact snapshot equality, and finishes the run on the
 //!   recovered core demanding the uninterrupted run's final state.
-//! * [`differential`] — runs the independent redistribution paths (planned
-//!   / naive / general / checkpoint, 2-D and 1-D) on identical inputs and
-//!   demands bitwise-equal results; under a dead rank, all fault-checked
-//!   variants must abort without moving data.
+//! * [`differential`] — runs every (plan × commit × pre-flight) path of the
+//!   one `redistribute`, the checkpoint funnel and the [`binning`] oracle on
+//!   identical inputs and demands bitwise-equal results; under a dead rank,
+//!   every pre-flighted or staged path must abort without moving data.
 //! * [`federation`] — multi-shard chaos drills: seeded federations (shard
 //!   kills, lease expiries, wire chaos) checked after every transition by
 //!   a global ledger oracle — every processor owned by exactly one shard
@@ -50,6 +50,7 @@
 //! TESTKIT_SEED=<printed seed> cargo test -p reshape-testkit seed_from_env
 //! ```
 
+pub mod binning;
 pub mod crashrestart;
 pub mod differential;
 pub mod federation;

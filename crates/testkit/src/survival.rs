@@ -27,7 +27,7 @@ use reshape_core::driver::AppDef;
 use reshape_core::runtime::ReshapeRuntime;
 use reshape_core::{JobSpec, JobState, ProcessorConfig, QueuePolicy, TopologyPref};
 use reshape_mpisim::{Comm, NetModel, NodeId, Universe};
-use reshape_redist::{plan_2d, txn_redistribute_2d};
+use reshape_redist::{plan_2d, redistribute, Commit};
 
 use crate::rng::SplitMix64;
 
@@ -213,7 +213,7 @@ pub fn run_txn_rollback(seed: u64) -> Result<(), String> {
         let me = comm.rank();
         let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 1_000_003 + j) as f64);
         let before: Vec<u64> = src.local_data().iter().map(|v| v.to_bits()).collect();
-        let res = txn_redistribute_2d(&comm, &plan, Some(&src));
+        let res = redistribute(&comm, &plan, Some(&src), Commit::Staged);
         if me == victim {
             unreachable!("the victim crashes inside the executor");
         }

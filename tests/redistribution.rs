@@ -87,8 +87,8 @@ fn checkpoint_and_schedule_agree() {
                 dst_d,
                 Some(&src),
                 &CheckpointParams::default(),
-                None,
-            );
+            )
+            .expect("every rank is alive and in the source grid");
             match (via_plan, via_ckpt) {
                 (Some(a), Some(b)) => assert_eq!(a.local_data(), b.local_data()),
                 (None, None) => assert!(me >= 4),
