@@ -134,12 +134,6 @@ impl<'a> From<&'a GeneralPlan1d> for Plan<'a> {
     }
 }
 
-impl<'a> From<&Plan<'a>> for Plan<'a> {
-    fn from(plan: &Plan<'a>) -> Self {
-        *plan
-    }
-}
-
 impl<'a> Plan<'a> {
     /// Every rank the plan can name: the larger layout's process count, the
     /// ranks [`preflight`](crate::preflight) scans.
@@ -200,6 +194,7 @@ pub trait DistArray: Sized + sealed::Sealed {
     /// A zeroed panel of `d`, which [`holds`](Self::holds) accepts, at grid
     /// position `at`.
     fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self;
+    /// This panel's elements, row-major.
     fn panel(&self) -> &[Self::Elem];
     fn panel_mut(&mut self) -> &mut [Self::Elem];
 }
@@ -298,7 +293,8 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
 /// a panic, its peers are left waiting inside the collective. Under
 /// [`Commit::Direct`] a peer that dies mid-move may panic or wedge the
 /// collective too; [`preflight`](crate::preflight) first, or
-/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`].
+/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`]. The plan
+/// is trusted as its planner built it.
 pub fn redistribute<'p, A: DistArray>(
     comm: &Comm,
     plan: impl Into<Plan<'p>>,
