@@ -261,15 +261,6 @@ impl SimResult {
         }
     }
 
-    /// Per-job allocation step series (Figures 4(a)/5(a)).
-    pub fn allocation_series(&self, job: JobId) -> Vec<(f64, usize)> {
-        self.jobs
-            .iter()
-            .find(|j| j.job == job)
-            .map(|j| j.alloc_history.clone())
-            .unwrap_or_default()
-    }
-
     /// Render the run as an ASCII chart: one row per job showing its
     /// processor allocation over time (digit buckets 1-9, `#` for ≥ 10×
     /// scale overflow), plus a cluster-occupancy row — a terminal rendition

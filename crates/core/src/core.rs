@@ -280,8 +280,7 @@ pub struct SchedulerCore {
     /// must catch. Never enabled outside tests.
     chaos_leak_on_failure: bool,
     /// Write-ahead log: when attached, every public transition is appended
-    /// (and, for file-backed WALs, flushed) before it is applied. See
-    /// [`crate::wal`].
+    /// before it is applied. See [`crate::wal`].
     wal: Option<Wal>,
     /// Open causal-trace spans per live job: `(job root, queue-wait)`.
     /// Runtime-only bookkeeping — not part of [`CoreSnapshot`] equality
@@ -3078,22 +3077,40 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_compaction_survives_reload() {
-        let dir = std::env::temp_dir().join(format!("reshape-compact-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sched.wal");
-        let mut core =
-            SchedulerCore::new(8, QueuePolicy::Fcfs).with_wal(Wal::create(&path).unwrap());
+    fn an_unterminated_final_record_is_kept_and_the_next_append_starts_a_line() {
+        // The crash landed after the last record's payload but before its
+        // line break: the record parses and is kept, and the next append
+        // must not be glued onto it.
+        let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs).with_wal(Wal::in_memory());
         let (a, _) = core.submit(mw(2), 0.0);
         core.resize_point(a, 10.0, 0.0, 1.0);
-        core.compact_wal();
         core.submit(mw(4), 2.0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, core.wal().unwrap().encode(), "the file is the stream");
-        let reloaded = SchedulerCore::recover(Wal::load(&path).unwrap()).unwrap();
-        assert!(reloaded.same_state(&core));
-        assert!(!dir.join("sched.wal.compact").exists());
-        std::fs::remove_dir_all(&dir).ok();
+        let full = core.wal().unwrap().encode();
+        let text = full.strip_suffix('\n').unwrap();
+        let n = core.wal().unwrap().len();
+        let appended_once = |wal: &Wal| {
+            assert_eq!(wal.len(), n + 1);
+            let text = wal.encode();
+            assert!(text.starts_with(&full), "the kept record ends its line");
+            let again = Wal::decode(&text).unwrap();
+            assert_eq!(again.len(), n + 1);
+            assert_eq!(again.encode(), text);
+            again
+        };
+
+        let mut decoded = Wal::decode(text).unwrap();
+        assert_eq!(decoded.len(), n);
+        decoded.append(WalRecord::Tick { now: 3.0 });
+        let again = appended_once(&decoded);
+        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 3.0 }));
+
+        let (mut recovered, salvage) = SchedulerCore::recover_salvage(text).unwrap();
+        assert!(salvage.is_none());
+        assert!(recovered.same_state(&core));
+        recovered.utilization(3.0);
+        let again = appended_once(recovered.wal().unwrap());
+        let reread = SchedulerCore::recover(again).unwrap();
+        assert!(reread.same_state(&recovered));
     }
 
     /// The payload of a valid checkpoint of an idle 8-processor core, with

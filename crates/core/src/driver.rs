@@ -185,10 +185,6 @@ pub struct DriverShared {
     pub link: Arc<dyn SchedulerLink>,
     /// Processor slots per cluster node, to map granted slots to nodes.
     pub slots_per_node: usize,
-    /// Fold real wall-clock compute time of `iterate` into the virtual
-    /// clock. Off for deterministic tests (apps then model compute with
-    /// `Comm::advance`), on for real measurement runs.
-    pub fold_wall_time: bool,
     /// Spawn-shortfall retry behavior for expansions.
     pub retry: RetryPolicy,
     /// Run with in-memory buddy redundancy and shrink-to-survivors
@@ -285,9 +281,6 @@ pub struct ResizeContext {
     /// Redistribution seconds paid at the previous resize (reported to the
     /// scheduler with the next iteration time).
     last_redist: f64,
-    /// Iteration log on rank 0 (the paper's `log()` writes the average
-    /// iteration time to a file; we keep it queryable).
-    log: Vec<f64>,
 }
 
 impl ResizeContext {
@@ -314,7 +307,6 @@ impl ResizeContext {
             config,
             iter,
             last_redist: 0.0,
-            log: Vec::new(),
         }
     }
 
@@ -334,21 +326,13 @@ impl ResizeContext {
         self.iter
     }
 
-    pub fn iteration_log(&self) -> &[f64] {
-        &self.log
-    }
-
-    /// Simple API: record the iteration time that will be reported at the
-    /// next resize point (collective: the logged value is the maximum over
-    /// all processes, like the paper's average-and-log step).
+    /// Simple API: agree on this iteration's time, the maximum over all
+    /// processes, like the paper's average-and-log step (collective). The
+    /// agreed time is what the next resize point reports to the scheduler,
+    /// whose Performance Profiler records it.
     pub fn log(&mut self, local_iter_time: f64) -> f64 {
-        let agreed = self
-            .comm
-            .allreduce(reshape_mpisim::ReduceOp::Max, &[local_iter_time])[0];
-        if self.comm.rank() == 0 {
-            self.log.push(agreed);
-        }
-        agreed
+        self.comm
+            .allreduce(reshape_mpisim::ReduceOp::Max, &[local_iter_time])[0]
     }
 
     /// Advanced API: ask the Remap Scheduler what to do, given the agreed
@@ -899,16 +883,12 @@ fn drive_loop(mut ctx: ResizeContext, mut mats: Vec<DistMatrix<f64>>) {
     let mut traced_iter = ctx.iter;
     while ctx.iter < shared.iterations {
         let v0 = ctx.comm.vtime();
-        // One span per iteration: the measured wall time is recorded into
-        // the `driver.iter_wall_seconds` histogram *and* reused as the
-        // value folded into the virtual clock, so the clock and the
-        // telemetry can never disagree about how long an iteration took.
+        // One span per iteration: its wall time goes to the
+        // `driver.iter_wall_seconds` histogram only. Virtual time is what
+        // the app charges through `Comm::advance`; no wall time enters it.
         let span = reshape_telemetry::span("driver.iter_wall_seconds");
         (shared.app.iterate)(&ctx.grid, &mut mats, ctx.iter);
-        let wall = span.stop();
-        if shared.fold_wall_time {
-            ctx.comm.advance(wall);
-        }
+        span.stop();
         if let Some(b) = buddy.as_mut() {
             let dead = check_survivors(&ctx.comm);
             if !dead.is_empty() {
@@ -1101,7 +1081,6 @@ mod tests {
             iterations: 6,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             survivable: false,
         });
@@ -1169,7 +1148,6 @@ mod tests {
             iterations: 10,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             survivable: false,
         });
@@ -1239,7 +1217,6 @@ mod tests {
             iterations: 6,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::none(),
             survivable: false,
         });
@@ -1291,7 +1268,6 @@ mod tests {
             iterations: 4,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::none(),
             survivable: false,
         });
@@ -1334,7 +1310,6 @@ mod tests {
             iterations: 12,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             survivable: false,
         });
@@ -1403,7 +1378,6 @@ mod tests {
             iterations,
             link,
             slots_per_node: 1,
-            fold_wall_time: false,
             retry,
             survivable: false,
         })
@@ -1598,7 +1572,6 @@ mod tests {
             iterations: iters,
             link: link.clone(),
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             survivable: true,
         });

@@ -207,9 +207,6 @@ impl Default for WatchdogConfig {
 #[derive(Clone)]
 pub struct RuntimeOptions {
     pub policy: QueuePolicy,
-    /// Fold real wall-clock compute time of each iteration into the
-    /// virtual clock (for measurement runs).
-    pub fold_wall_time: bool,
     /// Spawn-shortfall retry behavior handed to every job's driver.
     pub retry: RetryPolicy,
     /// Hung-job supervision; `None` disables the watchdog.
@@ -223,7 +220,6 @@ impl Default for RuntimeOptions {
     fn default() -> Self {
         RuntimeOptions {
             policy: QueuePolicy::Fcfs,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             watchdog: None,
             ctrl: ReliableConfig::default(),
@@ -299,7 +295,6 @@ pub struct ReshapeRuntime {
     sched_thread: Option<std::thread::JoinHandle<()>>,
     monitor_thread: Option<std::thread::JoinHandle<()>>,
     progress: Arc<Progress>,
-    fold_wall_time: bool,
 }
 
 struct SchedThreadCtx {
@@ -309,7 +304,6 @@ struct SchedThreadCtx {
     watch: Arc<Mutex<HashMap<ProcId, JobId>>>,
     link_tx: ReliableSender<Msg>,
     slots_per_node: usize,
-    fold_wall_time: bool,
     retry: RetryPolicy,
     watchdog: Option<WatchdogConfig>,
     hearts: HashMap<JobId, Heartbeat>,
@@ -346,7 +340,6 @@ impl SchedThreadCtx {
                     tx: self.link_tx.clone(),
                 }),
                 slots_per_node: self.slots_per_node,
-                fold_wall_time: self.fold_wall_time,
                 retry: self.retry,
                 survivable,
             });
@@ -656,17 +649,10 @@ impl ReshapeRuntime {
     /// Stand up the framework over `universe`. `policy` selects FCFS or
     /// backfill for initial allocations.
     pub fn new(universe: Universe, policy: QueuePolicy) -> Self {
-        Self::with_options(universe, policy, false)
-    }
-
-    /// `fold_wall_time` makes the driver add real compute time of each
-    /// iteration to the virtual clock (for measurement runs).
-    pub fn with_options(universe: Universe, policy: QueuePolicy, fold_wall_time: bool) -> Self {
         Self::with_runtime_options(
             universe,
             RuntimeOptions {
                 policy,
-                fold_wall_time,
                 ..Default::default()
             },
         )
@@ -674,14 +660,13 @@ impl ReshapeRuntime {
 
     /// Full-control constructor: retry policy, watchdog supervision and
     /// control-channel reliability settings on top of
-    /// [`ReshapeRuntime::with_options`].
+    /// [`ReshapeRuntime::new`].
     pub fn with_runtime_options(universe: Universe, opts: RuntimeOptions) -> Self {
         let universe = Arc::new(universe);
         let total = universe.total_slots();
         let core = Arc::new(Mutex::new(SchedulerCore::new(total, opts.policy)));
         let watch: Arc<Mutex<HashMap<ProcId, JobId>>> = Arc::new(Mutex::new(HashMap::new()));
         let progress = Arc::new(Progress::default());
-        let fold_wall_time = opts.fold_wall_time;
         // The control channel between applications/monitor and the
         // scheduler thread runs the sequenced ack/retransmit protocol; with
         // chaos configured, frames are lost/duplicated/reordered underneath
@@ -695,7 +680,6 @@ impl ReshapeRuntime {
             watch: Arc::clone(&watch),
             link_tx: tx.clone(),
             slots_per_node: universe.slots_per_node(),
-            fold_wall_time,
             retry: opts.retry,
             watchdog: opts.watchdog,
             hearts: HashMap::new(),
@@ -773,7 +757,6 @@ impl ReshapeRuntime {
             sched_thread: Some(sched_thread),
             monitor_thread: Some(monitor_thread),
             progress,
-            fold_wall_time,
         }
     }
 
@@ -807,11 +790,6 @@ impl ReshapeRuntime {
     /// The underlying cluster.
     pub fn universe(&self) -> &Arc<Universe> {
         &self.universe
-    }
-
-    /// Whether wall-time folding is enabled for this runtime.
-    pub fn folds_wall_time(&self) -> bool {
-        self.fold_wall_time
     }
 
     /// Block until every submitted job has left the system (finished or

@@ -102,17 +102,16 @@
 //! person to read; nothing reads that form back.
 //!
 //! A torn final line (the crash landed mid-append) is tolerated and dropped
-//! on load; a checksum mismatch or garbage anywhere earlier is reported as
-//! corruption — a WAL with a damaged interior cannot be trusted for replay.
-//! The salvage loaders ([`Wal::load_salvage`], [`Wal::decode_salvage`],
+//! on decode; a checksum mismatch or garbage anywhere earlier is reported
+//! as corruption — a WAL with a damaged interior cannot be trusted for
+//! replay. The salvage readers ([`Wal::decode_salvage`],
 //! [`SchedulerCore::recover_salvage`](crate::SchedulerCore::recover_salvage))
 //! instead recover the last-good prefix, quarantine the damaged remainder
-//! (to `<path>.quarantine` for file-backed WALs), and report the truncation
-//! in a [`WalSalvage`] so recovery can proceed with a shorter history
-//! rather than none. A damaged checkpoint is the exception: it held the
-//! state the whole rest of the stream builds on, so it leaves no clean
-//! prefix at all, genesis included, and recovery refuses it as it refuses a
-//! damaged genesis.
+//! in a [`WalSalvage`], and report the truncation there so recovery can
+//! proceed with a shorter history rather than none. A damaged checkpoint
+//! is the exception: it held the state the whole rest of the stream builds
+//! on, so it leaves no clean prefix at all, genesis included, and recovery
+//! refuses it as it refuses a damaged genesis.
 //!
 //! # In memory
 //!
@@ -126,9 +125,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 
@@ -304,14 +300,10 @@ pub enum HealAction {
 /// Why a WAL could not be loaded or replayed.
 #[derive(Debug)]
 pub enum WalError {
-    Io(std::io::Error),
     /// A non-final line failed its checksum or did not parse, or a
     /// checksummed line replayed differently from how it was logged.
     /// `line` is 1-based.
-    Corrupt {
-        line: usize,
-        reason: String,
-    },
+    Corrupt { line: usize, reason: String },
     /// The stream does not start with a usable [`WalRecord::Open`].
     BadGenesis(String),
 }
@@ -319,7 +311,6 @@ pub enum WalError {
 impl fmt::Display for WalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WalError::Io(e) => write!(f, "WAL I/O error: {e}"),
             WalError::Corrupt { line, reason } => {
                 write!(f, "WAL corrupt at line {line}: {reason}")
             }
@@ -329,12 +320,6 @@ impl fmt::Display for WalError {
 }
 
 impl std::error::Error for WalError {}
-
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
 
 // CRC-32 (IEEE 802.3 polynomial), tables built at compile time — the WAL
 // must not pull in a checksum crate for one function. Slicing-by-8: table
@@ -889,7 +874,8 @@ fn hex_value(digits: &[u8]) -> Option<u64> {
 
 /// The space-separated tokens of one payload, read front to back: what is
 /// left of the payload, `None` once its last token was read. Every reader
-/// fails with a reason instead of panicking: the bytes come from disk.
+/// fails with a reason instead of panicking: the bytes are durable text
+/// handed back from outside.
 struct Fields<'a>(Option<&'a str>);
 
 impl<'a> Fields<'a> {
@@ -1388,10 +1374,8 @@ fn decode_line(line: &str) -> Result<WalRecord, String> {
 }
 
 /// An append-only, checksummed record stream, held as its wire bytes plus
-/// a record count (see *In memory* in the module doc). Purely in-memory by
-/// default; [`Wal::create`]/[`Wal::load`] back it with a file that is
-/// flushed on every append (write-ahead: the record is durable before the
-/// transition's effects are observable).
+/// a record count (see *In memory* in the module doc). It lives in memory
+/// only: durability is the owner's business, through [`Wal::encode`].
 pub struct Wal {
     /// Every record's `{crc:08x} {payload}\n` line, in append order:
     /// ASCII around the UTF-8 of logged strings.
@@ -1399,59 +1383,24 @@ pub struct Wal {
     records: usize,
     /// Bytes written since the WAL was opened, see [`Wal::appended_bytes`].
     appended: u64,
-    file: Option<BufWriter<File>>,
-    path: Option<PathBuf>,
 }
 
 impl fmt::Debug for Wal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Wal")
             .field("records", &self.records)
-            .field("path", &self.path)
             .finish()
     }
 }
 
 impl Wal {
-    /// A WAL held only in memory (tests, simulators, crash-restart drills).
+    /// An empty WAL (tests, simulators, crash-restart drills).
     pub fn in_memory() -> Self {
         Wal {
             bytes: Vec::new(),
             records: 0,
             appended: 0,
-            file: None,
-            path: None,
         }
-    }
-
-    /// Create (truncate) a file-backed WAL at `path`.
-    pub fn create(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path)?;
-        Ok(Wal {
-            file: Some(BufWriter::new(file)),
-            path: Some(path),
-            ..Wal::in_memory()
-        })
-    }
-
-    /// Load an existing file-backed WAL for recovery and continued
-    /// appending. A torn final line is truncated away; interior corruption
-    /// is an error.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, WalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        let (wal, scan) = Wal::scanned(&text);
-        let clean_len = scan.clean_len;
-        scan.strict()?;
-        end_at_clean_prefix(&mut file, &text, clean_len)?;
-        Ok(Wal {
-            file: Some(BufWriter::new(file)),
-            path: Some(path),
-            ..wal
-        })
     }
 
     /// Parse an encoded stream (see [`Wal::encode`]) into an in-memory WAL.
@@ -1471,38 +1420,7 @@ impl Wal {
         (wal, scan.salvage(text))
     }
 
-    /// Load a file-backed WAL, salvaging past interior corruption: the
-    /// corrupt remainder is written verbatim to `<path>.quarantine`, the
-    /// WAL file is truncated to its last-good prefix (so future appends
-    /// start clean), and the truncation is reported in the [`WalSalvage`].
-    /// A clean stream (including one with only a torn tail) salvages
-    /// nothing and behaves exactly like [`Wal::load`].
-    pub fn load_salvage(path: impl AsRef<Path>) -> Result<(Self, Option<WalSalvage>), WalError> {
-        let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
-        let mut text = String::new();
-        file.read_to_string(&mut text)?;
-        let (wal, scan) = Wal::scanned(&text);
-        let clean_len = scan.clean_len;
-        let mut salvage = scan.salvage(&text);
-        if let Some(s) = salvage.as_mut() {
-            let qpath = PathBuf::from(format!("{}.quarantine", path.display()));
-            std::fs::write(&qpath, &s.quarantined)?;
-            s.quarantine_path = Some(qpath);
-        }
-        end_at_clean_prefix(&mut file, &text, clean_len)?;
-        Ok((
-            Wal {
-                file: Some(BufWriter::new(file)),
-                path: Some(path),
-                ..wal
-            },
-            salvage,
-        ))
-    }
-
-    /// The full stream in wire format (what a file-backed WAL would
-    /// contain): a copy of the bytes the WAL holds.
+    /// The full stream in wire format: a copy of the bytes the WAL holds.
     pub fn encode(&self) -> String {
         self.text().to_owned()
     }
@@ -1519,13 +1437,7 @@ impl Wal {
         out
     }
 
-    /// Append one record; file-backed WALs write and flush before
-    /// returning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backing file cannot be written — a WAL that silently
-    /// loses records is worse than no WAL.
+    /// Append one record.
     pub fn append(&mut self, rec: WalRecord) {
         self.push(&rec);
     }
@@ -1537,11 +1449,6 @@ impl Wal {
         encode_line(&mut self.bytes, rec);
         self.records += 1;
         self.appended += (self.bytes.len() - start) as u64;
-        if let Some(f) = self.file.as_mut() {
-            f.write_all(&self.bytes[start..])
-                .and_then(|_| f.flush())
-                .expect("WAL append failed");
-        }
     }
 
     /// Keep one line that [`scan`] accepted: `body` without its line break.
@@ -1553,14 +1460,11 @@ impl Wal {
     }
 
     /// Rewrite the stream as its genesis line and `checkpoint`, a
-    /// [`WalRecord::Checkpoint`]. A file-backed WAL writes the new stream
-    /// beside the old one and renames it over, so a crash leaves one or
-    /// the other whole.
+    /// [`WalRecord::Checkpoint`].
     ///
     /// # Panics
     ///
-    /// Panics if the stream is empty or the backing file cannot be
-    /// rewritten, as [`Wal::append`] does.
+    /// Panics if the stream is empty.
     pub(crate) fn compact(&mut self, checkpoint: &WalRecord) {
         let genesis = self
             .bytes
@@ -1572,14 +1476,6 @@ impl Wal {
         encode_line(&mut self.bytes, checkpoint);
         self.records = 2;
         self.appended += (self.bytes.len() - genesis) as u64;
-        if let Some(path) = &self.path {
-            let next = PathBuf::from(format!("{}.compact", path.display()));
-            let file = std::fs::write(&next, &self.bytes)
-                .and_then(|_| std::fs::rename(&next, path))
-                .and_then(|_| OpenOptions::new().append(true).open(path))
-                .expect("WAL compaction failed");
-            self.file = Some(BufWriter::new(file));
-        }
     }
 
     /// An empty in-memory WAL with room for `bytes` of text.
@@ -1612,7 +1508,7 @@ impl Wal {
         self.records
     }
 
-    /// Bytes written to the stream since this WAL was created, loaded or
+    /// Bytes written to the stream since this WAL was created, decoded or
     /// recovered: every appended line, and the checkpoint line of every
     /// compaction. It never decreases, so it tells how much a compaction
     /// is owed, and any change to the stream changes it.
@@ -1622,10 +1518,6 @@ impl Wal {
 
     pub fn is_empty(&self) -> bool {
         self.records == 0
-    }
-
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// An in-memory WAL of `text`'s clean prefix, and the scan that found
@@ -1645,21 +1537,6 @@ impl Wal {
     }
 }
 
-/// Cut a loaded WAL file back to its clean prefix (dropping a torn tail or
-/// a quarantined remainder) and position it for appending. A final record
-/// that parsed without its line break (the crash landed just before it)
-/// gets one, so the next append starts a line of its own.
-fn end_at_clean_prefix(file: &mut File, text: &str, clean_len: usize) -> std::io::Result<()> {
-    if clean_len < text.len() {
-        file.set_len(clean_len as u64)?;
-    }
-    file.seek(SeekFrom::End(0))?;
-    if clean_len > 0 && !text[..clean_len].ends_with('\n') {
-        file.write_all(b"\n")?;
-    }
-    Ok(())
-}
-
 /// Where a [`scan`] stopped.
 pub(crate) struct Scan {
     /// Byte length of the clean prefix: every line fully parsed and
@@ -1672,7 +1549,7 @@ pub(crate) struct Scan {
 }
 
 impl Scan {
-    /// Interior corruption as an error, for the strict loaders.
+    /// Interior corruption as an error, for the strict readers.
     pub(crate) fn strict(self) -> Result<(), WalError> {
         match self.corrupt {
             None => Ok(()),
@@ -1688,7 +1565,6 @@ impl Scan {
             line,
             reason,
             quarantined: text[clean_len..].to_string(),
-            quarantine_path: None,
         })
     }
 }
@@ -1755,7 +1631,7 @@ pub(crate) fn scan<E>(
 
 /// What a salvage load recovered from a WAL with a corrupt interior: the
 /// stream was truncated to its last-good prefix and the damaged remainder
-/// quarantined (to `<path>.quarantine` for file-backed loads).
+/// quarantined here.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WalSalvage {
     /// 1-based line number of the first corrupt record.
@@ -1764,9 +1640,6 @@ pub struct WalSalvage {
     pub reason: String,
     /// The corrupt remainder, verbatim — everything past the clean prefix.
     pub quarantined: String,
-    /// Where the remainder was written (`<path>.quarantine`); `None` for
-    /// in-memory salvage.
-    pub quarantine_path: Option<PathBuf>,
 }
 
 /// A summary of WAL contents by record type, for diagnostics and tests.
@@ -1991,59 +1864,6 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_wal_survives_reload() {
-        let dir = std::env::temp_dir().join(format!("reshape-wal-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sched.wal");
-        {
-            let mut wal = Wal::create(&path).unwrap();
-            for r in sample() {
-                wal.append(r);
-            }
-        }
-        // Simulate a torn append: write half a line at the end.
-        {
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-            f.write_all(b"deadbeef ts 3ff80000").unwrap();
-        }
-        let mut wal = Wal::load(&path).unwrap();
-        assert_eq!(wal.len(), sample().len());
-        // Appending after a torn-tail load produces a clean stream.
-        wal.append(WalRecord::Tick { now: 42.0 });
-        drop(wal);
-        let again = Wal::load(&path).unwrap();
-        assert_eq!(again.len(), sample().len() + 1);
-        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 42.0 }));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn append_after_an_unterminated_final_record_starts_a_new_line() {
-        // The crash landed after a record's payload but before its line
-        // break: the record parses and is kept, and the next append must
-        // not be glued onto it.
-        let dir =
-            std::env::temp_dir().join(format!("reshape-wal-unterminated-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sched.wal");
-        let mut wal = Wal::in_memory();
-        for r in sample() {
-            wal.append(r);
-        }
-        let text = wal.encode();
-        std::fs::write(&path, text.trim_end_matches('\n')).unwrap();
-        let mut loaded = Wal::load(&path).unwrap();
-        assert_eq!(loaded.len(), sample().len());
-        loaded.append(WalRecord::Tick { now: 42.0 });
-        drop(loaded);
-        let again = Wal::load(&path).unwrap();
-        assert_eq!(again.len(), sample().len() + 1);
-        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 42.0 }));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), again.encode());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn floats_roundtrip_bit_exactly() {
         // Floats travel as the hex of `to_bits()`, so every bit pattern —
         // signed zero, subnormals, the infinities, NaN payloads — comes
@@ -2116,49 +1936,6 @@ mod tests {
         let (clean, none) = Wal::decode_salvage(&wal.encode());
         assert!(none.is_none());
         assert_eq!(clean.records(), wal.records());
-    }
-
-    #[test]
-    fn file_salvage_quarantines_and_truncates() {
-        let dir = std::env::temp_dir().join(format!("reshape-wal-salvage-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sched.wal");
-        {
-            let mut wal = Wal::create(&path).unwrap();
-            for r in sample() {
-                wal.append(r);
-            }
-        }
-        // Flip one bit in the middle of the file.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x08;
-        std::fs::write(&path, &bytes).unwrap();
-
-        // Strict load refuses the damaged interior …
-        assert!(matches!(Wal::load(&path), Err(WalError::Corrupt { .. })));
-
-        // … salvage load recovers the prefix and quarantines the rest.
-        let (mut wal, salvage) = Wal::load_salvage(&path).unwrap();
-        let salvage = salvage.expect("bit flip must be reported");
-        assert!(wal.len() < sample().len());
-        assert_eq!(wal.records(), &sample()[..wal.len()]);
-        let qpath = salvage
-            .quarantine_path
-            .clone()
-            .expect("file-backed quarantine");
-        assert_eq!(
-            std::fs::read_to_string(&qpath).unwrap(),
-            salvage.quarantined
-        );
-
-        // The WAL file itself was truncated to the clean prefix and appends
-        // continue from there; a strict reload now succeeds.
-        wal.append(WalRecord::Tick { now: 99.0 });
-        drop(wal);
-        let again = Wal::load(&path).unwrap();
-        assert_eq!(again.records().last(), Some(&WalRecord::Tick { now: 99.0 }));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

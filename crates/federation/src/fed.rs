@@ -519,11 +519,6 @@ impl Federation {
         self.tenants.get(&tenant).map_or(0, |t| t.admitted)
     }
 
-    /// The tenant that owns an in-flight job.
-    pub fn job_tenant(&self, shard: usize, job: JobId) -> Option<u32> {
-        self.job_meta.get(&(shard, job.0)).map(|m| m.tenant)
-    }
-
     /// Fully drained: every lease resolved, bus quiet, no router queue,
     /// every shard live.
     pub fn quiesced(&self) -> bool {
@@ -535,10 +530,6 @@ impl Federation {
 
     pub fn brownout_config(&self) -> &BrownoutConfig {
         &self.brownout_cfg
-    }
-
-    pub fn lease_config(&self) -> &LeaseConfig {
-        &self.lease_cfg
     }
 
     /// Leases fenced by suspicion timeouts so far.

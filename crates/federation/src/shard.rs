@@ -208,15 +208,4 @@ impl Shard {
     pub fn last_seen(&self) -> f64 {
         self.last_seen
     }
-
-    /// Map a native local slot to its federation-global id. Panics on
-    /// foreign (borrowed) locals — those belong to another shard's range.
-    pub fn to_global(&self, local: usize) -> usize {
-        assert!(
-            local < self.native,
-            "slot {local} of shard {} is not native (borrowed slots map through their lease)",
-            self.id
-        );
-        self.base + local
-    }
 }

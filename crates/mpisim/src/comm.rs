@@ -28,10 +28,6 @@ impl Group {
     pub fn size(&self) -> usize {
         self.members.len()
     }
-
-    pub fn rank_of(&self, p: ProcId) -> Option<usize> {
-        self.members.iter().position(|&m| m == p)
-    }
 }
 
 // Internal tag namespace. User tags must stay below `TAG_INTERNAL`; the
@@ -163,11 +159,6 @@ impl Comm {
         self.group.nodes[rank]
     }
 
-    /// The global process id of this rank.
-    pub fn proc_id(&self) -> ProcId {
-        self.group.members[self.rank]
-    }
-
     /// Current virtual time at this process, in seconds.
     pub fn vtime(&self) -> f64 {
         self.ep.borrow().now
@@ -196,21 +187,6 @@ impl Comm {
     pub fn rank_alive(&self, rank: usize) -> bool {
         assert!(rank < self.size(), "rank {rank} out of range");
         self.core.router.is_live(self.group.members[rank])
-    }
-
-    /// Whether `rank` must be treated as failed by survivable protocols:
-    /// either its process has already terminated (no mailbox), or its node
-    /// carries an injected crash firing at or before *this* rank's current
-    /// virtual time — the peer is doomed even if its thread has not yet hit
-    /// the checkpoint that kills it, because nothing it could still send can
-    /// be virtually ordered after the crash.
-    pub fn rank_failed(&self, rank: usize) -> bool {
-        assert!(rank < self.size(), "rank {rank} out of range");
-        !self.core.router.is_live(self.group.members[rank])
-            || self
-                .core
-                .fault
-                .crashed_by(self.group.nodes[rank], self.ep.borrow().now)
     }
 
     /// The universe this communicator lives in (for spawning).

@@ -98,7 +98,7 @@ impl Router {
         self.mailboxes.lock().contains_key(&id.0)
     }
 
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn live_count(&self) -> usize {
         self.mailboxes.lock().len()
     }

@@ -311,11 +311,6 @@ impl Universe {
             }
         }
     }
-
-    #[allow(dead_code)]
-    pub(crate) fn core(&self) -> &Arc<UniverseCore> {
-        &self.core
-    }
 }
 
 /// Handle to an initially launched process group.

@@ -549,7 +549,6 @@ fn advanced_api_manual_orchestration() {
             iterations: 100,
             link: link2.clone() as Arc<dyn SchedulerLink>,
             slots_per_node: 1,
-            fold_wall_time: false,
             retry: RetryPolicy::default(),
             survivable: false,
         });
