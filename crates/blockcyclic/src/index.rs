@@ -57,6 +57,22 @@ pub fn l2g(l: usize, nb: usize, iproc: usize, nprocs: usize) -> usize {
     (local_block * nprocs + iproc) * nb + l % nb
 }
 
+/// The global index runs that process `iproc` stores, in local order: one
+/// per local block, the last possibly ragged. Flattened, they are
+/// `l2g(l, nb, iproc, nprocs)` for every local `l`, with no division per
+/// element — the table a panel is filled from.
+pub(crate) fn local_runs(
+    n: usize,
+    nb: usize,
+    iproc: usize,
+    nprocs: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    assert!(iproc < nprocs);
+    (iproc * nb..n)
+        .step_by(nprocs * nb)
+        .map(move |g0| g0..n.min(g0 + nb))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

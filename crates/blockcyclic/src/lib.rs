@@ -10,8 +10,12 @@
 //! (crate `reshape-redist`) can reason about layouts without touching any
 //! communicator, and so properties can be tested exhaustively.
 
+use std::ops::Range;
+
 use reshape_grid::GridContext;
 use reshape_mpisim::Pod;
+
+use index::local_runs;
 
 pub mod buddy;
 pub mod index;
@@ -124,6 +128,44 @@ pub struct DistMatrix<T> {
 impl<T: Pod + Default> DistMatrix<T> {
     /// Zero-initialized local panel for grid position `(myrow, mycol)`.
     pub fn new(desc: Descriptor, myrow: usize, mycol: usize) -> Self {
+        Self::build(desc, myrow, mycol, |lrows, lcols| {
+            vec![T::default(); lrows * lcols]
+        })
+    }
+
+    /// Fill from a function of the *global* indices — every rank evaluates
+    /// `f` only on the elements it owns, so construction is embarrassingly
+    /// parallel (how the paper's workloads initialize their matrices).
+    ///
+    /// Each element is written once, from a table of the panel's global
+    /// column runs built once per panel and one global row index per local
+    /// row: no zeroing pass and no index division per element.
+    pub fn from_fn(
+        desc: Descriptor,
+        myrow: usize,
+        mycol: usize,
+        f: impl Fn(usize, usize) -> T,
+    ) -> Self {
+        Self::build(desc, myrow, mycol, |lrows, lcols| {
+            let cols = col_runs(&desc, mycol);
+            let mut data = Vec::with_capacity(lrows * lcols);
+            for gi in local_runs(desc.m, desc.mb, myrow, desc.nprow).flatten() {
+                for run in &cols {
+                    data.extend(run.clone().map(|gj| f(gi, gj)));
+                }
+            }
+            data
+        })
+    }
+
+    /// The panel at `(myrow, mycol)` of `desc`, its elements made by `fill`
+    /// from its local shape.
+    fn build(
+        desc: Descriptor,
+        myrow: usize,
+        mycol: usize,
+        fill: impl FnOnce(usize, usize) -> Vec<T>,
+    ) -> Self {
         assert!(
             myrow < desc.nprow && mycol < desc.npcol,
             "position outside grid"
@@ -132,34 +174,16 @@ impl<T: Pod + Default> DistMatrix<T> {
         let lcols = desc.local_cols(mycol);
         reshape_telemetry::incr("blockcyclic.panels_built", 1);
         reshape_telemetry::incr("blockcyclic.panel_elems", (lrows * lcols) as u64);
+        let data = fill(lrows, lcols);
+        debug_assert_eq!(data.len(), lrows * lcols, "panel filled to its shape");
         DistMatrix {
             desc,
             myrow,
             mycol,
             lrows,
             lcols,
-            data: vec![T::default(); lrows * lcols],
+            data,
         }
-    }
-
-    /// Fill from a function of the *global* indices — every rank evaluates
-    /// `f` only on the elements it owns, so construction is embarrassingly
-    /// parallel (how the paper's workloads initialize their matrices).
-    pub fn from_fn(
-        desc: Descriptor,
-        myrow: usize,
-        mycol: usize,
-        f: impl Fn(usize, usize) -> T,
-    ) -> Self {
-        let mut m = Self::new(desc, myrow, mycol);
-        for li in 0..m.lrows {
-            let gi = desc.local_to_global_row(li, myrow);
-            for lj in 0..m.lcols {
-                let gj = desc.local_to_global_col(lj, mycol);
-                m.data[li * m.lcols + lj] = f(gi, gj);
-            }
-        }
-        m
     }
 
     /// Build for the caller's position on `grid`.
@@ -267,15 +291,12 @@ impl<T: Pod + Default> DistMatrix<T> {
             let mut full = vec![T::default(); d.m * d.n];
             for (rank, part) in parts.iter().enumerate() {
                 let (pr, pc) = grid.pcoord(rank);
-                let lr = d.local_rows(pr);
-                let lc = d.local_cols(pc);
-                assert_eq!(part.len(), lr * lc, "rank {rank} sent a wrong-sized panel");
-                for li in 0..lr {
-                    let gi = d.local_to_global_row(li, pr);
-                    for lj in 0..lc {
-                        let gj = d.local_to_global_col(lj, pc);
-                        full[gi * d.n + gj] = part[li * lc + lj];
-                    }
+                let want = d.local_rows(pr) * d.local_cols(pc);
+                assert_eq!(part.len(), want, "rank {rank} sent a wrong-sized panel");
+                let mut at = 0;
+                for run in panel_runs(d, pr, &col_runs(d, pc)) {
+                    full[run.clone()].copy_from_slice(&part[at..at + run.len()]);
+                    at += run.len();
                 }
             }
             full
@@ -293,15 +314,10 @@ impl<T: Pod + Default> DistMatrix<T> {
                 (0..comm.size())
                     .map(|rank| {
                         let (pr, pc) = grid.pcoord(rank);
-                        let lr = desc.local_rows(pr);
-                        let lc = desc.local_cols(pc);
-                        let mut part = Vec::with_capacity(lr * lc);
-                        for li in 0..lr {
-                            let gi = desc.local_to_global_row(li, pr);
-                            for lj in 0..lc {
-                                let gj = desc.local_to_global_col(lj, pc);
-                                part.push(full[gi * desc.n + gj]);
-                            }
+                        let mut part =
+                            Vec::with_capacity(desc.local_rows(pr) * desc.local_cols(pc));
+                        for run in panel_runs(&desc, pr, &col_runs(&desc, pc)) {
+                            part.extend_from_slice(&full[run]);
                         }
                         part
                     })
@@ -315,6 +331,27 @@ impl<T: Pod + Default> DistMatrix<T> {
         m.set_local_data(mine);
         m
     }
+}
+
+/// Process column `pcol`'s global column runs of `d`, one per local block
+/// column: the table its panels are filled and read through.
+fn col_runs(d: &Descriptor, pcol: usize) -> Vec<Range<usize>> {
+    local_runs(d.n, d.nb, pcol, d.npcol).collect()
+}
+
+/// The panel of process row `prow` whose column runs are `cols`, as runs of
+/// the row-major `m × n` matrix, in the panel's row-major order.
+fn panel_runs<'a>(
+    d: &'a Descriptor,
+    prow: usize,
+    cols: &'a [Range<usize>],
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    local_runs(d.m, d.mb, prow, d.nprow)
+        .flatten()
+        .flat_map(move |gi| {
+            cols.iter()
+                .map(move |c| gi * d.n + c.start..gi * d.n + c.end)
+        })
 }
 
 #[cfg(test)]

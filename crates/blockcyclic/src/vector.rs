@@ -5,7 +5,7 @@
 //! arrays"; [`DistVector`] is the 1-D global array: `n` elements in blocks
 //! of `nb` over `p` processes (process `k` owns blocks `k, k+p, …`).
 
-use crate::index::{g2l, l2g, numroc};
+use crate::index::{g2l, l2g, local_runs, numroc};
 use reshape_mpisim::Pod;
 
 /// The locally owned part of a 1-D block-cyclic vector.
@@ -36,7 +36,9 @@ impl<T: Pod + Default> DistVector<T> {
         }
     }
 
-    /// Fill from a function of the global index.
+    /// Fill from a function of the global index. Each element is written
+    /// once, walking the part's global runs block by block: no zeroing pass
+    /// and no index division per element.
     pub fn from_fn(
         n: usize,
         nb: usize,
@@ -44,11 +46,17 @@ impl<T: Pod + Default> DistVector<T> {
         nprocs: usize,
         f: impl Fn(usize) -> T,
     ) -> Self {
-        let mut v = Self::new(n, nb, iproc, nprocs);
-        for l in 0..v.data.len() {
-            v.data[l] = f(l2g(l, nb, iproc, nprocs));
+        let mut data = Vec::with_capacity(numroc(n, nb, iproc, nprocs));
+        for run in local_runs(n, nb, iproc, nprocs) {
+            data.extend(run.map(&f));
         }
-        v
+        DistVector {
+            n,
+            nb,
+            nprocs,
+            iproc,
+            data,
+        }
     }
 
     pub fn local_len(&self) -> usize {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 
-use crate::datum::{from_bytes, from_bytes_into, to_bytes, vec_to_bytes, Pod};
+use crate::datum::{from_bytes, from_bytes_into, to_bytes, Pod};
 use crate::endpoint::Endpoint;
 use crate::router::{Envelope, ProcId};
 use crate::universe::UniverseCore;
@@ -204,14 +204,27 @@ impl Comm {
     // ------------------------------------------------------------------
 
     pub(crate) fn send_raw(&self, dst: usize, tag: u32, payload: Bytes) {
+        let len = payload.len();
+        self.send_charged(dst, tag, payload, len);
+    }
+
+    /// [`Comm::send_raw`] of a payload charged as `len` bytes.
+    pub(crate) fn send_charged(&self, dst: usize, tag: u32, payload: Bytes, len: usize) {
+        let env = self.envelope(dst, tag, payload, len);
+        self.core
+            .fault
+            .deliver_faulty(&self.core.router, self.group.members[dst], env);
+    }
+
+    /// The front half of every send: charge this rank's clock and traffic
+    /// counters for `len` bytes to `dst`, and address the payload.
+    fn envelope(&self, dst: usize, tag: u32, payload: Bytes, len: usize) -> Envelope {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         self.check_crashed();
         self.stats.msgs.set(self.stats.msgs.get() + 1);
-        self.stats
-            .bytes
-            .set(self.stats.bytes.get() + payload.len() as u64);
+        self.stats.bytes.set(self.stats.bytes.get() + len as u64);
         reshape_telemetry::incr("mpisim.msgs_sent", 1);
-        reshape_telemetry::incr("mpisim.bytes_sent", payload.len() as u64);
+        reshape_telemetry::incr("mpisim.bytes_sent", len as u64);
         // Injected link degradation multiplies both serialization and wire
         // latency for this (source node, destination node) pair.
         let slow = self
@@ -220,20 +233,17 @@ impl Comm {
             .link_factor(self.group.nodes[self.rank], self.group.nodes[dst]);
         let arrival = {
             let mut ep = self.ep.borrow_mut();
-            ep.now += self.core.net.send_cost(payload.len()) * slow;
+            ep.now += self.core.net.send_cost(len) * slow;
             ep.now + self.core.net.latency * slow
         };
-        self.core.fault.deliver_faulty(
-            &self.core.router,
-            self.group.members[dst],
-            Envelope {
-                comm: self.group.id,
-                src: self.rank,
-                tag,
-                arrival,
-                payload,
-            },
-        );
+        Envelope {
+            comm: self.group.id,
+            src: self.rank,
+            tag,
+            arrival,
+            len,
+            payload,
+        }
     }
 
     pub(crate) fn recv_raw(&self, src: Option<usize>, tag: Option<u32>) -> (usize, u32, Bytes) {
@@ -259,39 +269,19 @@ impl Comm {
     /// the message can never be consumed. Time and traffic are charged
     /// either way, like a real send onto a dying link.
     pub(crate) fn try_send_raw(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), ()> {
-        assert!(dst < self.size(), "destination rank {dst} out of range");
-        self.check_crashed();
-        self.stats.msgs.set(self.stats.msgs.get() + 1);
-        self.stats
-            .bytes
-            .set(self.stats.bytes.get() + payload.len() as u64);
-        reshape_telemetry::incr("mpisim.msgs_sent", 1);
-        reshape_telemetry::incr("mpisim.bytes_sent", payload.len() as u64);
-        let slow = self
+        let len = payload.len();
+        let env = self.envelope(dst, tag, payload, len);
+        if self
             .core
             .fault
-            .link_factor(self.group.nodes[self.rank], self.group.nodes[dst]);
-        let arrival = {
-            let mut ep = self.ep.borrow_mut();
-            ep.now += self.core.net.send_cost(payload.len()) * slow;
-            ep.now + self.core.net.latency * slow
-        };
-        if self.core.fault.crashed_by(self.group.nodes[dst], arrival) {
+            .crashed_by(self.group.nodes[dst], env.arrival)
+        {
             reshape_telemetry::incr("mpisim.sends_lost_to_crash", 1);
             return Err(());
         }
         self.core
             .router
-            .try_deliver(
-                self.group.members[dst],
-                Envelope {
-                    comm: self.group.id,
-                    src: self.rank,
-                    tag,
-                    arrival,
-                    payload,
-                },
-            )
+            .try_deliver(self.group.members[dst], env)
             .map_err(|_| ())
     }
 
@@ -302,15 +292,6 @@ impl Comm {
     pub fn send<T: Pod>(&self, dst: usize, tag: u32, data: &[T]) {
         assert!(tag < TAG_INTERNAL, "tag {tag} is in the reserved range");
         self.send_raw(dst, tag, to_bytes(data));
-    }
-
-    /// [`Comm::send`] of an owned vector, without copying it: the vector's
-    /// buffer becomes the message, and the receiver sees the sender's
-    /// allocation. Costs the same virtual time and traffic as `send` of the
-    /// same elements.
-    pub fn send_vec<T: Pod>(&self, dst: usize, tag: u32, data: Vec<T>) {
-        assert!(tag < TAG_INTERNAL, "tag {tag} is in the reserved range");
-        self.send_raw(dst, tag, vec_to_bytes(data));
     }
 
     /// Fault-aware send: `Err(())` when the destination is dead, doomed to
@@ -338,7 +319,9 @@ impl Comm {
 
     /// Blocking receive that lends the payload's bytes to `f` instead of
     /// copying them out, and returns what `f` returns. The bytes need not be
-    /// aligned for any element type; copy them out byte-wise.
+    /// aligned for any element type; copy them out byte-wise. A loan
+    /// ([`Comm::lending`]) arrives as the lender's whole slice, and goes
+    /// back when `f` returns.
     pub fn recv_with<R>(&self, src: usize, tag: u32, f: impl FnOnce(&[u8]) -> R) -> R {
         let (_, _, payload) = self.recv_raw(Some(src), Some(tag));
         f(&payload)
@@ -707,54 +690,6 @@ mod tests {
             }
         })
         .join_ok();
-    }
-
-    #[test]
-    fn send_vec_hands_over_its_buffer_at_the_cost_of_send() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Arc, Mutex};
-        // Per mode: (sender clock bits, messages, bytes, receiver clock bits).
-        let run = |owned: bool| {
-            let sink: Arc<Mutex<[u64; 4]>> = Arc::default();
-            let sent_at = Arc::new(AtomicUsize::new(0));
-            let (out, at) = (Arc::clone(&sink), Arc::clone(&sent_at));
-            let uni = Universe::new(2, 1, NetModel::gigabit_ethernet());
-            uni.launch(2, None, "send-vec", move |comm| {
-                if comm.rank() == 0 {
-                    comm.advance(0.5);
-                    let data: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
-                    at.store(data.as_ptr() as usize, Ordering::Relaxed);
-                    if owned {
-                        comm.send_vec(1, 4, data);
-                    } else {
-                        comm.send(1, 4, &data);
-                    }
-                    let mut o = out.lock().unwrap();
-                    o[0] = comm.vtime().to_bits();
-                    o[1] = comm.stats().msgs_sent();
-                    o[2] = comm.stats().bytes_sent();
-                } else {
-                    let (ptr, back) = comm.recv_with(0, 4, |b| (b.as_ptr() as usize, b.to_vec()));
-                    let want: Vec<u8> = (0..1000)
-                        .flat_map(|i| (i as f64 * 0.5).to_ne_bytes())
-                        .collect();
-                    assert_eq!(back, want, "payload bytes");
-                    let sender = at.load(Ordering::Relaxed);
-                    assert_eq!(
-                        ptr == sender,
-                        owned,
-                        "owned sends arrive in the sender's buffer"
-                    );
-                    out.lock().unwrap()[3] = comm.vtime().to_bits();
-                }
-            })
-            .join_ok();
-            let got = *sink.lock().unwrap();
-            got
-        };
-        let (copied, owned) = (run(false), run(true));
-        assert_eq!(owned, copied, "same clocks and traffic as send");
-        assert_eq!((owned[1], owned[2]), (1, 8000));
     }
 
     #[test]

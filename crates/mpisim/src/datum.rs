@@ -3,9 +3,8 @@
 //! Messages are carried as [`bytes::Bytes`]. Element types that may appear in
 //! a message implement the [`Pod`] marker; the conversions are raw byte
 //! copies, which is sound because every implementor is a fixed-layout
-//! primitive with no padding and no invalid bit patterns. An owned vector
-//! needs no copy at all: [`vec_to_bytes`] hands its buffer to the payload as
-//! the byte owner.
+//! primitive with no padding and no invalid bit patterns. A message that
+//! needs no copy at all is a loan ([`crate::Comm::lending`]).
 
 use bytes::Bytes;
 
@@ -33,31 +32,14 @@ unsafe impl Pod for isize {}
 unsafe impl Pod for f32 {}
 unsafe impl Pod for f64 {}
 
-/// View a slice of POD elements as its bytes.
-fn bytes_of<T: Pod>(data: &[T]) -> &[u8] {
-    // SAFETY: `T: Pod` guarantees no padding, so viewing the slice as bytes
-    // reads only initialized memory; the view borrows `data`.
-    unsafe { std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data)) }
-}
-
 /// Serialize a slice of POD elements into an owned byte buffer.
 pub fn to_bytes<T: Pod>(data: &[T]) -> Bytes {
-    Bytes::copy_from_slice(bytes_of(data))
-}
-
-/// A vector of POD elements lending its buffer as bytes.
-struct PodVec<T: Pod>(Vec<T>);
-
-impl<T: Pod> AsRef<[u8]> for PodVec<T> {
-    fn as_ref(&self) -> &[u8] {
-        bytes_of(&self.0)
-    }
-}
-
-/// Turn an owned vector into a payload without copying it: the vector's
-/// buffer becomes the message, and is freed with the last view of it.
-pub(crate) fn vec_to_bytes<T: Pod>(data: Vec<T>) -> Bytes {
-    Bytes::from_owner(PodVec(data))
+    // SAFETY: `T: Pod` guarantees no padding, so viewing the slice as bytes
+    // reads only initialized memory; the view borrows `data`.
+    let bytes = unsafe {
+        std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
+    };
+    Bytes::copy_from_slice(bytes)
 }
 
 /// Deserialize a byte buffer produced by [`to_bytes`] back into elements.

@@ -82,7 +82,7 @@ impl Endpoint {
                 self.unexpected.push_back(env);
             }
         };
-        self.now = self.now.max(env.arrival) + net.recv_cost(env.payload.len());
+        self.now = self.now.max(env.arrival) + net.recv_cost(env.len);
         env
     }
 
@@ -111,6 +111,7 @@ mod tests {
             src,
             tag,
             arrival,
+            len: 0,
             payload: Bytes::new(),
         }
     }
@@ -137,6 +138,7 @@ mod tests {
             src: 0,
             tag: 5,
             arrival: 1.0,
+            len: 5,
             payload: Bytes::from_static(b"first"),
         })
         .unwrap();
@@ -145,6 +147,7 @@ mod tests {
             src: 0,
             tag: 5,
             arrival: 2.0,
+            len: 6,
             payload: Bytes::from_static(b"second"),
         })
         .unwrap();

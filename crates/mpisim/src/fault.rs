@@ -245,14 +245,7 @@ impl FaultState {
         drop(stash);
         if duped {
             reshape_telemetry::incr("mpisim.ctrl_msgs_duped", 1);
-            let copy = Envelope {
-                comm: env.comm,
-                src: env.src,
-                tag: env.tag,
-                arrival: env.arrival,
-                payload: env.payload.clone(),
-            };
-            let _ = router.try_deliver(dst, copy);
+            let _ = router.try_deliver(dst, env.clone());
         }
         let _ = router.try_deliver(dst, env);
         // A frame held back by an earlier reorder draw goes out after this
@@ -317,6 +310,7 @@ mod tests {
             src: 0,
             tag,
             arrival: 0.0,
+            len: 1,
             payload: bytes::Bytes::copy_from_slice(&[marker]),
         }
     }

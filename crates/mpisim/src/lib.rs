@@ -49,6 +49,7 @@ mod comm;
 mod datum;
 mod endpoint;
 mod fault;
+mod loan;
 mod net;
 mod persistent;
 mod request;
@@ -60,6 +61,7 @@ mod universe;
 pub use collectives::ReduceOp;
 pub use comm::{Comm, CommStats, Group, NodeId, TAG_CTRL_BASE};
 pub use datum::{from_bytes, to_bytes, Pod, Reducible};
+pub use loan::Loans;
 pub use net::NetModel;
 pub use persistent::{PersistentRecv, PersistentSend};
 pub use request::{RecvRequest, SendRequest};

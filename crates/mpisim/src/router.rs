@@ -23,13 +23,16 @@ impl std::fmt::Display for ProcId {
 
 /// A message in flight. `arrival` is the earliest virtual time at which the
 /// receiver may observe the message (sender clock after serialization, plus
-/// wire latency).
-#[derive(Debug)]
+/// wire latency). `len` is the bytes the message is charged as: the
+/// payload's length, except for a loan, whose payload is the lender's whole
+/// slice.
+#[derive(Clone, Debug)]
 pub(crate) struct Envelope {
     pub comm: u64,
     pub src: usize,
     pub tag: u32,
     pub arrival: f64,
+    pub len: usize,
     pub payload: Bytes,
 }
 
@@ -119,6 +122,7 @@ mod tests {
                 src: 0,
                 tag: 9,
                 arrival: 0.0,
+                len: 2,
                 payload: Bytes::from_static(b"hi"),
             },
         );
@@ -150,6 +154,7 @@ mod tests {
                 src: 0,
                 tag: 0,
                 arrival: 0.0,
+                len: 0,
                 payload: Bytes::new(),
             },
         );

@@ -64,6 +64,7 @@ impl InterComm {
                 src: self.local.rank(),
                 tag,
                 arrival,
+                len: payload.len(),
                 payload,
             },
         );

@@ -18,20 +18,25 @@
 //! [`DistVector`]'s local data is bit-for-bit the local panel of
 //! `Descriptor::new(1, n, 1, nb, 1, p)`. Every run lies inside one block of
 //! both layouts, so it is contiguous in the row-major local panel on both
-//! sides and [`pack`] / [`unpack`] copy it as a slice.
+//! sides and [`copy_local`], [`pack`] and [`unpack`] copy it as a slice.
 //!
 //! Steps execute in order; within a step each rank fires at most one send
 //! and completes at most one receive (the schedule is a partial
 //! permutation). The paper arms MPI persistent requests per step; buffered
 //! sends give identical semantics here.
 //!
-//! In direct mode no element is copied more than it must be. A remote move
-//! is packed once, into an exactly sized vector that becomes the message
-//! ([`Comm::send_vec`]), and the receiver unpacks it straight out of the
-//! payload's bytes ([`Comm::recv_with`]): two copies. A local move copies
-//! span to span from the old panel into the new one: one copy. Within a
-//! step a rank fires its remote sends before its local copies, so their
-//! receivers start while it copies.
+//! In direct mode every element is copied once. The whole step loop runs in
+//! one lending scope ([`Comm::lending`]): a remote move is a loan of the
+//! sender's old panel, charged as a send of the move's elements, and the
+//! receiver copies the move span to span out of the lent panel into its new
+//! one inside [`Comm::recv_with`]; dropping the payload returns the loan. A
+//! local move copies span to span the same way, from this rank's own old
+//! panel. Every rank leaves the scope after its last receive, once its own
+//! loans are back, so no old panel is freed while a peer still reads it.
+//! Within a step a rank lends its remote moves before its local copies, so
+//! their receivers start while it copies. Telemetry follows the copy: a
+//! lend is transfer time and packs nothing (`redist.pack_seconds` reads 0
+//! for remote moves), and the receiver's copy is `redist.unpack_seconds`.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -159,10 +164,13 @@ impl<'a> Plan<'a> {
 /// When received elements reach the destination panel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Commit {
-    /// Each payload is packed once into the vector that becomes the message
-    /// (`send_vec`) and unpacked straight out of it as it arrives
-    /// (`recv_with`). A peer that dies mid-move panics or wedges the
-    /// transport.
+    /// One copy per element: each remote move lends the sender's old panel
+    /// for the whole move ([`Comm::lending`]), charged as a send of the
+    /// move's elements, and the receiver copies the move out of it straight
+    /// into its new panel; the loan comes back when the receiver drops the
+    /// payload, and every rank waits for its loans before it returns. A peer
+    /// that dies mid-move panics or wedges the transport, and a loan that
+    /// does not come back within the deadlock timeout aborts the process.
     Direct,
     /// Survive a rank death inside the movement: sends go through
     /// `try_send`, which fails once the destination's node has crashed, and
@@ -411,68 +419,78 @@ fn execute<T: Pod + Default>(
     // progress; it just remembers to vote ABORT.
     let mut dead: Option<usize> = None;
 
-    for (t, step) in sched.steps.iter().enumerate() {
-        let tag = tag_base + t as u32;
-        let mine = step.iter().filter(|mv| Some(mv.src) == my_src);
-        if let Some(local) = src {
-            // Remote sends first, so their receivers can start while this
-            // rank copies its local moves.
-            for mv in mine.clone().filter(|mv| Some(mv.dst) != my_dst) {
-                let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
-                let to = mv.dst.0 * d.npcol + mv.dst.1;
-                transfers += 1;
-                bytes_sent += std::mem::size_of_val(&payload[..]) as u64;
-                let sent = timed(tel, &mut xfer_s, || match mode {
-                    Commit::Direct => {
-                        comm.send_vec(to, tag, payload);
-                        Ok(())
+    // Direct mode lends each remote move's whole source panel; the scope
+    // returns once every receiver has copied its move out and let go.
+    comm.lending(|loans| {
+        for (t, step) in sched.steps.iter().enumerate() {
+            let tag = tag_base + t as u32;
+            let mine = step.iter().filter(|mv| Some(mv.src) == my_src);
+            if let Some(local) = src {
+                // Remote sends first, so their receivers can start while this
+                // rank copies its local moves.
+                for mv in mine.clone().filter(|mv| Some(mv.dst) != my_dst) {
+                    let to = mv.dst.0 * d.npcol + mv.dst.1;
+                    transfers += 1;
+                    bytes_sent += (mv.elems() * std::mem::size_of::<T>()) as u64;
+                    let sent = match mode {
+                        Commit::Direct => timed(tel, &mut xfer_s, || {
+                            loans.lend(to, tag, local, mv.elems());
+                            Ok(())
+                        }),
+                        Commit::Staged => {
+                            let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
+                            timed(tel, &mut xfer_s, || comm.try_send(to, tag, &payload))
+                        }
+                    };
+                    if sent.is_err() {
+                        dead.get_or_insert(to);
                     }
-                    Commit::Staged => comm.try_send(to, tag, &payload),
-                });
-                if sent.is_err() {
-                    dead.get_or_insert(to);
+                }
+                // Local moves: both endpoints are this rank.
+                for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
+                    match (mode, out.as_deref_mut()) {
+                        (Commit::Direct, Some(out)) => timed(tel, &mut unpack_s, || {
+                            copy_local(bytes_of(local), s, src_lcols, out, d, dst_lcols, mv)
+                        }),
+                        _ => staged.push((
+                            mv,
+                            timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
+                        )),
+                    }
                 }
             }
-            // Local moves: both endpoints are this rank.
-            for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
+            for mv in step
+                .iter()
+                .filter(|mv| Some(mv.dst) == my_dst && Some(mv.src) != my_src)
+            {
+                let from = mv.src.0 * s.npcol + mv.src.1;
                 match (mode, out.as_deref_mut()) {
-                    (Commit::Direct, Some(out)) => timed(tel, &mut unpack_s, || {
-                        copy_local(local, s, src_lcols, out, d, dst_lcols, mv)
-                    }),
-                    _ => staged.push((
-                        mv,
-                        timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
-                    )),
-                }
-            }
-        }
-        for mv in step
-            .iter()
-            .filter(|mv| Some(mv.dst) == my_dst && Some(mv.src) != my_src)
-        {
-            let from = mv.src.0 * s.npcol + mv.src.1;
-            match (mode, out.as_deref_mut()) {
-                (Commit::Direct, Some(out)) => {
-                    // The wait is transfer time; the copy out of the
-                    // payload, inside the receive, is unpack time.
-                    let mut copy_s = 0.0;
-                    timed(tel, &mut xfer_s, || {
-                        comm.recv_with(from, tag, |payload| {
-                            timed(tel, &mut copy_s, || unpack(payload, d, dst_lcols, mv, out))
-                        })
-                    });
-                    xfer_s -= copy_s;
-                    unpack_s += copy_s;
-                }
-                _ => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
-                    Ok(payload) => staged.push((mv, payload)),
-                    Err(()) => {
-                        dead.get_or_insert(from);
+                    (Commit::Direct, Some(out)) => {
+                        // The wait is transfer time; the copy out of the
+                        // sender's lent panel, inside the receive, is unpack
+                        // time.
+                        let from_lcols = s.local_cols(mv.src.1);
+                        let mut copy_s = 0.0;
+                        timed(tel, &mut xfer_s, || {
+                            comm.recv_with(from, tag, |panel| {
+                                timed(tel, &mut copy_s, || {
+                                    copy_local(panel, s, from_lcols, out, d, dst_lcols, mv)
+                                })
+                            })
+                        });
+                        xfer_s -= copy_s;
+                        unpack_s += copy_s;
                     }
-                },
+                    _ => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
+                        Ok(payload) => staged.push((mv, payload)),
+                        Err(()) => {
+                            dead.get_or_insert(from);
+                        }
+                    },
+                }
             }
         }
-    }
+    });
 
     if let Commit::Staged = mode {
         commit_vote(comm, world, dead)?;
@@ -571,8 +589,8 @@ fn spans<'a>(
 }
 
 /// Serialize a move's elements from the source panel into an exactly sized
-/// vector: one allocation, no doubling. In direct mode the vector is the
-/// message.
+/// vector: one allocation, no doubling. Staged mode's payloads and shadow
+/// buffers.
 fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d) -> Vec<T> {
     let mut buf = Vec::with_capacity(mv.elems());
     for span in spans(d, lcols, mv) {
@@ -604,11 +622,15 @@ fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &GTransfer2d
     }
 }
 
-/// A local move: each span of the old panel straight into its span of the
-/// new one, with no buffer in between. Both layouts walk the move in payload
-/// order, and paired spans are one column run, so their lengths agree.
+/// A move from a source panel's bytes (`s`'s layout, `src_lcols` columns
+/// wide) straight into the new panel: each span of the one into its span of
+/// the other, with no buffer in between. Both layouts walk the move in
+/// payload order, and paired spans are one column run, so their lengths
+/// agree. The copies are byte-wise, `size_of::<T>()` times each span, so the
+/// source needs no alignment: it is this rank's old panel for a local move,
+/// and the sender's lent panel for a remote one.
 fn copy_local<T: Pod>(
-    src: &[T],
+    src: &[u8],
     s: &Descriptor,
     src_lcols: usize,
     out: &mut [T],
@@ -616,8 +638,11 @@ fn copy_local<T: Pod>(
     dst_lcols: usize,
     mv: &GTransfer2d,
 ) {
+    let esz = std::mem::size_of::<T>();
+    let out = bytes_of_mut(out);
     for (from, to) in spans(s, src_lcols, mv).zip(spans(d, dst_lcols, mv)) {
-        out[to].copy_from_slice(&src[from]);
+        let len = from.len() * esz;
+        out[to.start * esz..][..len].copy_from_slice(&src[from.start * esz..][..len]);
     }
 }
 

@@ -33,10 +33,14 @@
 //! [`redistribute_2d`] is [`redistribute`] of a 2-D plan in `Direct` mode
 //! that panics instead of returning an error.
 //!
-//! *Direct* commit packs each remote move once, into the vector that
-//! becomes the message (`send_vec`), unpacks it straight out of the
-//! payload's bytes as it arrives (`recv_with`), and copies local moves span
-//! to span between panels. *Staged* commit sends with `try_send` /
+//! *Direct* commit copies each element once, span to span from the old
+//! panel into the new one. A remote move is a loan of the sender's old
+//! panel (`Comm::lending`), charged as a send of the move's elements, which
+//! the receiver copies out of inside `recv_with`; it comes back when the
+//! receiver drops the payload, and every rank returns only once its loans
+//! are back. A lend packs nothing, so `redist.pack_seconds` reads 0 for
+//! remote moves and the receiver's copy is `redist.unpack_seconds`.
+//! *Staged* commit sends with `try_send` /
 //! `recv_or_failed`, parks payloads in shadow buffers, and unpacks only
 //! after an all-to-all vote — a death inside the movement leaves the old
 //! layout bitwise intact and returns [`RedistError::Aborted`]. *Pre-flight*
