@@ -15,6 +15,9 @@
 //!   default 0.05 s, where a wide job can collect more than one lease (24
 //!   grants at latency 0, 27 at 0.05 s, on seed 31337) — this pins today's
 //!   over-grant, so a change to lending cannot move it silently;
+//! * the same stream on 256 and on 1 024 shards at bus latency 0, so the
+//!   routing and lending picks are pinned where a federation has many
+//!   shards;
 //! * the `fed-recover` benchmark's tiny shape (4 shards of 32, 2 000 jobs, no
 //!   wide jobs, bus latency 0, 8 evenly spaced shard kills of 10 s and 2
 //!   half/half partitions of 40 s): every kill and recovery, with the
@@ -154,9 +157,10 @@ fn tiny_stream(shards: usize, wide_permille: u64, seed: u64) -> FedSimConfig {
     )
 }
 
-/// The `fed-steady` benchmark's tiny shape: 16 shards, 1 % wide jobs.
-fn steady_tiny(seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
-    let mut cfg = tiny_stream(16, 10, seed);
+/// The `fed-steady` benchmark's tiny shape, 1 % wide jobs, on `shards`
+/// shards (the benchmark's is 16).
+fn steady_tiny(shards: usize, seed: u64, bus_latency: Option<f64>) -> FedSimConfig {
+    let mut cfg = tiny_stream(shards, 10, seed);
     if let Some(latency) = bus_latency {
         cfg.bus.latency = latency;
     }
@@ -256,7 +260,7 @@ fn runs() -> Vec<(String, String)> {
             digest(generate_partition(seed)).1,
         ));
     }
-    let (steady, d) = digest(steady_tiny(31337, Some(0.0)));
+    let (steady, d) = digest(steady_tiny(16, 31337, Some(0.0)));
     assert!(
         steady.leases_granted > 0,
         "the tiny steady shape must lend: {} leases",
@@ -265,8 +269,20 @@ fn runs() -> Vec<(String, String)> {
     out.push(("steady-tiny-bus-0".to_string(), d));
     out.push((
         "steady-tiny-bus-default".to_string(),
-        digest(steady_tiny(31337, None)).1,
+        digest(steady_tiny(16, 31337, None)).1,
     ));
+    for shards in [256, 1024] {
+        let (wide, d) = digest(steady_tiny(shards, 31337, Some(0.0)));
+        assert_eq!(
+            wide.finished, TINY_JOBS as u64,
+            "every job of the {shards}-shard steady shape must finish"
+        );
+        assert!(
+            wide.leases_granted > 0,
+            "the {shards}-shard steady shape must lend"
+        );
+        out.push((format!("steady-tiny-{shards}-bus-0"), d));
+    }
     let (recover, d) = digest(recover_tiny(31337));
     assert_eq!(
         recover.shard_recoveries, 8,
@@ -332,7 +348,7 @@ fn federation_runs_match_recorded_digests() {
 /// `fed-recover` shape still replays to its crash image.
 #[test]
 fn shards_hold_only_live_jobs() {
-    let (steady, fed) = run_with_fed(steady_tiny(31337, Some(0.0)), |_, _| {});
+    let (steady, fed) = run_with_fed(steady_tiny(16, 31337, Some(0.0)), |_, _| {});
     assert_eq!(steady.finished, TINY_JOBS as u64);
     for sh in fed.shards() {
         let core = sh.core().expect("the steady shape kills no shard");
