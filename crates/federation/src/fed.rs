@@ -25,6 +25,9 @@ use crate::lease::{digest_hash, DigestEntry, Lease, LeaseConfig, LeaseMsg, Trace
 use crate::shard::{Deferred, RecoverReport, Shard, ShardState, WalMark};
 use crate::tenant::{QueuedJob, TenantConfig, TenantState};
 
+mod shard_index;
+use shard_index::ShardIndex;
+
 /// Overload-control thresholds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BrownoutConfig {
@@ -357,8 +360,9 @@ pub struct Federation {
     /// entries are recomputed before `route` or `maybe_lend` reads any.
     view: Vec<ShardSummary>,
     stale: Vec<usize>,
-    /// Live shards whose queue head cannot start (`deficit > 0`).
-    starved: usize,
+    /// The route, starved and donor indexes over `view`, re-keyed exactly
+    /// where `view` changes.
+    index: ShardIndex,
     /// Last lend attempt per `(lender, borrower)` pair, for backoff.
     lend_attempts: BTreeMap<(usize, usize), f64>,
     now_hwm: f64,
@@ -422,10 +426,11 @@ impl Federation {
                 ..Default::default()
             })
             .collect();
-        let view = shards
+        let view: Vec<ShardSummary> = shards
             .iter()
             .map(|s| ShardSummary::of(s, cfg.lease.min_spare))
             .collect();
+        let index = ShardIndex::build(&view);
         Federation {
             lease_cfg: cfg.lease,
             brownout_cfg: cfg.brownout,
@@ -442,7 +447,7 @@ impl Federation {
             job_meta: IdMap::default(),
             view,
             stale: Vec::new(),
-            starved: 0,
+            index,
             lend_attempts: BTreeMap::new(),
             now_hwm: 0.0,
             transitions: 0,
@@ -681,7 +686,9 @@ impl Federation {
         } else {
             ts.shed += 1;
             telemetry::incr("fed.shed", 1);
-            telemetry::incr_labeled("fed.tenant_shed", &[("tenant", &tenant.to_string())], 1);
+            if telemetry::enabled() {
+                telemetry::incr_labeled("fed.tenant_shed", &[("tenant", &tenant.to_string())], 1);
+            }
             out.push(Notice::Shed { tenant, tag });
         }
         self.tenant_gauges(tenant);
@@ -1046,17 +1053,18 @@ impl Federation {
                 sh.wal_mark.tidy(core);
             }
             let fresh = ShardSummary::of(&self.shards[shard], self.lease_cfg.min_spare);
-            let old = std::mem::replace(&mut self.view[shard], fresh);
-            self.starved =
-                self.starved + usize::from(fresh.deficit > 0) - usize::from(old.deficit > 0);
+            if fresh != self.view[shard] {
+                self.view[shard] = fresh;
+                self.index.update(shard, &fresh);
+            }
         }
         debug_assert!(
             self.shards
                 .iter()
                 .zip(&self.view)
                 .all(|(s, v)| *v == ShardSummary::of(s, self.lease_cfg.min_spare))
-                && self.starved == self.view.iter().filter(|v| v.deficit > 0).count(),
-            "a shard summary went stale without a mark"
+                && self.index == ShardIndex::build(&self.view),
+            "a shard summary or index went stale without a mark"
         );
     }
 
@@ -1951,9 +1959,7 @@ impl Federation {
     /// depend on the job.
     fn route(&mut self) -> Option<usize> {
         self.refresh_view();
-        (0..self.view.len())
-            .filter(|&id| self.view[id].live)
-            .min_by_key(|&id| (self.view[id].queue_len, usize::MAX - self.view[id].idle, id))
+        self.index.route()
     }
 
     fn assign(
@@ -2133,52 +2139,35 @@ impl Federation {
     }
 
     /// Lend idle processors to starved shards: for each live shard whose
-    /// queue head cannot start, find a donor with enough spare, escrow
-    /// the slots in the donor's WAL, and put a grant on the bus.
+    /// queue head cannot start, in id order, find a donor with enough
+    /// spare, escrow the slots in the donor's WAL, and put a grant on the
+    /// bus.
     ///
-    /// The shard summaries answer the common case without visiting a core:
-    /// nothing is starved, or no other shard's spare covers the deficit —
-    /// the donor test below, so the search would find no donor.
+    /// The shard indexes answer without visiting a core: the starved set
+    /// lists the borrowers, and the donor tree finds, in id order, the
+    /// other shards whose spare covers a deficit. A shard's
+    /// spare covers a deficit exactly when it may lend that many: its
+    /// queue is empty, it holds no borrowed processors (no sublease
+    /// chains), and its idle processors above `min_spare` suffice.
     fn maybe_lend(&mut self, now: f64, out: &mut Vec<Notice>) {
         self.refresh_view();
-        if self.starved == 0 {
-            return;
-        }
-        for b in 0..self.shards.len() {
+        let mut next = self.index.starved_from(0);
+        while let Some(b) = next {
             let deficit = self.view[b].deficit;
-            if deficit == 0
-                || !(0..self.view.len()).any(|d| d != b && self.view[d].spare >= deficit)
-            {
-                continue;
-            }
-            for d in 0..self.shards.len() {
-                if d == b {
-                    continue;
-                }
-                let eligible = {
-                    let Some(core) = self.shards[d].core() else {
-                        continue;
-                    };
-                    // A donor never re-lends borrowed processors (no
-                    // sublease chains), never lends while work is queued.
-                    core.queue_len() == 0
-                        && core.borrowed_procs() == 0
-                        && core.idle_procs().saturating_sub(self.lease_cfg.min_spare) >= deficit
-                };
-                if !eligible {
-                    continue;
-                }
-                if let Some(&last) = self.lend_attempts.get(&(d, b)) {
-                    if now - last < self.lease_cfg.retry_backoff {
-                        continue;
-                    }
-                }
-                if self.grant_lease(d, b, deficit, now, out) {
+            let mut donor = self.index.donor_from(0, deficit, b);
+            while let Some(d) = donor {
+                let backoff = self
+                    .lend_attempts
+                    .get(&(d, b))
+                    .is_some_and(|&last| now - last < self.lease_cfg.retry_backoff);
+                if !backoff && self.grant_lease(d, b, deficit, now, out) {
                     // The lender escrowed processors: its spare shrank.
                     self.refresh_view();
                     break;
                 }
+                donor = self.index.donor_from(d + 1, deficit, b);
             }
+            next = self.index.starved_from(b + 1);
         }
     }
 
@@ -2222,7 +2211,7 @@ impl Federation {
         );
         self.lend_attempts.insert((lender, borrower), now);
         telemetry::incr("fed.leases_granted", 1);
-        {
+        if telemetry::enabled() {
             let lender_s = lender.to_string();
             let borrower_s = borrower.to_string();
             telemetry::incr_labeled(
