@@ -96,6 +96,7 @@ impl ShardIndex {
     /// processors, then the lowest id; `None` when every shard is down.
     pub(super) fn route(&self) -> Option<usize> {
         let top = self.route[1];
+        // The key's low 32 bits are the shard id.
         (top != u128::MAX).then_some(top as u32 as usize)
     }
 
