@@ -10,7 +10,7 @@
 //!   Figure 3(b)), over every ordered pair of a fixed ladder of grid shapes;
 //! * `evaluate_2d` and `evaluate_2d_contended` over `plan_2d` and
 //!   `plan_naive_2d` of two matrices on the same pairs;
-//! * `evaluate_1d` and `evaluate_general_1d` over a small `(n, b, p, q)` grid.
+//! * `evaluate_1d` over a small `(n, b, p, q)` grid.
 //!
 //! To re-record after an *intentional* pricing change:
 //!
@@ -27,8 +27,7 @@ use reshape_blockcyclic::Descriptor;
 use reshape_clustersim::{fig3a_job, fig3b_jobs, workload1, workload2, AppModel, MachineParams};
 use reshape_core::ProcessorConfig;
 use reshape_redist::{
-    evaluate_1d, evaluate_2d, evaluate_2d_contended, evaluate_general_1d, plan_1d, plan_2d,
-    plan_general_1d, plan_naive_2d, RedistCost,
+    evaluate_1d, evaluate_2d, evaluate_2d_contended, plan_1d, plan_2d, plan_naive_2d, RedistCost,
 };
 
 const SNAPSHOT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/snapshots/pricing.txt");
@@ -143,28 +142,17 @@ fn digests() -> Vec<(String, String)> {
             naive[1].hex(),
         ));
     }
-    let (mut fixed, mut general) = (Fnv::new(), Fnv::new());
+    let mut fixed = Fnv::new();
     for n in [1, 97, 1000, 4099] {
         for b in [1, 7, 100] {
             for p in 1..=6 {
                 for q in 1..=6 {
                     fixed.cost(&evaluate_1d(&plan_1d(n, b, p, q), 8, &net));
-                    for b2 in [3, 100] {
-                        general.cost(&evaluate_general_1d(
-                            &plan_general_1d(n, b, p, b2, q),
-                            8,
-                            &net,
-                        ));
-                    }
                 }
             }
         }
     }
     out.push(("evaluate_1d plan_1d".to_string(), fixed.hex()));
-    out.push((
-        "evaluate_general_1d plan_general_1d".to_string(),
-        general.hex(),
-    ));
     out
 }
 

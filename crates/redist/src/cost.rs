@@ -45,19 +45,12 @@ impl RedistCost {
     /// several arrays onto one cost sums their phases in schedule order;
     /// `seconds` adds the plan's own total.
     pub fn add_2d(&mut self, plan: &Redist2d, elem_size: usize, net: &NetModel) {
-        self.add(&lower_2d(plan), elem_size, net, Sum::PerStep);
+        self.add(&lower_2d(plan), elem_size, net);
     }
 
     /// Price `sched`'s steps onto this cost. A step takes the wire time of
-    /// its largest message plus packing and unpacking its largest move;
-    /// `order` is how those terms join the schedule's running total.
-    pub(crate) fn add(
-        &mut self,
-        sched: &Schedule<'_>,
-        elem_size: usize,
-        net: &NetModel,
-        order: Sum,
-    ) {
+    /// its largest message plus packing and unpacking its largest move.
+    fn add(&mut self, sched: &Schedule, elem_size: usize, net: &NetModel) {
         let (src_cols, dst_cols) = (sched.src.npcol, sched.dst.npcol);
         let mut seconds = 0.0;
         for step in sched.steps.iter() {
@@ -79,10 +72,9 @@ impl RedistCost {
             };
             // Pack on the sender + unpack on the receiver.
             let touch = 2.0 * max_touch as f64 / PACK_BANDWIDTH;
-            seconds = match order {
-                Sum::PerStep => seconds + (wire + touch),
-                Sum::PerTerm => seconds + wire + touch,
-            };
+            // The step's terms join first, then the step joins the total;
+            // the recorded prices were taken in this order.
+            seconds += wire + touch;
             let half = max_touch as f64 / PACK_BANDWIDTH;
             self.pack_seconds += half;
             self.transfer_seconds += wire;
@@ -93,37 +85,21 @@ impl RedistCost {
     }
 }
 
-/// How a step's wire and touch terms join a schedule's total. The two
-/// orders round differently, and each evaluator keeps the one its recorded
-/// prices were taken under.
-#[derive(Clone, Copy)]
-pub(crate) enum Sum {
-    /// Add the step's terms together, then the step to the total.
-    PerStep,
-    /// Add each term to the total in turn.
-    PerTerm,
-}
-
 /// Price a whole schedule.
-pub(crate) fn evaluate(
-    sched: &Schedule<'_>,
-    elem_size: usize,
-    net: &NetModel,
-    order: Sum,
-) -> RedistCost {
+fn evaluate(sched: &Schedule, elem_size: usize, net: &NetModel) -> RedistCost {
     let mut cost = RedistCost::default();
-    cost.add(sched, elem_size, net, order);
+    cost.add(sched, elem_size, net);
     cost
 }
 
 /// Cost of a 1-D schedule moving elements of `elem_size` bytes under `net`.
 pub fn evaluate_1d(plan: &Redist1d, elem_size: usize, net: &NetModel) -> RedistCost {
-    evaluate(&lower_1d(plan), elem_size, net, Sum::PerStep)
+    evaluate(&lower_1d(plan), elem_size, net)
 }
 
 /// Cost of a checkerboard schedule.
 pub fn evaluate_2d(plan: &Redist2d, elem_size: usize, net: &NetModel) -> RedistCost {
-    evaluate(&lower_2d(plan), elem_size, net, Sum::PerStep)
+    evaluate(&lower_2d(plan), elem_size, net)
 }
 
 /// Throughput degradation per extra concurrent sender targeting one

@@ -1,6 +1,6 @@
 //! The schedule executor: every scheduled redistribution in this crate —
-//! planned or naive or general, 1-D or 2-D, direct or staged — is one
-//! [`Plan`], lowered by [`redistribute`] to one [`Schedule`] and run by the
+//! planned or naive, 1-D or 2-D, direct or staged — is one [`Plan`],
+//! lowered by [`redistribute`] to one [`Schedule`], checked, and run by the
 //! one step loop in [`execute`].
 //!
 //! The executor runs over a single communicator covering `max(P, Q)` ranks,
@@ -9,12 +9,11 @@
 //! expansion the parents keep the low ranks of the merged communicator, and
 //! on shrink the retained subset is the low ranks of the old one.
 //!
-//! A schedule is a list of steps, each a list of [`GTransfer2d`] moves: one
-//! coalesced message carrying every element whose global row lies in one of
-//! the move's row runs and whose global column lies in one of its column
-//! runs. A general 2-D plan already is that; a
-//! [`Transfer2d`](crate::Transfer2d) becomes it with one run per block; and
-//! a 1-D transfer becomes it on a `1 × n` descriptor, because a
+//! A schedule is a list of steps, each a list of [`Move`]s: one coalesced
+//! message carrying every element whose global row lies in one of the
+//! move's row runs and whose global column lies in one of its column runs.
+//! A [`Transfer2d`](crate::Transfer2d) becomes one with one run per block,
+//! and a 1-D transfer becomes one on a `1 × n` descriptor, because a
 //! [`DistVector`]'s local data is bit-for-bit the local panel of
 //! `Descriptor::new(1, n, 1, nb, 1, p)`. Every run lies inside one block of
 //! both layouts, so it is contiguous in the row-major local panel on both
@@ -38,7 +37,6 @@
 //! lend is transfer time and packs nothing (`redist.pack_seconds` reads 0
 //! for remote moves), and the receiver's copy is `redist.unpack_seconds`.
 
-use std::borrow::Cow;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -46,8 +44,6 @@ use reshape_blockcyclic::{g2l, Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, Pod};
 
 use crate::fault::RedistError;
-use crate::general1d::{lower_general_1d, GeneralPlan1d};
-use crate::general2d::{lower_general_2d, GTransfer2d, GeneralPlan2d};
 use crate::plan1d::{lower_1d, Redist1d};
 use crate::plan2d::Redist2d;
 
@@ -65,18 +61,77 @@ const TAG_TXN_VOTE: u32 = 8_199_000;
 const VOTE_OK: u64 = 1;
 const VOTE_ABORT: u64 = 0;
 
-/// A plan of any kind, lowered to what the step loop needs.
-pub(crate) struct Schedule<'a> {
-    pub src: Descriptor,
-    pub dst: Descriptor,
-    pub steps: Cow<'a, [Vec<GTransfer2d>]>,
+/// One coalesced message of a lowered schedule: every element whose global
+/// row lies in a `row_runs` run and whose global column lies in a
+/// `col_runs` run, from grid position `src` of the old layout to `dst` of
+/// the new. Runs are `(start, len)`.
+pub(crate) struct Move {
+    pub src: (usize, usize),
+    pub dst: (usize, usize),
+    pub row_runs: Vec<(usize, usize)>,
+    pub col_runs: Vec<(usize, usize)>,
 }
 
-impl Schedule<'_> {
+impl Move {
+    pub fn elems(&self) -> usize {
+        let r: usize = self.row_runs.iter().map(|&(_, l)| l).sum();
+        let c: usize = self.col_runs.iter().map(|&(_, l)| l).sum();
+        r * c
+    }
+}
+
+/// A plan of any kind, lowered to what the step loop needs.
+pub(crate) struct Schedule {
+    pub src: Descriptor,
+    pub dst: Descriptor,
+    pub steps: Vec<Vec<Move>>,
+}
+
+impl Schedule {
     /// Every rank the schedule can name as a source or destination.
     pub fn world(&self) -> usize {
         procs(&self.src).max(procs(&self.dst))
     }
+
+    /// Whether the step loop can run this schedule as it stands: both
+    /// layouts are of one global shape with no empty block or grid
+    /// dimension, every move's grid positions lie inside their grids, and
+    /// every run is a non-empty part of one block of each layout, owned by
+    /// the move's source position in the old layout and by its destination
+    /// position in the new one. Every rank holds the same schedule, so every
+    /// rank gets the same answer.
+    fn runnable(&self) -> bool {
+        let (s, d) = (&self.src, &self.dst);
+        let sane = |x: &Descriptor| x.mb > 0 && x.nb > 0 && x.nprow > 0 && x.npcol > 0;
+        sane(s)
+            && sane(d)
+            && (s.m, s.n) == (d.m, d.n)
+            && self.steps.iter().flatten().all(|mv| {
+                mv.src.0 < s.nprow
+                    && mv.src.1 < s.npcol
+                    && mv.dst.0 < d.nprow
+                    && mv.dst.1 < d.npcol
+                    && mv.row_runs.iter().all(|&run| {
+                        owned(run, s.m, s.mb, s.nprow, mv.src.0)
+                            && owned(run, d.m, d.mb, d.nprow, mv.dst.0)
+                    })
+                    && mv.col_runs.iter().all(|&run| {
+                        owned(run, s.n, s.nb, s.npcol, mv.src.1)
+                            && owned(run, d.n, d.nb, d.npcol, mv.dst.1)
+                    })
+            })
+    }
+}
+
+/// Whether run `(start, len)` of a dimension of `len_dim` elements, in
+/// blocks of `b` dealt over `np` grid positions, is a non-empty part of one
+/// block that position `at` owns.
+fn owned((start, len): (usize, usize), len_dim: usize, b: usize, np: usize, at: usize) -> bool {
+    len > 0
+        && start < len_dim
+        && len <= len_dim - start
+        && start / b == (start + len - 1) / b
+        && (start / b) % np == at
 }
 
 /// Processes in `d`'s grid.
@@ -106,24 +161,13 @@ pub enum Plan<'a> {
     /// Planned 2-D ([`plan_2d`](crate::plan_2d)) or the naive single burst
     /// ([`plan_naive_2d`](crate::plan_naive_2d)).
     TwoD(&'a Redist2d),
-    /// General 2-D: block sizes may change too
-    /// ([`plan_general_2d`](crate::plan_general_2d)).
-    General2d(&'a GeneralPlan2d),
     /// Planned 1-D ([`plan_1d`](crate::plan_1d)).
     OneD(&'a Redist1d),
-    /// General 1-D ([`plan_general_1d`](crate::plan_general_1d)).
-    General1d(&'a GeneralPlan1d),
 }
 
 impl<'a> From<&'a Redist2d> for Plan<'a> {
     fn from(plan: &'a Redist2d) -> Self {
         Plan::TwoD(plan)
-    }
-}
-
-impl<'a> From<&'a GeneralPlan2d> for Plan<'a> {
-    fn from(plan: &'a GeneralPlan2d) -> Self {
-        Plan::General2d(plan)
     }
 }
 
@@ -133,31 +177,35 @@ impl<'a> From<&'a Redist1d> for Plan<'a> {
     }
 }
 
-impl<'a> From<&'a GeneralPlan1d> for Plan<'a> {
-    fn from(plan: &'a GeneralPlan1d) -> Self {
-        Plan::General1d(plan)
-    }
-}
-
-impl<'a> Plan<'a> {
+impl Plan<'_> {
     /// Every rank the plan can name: the larger layout's process count, the
     /// ranks [`preflight`](crate::preflight) scans.
     pub fn world(self) -> usize {
         match self {
             Plan::TwoD(p) => procs(&p.src).max(procs(&p.dst)),
-            Plan::General2d(p) => procs(&p.src).max(procs(&p.dst)),
             Plan::OneD(p) => p.p.max(p.q),
-            Plan::General1d(p) => p.p.max(p.q),
         }
     }
 
-    pub(crate) fn lower(self) -> Schedule<'a> {
-        match self {
-            Plan::TwoD(p) => lower_2d(p),
-            Plan::General2d(p) => lower_general_2d(p),
-            Plan::OneD(p) => lower_1d(p),
-            Plan::General1d(p) => lower_general_1d(p),
-        }
+    /// The plan's schedule, if the step loop can run it: a 2-D plan's 1-D
+    /// sub-plans must be the row and column moves between its descriptors,
+    /// and the lowered schedule must be [`runnable`](Schedule::runnable).
+    fn lower(self) -> Result<Schedule, RedistError> {
+        let sched = match self {
+            Plan::TwoD(p) => {
+                // Each sub-plan moves one dimension, `(length, block,
+                // grid extent)`, from the old layout to the new.
+                let moves = |sub: &Redist1d, from, to| {
+                    (sub.n, sub.b, sub.p) == from && (sub.n, sub.b, sub.q) == to
+                };
+                let (s, d) = (&p.src, &p.dst);
+                let agree = moves(&p.row_plan, (s.m, s.mb, s.nprow), (d.m, d.mb, d.nprow))
+                    && moves(&p.col_plan, (s.n, s.nb, s.npcol), (d.n, d.nb, d.npcol));
+                agree.then(|| lower_2d(p))
+            }
+            Plan::OneD(p) => Some(lower_1d(p)),
+        };
+        sched.filter(Schedule::runnable).ok_or(RedistError::BadPlan)
     }
 }
 
@@ -254,29 +302,30 @@ impl<T: Pod + Default> DistArray for DistVector<T> {
 }
 
 /// Lower a plan's `steps`, one transfer at a time.
-pub(crate) fn lower_steps<X>(
-    steps: &[Vec<X>],
-    lower: impl Fn(&X) -> GTransfer2d,
-) -> Cow<'static, [Vec<GTransfer2d>]> {
+pub(crate) fn lower_steps<X>(steps: &[Vec<X>], lower: impl Fn(&X) -> Move) -> Vec<Vec<Move>> {
     steps
         .iter()
         .map(|step| step.iter().map(&lower).collect())
         .collect()
 }
 
-/// The runs covering global blocks `blocks` of `plan`'s dimension.
+/// The runs covering global blocks `blocks` of `plan`'s dimension. A block
+/// past the end becomes an empty run, which no schedule check lets through.
 pub(crate) fn block_runs(plan: &Redist1d, blocks: &[usize]) -> Vec<(usize, usize)> {
     blocks
         .iter()
-        .map(|&k| (k * plan.b, plan.block_len(k)))
+        .map(|&k| {
+            let start = k.saturating_mul(plan.b);
+            (start, plan.n.saturating_sub(start).min(plan.b))
+        })
         .collect()
 }
 
-pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
+pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule {
     Schedule {
         src: plan.src,
         dst: plan.dst,
-        steps: lower_steps(&plan.steps, |t| GTransfer2d {
+        steps: lower_steps(&plan.steps, |t| Move {
             src: t.src,
             dst: t.dst,
             row_runs: block_runs(&plan.row_plan, &t.row_blocks),
@@ -301,15 +350,20 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule<'static> {
 /// a panic, its peers are left waiting inside the collective. Under
 /// [`Commit::Direct`] a peer that dies mid-move may panic or wedge the
 /// collective too; [`preflight`](crate::preflight) first, or
-/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`]. The plan
-/// is trusted as its planner built it.
+/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`].
+///
+/// The plan's fields are public, so it need not be as its planner built it.
+/// A plan whose moves its own layouts do not allow — a block past the end
+/// of its dimension, a grid position outside its grid, a block its move's
+/// endpoints do not own, or a 2-D plan whose 1-D sub-plans disagree with its
+/// descriptors — fails with [`RedistError::BadPlan`] on every rank alike.
 pub fn redistribute<'p, A: DistArray>(
     comm: &Comm,
     plan: impl Into<Plan<'p>>,
     src: Option<&A>,
     commit: Commit,
 ) -> Result<Option<A>, RedistError> {
-    let sched = plan.into().lower();
+    let sched = plan.into().lower()?;
     let (s, d) = (&sched.src, &sched.dst);
     let local = source_panel(comm, s, d, src)?;
     let me = comm.rank();
@@ -380,7 +434,7 @@ fn timed<R>(on: bool, acc: &mut f64, f: impl FnOnce() -> R) -> R {
 /// receive is deadlock-free.
 fn execute<T: Pod + Default>(
     comm: &Comm,
-    sched: &Schedule<'_>,
+    sched: &Schedule,
     mode: Commit,
     src: Option<&[T]>,
     mut out: Option<&mut [T]>,
@@ -413,7 +467,7 @@ fn execute<T: Pod + Default>(
     // Staged mode's shadow buffers: every payload this rank will eventually
     // unpack, beside its move. Local moves are staged too, so an abort
     // after a partial step leaves no trace anywhere.
-    let mut staged: Vec<(&GTransfer2d, Vec<T>)> = Vec::new();
+    let mut staged: Vec<(&Move, Vec<T>)> = Vec::new();
     // First failure observed (staged mode). A rank that observes a failure
     // keeps driving the remaining sends and receives so its live peers make
     // progress; it just remembers to vote ABORT.
@@ -572,7 +626,7 @@ fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(),
 fn spans<'a>(
     d: &'a Descriptor,
     lcols: usize,
-    mv: &'a GTransfer2d,
+    mv: &'a Move,
 ) -> impl Iterator<Item = Range<usize>> + 'a {
     let rows = mv.row_runs.iter().flat_map(|&(i0, len)| i0..i0 + len);
     rows.flat_map(move |gi| {
@@ -591,7 +645,7 @@ fn spans<'a>(
 /// Serialize a move's elements from the source panel into an exactly sized
 /// vector: one allocation, no doubling. Staged mode's payloads and shadow
 /// buffers.
-fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d) -> Vec<T> {
+fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &Move) -> Vec<T> {
     let mut buf = Vec::with_capacity(mv.elems());
     for span in spans(d, lcols, mv) {
         buf.extend_from_slice(&local[span]);
@@ -606,7 +660,7 @@ fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &GTransfer2d) -> 
 /// # Panics
 ///
 /// Panics if the payload is not exactly the move's elements.
-fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &GTransfer2d, local: &mut [T]) {
+fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &Move, local: &mut [T]) {
     let esz = std::mem::size_of::<T>();
     assert_eq!(
         payload.len(),
@@ -636,7 +690,7 @@ fn copy_local<T: Pod>(
     out: &mut [T],
     d: &Descriptor,
     dst_lcols: usize,
-    mv: &GTransfer2d,
+    mv: &Move,
 ) {
     let esz = std::mem::size_of::<T>();
     let out = bytes_of_mut(out);
@@ -756,9 +810,9 @@ mod tests {
     }
 
     /// A move of rows 0..2 x columns 0..2 on rank (0,0) of a 1x2 grid.
-    fn corner_move() -> (Descriptor, GTransfer2d) {
+    fn corner_move() -> (Descriptor, Move) {
         let d = Descriptor::square(8, 2, 1, 2);
-        let mv = GTransfer2d {
+        let mv = Move {
             src: (0, 0),
             dst: (0, 0),
             row_runs: vec![(0, 2)],

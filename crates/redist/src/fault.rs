@@ -40,6 +40,11 @@ pub enum RedistError {
     /// another descriptor or grid position, or its type cannot hold the
     /// move's layouts.
     LayoutMismatch { rank: usize },
+    /// The plan names a move its own layouts do not allow: a block past the
+    /// end of its dimension, a grid position outside its grid, a block the
+    /// move's endpoints do not own, or 1-D sub-plans that disagree with the
+    /// plan's descriptors. Every rank returns it alike.
+    BadPlan,
     /// A rank the move needs is dead: found by [`preflight`] before any
     /// element moved, or by a staged commit's vote. The source layout is
     /// untouched.
@@ -62,6 +67,7 @@ impl fmt::Display for RedistError {
             RedistError::LayoutMismatch { rank } => {
                 write!(f, "rank {rank}'s source panel disagrees with the plan")
             }
+            RedistError::BadPlan => write!(f, "the plan names moves its layouts do not allow"),
             RedistError::Aborted { dead_rank } => {
                 write!(f, "redistribution aborted: rank {dead_rank} is dead")
             }

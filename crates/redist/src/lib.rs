@@ -9,9 +9,9 @@
 //! permutation — no process sends or receives more than one message per
 //! step, so steps are free of link contention.
 //!
-//! Planners ([`plan_1d`], [`plan_2d`], [`plan_naive_2d`],
-//! [`plan_general_1d`], [`plan_general_2d`]) build schedules; [`cost`] turns
-//! a schedule plus a [`NetModel`](reshape_mpisim::NetModel) into seconds of
+//! Planners ([`plan_1d`], [`plan_2d`], [`plan_naive_2d`]) build schedules
+//! that keep the block size, as the paper's library does; [`cost`] turns a
+//! schedule plus a [`NetModel`](reshape_mpisim::NetModel) into seconds of
 //! virtual time (Figure 2(b), the cluster simulator); and [`redistribute`]
 //! moves real data over a merged communicator (old layout on ranks `0..P`,
 //! new on `0..Q`). It takes any planned kind as one [`Plan`], lowers it to
@@ -25,9 +25,7 @@
 //! | [`Plan`] | array | [`Commit`] | [`preflight`] first |
 //! |---|---|---|---|
 //! | [`Plan::TwoD`]: planned 2-D ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | [`DistMatrix`](reshape_blockcyclic::DistMatrix) | `Direct` or `Staged` | optional |
-//! | [`Plan::General2d`]: blocks may change ([`plan_general_2d`]) | `DistMatrix` | `Direct` or `Staged` | optional |
 //! | [`Plan::OneD`]: planned 1-D ([`plan_1d`]) | [`DistVector`](reshape_blockcyclic::DistVector) | `Direct` or `Staged` | optional |
-//! | [`Plan::General1d`]: blocks may change ([`plan_general_1d`]) | `DistVector` | `Direct` or `Staged` | optional |
 //! | none — [`checkpoint_redistribute`], funnel through rank 0 and disk | `DistMatrix` | — | optional |
 //!
 //! [`redistribute_2d`] is [`redistribute`] of a 2-D plan in `Direct` mode
@@ -51,9 +49,10 @@
 //! callers who hold every rank until all have scanned opt in.
 //!
 //! A caller's mistake — a communicator smaller than the larger layout, a
-//! source rank that passes no panel, a panel of another layout, or (for the
-//! checkpoint funnel) layouts of different shapes — is a [`RedistError`],
-//! returned before the rank sends anything.
+//! plan whose moves its own layouts do not allow, a source rank that passes
+//! no panel, a panel of another layout, or (for the checkpoint funnel)
+//! layouts of different shapes — is a [`RedistError`], returned before the
+//! rank sends anything.
 //!
 //! The checkpoint funnel is an independent implementation, not a plan: the
 //! paper compares ReSHAPE against it ([`checkpoint`], the DRMS/SRS-style
@@ -65,8 +64,6 @@ pub mod checkpoint;
 pub mod cost;
 mod exec;
 mod fault;
-mod general1d;
-mod general2d;
 mod naive;
 mod plan1d;
 mod plan2d;
@@ -75,8 +72,6 @@ pub use checkpoint::{checkpoint_cost, checkpoint_redistribute, CheckpointParams}
 pub use cost::{evaluate_1d, evaluate_2d, evaluate_2d_contended, RedistCost, PACK_BANDWIDTH};
 pub use exec::{redistribute, redistribute_2d, Commit, DistArray, Plan};
 pub use fault::{preflight, RedistError};
-pub use general1d::{evaluate_general_1d, plan_general_1d, GTransfer, GeneralPlan1d};
-pub use general2d::{plan_general_2d, GTransfer2d, GeneralPlan2d};
 pub use naive::plan_naive_2d;
 pub use plan1d::{plan_1d, Redist1d, Transfer1d};
 pub use plan2d::{plan_2d, Redist2d, Transfer2d};

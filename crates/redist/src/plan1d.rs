@@ -14,8 +14,7 @@
 //! schedule. All blocks moving between one (source, destination) pair in a
 //! step travel in a single coalesced message.
 
-use crate::exec::{block_runs, lower_steps, view_1d, Schedule};
-use crate::general2d::GTransfer2d;
+use crate::exec::{block_runs, lower_steps, view_1d, Move, Schedule};
 
 /// One coalesced message of a schedule step: `src` (rank in the old layout)
 /// sends the listed global block indices to `dst` (rank in the new layout).
@@ -134,11 +133,11 @@ pub fn plan_1d(n: usize, b: usize, p: usize, q: usize) -> Redist1d {
 }
 
 /// The plan as a schedule over the `1 × n` view of the array.
-pub(crate) fn lower_1d(plan: &Redist1d) -> Schedule<'static> {
+pub(crate) fn lower_1d(plan: &Redist1d) -> Schedule {
     Schedule {
         src: view_1d(plan.n, plan.b, plan.p),
         dst: view_1d(plan.n, plan.b, plan.q),
-        steps: lower_steps(&plan.steps, |t| GTransfer2d {
+        steps: lower_steps(&plan.steps, |t| Move {
             src: (0, t.src),
             dst: (0, t.dst),
             row_runs: vec![(0, 1)],

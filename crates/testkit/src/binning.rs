@@ -90,7 +90,6 @@ mod tests {
     use super::*;
     use crate::rng::SplitMix64;
     use reshape_mpisim::{NetModel, Universe};
-    use reshape_redist::{plan_general_2d, redistribute, Commit};
 
     fn round_trip(
         m: usize,
@@ -148,29 +147,6 @@ mod tests {
     #[test]
     fn shrink_with_reblocking() {
         round_trip(16, 16, (2, 2), (8, 8), (2, 3), (1, 2));
-    }
-
-    /// The differential checker's cases keep the blocks; this one changes
-    /// them, so the general 2-D executor meets the oracle on a reblocking.
-    #[test]
-    fn agrees_with_the_general_executor_when_blocks_change() {
-        let (m, n) = (21, 18);
-        Universe::new(6, 1, NetModel::ideal())
-            .launch(6, None, "agree-general", move |comm| {
-                let src_d = Descriptor::new(m, n, 3, 2, 2, 3);
-                let dst_d = Descriptor::new(m, n, 4, 5, 3, 2);
-                let me = comm.rank();
-                let src = DistMatrix::from_fn(src_d, me / 3, me % 3, |i, j| (i * 77 + j) as f64);
-                let plan = plan_general_2d(src_d, dst_d);
-                let a = redistribute(&comm, &plan, Some(&src), Commit::Direct).unwrap();
-                let b = redistribute_general(&comm, src_d, dst_d, Some(&src));
-                match (a, b) {
-                    (Some(x), Some(y)) => assert_eq!(x.local_data(), y.local_data()),
-                    (None, None) => {}
-                    _ => panic!("presence mismatch on rank {me}"),
-                }
-            })
-            .join_ok();
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Differential redistribution checker.
 //!
 //! The redist crate moves a distributed array through one `redistribute`,
-//! over a (plan × commit × pre-flight) product: four plan kinds (planned or
-//! naive 2-D, general 2-D, planned 1-D, general 1-D), direct or staged
-//! commit, with or without the liveness pre-flight. Beside it stand two
-//! independent implementations: the checkpoint/restart funnel, and the
+//! over a (plan × commit × pre-flight) product: three plan kinds (planned
+//! 2-D, naive 2-D, planned 1-D), direct or staged commit, with or without
+//! the liveness pre-flight. Beside it stand two independent
+//! implementations: the checkpoint/restart funnel, and the
 //! [`binning`](crate::binning) oracle, which shares no code with the
 //! crate. For any source/destination layout every [`Route`] through them
 //! must produce the *bitwise identical* destination — and under an injected
@@ -12,8 +12,8 @@
 //! single element.
 //!
 //! Two pins hold the code behind the routes still: [`path_digest`] hashes
-//! the output, traffic and verdicts of each of the eleven entry points the
-//! crate had before they became one (each a [`Path`]), and
+//! the output, traffic and verdicts of each entry point the crate had
+//! before they became one (each a [`Path`]), and
 //! [`executor_traffic`] records what each scheduled path puts on the wire.
 //!
 //! Each route runs in its own fresh [`Universe`] over identical seeded
@@ -25,8 +25,8 @@ use std::sync::{Arc, Mutex};
 use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
 use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{
-    checkpoint_redistribute, plan_1d, plan_2d, plan_general_1d, plan_general_2d, plan_naive_2d,
-    preflight, redistribute, CheckpointParams, Commit, RedistError,
+    checkpoint_redistribute, plan_1d, plan_2d, plan_naive_2d, preflight, redistribute,
+    CheckpointParams, Commit, RedistError,
 };
 
 use crate::binning::redistribute_general;
@@ -73,12 +73,8 @@ pub enum Mover {
     Planned2d,
     /// `redistribute` of a `plan_naive_2d` plan.
     Naive2d,
-    /// `redistribute` of a `plan_general_2d` plan, blocks unchanged.
-    General2d,
     /// `redistribute` of a `plan_1d` plan.
     Planned1d,
-    /// `redistribute` of a `plan_general_1d` plan, blocks unchanged.
-    General1d,
     /// `checkpoint_redistribute`.
     Checkpoint,
     /// The [`binning`](crate::binning) oracle.
@@ -86,16 +82,15 @@ pub enum Mover {
 }
 
 /// Every mover of a 2-D array.
-pub const MOVERS_2D: [Mover; 5] = [
+pub const MOVERS_2D: [Mover; 4] = [
     Mover::Planned2d,
     Mover::Naive2d,
-    Mover::General2d,
     Mover::Checkpoint,
     Mover::Binning,
 ];
 
 /// Every mover of a 1-D array.
-pub const MOVERS_1D: [Mover; 2] = [Mover::Planned1d, Mover::General1d];
+pub const MOVERS_1D: [Mover; 1] = [Mover::Planned1d];
 
 /// One way to move an array: a mover, the commit mode of a plan's move, and
 /// whether the liveness pre-flight runs first.
@@ -156,8 +151,8 @@ pub fn differential_2d(case: &Case2d) -> Result<(), String> {
     agree(&MOVERS_2D, &Case::TwoD(*case), &expected)
 }
 
-/// 1-D differential: every route of the table-based 1-D schedule and the
-/// generalized 1-D plan, element for element.
+/// 1-D differential: every route of the table-based 1-D schedule, element
+/// for element.
 pub fn differential_1d(n: usize, b: usize, p: usize, q: usize) -> Result<(), String> {
     let expected: Vec<u64> = (0..n).map(|g| value(g, 0)).collect();
     agree(&MOVERS_1D, &Case::OneD(Case1d { n, b, p, q }), &expected)
@@ -202,13 +197,8 @@ pub enum TrafficPath {
     PlannedShrink,
     /// `plan_naive_2d`, direct, 2×2 → 2×3.
     Naive,
-    /// `plan_general_2d`, direct, 20×24 from 2×3 blocks on 2×2 to 5×4
-    /// blocks on 3×2.
-    General2d,
     /// `plan_1d`, direct, 37 elements in blocks of 3, 3 → 5 ranks.
     Planned1d,
-    /// `plan_general_1d`, direct, 50 elements, blocks 3 → 7, 2 → 4 ranks.
-    General1d,
     /// `plan_2d`, staged, committing the `PlannedExpand` move.
     TxnCommit,
 }
@@ -220,7 +210,6 @@ pub enum TrafficPath {
 pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
     let ranks = match path {
         TrafficPath::Planned1d => 5,
-        TrafficPath::General1d => 4,
         _ => 6,
     };
     let seen = Arc::new(Mutex::new(vec![(0u64, 0u64, 0u64); ranks]));
@@ -249,18 +238,9 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
                 let plan = plan_naive_2d(narrow, wide);
                 redistribute(&comm, &plan, mat(narrow).as_ref(), direct).map(drop)
             }
-            TrafficPath::General2d => {
-                let s = Descriptor::new(20, 24, 2, 3, 2, 2);
-                let d = Descriptor::new(20, 24, 5, 4, 3, 2);
-                redistribute(&comm, &plan_general_2d(s, d), mat(s).as_ref(), direct).map(drop)
-            }
             TrafficPath::Planned1d => {
                 let plan = plan_1d(37, 3, 3, 5);
                 redistribute(&comm, &plan, vec(37, 3, 3).as_ref(), direct).map(drop)
-            }
-            TrafficPath::General1d => {
-                let plan = plan_general_1d(50, 3, 2, 7, 4);
-                redistribute(&comm, &plan, vec(50, 3, 2).as_ref(), direct).map(drop)
             }
             TrafficPath::TxnCommit => {
                 let plan = plan_2d(narrow, wide);
@@ -360,21 +340,18 @@ impl Case {
 }
 
 /// Every way to move an array that the redistribution crate offered while
-/// it had eleven entry points, one variant per (entry point, plan).
+/// it had eleven entry points, one variant per (entry point, plan), less the
+/// entry points of the reblocking planners, which are gone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Path {
     /// `redistribute_2d` over `plan_2d`.
     Planned2d,
     /// `redistribute_2d` over `plan_naive_2d`.
     Naive2d,
-    /// `redistribute_general_2d` over `plan_general_2d`.
-    General2d,
     /// `txn_redistribute_2d` over `plan_2d`.
     Txn2d,
     /// `try_redistribute_2d` over `plan_2d`.
     TryPlanned2d,
-    /// `try_redistribute_general_2d` over `plan_general_2d`.
-    TryGeneral2d,
     /// `checkpoint_redistribute`.
     Checkpoint,
     /// `try_checkpoint_redistribute`.
@@ -383,8 +360,6 @@ pub enum Path {
     Binning,
     /// `redistribute_1d` over `plan_1d`.
     Planned1d,
-    /// `redistribute_general_1d` over `plan_general_1d`, blocks unchanged.
-    General1d,
     /// `try_redistribute_1d` over `plan_1d`.
     TryPlanned1d,
 }
@@ -395,15 +370,12 @@ impl Path {
         let (mover, commit, preflight) = match self {
             Path::Planned2d => (Mover::Planned2d, Commit::Direct, false),
             Path::Naive2d => (Mover::Naive2d, Commit::Direct, false),
-            Path::General2d => (Mover::General2d, Commit::Direct, false),
             Path::Txn2d => (Mover::Planned2d, Commit::Staged, false),
             Path::TryPlanned2d => (Mover::Planned2d, Commit::Direct, true),
-            Path::TryGeneral2d => (Mover::General2d, Commit::Direct, true),
             Path::Checkpoint => (Mover::Checkpoint, Commit::Direct, false),
             Path::TryCheckpoint => (Mover::Checkpoint, Commit::Direct, true),
             Path::Binning => (Mover::Binning, Commit::Direct, false),
             Path::Planned1d => (Mover::Planned1d, Commit::Direct, false),
-            Path::General1d => (Mover::General1d, Commit::Direct, false),
             Path::TryPlanned1d => (Mover::Planned1d, Commit::Direct, true),
         };
         Route {
@@ -415,25 +387,22 @@ impl Path {
 }
 
 /// The paths that move a 2-D array.
-pub const PATHS_2D: [Path; 9] = [
+pub const PATHS_2D: [Path; 7] = [
     Path::Planned2d,
     Path::Naive2d,
-    Path::General2d,
     Path::Txn2d,
     Path::TryPlanned2d,
-    Path::TryGeneral2d,
     Path::Checkpoint,
     Path::TryCheckpoint,
     Path::Binning,
 ];
 
 /// The paths that move a 1-D array.
-pub const PATHS_1D: [Path; 3] = [Path::Planned1d, Path::General1d, Path::TryPlanned1d];
+pub const PATHS_1D: [Path; 2] = [Path::Planned1d, Path::TryPlanned1d];
 
 /// The rows of the dead-rank matrix: every path that can refuse to move.
-pub const DEAD_RANK_PATHS: [Path; 5] = [
+pub const DEAD_RANK_PATHS: [Path; 4] = [
     Path::TryPlanned2d,
-    Path::TryGeneral2d,
     Path::TryCheckpoint,
     Path::Txn2d,
     Path::TryPlanned1d,
@@ -453,10 +422,8 @@ fn dispatch(route: Route, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>,
         }
         let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
         let src = src.as_ref();
-        let got: Option<DistVector<u64>> = match route.mover {
-            Mover::Planned1d => redistribute(comm, &plan_1d(n, b, p, q), src, route.commit),
-            _ => redistribute(comm, &plan_general_1d(n, b, p, b, q), src, route.commit),
-        }?;
+        let got: Option<DistVector<u64>> =
+            redistribute(comm, &plan_1d(n, b, p, q), src, route.commit)?;
         return Ok(got.map_or_else(Vec::new, |v| {
             (0..v.local_len())
                 .map(|l| (v.global_index(l), v.get_local(l)))
@@ -473,7 +440,6 @@ fn dispatch(route: Route, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>,
     let got = match route.mover {
         Mover::Planned2d => redistribute(comm, &plan_2d(s, d), src, route.commit),
         Mover::Naive2d => redistribute(comm, &plan_naive_2d(s, d), src, route.commit),
-        Mover::General2d => redistribute(comm, &plan_general_2d(s, d), src, route.commit),
         Mover::Checkpoint => checkpoint_redistribute(comm, s, d, src, &CheckpointParams::default()),
         _ => Ok(redistribute_general(comm, s, d, src)),
     }?;
