@@ -205,11 +205,6 @@ impl Comm {
 
     pub(crate) fn send_raw(&self, dst: usize, tag: u32, payload: Bytes) {
         let len = payload.len();
-        self.send_charged(dst, tag, payload, len);
-    }
-
-    /// [`Comm::send_raw`] of a payload charged as `len` bytes.
-    pub(crate) fn send_charged(&self, dst: usize, tag: u32, payload: Bytes, len: usize) {
         let env = self.envelope(dst, tag, payload, len);
         self.core
             .fault
@@ -247,29 +242,48 @@ impl Comm {
     }
 
     pub(crate) fn recv_raw(&self, src: Option<usize>, tag: Option<u32>) -> (usize, u32, Bytes) {
+        let env = self
+            .recv_env(src, tag, None)
+            .expect("an unwatched receive completes");
+        (env.src, env.tag, env.payload)
+    }
+
+    /// The matched receive under every receive, watching the sender with
+    /// `gone` if given (`Endpoint::recv_match`).
+    fn recv_env(
+        &self,
+        src: Option<usize>,
+        tag: Option<u32>,
+        gone: Option<&dyn Fn() -> bool>,
+    ) -> Option<Envelope> {
         if let Some(s) = src {
             assert!(s < self.size(), "source rank {s} out of range");
         }
         self.check_crashed();
-        let env = self
-            .ep
-            .borrow_mut()
-            .recv_match(self.group.id, src, tag, &self.core.net);
+        let mut ep = self.ep.borrow_mut();
+        let env = ep.recv_match(self.group.id, src, tag, &self.core.net, gone);
+        drop(ep);
         // Receiving advances the clock to the message arrival time, which may
         // cross this node's injected crash deadline.
         self.check_crashed();
-        (env.src, env.tag, env.payload)
+        env
     }
 
-    /// Fault-aware variant of [`Comm::send_raw`]: instead of treating a dead
-    /// destination as a protocol bug (panic), the failure is reported to the
-    /// caller. The send also fails when the destination node's injected
-    /// crash fires *before the message would arrive* — the mid-transfer
-    /// death case: the virtual transfer is in flight when the node dies, so
-    /// the message can never be consumed. Time and traffic are charged
-    /// either way, like a real send onto a dying link.
-    pub(crate) fn try_send_raw(&self, dst: usize, tag: u32, payload: Bytes) -> Result<(), ()> {
-        let len = payload.len();
+    /// Fault-aware variant of [`Comm::send_raw`], charged as `len` bytes:
+    /// instead of treating a dead destination as a protocol bug (panic),
+    /// the failure is reported to the caller. The send also fails when the
+    /// destination node's injected crash fires *before the message would
+    /// arrive* — the mid-transfer death case: the virtual transfer is in
+    /// flight when the node dies, so the message can never be consumed.
+    /// Time and traffic are charged either way, like a real send onto a
+    /// dying link, and a failed send drops its payload on the spot.
+    pub(crate) fn try_send_raw(
+        &self,
+        dst: usize,
+        tag: u32,
+        payload: Bytes,
+        len: usize,
+    ) -> Result<(), ()> {
         let env = self.envelope(dst, tag, payload, len);
         if self
             .core
@@ -302,7 +316,7 @@ impl Comm {
     #[allow(clippy::result_unit_err)]
     pub fn try_send<T: Pod>(&self, dst: usize, tag: u32, data: &[T]) -> Result<(), ()> {
         assert!(tag < TAG_INTERNAL, "tag {tag} is in the reserved range");
-        self.try_send_raw(dst, tag, to_bytes(data))
+        self.try_send_raw(dst, tag, to_bytes(data), std::mem::size_of_val(data))
     }
 
     /// Blocking receive of a message from `src` with tag `tag`.
@@ -341,44 +355,32 @@ impl Comm {
         self.recv(src, tag)
     }
 
-    /// Fault-aware blocking receive: wait for a matching message from `src`,
-    /// or `Err(())` once `src`'s process has terminated without one.
+    /// Fault-aware [`Comm::recv_with`]: `Err(())` once `src`'s process has
+    /// ended without sending a match.
     ///
-    /// The outcome is decided by virtual-time semantics, not wall-clock
-    /// luck: we only give up after observing the sender's *actual* thread
-    /// death, and a dead thread's sends are all already in our mailbox, so a
-    /// final probe after the death observation cleanly separates "sent
-    /// before crashing" (delivered) from "died first" (`Err`). The poll loop
-    /// does not advance this rank's virtual clock — a failed receive costs
-    /// no virtual time, matching the usual model where failure detection
-    /// rides on the surrounding protocol's own traffic. The error is
-    /// deliberately unit: the only failure is "peer died first".
+    /// The receive waits in short slices and looks at the sender between
+    /// them. It gives up only on seeing the sender's thread gone, by when all
+    /// its sends are in our mailbox, so "sent before dying" is delivered and
+    /// "died first" is `Err`, whatever the wall-clock timing. Waiting costs
+    /// no virtual time: failure detection rides on the surrounding
+    /// protocol's own traffic. The error is unit: the only failure is "peer
+    /// died first".
+    #[allow(clippy::result_unit_err)]
+    pub fn recv_with_or_failed<R>(
+        &self,
+        src: usize,
+        tag: u32,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, ()> {
+        let gone = || !self.rank_alive(src);
+        let env = self.recv_env(Some(src), Some(tag), Some(&gone));
+        env.map(|env| f(&env.payload)).ok_or(())
+    }
+
+    /// [`Comm::recv_with_or_failed`] into a new vector.
     #[allow(clippy::result_unit_err)]
     pub fn recv_or_failed<T: Pod>(&self, src: usize, tag: u32) -> Result<Vec<T>, ()> {
-        assert!(src < self.size(), "source rank {src} out of range");
-        self.check_crashed();
-        let deadline = std::time::Instant::now() + crate::endpoint::deadlock_timeout();
-        loop {
-            if self.iprobe(Some(src), Some(tag)) {
-                return Ok(self.recv(src, tag));
-            }
-            if !self.rank_alive(src) {
-                // One final drain: everything the dead thread sent is
-                // already delivered to our channel.
-                if self.iprobe(Some(src), Some(tag)) {
-                    return Ok(self.recv(src, tag));
-                }
-                return Err(());
-            }
-            if std::time::Instant::now() > deadline {
-                panic!(
-                    "rank {}: recv_or_failed from rank {src} tag {tag} made no progress \
-                     within the deadlock timeout — peer is alive but silent",
-                    self.rank
-                );
-            }
-            std::thread::yield_now();
-        }
+        self.recv_with_or_failed(src, tag, from_bytes)
     }
 
     /// Non-blocking test for a matching incoming message.
@@ -713,9 +715,8 @@ mod tests {
             if comm.rank() == 1 {
                 return; // terminates; mailbox is reaped
             }
-            while comm.rank_alive(1) {
-                std::thread::yield_now();
-            }
+            comm.recv_or_failed::<u64>(1, 8)
+                .expect_err("a receive waits out the sender's exit");
             comm.try_send(1, 7, &[1u64])
                 .expect_err("dead destination must fail the send");
         })
@@ -766,10 +767,10 @@ mod tests {
                 comm.send(0, 7, &[77u64]);
                 return; // dies immediately after sending
             }
-            // Wait for the actual death so the final-drain path is the one
-            // under test, not the fast path.
+            // Wait for the actual death, without receiving, so the message
+            // is still in the channel when the receive sees the sender gone.
             while comm.rank_alive(1) {
-                std::thread::yield_now();
+                std::thread::sleep(std::time::Duration::from_millis(1));
             }
             let got: Vec<u64> = comm
                 .recv_or_failed(1, 7)
@@ -786,9 +787,8 @@ mod tests {
             if comm.rank() == 2 {
                 return; // the casualty
             }
-            while comm.rank_alive(2) {
-                std::thread::yield_now();
-            }
+            comm.recv_or_failed::<u64>(2, 8)
+                .expect_err("a receive waits out the casualty's exit");
             let sub = comm
                 .survivor_comm(&[0, 1, 3])
                 .expect("every survivor is in the set");

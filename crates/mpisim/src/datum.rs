@@ -48,14 +48,14 @@ pub fn to_bytes<T: Pod>(data: &[T]) -> Bytes {
 ///
 /// Panics if the buffer length is not a multiple of `size_of::<T>()`, which
 /// indicates a type mismatch between sender and receiver.
-pub fn from_bytes<T: Pod>(b: &Bytes) -> Vec<T> {
+pub fn from_bytes<T: Pod>(b: &[u8]) -> Vec<T> {
     let mut out = Vec::new();
     from_bytes_into(b, &mut out);
     out
 }
 
 /// Like [`from_bytes`] but reuses the capacity of `out`.
-pub fn from_bytes_into<T: Pod>(b: &Bytes, out: &mut Vec<T>) {
+pub fn from_bytes_into<T: Pod>(b: &[u8], out: &mut Vec<T>) {
     let esz = std::mem::size_of::<T>();
     assert!(
         b.len().is_multiple_of(esz),

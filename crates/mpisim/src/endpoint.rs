@@ -2,7 +2,7 @@
 //! virtual clock.
 
 use std::collections::VecDeque;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam_channel::Receiver;
 
@@ -24,6 +24,10 @@ pub(crate) fn deadlock_timeout() -> Duration {
             .unwrap_or(Duration::from_secs(120))
     })
 }
+
+/// How long a receive that watches its sender waits between two looks at
+/// whether the sender is gone.
+const LIVENESS_SLICE: Duration = Duration::from_millis(1);
 
 pub(crate) struct Endpoint {
     pub id: ProcId,
@@ -53,13 +57,20 @@ impl Endpoint {
     /// Blocking matched receive. Advances the virtual clock to respect
     /// message causality: the receive completes no earlier than the
     /// message's arrival time.
+    ///
+    /// Given `gone`, the receive asks it before each wait of
+    /// [`LIVENESS_SLICE`] whether the sender is gone. A gone sender's
+    /// messages are all in the channel already, so from then on what is
+    /// left there decides: its match, or `None`. Panics once the deadlock
+    /// timeout passes with no message at all.
     pub fn recv_match(
         &mut self,
         comm: u64,
         src: Option<usize>,
         tag: Option<u32>,
         net: &NetModel,
-    ) -> Envelope {
+        gone: Option<&dyn Fn() -> bool>,
+    ) -> Option<Envelope> {
         let env = if let Some(pos) = self
             .unexpected
             .iter()
@@ -67,23 +78,30 @@ impl Endpoint {
         {
             self.unexpected.remove(pos).expect("position just found")
         } else {
+            let timeout = deadlock_timeout();
+            let slice = gone.map_or(timeout, |_| LIVENESS_SLICE);
+            let mut deadline = Instant::now() + timeout;
             loop {
-                let timeout = deadlock_timeout();
-                let env = self.rx.recv_timeout(timeout).unwrap_or_else(|_| {
-                    panic!(
-                        "{}: receive on comm {} from {:?} tag {:?} did not complete within {:?} \
-                         — likely deadlock or mismatched communication pattern",
-                        self.id, comm, src, tag, timeout
-                    )
-                });
-                if Self::matches(&env, comm, src, tag) {
-                    break env;
+                let last = gone.is_some_and(|gone| gone());
+                let wait = if last { Duration::ZERO } else { slice };
+                match self.rx.recv_timeout(wait) {
+                    Ok(env) if Self::matches(&env, comm, src, tag) => break env,
+                    Ok(env) => {
+                        self.unexpected.push_back(env);
+                        deadline = Instant::now() + timeout;
+                    }
+                    Err(_) if last => return None,
+                    Err(_) => assert!(
+                        Instant::now() < deadline,
+                        "{}: receive on comm {comm} from {src:?} tag {tag:?} did not complete \
+                         within {timeout:?} — likely deadlock or mismatched communication pattern",
+                        self.id
+                    ),
                 }
-                self.unexpected.push_back(env);
             }
         };
         self.now = self.now.max(env.arrival) + net.recv_cost(env.len);
-        env
+        Some(env)
     }
 
     /// Non-blocking probe: is a matching message available right now? Drains
@@ -122,10 +140,14 @@ mod tests {
         let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
         tx.send(env(1, 0, 5, 0.0)).unwrap();
         tx.send(env(1, 0, 7, 0.0)).unwrap();
-        let got = ep.recv_match(1, Some(0), Some(7), &NetModel::ideal());
+        let got = ep
+            .recv_match(1, Some(0), Some(7), &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!(got.tag, 7);
         // The skipped message is still receivable.
-        let got = ep.recv_match(1, Some(0), Some(5), &NetModel::ideal());
+        let got = ep
+            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!(got.tag, 5);
     }
 
@@ -151,8 +173,12 @@ mod tests {
             payload: Bytes::from_static(b"second"),
         })
         .unwrap();
-        let a = ep.recv_match(1, Some(0), Some(5), &NetModel::ideal());
-        let b = ep.recv_match(1, Some(0), Some(5), &NetModel::ideal());
+        let a = ep
+            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
+            .unwrap();
+        let b = ep
+            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!(&a.payload[..], b"first");
         assert_eq!(&b.payload[..], b"second");
     }
@@ -162,7 +188,8 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut ep = Endpoint::new(ProcId(0), rx, 1.0);
         tx.send(env(1, 0, 0, 5.5)).unwrap();
-        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal());
+        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!(ep.now, 5.5);
     }
 
@@ -171,7 +198,8 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut ep = Endpoint::new(ProcId(0), rx, 10.0);
         tx.send(env(1, 0, 0, 5.5)).unwrap();
-        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal());
+        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!(ep.now, 10.0);
     }
 
@@ -180,7 +208,9 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
         tx.send(env(1, 3, 42, 0.0)).unwrap();
-        let got = ep.recv_match(1, None, None, &NetModel::ideal());
+        let got = ep
+            .recv_match(1, None, None, &NetModel::ideal(), None)
+            .unwrap();
         assert_eq!((got.src, got.tag), (3, 42));
     }
 

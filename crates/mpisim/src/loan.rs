@@ -20,13 +20,15 @@
 //!   scope closure, so the lender can neither free nor write the slice while
 //!   the scope runs; `lending` does not return until every owner it handed
 //!   out has dropped.
-//! * *Unwinding.* A panic inside the scope is caught, the loans are awaited
-//!   as on a normal exit, and only then does the panic resume; the slice's
-//!   borrow ends after the last reader is done.
+//! * *Unwinding.* A panic inside the scope, the lender's node crash among
+//!   them, is caught, the loans are awaited as on a normal exit, and only
+//!   then does the panic resume; the slice's borrow ends after the last
+//!   reader is done.
 //! * *Teardown.* A borrower whose thread ends without receiving a loan
 //!   drops it with its mailbox: the endpoint drops its unexpected queue, and
 //!   `Router::deregister` drops the channel's last sender, and with it the
-//!   queued envelopes.
+//!   queued envelopes. A lend that fails, because the borrower's node
+//!   crashed or its process ended, drops its envelope on the spot.
 //! * *Timeout.* A loan still out after [`deadlock_timeout`] aborts the
 //!   process. Unwinding past it would free memory a live borrower may still
 //!   read; abort never does.
@@ -114,11 +116,22 @@ impl<'scope> Loans<'scope, '_> {
     /// Send `data` to `dst` with a user tag, charged as a [`Comm::send`] of
     /// `elems` elements, without copying it: the receiver's payload is a
     /// view of `data` itself, all of it, whatever `elems` says. The receiver
-    /// reads it with [`Comm::recv_with`].
+    /// reads it with [`Comm::recv_with`] or [`Comm::recv_with_or_failed`].
+    ///
+    /// Fails as [`Comm::try_send`] does: with `Err(())` when `dst`'s node
+    /// crashes before the message would arrive, or its process has ended. A
+    /// failed lend is charged all the same, and its loan is back at once.
     ///
     /// `tag` must be below [`TAG_CTRL_BASE`]: the control range may lose or
     /// hold back messages, and a loan must reach its borrower to come back.
-    pub fn lend<T: Pod>(&'scope self, dst: usize, tag: u32, data: &'scope [T], elems: usize) {
+    #[allow(clippy::result_unit_err)]
+    pub fn lend<T: Pod>(
+        &'scope self,
+        dst: usize,
+        tag: u32,
+        data: &'scope [T],
+        elems: usize,
+    ) -> Result<(), ()> {
         assert!(
             tag < TAG_CTRL_BASE,
             "tag {tag} is not a data-plane tag; loans need a reliable wire"
@@ -131,7 +144,7 @@ impl<'scope> Loans<'scope, '_> {
         };
         let charged = elems * std::mem::size_of::<T>();
         self.comm
-            .send_charged(dst, tag, Bytes::from_owner(lent), charged);
+            .try_send_raw(dst, tag, Bytes::from_owner(lent), charged)
     }
 
     /// Block until every loan is back. Aborts the process, with a message,
@@ -183,7 +196,7 @@ impl Comm {
     ///     .launch(2, None, "loan", |comm| {
     ///         let panel = [1.0f64, 2.0, 3.0];
     ///         if comm.rank() == 0 {
-    ///             comm.lending(|loans| loans.lend(1, 5, &panel, 3));
+    ///             comm.lending(|loans| loans.lend(1, 5, &panel, 3)).unwrap();
     ///         } else {
     ///             let first = comm.recv_with(0, 5, |b| f64::from_ne_bytes(b[..8].try_into().unwrap()));
     ///             assert_eq!(first, 1.0);

@@ -84,12 +84,9 @@ impl InterComm {
     /// Receive from a rank of the remote group.
     pub fn recv_remote<T: crate::Pod>(&self, src: usize, tag: u32) -> Vec<T> {
         let core = self.local.core();
-        let env = self
-            .local
-            .ep
-            .borrow_mut()
-            .recv_match(self.id, Some(src), Some(tag), &core.net);
-        from_bytes(&env.payload)
+        let mut ep = self.local.ep.borrow_mut();
+        let env = ep.recv_match(self.id, Some(src), Some(tag), &core.net, None);
+        from_bytes(&env.expect("an unwatched receive completes").payload)
     }
 
     /// Merge both sides into one intracommunicator, low (parent) group

@@ -1,5 +1,6 @@
-//! Scoped loans (`Comm::lending`): charged exactly like a send, and never
-//! returned to a lender whose slice a borrower could still read.
+//! Scoped loans (`Comm::lending`): charged exactly like a send, never
+//! returned to a lender whose slice a borrower could still read, and failed
+//! by a dead borrower or lender as a fault-aware send and receive are.
 //!
 //! Every in-process test holds `SERIAL`: the charging test turns on the
 //! global telemetry counters and reads their deltas, which a neighbour's
@@ -10,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use reshape_mpisim::{NetModel, Universe};
+use reshape_mpisim::{NetModel, NodeId, ProcStatus, Universe};
 use reshape_telemetry::Mode;
 
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -42,7 +43,8 @@ fn charges(lent: bool) -> [u64; 6] {
                 let panel: Vec<f64> = (0..1000).map(|i| i as f64 * 0.5).collect();
                 at.store(panel.as_ptr() as u64, SeqCst);
                 if lent {
-                    comm.lending(|loans| loans.lend(1, 4, &panel, ELEMS));
+                    comm.lending(|loans| loans.lend(1, 4, &panel, ELEMS))
+                        .expect("the borrower is alive");
                 } else {
                     comm.send(1, 4, &panel[..ELEMS]);
                 }
@@ -86,7 +88,9 @@ fn a_lender_that_panics_waits_for_its_borrower_to_copy() {
                     // alive for the borrower.
                     let panel: Vec<u64> = (0..4096).collect();
                     comm.lending(|loans| {
-                        loans.lend(1, 3, &panel, panel.len());
+                        loans
+                            .lend(1, 3, &panel, panel.len())
+                            .expect("the borrower is alive");
                         lent.store(true, SeqCst);
                         panic!("lender fails inside the scope");
                     })
@@ -124,9 +128,9 @@ fn a_borrower_that_exits_without_receiving_returns_its_loans() {
             if comm.rank() == 0 {
                 let panel: Vec<u64> = (0..64).collect();
                 comm.lending(|loans| {
-                    loans.lend(1, 1, &panel, 64);
+                    loans.lend(1, 1, &panel, 64).expect("the borrower is alive");
                     comm.send(1, 2, &[0u8]);
-                    loans.lend(1, 3, &panel, 64);
+                    loans.lend(1, 3, &panel, 64).expect("the borrower is alive");
                     lent.store(true, SeqCst);
                 });
             } else {
@@ -142,6 +146,83 @@ fn a_borrower_that_exits_without_receiving_returns_its_loans() {
         .join_ok();
 }
 
+#[test]
+fn a_lend_to_a_crashed_node_fails_and_its_loan_is_back_at_once() {
+    let _serial = serial();
+    let returned = Arc::new(AtomicBool::new(false));
+    let uni = Universe::new(2, 1, NetModel::ideal());
+    uni.inject_node_crash(NodeId(1), 0.0);
+    uni.launch(2, None, "lend-crashed", move |comm| {
+        if comm.rank() == 0 {
+            let panel: Vec<u64> = (0..64).collect();
+            let lent = comm.lending(|loans| loans.lend(1, 1, &panel, 64));
+            assert_eq!(lent, Err(()), "the borrower's node is down");
+            assert_eq!(comm.stats().msgs_sent(), 1, "a failed lend is charged");
+            returned.store(true, SeqCst);
+        } else {
+            // The borrower lives on without touching its communicator, so a
+            // loan left out would hold the lender's scope until it exits.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !returned.load(SeqCst) {
+                assert!(
+                    Instant::now() < deadline,
+                    "the scope waits on a failed loan"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    })
+    .join_ok();
+}
+
+#[test]
+fn a_lender_that_crashes_between_two_lends_waits_for_the_first() {
+    let _serial = serial();
+    let copied = Arc::new(AtomicBool::new(false));
+    let uni = Universe::new(3, 1, NetModel::ideal());
+    uni.inject_node_crash(NodeId(0), 1.0);
+    let statuses = uni
+        .launch(3, None, "lend-crash", move |comm| match comm.rank() {
+            0 => {
+                let panel: Vec<u64> = (0..4096).collect();
+                comm.lending(|loans| {
+                    loans
+                        .lend(1, 1, &panel, panel.len())
+                        .expect("the borrower is alive");
+                    comm.advance(2.0); // crosses this node's crash at t = 1
+                    let _ = loans.lend(2, 2, &panel, panel.len());
+                });
+                unreachable!("the crash unwinds out of the scope");
+            }
+            1 => {
+                // Hold the payload a while: a scope that did not wait would
+                // have unwound, and freed the panel, before `copied` is set.
+                let got = comm.recv_with_or_failed(0, 1, |b| {
+                    std::thread::sleep(Duration::from_millis(50));
+                    let got = b.to_vec();
+                    copied.store(true, SeqCst);
+                    got
+                });
+                assert_eq!(got, Ok(bytes_of_range(4096)), "the lent bytes, exactly");
+            }
+            _ => {
+                let got = comm.recv_with_or_failed(0, 2, <[u8]>::to_vec);
+                assert_eq!(got, Err(()), "the lender died before its second lend");
+                assert!(
+                    copied.load(SeqCst),
+                    "the lender died before its first loan was back"
+                );
+            }
+        })
+        .join();
+    let outcomes: Vec<&ProcStatus> = statuses.iter().map(|(_, s)| s).collect();
+    assert!(
+        matches!(outcomes[0], ProcStatus::Failed(m) if m.contains("node 0 crashed")),
+        "the lender dies of its crash, not of an abort or its own asserts: {outcomes:?}"
+    );
+    assert_eq!(outcomes[1..], [&ProcStatus::Finished; 2]);
+}
+
 /// Set in the child process of the timeout test.
 const CHILD: &str = "RESHAPE_LOAN_TIMEOUT_CHILD";
 
@@ -155,7 +236,7 @@ fn a_loan_that_never_comes_back_aborts_the_lender() {
                 if comm.rank() == 0 {
                     let panel = [7u64; 16];
                     comm.lending(|loans| {
-                        loans.lend(1, 1, &panel, 16);
+                        loans.lend(1, 1, &panel, 16).expect("the borrower is alive");
                         panic!("lender fails with a loan out");
                     });
                 } else {

@@ -17,25 +17,29 @@
 //! [`DistVector`]'s local data is bit-for-bit the local panel of
 //! `Descriptor::new(1, n, 1, nb, 1, p)`. Every run lies inside one block of
 //! both layouts, so it is contiguous in the row-major local panel on both
-//! sides and [`copy_local`], [`pack`] and [`unpack`] copy it as a slice.
+//! sides and [`copy_local`] copies it as a slice.
 //!
 //! Steps execute in order; within a step each rank fires at most one send
 //! and completes at most one receive (the schedule is a partial
 //! permutation). The paper arms MPI persistent requests per step; buffered
 //! sends give identical semantics here.
 //!
-//! In direct mode every element is copied once. The whole step loop runs in
-//! one lending scope ([`Comm::lending`]): a remote move is a loan of the
-//! sender's old panel, charged as a send of the move's elements, and the
-//! receiver copies the move span to span out of the lent panel into its new
-//! one inside [`Comm::recv_with`]; dropping the payload returns the loan. A
-//! local move copies span to span the same way, from this rank's own old
-//! panel. Every rank leaves the scope after its last receive, once its own
-//! loans are back, so no old panel is freed while a peer still reads it.
-//! Within a step a rank lends its remote moves before its local copies, so
-//! their receivers start while it copies. Telemetry follows the copy: a
-//! lend is transfer time and packs nothing (`redist.pack_seconds` reads 0
-//! for remote moves), and the receiver's copy is `redist.unpack_seconds`.
+//! Every element is copied once, in either [`Commit`] mode. The whole step
+//! loop runs in one lending scope ([`Comm::lending`]): a remote move is a
+//! loan of the sender's old panel, charged as a send of the move's
+//! elements, and the receiver copies the move span to span out of the lent
+//! panel into its new one inside [`Comm::recv_with_or_failed`]; dropping the
+//! payload returns the loan. A local move copies span to span the same way,
+//! from this rank's own old panel. Every rank leaves the scope after its
+//! last receive, once its own loans are back, so no old panel is freed
+//! while a peer still reads it. Within a step a rank lends its remote moves
+//! before its local copies, so their receivers start while it copies.
+//! Telemetry follows the copy: a lend is `redist.transfer_seconds`, and
+//! every copy, local or out of a loan, is `redist.unpack_seconds`.
+//!
+//! A lend to a dead rank and a receive from a sender that died without
+//! sending both fail. The old panel is only ever read, so dropping the new
+//! one is the whole rollback, and [`Commit`] decides only what follows.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -209,30 +213,26 @@ impl Plan<'_> {
     }
 }
 
-/// When received elements reach the destination panel.
+/// What follows the movement, which is the same in both modes: a rank that
+/// saw a lend or a receive fail keeps driving its remaining moves, so live
+/// peers never wait on it, and no mode writes the source. A loan that does
+/// not come back within the deadlock timeout aborts the process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Commit {
-    /// One copy per element: each remote move lends the sender's old panel
-    /// for the whole move ([`Comm::lending`]), charged as a send of the
-    /// move's elements, and the receiver copies the move out of it straight
-    /// into its new panel; the loan comes back when the receiver drops the
-    /// payload, and every rank waits for its loans before it returns. A peer
-    /// that dies mid-move panics or wedges the transport, and a loan that
-    /// does not come back within the deadlock timeout aborts the process.
+    /// Each rank decides alone. One that exchanged with a dead peer returns
+    /// [`RedistError::Aborted`] naming it, with its source untouched and no
+    /// destination panel; a rank whose own moves all completed returns its
+    /// new panel, even if a peer it never exchanged with died.
     Direct,
-    /// Survive a rank death inside the movement: sends go through
-    /// `try_send`, which fails once the destination's node has crashed, and
-    /// receives through `recv_or_failed`, which fails once the sender has
-    /// died without sending. Payloads (local moves too) are parked in shadow
-    /// buffers, copying as those calls do. A rank that sees a failure keeps
-    /// driving its remaining sends and receives, so live peers never wait on
-    /// it, but votes ABORT in a final all-to-all round. Only a rank that
-    /// completed every transfer and collected an OK vote from every peer
-    /// unpacks; every other survivor returns [`RedistError::Aborted`] with
-    /// its source untouched and no destination panel.
+    /// Survivors vote: after the movement every rank tells every other, in
+    /// an all-to-all round, whether its own moves all completed, and a dead
+    /// peer counts as a no. Only a rank that completed every move and
+    /// collected a yes from every peer returns its new panel; every other
+    /// survivor returns [`RedistError::Aborted`] with its source untouched
+    /// and no destination panel.
     ///
     /// The vote gives local atomicity, not global agreement: if a rank dies
-    /// midway through casting its votes, a survivor that already has its OK
+    /// midway through casting its votes, a survivor that already has its yes
     /// may commit while another aborts. The driver's recovery fence resolves
     /// this: any death during the resize epoch is detected there and every
     /// survivor discards the epoch's output, committed or not.
@@ -347,10 +347,10 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule {
 /// that passes no panel ([`RedistError::MissingSource`]), or a panel whose
 /// descriptor or grid position disagrees with the plan
 /// ([`RedistError::LayoutMismatch`]), fails on that rank only, and as with
-/// a panic, its peers are left waiting inside the collective. Under
-/// [`Commit::Direct`] a peer that dies mid-move may panic or wedge the
-/// collective too; [`preflight`](crate::preflight) first, or
-/// [`Commit::Staged`], turn a death into [`RedistError::Aborted`].
+/// a panic, its peers are left waiting inside the collective. A peer that
+/// dies mid-move is [`RedistError::Aborted`] under either [`Commit`] mode,
+/// and [`preflight`](crate::preflight) first catches one that is dead
+/// already before anything moves.
 ///
 /// The plan's fields are public, so it need not be as its planner built it.
 /// A plan whose moves its own layouts do not allow — a block past the end
@@ -424,8 +424,8 @@ fn timed<R>(on: bool, acc: &mut f64, f: impl FnOnce() -> R) -> R {
 }
 
 /// The step loop. `src` is this rank's old local panel (ranks `0..P`), `out`
-/// its zeroed new one (ranks `0..Q`). `Err` only in [`Commit::Staged`] mode,
-/// and then `out` has not been written.
+/// its zeroed new one (ranks `0..Q`). On `Err`, `out` may be partly written
+/// and the caller drops it.
 ///
 /// The loop tolerates steps that are NOT partial permutations (a rank may
 /// send and receive several messages per step): ReSHAPE's schedules never
@@ -437,16 +437,16 @@ fn execute<T: Pod + Default>(
     sched: &Schedule,
     mode: Commit,
     src: Option<&[T]>,
-    mut out: Option<&mut [T]>,
+    out: Option<&mut [T]>,
 ) -> Result<(), RedistError> {
     let (s, d) = (&sched.src, &sched.dst);
-    let world = sched.world();
     let me = comm.rank();
     // This rank's coordinates in each grid it holds a panel of; a rank
-    // outside a grid matches no move there. `my_dst` is set exactly when
-    // `out` is.
+    // outside a grid matches no move there, so it never touches the empty
+    // panel that stands in for the one it lacks.
     let my_src = src.is_some().then_some((me / s.npcol, me % s.npcol));
     let my_dst = out.is_some().then_some((me / d.npcol, me % d.npcol));
+    let (src, out) = (src.unwrap_or_default(), out.unwrap_or_default());
     let (src_lcols, dst_lcols) = (s.local_cols(me % s.npcol), d.local_cols(me % d.npcol));
     let tag_base = match mode {
         Commit::Direct => TAG_DIRECT_BASE,
@@ -458,103 +458,70 @@ fn execute<T: Pod + Default>(
     // (the driver's redist span, or the sim's redistribution phase).
     let trace_v0 = (me == 0 && reshape_telemetry::trace::enabled()).then(|| comm.vtime());
 
-    // Per-phase wall-clock accounting (pack / transfer / unpack), recorded
-    // once per execution.
+    // Per-phase wall-clock accounting (transfer / unpack), recorded once per
+    // execution.
     let tel = reshape_telemetry::enabled();
-    let (mut pack_s, mut xfer_s, mut unpack_s) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut xfer_s, mut unpack_s) = (0.0f64, 0.0f64);
     let (mut transfers, mut bytes_sent) = (0u64, 0u64);
 
-    // Staged mode's shadow buffers: every payload this rank will eventually
-    // unpack, beside its move. Local moves are staged too, so an abort
-    // after a partial step leaves no trace anywhere.
-    let mut staged: Vec<(&Move, Vec<T>)> = Vec::new();
-    // First failure observed (staged mode). A rank that observes a failure
-    // keeps driving the remaining sends and receives so its live peers make
-    // progress; it just remembers to vote ABORT.
-    let mut dead: Option<usize> = None;
+    // First failure observed. A rank that observes a failure keeps driving
+    // its remaining moves so its live peers make progress; it just
+    // remembers the dead peer.
+    let mut dead = None;
 
-    // Direct mode lends each remote move's whole source panel; the scope
+    // Each remote move lends this rank's whole source panel; the scope
     // returns once every receiver has copied its move out and let go.
     comm.lending(|loans| {
         for (t, step) in sched.steps.iter().enumerate() {
             let tag = tag_base + t as u32;
             let mine = step.iter().filter(|mv| Some(mv.src) == my_src);
-            if let Some(local) = src {
-                // Remote sends first, so their receivers can start while this
-                // rank copies its local moves.
-                for mv in mine.clone().filter(|mv| Some(mv.dst) != my_dst) {
-                    let to = mv.dst.0 * d.npcol + mv.dst.1;
-                    transfers += 1;
-                    bytes_sent += (mv.elems() * std::mem::size_of::<T>()) as u64;
-                    let sent = match mode {
-                        Commit::Direct => timed(tel, &mut xfer_s, || {
-                            loans.lend(to, tag, local, mv.elems());
-                            Ok(())
-                        }),
-                        Commit::Staged => {
-                            let payload = timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv));
-                            timed(tel, &mut xfer_s, || comm.try_send(to, tag, &payload))
-                        }
-                    };
-                    if sent.is_err() {
-                        dead.get_or_insert(to);
-                    }
+            // Remote sends first, so their receivers can start while this
+            // rank copies its local moves.
+            for mv in mine.clone().filter(|mv| Some(mv.dst) != my_dst) {
+                let to = mv.dst.0 * d.npcol + mv.dst.1;
+                transfers += 1;
+                bytes_sent += (mv.elems() * std::mem::size_of::<T>()) as u64;
+                if timed(tel, &mut xfer_s, || loans.lend(to, tag, src, mv.elems())).is_err() {
+                    dead.get_or_insert(to);
                 }
-                // Local moves: both endpoints are this rank.
-                for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
-                    match (mode, out.as_deref_mut()) {
-                        (Commit::Direct, Some(out)) => timed(tel, &mut unpack_s, || {
-                            copy_local(bytes_of(local), s, src_lcols, out, d, dst_lcols, mv)
-                        }),
-                        _ => staged.push((
-                            mv,
-                            timed(tel, &mut pack_s, || pack(local, s, src_lcols, mv)),
-                        )),
-                    }
-                }
+            }
+            // Local moves: both endpoints are this rank.
+            for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
+                timed(tel, &mut unpack_s, || {
+                    copy_local(bytes_of(src), s, src_lcols, out, d, dst_lcols, mv)
+                });
             }
             for mv in step
                 .iter()
                 .filter(|mv| Some(mv.dst) == my_dst && Some(mv.src) != my_src)
             {
-                let from = mv.src.0 * s.npcol + mv.src.1;
-                match (mode, out.as_deref_mut()) {
-                    (Commit::Direct, Some(out)) => {
-                        // The wait is transfer time; the copy out of the
-                        // sender's lent panel, inside the receive, is unpack
-                        // time.
-                        let from_lcols = s.local_cols(mv.src.1);
-                        let mut copy_s = 0.0;
-                        timed(tel, &mut xfer_s, || {
-                            comm.recv_with(from, tag, |panel| {
-                                timed(tel, &mut copy_s, || {
-                                    copy_local(panel, s, from_lcols, out, d, dst_lcols, mv)
-                                })
-                            })
-                        });
-                        xfer_s -= copy_s;
-                        unpack_s += copy_s;
-                    }
-                    _ => match timed(tel, &mut xfer_s, || comm.recv_or_failed(from, tag)) {
-                        Ok(payload) => staged.push((mv, payload)),
-                        Err(()) => {
-                            dead.get_or_insert(from);
-                        }
-                    },
+                // The wait is transfer time; the copy out of the sender's
+                // lent panel, inside the receive, is unpack time.
+                let (from, from_lcols) = (mv.src.0 * s.npcol + mv.src.1, s.local_cols(mv.src.1));
+                let mut copy_s = 0.0;
+                let got = timed(tel, &mut xfer_s, || {
+                    comm.recv_with_or_failed(from, tag, |panel| {
+                        timed(tel, &mut copy_s, || {
+                            copy_local(panel, s, from_lcols, out, d, dst_lcols, mv)
+                        })
+                    })
+                });
+                xfer_s -= copy_s;
+                unpack_s += copy_s;
+                if got.is_err() {
+                    dead.get_or_insert(from);
                 }
             }
         }
     });
 
-    if let Commit::Staged = mode {
-        commit_vote(comm, world, dead)?;
-        if let Some(out) = out {
-            timed(tel, &mut unpack_s, || {
-                for (mv, payload) in &staged {
-                    unpack(bytes_of(payload), d, dst_lcols, mv, out);
-                }
-            });
-        }
+    let verdict = match mode {
+        Commit::Direct => dead,
+        Commit::Staged => commit_vote(comm, sched.world(), dead),
+    };
+    if let Some(dead_rank) = verdict {
+        // The caller drops the new panel; the source was never written.
+        return Err(RedistError::Aborted { dead_rank });
     }
 
     if tel {
@@ -562,7 +529,6 @@ fn execute<T: Pod + Default>(
         reshape_telemetry::incr("redist.plan_steps", sched.steps.len() as u64);
         reshape_telemetry::incr("redist.transfers", transfers);
         reshape_telemetry::incr("redist.bytes_sent", bytes_sent);
-        reshape_telemetry::observe("redist.pack_seconds", pack_s);
         reshape_telemetry::observe("redist.transfer_seconds", xfer_s);
         reshape_telemetry::observe("redist.unpack_seconds", unpack_s);
     }
@@ -591,8 +557,10 @@ fn execute<T: Pod + Default>(
 
 /// Commit vote: every rank in the world tells every other whether its own
 /// transfers all completed. A dead peer counts as an ABORT vote. `dead` is
-/// the first failure this rank saw while moving data, if any.
-fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(), RedistError> {
+/// the first failure this rank saw while moving data, if any. Returns the
+/// rank to blame if this rank must abort: the first dead rank it saw, or
+/// itself when a peer voted ABORT over a death only that peer saw.
+fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Option<usize> {
     let me = comm.rank();
     let my_vote = if dead.is_none() { VOTE_OK } else { VOTE_ABORT };
     for peer in (0..world).filter(|&r| r != me) {
@@ -609,15 +577,12 @@ fn commit_vote(comm: &Comm, world: usize, mut dead: Option<usize>) -> Result<(),
             }
         }
     }
-    if !commit {
-        reshape_telemetry::incr("redist.txn_aborts", 1);
-        // The staging area is dropped unread; the source was never written.
-        return Err(RedistError::Aborted {
-            dead_rank: dead.unwrap_or(me),
-        });
+    if commit {
+        reshape_telemetry::incr("redist.txn_commits", 1);
+        return None;
     }
-    reshape_telemetry::incr("redist.txn_commits", 1);
-    Ok(())
+    reshape_telemetry::incr("redist.txn_aborts", 1);
+    Some(dead.unwrap_or(me))
 }
 
 /// Index ranges of a move's elements in the row-major local panel of layout
@@ -640,40 +605,6 @@ fn spans<'a>(
             at..at + len
         })
     })
-}
-
-/// Serialize a move's elements from the source panel into an exactly sized
-/// vector: one allocation, no doubling. Staged mode's payloads and shadow
-/// buffers.
-fn pack<T: Pod>(local: &[T], d: &Descriptor, lcols: usize, mv: &Move) -> Vec<T> {
-    let mut buf = Vec::with_capacity(mv.elems());
-    for span in spans(d, lcols, mv) {
-        buf.extend_from_slice(&local[span]);
-    }
-    buf
-}
-
-/// Mirror of [`pack`] on the destination layout, straight from a payload's
-/// bytes. Each span is one byte copy of `size_of::<T>()` times its length,
-/// so the payload need not be aligned for `T`.
-///
-/// # Panics
-///
-/// Panics if the payload is not exactly the move's elements.
-fn unpack<T: Pod>(payload: &[u8], d: &Descriptor, lcols: usize, mv: &Move, local: &mut [T]) {
-    let esz = std::mem::size_of::<T>();
-    assert_eq!(
-        payload.len(),
-        mv.elems() * esz,
-        "transfer payload length mismatch"
-    );
-    let local = bytes_of_mut(local);
-    let mut at = 0;
-    for span in spans(d, lcols, mv) {
-        let len = span.len() * esz;
-        local[span.start * esz..][..len].copy_from_slice(&payload[at..at + len]);
-        at += len;
-    }
 }
 
 /// A move from a source panel's bytes (`s`'s layout, `src_lcols` columns
@@ -781,7 +712,7 @@ mod tests {
         .join_ok();
     }
 
-    /// Unpack scales every span by the element's size, so each width must
+    /// The copy scales every span by the element's size, so each width must
     /// land whole: an expand, a shrink, and ragged blocks on both ends.
     fn every_shape_of<T: Pod + Default + PartialEq + std::fmt::Debug>(val: fn(usize) -> T) {
         round_trip_of(24, 32, 2, 2, (1, 2), (2, 2), val);
@@ -807,41 +738,6 @@ mod tests {
     #[test]
     fn u64_payloads() {
         every_shape_of(|x| (x as u64) << 37 | 0x5a5a);
-    }
-
-    /// A move of rows 0..2 x columns 0..2 on rank (0,0) of a 1x2 grid.
-    fn corner_move() -> (Descriptor, Move) {
-        let d = Descriptor::square(8, 2, 1, 2);
-        let mv = Move {
-            src: (0, 0),
-            dst: (0, 0),
-            row_runs: vec![(0, 2)],
-            col_runs: vec![(0, 2)],
-        };
-        (d, mv)
-    }
-
-    #[test]
-    fn unpack_reads_an_unaligned_payload() {
-        let (d, mv) = corner_move();
-        let want = [u64::MAX, 1, 2 << 40, 3];
-        // One byte ahead of the elements, so no view of them is aligned.
-        let framed: Vec<u8> = std::iter::once(0)
-            .chain(want.iter().flat_map(|v| v.to_ne_bytes()))
-            .collect();
-        let mut local = vec![0u64; d.local_rows(0) * d.local_cols(0)];
-        unpack(&framed[1..], &d, d.local_cols(0), &mv, &mut local);
-        let lcols = d.local_cols(0);
-        assert_eq!([local[0], local[1], local[lcols], local[lcols + 1]], want);
-    }
-
-    #[test]
-    #[should_panic(expected = "transfer payload length mismatch")]
-    fn unpack_rejects_a_payload_of_the_wrong_length() {
-        let (d, mv) = corner_move();
-        let mut local = vec![0u32; d.local_rows(0) * d.local_cols(0)];
-        // Four u32 elements are 16 bytes; one short must not be unpacked.
-        unpack(&[0u8; 15], &d, d.local_cols(0), &mv, &mut local);
     }
 
     #[test]

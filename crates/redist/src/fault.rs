@@ -1,13 +1,15 @@
 //! What a redistribution returns instead of moving data, and the opt-in
 //! liveness pre-flight.
 //!
-//! Redistribution is a collective over the merged communicator; if any rank
-//! that the plan involves has died (node crash), the blocking sends and
-//! receives of a [`Commit::Direct`](crate::Commit::Direct) move would wedge
-//! or panic mid-transfer, leaving the array partially moved. [`preflight`]
-//! scans every rank the move can name and aborts *before any element
-//! moves*, so the old layout stays intact and the scheduler can fall back
-//! to the previous configuration.
+//! Redistribution is a collective over the merged communicator. A rank the
+//! plan involves may die (node crash) before the move or inside it. Inside
+//! it, a lend to the dead rank and a receive from it fail, and every
+//! survivor that exchanged with it returns [`RedistError::Aborted`] with its
+//! source untouched, in either [`Commit`](crate::Commit) mode; a staged
+//! commit's vote makes every other survivor abort too. [`preflight`] scans
+//! every rank the move can name and aborts *before any element moves*, so
+//! the old layout stays intact and the scheduler can fall back to the
+//! previous configuration.
 //!
 //! The scan is local per rank but deterministic: every surviving rank scans
 //! the same rank range against the same router state, so either all abort
@@ -23,8 +25,8 @@ use reshape_mpisim::Comm;
 
 /// Why a redistribution moved nothing on this rank. Every variant is
 /// returned before this rank sends anything, except
-/// [`Aborted`](Self::Aborted) from a staged commit's vote, which is
-/// returned after the movement with the source still untouched.
+/// [`Aborted`](Self::Aborted) from the executor, which is returned after
+/// the movement with the source still untouched.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedistError {
     /// The communicator has fewer ranks than the larger of the two layouts.
@@ -46,8 +48,8 @@ pub enum RedistError {
     /// plan's descriptors. Every rank returns it alike.
     BadPlan,
     /// A rank the move needs is dead: found by [`preflight`] before any
-    /// element moved, or by a staged commit's vote. The source layout is
-    /// untouched.
+    /// element moved, by a lend to it or a receive from it during the move,
+    /// or by a staged commit's vote. The source layout is untouched.
     Aborted { dead_rank: usize },
 }
 
@@ -96,7 +98,7 @@ mod tests {
     use crate::exec::{redistribute, redistribute_2d, Commit, Plan};
     use crate::plan2d::plan_2d;
     use reshape_blockcyclic::{Descriptor, DistMatrix};
-    use reshape_mpisim::{NetModel, NodeId, Universe};
+    use reshape_mpisim::{NetModel, NodeId, ProcStatus, Universe};
 
     /// Keep survivors registered until everyone has finished asserting, so
     /// none of them looks dead to a peer still mid-check.
@@ -234,6 +236,49 @@ mod tests {
             survivor_sync(&comm, &[0, 1, 2]);
         })
         .join();
+    }
+
+    /// With no pre-flight and no vote, a direct move aborts exactly where a
+    /// rank exchanged with the dead one: those survivors blame it, with
+    /// their sources bitwise intact, and no survivor panics or wedges.
+    #[test]
+    fn direct_move_aborts_where_it_meets_a_dead_rank() {
+        let uni = Universe::new(4, 1, NetModel::ideal());
+        uni.inject_node_crash(NodeId(3), 0.0);
+        let statuses = uni
+            .launch(4, None, "direct-death", |comm| {
+                let s = Descriptor::square(12, 2, 2, 2);
+                // Rank 1 both lends to rank 3 and receives from it; ranks 0
+                // and 2 only exchange with each other.
+                let d = Descriptor::square(12, 2, 1, 4);
+                let plan = plan_2d(s, d);
+                let me = comm.rank();
+                let rank = |(r, c): (usize, usize), g: &Descriptor| r * g.npcol + c;
+                let meets_3 = plan.steps.iter().flatten().any(|t| {
+                    let (from, to) = (rank(t.src, &s), rank(t.dst, &d));
+                    (from, to) == (3, me) || (from, to) == (me, 3)
+                });
+                assert_eq!(meets_3, me == 1 || me == 3, "the layouts under test");
+                let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 31 + j) as f64);
+                let before: Vec<u64> = src.local_data().iter().map(|v| v.to_bits()).collect();
+                let res = redistribute(&comm, &plan, Some(&src), Commit::Direct);
+                assert_ne!(me, 3, "rank 3 crashes inside the executor");
+                if meets_3 {
+                    assert_eq!(res.err(), Some(RedistError::Aborted { dead_rank: 3 }));
+                } else {
+                    res.expect("a rank that never meets rank 3 completes");
+                }
+                let after: Vec<u64> = src.local_data().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(before, after, "the source stays bitwise intact");
+                survivor_sync(&comm, &[0, 1, 2]);
+            })
+            .join();
+        for (rank, (_, status)) in statuses.iter().enumerate() {
+            match status {
+                ProcStatus::Failed(msg) if rank == 3 => assert!(msg.contains("crashed"), "{msg}"),
+                status => assert_eq!(*status, ProcStatus::Finished, "rank {rank}"),
+            }
+        }
     }
 
     /// A sender that dies after delivering part of its traffic still aborts

@@ -31,22 +31,22 @@
 //! [`redistribute_2d`] is [`redistribute`] of a 2-D plan in `Direct` mode
 //! that panics instead of returning an error.
 //!
-//! *Direct* commit copies each element once, span to span from the old
+//! Both commit modes copy each element once, span to span from the old
 //! panel into the new one. A remote move is a loan of the sender's old
 //! panel (`Comm::lending`), charged as a send of the move's elements, which
-//! the receiver copies out of inside `recv_with`; it comes back when the
-//! receiver drops the payload, and every rank returns only once its loans
-//! are back. A lend packs nothing, so `redist.pack_seconds` reads 0 for
-//! remote moves and the receiver's copy is `redist.unpack_seconds`.
-//! *Staged* commit sends with `try_send` /
-//! `recv_or_failed`, parks payloads in shadow buffers, and unpacks only
-//! after an all-to-all vote — a death inside the movement leaves the old
-//! layout bitwise intact and returns [`RedistError::Aborted`]. *Pre-flight*
-//! scans `rank_alive` over `0..max(P, Q)` and aborts before any element
-//! moves. It is not always on: `rank_alive` also reports a peer that has
-//! *finished and exited* as dead, and a caller that returns straight after
-//! the move would turn a fast peer's normal exit into a false abort. Only
-//! callers who hold every rank until all have scanned opt in.
+//! the receiver copies out of inside `recv_with_or_failed`; it comes back
+//! when the receiver drops the payload, and every rank returns only once its
+//! loans are back. A lend is `redist.transfer_seconds` and every copy is
+//! `redist.unpack_seconds`. A lend to a dead rank or a receive from one
+//! fails, and the source is never written, so a death inside the movement
+//! leaves the old layout bitwise intact and returns
+//! [`RedistError::Aborted`]: under *Direct* on each rank that exchanged with
+//! the dead one, under *Staged* on every survivor, after an all-to-all
+//! vote. *Pre-flight* scans `rank_alive` over `0..max(P, Q)` and aborts
+//! before any element moves. It is not always on: `rank_alive` also reports
+//! a peer that has *finished and exited* as dead, and a caller that returns
+//! straight after the move would turn a fast peer's normal exit into a false
+//! abort. Only callers who hold every rank until all have scanned opt in.
 //!
 //! A caller's mistake — a communicator smaller than the larger layout, a
 //! plan whose moves its own layouts do not allow, a source rank that passes

@@ -1,6 +1,6 @@
 //! Copy budget of the redistribution data plane.
 //!
-//! A counting `#[global_allocator]` around one `redistribute_2d` gives the
+//! A counting `#[global_allocator]` around one `redistribute` gives the
 //! bytes every rank thread allocates between two barriers, as a multiple of
 //! the matrix's bytes. The new panel alone is 1.0; every extra buffer an
 //! element passes through on its way adds the share of the matrix it
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use reshape_blockcyclic::{Descriptor, DistMatrix};
 use reshape_mpisim::{NetModel, Universe};
-use reshape_redist::{plan_2d, redistribute_2d};
+use reshape_redist::{plan_2d, redistribute, Commit};
 
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -54,9 +54,9 @@ static ALLOC: Counting = Counting;
 const N: usize = 1024;
 const NB: usize = 64;
 
-/// Bytes allocated by one `redistribute_2d` of an `N x N` `f64` matrix from
-/// grid `sg` to grid `dg`, over the matrix's bytes.
-fn ratio(sg: (usize, usize), dg: (usize, usize)) -> f64 {
+/// Bytes allocated by one `redistribute` of an `N x N` `f64` matrix from
+/// grid `sg` to grid `dg` in mode `commit`, over the matrix's bytes.
+fn ratio(sg: (usize, usize), dg: (usize, usize), commit: Commit) -> f64 {
     let (s, d) = (
         Descriptor::square(N, NB, sg.0, sg.1),
         Descriptor::square(N, NB, dg.0, dg.1),
@@ -77,7 +77,7 @@ fn ratio(sg: (usize, usize), dg: (usize, usize)) -> f64 {
             comm.barrier();
             let before = BYTES.load(Relaxed);
             comm.barrier();
-            let out = redistribute_2d(&comm, &plan, src.as_ref());
+            let out = redistribute(&comm, &*plan, src.as_ref(), commit).expect("all alive");
             comm.barrier();
             if me == 0 {
                 sink.store(BYTES.load(Relaxed) - before, Relaxed);
@@ -90,16 +90,31 @@ fn ratio(sg: (usize, usize), dg: (usize, usize)) -> f64 {
 
 #[test]
 fn redistribution_stays_inside_its_copy_budget() {
-    // (direction, source grid, destination grid, ceiling): the recorded
-    // 1.0008 both ways, + 1 %. That is the new panel alone: remote moves
-    // are lent and copied once, straight from the sender's panel. Packing
-    // each remote move into its message read 1.5008, and the copying
-    // executor 3.0006 and 3.5005.
-    for (name, sg, dg, ceiling) in [
-        ("expand 1x2 -> 2x2", (1, 2), (2, 2), 1.011),
-        ("shrink 2x2 -> 1x2", (2, 2), (1, 2), 1.011),
+    // (direction, source grid, destination grid, mode, ceiling): the
+    // recorded 1.0008 both ways, + 1 %. That is the new panel alone: remote
+    // moves are lent and copied once, straight from the sender's panel, in
+    // both modes. Packing each remote move into its message read 1.5008,
+    // the copying executor 3.0006 and 3.5005, and the staged mode's packed
+    // payloads and shadow buffers 3.0011 both ways.
+    for (name, sg, dg, commit, ceiling) in [
+        ("expand 1x2 -> 2x2", (1, 2), (2, 2), Commit::Direct, 1.011),
+        ("shrink 2x2 -> 1x2", (2, 2), (1, 2), Commit::Direct, 1.011),
+        (
+            "staged expand 1x2 -> 2x2",
+            (1, 2),
+            (2, 2),
+            Commit::Staged,
+            1.011,
+        ),
+        (
+            "staged shrink 2x2 -> 1x2",
+            (2, 2),
+            (1, 2),
+            Commit::Staged,
+            1.011,
+        ),
     ] {
-        let r = ratio(sg, dg);
+        let r = ratio(sg, dg, commit);
         println!("{name}: {r:.4} x the matrix's bytes allocated");
         assert!(
             r <= ceiling,
