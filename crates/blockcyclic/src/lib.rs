@@ -19,11 +19,9 @@ use index::local_runs;
 
 pub mod buddy;
 pub mod index;
-pub mod vector;
 
 pub use buddy::{recover_matrix, BuddyStore};
 pub use index::{g2l, l2g, numroc, owner};
-pub use vector::DistVector;
 
 /// Shape and distribution parameters of a 2-D block-cyclic matrix
 /// (ScaLAPACK array-descriptor equivalent, with the source process fixed at
@@ -229,35 +227,51 @@ impl<T: Pod + Default> DistMatrix<T> {
     }
 
     /// Copy out the locally owned block with *global block coordinates*
-    /// `(bi, bj)` as a row-major `mb × nb` buffer. The caller must own it
-    /// (i.e. `bi % nprow == myrow && bj % npcol == mycol`).
+    /// `(bi, bj)` as a row-major buffer of its true size,
+    /// `min(mb, m − bi·mb) × min(nb, n − bj·nb)`: a block of a ragged last
+    /// block row or column is smaller than `mb × nb`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless this panel owns the block (`bi % nprow == myrow` and
+    /// `bj % npcol == mycol`) and the block lies inside the matrix.
     pub fn get_block(&self, bi: usize, bj: usize) -> Vec<T> {
-        let d = &self.desc;
-        debug_assert_eq!(bi % d.nprow, self.myrow, "block row {bi} not owned");
-        debug_assert_eq!(bj % d.npcol, self.mycol, "block col {bj} not owned");
-        let l0 = (bi / d.nprow) * d.mb;
-        let c0 = (bj / d.npcol) * d.nb;
-        let mut out = Vec::with_capacity(d.mb * d.nb);
-        for r in 0..d.mb {
-            for c in 0..d.nb {
-                out.push(self.get_local(l0 + r, c0 + c));
-            }
+        let (rows, cols) = self.block_at(bi, bj);
+        let mut out = Vec::with_capacity(rows.len() * cols.len());
+        for r in rows {
+            out.extend_from_slice(&self.data[r * self.lcols..][cols.clone()]);
         }
         out
     }
 
-    /// Overwrite the locally owned block `(bi, bj)` from a row-major
-    /// `mb × nb` buffer (inverse of [`DistMatrix::get_block`]).
+    /// Overwrite the locally owned block `(bi, bj)` from a row-major buffer
+    /// of its true size (inverse of [`DistMatrix::get_block`], with the same
+    /// panics, and one more on a buffer of another size).
     pub fn set_block(&mut self, bi: usize, bj: usize, blk: &[T]) {
-        let d = self.desc;
-        debug_assert_eq!(blk.len(), d.mb * d.nb, "block buffer size mismatch");
-        let l0 = (bi / d.nprow) * d.mb;
-        let c0 = (bj / d.npcol) * d.nb;
-        for r in 0..d.mb {
-            for c in 0..d.nb {
-                self.set_local(l0 + r, c0 + c, blk[r * d.nb + c]);
-            }
+        let (rows, cols) = self.block_at(bi, bj);
+        assert_eq!(
+            blk.len(),
+            rows.len() * cols.len(),
+            "block buffer size mismatch"
+        );
+        for (r, from) in rows.zip(blk.chunks_exact(cols.len())) {
+            self.data[r * self.lcols..][cols.clone()].copy_from_slice(from);
         }
+    }
+
+    /// The local rows and columns of owned block `(bi, bj)`.
+    fn block_at(&self, bi: usize, bj: usize) -> (Range<usize>, Range<usize>) {
+        let d = &self.desc;
+        assert_eq!(bi % d.nprow, self.myrow, "block row {bi} not owned");
+        assert_eq!(bj % d.npcol, self.mycol, "block col {bj} not owned");
+        assert!(
+            bi * d.mb < d.m && bj * d.nb < d.n,
+            "block ({bi}, {bj}) outside the matrix"
+        );
+        let (l0, c0) = ((bi / d.nprow) * d.mb, (bj / d.npcol) * d.nb);
+        let rows = d.mb.min(d.m - bi * d.mb);
+        let cols = d.nb.min(d.n - bj * d.nb);
+        (l0..l0 + rows, c0..c0 + cols)
     }
 
     /// Value of global element `(i, j)` if this rank owns it.
@@ -460,6 +474,41 @@ mod tests {
         }
         assert_eq!((blocks, bytes), (144, 4_718_592));
         assert_eq!(dst.local_data(), src.local_data());
+    }
+
+    /// A block of a ragged last block row or column is its true size: in a
+    /// 4 × 5 matrix in 2 × 2 blocks, block (0, 2) is the one column 4 of
+    /// rows 0 and 1, and writing it back touches nothing else.
+    #[test]
+    fn ragged_edge_blocks_are_their_true_size() {
+        let d = Descriptor::new(4, 5, 2, 2, 1, 1);
+        let mut m = DistMatrix::from_fn(d, 0, 0, |i, j| (10 * i + j) as u64);
+        assert_eq!(m.get_block(0, 2), [4, 14]);
+        assert_eq!(m.get_block(1, 2), [24, 34]);
+        m.set_block(0, 2, &[40, 140]);
+        for i in 0..4 {
+            for j in 0..5 {
+                let want = match (i, j) {
+                    (0, 4) => 40,
+                    (1, 4) => 140,
+                    _ => (10 * i + j) as u64,
+                };
+                assert_eq!(m.get_local(i, j), want, "element ({i}, {j})");
+            }
+        }
+        // A ragged corner, on a 2 × 2 grid: 5 × 5 in 2 × 2 blocks, block
+        // (2, 2) is the one element (4, 4), held by position (0, 0).
+        let d = Descriptor::square(5, 2, 2, 2);
+        let m = DistMatrix::from_fn(d, 0, 0, |i, j| (10 * i + j) as u64);
+        assert_eq!(m.get_block(2, 2), [44]);
+        assert_eq!(m.get_block(0, 2), [4, 14]);
+    }
+
+    #[test]
+    #[should_panic(expected = "block col 1 not owned")]
+    fn a_block_of_another_panel_is_refused() {
+        let d = Descriptor::square(8, 2, 2, 2);
+        DistMatrix::<f64>::new(d, 0, 0).get_block(0, 1);
     }
 
     #[test]

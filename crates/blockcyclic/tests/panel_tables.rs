@@ -1,14 +1,13 @@
 //! Panel construction against its element-wise definition.
 //!
 //! A panel's element `(li, lj)` is the global element
-//! `(l2g(li, mb, myrow, nprow), l2g(lj, nb, mycol, npcol))`, and a vector's
-//! element `l` is global element `l2g(l, nb, iproc, nprocs)`. `from_fn`,
+//! `(l2g(li, mb, myrow, nprow), l2g(lj, nb, mycol, npcol))`. `from_fn`,
 //! `gather` and `scatter_from` must agree with that on every layout: ragged
 //! last blocks, empty panels (more processes than blocks) and the `1 × n`
-//! view whose panel is a vector's local part.
+//! view that holds a 1-D array.
 
 use proptest::prelude::*;
-use reshape_blockcyclic::{l2g, numroc, Descriptor, DistMatrix, DistVector};
+use reshape_blockcyclic::{l2g, numroc, Descriptor, DistMatrix};
 use reshape_grid::GridContext;
 use reshape_mpisim::{NetModel, Universe};
 
@@ -61,24 +60,14 @@ proptest! {
         check_matrix(Descriptor::new(m, n, mb, nb, nprow, npcol));
     }
 
-    /// A vector's local part is its panel of the `1 × n` view.
+    /// The `1 × n` view a 1-D array moves as, over longer rows.
     #[test]
-    fn vector_from_fn_is_the_l2g_definition_and_its_1xn_panel(
+    fn a_1xn_view_is_the_l2g_definition(
         n in 0usize..120,
         nb in 1usize..9,
         nprocs in 1usize..9,
     ) {
-        let view = Descriptor::new(1, n, 1, nb, 1, nprocs);
-        check_matrix(view);
-        for ip in 0..nprocs {
-            let v = DistVector::from_fn(n, nb, ip, nprocs, |g| value(0, g));
-            assert_eq!(v.local_len(), numroc(n, nb, ip, nprocs));
-            for l in 0..v.local_len() {
-                assert_eq!(v.get_local(l), value(0, l2g(l, nb, ip, nprocs)));
-            }
-            let panel = DistMatrix::from_fn(view, 0, ip, value);
-            assert_eq!(v.local_data(), panel.local_data());
-        }
+        check_matrix(Descriptor::new(1, n, 1, nb, 1, nprocs));
     }
 }
 
@@ -126,6 +115,6 @@ fn gather_and_scatter_cover_empty_panels_and_the_1xn_view() {
     // Three processes, two blocks: process column 2 holds nothing.
     gather_and_scatter(Descriptor::new(5, 7, 2, 4, 1, 3));
     gather_and_scatter(Descriptor::new(7, 5, 4, 2, 3, 1));
-    // A vector's layout, ragged last block.
+    // A 1-D array's layout, ragged last block.
     gather_and_scatter(Descriptor::new(1, 23, 1, 4, 1, 3));
 }

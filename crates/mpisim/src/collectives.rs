@@ -61,7 +61,7 @@ impl Comm {
         while mask < p {
             if vrank & mask != 0 {
                 let src = (vrank - mask + root) % p;
-                let (_, _, data) = self.recv_raw(Some(src), Some(tag));
+                let data = self.recv_raw(src, tag);
                 payload = data;
                 break;
             }
@@ -108,7 +108,7 @@ impl Comm {
                 break;
             }
             if (vrank | mask) < p {
-                let (_, _, _) = self.recv_raw(Some(vrank | mask), Some(TAG_BARRIER));
+                self.recv_raw(vrank | mask, TAG_BARRIER);
             }
             mask <<= 1;
         }
@@ -131,7 +131,7 @@ impl Comm {
             }
             if (vrank | mask) < p {
                 let src = ((vrank | mask) + root) % p;
-                let (_, _, payload) = self.recv_raw(Some(src), Some(TAG_REDUCE));
+                let payload = self.recv_raw(src, TAG_REDUCE);
                 let other: Vec<T> = from_bytes(&payload);
                 op.combine(&mut acc, &other);
             }
@@ -165,7 +165,7 @@ impl Comm {
                 if r == root {
                     out.push(data.to_vec());
                 } else {
-                    let (_, _, payload) = self.recv_raw(Some(r), Some(TAG_GATHER));
+                    let payload = self.recv_raw(r, TAG_GATHER);
                     out.push(from_bytes(&payload));
                 }
             }
@@ -227,7 +227,7 @@ impl Comm {
             }
             parts[root].clone()
         } else {
-            let (_, _, payload) = self.recv_raw(Some(root), Some(TAG_SCATTER));
+            let payload = self.recv_raw(root, TAG_SCATTER);
             from_bytes(&payload)
         }
     }
@@ -249,7 +249,7 @@ impl Comm {
             if r == self.rank {
                 out.push(part.clone());
             } else {
-                let (_, _, payload) = self.recv_raw(Some(r), Some(TAG_ALLTOALL));
+                let payload = self.recv_raw(r, TAG_ALLTOALL);
                 out.push(from_bytes(&payload));
             }
         }

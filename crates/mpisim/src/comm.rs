@@ -241,27 +241,20 @@ impl Comm {
         }
     }
 
-    pub(crate) fn recv_raw(&self, src: Option<usize>, tag: Option<u32>) -> (usize, u32, Bytes) {
-        let env = self
-            .recv_env(src, tag, None)
-            .expect("an unwatched receive completes");
-        (env.src, env.tag, env.payload)
+    /// The payload of the next message from `src` with tag `tag`.
+    pub(crate) fn recv_raw(&self, src: usize, tag: u32) -> Bytes {
+        self.recv_env(src, tag, None)
+            .expect("an unwatched receive completes")
+            .payload
     }
 
     /// The matched receive under every receive, watching the sender with
     /// `gone` if given (`Endpoint::recv_match`).
-    fn recv_env(
-        &self,
-        src: Option<usize>,
-        tag: Option<u32>,
-        gone: Option<&dyn Fn() -> bool>,
-    ) -> Option<Envelope> {
-        if let Some(s) = src {
-            assert!(s < self.size(), "source rank {s} out of range");
-        }
+    fn recv_env(&self, src: usize, tag: u32, gone: Option<&dyn Fn() -> bool>) -> Option<Envelope> {
+        assert!(src < self.size(), "source rank {src} out of range");
         self.check_crashed();
         let mut ep = self.ep.borrow_mut();
-        let env = ep.recv_match(self.group.id, src, tag, &self.core.net, gone);
+        let env = ep.recv_match(self.group.id, Some(src), Some(tag), &self.core.net, gone);
         drop(ep);
         // Receiving advances the clock to the message arrival time, which may
         // cross this node's injected crash deadline.
@@ -321,14 +314,12 @@ impl Comm {
 
     /// Blocking receive of a message from `src` with tag `tag`.
     pub fn recv<T: Pod>(&self, src: usize, tag: u32) -> Vec<T> {
-        let (_, _, payload) = self.recv_raw(Some(src), Some(tag));
-        from_bytes(&payload)
+        from_bytes(&self.recv_raw(src, tag))
     }
 
     /// Blocking receive into an existing buffer, reusing its allocation.
     pub fn recv_into<T: Pod>(&self, src: usize, tag: u32, out: &mut Vec<T>) {
-        let (_, _, payload) = self.recv_raw(Some(src), Some(tag));
-        from_bytes_into(&payload, out);
+        from_bytes_into(&self.recv_raw(src, tag), out);
     }
 
     /// Blocking receive that lends the payload's bytes to `f` instead of
@@ -337,15 +328,7 @@ impl Comm {
     /// ([`Comm::lending`]) arrives as the lender's whole slice, and goes
     /// back when `f` returns.
     pub fn recv_with<R>(&self, src: usize, tag: u32, f: impl FnOnce(&[u8]) -> R) -> R {
-        let (_, _, payload) = self.recv_raw(Some(src), Some(tag));
-        f(&payload)
-    }
-
-    /// Blocking receive with optional wildcards; returns `(source, tag,
-    /// data)`.
-    pub fn recv_match<T: Pod>(&self, src: Option<usize>, tag: Option<u32>) -> (usize, u32, Vec<T>) {
-        let (s, t, payload) = self.recv_raw(src, tag);
-        (s, t, from_bytes(&payload))
+        f(&self.recv_raw(src, tag))
     }
 
     /// Combined exchange: send `data` to `dst` and receive from `src` with
@@ -373,7 +356,7 @@ impl Comm {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, ()> {
         let gone = || !self.rank_alive(src);
-        let env = self.recv_env(Some(src), Some(tag), Some(&gone));
+        let env = self.recv_env(src, tag, Some(&gone));
         env.map(|env| f(&env.payload)).ok_or(())
     }
 
@@ -381,11 +364,6 @@ impl Comm {
     #[allow(clippy::result_unit_err)]
     pub fn recv_or_failed<T: Pod>(&self, src: usize, tag: u32) -> Result<Vec<T>, ()> {
         self.recv_with_or_failed(src, tag, from_bytes)
-    }
-
-    /// Non-blocking test for a matching incoming message.
-    pub fn iprobe(&self, src: Option<usize>, tag: Option<u32>) -> bool {
-        self.ep.borrow_mut().iprobe(self.group.id, src, tag)
     }
 
     // ------------------------------------------------------------------
@@ -402,7 +380,7 @@ impl Comm {
             }
             id
         } else {
-            let (_, _, payload) = self.recv_raw(Some(0), Some(TAG_SPLIT));
+            let payload = self.recv_raw(0, TAG_SPLIT);
             from_bytes::<u64>(&payload)[0]
         };
         Comm {
@@ -432,7 +410,7 @@ impl Comm {
             entries.push((mine[0], mine[1] as i64, 0));
             for r in 1..self.size() {
                 let v: Vec<u64> = {
-                    let (_, _, p) = self.recv_raw(Some(r), Some(TAG_SPLIT));
+                    let p = self.recv_raw(r, TAG_SPLIT);
                     from_bytes(&p)
                 };
                 entries.push((v[0], v[1] as i64, r));
@@ -482,7 +460,7 @@ impl Comm {
         } else {
             self.send_raw(0, TAG_SPLIT, to_bytes(&mine));
             let v: Vec<u64> = {
-                let (_, _, p) = self.recv_raw(Some(0), Some(TAG_SPLIT));
+                let p = self.recv_raw(0, TAG_SPLIT);
                 from_bytes(&p)
             };
             if v[0] == NO_COLOR {

@@ -51,8 +51,6 @@ mod endpoint;
 mod fault;
 mod loan;
 mod net;
-mod persistent;
-mod request;
 mod rng;
 mod router;
 mod spawn;
@@ -63,14 +61,7 @@ pub use comm::{Comm, CommStats, Group, NodeId, TAG_CTRL_BASE};
 pub use datum::{from_bytes, to_bytes, Pod, Reducible};
 pub use loan::Loans;
 pub use net::NetModel;
-pub use persistent::{PersistentRecv, PersistentSend};
-pub use request::{RecvRequest, SendRequest};
 pub use rng::SplitMix64;
 pub use router::ProcId;
 pub use spawn::{InterComm, SpawnCtx};
 pub use universe::{GroupHandle, ProcEvent, ProcStatus, Universe};
-
-/// Wildcard source selector for [`Comm::recv_match`].
-pub const ANY_SOURCE: Option<usize> = None;
-/// Wildcard tag selector for [`Comm::recv_match`].
-pub const ANY_TAG: Option<u32> = None;

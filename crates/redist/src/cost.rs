@@ -12,7 +12,6 @@
 use reshape_mpisim::NetModel;
 
 use crate::exec::{lower_2d, Schedule};
-use crate::plan1d::{lower_1d, Redist1d};
 use crate::plan2d::Redist2d;
 
 /// Memory bandwidth assumed for packing/unpacking message buffers
@@ -92,11 +91,6 @@ fn evaluate(sched: &Schedule, elem_size: usize, net: &NetModel) -> RedistCost {
     cost
 }
 
-/// Cost of a 1-D schedule moving elements of `elem_size` bytes under `net`.
-pub fn evaluate_1d(plan: &Redist1d, elem_size: usize, net: &NetModel) -> RedistCost {
-    evaluate(&lower_1d(plan), elem_size, net)
-}
-
 /// Cost of a checkerboard schedule.
 pub fn evaluate_2d(plan: &Redist2d, elem_size: usize, net: &NetModel) -> RedistCost {
     evaluate(&lower_2d(plan), elem_size, net)
@@ -169,13 +163,22 @@ pub fn evaluate_2d_contended(plan: &Redist2d, elem_size: usize, net: &NetModel) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{plan_1d, plan_2d};
+    use crate::plan_2d;
     use reshape_blockcyclic::Descriptor;
+
+    /// The plan moving `n` elements in blocks of `b` from `p` to `q` ranks,
+    /// as the `1 × n` matrix it is.
+    fn plan_of_1d(n: usize, b: usize, p: usize, q: usize) -> Redist2d {
+        plan_2d(
+            Descriptor::new(1, n, 1, b, 1, p),
+            Descriptor::new(1, n, 1, b, 1, q),
+        )
+    }
 
     #[test]
     fn identity_costs_only_memory_traffic() {
-        let plan = plan_1d(1000, 10, 4, 4);
-        let c = evaluate_1d(&plan, 8, &NetModel::gigabit_ethernet());
+        let plan = plan_of_1d(1000, 10, 4, 4);
+        let c = evaluate_2d(&plan, 8, &NetModel::gigabit_ethernet());
         assert_eq!(c.network_bytes, 0);
         // Only pack/unpack time remains.
         assert!(c.seconds < 1e-3);
@@ -236,8 +239,8 @@ mod tests {
 
     #[test]
     fn ideal_network_still_charges_memory() {
-        let plan = plan_1d(1 << 20, 1 << 10, 2, 4);
-        let c = evaluate_1d(&plan, 8, &NetModel::ideal());
+        let plan = plan_of_1d(1 << 20, 1 << 10, 2, 4);
+        let c = evaluate_2d(&plan, 8, &NetModel::ideal());
         assert!(c.seconds > 0.0, "pack/unpack is never free");
     }
 }

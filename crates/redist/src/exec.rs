@@ -1,7 +1,9 @@
 //! The schedule executor: every scheduled redistribution in this crate —
-//! planned or naive, 1-D or 2-D, direct or staged — is one [`Plan`],
-//! lowered by [`redistribute`] to one [`Schedule`], checked, and run by the
-//! one step loop in [`execute`].
+//! planned or naive, direct or staged — is one [`Redist2d`], lowered by
+//! [`redistribute`] to one [`Schedule`], checked, and run by the one step
+//! loop in [`execute`]. A 1-D array is the `1 × n` matrix of
+//! `Descriptor::new(1, n, 1, nb, 1, p)`, whose row sub-plan is one move of
+//! its one row.
 //!
 //! The executor runs over a single communicator covering `max(P, Q)` ranks,
 //! where the old grid occupies ranks `0..P` (row-major) and the new grid
@@ -12,12 +14,10 @@
 //! A schedule is a list of steps, each a list of [`Move`]s: one coalesced
 //! message carrying every element whose global row lies in one of the
 //! move's row runs and whose global column lies in one of its column runs.
-//! A [`Transfer2d`](crate::Transfer2d) becomes one with one run per block,
-//! and a 1-D transfer becomes one on a `1 × n` descriptor, because a
-//! [`DistVector`]'s local data is bit-for-bit the local panel of
-//! `Descriptor::new(1, n, 1, nb, 1, p)`. Every run lies inside one block of
-//! both layouts, so it is contiguous in the row-major local panel on both
-//! sides and [`copy_local`] copies it as a slice.
+//! A [`Transfer2d`](crate::Transfer2d) becomes one with one run per block.
+//! Every run lies inside one block of both layouts, so it is contiguous in
+//! the row-major local panel on both sides and [`copy_local`] copies it as
+//! a slice.
 //!
 //! Steps execute in order; within a step each rank fires at most one send
 //! and completes at most one receive (the schedule is a partial
@@ -44,11 +44,11 @@
 use std::ops::Range;
 use std::time::Instant;
 
-use reshape_blockcyclic::{g2l, Descriptor, DistMatrix, DistVector};
+use reshape_blockcyclic::{g2l, Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, Pod};
 
 use crate::fault::RedistError;
-use crate::plan1d::{lower_1d, Redist1d};
+use crate::plan1d::Redist1d;
 use crate::plan2d::Redist2d;
 
 /// Base of the tag range of a direct move's steps (`base + step`).
@@ -84,7 +84,7 @@ impl Move {
     }
 }
 
-/// A plan of any kind, lowered to what the step loop needs.
+/// A plan, lowered to what the step loop needs.
 pub(crate) struct Schedule {
     pub src: Descriptor,
     pub dst: Descriptor,
@@ -143,76 +143,6 @@ pub(crate) fn procs(d: &Descriptor) -> usize {
     d.nprow * d.npcol
 }
 
-/// The `1 × n` layout whose local panels are bit for bit the local parts of
-/// an `n`-element array in blocks of `nb` over `p` processes.
-pub(crate) fn view_1d(n: usize, nb: usize, p: usize) -> Descriptor {
-    Descriptor {
-        m: 1,
-        n,
-        mb: 1,
-        nb,
-        nprow: 1,
-        npcol: p,
-    }
-}
-
-/// A redistribution plan of any kind, borrowed: building one copies neither
-/// the plan nor any data. Every kind lowers to the same step list, so one
-/// [`redistribute`] runs them all; a 1-D kind moves a [`DistVector`] as the
-/// `1 × n` matrix it is.
-#[derive(Clone, Copy, Debug)]
-pub enum Plan<'a> {
-    /// Planned 2-D ([`plan_2d`](crate::plan_2d)) or the naive single burst
-    /// ([`plan_naive_2d`](crate::plan_naive_2d)).
-    TwoD(&'a Redist2d),
-    /// Planned 1-D ([`plan_1d`](crate::plan_1d)).
-    OneD(&'a Redist1d),
-}
-
-impl<'a> From<&'a Redist2d> for Plan<'a> {
-    fn from(plan: &'a Redist2d) -> Self {
-        Plan::TwoD(plan)
-    }
-}
-
-impl<'a> From<&'a Redist1d> for Plan<'a> {
-    fn from(plan: &'a Redist1d) -> Self {
-        Plan::OneD(plan)
-    }
-}
-
-impl Plan<'_> {
-    /// Every rank the plan can name: the larger layout's process count, the
-    /// ranks [`preflight`](crate::preflight) scans.
-    pub fn world(self) -> usize {
-        match self {
-            Plan::TwoD(p) => procs(&p.src).max(procs(&p.dst)),
-            Plan::OneD(p) => p.p.max(p.q),
-        }
-    }
-
-    /// The plan's schedule, if the step loop can run it: a 2-D plan's 1-D
-    /// sub-plans must be the row and column moves between its descriptors,
-    /// and the lowered schedule must be [`runnable`](Schedule::runnable).
-    fn lower(self) -> Result<Schedule, RedistError> {
-        let sched = match self {
-            Plan::TwoD(p) => {
-                // Each sub-plan moves one dimension, `(length, block,
-                // grid extent)`, from the old layout to the new.
-                let moves = |sub: &Redist1d, from, to| {
-                    (sub.n, sub.b, sub.p) == from && (sub.n, sub.b, sub.q) == to
-                };
-                let (s, d) = (&p.src, &p.dst);
-                let agree = moves(&p.row_plan, (s.m, s.mb, s.nprow), (d.m, d.mb, d.nprow))
-                    && moves(&p.col_plan, (s.n, s.nb, s.npcol), (d.n, d.nb, d.npcol));
-                agree.then(|| lower_2d(p))
-            }
-            Plan::OneD(p) => Some(lower_1d(p)),
-        };
-        sched.filter(Schedule::runnable).ok_or(RedistError::BadPlan)
-    }
-}
-
 /// What follows the movement, which is the same in both modes: a rank that
 /// saw a lend or a receive fail keeps driving its remaining moves, so live
 /// peers never wait on it, and no mode writes the source. A loan that does
@@ -239,79 +169,9 @@ pub enum Commit {
     Staged,
 }
 
-/// An array [`redistribute`] can move: a [`DistMatrix`], or a [`DistVector`],
-/// whose local part is bit for bit its panel of the `1 × n` matrix.
-pub trait DistArray: Sized + sealed::Sealed {
-    type Elem: Pod + Default;
-    /// The layout this array is one panel of, and the panel's grid position.
-    fn layout(&self) -> (Descriptor, (usize, usize));
-    /// Whether this array type can be a panel of layout `d`.
-    fn holds(d: &Descriptor) -> bool;
-    /// A zeroed panel of `d`, which [`holds`](Self::holds) accepts, at grid
-    /// position `at`.
-    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self;
-    /// This panel's elements, row-major.
-    fn panel(&self) -> &[Self::Elem];
-    fn panel_mut(&mut self) -> &mut [Self::Elem];
-}
-
-mod sealed {
-    /// Only this crate's array types: [`redistribute`](super::redistribute)
-    /// trusts their panels to match their layouts.
-    pub trait Sealed {}
-    impl<T> Sealed for reshape_blockcyclic::DistMatrix<T> {}
-    impl<T> Sealed for reshape_blockcyclic::DistVector<T> {}
-}
-
-impl<T: Pod + Default> DistArray for DistMatrix<T> {
-    type Elem = T;
-    fn layout(&self) -> (Descriptor, (usize, usize)) {
-        (self.desc, (self.myrow, self.mycol))
-    }
-    fn holds(_: &Descriptor) -> bool {
-        true
-    }
-    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self {
-        DistMatrix::new(*d, at.0, at.1)
-    }
-    fn panel(&self) -> &[T] {
-        self.local_data()
-    }
-    fn panel_mut(&mut self) -> &mut [T] {
-        self.local_data_mut()
-    }
-}
-
-impl<T: Pod + Default> DistArray for DistVector<T> {
-    type Elem = T;
-    fn layout(&self) -> (Descriptor, (usize, usize)) {
-        (view_1d(self.n, self.nb, self.nprocs), (0, self.iproc))
-    }
-    fn holds(d: &Descriptor) -> bool {
-        *d == view_1d(d.n, d.nb, d.npcol)
-    }
-    fn zeroed(d: &Descriptor, at: (usize, usize)) -> Self {
-        DistVector::new(d.n, d.nb, at.1, d.npcol)
-    }
-    fn panel(&self) -> &[T] {
-        self.local_data()
-    }
-    fn panel_mut(&mut self) -> &mut [T] {
-        self.local_data_mut()
-    }
-}
-
-/// Lower a plan's `steps`, one transfer at a time.
-pub(crate) fn lower_steps<X>(steps: &[Vec<X>], lower: impl Fn(&X) -> Move) -> Vec<Vec<Move>> {
-    steps
-        .iter()
-        .map(|step| step.iter().map(&lower).collect())
-        .collect()
-}
-
 /// The runs covering global blocks `blocks` of `plan`'s dimension. A block
 /// past the end becomes an empty run, which no schedule check lets through.
-pub(crate) fn block_runs(plan: &Redist1d, blocks: &[usize]) -> Vec<(usize, usize)> {
+fn block_runs(plan: &Redist1d, blocks: &[usize]) -> Vec<(usize, usize)> {
     blocks
         .iter()
         .map(|&k| {
@@ -325,27 +185,52 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule {
     Schedule {
         src: plan.src,
         dst: plan.dst,
-        steps: lower_steps(&plan.steps, |t| Move {
-            src: t.src,
-            dst: t.dst,
-            row_runs: block_runs(&plan.row_plan, &t.row_blocks),
-            col_runs: block_runs(&plan.col_plan, &t.col_blocks),
-        }),
+        steps: plan
+            .steps
+            .iter()
+            .map(|step| {
+                step.iter()
+                    .map(|t| Move {
+                        src: t.src,
+                        dst: t.dst,
+                        row_runs: block_runs(&plan.row_plan, &t.row_blocks),
+                        col_runs: block_runs(&plan.col_plan, &t.col_blocks),
+                    })
+                    .collect()
+            })
+            .collect(),
     }
 }
 
-/// Move a distributed array from `plan`'s source layout to its destination
+/// `plan`'s schedule, if the step loop can run it: its 1-D sub-plans must
+/// be the row and column moves between its descriptors, and the lowered
+/// schedule must be [`runnable`](Schedule::runnable).
+fn lower(plan: &Redist2d) -> Result<Schedule, RedistError> {
+    // Each sub-plan moves one dimension, `(length, block, grid extent)`,
+    // from the old layout to the new.
+    let moves =
+        |sub: &Redist1d, from, to| (sub.n, sub.b, sub.p) == from && (sub.n, sub.b, sub.q) == to;
+    let (s, d) = (&plan.src, &plan.dst);
+    let agree = moves(&plan.row_plan, (s.m, s.mb, s.nprow), (d.m, d.mb, d.nprow))
+        && moves(&plan.col_plan, (s.n, s.nb, s.npcol), (d.n, d.nb, d.npcol));
+    agree
+        .then(|| lower_2d(plan))
+        .filter(Schedule::runnable)
+        .ok_or(RedistError::BadPlan)
+}
+
+/// Move a distributed matrix from `plan`'s source layout to its destination
 /// layout, collectively over `comm`: the old layout on ranks `0..P`
 /// (row-major), the new on ranks `0..Q`. Ranks `0..P` pass their panel of
 /// the old layout; ranks `0..Q` get their panel of the new one back, and
 /// every other rank gets `None`. A rank outside the source layout may pass
-/// `None`.
+/// `None`. A 1-D array of `n` elements in blocks of `nb` over `p` ranks is
+/// the `1 × n` matrix of `Descriptor::new(1, n, 1, nb, 1, p)`.
 ///
 /// Every rank checks its own arguments before it sends anything. A
-/// communicator smaller than the larger layout, or an array type that
-/// cannot hold the plan's layouts, fails on every rank alike. A source rank
-/// that passes no panel ([`RedistError::MissingSource`]), or a panel whose
-/// descriptor or grid position disagrees with the plan
+/// communicator smaller than the larger layout fails on every rank alike. A
+/// source rank that passes no panel ([`RedistError::MissingSource`]), or a
+/// panel whose descriptor or grid position disagrees with the plan
 /// ([`RedistError::LayoutMismatch`]), fails on that rank only, and as with
 /// a panic, its peers are left waiting inside the collective. A peer that
 /// dies mid-move is [`RedistError::Aborted`] under either [`Commit`] mode,
@@ -355,24 +240,30 @@ pub(crate) fn lower_2d(plan: &Redist2d) -> Schedule {
 /// The plan's fields are public, so it need not be as its planner built it.
 /// A plan whose moves its own layouts do not allow — a block past the end
 /// of its dimension, a grid position outside its grid, a block its move's
-/// endpoints do not own, or a 2-D plan whose 1-D sub-plans disagree with its
+/// endpoints do not own, or 1-D sub-plans that disagree with its
 /// descriptors — fails with [`RedistError::BadPlan`] on every rank alike.
-pub fn redistribute<'p, A: DistArray>(
+pub fn redistribute<T: Pod + Default>(
     comm: &Comm,
-    plan: impl Into<Plan<'p>>,
-    src: Option<&A>,
+    plan: &Redist2d,
+    src: Option<&DistMatrix<T>>,
     commit: Commit,
-) -> Result<Option<A>, RedistError> {
-    let sched = plan.into().lower()?;
+) -> Result<Option<DistMatrix<T>>, RedistError> {
+    let sched = lower(plan)?;
     let (s, d) = (&sched.src, &sched.dst);
     let local = source_panel(comm, s, d, src)?;
     let me = comm.rank();
-    let mut out = (me < procs(d)).then(|| A::zeroed(d, (me / d.npcol, me % d.npcol)));
-    execute(comm, &sched, commit, local, out.as_mut().map(A::panel_mut))?;
+    let mut out = (me < procs(d)).then(|| DistMatrix::new(*d, me / d.npcol, me % d.npcol));
+    execute(
+        comm,
+        &sched,
+        commit,
+        local,
+        out.as_mut().map(DistMatrix::local_data_mut),
+    )?;
     Ok(out)
 }
 
-/// [`redistribute`] of a 2-D plan in [`Commit::Direct`] mode.
+/// [`redistribute`] in [`Commit::Direct`] mode.
 ///
 /// # Panics
 ///
@@ -387,28 +278,25 @@ pub fn redistribute_2d<T: Pod + Default>(
 
 /// Check a call moving `src` from layout `s` to `d` over `comm`, and return
 /// this rank's source panel (`None` outside the source layout).
-pub(crate) fn source_panel<'a, A: DistArray>(
+pub(crate) fn source_panel<'a, T: Pod + Default>(
     comm: &Comm,
     s: &Descriptor,
     d: &Descriptor,
-    src: Option<&'a A>,
-) -> Result<Option<&'a [A::Elem]>, RedistError> {
+    src: Option<&'a DistMatrix<T>>,
+) -> Result<Option<&'a [T]>, RedistError> {
     let (size, world) = (comm.size(), procs(s).max(procs(d)));
     if size < world {
         return Err(RedistError::CommTooSmall { size, world });
     }
     let rank = comm.rank();
-    if !A::holds(s) || !A::holds(d) {
-        return Err(RedistError::LayoutMismatch { rank });
-    }
     if rank >= procs(s) {
         return Ok(None);
     }
     let a = src.ok_or(RedistError::MissingSource { rank })?;
-    if a.layout() != (*s, (rank / s.npcol, rank % s.npcol)) {
+    if (a.desc, a.myrow, a.mycol) != (*s, rank / s.npcol, rank % s.npcol) {
         return Err(RedistError::LayoutMismatch { rank });
     }
-    Ok(Some(a.panel()))
+    Ok(Some(a.local_data()))
 }
 
 /// Run `f`, adding its wall time to `acc` when `on`. Keeps the hot loop
@@ -648,7 +536,6 @@ fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan1d::plan_1d;
     use crate::plan2d::plan_2d;
     use proptest::prelude::*;
     use reshape_blockcyclic::Descriptor;
@@ -831,27 +718,10 @@ mod tests {
         .join_ok();
     }
 
-    /// A 1-D plan moves a [`DistVector`] through the same executor.
+    /// A 1-D array of `n` elements in blocks of `b` moving from `p` to `q`
+    /// ranks: the `1 × n` matrix on a `1 × p` grid going to `1 × q`.
     fn round_trip_1d(n: usize, b: usize, p: usize, q: usize) {
-        let ranks = p.max(q);
-        Universe::new(ranks, 1, NetModel::ideal())
-            .launch(ranks, None, "r1d", move |comm| {
-                let plan = plan_1d(n, b, p, q);
-                let me = comm.rank();
-                let src =
-                    (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| (g * 31 + 7) as f64));
-                let out = redistribute(&comm, &plan, src.as_ref(), Commit::Direct).unwrap();
-                if me < q {
-                    let out = out.expect("in destination layout");
-                    for l in 0..out.local_len() {
-                        let g = out.global_index(l);
-                        assert_eq!(out.get_local(l), (g * 31 + 7) as f64, "element {g}");
-                    }
-                } else {
-                    assert!(out.is_none());
-                }
-            })
-            .join_ok();
+        round_trip(1, n, 1, b, (1, p), (1, q));
     }
 
     #[test]
@@ -872,6 +742,13 @@ mod tests {
     #[test]
     fn identity_layout() {
         round_trip_1d(24, 4, 3, 3);
+    }
+
+    /// The paper's column format: an `n × 1` array on a `P × 1` grid going
+    /// to `Q × 1`, its last block ragged.
+    #[test]
+    fn column_format_expand_3_to_5() {
+        round_trip(23, 1, 4, 1, (3, 1), (5, 1));
     }
 
     proptest! {

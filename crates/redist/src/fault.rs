@@ -39,8 +39,7 @@ pub enum RedistError {
     /// `rank` is in the source layout but passed no array.
     MissingSource { rank: usize },
     /// The array `rank` passed is not its panel of the source layout: it has
-    /// another descriptor or grid position, or its type cannot hold the
-    /// move's layouts.
+    /// another descriptor or grid position.
     LayoutMismatch { rank: usize },
     /// The plan names a move its own layouts do not allow: a block past the
     /// end of its dimension, a grid position outside its grid, a block the
@@ -81,7 +80,7 @@ impl std::error::Error for RedistError {}
 
 /// Abort if any of ranks `0..world` (clamped to the communicator) has
 /// terminated. `world` is every rank the move can name: a plan's
-/// [`world`](crate::Plan::world), or `max(P, Q)` for the checkpoint funnel.
+/// [`world`](crate::Redist2d::world), or `max(P, Q)` for the checkpoint funnel.
 pub fn preflight(comm: &Comm, world: usize) -> Result<(), RedistError> {
     for rank in 0..world.min(comm.size()) {
         if !comm.rank_alive(rank) {
@@ -95,7 +94,7 @@ pub fn preflight(comm: &Comm, world: usize) -> Result<(), RedistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{redistribute, redistribute_2d, Commit, Plan};
+    use crate::exec::{redistribute, redistribute_2d, Commit};
     use crate::plan2d::plan_2d;
     use reshape_blockcyclic::{Descriptor, DistMatrix};
     use reshape_mpisim::{NetModel, NodeId, ProcStatus, Universe};
@@ -140,7 +139,7 @@ mod tests {
             }
             let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 11 + j) as f64);
             let before = src.local_data().to_vec();
-            let err = preflight(&comm, Plan::from(&plan).world())
+            let err = preflight(&comm, plan.world())
                 .expect_err("dead rank must abort the redistribution");
             assert_eq!(err, RedistError::Aborted { dead_rank: 3 });
             assert_eq!(comm.stats().msgs_sent(), 0, "pre-flight sends nothing");
@@ -164,7 +163,7 @@ mod tests {
             let plan = plan_2d(s, d);
             let me = comm.rank();
             let src = DistMatrix::from_fn(s, me / 2, me % 2, |i, j| (i * 8 + j) as u64);
-            preflight(&comm, Plan::from(&plan).world()).expect("no dead ranks");
+            preflight(&comm, plan.world()).expect("no dead ranks");
             let out = redistribute_2d(&comm, &plan, Some(&src)).expect("in destination grid");
             for li in 0..out.local_rows() {
                 let gi = d.local_to_global_row(li, out.myrow);

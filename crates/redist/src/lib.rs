@@ -9,27 +9,27 @@
 //! permutation — no process sends or receives more than one message per
 //! step, so steps are free of link contention.
 //!
-//! Planners ([`plan_1d`], [`plan_2d`], [`plan_naive_2d`]) build schedules
-//! that keep the block size, as the paper's library does; [`cost`] turns a
-//! schedule plus a [`NetModel`](reshape_mpisim::NetModel) into seconds of
-//! virtual time (Figure 2(b), the cluster simulator); and [`redistribute`]
-//! moves real data over a merged communicator (old layout on ranks `0..P`,
-//! new on `0..Q`). It takes any planned kind as one [`Plan`], lowers it to
-//! a list of steps of `(from, to, row runs × column runs)` moves — the 2-D
-//! checkerboard schedule is the cross product of two 1-D schedules, so a
-//! 1-D array is just the `1 × n` case — and runs it through **one step-loop
-//! executor** (`exec.rs`) in one of two [`Commit`] modes. (The paper arms
-//! MPI persistent requests per step; sends here are buffered, which is
-//! semantically identical.)
+//! Planners ([`plan_2d`], [`plan_naive_2d`], both built from the per-
+//! dimension [`plan_1d`]) build schedules that keep the block size, as the
+//! paper's library does; [`cost`] turns a schedule plus a
+//! [`NetModel`](reshape_mpisim::NetModel) into seconds of virtual time
+//! (Figure 2(b), the cluster simulator); and [`redistribute`] moves real
+//! data over a merged communicator (old layout on ranks `0..P`, new on
+//! `0..Q`). It takes one [`Redist2d`] and lowers it to a list of steps of
+//! `(from, to, row runs × column runs)` moves — the 2-D checkerboard
+//! schedule is the cross product of two 1-D schedules, so a 1-D array is
+//! just the `1 × n` matrix of `Descriptor::new(1, n, 1, nb, 1, p)` — and
+//! runs it through **one step-loop executor** (`exec.rs`) in one of two
+//! [`Commit`] modes. (The paper arms MPI persistent requests per step; sends
+//! here are buffered, which is semantically identical.)
 //!
-//! | [`Plan`] | array | [`Commit`] | [`preflight`] first |
+//! | plan | array | [`Commit`] | [`preflight`] first |
 //! |---|---|---|---|
-//! | [`Plan::TwoD`]: planned 2-D ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | [`DistMatrix`](reshape_blockcyclic::DistMatrix) | `Direct` or `Staged` | optional |
-//! | [`Plan::OneD`]: planned 1-D ([`plan_1d`]) | [`DistVector`](reshape_blockcyclic::DistVector) | `Direct` or `Staged` | optional |
+//! | planned ([`plan_2d`]) or naive single burst ([`plan_naive_2d`]) | [`DistMatrix`](reshape_blockcyclic::DistMatrix), `1 × n` for a 1-D array | `Direct` or `Staged` | optional |
 //! | none — [`checkpoint_redistribute`], funnel through rank 0 and disk | `DistMatrix` | — | optional |
 //!
-//! [`redistribute_2d`] is [`redistribute`] of a 2-D plan in `Direct` mode
-//! that panics instead of returning an error.
+//! [`redistribute_2d`] is [`redistribute`] in `Direct` mode that panics
+//! instead of returning an error.
 //!
 //! Both commit modes copy each element once, span to span from the old
 //! panel into the new one. A remote move is a loan of the sender's old
@@ -69,8 +69,8 @@ mod plan1d;
 mod plan2d;
 
 pub use checkpoint::{checkpoint_cost, checkpoint_redistribute, CheckpointParams};
-pub use cost::{evaluate_1d, evaluate_2d, evaluate_2d_contended, RedistCost, PACK_BANDWIDTH};
-pub use exec::{redistribute, redistribute_2d, Commit, DistArray, Plan};
+pub use cost::{evaluate_2d, evaluate_2d_contended, RedistCost, PACK_BANDWIDTH};
+pub use exec::{redistribute, redistribute_2d, Commit};
 pub use fault::{preflight, RedistError};
 pub use naive::plan_naive_2d;
 pub use plan1d::{plan_1d, Redist1d, Transfer1d};

@@ -13,8 +13,10 @@
 //! message and receives at most one message per step — a contention-free
 //! schedule. All blocks moving between one (source, destination) pair in a
 //! step travel in a single coalesced message.
-
-use crate::exec::{block_runs, lower_steps, view_1d, Move, Schedule};
+//!
+//! This is the per-dimension planner: [`plan_2d`](crate::plan_2d) and
+//! [`plan_naive_2d`](crate::plan_naive_2d) cross a row plan with a column
+//! plan, and a 1-D array moves along `plan_2d`'s plan over its `1 × n` view.
 
 /// One coalesced message of a schedule step: `src` (rank in the old layout)
 /// sends the listed global block indices to `dst` (rank in the new layout).
@@ -53,25 +55,6 @@ impl Redist1d {
         let start = k * self.b;
         assert!(start < self.n, "block {k} out of range");
         (self.n - start).min(self.b)
-    }
-
-    /// Bytes moved by a transfer, given the element size.
-    pub fn transfer_bytes(&self, t: &Transfer1d, elem_size: usize) -> usize {
-        t.blocks
-            .iter()
-            .map(|&k| self.block_len(k) * elem_size)
-            .sum()
-    }
-
-    /// Total bytes that cross the network (excludes src == dst transfers,
-    /// which are local copies).
-    pub fn network_bytes(&self, elem_size: usize) -> usize {
-        self.steps
-            .iter()
-            .flatten()
-            .filter(|t| t.src != t.dst)
-            .map(|t| self.transfer_bytes(t, elem_size))
-            .sum()
     }
 }
 
@@ -130,20 +113,6 @@ pub fn plan_1d(n: usize, b: usize, p: usize, q: usize) -> Redist1d {
         }
     }
     Redist1d { n, b, p, q, steps }
-}
-
-/// The plan as a schedule over the `1 × n` view of the array.
-pub(crate) fn lower_1d(plan: &Redist1d) -> Schedule {
-    Schedule {
-        src: view_1d(plan.n, plan.b, plan.p),
-        dst: view_1d(plan.n, plan.b, plan.q),
-        steps: lower_steps(&plan.steps, |t| Move {
-            src: (0, t.src),
-            dst: (0, t.dst),
-            row_runs: vec![(0, 1)],
-            col_runs: block_runs(plan, &t.blocks),
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -218,7 +187,6 @@ mod tests {
                 assert_eq!(t.src, t.dst);
             }
         }
-        assert_eq!(plan.network_bytes(8), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use reshape_blockcyclic::Descriptor;
 
+use crate::exec::procs;
 use crate::plan1d::{plan_1d, Redist1d};
 
 /// One coalesced message of a 2-D step: the source grid process sends every
@@ -66,6 +67,12 @@ impl Redist2d {
             .filter(|t| self.src_rank(t.src) != self.dst_rank(t.dst))
             .map(|t| self.transfer_elems(t) * elem_size)
             .sum()
+    }
+
+    /// Every rank the plan can name: the larger layout's process count, the
+    /// ranks [`preflight`](crate::preflight) scans.
+    pub fn world(&self) -> usize {
+        procs(&self.src).max(procs(&self.dst))
     }
 
     /// Rank (row-major) of a source grid coordinate in the old processor

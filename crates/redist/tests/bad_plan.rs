@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
+use reshape_blockcyclic::{Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{plan_1d, plan_2d, redistribute, Commit, Redist2d, RedistError};
 
@@ -67,15 +67,13 @@ fn a_sub_plan_of_another_block_size() {
 }
 
 #[test]
-fn a_1d_block_its_source_does_not_own() {
+fn a_block_its_source_does_not_own() {
     every_rank_refuses(|comm, commit| {
-        // 16 elements in blocks of 2, 4 → 2 ranks. Block 1 lives on rank 1,
-        // and the edited plan has rank 0 send it.
-        let mut plan = plan_1d(16, 2, 4, 2);
-        let from_0 = plan.steps.iter_mut().flatten().find(|t| t.src == 0);
-        from_0.expect("rank 0 sends").blocks.push(1);
-        let me = comm.rank();
-        let src = DistVector::from_fn(16, 2, me, 4, |g| g as f64);
-        redistribute(comm, &plan, Some(&src), commit).map(drop)
+        move_edited_2d(comm, commit, |plan| {
+            // Column block 1 lives on grid column 1, and the edited plan has
+            // grid position (0, 0) send it.
+            let from_00 = plan.steps.iter_mut().flatten().find(|t| t.src == (0, 0));
+            from_00.expect("(0, 0) sends").col_blocks.push(1);
+        })
     });
 }

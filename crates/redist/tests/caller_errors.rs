@@ -5,7 +5,7 @@
 use std::mem::discriminant;
 use std::sync::{Arc, Mutex};
 
-use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
+use reshape_blockcyclic::{Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{
     checkpoint_redistribute, plan_2d, redistribute, CheckpointParams, Commit, RedistError,
@@ -74,7 +74,7 @@ fn source_ranks_passing_no_panel_is_an_error() {
     let shrink = (square(2, NARROW), square(2, (1, 2)));
     let errs = every_rank_fails(4, want, move |comm| {
         let (s, d) = shrink;
-        redistribute::<DistMatrix<f64>>(comm, &plan_2d(s, d), None, Commit::Direct).map(drop)
+        redistribute::<f64>(comm, &plan_2d(s, d), None, Commit::Direct).map(drop)
     });
     assert_eq!(errs[3], RedistError::MissingSource { rank: 3 });
     every_rank_fails(4, want, move |comm| {
@@ -103,12 +103,6 @@ fn panels_of_another_layout_are_an_error() {
         let (s, d) = shrink;
         let src = panel(s, (comm.rank() + 1) % 4);
         redistribute(comm, &plan_2d(s, d), Some(&src), Commit::Staged).map(drop)
-    });
-    // A vector cannot be a panel of a 2 × 2 grid.
-    every_rank_fails(4, want, move |comm| {
-        let (s, d) = shrink;
-        let src = DistVector::<f64>::new(8, 2, comm.rank(), 4);
-        redistribute(comm, &plan_2d(s, d), Some(&src), Commit::Direct).map(drop)
     });
 }
 

@@ -77,7 +77,7 @@ fn ratio(sg: (usize, usize), dg: (usize, usize), commit: Commit) -> f64 {
             comm.barrier();
             let before = BYTES.load(Relaxed);
             comm.barrier();
-            let out = redistribute(&comm, &*plan, src.as_ref(), commit).expect("all alive");
+            let out = redistribute(&comm, &plan, src.as_ref(), commit).expect("all alive");
             comm.barrier();
             if me == 0 {
                 sink.store(BYTES.load(Relaxed) - before, Relaxed);

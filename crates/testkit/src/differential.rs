@@ -1,9 +1,10 @@
 //! Differential redistribution checker.
 //!
-//! The redist crate moves a distributed array through one `redistribute`,
-//! over a (plan × commit × pre-flight) product: three plan kinds (planned
-//! 2-D, naive 2-D, planned 1-D), direct or staged commit, with or without
-//! the liveness pre-flight. Beside it stand two independent
+//! The redist crate moves a distributed matrix through one `redistribute`,
+//! over a (plan × commit × pre-flight) product: two planners (`plan_2d`,
+//! `plan_naive_2d`), direct or staged commit, with or without the liveness
+//! pre-flight. A 1-D array moves as the `1 × n` matrix on a `1 × p` grid,
+//! along `plan_2d`'s plan, and keeps its own [`Mover`] and [`Path`] rows. Beside it stand two independent
 //! implementations: the checkpoint/restart funnel, and the
 //! [`binning`](crate::binning) oracle, which shares no code with the
 //! crate. For any source/destination layout every [`Route`] through them
@@ -22,11 +23,11 @@
 
 use std::sync::{Arc, Mutex};
 
-use reshape_blockcyclic::{Descriptor, DistMatrix, DistVector};
+use reshape_blockcyclic::{Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, NetModel, Universe};
 use reshape_redist::{
-    checkpoint_redistribute, plan_1d, plan_2d, plan_naive_2d, preflight, redistribute,
-    CheckpointParams, Commit, RedistError,
+    checkpoint_redistribute, plan_2d, plan_naive_2d, preflight, redistribute, CheckpointParams,
+    Commit, RedistError,
 };
 
 use crate::binning::redistribute_general;
@@ -63,6 +64,12 @@ fn value(gi: usize, gj: usize) -> u64 {
     (gi as u64) * 1_000_003 + gj as u64 + 1
 }
 
+/// The `1 × n` layout of `n` elements in blocks of `b` over `procs` ranks:
+/// a 1-D array, as [`redistribute`] moves it.
+fn one_by_n(n: usize, b: usize, procs: usize) -> Descriptor {
+    Descriptor::new(1, n, 1, b, 1, procs)
+}
+
 /// Sentinel for "no path wrote this element".
 const UNWRITTEN: u64 = u64::MAX;
 
@@ -73,7 +80,8 @@ pub enum Mover {
     Planned2d,
     /// `redistribute` of a `plan_naive_2d` plan.
     Naive2d,
-    /// `redistribute` of a `plan_1d` plan.
+    /// `redistribute` of a `plan_2d` plan over a 1-D array's `1 × n`
+    /// layouts.
     Planned1d,
     /// `checkpoint_redistribute`.
     Checkpoint,
@@ -197,7 +205,7 @@ pub enum TrafficPath {
     PlannedShrink,
     /// `plan_naive_2d`, direct, 2×2 → 2×3.
     Naive,
-    /// `plan_1d`, direct, 37 elements in blocks of 3, 3 → 5 ranks.
+    /// `plan_2d`, direct, 37 elements in blocks of 3, `1 × 3` → `1 × 5`.
     Planned1d,
     /// `plan_2d`, staged, committing the `PlannedExpand` move.
     TxnCommit,
@@ -221,9 +229,6 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
             (me < d.nprow * d.npcol)
                 .then(|| DistMatrix::from_fn(d, me / d.npcol, me % d.npcol, value))
         };
-        let vec = |n, b, procs| {
-            (me < procs).then(|| DistVector::from_fn(n, b, me, procs, |g| value(g, 0)))
-        };
         let narrow = Descriptor::new(17, 23, 3, 2, 2, 2);
         let wide = Descriptor::new(17, 23, 3, 2, 2, 3);
         let direct = Commit::Direct;
@@ -239,8 +244,9 @@ pub fn executor_traffic(path: TrafficPath) -> Vec<(u64, u64, u64)> {
                 redistribute(&comm, &plan, mat(narrow).as_ref(), direct).map(drop)
             }
             TrafficPath::Planned1d => {
-                let plan = plan_1d(37, 3, 3, 5);
-                redistribute(&comm, &plan, vec(37, 3, 3).as_ref(), direct).map(drop)
+                let (s, d) = (one_by_n(37, 3, 3), one_by_n(37, 3, 5));
+                let src = (me < 3).then(|| DistMatrix::from_fn(s, 0, me, |_, g| value(g, 0)));
+                redistribute(&comm, &plan_2d(s, d), src.as_ref(), direct).map(drop)
             }
             TrafficPath::TxnCommit => {
                 let plan = plan_2d(narrow, wide);
@@ -286,38 +292,27 @@ pub enum Case {
     TwoD(Case2d),
     OneD(Case1d),
     /// The dead-rank matrix: 8×8 in 2×2 blocks, 2×2 → 1×4 (16 elements in
-    /// blocks of 2, 4 → 2 ranks for a 1-D path), rank 3 dead before the
-    /// call.
+    /// blocks of 2, `1 × 4` → `1 × 2`, for a 1-D path), rank 3 dead before
+    /// the call.
     DeadRank,
 }
 
 impl Case {
-    /// Source and destination descriptors of a 2-D path.
-    fn layout_2d(&self) -> (Descriptor, Descriptor) {
-        match *self {
-            Case::TwoD(c) => (
+    /// Source and destination descriptors of a path's array: a 1-D path
+    /// moves its array as the `1 × n` matrix.
+    fn layout(&self, one_d: bool) -> (Descriptor, Descriptor) {
+        match (*self, one_d) {
+            (Case::TwoD(c), false) => (
                 Descriptor::new(c.m, c.n, c.mb, c.nb, c.src_grid.0, c.src_grid.1),
                 Descriptor::new(c.m, c.n, c.mb, c.nb, c.dst_grid.0, c.dst_grid.1),
             ),
-            Case::DeadRank => (
+            (Case::OneD(c), true) => (one_by_n(c.n, c.b, c.p), one_by_n(c.n, c.b, c.q)),
+            (Case::DeadRank, false) => (
                 Descriptor::square(8, 2, 2, 2),
                 Descriptor::square(8, 2, 1, 4),
             ),
-            Case::OneD(_) => panic!("a 2-D path needs a 2-D case"),
-        }
-    }
-
-    /// `(n, b, p, q)` of a 1-D path.
-    fn layout_1d(&self) -> Case1d {
-        match *self {
-            Case::OneD(c) => c,
-            Case::DeadRank => Case1d {
-                n: 16,
-                b: 2,
-                p: 4,
-                q: 2,
-            },
-            Case::TwoD(_) => panic!("a 1-D path needs a 1-D case"),
+            (Case::DeadRank, true) => (one_by_n(16, 2, 4), one_by_n(16, 2, 2)),
+            _ => panic!("{self:?} is not a case of a {}-D path", 2 - one_d as usize),
         }
     }
 
@@ -415,30 +410,20 @@ const MOVED: u64 = u64::MAX;
 /// `(global index, value)` cells it holds afterwards.
 fn dispatch(route: Route, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>, RedistError> {
     let me = comm.rank();
-    if MOVERS_1D.contains(&route.mover) {
-        let Case1d { n, b, p, q } = case.layout_1d();
-        if route.preflight {
-            preflight(comm, p.max(q))?;
-        }
-        let src = (me < p).then(|| DistVector::from_fn(n, b, me, p, |g| value(g, 0)));
-        let src = src.as_ref();
-        let got: Option<DistVector<u64>> =
-            redistribute(comm, &plan_1d(n, b, p, q), src, route.commit)?;
-        return Ok(got.map_or_else(Vec::new, |v| {
-            (0..v.local_len())
-                .map(|l| (v.global_index(l), v.get_local(l)))
-                .collect()
-        }));
-    }
-    let (s, d) = case.layout_2d();
+    let one_d = MOVERS_1D.contains(&route.mover);
+    let (s, d) = case.layout(one_d);
     let (p, q) = (s.nprow * s.npcol, d.nprow * d.npcol);
     if route.preflight {
         preflight(comm, p.max(q))?;
     }
-    let src = (me < p).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, value));
+    // A 1-D array's element `g` is its `1 × n` matrix's `(0, g)`.
+    let fill = |i, j| if one_d { value(j, 0) } else { value(i, j) };
+    let src = (me < p).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, fill));
     let src = src.as_ref();
     let got = match route.mover {
-        Mover::Planned2d => redistribute(comm, &plan_2d(s, d), src, route.commit),
+        Mover::Planned2d | Mover::Planned1d => {
+            redistribute(comm, &plan_2d(s, d), src, route.commit)
+        }
         Mover::Naive2d => redistribute(comm, &plan_naive_2d(s, d), src, route.commit),
         Mover::Checkpoint => checkpoint_redistribute(comm, s, d, src, &CheckpointParams::default()),
         _ => Ok(redistribute_general(comm, s, d, src)),
