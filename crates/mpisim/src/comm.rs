@@ -380,8 +380,7 @@ impl Comm {
             }
             id
         } else {
-            let payload = self.recv_raw(0, TAG_SPLIT);
-            from_bytes::<u64>(&payload)[0]
+            from_bytes::<u64>(&self.recv_raw(0, TAG_SPLIT))[0]
         };
         Comm {
             group: Arc::new(Group {
@@ -409,10 +408,7 @@ impl Comm {
             let mut entries: Vec<(u64, i64, usize)> = Vec::with_capacity(self.size());
             entries.push((mine[0], mine[1] as i64, 0));
             for r in 1..self.size() {
-                let v: Vec<u64> = {
-                    let p = self.recv_raw(r, TAG_SPLIT);
-                    from_bytes(&p)
-                };
+                let v: Vec<u64> = from_bytes(&self.recv_raw(r, TAG_SPLIT));
                 entries.push((v[0], v[1] as i64, r));
             }
             // Group by color; order by (key, old rank).
@@ -459,10 +455,7 @@ impl Comm {
                 .map(|(id, new_rank, old_ranks)| self.subgroup_comm(id, new_rank, &old_ranks))
         } else {
             self.send_raw(0, TAG_SPLIT, to_bytes(&mine));
-            let v: Vec<u64> = {
-                let p = self.recv_raw(0, TAG_SPLIT);
-                from_bytes(&p)
-            };
+            let v: Vec<u64> = from_bytes(&self.recv_raw(0, TAG_SPLIT));
             if v[0] == NO_COLOR {
                 return None;
             }

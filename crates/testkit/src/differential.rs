@@ -4,10 +4,10 @@
 //! over a (plan × commit × pre-flight) product: two planners (`plan_2d`,
 //! `plan_naive_2d`), direct or staged commit, with or without the liveness
 //! pre-flight. A 1-D array moves as the `1 × n` matrix on a `1 × p` grid,
-//! along `plan_2d`'s plan, and keeps its own [`Mover`] and [`Path`] rows. Beside it stand two independent
-//! implementations: the checkpoint/restart funnel, and the
-//! [`binning`](crate::binning) oracle, which shares no code with the
-//! crate. For any source/destination layout every [`Route`] through them
+//! along `plan_2d`'s plan, and keeps its own [`Mover`] and [`Path`] rows.
+//! Beside it stand two independent implementations: the checkpoint/restart
+//! funnel, and the [`binning`](crate::binning) oracle, which shares no code
+//! with the crate. For any source/destination layout every [`Route`] through them
 //! must produce the *bitwise identical* destination — and under an injected
 //! node death, every pre-flighted or staged route must refuse to move a
 //! single element.
@@ -312,7 +312,7 @@ impl Case {
                 Descriptor::square(8, 2, 1, 4),
             ),
             (Case::DeadRank, true) => (one_by_n(16, 2, 4), one_by_n(16, 2, 2)),
-            _ => panic!("{self:?} is not a case of a {}-D path", 2 - one_d as usize),
+            _ => panic!("{self:?} does not fit a path with one_d = {one_d}"),
         }
     }
 
@@ -416,7 +416,8 @@ fn dispatch(route: Route, comm: &Comm, case: &Case) -> Result<Vec<(usize, u64)>,
     if route.preflight {
         preflight(comm, p.max(q))?;
     }
-    // A 1-D array's element `g` is its `1 × n` matrix's `(0, g)`.
+    // A 1-D array's element `g`, its `1 × n` matrix's `(0, g)`, holds
+    // `value(g, 0)`: the values the 1-D digests were recorded with.
     let fill = |i, j| if one_d { value(j, 0) } else { value(i, j) };
     let src = (me < p).then(|| DistMatrix::from_fn(s, me / s.npcol, me % s.npcol, fill));
     let src = src.as_ref();
