@@ -214,61 +214,21 @@ const DIR_EXPAND: u64 = 1;
 const DIR_SHRINK: u64 = 2;
 const DIR_TERMINATE: u64 = 3;
 
-/// Intercomm tag for the expansion commit handshake: after spawning, the
-/// parent root tells each child whether the expansion goes ahead
-/// ([`EXPAND_GO`]) or is aborted because the spawn was short-granted
-/// ([`EXPAND_ABORT`], children exit before merging). Both tags sit in the
-/// simulator's control-plane range `[TAG_CTRL_BASE, 2^24)`, so injected
-/// message faults (loss/duplication/reordering) apply to them — the
-/// ack/retransmit handshake below is what masks those faults.
+/// Intercomm tag for the expansion verdict: after spawning, the parent root
+/// tells each child whether the expansion goes ahead ([`EXPAND_GO`]) or is
+/// aborted because the spawn was short-granted ([`EXPAND_ABORT`], children
+/// exit before merging). Intercomm messages are reliable, as MPI's are, and
+/// each child blocks on its verdict, so one message per child suffices.
 const TAG_EXPAND_COMMIT: u32 = 9_000_000;
-/// Child → parent-root acknowledgment of a received commit verdict.
-const TAG_EXPAND_ACK: u32 = 9_000_001;
 const EXPAND_GO: u64 = 1;
 const EXPAND_ABORT: u64 = 0;
 
-/// Reliably deliver the commit verdict to every spawned child over the
-/// (possibly lossy) control plane: send, poll for per-child acks, and
-/// retransmit to children that have not acknowledged. Runs on the parent
+/// Send the verdict to each of the spawned children. Runs on the parent
 /// root only.
-///
-/// Exactly-once commit falls out of the structure: each child receives one
-/// verdict (duplicates sit unmatched in its mailbox and die with it) and
-/// acts on it once; the parent's retransmissions are idempotent re-sends of
-/// the same verdict. If every ack is lost the parent eventually proceeds —
-/// for a GO the merge collective synchronizes with the children anyway, and
-/// a child that never saw its verdict would surface as a deadlock timeout
-/// in the simulator rather than a silently divergent state.
-fn send_verdict_reliable(inter: &reshape_mpisim::InterComm, n_children: usize, verdict: u64) {
-    if n_children == 0 {
-        return;
+fn send_verdict(inter: &reshape_mpisim::InterComm, verdict: u64) {
+    for child in 0..inter.remote_size() {
+        inter.send_remote(child, TAG_EXPAND_COMMIT, &[verdict]);
     }
-    const MAX_ROUNDS: usize = 64;
-    const POLLS_PER_ROUND: usize = 20;
-    let mut acked = vec![false; n_children];
-    for round in 0..MAX_ROUNDS {
-        for (child, done) in acked.iter().enumerate() {
-            if !done {
-                inter.send_remote(child, TAG_EXPAND_COMMIT, &[verdict]);
-            }
-        }
-        if round > 0 {
-            reshape_telemetry::incr("driver.commit_retransmits", 1);
-        }
-        for _ in 0..POLLS_PER_ROUND {
-            for (child, done) in acked.iter_mut().enumerate() {
-                if !*done && inter.iprobe_remote(child, TAG_EXPAND_ACK) {
-                    let _: Vec<u64> = inter.recv_remote(child, TAG_EXPAND_ACK);
-                    *done = true;
-                }
-            }
-            if acked.iter().all(|&a| a) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        }
-    }
-    reshape_telemetry::incr("driver.commit_ack_timeouts", 1);
 }
 
 /// Per-process handle to the resizing library.
@@ -408,15 +368,15 @@ impl ResizeContext {
             let inter = self.comm.spawn(delta, nodes, "reshape-expand", move |ctx| {
                 spawned_process_main(ctx, Arc::clone(&shared));
             });
-            // Commit handshake: every rank learned the actual grant from
-            // the spawn broadcast; the root tells each spawned process
-            // whether to proceed into the merge or exit immediately.
+            // Verdict: every rank learned the actual grant from the spawn
+            // broadcast; the root tells each spawned process whether to
+            // proceed into the merge or exit immediately.
             let granted = inter.remote_size();
             if granted == delta {
                 break (inter, t0);
             }
             if self.comm.rank() == 0 {
-                send_verdict_reliable(&inter, granted, EXPAND_ABORT);
+                send_verdict(&inter, EXPAND_ABORT);
                 reshape_telemetry::incr("driver.expand_aborts", 1);
             }
             if attempt >= max_attempts {
@@ -440,10 +400,10 @@ impl ResizeContext {
             attempt += 1;
         };
         if self.comm.rank() == 0 {
-            send_verdict_reliable(&inter, delta, EXPAND_GO);
+            send_verdict(&inter, EXPAND_GO);
             if trace::enabled() {
-                // Spawn + commit handshake, retries and backoff included:
-                // from entry into the spawn loop to the GO verdict.
+                // Spawn + verdict, retries and backoff included: from
+                // entry into the spawn loop to the GO verdict.
                 let job = self.shared.job.0;
                 let s = trace::complete(
                     job,
@@ -655,14 +615,6 @@ fn receive_state(
 /// expansion (short spawn grant) the process exits before merging.
 fn spawned_process_main(ctx: SpawnCtx, shared: Arc<DriverShared>) {
     let go: Vec<u64> = ctx.parent.recv_remote(0, TAG_EXPAND_COMMIT);
-    // Acknowledge the verdict a few times: the ack travels over the same
-    // faultable control plane, and the parent stops retransmitting the
-    // verdict once any one copy arrives. Retransmitted verdicts that arrive
-    // after this point sit unmatched in the mailbox, so the child still
-    // acts on the verdict exactly once.
-    for _ in 0..3 {
-        ctx.parent.send_remote(0, TAG_EXPAND_ACK, &[go[0]]);
-    }
     if go[0] != EXPAND_GO {
         return;
     }
@@ -1464,51 +1416,6 @@ mod tests {
             "no ExpandFailed event after exhausting the retry budget"
         );
         assert_eq!(core.idle_procs(), 16, "granted slots were not reclaimed");
-        drop(core);
-    }
-
-    #[test]
-    fn expansion_commits_exactly_once_under_message_faults() {
-        // Control-plane chaos under the expansion commit handshake: verdict
-        // and ack frames are dropped, duplicated and reordered, yet every
-        // spawned process acts on the verdict exactly once and the
-        // checksummed data survives the redistribution.
-        let n = 16usize;
-        let uni = Universe::new(16, 1, NetModel::ideal());
-        uni.inject_msg_loss(0.25, 0xDEAD);
-        uni.inject_msg_dup(0.2, 0xBEEF);
-        uni.inject_msg_reorder(0.2, 0xF00D);
-        let mut core = SchedulerCore::new(16, QueuePolicy::Fcfs);
-        let spec = JobSpec::new(
-            "chaotic",
-            TopologyPref::Grid { problem_size: n },
-            ProcessorConfig::new(1, 2),
-            6,
-        );
-        let (job, starts) = core.submit(spec, 0.0);
-        assert_eq!(starts.len(), 1);
-        let link = Arc::new(CoreLink(Mutex::new(core)));
-
-        let shared = checksummed_shared(n, job, 6, link.clone(), RetryPolicy::default());
-        let cfg = ProcessorConfig::new(1, 2);
-        let shared2 = Arc::clone(&shared);
-        uni.launch(2, None, "chaotic", move |comm| {
-            run_resizable(comm, cfg, Arc::clone(&shared2));
-        })
-        .join_ok();
-        uni.join_spawned();
-        uni.clear_faults();
-
-        let core = link.0.lock();
-        let rec = core.job(job).unwrap();
-        assert!(matches!(rec.state, crate::job::JobState::Finished { .. }));
-        let prof = core.profiler().profile(job).unwrap();
-        assert!(
-            prof.ever_expanded(),
-            "expansion never committed under message faults: visited {:?}",
-            prof.visited().collect::<Vec<_>>()
-        );
-        assert_eq!(core.idle_procs(), 16, "pool accounting diverged");
         drop(core);
     }
 

@@ -311,6 +311,8 @@ struct SchedThreadCtx {
     /// Remaining requeue budget per job id (original jobs start at
     /// `max_requeues`; each respawn inherits one less).
     requeue_budget: HashMap<JobId, usize>,
+    /// Stamps handed out so far ([`SchedThreadCtx::submission_stamp`]).
+    stamps: u64,
 }
 
 impl SchedThreadCtx {
@@ -447,7 +449,7 @@ impl SchedThreadCtx {
             match msg {
                 Msg::Submit { spec, app, reply } => {
                     let iterations = spec.iterations;
-                    let now = self.wall_now();
+                    let now = self.submission_stamp();
                     let (id, starts) = self.core.lock().submit(spec, now);
                     self.apps.insert(id, (app, iterations));
                     let _ = reply.send(id);
@@ -491,7 +493,7 @@ impl SchedThreadCtx {
                     self.core.lock().phase_change(job, now);
                 }
                 Msg::Cancel { job } => {
-                    let now = self.wall_now();
+                    let now = self.submission_stamp();
                     self.hearts.remove(&job);
                     let starts = self.core.lock().cancel(job, now);
                     self.actuate(starts);
@@ -628,7 +630,7 @@ impl SchedThreadCtx {
                 spec.initial = cfg;
             }
         }
-        let now = self.wall_now();
+        let now = self.submission_stamp();
         let (new_id, starts) = self.core.lock().submit(spec, now);
         self.apps.insert(new_id, (app, iters));
         self.requeue_budget.insert(new_id, budget - 1);
@@ -636,12 +638,14 @@ impl SchedThreadCtx {
         self.actuate(starts);
     }
 
-    /// Wall-clock submission timestamps; virtual times come from the apps.
-    fn wall_now(&self) -> f64 {
-        // Submission order is what matters for the queue; monotone is enough.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        COUNTER.fetch_add(1, Ordering::Relaxed) as f64 * 1e-6
+    /// The time stamp of a submission (or a cancellation): 1 µs per stamp
+    /// this runtime handed out before it. Submission order is what matters for
+    /// the queue; virtual times come from the apps. Counting per runtime
+    /// keeps a job's timeline independent of other runtimes in the process.
+    fn submission_stamp(&mut self) -> f64 {
+        let t = self.stamps as f64 * 1e-6;
+        self.stamps += 1;
+        t
     }
 }
 
@@ -685,6 +689,7 @@ impl ReshapeRuntime {
             hearts: HashMap::new(),
             progress: Arc::clone(&progress),
             requeue_budget: HashMap::new(),
+            stamps: 0,
         };
         let sched_thread = std::thread::Builder::new()
             .name("reshape-scheduler".into())

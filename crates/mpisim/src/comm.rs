@@ -31,19 +31,12 @@ impl Group {
 }
 
 // Internal tag namespace. User tags must stay below `TAG_INTERNAL`; the
-// library reserves the space above for collectives and control so that user
-// traffic can never be confused with protocol traffic on the same
-// communicator.
+// library reserves the space above for its collectives and dynamic process
+// management, so that user traffic can never be confused with protocol
+// traffic on the same communicator. Every tag, user or internal, travels
+// the same reliable wire.
 pub(crate) const TAG_INTERNAL: u32 = 1 << 24;
 
-/// Start of the *control-plane* tag range `[TAG_CTRL_BASE, 2^24)`. Message
-/// faults injected with [`crate::Universe::inject_msg_loss`] (and friends)
-/// apply only to tags in this range: control messages like ReSHAPE's
-/// expansion commit/abort have retransmit protocols layered on top, whereas
-/// data-plane traffic (user tags, the redistribution range at `8_000_000 +
-/// step`) and the library's internal collectives assume a reliable
-/// transport and would deadlock under loss.
-pub const TAG_CTRL_BASE: u32 = 9_000_000;
 pub(crate) const TAG_BARRIER: u32 = TAG_INTERNAL;
 pub(crate) const TAG_BCAST: u32 = TAG_INTERNAL + 1;
 pub(crate) const TAG_REDUCE: u32 = TAG_INTERNAL + 2;
@@ -206,9 +199,7 @@ impl Comm {
     pub(crate) fn send_raw(&self, dst: usize, tag: u32, payload: Bytes) {
         let len = payload.len();
         let env = self.envelope(dst, tag, payload, len);
-        self.core
-            .fault
-            .deliver_faulty(&self.core.router, self.group.members[dst], env);
+        self.core.router.deliver(self.group.members[dst], env);
     }
 
     /// The front half of every send: charge this rank's clock and traffic
@@ -254,7 +245,7 @@ impl Comm {
         assert!(src < self.size(), "source rank {src} out of range");
         self.check_crashed();
         let mut ep = self.ep.borrow_mut();
-        let env = ep.recv_match(self.group.id, Some(src), Some(tag), &self.core.net, gone);
+        let env = ep.recv_match(self.group.id, src, tag, &self.core.net, gone);
         drop(ep);
         // Receiving advances the clock to the message arrival time, which may
         // cross this node's injected crash deadline.

@@ -50,8 +50,8 @@ impl Endpoint {
         }
     }
 
-    fn matches(env: &Envelope, comm: u64, src: Option<usize>, tag: Option<u32>) -> bool {
-        env.comm == comm && src.is_none_or(|s| env.src == s) && tag.is_none_or(|t| env.tag == t)
+    fn matches(env: &Envelope, comm: u64, src: usize, tag: u32) -> bool {
+        env.comm == comm && env.src == src && env.tag == tag
     }
 
     /// Blocking matched receive. Advances the virtual clock to respect
@@ -66,8 +66,8 @@ impl Endpoint {
     pub fn recv_match(
         &mut self,
         comm: u64,
-        src: Option<usize>,
-        tag: Option<u32>,
+        src: usize,
+        tag: u32,
         net: &NetModel,
         gone: Option<&dyn Fn() -> bool>,
     ) -> Option<Envelope> {
@@ -93,7 +93,7 @@ impl Endpoint {
                     Err(_) if last => return None,
                     Err(_) => assert!(
                         Instant::now() < deadline,
-                        "{}: receive on comm {comm} from {src:?} tag {tag:?} did not complete \
+                        "{}: receive on comm {comm} from {src} tag {tag} did not complete \
                          within {timeout:?} — likely deadlock or mismatched communication pattern",
                         self.id
                     ),
@@ -102,18 +102,6 @@ impl Endpoint {
         };
         self.now = self.now.max(env.arrival) + net.recv_cost(env.len);
         Some(env)
-    }
-
-    /// Non-blocking probe: is a matching message available right now? Drains
-    /// the channel into the unexpected queue first so probing sees everything
-    /// already delivered.
-    pub fn iprobe(&mut self, comm: u64, src: Option<usize>, tag: Option<u32>) -> bool {
-        while let Ok(env) = self.rx.try_recv() {
-            self.unexpected.push_back(env);
-        }
-        self.unexpected
-            .iter()
-            .any(|e| Self::matches(e, comm, src, tag))
     }
 }
 
@@ -140,14 +128,10 @@ mod tests {
         let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
         tx.send(env(1, 0, 5, 0.0)).unwrap();
         tx.send(env(1, 0, 7, 0.0)).unwrap();
-        let got = ep
-            .recv_match(1, Some(0), Some(7), &NetModel::ideal(), None)
-            .unwrap();
+        let got = ep.recv_match(1, 0, 7, &NetModel::ideal(), None).unwrap();
         assert_eq!(got.tag, 7);
         // The skipped message is still receivable.
-        let got = ep
-            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
-            .unwrap();
+        let got = ep.recv_match(1, 0, 5, &NetModel::ideal(), None).unwrap();
         assert_eq!(got.tag, 5);
     }
 
@@ -173,12 +157,8 @@ mod tests {
             payload: Bytes::from_static(b"second"),
         })
         .unwrap();
-        let a = ep
-            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
-            .unwrap();
-        let b = ep
-            .recv_match(1, Some(0), Some(5), &NetModel::ideal(), None)
-            .unwrap();
+        let a = ep.recv_match(1, 0, 5, &NetModel::ideal(), None).unwrap();
+        let b = ep.recv_match(1, 0, 5, &NetModel::ideal(), None).unwrap();
         assert_eq!(&a.payload[..], b"first");
         assert_eq!(&b.payload[..], b"second");
     }
@@ -188,8 +168,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut ep = Endpoint::new(ProcId(0), rx, 1.0);
         tx.send(env(1, 0, 0, 5.5)).unwrap();
-        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal(), None)
-            .unwrap();
+        ep.recv_match(1, 0, 0, &NetModel::ideal(), None).unwrap();
         assert_eq!(ep.now, 5.5);
     }
 
@@ -198,29 +177,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let mut ep = Endpoint::new(ProcId(0), rx, 10.0);
         tx.send(env(1, 0, 0, 5.5)).unwrap();
-        ep.recv_match(1, Some(0), Some(0), &NetModel::ideal(), None)
-            .unwrap();
+        ep.recv_match(1, 0, 0, &NetModel::ideal(), None).unwrap();
         assert_eq!(ep.now, 10.0);
-    }
-
-    #[test]
-    fn wildcard_source_and_tag() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
-        tx.send(env(1, 3, 42, 0.0)).unwrap();
-        let got = ep
-            .recv_match(1, None, None, &NetModel::ideal(), None)
-            .unwrap();
-        assert_eq!((got.src, got.tag), (3, 42));
-    }
-
-    #[test]
-    fn iprobe_sees_delivered_messages() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
-        assert!(!ep.iprobe(1, None, None));
-        tx.send(env(1, 0, 9, 0.0)).unwrap();
-        assert!(ep.iprobe(1, Some(0), Some(9)));
-        assert!(!ep.iprobe(2, None, None));
     }
 }

@@ -57,7 +57,7 @@ mod spawn;
 mod universe;
 
 pub use collectives::ReduceOp;
-pub use comm::{Comm, CommStats, Group, NodeId, TAG_CTRL_BASE};
+pub use comm::{Comm, CommStats, Group, NodeId};
 pub use datum::{from_bytes, to_bytes, Pod, Reducible};
 pub use loan::Loans;
 pub use net::NetModel;

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::comm::{Comm, TAG_CTRL_BASE};
+use crate::comm::Comm;
 use crate::datum::Pod;
 use crate::endpoint::deadlock_timeout;
 
@@ -121,9 +121,6 @@ impl<'scope> Loans<'scope, '_> {
     /// Fails as [`Comm::try_send`] does: with `Err(())` when `dst`'s node
     /// crashes before the message would arrive, or its process has ended. A
     /// failed lend is charged all the same, and its loan is back at once.
-    ///
-    /// `tag` must be below [`TAG_CTRL_BASE`]: the control range may lose or
-    /// hold back messages, and a loan must reach its borrower to come back.
     #[allow(clippy::result_unit_err)]
     pub fn lend<T: Pod>(
         &'scope self,
@@ -132,10 +129,6 @@ impl<'scope> Loans<'scope, '_> {
         data: &'scope [T],
         elems: usize,
     ) -> Result<(), ()> {
-        assert!(
-            tag < TAG_CTRL_BASE,
-            "tag {tag} is not a data-plane tag; loans need a reliable wire"
-        );
         *self.out.count() += 1;
         let lent = Lent {
             ptr: data.as_ptr().cast(),

@@ -7,7 +7,7 @@
 /// Deterministic 64-bit generator.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {
-    pub(crate) state: u64,
+    state: u64,
 }
 
 impl SplitMix64 {

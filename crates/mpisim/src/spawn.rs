@@ -56,8 +56,7 @@ impl InterComm {
             ep.now += core.net.send_cost(payload.len());
             ep.now + core.net.latency
         };
-        core.fault.deliver_faulty(
-            &core.router,
+        core.router.deliver(
             self.remote.members[dst],
             Envelope {
                 comm: self.id,
@@ -70,22 +69,11 @@ impl InterComm {
         );
     }
 
-    /// Non-blocking probe for a pending message from remote rank `src` with
-    /// tag `tag`. Unlike [`InterComm::recv_remote`] this never blocks, so
-    /// control protocols (e.g. an ack/retransmit handshake over a lossy
-    /// wire) can poll without committing to a receive.
-    pub fn iprobe_remote(&self, src: usize, tag: u32) -> bool {
-        self.local
-            .ep
-            .borrow_mut()
-            .iprobe(self.id, Some(src), Some(tag))
-    }
-
     /// Receive from a rank of the remote group.
     pub fn recv_remote<T: crate::Pod>(&self, src: usize, tag: u32) -> Vec<T> {
         let core = self.local.core();
         let mut ep = self.local.ep.borrow_mut();
-        let env = ep.recv_match(self.id, Some(src), Some(tag), &core.net, None);
+        let env = ep.recv_match(self.id, src, tag, &core.net, None);
         from_bytes(&env.expect("an unwatched receive completes").payload)
     }
 

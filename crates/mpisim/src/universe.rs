@@ -186,31 +186,11 @@ impl Universe {
         self.core.fault.inject_link_slowdown(src, dst, factor);
     }
 
-    /// Inject control-plane message loss: messages with tags in
-    /// `[TAG_CTRL_BASE, 2^24)` are dropped with probability `p` (seeded,
-    /// deterministic). Data-plane and collective traffic is unaffected.
-    pub fn inject_msg_loss(&self, p: f64, seed: u64) {
-        self.core.fault.inject_msg_loss(p, seed);
-    }
-
-    /// Inject control-plane message duplication: affected messages are
-    /// delivered twice with probability `p`.
-    pub fn inject_msg_dup(&self, p: f64, seed: u64) {
-        self.core.fault.inject_msg_dup(p, seed);
-    }
-
-    /// Inject control-plane message reordering: an affected message is held
-    /// back and delivered after the next control message to the same
-    /// destination, with probability `p`.
-    pub fn inject_msg_reorder(&self, p: f64, seed: u64) {
-        self.core.fault.inject_msg_reorder(p, seed);
-    }
-
-    /// Disarm every injected fault (crashes, spawn caps, link slowdowns and
-    /// message faults), flushing any reorder-held control frames. Lets a
-    /// long-lived universe be reused across fault experiments.
+    /// Disarm every injected fault (crashes, spawn caps and link
+    /// slowdowns). Lets a long-lived universe be reused across fault
+    /// experiments.
     pub fn clear_faults(&self) {
-        self.core.fault.clear(&self.core.router);
+        self.core.fault.clear();
     }
 
     /// Query a process's last known status.

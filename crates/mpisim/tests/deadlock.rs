@@ -25,7 +25,7 @@ fn blocked_receive_panics_with_context() {
     match &rank0.1 {
         ProcStatus::Failed(msg) => {
             assert!(
-                msg.contains("did not complete") && msg.contains("tag Some(77)"),
+                msg.contains("did not complete") && msg.contains("from 1 tag 77"),
                 "diagnostic should name the blocked receive: {msg}"
             );
         }

@@ -4,7 +4,7 @@
 //! A *trace* is the causal history of one job, identified by the job id
 //! minted at submission (trace 0 is scheduler infrastructure: WAL appends,
 //! recovery rounds). A *span* is one timed operation inside a trace —
-//! queue wait, a §3.1 remap decision, a spawn + commit handshake, a
+//! queue wait, a §3.1 remap decision, a spawn + expansion verdict, a
 //! redistribution phase, an iteration of compute — with an explicit
 //! `parent` edge to the span that caused it. Together the spans of a trace
 //! form a DAG rooted at the job's submission:
