@@ -97,3 +97,104 @@ proptest! {
         prop_assert_eq!(volume, m * n, "plan volume != matrix volume");
     }
 }
+
+/// Per rank `r` that holds a panel of both layouts, the local indices of
+/// the elements `plan` keeps on it, `(old, new)` in row-major panel order,
+/// and the lengths of its old and new panels.
+fn kept_on(plan: &reshape_redist::Redist2d, r: usize) -> (Vec<(usize, usize)>, usize, usize) {
+    use reshape_blockcyclic::g2l;
+    let (s, d) = (&plan.src, &plan.dst);
+    let (old, new) = ((r / s.npcol, r % s.npcol), (r / d.npcol, r % d.npcol));
+    let (old_cols, new_cols) = (s.local_cols(old.1), d.local_cols(new.1));
+    let block = |k: usize, b: usize, len: usize| k * b..len.min(k * b + b);
+    let mut kept = Vec::new();
+    for t in plan.steps.iter().flatten() {
+        if (t.src, t.dst) != (old, new) {
+            continue;
+        }
+        for gi in t.row_blocks.iter().flat_map(|&k| block(k, s.mb, s.m)) {
+            for gj in t.col_blocks.iter().flat_map(|&k| block(k, s.nb, s.n)) {
+                let at = |g: usize, b: usize, np: usize| g2l(g, b, np).1;
+                kept.push((
+                    at(gi, s.mb, s.nprow) * old_cols + at(gj, s.nb, s.npcol),
+                    at(gi, d.mb, d.nprow) * new_cols + at(gj, d.nb, d.npcol),
+                ));
+            }
+        }
+    }
+    let old_len = s.local_rows(old.0) * old_cols;
+    let new_len = d.local_rows(new.0) * new_cols;
+    (kept, old_len, new_len)
+}
+
+/// Whether the elements a rank keeps form all of its new panel (a pure
+/// subset of the old one) or all of its old panel (a pure superset), and if
+/// so, whether their map from old to new local index is strictly monotone.
+fn pure_ranks_keep_their_order(plan: &reshape_redist::Redist2d) -> Result<usize, String> {
+    let (p, q) = (
+        plan.src.nprow * plan.src.npcol,
+        plan.dst.nprow * plan.dst.npcol,
+    );
+    let mut pure = 0;
+    for r in 0..p.min(q) {
+        let (mut kept, old_len, new_len) = kept_on(plan, r);
+        if kept.len() != old_len && kept.len() != new_len {
+            continue;
+        }
+        pure += 1;
+        kept.sort_unstable();
+        for w in kept.windows(2) {
+            if w[0].0 >= w[1].0 || w[0].1 >= w[1].1 {
+                return Err(format!("rank {r}: kept {:?} then {:?}", w[0], w[1]));
+            }
+        }
+    }
+    Ok(pure)
+}
+
+/// ReSHAPE's own 2x shapes: on 1x2 -> 2x2 and back every rank that stays is
+/// a pure subset or superset of itself, ragged edges included.
+#[test]
+fn every_staying_rank_of_the_2x_shapes_is_pure() {
+    for (m, n, mb, nb) in [
+        (16, 16, 2, 2),
+        (17, 23, 4, 5),
+        (1, 37, 1, 3),
+        (4096, 4096, 64, 64),
+    ] {
+        let narrow = Descriptor::new(m, n, mb, nb, 1, 2);
+        let wide = Descriptor::new(m, n, mb, nb, 2, 2);
+        for plan in [plan_2d(narrow, wide), plan_2d(wide, narrow)] {
+            assert_eq!(pure_ranks_keep_their_order(&plan), Ok(2), "{m}x{n}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A panel can be rebuilt inside its own allocation only because the
+    /// elements a pure rank keeps keep their order: forward for a subset,
+    /// backward for a superset, no kept element overwrites one not yet
+    /// moved. Layouts are ragged, and every fourth is a `1 x n` view.
+    #[test]
+    fn kept_elements_of_a_pure_rank_keep_their_order(
+        m in 1usize..40,
+        n in 1usize..40,
+        mb in 1usize..5,
+        nb in 1usize..5,
+        sr in 1usize..4,
+        sc in 1usize..5,
+        dr in 1usize..4,
+        dc in 1usize..5,
+        view in 0usize..4,
+    ) {
+        let (m, mb, sr, dr) = if view == 0 { (1, 1, 1, 1) } else { (m, mb, sr, dr) };
+        let plan = plan_2d(
+            Descriptor::new(m, n, mb, nb, sr, sc),
+            Descriptor::new(m, n, mb, nb, dr, dc),
+        );
+        let kept = pure_ranks_keep_their_order(&plan);
+        prop_assert!(kept.is_ok(), "{:?}", kept);
+    }
+}
