@@ -184,6 +184,29 @@ impl<T: Pod + Default> DistMatrix<T> {
         }
     }
 
+    /// Hand this panel's allocation over to the panel at `(myrow, mycol)` of
+    /// `desc`: `f` takes the elements and returns the new panel's, in the
+    /// same `Vec` where it rebuilds them in place. An `Err` from `f` comes
+    /// back as it is, and the panel is gone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the position lies outside `desc`'s grid, or if `f` returns
+    /// a `Vec` of another length than the new panel's.
+    pub fn rebuild<E>(
+        self,
+        desc: Descriptor,
+        myrow: usize,
+        mycol: usize,
+        f: impl FnOnce(Vec<T>) -> Result<Vec<T>, E>,
+    ) -> Result<Self, E> {
+        let data = f(self.data)?;
+        Ok(Self::build(desc, myrow, mycol, |lrows, lcols| {
+            assert_eq!(data.len(), lrows * lcols, "panel size mismatch");
+            data
+        }))
+    }
+
     /// Build for the caller's position on `grid`.
     pub fn on_grid(desc: Descriptor, grid: &GridContext) -> Self {
         assert_eq!(

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use reshape_blockcyclic::{recover_matrix, BuddyStore, Descriptor, DistMatrix};
 use reshape_grid::GridContext;
 use reshape_mpisim::{Comm, NodeId, SpawnCtx};
-use reshape_redist::{plan_2d, redistribute_2d};
+use reshape_redist::{plan_2d, redistribute, redistribute_2d, Commit};
 use reshape_telemetry::trace::{self, TraceCtx};
 
 use crate::backoff::Backoff;
@@ -442,7 +442,7 @@ impl ResizeContext {
         }
         merged.bcast(0, &hdr);
         // Move the data; parents are sources and (low-rank) destinations.
-        *mats = redistribute_over(&merged, from, to, std::mem::take(mats), true)
+        *mats = redistribute_over(&merged, from, to, std::mem::take(mats))
             .expect("parents remain in the expanded grid");
         let dt = self.comm.vtime() - t0;
         self.last_redist = dt;
@@ -484,7 +484,7 @@ impl ResizeContext {
             "shrink must reduce the processor count"
         );
         let t0 = self.comm.vtime();
-        let out = redistribute_over(&self.comm, from, to, std::mem::take(mats), true);
+        let out = redistribute_over(&self.comm, from, to, std::mem::take(mats));
         let dt = self.comm.vtime() - t0;
         let keep = self.comm.rank() < to.procs();
         let sub = self.comm.split(keep.then_some(0), self.comm.rank() as i64);
@@ -521,7 +521,8 @@ impl ResizeContext {
 
     /// Advanced API: redistribute one matrix between configurations over the
     /// current communicator (exposed for custom orchestration; `resize`
-    /// moves every registered array automatically).
+    /// moves every registered array automatically). The panel is handed
+    /// over, so a rank that stays in the grid rebuilds it in place.
     pub fn redistribute(
         &self,
         mat: DistMatrix<f64>,
@@ -529,7 +530,7 @@ impl ResizeContext {
         to: ProcessorConfig,
     ) -> Option<DistMatrix<f64>> {
         let plan = plan_2d(grid_desc(&mat.desc, from), grid_desc(&mat.desc, to));
-        redistribute_2d(&self.comm, &plan, Some(&mat))
+        redistribute(&self.comm, &plan, mat, Commit::Direct).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Simple API: the whole resize-point protocol — contact the scheduler,
@@ -566,23 +567,19 @@ fn grid_desc(d: &Descriptor, cfg: ProcessorConfig) -> Descriptor {
 }
 
 /// Redistribute a whole state vector between configurations over `comm`
-/// (which covers `max(from, to)` ranks). `have_src` is false on freshly
-/// spawned ranks that only receive. Returns `None` on ranks outside the
-/// destination grid.
+/// (which covers `max(from, to)` ranks), handing each panel over so a rank
+/// that stays in the grid rebuilds it in place. Returns `None` on ranks
+/// outside the destination grid.
 fn redistribute_over(
     comm: &Comm,
     from: ProcessorConfig,
     to: ProcessorConfig,
     mats: Vec<DistMatrix<f64>>,
-    have_src: bool,
 ) -> Option<Vec<DistMatrix<f64>>> {
-    let me = comm.rank();
-    let in_dst = me < to.procs();
-    let mut out = in_dst.then(Vec::new);
+    let mut out = (comm.rank() < to.procs()).then(Vec::new);
     for mat in mats {
         let plan = plan_2d(grid_desc(&mat.desc, from), grid_desc(&mat.desc, to));
-        let src = (have_src && me < from.procs()).then_some(&mat);
-        let dst = redistribute_2d(comm, &plan, src);
+        let dst = redistribute(comm, &plan, mat, Commit::Direct).unwrap_or_else(|e| panic!("{e}"));
         if let Some(v) = out.as_mut() {
             v.push(dst.expect("destination rank receives every array"));
         }

@@ -38,13 +38,28 @@
 //! every copy, local or out of a loan, is `redist.unpack_seconds`.
 //!
 //! A lend to a dead rank and a receive from a sender that died without
-//! sending both fail. The old panel is only ever read, so dropping the new
-//! one is the whole rollback, and [`Commit`] decides only what follows.
+//! sending both fail. A lent old panel is only ever read, so dropping the
+//! new one is the whole rollback, and [`Commit`] decides only what follows.
+//!
+//! A rank that holds a panel of both layouts, whose new panel is a pure
+//! subset or a pure superset of its old one, and whose caller handed its
+//! old panel over ([`Source`]) under [`Commit::Direct`], rebuilds the new
+//! panel inside the old one's allocation instead. Block-cyclic local order
+//! follows global order in both layouts, so the elements it keeps keep their
+//! order. A subset rank receives nothing: it lends as above and, once its
+//! loans are back, compacts its kept spans forward and gives the tail back
+//! (`shrink_to_fit`). A superset rank sends nothing: before the loop it
+//! grows the allocation (`reserve_exact`; glibc grows a large block by
+//! remapping its pages, not by copying them), spreads its kept spans
+//! backward, and receives into the gaps. Either way its local moves are the
+//! kept spans, and the loop skips them. In ReSHAPE's 2x shapes (1x2 <-> 2x2)
+//! every rank that stays is such a rank, so a move holds its matrix about
+//! 1.5 times at its peak instead of twice, and faults in half the pages.
 
 use std::ops::Range;
 use std::time::Instant;
 
-use reshape_blockcyclic::{g2l, Descriptor, DistMatrix};
+use reshape_blockcyclic::{g2l, owner, Descriptor, DistMatrix};
 use reshape_mpisim::{Comm, Pod};
 
 use crate::fault::RedistError;
@@ -145,14 +160,16 @@ pub(crate) fn procs(d: &Descriptor) -> usize {
 
 /// What follows the movement, which is the same in both modes: a rank that
 /// saw a lend or a receive fail keeps driving its remaining moves, so live
-/// peers never wait on it, and no mode writes the source. A loan that does
-/// not come back within the deadlock timeout aborts the process.
+/// peers never wait on it, and no mode writes a lent source. A loan that
+/// does not come back within the deadlock timeout aborts the process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Commit {
     /// Each rank decides alone. One that exchanged with a dead peer returns
-    /// [`RedistError::Aborted`] naming it, with its source untouched and no
-    /// destination panel; a rank whose own moves all completed returns its
-    /// new panel, even if a peer it never exchanged with died.
+    /// [`RedistError::Aborted`] naming it, with a lent source untouched and
+    /// no destination panel; a rank whose own moves all completed returns
+    /// its new panel, even if a peer it never exchanged with died. A rank
+    /// that stays in the grid may build its new panel in place, inside a
+    /// handed-over source (see [`redistribute`]).
     Direct,
     /// Survivors vote: after the movement every rank tells every other, in
     /// an all-to-all round, whether its own moves all completed, and a dead
@@ -219,13 +236,48 @@ fn lower(plan: &Redist2d) -> Result<Schedule, RedistError> {
         .ok_or(RedistError::BadPlan)
 }
 
+/// A source rank's panel as [`redistribute`] takes it: borrowed from an
+/// `Option<&DistMatrix<T>>`, so the caller keeps it (`None` on a rank outside
+/// the source layout), or handed over as a `DistMatrix<T>`.
+pub struct Source<'a, T> {
+    borrowed: Option<&'a DistMatrix<T>>,
+    owned: Option<DistMatrix<T>>,
+}
+
+impl<'a, T> From<Option<&'a DistMatrix<T>>> for Source<'a, T> {
+    fn from(borrowed: Option<&'a DistMatrix<T>>) -> Self {
+        Source {
+            borrowed,
+            owned: None,
+        }
+    }
+}
+
+impl<T> From<DistMatrix<T>> for Source<'_, T> {
+    fn from(owned: DistMatrix<T>) -> Self {
+        Source {
+            borrowed: None,
+            owned: Some(owned),
+        }
+    }
+}
+
 /// Move a distributed matrix from `plan`'s source layout to its destination
 /// layout, collectively over `comm`: the old layout on ranks `0..P`
 /// (row-major), the new on ranks `0..Q`. Ranks `0..P` pass their panel of
-/// the old layout; ranks `0..Q` get their panel of the new one back, and
-/// every other rank gets `None`. A rank outside the source layout may pass
-/// `None`. A 1-D array of `n` elements in blocks of `nb` over `p` ranks is
-/// the `1 × n` matrix of `Descriptor::new(1, n, 1, nb, 1, p)`.
+/// the old layout, borrowed or handed over ([`Source`]); ranks `0..Q` get
+/// their panel of the new one back, and every other rank gets `None`. A rank
+/// outside the source layout may pass `None`. A 1-D array of `n` elements in
+/// blocks of `nb` over `p` ranks is the `1 × n` matrix of
+/// `Descriptor::new(1, n, 1, nb, 1, p)`.
+///
+/// A borrowed source is only read: it stays bitwise intact whatever the
+/// call returns. A handed-over source is consumed. Under
+/// [`Commit::Direct`], on a rank whose new panel is a pure subset or a pure
+/// superset of its old one, the new panel is built in place, inside the old
+/// one's allocation, so an [`RedistError::Aborted`] there loses that panel.
+/// Every other rank, and every rank under [`Commit::Staged`], builds its
+/// new panel fresh and drops a handed-over source when it returns.
 ///
 /// Every rank checks its own arguments before it sends anything. A
 /// communicator smaller than the larger layout fails on every rank alike. A
@@ -242,24 +294,36 @@ fn lower(plan: &Redist2d) -> Result<Schedule, RedistError> {
 /// of its dimension, a grid position outside its grid, a block its move's
 /// endpoints do not own, or 1-D sub-plans that disagree with its
 /// descriptors — fails with [`RedistError::BadPlan`] on every rank alike.
-pub fn redistribute<T: Pod + Default>(
+pub fn redistribute<'a, T: Pod + Default>(
     comm: &Comm,
     plan: &Redist2d,
-    src: Option<&DistMatrix<T>>,
+    src: impl Into<Source<'a, T>>,
     commit: Commit,
 ) -> Result<Option<DistMatrix<T>>, RedistError> {
     let sched = lower(plan)?;
     let (s, d) = (&sched.src, &sched.dst);
-    let local = source_panel(comm, s, d, src)?;
+    let Source { borrowed, owned } = src.into();
+    let local = source_panel(comm, s, d, owned.as_ref().or(borrowed))?;
     let me = comm.rank();
-    let mut out = (me < procs(d)).then(|| DistMatrix::new(*d, me / d.npcol, me % d.npcol));
-    execute(
-        comm,
-        &sched,
-        commit,
-        local,
-        out.as_mut().map(DistMatrix::local_data_mut),
-    )?;
+    let at = (me / d.npcol, me % d.npcol);
+    if let (Commit::Direct, Some(kept)) = (commit, kept(s, d, me)) {
+        if let Some(old) = owned {
+            return old
+                .rebuild(*d, at.0, at.1, |mut data| {
+                    execute(comm, &sched, commit, Panels::InPlace(kept, &mut data))?;
+                    Ok(data)
+                })
+                .map(Some);
+        }
+    }
+    let mut out = (me < procs(d)).then(|| DistMatrix::new(*d, at.0, at.1));
+    let panels = Panels::Fresh(
+        local.unwrap_or_default(),
+        out.as_mut()
+            .map(DistMatrix::local_data_mut)
+            .unwrap_or_default(),
+    );
+    execute(comm, &sched, commit, panels)?;
     Ok(out)
 }
 
@@ -311,9 +375,105 @@ fn timed<R>(on: bool, acc: &mut f64, f: impl FnOnce() -> R) -> R {
     r
 }
 
-/// The step loop. `src` is this rank's old local panel (ranks `0..P`), `out`
-/// its zeroed new one (ranks `0..Q`). On `Err`, `out` may be partly written
-/// and the caller drops it.
+/// What a rank holding a panel of both layouts keeps of its old panel in
+/// its new one, when one of them holds the other.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kept {
+    /// The new panel is a pure subset of the old one: the rank only sends.
+    Subset,
+    /// The old panel is a pure subset of the new one: the rank only
+    /// receives.
+    Superset,
+}
+
+/// Whether rank `me` of a move from layout `s` to `d`, which agree on block
+/// sizes, holds a panel of both whose new one is a pure subset or superset
+/// of its old one. A panel is its row blocks by its column blocks, so one
+/// holds another where both dimensions do; a subset is checked first, so a
+/// rank whose panel stays the same is one.
+fn kept(s: &Descriptor, d: &Descriptor, me: usize) -> Option<Kept> {
+    if me >= procs(s) || me >= procs(d) {
+        return None;
+    }
+    let (old, new) = ((me / s.npcol, me % s.npcol), (me / d.npcol, me % d.npcol));
+    // Whether every block of `x`'s panel at `p` is one of `y`'s at `q`.
+    let within = |x: &Descriptor, p: (usize, usize), y: &Descriptor, q: (usize, usize)| {
+        held_blocks(x.m, x.mb, x.nprow, p.0).all(|g| owner(g, y.mb, y.nprow) == q.0)
+            && held_blocks(x.n, x.nb, x.npcol, p.1).all(|g| owner(g, y.nb, y.npcol) == q.1)
+    };
+    if within(d, new, s, old) {
+        Some(Kept::Subset)
+    } else if within(s, old, d, new) {
+        Some(Kept::Superset)
+    } else {
+        None
+    }
+}
+
+/// The first global index of each block that position `at` of `np` holds,
+/// in a dimension of `len` in blocks of `b`, in local order.
+fn held_blocks(len: usize, b: usize, np: usize, at: usize) -> impl Iterator<Item = usize> {
+    (at * b..len).step_by(np * b)
+}
+
+/// This rank's panels across the step loop.
+enum Panels<'a, T> {
+    /// Its old panel, read, and its new one, written: each empty on a rank
+    /// outside that layout.
+    Fresh(&'a [T], &'a mut [T]),
+    /// One allocation, the old panel on entry and the new one on return,
+    /// rebuilt in place around what it keeps.
+    InPlace(Kept, &'a mut Vec<T>),
+}
+
+/// The panel at grid position `at` of layout `x` as one move: its row runs
+/// by its column runs, one run per block, in local order.
+fn whole_panel(x: &Descriptor, at: (usize, usize)) -> Move {
+    let runs = |len: usize, b: usize, np: usize, p: usize| {
+        held_blocks(len, b, np, p)
+            .map(|g0| (g0, b.min(len - g0)))
+            .collect()
+    };
+    Move {
+        src: at,
+        dst: at,
+        row_runs: runs(x.m, x.mb, x.nprow, at.0),
+        col_runs: runs(x.n, x.nb, x.npcol, at.1),
+    }
+}
+
+/// Grow a [`Kept::Superset`] rank's panel `data` to its new length and
+/// spread its elements backward to their places in the new panel, last span
+/// first: each span moves up, past none that has yet to move.
+fn spread<T: Pod + Default>(data: &mut Vec<T>, s: &Descriptor, d: &Descriptor, me: usize) {
+    let old = whole_panel(s, (me / s.npcol, me % s.npcol));
+    let (src_lcols, dst_lcols) = (s.local_cols(me % s.npcol), d.local_cols(me % d.npcol));
+    let len = d.local_rows(me / d.npcol) * dst_lcols;
+    data.reserve_exact(len - data.len());
+    data.resize(len, T::default());
+    let from = spans(s, src_lcols, &old).rev();
+    for (from, to) in from.zip(spans(d, dst_lcols, &old).rev()) {
+        debug_assert!(from.start <= to.start, "a kept span moves up");
+        data.copy_within(from, to.start);
+    }
+}
+
+/// Compact a [`Kept::Subset`] rank's panel `data` forward to its new one,
+/// first span first: each span moves down, past none that has yet to move.
+/// The tail it no longer needs goes back to the allocator.
+fn compact<T: Pod>(data: &mut Vec<T>, s: &Descriptor, d: &Descriptor, me: usize) {
+    let new = whole_panel(d, (me / d.npcol, me % d.npcol));
+    let (src_lcols, dst_lcols) = (s.local_cols(me % s.npcol), d.local_cols(me % d.npcol));
+    for (from, to) in spans(s, src_lcols, &new).zip(spans(d, dst_lcols, &new)) {
+        debug_assert!(to.start <= from.start, "a kept span moves down");
+        data.copy_within(from, to.start);
+    }
+    data.truncate(d.local_rows(me / d.npcol) * dst_lcols);
+    data.shrink_to_fit();
+}
+
+/// The step loop over this rank's `panels`. On `Err` the new panel may be
+/// partly written, and the caller drops it.
 ///
 /// The loop tolerates steps that are NOT partial permutations (a rank may
 /// send and receive several messages per step): ReSHAPE's schedules never
@@ -324,17 +484,15 @@ fn execute<T: Pod + Default>(
     comm: &Comm,
     sched: &Schedule,
     mode: Commit,
-    src: Option<&[T]>,
-    out: Option<&mut [T]>,
+    mut panels: Panels<'_, T>,
 ) -> Result<(), RedistError> {
     let (s, d) = (&sched.src, &sched.dst);
     let me = comm.rank();
     // This rank's coordinates in each grid it holds a panel of; a rank
     // outside a grid matches no move there, so it never touches the empty
     // panel that stands in for the one it lacks.
-    let my_src = src.is_some().then_some((me / s.npcol, me % s.npcol));
-    let my_dst = out.is_some().then_some((me / d.npcol, me % d.npcol));
-    let (src, out) = (src.unwrap_or_default(), out.unwrap_or_default());
+    let my_src = (me < procs(s)).then_some((me / s.npcol, me % s.npcol));
+    let my_dst = (me < procs(d)).then_some((me / d.npcol, me % d.npcol));
     let (src_lcols, dst_lcols) = (s.local_cols(me % s.npcol), d.local_cols(me % d.npcol));
     let tag_base = match mode {
         Commit::Direct => TAG_DIRECT_BASE,
@@ -357,6 +515,19 @@ fn execute<T: Pod + Default>(
     // remembers the dead peer.
     let mut dead = None;
 
+    // A panel rebuilt in place copies its local moves outside the loop: a
+    // superset spreads them before it, and only receives in it; a subset
+    // only lends in it, and compacts them after it.
+    let copy_local_moves = matches!(panels, Panels::Fresh(..));
+    if let Panels::InPlace(Kept::Superset, data) = &mut panels {
+        timed(tel, &mut unpack_s, || spread(data, s, d, me));
+    }
+    let (src, out): (&[T], &mut [T]) = match &mut panels {
+        Panels::Fresh(src, out) => (src, out),
+        Panels::InPlace(Kept::Subset, data) => (data, &mut []),
+        Panels::InPlace(Kept::Superset, data) => (&[], data),
+    };
+
     // Each remote move lends this rank's whole source panel; the scope
     // returns once every receiver has copied its move out and let go.
     comm.lending(|loans| {
@@ -374,7 +545,7 @@ fn execute<T: Pod + Default>(
                 }
             }
             // Local moves: both endpoints are this rank.
-            for mv in mine.filter(|mv| Some(mv.dst) == my_dst) {
+            for mv in mine.filter(|mv| copy_local_moves && Some(mv.dst) == my_dst) {
                 timed(tel, &mut unpack_s, || {
                     copy_local(bytes_of(src), s, src_lcols, out, d, dst_lcols, mv)
                 });
@@ -408,8 +579,12 @@ fn execute<T: Pod + Default>(
         Commit::Staged => commit_vote(comm, sched.world(), dead),
     };
     if let Some(dead_rank) = verdict {
-        // The caller drops the new panel; the source was never written.
+        // The caller drops the new panel; the source was never written
+        // unless the new panel is being built inside it.
         return Err(RedistError::Aborted { dead_rank });
+    }
+    if let Panels::InPlace(Kept::Subset, data) = &mut panels {
+        timed(tel, &mut unpack_s, || compact(data, s, d, me));
     }
 
     if tel {
@@ -480,7 +655,7 @@ fn spans<'a>(
     d: &'a Descriptor,
     lcols: usize,
     mv: &'a Move,
-) -> impl Iterator<Item = Range<usize>> + 'a {
+) -> impl DoubleEndedIterator<Item = Range<usize>> + 'a {
     let rows = mv.row_runs.iter().flat_map(|&(i0, len)| i0..i0 + len);
     rows.flat_map(move |gi| {
         let row = g2l(gi, d.mb, d.nprow).1 * lcols;

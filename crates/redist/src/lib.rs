@@ -37,12 +37,15 @@
 //! the receiver copies out of inside `recv_with_or_failed`; it comes back
 //! when the receiver drops the payload, and every rank returns only once its
 //! loans are back. A lend is `redist.transfer_seconds` and every copy is
-//! `redist.unpack_seconds`. A lend to a dead rank or a receive from one
-//! fails, and the source is never written, so a death inside the movement
-//! leaves the old layout bitwise intact and returns
-//! [`RedistError::Aborted`]: under *Direct* on each rank that exchanged with
-//! the dead one, under *Staged* on every survivor, after an all-to-all
-//! vote. *Pre-flight* scans `rank_alive` over `0..max(P, Q)` and aborts
+//! `redist.unpack_seconds`. A caller that hands its old panel over
+//! ([`Source`]) under *Direct* lets a rank whose new panel is a pure subset
+//! or superset of its old one — every rank that stays, in ReSHAPE's 1x2 <->
+//! 2x2 shapes — build the new panel in place, inside the old allocation.
+//! A lend to a dead rank or a receive from one fails, and a lent source is
+//! never written, so a death inside the movement leaves the old layout
+//! bitwise intact and returns [`RedistError::Aborted`]: under *Direct* on
+//! each rank that exchanged with the dead one, under *Staged* on every
+//! survivor, after an all-to-all vote. *Pre-flight* scans `rank_alive` over `0..max(P, Q)` and aborts
 //! before any element moves. It is not always on: `rank_alive` also reports
 //! a peer that has *finished and exited* as dead, and a caller that returns
 //! straight after the move would turn a fast peer's normal exit into a false
@@ -70,7 +73,7 @@ mod plan2d;
 
 pub use checkpoint::{checkpoint_cost, checkpoint_redistribute, CheckpointParams};
 pub use cost::{evaluate_2d, evaluate_2d_contended, RedistCost, PACK_BANDWIDTH};
-pub use exec::{redistribute, redistribute_2d, Commit};
+pub use exec::{redistribute, redistribute_2d, Commit, Source};
 pub use fault::{preflight, RedistError};
 pub use naive::plan_naive_2d;
 pub use plan1d::{plan_1d, Redist1d, Transfer1d};
