@@ -147,6 +147,17 @@ impl SloSamples {
         }
     }
 
+    /// Record every tenant's `(router queue depth, quota utilization)` in
+    /// `fed` as one event at `t`. Call it from the hook of
+    /// [`run_with_fed`], which runs after every event; the first call takes
+    /// the tenant ids from `fed`.
+    pub fn record(&mut self, fed: &Federation, t: f64) {
+        if self.times.is_empty() {
+            *self = SloSamples::new(fed.tenant_ids());
+        }
+        self.push(t, fed.tenant_slo());
+    }
+
     /// Record one event at `t`: every tenant's `(depth, util)`, in tenant
     /// order.
     pub(crate) fn push(&mut self, t: f64, pairs: impl Iterator<Item = (usize, f64)>) {

@@ -25,7 +25,9 @@
 use std::collections::BTreeMap;
 
 use reshape_core::{JobSpec, ProcessorConfig, SchedulerCore, TopologyPref, Wal, WalSalvage};
-use reshape_federation::sim::{run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan};
+use reshape_federation::sim::{
+    run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan, SloSamples,
+};
 use reshape_federation::{Federation, TenantConfig};
 use reshape_testkit::SplitMix64;
 
@@ -134,12 +136,15 @@ fn compacted(text: &str) -> bool {
         .is_some_and(|l| l.get(9..).is_some_and(|p| p.starts_with("ckpt ")))
 }
 
-/// Run `cfg`; its report, federation, digest, and how many shard kills
-/// left a compacted WAL to replay.
+/// Run `cfg`; its report (with the SLO series its hook recorded),
+/// federation, digest, and how many shard kills left a compacted WAL to
+/// replay.
 fn run(cfg: FedSimConfig) -> (FedReport, Federation, String, usize) {
     let mut down = vec![false; cfg.shard_procs.len()];
     let mut compacted_kills = 0;
-    let (report, fed) = run_with_fed(cfg, |fed, _| {
+    let mut samples = SloSamples::default();
+    let (mut report, fed) = run_with_fed(cfg, |fed, t| {
+        samples.record(fed, t);
         for (sh, was_down) in fed.shards().iter().zip(down.iter_mut()) {
             if let (Some(text), false) = (sh.down_wal(), *was_down) {
                 compacted_kills += usize::from(compacted(text));
@@ -147,6 +152,7 @@ fn run(cfg: FedSimConfig) -> (FedReport, Federation, String, usize) {
             *was_down = !sh.is_live();
         }
     });
+    report.slo.samples = samples;
     let mut out = format!("{report:?}\n");
     for wal in final_wals(&fed) {
         out.push_str(&wal);

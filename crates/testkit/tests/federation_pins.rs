@@ -1,8 +1,9 @@
 //! Recorded digests of whole federation runs.
 //!
 //! Each run is rendered the way `trace_determinism.rs` fingerprints one —
-//! the `FedReport`'s `Debug` (SLO series included), every shard's final WAL
-//! text, and the flight-recorder JSONL — and hashed with FNV-1a. The digests
+//! the `FedReport`'s `Debug` (with the SLO series recorded through the
+//! run's hook), every shard's final WAL text, and the flight-recorder
+//! JSONL — and hashed with FNV-1a. The digests
 //! are committed at `tests/snapshots/federation_runs.txt`, so a change to the
 //! federation or its driver that moves one notice, one WAL record, one SLO
 //! sample or one bit of a virtual time fails here.
@@ -41,7 +42,7 @@ use std::collections::BTreeMap;
 
 use reshape_core::{JobSpec, ProcessorConfig, TopologyPref};
 use reshape_federation::sim::{
-    run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan, PartitionPlan,
+    run_with_fed, FedJob, FedReport, FedSimConfig, KillPlan, PartitionPlan, SloSamples,
 };
 use reshape_federation::TenantConfig;
 use reshape_testkit::{generate_federation, generate_partition, SplitMix64};
@@ -62,9 +63,12 @@ fn fnv1a(text: &str) -> String {
 }
 
 /// Run `cfg` and digest everything observable about it: the full report,
-/// every shard's final WAL text, and the flight-recorder dump.
+/// with the SLO series its hook recorded, every shard's final WAL text, and
+/// the flight-recorder dump.
 fn digest(cfg: FedSimConfig) -> (FedReport, String) {
-    let (report, fed) = run_with_fed(cfg, |_, _| {});
+    let mut samples = SloSamples::default();
+    let (mut report, fed) = run_with_fed(cfg, |fed, t| samples.record(fed, t));
+    report.slo.samples = samples;
     let mut out = format!("{report:?}\n");
     for sh in fed.shards() {
         let wal = sh

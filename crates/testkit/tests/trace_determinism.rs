@@ -5,14 +5,17 @@
 //! Span ids are inert metadata: they must never reach control flow, a
 //! clock, or an RNG on the virtual path.
 
-use reshape_federation::sim::{run_with_fed, FedSimConfig};
+use reshape_federation::sim::{run_with_fed, FedSimConfig, SloSamples};
 use reshape_telemetry::trace;
 use reshape_testkit::{generate_federation, generate_partition};
 
-/// Everything observable about a run: the full report, every shard's
-/// final WAL text, and the flight-recorder dump.
+/// Everything observable about a run: the full report, with the SLO series
+/// its hook recorded, every shard's final WAL text, and the flight-recorder
+/// dump.
 fn fingerprint(cfg: FedSimConfig) -> String {
-    let (report, fed) = run_with_fed(cfg, |_, _| {});
+    let mut samples = SloSamples::default();
+    let (mut report, fed) = run_with_fed(cfg, |fed, t| samples.record(fed, t));
+    report.slo.samples = samples;
     let mut out = format!("{report:?}\n");
     for sh in fed.shards() {
         let wal = sh
