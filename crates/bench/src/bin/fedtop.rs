@@ -22,7 +22,7 @@
 //! through the OpenMetrics exporter (`RESHAPE_METRICS`).
 
 use reshape_core::{JobSpec, ProcessorConfig, TopologyPref};
-use reshape_federation::sim::{run_with_fed, FedJob, FedSimConfig, PartitionPlan};
+use reshape_federation::sim::{run_with_fed, FedJob, FedSimConfig, PartitionPlan, SloSamples};
 use reshape_federation::{fedtop, TenantConfig};
 
 fn scripted_fence_scenario() -> FedSimConfig {
@@ -81,7 +81,9 @@ fn main() {
     let flightrec_out = get("--flightrec");
 
     let mut next_frame = 0.0f64;
-    let (report, fed) = run_with_fed(scripted_fence_scenario(), |fed, t| {
+    let mut samples = SloSamples::default();
+    let (mut report, fed) = run_with_fed(scripted_fence_scenario(), |fed, t| {
+        samples.record(fed, t);
         if t >= next_frame {
             print!("{}", fedtop::frame(fed, t));
             println!();
@@ -103,6 +105,7 @@ fn main() {
 
     // Per-tenant SLO series (admit latency, queue depth, shed rate, quota
     // utilization) into the registry for the OpenMetrics exporter.
+    report.slo.samples = samples;
     report.publish_metrics(windows);
 
     if let Some(path) = flightrec_out {

@@ -91,9 +91,9 @@ pub struct TenantReport {
     pub finished: u64,
 }
 
-/// Per-tenant SLO samples collected during a run, for windowed series.
-/// Everything is keyed on virtual time, so two identical runs produce
-/// identical series.
+/// Per-tenant SLO samples of a run, for windowed series. Everything is
+/// keyed on virtual time, so two identical runs produce identical series.
+/// A run collects `admits` and `sheds` itself; `samples` is opt-in.
 #[derive(Clone, Debug, Default)]
 pub struct SloSeries {
     /// `(t, tenant, wait)` per admission — the router queueing latency
@@ -101,8 +101,11 @@ pub struct SloSeries {
     pub admits: Vec<(f64, u32, f64)>,
     /// `(t, tenant)` per shed submission.
     pub sheds: Vec<(f64, u32)>,
-    /// `(t, tenant, router queue depth, quota utilization)` sampled after
-    /// every simulation event.
+    /// `(t, tenant, router queue depth, quota utilization)` after every
+    /// simulation event. A run leaves it empty: a caller that wants it
+    /// records it through [`run_with_fed`]'s hook with
+    /// [`SloSamples::record`] and puts it here before
+    /// [`FedReport::publish_metrics`].
     pub samples: SloSamples,
 }
 
@@ -139,31 +142,18 @@ struct Change {
 }
 
 impl SloSamples {
-    pub(crate) fn new(tenants: Vec<u32>) -> Self {
-        SloSamples {
-            last: vec![(0, 0); tenants.len()],
-            tenants,
-            ..SloSamples::default()
-        }
-    }
-
     /// Record every tenant's `(router queue depth, quota utilization)` in
     /// `fed` as one event at `t`. Call it from the hook of
     /// [`run_with_fed`], which runs after every event; the first call takes
     /// the tenant ids from `fed`.
     pub fn record(&mut self, fed: &Federation, t: f64) {
-        if self.times.is_empty() {
-            *self = SloSamples::new(fed.tenant_ids());
-        }
-        self.push(t, fed.tenant_slo());
-    }
-
-    /// Record one event at `t`: every tenant's `(depth, util)`, in tenant
-    /// order.
-    pub(crate) fn push(&mut self, t: f64, pairs: impl Iterator<Item = (usize, f64)>) {
         let event = self.times.len();
+        if event == 0 {
+            self.tenants = fed.tenant_ids();
+            self.last = vec![(0, 0); self.tenants.len()];
+        }
         self.times.push(t);
-        for (k, (depth, util)) in pairs.enumerate() {
+        for (k, (depth, util)) in fed.tenant_slo().enumerate() {
             let key = (depth, util.to_bits());
             if event == 0 || self.last[k] != key {
                 self.last[k] = key;
@@ -275,7 +265,9 @@ pub struct FedReport {
     pub makespan: f64,
     pub transitions: u64,
     pub per_tenant: BTreeMap<u32, TenantReport>,
-    /// Raw per-tenant SLO samples (see [`FedReport::publish_metrics`]).
+    /// Raw per-tenant SLO series (see [`FedReport::publish_metrics`]):
+    /// admits and sheds from the run, and `samples` only where the caller
+    /// recorded them and put them here.
     pub slo: SloSeries,
 }
 
@@ -424,7 +416,8 @@ pub fn run(cfg: FedSimConfig) -> FedReport {
 }
 
 /// Like [`run`], invoking `hook(&federation, now)` after every event —
-/// the testkit hangs its ledger oracle here.
+/// the testkit hangs its ledger oracle here, and [`SloSamples::record`]
+/// records the per-tenant SLO samples here.
 pub fn run_with(cfg: FedSimConfig, hook: impl FnMut(&Federation, f64)) -> FedReport {
     run_with_fed(cfg, hook).0
 }
@@ -432,6 +425,20 @@ pub fn run_with(cfg: FedSimConfig, hook: impl FnMut(&Federation, f64)) -> FedRep
 /// Like [`run_with`], also returning the drained [`Federation`] so callers
 /// can inspect end-of-run state — the testkit dumps its flight recorder
 /// when an end-of-run oracle fails.
+///
+/// The hook runs after each event's notices and scripted kills, and not
+/// for a check-in of a job that already left. The report's
+/// `slo.samples` stays empty; to get the series, record it through the
+/// hook:
+///
+/// ```
+/// # use reshape_federation::sim::{run_with_fed, FedSimConfig, SloSamples};
+/// # use reshape_federation::TenantConfig;
+/// # let cfg = FedSimConfig::new(vec![4], vec![TenantConfig::new(4, 1.0, 4)], vec![]);
+/// let mut samples = SloSamples::default();
+/// let (mut report, _fed) = run_with_fed(cfg, |fed, t| samples.record(fed, t));
+/// report.slo.samples = samples;
+/// ```
 pub fn run_with_fed(
     cfg: FedSimConfig,
     mut hook: impl FnMut(&Federation, f64),
@@ -470,11 +477,6 @@ pub fn run_with_fed(
     let mut live: IdMap<(usize, u64), LiveJob> = IdMap::default();
     let mut report = FedReport {
         recoveries_matched: true,
-        slo: SloSeries {
-            // Fixed when the federation is built.
-            samples: SloSamples::new(fed.tenant_ids()),
-            ..SloSeries::default()
-        },
         ..FedReport::default()
     };
     for j in &cfg.jobs {
@@ -656,10 +658,6 @@ pub fn run_with_fed(
                 }
             }
         }
-
-        // Sample per-tenant SLO state after every event (virtual-time
-        // keyed, so identical runs produce identical series).
-        report.slo.samples.push(t, fed.tenant_slo());
 
         hook(&fed, t);
     }

@@ -1,7 +1,8 @@
 //! Golden file of `FedReport::publish_metrics`' OpenMetrics output.
 //!
 //! One seeded `generate_federation` run (seed 2: six tenants, router
-//! queueing and sheds) publishes its per-tenant SLO series over 8 windows;
+//! queueing and sheds), its samples recorded through the run's hook,
+//! publishes its per-tenant SLO series over 8 windows;
 //! the rendered registry must match `tests/snapshots/fed_slo_metrics.prom`
 //! byte for byte, so a change to how the series is stored or folded into
 //! windows cannot move one gauge bit.
@@ -18,7 +19,7 @@
 //!
 //! and commit the rewritten file (the bless run fails on purpose).
 
-use reshape_federation::sim::run;
+use reshape_federation::sim::{run_with, SloSamples};
 use reshape_telemetry::{render_openmetrics, set_mode, Mode, Registry};
 use reshape_testkit::generate_federation;
 
@@ -30,7 +31,9 @@ const GOLDEN_PATH: &str = concat!(
 #[test]
 fn published_slo_metrics_match_golden_file() {
     set_mode(Mode::Off);
-    let report = run(generate_federation(2));
+    let mut samples = SloSamples::default();
+    let mut report = run_with(generate_federation(2), |fed, t| samples.record(fed, t));
+    report.slo.samples = samples;
     assert!(
         report.shed > 0 && report.router_queued > 0,
         "seed 2 must queue and shed"
