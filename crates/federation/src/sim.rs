@@ -5,7 +5,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::{fmt, mem};
 
 use reshape_clustersim::EventQueue;
 use reshape_core::{Directive, JobSpec, QueuePolicy};
@@ -440,7 +440,7 @@ pub fn run_with(cfg: FedSimConfig, hook: impl FnMut(&Federation, f64)) -> FedRep
 /// report.slo.samples = samples;
 /// ```
 pub fn run_with_fed(
-    cfg: FedSimConfig,
+    mut cfg: FedSimConfig,
     mut hook: impl FnMut(&Federation, f64),
 ) -> (FedReport, Federation) {
     let mut fcfg = FederationConfig::new(cfg.shard_procs, cfg.tenants);
@@ -489,10 +489,17 @@ pub fn run_with_fed(
         let arrival =
             arrivals.next_if(|&i| q.peek_time().is_none_or(|tq| cfg.jobs[i].arrival <= tq));
         let (t, notices) = if let Some(i) = arrival {
-            let (j, t) = (&cfg.jobs[i], cfg.jobs[i].arrival);
+            let j = &mut cfg.jobs[i];
+            let t = j.arrival;
             report.submitted += 1;
             report.per_tenant.entry(j.tenant).or_default().submitted += 1;
-            (t, fed.submit(j.tenant, i as u64, j.spec.clone(), t))
+            // The name moves to the shard; check-ins read only the rest.
+            let name = mem::take(&mut j.spec.name);
+            let spec = JobSpec {
+                name,
+                ..j.spec.clone()
+            };
+            (t, fed.submit(j.tenant, i as u64, spec, t))
         } else if let Some((t, ev)) = q.pop() {
             let notices = match ev {
                 Ev::Checkin { shard, job } => {
