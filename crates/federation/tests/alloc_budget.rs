@@ -157,7 +157,8 @@ fn steady_run_stays_inside_its_allocation_budget() {
     let bytes = BYTES.load(Relaxed) - bytes;
     let peak = PEAK.load(Relaxed) - base;
     assert_eq!(report.finished, JOBS as u64, "{report:?}");
-    assert!(report.leases_granted > 0, "the steady shape must lend");
+    // As `federation_pins.rs` documents for this stream at bus latency 0.
+    assert_eq!(report.leases_granted, 24, "{report:?}");
     drop(fed);
 
     let allocs = calls as f64 / JOBS as f64;
