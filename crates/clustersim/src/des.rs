@@ -29,9 +29,10 @@
 //! millions of jobs in one process: a single self-scheduling component
 //! drives the real [`SchedulerCore`] (no per-rank threads). Both queues on
 //! the path are logarithmic — the [`EventQueue`] in pending events, the
-//! scheduler's job queue in waiting jobs — and terminal-job state is folded
-//! periodically ([`SchedulerCore::prune_terminal`]) so memory stays bounded
-//! by the *live* job count, not the trace length.
+//! scheduler's job queue in waiting jobs — and each job's terminal state is
+//! folded in the transition that retires it
+//! ([`SchedulerCore::prune_terminal`], [`SchedulerCore::clear_events`]) so
+//! memory stays bounded by the *live* job count, not the trace length.
 
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, HashMap};
@@ -265,13 +266,6 @@ pub struct ScaleReport {
 /// data (master–worker), so this stands in for process startup.
 const SCALE_SPAWN_COST: f64 = 1.0;
 
-/// Terminal records accumulated before the driver folds scheduler state
-/// (drains the event trace into counters, prunes terminal jobs). Small
-/// enough that the table of retired jobs stays below the live one's on a
-/// saturated queue; at 16 384 it cost the saturated shape ~15 % more bytes
-/// allocated per job.
-const FOLD_THRESHOLD: usize = 4_096;
-
 #[derive(Debug)]
 enum ScaleEv {
     Arrival(u64),
@@ -334,8 +328,7 @@ struct ScaleDriver {
     live: HashMap<JobId, LiveScaleJob, BuildHasherDefault<IdHasher>>,
     mean_gap: f64,
     last_now: f64,
-    terminal_since_fold: usize,
-    // Folded counters from the drained scheduler trace.
+    // Folded counters from the scheduler trace.
     finished: u64,
     failed: u64,
     cancelled: u64,
@@ -354,7 +347,6 @@ impl ScaleDriver {
             me: 0,
             live: HashMap::default(),
             last_now: 0.0,
-            terminal_since_fold: 0,
             finished: 0,
             failed: 0,
             cancelled: 0,
@@ -410,10 +402,12 @@ impl ScaleDriver {
         }
     }
 
-    /// Drain the scheduler trace into counters and drop terminal-job
-    /// state so a million-job sweep runs in bounded memory.
+    /// Count the scheduler trace into counters, clear it in place and drop
+    /// terminal-job state, so a million-job sweep holds only its live jobs.
+    /// Called in every transition that retires a job: a fold visits only
+    /// the events and the jobs retired since the last one.
     fn fold(&mut self) {
-        for e in self.core.drain_events() {
+        for e in self.core.events() {
             match e.kind {
                 EventKind::Finished => self.finished += 1,
                 EventKind::Failed { .. } => self.failed += 1,
@@ -423,8 +417,8 @@ impl ScaleDriver {
                 _ => {}
             }
         }
+        self.core.clear_events();
         self.records_pruned += self.core.prune_terminal() as u64;
-        self.terminal_since_fold = 0;
     }
 }
 
@@ -451,9 +445,6 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                         -self.mean_gap * u01(mix(self.cfg.seed ^ mix(i) ^ 0xA5A5)).max(1e-12).ln();
                     ctx.schedule(now + gap, self.me, ScaleEv::Arrival(i + 1));
                 }
-                if self.terminal_since_fold >= FOLD_THRESHOLD {
-                    self.fold();
-                }
             }
             ScaleEv::IterationEnd(id, last_redist) => {
                 let Entry::Occupied(mut live) = self.live.entry(id) else {
@@ -464,7 +455,7 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                 if live.get().remaining == 0 {
                     live.remove();
                     let starts = self.core.on_finished(id, now);
-                    self.terminal_since_fold += 1;
+                    self.fold();
                     self.handle_starts(starts, now, ctx);
                     return;
                 }
@@ -482,7 +473,7 @@ impl EventHandler<ScaleEv> for ScaleDriver {
                     Directive::NoChange => (config.procs(), 0.0),
                     Directive::Terminate => {
                         self.live.remove(&id);
-                        self.terminal_since_fold += 1;
+                        self.fold();
                         self.handle_starts(starts, now, ctx);
                         return;
                     }

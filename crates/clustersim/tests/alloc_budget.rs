@@ -94,11 +94,13 @@ fn run_scale_stays_inside_its_allocation_budget() {
     let paced = ScaleConfig::new(2_000, 50_000).with_seed(31337);
 
     // (shape, allocations per job, bytes per job, peak live bytes),
-    // recorded + 2 %: saturated 6.800 / 1 357.0 / 15 101 684, paced 6.596 /
-    // 672.8 / 5 955 772.
+    // recorded + 2 %: saturated 6.797 / 723.3 / 5 456 932, paced 6.592 /
+    // 307.2 / 967 016. The driver read 6.800 / 1 357.0 / 15 101 684 and
+    // 6.596 / 672.8 / 5 955 772 while it folded once 4 096 jobs had ended,
+    // and only on an arrival.
     for (name, cfg, max_allocs, max_bytes, max_peak) in [
-        ("saturated", saturated, 6.94, 1384.0, 15_404_000),
-        ("paced", paced, 6.73, 686.0, 6_075_000),
+        ("saturated", saturated, 6.94, 738.0, 5_567_000),
+        ("paced", paced, 6.73, 314.0, 987_000),
     ] {
         let (allocs, bytes, peak) = per_job(&cfg);
         let peak_mib = peak as f64 / (1 << 20) as f64;

@@ -2052,9 +2052,22 @@ impl SchedulerCore {
 
     /// Remove and return the retained scheduling trace. Long-running
     /// consumers (the threaded runtime, the cluster simulator) should pull
-    /// events through this instead of letting the trace hit its cap.
+    /// events through this instead of letting the trace hit its cap. The
+    /// core keeps no buffer afterwards, so the next event allocates a fresh
+    /// one: a caller that only reads the trace where it lies, or not at
+    /// all, and keeps transitioning should use
+    /// [`SchedulerCore::clear_events`] instead.
     pub fn drain_events(&mut self) -> Vec<SchedEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Empty the retained scheduling trace in place, keeping its buffer for
+    /// the events still to come. For callers that count or ignore the trace
+    /// through [`SchedulerCore::events`] and need none of it afterwards (the
+    /// DES scale driver's fold, the federation's per-transition tidy);
+    /// [`SchedulerCore::dropped_events`] is left as it is.
+    pub fn clear_events(&mut self) {
+        self.events.clear();
     }
 
     /// Events evicted because the trace reached its retention cap. Audit
@@ -2709,6 +2722,28 @@ mod tests {
         assert!(!drained.is_empty());
         assert!(core.events().is_empty());
         assert!(core.drain_events().is_empty());
+    }
+
+    #[test]
+    fn clear_events_empties_the_trace_in_place() {
+        let run = || {
+            let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs).with_event_cap(4);
+            for i in 0..6 {
+                let (a, _) = core.submit(lu(8000, 1, 2), i as f64);
+                core.on_finished(a, i as f64 + 0.5);
+            }
+            core
+        };
+        let (mut cleared, mut drained) = (run(), run());
+        let (capacity, dropped) = (cleared.events.capacity(), cleared.dropped_events());
+        assert!(!cleared.events().is_empty() && dropped > 0);
+        cleared.clear_events();
+        assert!(cleared.events().is_empty());
+        assert_eq!(cleared.events.capacity(), capacity, "the buffer is kept");
+        assert_eq!(cleared.dropped_events(), dropped);
+        drained.drain_events();
+        assert_eq!(drained.events.capacity(), 0);
+        assert!(cleared.same_state(&drained) && drained.same_state(&cleared));
     }
 
     #[test]
