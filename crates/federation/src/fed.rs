@@ -863,8 +863,10 @@ impl Federation {
         // Replay retires every job the WAL ended and rebuilds the event
         // trace of the records since the checkpoint; the crash image holds
         // neither, so both are compared on their live jobs with an empty
-        // trace. The restarted WAL counts toward its next compaction from
-        // its start.
+        // trace. The replayed trace is dropped with its buffer, which is
+        // sized to the replay, not to one transition. The restarted WAL
+        // counts toward its next compaction from its start.
+        drop(core.drain_events());
         sh.wal_mark = WalMark::default();
         sh.wal_mark.tidy(&mut core);
         let snapshot_match = core.same_state(crash);

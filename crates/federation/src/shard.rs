@@ -33,11 +33,12 @@ pub(crate) struct WalMark {
 
 impl WalMark {
     /// Tidy a live core where the federation prunes: drop the jobs it has
-    /// ended and its event trace, which nothing in the federation reads,
-    /// and compact its WAL when the trigger above is due.
+    /// ended, clear its event trace (nothing in the federation reads it)
+    /// in place so the next transition reuses its buffer, and compact its
+    /// WAL when the trigger above is due.
     pub(crate) fn tidy(&mut self, core: &mut SchedulerCore) {
         core.prune_terminal();
-        drop(core.drain_events());
+        core.clear_events();
         let Some(before) = core.wal().map(Wal::appended_bytes) else {
             return;
         };
