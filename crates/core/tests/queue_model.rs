@@ -260,7 +260,7 @@ fn run(seed: u64, policy: QueuePolicy, ops: usize, cov: &mut Coverage) {
         assert_eq!(core.idle_procs(), m.idle, "{ctx}");
         cov.peak_queue = cov.peak_queue.max(m.queue.len());
         // Keep the per-op snapshot proportional to the live jobs.
-        core.drain_events();
+        core.clear_events();
         core.prune_terminal();
     }
 }
