@@ -637,7 +637,6 @@ impl SchedulerCore {
             pending_cancel,
             profiles,
         } = checkpoint;
-        let procs = |c: ProcessorConfig| c.rows.checked_mul(c.cols);
         if next_id == 0 || next_reservation == 0 {
             return Err("ids are minted from 1".into());
         }
@@ -681,7 +680,7 @@ impl SchedulerCore {
         for (&id, job) in &jobs {
             let fits = match &job.state {
                 JobState::Queued => job.slots.is_empty(),
-                JobState::Running { config } => procs(*config) == Some(job.slots.len()),
+                JobState::Running { config } => config.procs() == job.slots.len(),
                 JobState::Cancelled { .. } => job.slots.is_empty() && pending_cancel.contains(&id),
                 JobState::Finished { .. } | JobState::Failed { .. } => false,
             };
@@ -689,8 +688,7 @@ impl SchedulerCore {
                 return Err(format!("job {id} cannot be live as {:?}", job.state));
             }
             if job.state == JobState::Queued {
-                let need = procs(job.spec.initial).ok_or("a queued job's need overflows")?;
-                queue.insert((Reverse(job.spec.priority), id), need);
+                queue.insert((Reverse(job.spec.priority), id), job.spec.initial.procs());
             }
         }
         if let Some(id) = pending_cancel.iter().find(
@@ -702,7 +700,7 @@ impl SchedulerCore {
         }
         for (id, p) in &profiles {
             if let Some(Resize::Expanded { from, to }) = p.last_resize {
-                if procs(from).zip(procs(to)).is_none_or(|(f, t)| f > t) {
+                if from.procs() > to.procs() {
                     return Err(format!("job {id} expanded from {from} to {to}"));
                 }
             }
@@ -2032,8 +2030,8 @@ impl SchedulerCore {
     }
 
     /// Latest virtual time the core has observed (updated by `tick` and
-    /// every timestamped transition). Used to stamp trace marks emitted
-    /// from wall-clock-only contexts (e.g. the watchdog).
+    /// every timestamped transition). A transition stamped with no finite
+    /// time, such as the threaded monitor's failure report, lands here.
     pub fn last_tick(&self) -> f64 {
         self.last_tick
     }

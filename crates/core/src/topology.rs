@@ -36,9 +36,10 @@ impl ProcessorConfig {
         Self::new(1, n)
     }
 
-    /// Total processors.
+    /// Total processors. Saturates at `usize::MAX`, which no pool holds,
+    /// so a configuration whose product overflows is never granted.
     pub fn procs(&self) -> usize {
-        self.rows * self.cols
+        self.rows.saturating_mul(self.cols)
     }
 }
 
@@ -333,6 +334,26 @@ mod tests {
         assert!(!pref.is_legal(ProcessorConfig::new(4, 4)));
         // A config off the list has no successor.
         assert_eq!(pref.next_config(ProcessorConfig::new(3, 3), 50), None);
+    }
+
+    #[test]
+    fn oversized_configs_saturate_and_are_never_granted() {
+        assert_eq!(ProcessorConfig::new(4, 5).procs(), 20);
+        let huge = ProcessorConfig::new(usize::MAX / 2 + 1, 2);
+        assert_eq!(huge.procs(), usize::MAX);
+        assert_eq!(ProcessorConfig::new(1 << 40, 1 << 40).procs(), usize::MAX);
+        // A job asking for it queues behind a pool that can never hold it,
+        // and a redistribution note naming it replays without overflow.
+        let mut core = crate::SchedulerCore::new(8, crate::QueuePolicy::Fcfs);
+        let pref = TopologyPref::Explicit {
+            configs: vec![huge],
+        };
+        let spec = crate::JobSpec::new("huge", pref, huge, 3);
+        let (id, starts) = core.submit(spec, 0.0);
+        assert!(starts.is_empty());
+        assert_eq!(core.queue_head_need(), Some(usize::MAX));
+        core.note_redist_cost(id, huge, ProcessorConfig::new(1, 2), 1.0);
+        assert_eq!(core.idle_procs(), 8);
     }
 
     #[test]
