@@ -6,7 +6,7 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | LU factorization (`PDGETRF`) | [`lu::lu_factorize`] (workload kernel; [`lu_pivot::lu_factorize_pivoted`] adds full partial pivoting) |
+//! | LU factorization (`PDGETRF`) | [`lu::lu_factorize`] (pivot-free; no pivoted variant ships) |
 //! | Matrix multiplication (`PDGEMM`) | [`mm::summa`] |
 //! | Synthetic master–worker | [`masterworker::master_worker_round`] |
 //! | Iterative dense Jacobi solver | [`jacobi::jacobi_sweep`] |
@@ -23,7 +23,6 @@
 pub mod fft;
 pub mod jacobi;
 pub mod lu;
-pub mod lu_pivot;
 pub mod masterworker;
 pub mod mm;
 pub mod seq;
