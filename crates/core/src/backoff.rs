@@ -2,7 +2,7 @@
 //!
 //! Two retry paths used to hand-roll the same schedule: the resize
 //! driver's spawn-shortfall retry ([`crate::driver::RetryPolicy`]) and the
-//! sequenced control channel's retransmit timer
+//! federation lease bus's retransmit timer
 //! ([`crate::ctrl::seq::SeqSender`]). Both now share this one pure
 //! function: exponential growth from a base interval, a hard cap, and
 //! optional ± jitter derived from a SplitMix64 hash of `(key, attempt)` —

@@ -156,8 +156,8 @@ impl RetryPolicy {
         }
     }
 
-    /// The policy's schedule as the shared [`Backoff`] primitive (the bus
-    /// retransmit path composes the same type).
+    /// The policy's schedule as the shared [`Backoff`] primitive (the
+    /// federation lease bus's retransmit timer composes the same type).
     pub fn schedule(&self) -> Backoff {
         Backoff {
             base: self.base_backoff,

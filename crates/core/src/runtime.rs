@@ -7,35 +7,35 @@
 //!   Scheduler and Performance Profiler (all state lives in
 //!   [`SchedulerCore`]) and also plays **Job Startup**: when the core says a
 //!   queued job can run, the thread launches its process group on the
-//!   simulated cluster. It also runs the optional **watchdog**: it
-//!   supervises per-job heartbeats (one per resize point), waking only at
-//!   the earliest heartbeat deadline, and declares jobs that miss their
-//!   deadline hung, killing them and optionally requeueing them;
+//!   simulated cluster;
 //! * the **System Monitor thread** subscribes to process lifecycle events
 //!   from the [`Universe`] and reclaims the resources of failed jobs;
 //! * applications talk to the scheduler through a [`SchedulerLink`]
-//!   implemented over channels — and, like the paper's socket protocol
-//!   between the resize library and the scheduler, the channel is wrapped
-//!   in the sequenced ack/retransmit protocol of [`crate::ctrl`], so
-//!   control messages survive a lossy wire exactly once and in order.
+//!   implemented over one plain channel. The paper's resize library
+//!   reaches the scheduler over a socket; here both ends are threads of
+//!   one process, and the channel cannot lose, duplicate or reorder, so no
+//!   protocol runs on top of it (the sequenced one of [`crate::ctrl`]
+//!   serves the federation's lossy lease bus).
+//!
+//! Nothing here watches the wall clock. A job that stops checking in is
+//! bounded by the caller's [`ReshapeRuntime::wait_for`] timeout and by the
+//! simulated cluster's receive deadline.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use reshape_mpisim::{NodeId, ProcId, ProcStatus, Universe};
 use reshape_telemetry::trace::{self, TraceCtx};
 
 use crate::core::{Directive, QueuePolicy, SchedEvent, SchedulerCore, StartAction};
-use crate::ctrl::{reliable_channel, ReliableConfig, ReliableSender};
 use crate::driver::{run_resizable, AppDef, DriverShared, RetryPolicy, SchedulerLink};
 use crate::job::{JobId, JobSpec, JobState};
 use crate::topology::ProcessorConfig;
 
-#[derive(Clone)]
 enum Msg {
     Submit {
         spec: JobSpec,
@@ -49,7 +49,7 @@ enum Msg {
         now: f64,
         /// Causal trace context of the sender (the driver's current span),
         /// so the scheduler's decision span parents to the application
-        /// iteration that triggered it — across the sequenced channel.
+        /// iteration that triggered it.
         ctx: TraceCtx,
         reply: Sender<Directive>,
     },
@@ -91,18 +91,12 @@ enum Msg {
         now: f64,
         ctx: TraceCtx,
     },
-    /// Watchdog verdict: `job` missed its heartbeat deadline. The
-    /// scheduler thread sends it to itself, so it queues behind any
-    /// heartbeat already sent, and revalidates it before acting.
-    Hung {
-        job: JobId,
-    },
     Shutdown,
 }
 
 /// Channel-backed [`SchedulerLink`] handed to application processes.
 struct RuntimeLink {
-    tx: ReliableSender<Msg>,
+    tx: Sender<Msg>,
 }
 
 impl SchedulerLink for RuntimeLink {
@@ -172,61 +166,6 @@ impl SchedulerLink for RuntimeLink {
     }
 }
 
-/// Hung-job watchdog tuning. A job "heartbeats" every time its resize
-/// point reaches the scheduler; the scheduler thread declares it hung when
-/// no heartbeat arrives within `grace + multiplier × (observed mean
-/// inter-heartbeat gap)` of wall time, kills it through the scheduler
-/// (reclaiming its processors like any failure), and optionally requeues
-/// it as a fresh submission whose initial allocation is capped at the
-/// job's last-known-good configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct WatchdogConfig {
-    /// Fixed slack added to every deadline (covers startup and resize
-    /// pauses before the first heartbeats establish a rhythm).
-    pub grace: Duration,
-    /// Deadline multiplier over the observed mean heartbeat gap.
-    pub multiplier: f64,
-    /// Resubmit a killed job automatically.
-    pub requeue: bool,
-    /// How many times one job may be requeued (chained across respawns).
-    pub max_requeues: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig {
-            grace: Duration::from_secs(1),
-            multiplier: 4.0,
-            requeue: false,
-            max_requeues: 1,
-        }
-    }
-}
-
-/// Full configuration for [`ReshapeRuntime::with_runtime_options`].
-#[derive(Clone)]
-pub struct RuntimeOptions {
-    pub policy: QueuePolicy,
-    /// Spawn-shortfall retry behavior handed to every job's driver.
-    pub retry: RetryPolicy,
-    /// Hung-job supervision; `None` disables the watchdog.
-    pub watchdog: Option<WatchdogConfig>,
-    /// Reliability/chaos settings for the scheduler↔driver control
-    /// channel. The default is a perfect wire (the protocol still runs).
-    pub ctrl: ReliableConfig,
-}
-
-impl Default for RuntimeOptions {
-    fn default() -> Self {
-        RuntimeOptions {
-            policy: QueuePolicy::Fcfs,
-            retry: RetryPolicy::default(),
-            watchdog: None,
-            ctrl: ReliableConfig::default(),
-        }
-    }
-}
-
 /// Timeout from [`ReshapeRuntime::wait_quiescent`] /
 /// [`ReshapeRuntime::wait_for`]: the awaited condition did not hold in
 /// time. Carries what was being waited on so callers can build a useful
@@ -246,25 +185,6 @@ impl std::fmt::Display for WaitTimeout {
 }
 
 impl std::error::Error for WaitTimeout {}
-
-/// Wall-clock heartbeat record for one running job.
-struct Heartbeat {
-    last: Instant,
-    /// EWMA of the inter-heartbeat gap in seconds (0 until the second
-    /// beat).
-    mean_gap: f64,
-    beats: u64,
-    /// A `Msg::Hung` verdict for this job is in the channel; no second one
-    /// is sent until it is handled.
-    verdict_pending: bool,
-}
-
-/// When `hb`'s job becomes overdue: `grace + multiplier × mean_gap` after
-/// its last beat.
-fn heartbeat_due(wd: &WatchdogConfig, hb: &Heartbeat) -> Instant {
-    let window = wd.grace.as_secs_f64() + wd.multiplier * hb.mean_gap;
-    hb.last + Duration::from_secs_f64(window.max(0.0))
-}
 
 /// Bumped by the scheduler thread after every message it handles, so the
 /// runtime's waits block until the core may have changed instead of
@@ -286,7 +206,7 @@ impl Progress {
 /// cluster and let the framework schedule, monitor, resize and reclaim them.
 pub struct ReshapeRuntime {
     universe: Arc<Universe>,
-    tx: ReliableSender<Msg>,
+    tx: Sender<Msg>,
     core: Arc<Mutex<SchedulerCore>>,
     /// First (rank-0) process of each job, which the System Monitor watches
     /// — "only the monitor running on the first node of its processor set
@@ -302,15 +222,9 @@ struct SchedThreadCtx {
     core: Arc<Mutex<SchedulerCore>>,
     apps: HashMap<JobId, (AppDef, usize)>, // app + iterations
     watch: Arc<Mutex<HashMap<ProcId, JobId>>>,
-    link_tx: ReliableSender<Msg>,
+    link_tx: Sender<Msg>,
     slots_per_node: usize,
-    retry: RetryPolicy,
-    watchdog: Option<WatchdogConfig>,
-    hearts: HashMap<JobId, Heartbeat>,
     progress: Arc<Progress>,
-    /// Remaining requeue budget per job id (original jobs start at
-    /// `max_requeues`; each respawn inherits one less).
-    requeue_budget: HashMap<JobId, usize>,
     /// Stamps handed out so far ([`SchedThreadCtx::submission_stamp`]).
     stamps: u64,
 }
@@ -342,7 +256,7 @@ impl SchedThreadCtx {
                     tx: self.link_tx.clone(),
                 }),
                 slots_per_node: self.slots_per_node,
-                retry: self.retry,
+                retry: RetryPolicy::default(),
                 survivable,
             });
             let config = s.config;
@@ -362,85 +276,14 @@ impl SchedThreadCtx {
                 },
             );
             self.watch.lock().insert(handle.members()[0], s.job);
-            if self.watchdog.is_some() {
-                // Heartbeat clock starts at launch; the first resize point
-                // seeds the mean gap with the first-iteration latency.
-                self.hearts.insert(
-                    s.job,
-                    Heartbeat {
-                        last: Instant::now(),
-                        mean_gap: 0.0,
-                        beats: 0,
-                        verdict_pending: false,
-                    },
-                );
-            }
             // Handles are joined through the universe's status tracking; the
             // GroupHandle itself can be dropped (threads keep running).
             drop(handle);
         }
     }
 
-    /// Record a heartbeat for `job` (its resize point reached the
-    /// scheduler) and fold the observed gap into the per-job EWMA.
-    fn beat(&mut self, job: JobId) {
-        let Some(hb) = self.hearts.get_mut(&job) else {
-            return;
-        };
-        let now = Instant::now();
-        let gap = now.duration_since(hb.last).as_secs_f64();
-        hb.mean_gap = if hb.beats == 0 {
-            gap
-        } else {
-            0.7 * hb.mean_gap + 0.3 * gap
-        };
-        hb.last = now;
-        hb.beats += 1;
-    }
-
-    /// The watchdog's scan: every running job past its heartbeat deadline
-    /// gets one `Msg::Hung` verdict through the channel. Returns the next
-    /// deadline still to come, `None` while nothing is supervised.
-    fn watch_hearts(&mut self) -> Option<Instant> {
-        let wd = self.watchdog?;
-        let now = Instant::now();
-        let mut next: Option<Instant> = None;
-        self.hearts.retain(|&job, hb| {
-            if hb.verdict_pending {
-                return true;
-            }
-            let due = heartbeat_due(&wd, hb);
-            if now <= due {
-                next = Some(next.map_or(due, |n| n.min(due)));
-                return true;
-            }
-            // Only a running job can be killed; stop watching any other.
-            let running = matches!(
-                self.core.lock().job(job).map(|r| &r.state),
-                Some(JobState::Running { .. })
-            );
-            if running {
-                hb.verdict_pending = true;
-                let _ = self.link_tx.send(Msg::Hung { job });
-            }
-            running
-        });
-        next
-    }
-
     fn run(mut self, rx: Receiver<Msg>) {
-        loop {
-            // Block until the next message, or until the next heartbeat
-            // deadline when the watchdog supervises a job.
-            let msg = match self.watch_hearts() {
-                None => rx.recv().ok(),
-                Some(due) => match rx.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => None,
-                },
-            };
-            let Some(msg) = msg else { break };
+        while let Ok(msg) = rx.recv() {
             // Scheduler-loop latency: how long each message (resize point,
             // submission, completion, ...) holds the scheduler. Recorded on
             // drop, including early exits.
@@ -463,7 +306,6 @@ impl SchedThreadCtx {
                     ctx,
                     reply,
                 } => {
-                    self.beat(job);
                     // Adopt the sender's causal context for the duration of
                     // the core call, so the decision span it emits parents
                     // to the driver-side span that sent this message.
@@ -484,7 +326,6 @@ impl SchedThreadCtx {
                     self.core.lock().note_redist_cost(job, from, to, seconds);
                 }
                 Msg::Finished { job, now, ctx } => {
-                    self.hearts.remove(&job);
                     let _g = trace::ctx_guard(ctx);
                     let starts = self.core.lock().on_finished(job, now);
                     self.actuate(starts);
@@ -494,7 +335,6 @@ impl SchedThreadCtx {
                 }
                 Msg::Cancel { job } => {
                     let now = self.submission_stamp();
-                    self.hearts.remove(&job);
                     let starts = self.core.lock().cancel(job, now);
                     self.actuate(starts);
                 }
@@ -504,7 +344,6 @@ impl SchedThreadCtx {
                     now,
                     ctx,
                 } => {
-                    self.hearts.remove(&job);
                     let _g = trace::ctx_guard(ctx);
                     let starts = self.core.lock().on_failed(job, reason, now);
                     self.actuate(starts);
@@ -516,9 +355,6 @@ impl SchedThreadCtx {
                     now,
                     ctx,
                 } => {
-                    // Completing a recovery is progress; keep the watchdog
-                    // off the job's back while it resumes.
-                    self.beat(job);
                     let _g = trace::ctx_guard(ctx);
                     let starts = {
                         let mut core = self.core.lock();
@@ -543,99 +379,10 @@ impl SchedThreadCtx {
                     let starts = self.core.lock().on_expand_failed(job, now);
                     self.actuate(starts);
                 }
-                Msg::Hung { job } => self.on_hung(job),
                 Msg::Shutdown => break,
             }
             self.progress.bump();
         }
-    }
-
-    /// Act on a watchdog hang verdict. Revalidated here on the scheduler
-    /// thread — a heartbeat (or completion) may have raced the verdict
-    /// through the channel, in which case the alarm is dropped as false.
-    fn on_hung(&mut self, job: JobId) {
-        let Some(wd) = self.watchdog else { return };
-        let still_stale = match self.hearts.get_mut(&job) {
-            Some(hb) => {
-                hb.verdict_pending = false;
-                Instant::now() > heartbeat_due(&wd, hb)
-            }
-            None => false,
-        };
-        let still_running = matches!(
-            self.core.lock().job(job).map(|r| r.state.clone()),
-            Some(JobState::Running { .. })
-        );
-        if !still_stale || !still_running {
-            reshape_telemetry::incr("runtime.watchdog_false_alarms", 1);
-            return;
-        }
-        reshape_telemetry::incr("runtime.watchdog_kills", 1);
-        if trace::enabled() {
-            // The watchdog has no virtual clock; stamp the kill at the
-            // core's latest observed virtual time so the mark lands inside
-            // the job's span window instead of at t=0.
-            let t = self.core.lock().last_tick();
-            let m = trace::complete(
-                job.0,
-                trace::head(job.0),
-                "watchdog_kill",
-                "recovery",
-                "scheduler",
-                t,
-                t,
-            );
-            trace::set_head(job.0, m);
-        }
-        // Capture what the requeue needs before the failure path clears it.
-        let (last_good, spec) = {
-            let core = self.core.lock();
-            let last_good = core
-                .profiler()
-                .profile(job)
-                .and_then(|p| p.history().last().map(|r| r.config));
-            let spec = core.job(job).map(|r| r.spec.clone());
-            (last_good, spec)
-        };
-        self.hearts.remove(&job);
-        // Kill through the same path as any monitored failure: the job's
-        // processors return to the pool and queued work may start. The hung
-        // processes themselves get Directive::Terminate if they ever reach
-        // another resize point (zombie fencing in SchedulerCore).
-        let starts = self.core.lock().on_failed(
-            job,
-            "hung: missed watchdog heartbeat deadline".into(),
-            f64::NAN,
-        );
-        self.actuate(starts);
-        if !wd.requeue {
-            return;
-        }
-        let budget = self
-            .requeue_budget
-            .get(&job)
-            .copied()
-            .unwrap_or(wd.max_requeues);
-        if budget == 0 {
-            return;
-        }
-        let (Some(mut spec), Some((app, iters))) = (spec, self.apps.get(&job).cloned()) else {
-            return;
-        };
-        // Cap the respawn's initial allocation at the last configuration
-        // the profiler saw the job make progress on — a job that hung
-        // after expanding should not come back at the size that hung it.
-        if let Some(cfg) = last_good {
-            if cfg.procs() < spec.initial.procs() {
-                spec.initial = cfg;
-            }
-        }
-        let now = self.submission_stamp();
-        let (new_id, starts) = self.core.lock().submit(spec, now);
-        self.apps.insert(new_id, (app, iters));
-        self.requeue_budget.insert(new_id, budget - 1);
-        reshape_telemetry::incr("runtime.watchdog_requeues", 1);
-        self.actuate(starts);
     }
 
     /// The time stamp of a submission (or a cancellation): 1 µs per stamp
@@ -653,29 +400,15 @@ impl ReshapeRuntime {
     /// Stand up the framework over `universe`. `policy` selects FCFS or
     /// backfill for initial allocations.
     pub fn new(universe: Universe, policy: QueuePolicy) -> Self {
-        Self::with_runtime_options(
-            universe,
-            RuntimeOptions {
-                policy,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Full-control constructor: retry policy, watchdog supervision and
-    /// control-channel reliability settings on top of
-    /// [`ReshapeRuntime::new`].
-    pub fn with_runtime_options(universe: Universe, opts: RuntimeOptions) -> Self {
         let universe = Arc::new(universe);
         let total = universe.total_slots();
-        let core = Arc::new(Mutex::new(SchedulerCore::new(total, opts.policy)));
+        let core = Arc::new(Mutex::new(SchedulerCore::new(total, policy)));
         let watch: Arc<Mutex<HashMap<ProcId, JobId>>> = Arc::new(Mutex::new(HashMap::new()));
         let progress = Arc::new(Progress::default());
-        // The control channel between applications/monitor and the
-        // scheduler thread runs the sequenced ack/retransmit protocol; with
-        // chaos configured, frames are lost/duplicated/reordered underneath
-        // it and must still arrive exactly once, in order.
-        let (tx, rx) = reliable_channel::<Msg>(opts.ctrl);
+        // Applications and the monitor reach the scheduler thread over one
+        // in-process channel, which delivers every message once and in
+        // send order.
+        let (tx, rx) = unbounded::<Msg>();
 
         let ctx = SchedThreadCtx {
             universe: Arc::clone(&universe),
@@ -684,11 +417,7 @@ impl ReshapeRuntime {
             watch: Arc::clone(&watch),
             link_tx: tx.clone(),
             slots_per_node: universe.slots_per_node(),
-            retry: opts.retry,
-            watchdog: opts.watchdog,
-            hearts: HashMap::new(),
             progress: Arc::clone(&progress),
-            requeue_budget: HashMap::new(),
             stamps: 0,
         };
         let sched_thread = std::thread::Builder::new()
@@ -730,8 +459,9 @@ impl ReshapeRuntime {
                             // (buddy restore + forced shrink); the monitor
                             // stays out of the way while they are running.
                             // If recovery is impossible the driver reports
-                            // the failure through its link, and a wedged
-                            // recovery is the watchdog's to kill.
+                            // the failure through its link; a wedged
+                            // recovery is bounded by the cluster's receive
+                            // deadline and the caller's `wait_for` timeout.
                             let deferred = mon_core.lock().job(job).is_some_and(|r| {
                                 r.spec.survivable && matches!(r.state, JobState::Running { .. })
                             });
@@ -818,14 +548,15 @@ impl ReshapeRuntime {
 
     /// Block until `done` reads an answer off the core, or [`WaitTimeout`]
     /// (describing `what`) after `timeout`. `done` runs now and again after
-    /// every message the scheduler thread handles.
+    /// every message the scheduler thread handles. The caller's deadline is
+    /// the only wall clock the runtime reads (CI checks that).
     fn wait_until<R>(
         &self,
         timeout: Duration,
         what: String,
         done: impl Fn(&SchedulerCore) -> Option<R>,
     ) -> Result<R, WaitTimeout> {
-        let deadline = Instant::now() + timeout;
+        let deadline = std::time::Instant::now() + timeout;
         // Held from each check until the wait releases it, so a bump in
         // between cannot be missed.
         let mut guard = self
@@ -837,7 +568,7 @@ impl ReshapeRuntime {
             if let Some(answer) = done(&self.core.lock()) {
                 return Ok(answer);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
                 return Err(WaitTimeout { what, timeout });
             }
@@ -872,7 +603,7 @@ mod tests {
     use crate::topology::TopologyPref;
     use reshape_blockcyclic::{Descriptor, DistMatrix};
     use reshape_mpisim::NetModel;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     fn toy(n: usize, per_iter: f64) -> AppDef {
         AppDef::new(
@@ -1002,205 +733,6 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e.kind, crate::core::EventKind::ExpandFailed { .. })));
-    }
-
-    /// A tight watchdog for tests: millisecond cadence, sub-second grace.
-    fn test_watchdog() -> WatchdogConfig {
-        WatchdogConfig {
-            grace: Duration::from_millis(250),
-            multiplier: 4.0,
-            requeue: false,
-            max_requeues: 0,
-        }
-    }
-
-    #[test]
-    fn watchdog_kills_hung_job_and_reclaims_processors() {
-        static RELEASE: AtomicBool = AtomicBool::new(false);
-        let rt = ReshapeRuntime::with_runtime_options(
-            Universe::new(4, 1, NetModel::ideal()),
-            RuntimeOptions {
-                watchdog: Some(test_watchdog()),
-                ..Default::default()
-            },
-        );
-        let spec = JobSpec::new(
-            "hanger",
-            TopologyPref::Grid { problem_size: 8 },
-            ProcessorConfig::new(1, 2),
-            50,
-        );
-        let app = AppDef::new(
-            |grid| {
-                let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(
-                    desc,
-                    grid.myrow(),
-                    grid.mycol(),
-                    |_, _| 0.0,
-                )]
-            },
-            |grid, _m, it| {
-                if it == 2 {
-                    // Simulated deadlock: every rank stops making progress
-                    // (but can be released so the test tears down cleanly).
-                    while !RELEASE.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-                grid.comm().advance(0.1);
-            },
-        );
-        let job = rt.submit(spec, app);
-        let state = rt.wait_for(job, Duration::from_secs(30)).unwrap();
-        assert!(
-            matches!(state, JobState::Failed { ref reason, .. } if reason.contains("hung")),
-            "{state:?}"
-        );
-        // The kill reclaims the job's processors even though its (zombie)
-        // processes are still parked.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while rt.core().lock().idle_procs() != 4 {
-            assert!(Instant::now() < deadline, "hung job never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        // Release the zombies: their next resize point returns Terminate
-        // (zombie fencing) and they exit without touching the pool.
-        RELEASE.store(true, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(rt.core().lock().idle_procs(), 4);
-    }
-
-    #[test]
-    fn watchdog_never_kills_healthy_jobs() {
-        let rt = ReshapeRuntime::with_runtime_options(
-            Universe::new(8, 1, NetModel::ideal()),
-            RuntimeOptions {
-                watchdog: Some(test_watchdog()),
-                ..Default::default()
-            },
-        );
-        let mk = |name: &str| {
-            JobSpec::new(
-                name,
-                TopologyPref::Grid { problem_size: 8 },
-                ProcessorConfig::new(1, 2),
-                8,
-            )
-        };
-        let a = rt.submit(mk("A"), toy(8, 1.0));
-        let b = rt.submit(mk("B"), toy(8, 1.0));
-        for j in [a, b] {
-            let state = rt.wait_for(j, Duration::from_secs(30)).unwrap();
-            assert!(
-                matches!(state, JobState::Finished { .. }),
-                "watchdog falsely killed {j}: {state:?}"
-            );
-        }
-        assert_eq!(rt.core().lock().idle_procs(), 8);
-    }
-
-    #[test]
-    fn watchdog_requeues_hung_job_once() {
-        static HANG_ONCE: AtomicBool = AtomicBool::new(true);
-        static RELEASE: AtomicBool = AtomicBool::new(false);
-        let rt = ReshapeRuntime::with_runtime_options(
-            Universe::new(4, 1, NetModel::ideal()),
-            RuntimeOptions {
-                watchdog: Some(WatchdogConfig {
-                    requeue: true,
-                    max_requeues: 1,
-                    ..test_watchdog()
-                }),
-                ..Default::default()
-            },
-        );
-        let spec = JobSpec::new(
-            "flaky",
-            TopologyPref::Grid { problem_size: 8 },
-            ProcessorConfig::new(1, 2),
-            5,
-        );
-        let app = AppDef::new(
-            |grid| {
-                let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
-                vec![DistMatrix::from_fn(
-                    desc,
-                    grid.myrow(),
-                    grid.mycol(),
-                    |_, _| 0.0,
-                )]
-            },
-            |grid, _m, it| {
-                // One rank stalling stalls the whole job (the peer blocks in
-                // the next collective); only the first incarnation hangs.
-                if it == 1 && grid.comm().rank() == 0 && HANG_ONCE.swap(false, Ordering::Relaxed) {
-                    while !RELEASE.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-                grid.comm().advance(0.1);
-            },
-        );
-        let first = rt.submit(spec, app);
-        let state = rt.wait_for(first, Duration::from_secs(30)).unwrap();
-        assert!(
-            matches!(state, JobState::Failed { ref reason, .. } if reason.contains("hung")),
-            "{state:?}"
-        );
-        // The respawned incarnation (a fresh job id) runs clean.
-        rt.wait_quiescent(Duration::from_secs(30)).unwrap();
-        let finished = {
-            let core = rt.core().lock();
-            core.jobs()
-                .filter(|(id, r)| **id != first && matches!(r.state, JobState::Finished { .. }))
-                .count()
-        };
-        assert_eq!(finished, 1, "hung job was not requeued to completion");
-        RELEASE.store(true, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(rt.core().lock().idle_procs(), 4);
-    }
-
-    #[test]
-    fn jobs_complete_exactly_once_over_chaotic_control_channel() {
-        use crate::ctrl::ChaosConfig;
-        // Heavy loss/duplication/reordering underneath the scheduler's
-        // control channel: the ack/retransmit protocol must deliver every
-        // resize point, completion and submission exactly once, in order.
-        let rt = ReshapeRuntime::with_runtime_options(
-            Universe::new(8, 1, NetModel::ideal()),
-            RuntimeOptions {
-                ctrl: ReliableConfig::with_chaos(ChaosConfig::heavy(0xC0FFEE)),
-                ..Default::default()
-            },
-        );
-        let mk = |name: &str| {
-            JobSpec::new(
-                name,
-                TopologyPref::Grid { problem_size: 8 },
-                ProcessorConfig::new(1, 2),
-                6,
-            )
-        };
-        let a = rt.submit(mk("A"), toy(8, 1.0));
-        let b = rt.submit(mk("B"), toy(8, 1.0));
-        for j in [a, b] {
-            let state = rt.wait_for(j, Duration::from_secs(60)).unwrap();
-            assert!(matches!(state, JobState::Finished { .. }), "{state:?}");
-        }
-        // Exactly one Finished transition per job (no duplicate delivery
-        // double-finishing), and the pool is whole.
-        let core = rt.core().lock();
-        for j in [a, b] {
-            let n = core
-                .events()
-                .iter()
-                .filter(|e| e.job == j && e.kind == crate::core::EventKind::Finished)
-                .count();
-            assert_eq!(n, 1, "{j} finished {n} times");
-        }
-        assert_eq!(core.idle_procs(), 8);
     }
 
     #[test]

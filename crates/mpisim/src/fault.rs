@@ -15,8 +15,8 @@
 //!
 //! Messages themselves are never lost, duplicated or reordered: like MPI's,
 //! the simulator's intra- and intercommunicator traffic is reliable. The
-//! one lossy link ReSHAPE has, between the resize library and the
-//! scheduler, is modelled by `reshape_core::ctrl`.
+//! only modelled lossy wire is the federation's lease bus, which runs the
+//! sequenced protocol of `reshape_core::ctrl` over a seeded chaos stream.
 //!
 //! All state lives in the universe and is armed lazily: the hot messaging
 //! paths pay a single relaxed atomic load until the first injection.
