@@ -341,7 +341,8 @@ mod tests {
         assert_eq!(ProcessorConfig::new(4, 5).procs(), 20);
         let huge = ProcessorConfig::new(usize::MAX / 2 + 1, 2);
         assert_eq!(huge.procs(), usize::MAX);
-        assert_eq!(ProcessorConfig::new(1 << 40, 1 << 40).procs(), usize::MAX);
+        let half = 1 << (usize::BITS / 2);
+        assert_eq!(ProcessorConfig::new(half, half).procs(), usize::MAX);
         // A job asking for it queues behind a pool that can never hold it,
         // and a redistribution note naming it replays without overflow.
         let mut core = crate::SchedulerCore::new(8, crate::QueuePolicy::Fcfs);
