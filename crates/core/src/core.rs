@@ -170,9 +170,12 @@ pub struct EvictOutcome {
 }
 
 /// Everything a [`SchedulerCore`] knows, deep-copied into order-normalized
-/// containers so equality is well-defined. Produced by
-/// [`SchedulerCore::snapshot`]; the crash-restart testkit asserts the
-/// recovered core's snapshot equals the pre-crash one field for field.
+/// containers so equality is well-defined: its durable state (what a
+/// checkpoint carries), the pool's accounting, the queue, the retired jobs
+/// and the event trace. Produced by [`SchedulerCore::snapshot`]; the
+/// crash-restart testkit asserts the recovered core's snapshot equals the
+/// pre-crash one field for field, and [`SchedulerCore::same_state`] is the
+/// same test computed in place.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CoreSnapshot {
     pub total_procs: usize,
@@ -206,8 +209,50 @@ pub struct CoreSnapshot {
     pub epoch: u64,
 }
 
+/// The part of a [`SchedulerCore`]'s state that a checkpoint carries
+/// verbatim, listed once. `checkpoint` clones it, `restore` assigns it
+/// whole, and [`SchedulerCore::same_state`] compares it with the derived
+/// `==`: map equality for the id-keyed maps (hash order does not matter),
+/// `==` for the `f64`s, and no allocation. The `ckpt` codec destructures
+/// it, so a field added here does not compile until the codec writes and
+/// reads it.
+#[derive(Clone, Debug, PartialEq, Serialize)]
+pub(crate) struct DurableState {
+    pub(crate) next_id: u64,
+    pub(crate) next_reservation: u64,
+    /// Partition-fencing epoch: a monotonic counter the federation bumps
+    /// when this shard, as a lender, loses contact with a borrower past the
+    /// suspicion timeout. Leases minted under an older epoch are fenced —
+    /// never honored or extended. Persisted via [`WalRecord::EpochBump`];
+    /// replay restores it exactly.
+    pub(crate) epoch: u64,
+    pub(crate) events_dropped: u64,
+    // Utilization integral: busy processor-seconds and its last update time.
+    pub(crate) busy_proc_seconds: f64,
+    pub(crate) last_tick: f64,
+    /// Brownout: while set, `resize_point` downgrades every Expand decision
+    /// to NoChange (shrinks and completions proceed).
+    pub(crate) expand_paused: bool,
+    pub(crate) reservations: Vec<Reservation>,
+    /// Lender-side lease ledger: lease id → native slots lent under it.
+    pub(crate) lent_leases: BTreeMap<u64, Vec<usize>>,
+    /// Borrower-side lease ledger: lease id → attached foreign slots.
+    pub(crate) borrowed_leases: BTreeMap<u64, BorrowedLease>,
+    /// Jobs a later transition can act on: queued, running, and cancelled
+    /// while running until the resize point that delivers `Terminate`.
+    pub(crate) jobs: IdMap<JobId, JobRecord>,
+    /// Job → reservation it is entitled to draw on.
+    pub(crate) bindings: IdMap<JobId, ReservationId>,
+    /// Running jobs with a user cancellation pending (delivered at the next
+    /// resize point).
+    pub(crate) pending_cancel: IdSet<JobId>,
+    /// The profiler is its per-job map and nothing else.
+    pub(crate) profiler: Profiler,
+}
+
 /// The live state of a core whose WAL was compacted: what a
-/// [`WalRecord::Checkpoint`] carries. It holds every field
+/// [`WalRecord::Checkpoint`] carries. It is the core's `DurableState` and
+/// the pool's free slots and minted count: every field
 /// [`SchedulerCore::same_state`] compares, bar the event trace and the
 /// terminal jobs, which compaction drops. The queue is the queued jobs,
 /// ordered by priority and id, each needing its initial configuration; the
@@ -216,26 +261,11 @@ pub struct CoreSnapshot {
 /// it.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Checkpoint {
-    pub(crate) next_id: u64,
-    pub(crate) next_reservation: u64,
-    pub(crate) epoch: u64,
-    pub(crate) events_dropped: u64,
-    pub(crate) busy_proc_seconds: f64,
-    pub(crate) last_tick: f64,
-    pub(crate) expand_paused: bool,
+    pub(crate) state: DurableState,
     /// Foreign-slot ids ever minted.
     pub(crate) foreign_minted: usize,
     /// Free slot ids, ascending.
     pub(crate) free_slots: Vec<usize>,
-    pub(crate) reservations: Vec<Reservation>,
-    pub(crate) lent_leases: BTreeMap<u64, Vec<usize>>,
-    pub(crate) borrowed_leases: BTreeMap<u64, BorrowedLease>,
-    /// Live jobs: queued, running, or cancelled and owed `Terminate`.
-    pub(crate) jobs: BTreeMap<JobId, JobRecord>,
-    pub(crate) bindings: BTreeMap<JobId, ReservationId>,
-    /// Ascending.
-    pub(crate) pending_cancel: Vec<JobId>,
-    pub(crate) profiles: BTreeMap<JobId, JobProfile>,
 }
 
 /// The combined scheduler state machine.
@@ -249,32 +279,19 @@ pub struct SchedulerCore {
     /// A requeue path would break that and need an explicit sequence
     /// number in the key.
     queue: BTreeMap<(Reverse<u8>, JobId), usize>,
-    /// Jobs a later transition can act on: queued, running, and cancelled
-    /// while running until the resize point that delivers `Terminate`.
-    jobs: IdMap<JobId, JobRecord>,
-    /// Terminal jobs, moved out of `jobs` by the transition that ended them.
-    /// Their profiles and reservation bindings stay keyed by id in the
-    /// profiler and `bindings`; [`SchedulerCore::prune_terminal`] drops all
-    /// three.
+    /// Everything a checkpoint carries verbatim, live jobs and profiler
+    /// included.
+    state: DurableState,
+    /// Terminal jobs, moved out of the live jobs by the transition that
+    /// ended them. Their profiles and reservation bindings stay keyed by id
+    /// in the profiler and the bindings;
+    /// [`SchedulerCore::prune_terminal`] drops all three.
     retired: IdMap<JobId, JobRecord>,
-    profiler: Profiler,
-    next_id: u64,
     events: Vec<SchedEvent>,
     /// Retention cap for `events`; oldest entries are dropped beyond it so
     /// a long-lived scheduler cannot grow without bound.
     events_cap: usize,
-    events_dropped: u64,
     remap_policy: RemapPolicy,
-    reservations: Vec<Reservation>,
-    next_reservation: u64,
-    /// Job → reservation it is entitled to draw on.
-    bindings: IdMap<JobId, ReservationId>,
-    /// Running jobs with a user cancellation pending (delivered at the next
-    /// resize point).
-    pending_cancel: IdSet<JobId>,
-    // Utilization integral: busy processor-seconds and its last update time.
-    busy_proc_seconds: f64,
-    last_tick: f64,
     /// Testing backdoor: when set, `on_failed` "forgets" to release the
     /// failed job's processors — a planted pool leak the invariant oracle
     /// must catch. Never enabled outside tests.
@@ -286,19 +303,6 @@ pub struct SchedulerCore {
     /// Runtime-only bookkeeping — not part of [`CoreSnapshot`] equality
     /// (traces are an observability layer, not scheduler state).
     trace_ids: IdMap<JobId, (u64, u64)>,
-    /// Lender-side lease ledger: lease id → native slots lent under it.
-    lent_leases: BTreeMap<u64, Vec<usize>>,
-    /// Borrower-side lease ledger: lease id → attached foreign slots.
-    borrowed_leases: BTreeMap<u64, BorrowedLease>,
-    /// Brownout: while set, `resize_point` downgrades every Expand decision
-    /// to NoChange (shrinks and completions proceed).
-    expand_paused: bool,
-    /// Partition-fencing epoch: a monotonic counter the federation bumps
-    /// when this shard, as a lender, loses contact with a borrower past the
-    /// suspicion timeout. Leases minted under an older epoch are fenced —
-    /// never honored or extended. Persisted via [`WalRecord::EpochBump`];
-    /// replay restores it exactly.
-    epoch: u64,
 }
 
 impl SchedulerCore {
@@ -307,27 +311,29 @@ impl SchedulerCore {
             pool: ResourcePool::new(total_procs),
             policy,
             queue: BTreeMap::new(),
-            jobs: IdMap::default(),
+            state: DurableState {
+                next_id: 1,
+                next_reservation: 1,
+                epoch: 0,
+                events_dropped: 0,
+                busy_proc_seconds: 0.0,
+                last_tick: 0.0,
+                expand_paused: false,
+                reservations: Vec::new(),
+                lent_leases: BTreeMap::new(),
+                borrowed_leases: BTreeMap::new(),
+                jobs: IdMap::default(),
+                bindings: IdMap::default(),
+                pending_cancel: IdSet::default(),
+                profiler: Profiler::new(),
+            },
             retired: IdMap::default(),
-            profiler: Profiler::new(),
-            next_id: 1,
             events: Vec::new(),
             events_cap: DEFAULT_EVENT_CAP,
-            events_dropped: 0,
             remap_policy: RemapPolicy::default(),
-            reservations: Vec::new(),
-            next_reservation: 1,
-            bindings: IdMap::default(),
-            pending_cancel: IdSet::default(),
-            busy_proc_seconds: 0.0,
-            last_tick: 0.0,
             chaos_leak_on_failure: false,
             wal: None,
             trace_ids: IdMap::default(),
-            lent_leases: BTreeMap::new(),
-            borrowed_leases: BTreeMap::new(),
-            expand_paused: false,
-            epoch: 0,
         }
     }
 
@@ -363,7 +369,7 @@ impl SchedulerCore {
         if self.events.len() >= self.events_cap {
             let drop = (self.events_cap / 2).max(1);
             self.events.drain(..drop);
-            self.events_dropped += drop as u64;
+            self.state.events_dropped += drop as u64;
             reshape_telemetry::incr("core.sched_events_dropped", drop as u64);
         }
         self.events.push(ev);
@@ -375,7 +381,10 @@ impl SchedulerCore {
     /// factors; allocation prefers fast slots). Must be called before any
     /// job is submitted.
     pub fn with_slot_speeds(mut self, speeds: Vec<f64>) -> Self {
-        assert!(self.next_id == 1, "set slot speeds before submitting jobs");
+        assert!(
+            self.state.next_id == 1,
+            "set slot speeds before submitting jobs"
+        );
         self.pool = ResourcePool::new_heterogeneous(speeds);
         self
     }
@@ -383,7 +392,7 @@ impl SchedulerCore {
     /// Replace the pool's allocation order (placement ablations).
     pub fn with_alloc_order(mut self, order: crate::pool::AllocOrder) -> Self {
         assert!(
-            self.next_id == 1,
+            self.state.next_id == 1,
             "set allocation order before submitting jobs"
         );
         self.pool = self.pool.with_order(order);
@@ -403,7 +412,10 @@ impl SchedulerCore {
     /// submitted; writes the genesis [`WalRecord::Open`] capturing the
     /// core's configuration so [`SchedulerCore::recover`] can rebuild it.
     pub fn with_wal(mut self, mut wal: Wal) -> Self {
-        assert!(self.next_id == 1, "attach the WAL before submitting jobs");
+        assert!(
+            self.state.next_id == 1,
+            "attach the WAL before submitting jobs"
+        );
         assert!(
             wal.is_empty(),
             "WAL already holds records; recover from it instead of re-attaching"
@@ -549,7 +561,7 @@ impl SchedulerCore {
                 "recovery",
                 "scheduler",
                 0.0,
-                self.last_tick,
+                self.state.last_tick,
             );
         }
         self.wal = Some(wal);
@@ -579,35 +591,14 @@ impl SchedulerCore {
         }
     }
 
-    /// The live state as a [`Checkpoint`]. Its maps are ordered by id, so
-    /// the record has one spelling whatever order the core's hash maps
-    /// hold.
+    /// The live state as a [`Checkpoint`]. The codec writes its hash maps
+    /// in ascending id order, so the record has one spelling whatever order
+    /// they hold.
     fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
-            next_id: self.next_id,
-            next_reservation: self.next_reservation,
-            epoch: self.epoch,
-            events_dropped: self.events_dropped,
-            busy_proc_seconds: self.busy_proc_seconds,
-            last_tick: self.last_tick,
-            expand_paused: self.expand_paused,
+            state: self.state.clone(),
             foreign_minted: self.pool.foreign_minted(),
             free_slots: self.pool.free_slots(),
-            reservations: self.reservations.clone(),
-            lent_leases: self.lent_leases.clone(),
-            borrowed_leases: self.borrowed_leases.clone(),
-            jobs: self.jobs.iter().map(|(&id, r)| (id, r.clone())).collect(),
-            bindings: self.bindings.iter().map(|(&id, &r)| (id, r)).collect(),
-            pending_cancel: {
-                let mut ids: Vec<JobId> = self.pending_cancel.iter().copied().collect();
-                ids.sort_unstable();
-                ids
-            },
-            profiles: self
-                .profiler
-                .profiles()
-                .map(|(&id, p)| (id, p.clone()))
-                .collect(),
         }
     }
 
@@ -620,24 +611,11 @@ impl SchedulerCore {
     /// cancelled.
     fn restore(&mut self, checkpoint: Checkpoint) -> Result<(), String> {
         let Checkpoint {
-            next_id,
-            next_reservation,
-            epoch,
-            events_dropped,
-            busy_proc_seconds,
-            last_tick,
-            expand_paused,
+            state,
             foreign_minted,
             free_slots,
-            reservations,
-            lent_leases,
-            borrowed_leases,
-            jobs,
-            bindings,
-            pending_cancel,
-            profiles,
         } = checkpoint;
-        if next_id == 0 || next_reservation == 0 {
+        if state.next_id == 0 || state.next_reservation == 0 {
             return Err("ids are minted from 1".into());
         }
         let total = self.pool.total();
@@ -645,13 +623,13 @@ impl SchedulerCore {
             .checked_add(foreign_minted)
             .ok_or("foreign slot ids overflow")?;
         let mut lent = BTreeSet::new();
-        for &s in lent_leases.values().flatten() {
+        for &s in state.lent_leases.values().flatten() {
             if s >= total || !lent.insert(s) {
                 return Err(format!("slot {s} cannot be lent"));
             }
         }
         let mut foreign = BTreeSet::new();
-        for &s in borrowed_leases.values().flat_map(|b| &b.local) {
+        for &s in state.borrowed_leases.values().flat_map(|b| &b.local) {
             if !(total..minted_end).contains(&s) || !foreign.insert(s) {
                 return Err(format!("slot {s} cannot be borrowed"));
             }
@@ -666,7 +644,7 @@ impl SchedulerCore {
         let mut claimed = BTreeSet::new();
         for &s in free_slots
             .iter()
-            .chain(jobs.values().flat_map(|j| &j.slots))
+            .chain(state.jobs.values().flat_map(|j| &j.slots))
         {
             if !owned(s) || !claimed.insert(s) {
                 return Err(format!("slot {s} is not owned, or claimed twice"));
@@ -675,56 +653,48 @@ impl SchedulerCore {
         if claimed.len() != total - lent.len() + foreign.len() {
             return Err("an owned slot is neither free nor held".into());
         }
-        let pending_cancel: IdSet<JobId> = pending_cancel.into_iter().collect();
         let mut queue = BTreeMap::new();
-        for (&id, job) in &jobs {
+        for (&id, job) in &state.jobs {
             let fits = match &job.state {
                 JobState::Queued => job.slots.is_empty(),
                 JobState::Running { config } => config.procs() == job.slots.len(),
-                JobState::Cancelled { .. } => job.slots.is_empty() && pending_cancel.contains(&id),
+                JobState::Cancelled { .. } => {
+                    job.slots.is_empty() && state.pending_cancel.contains(&id)
+                }
                 JobState::Finished { .. } | JobState::Failed { .. } => false,
             };
-            if !(1..next_id).contains(&id.0) || !fits {
+            if !(1..state.next_id).contains(&id.0) || !fits {
                 return Err(format!("job {id} cannot be live as {:?}", job.state));
             }
             if job.state == JobState::Queued {
                 queue.insert((Reverse(job.spec.priority), id), job.spec.initial.procs());
             }
         }
-        if let Some(id) = pending_cancel.iter().find(
-            |id| !matches!(jobs.get(id), Some(j) if matches!(j.state, JobState::Cancelled { .. })),
-        ) {
+        if let Some(id) = state.pending_cancel.iter().find(|id| {
+            !matches!(state.jobs.get(id), Some(j) if matches!(j.state, JobState::Cancelled { .. }))
+        }) {
             return Err(format!(
                 "job {id} is owed a Terminate but was not cancelled"
             ));
         }
-        for (id, p) in &profiles {
+        for (id, p) in state.profiler.profiles() {
             if let Some(Resize::Expanded { from, to }) = p.last_resize {
                 if from.procs() > to.procs() {
                     return Err(format!("job {id} expanded from {from} to {to}"));
                 }
             }
         }
-        if reservations.iter().any(|r| r.id.0 >= next_reservation) {
+        if state
+            .reservations
+            .iter()
+            .any(|r| r.id.0 >= state.next_reservation)
+        {
             return Err("a reservation id was never minted".into());
         }
         self.pool
             .restore(&free_slots, lent, foreign, foreign_minted);
         self.queue = queue;
-        self.jobs = jobs.into_iter().collect();
-        self.profiler.jobs = profiles.into_iter().collect();
-        self.bindings = bindings.into_iter().collect();
-        self.pending_cancel = pending_cancel;
-        self.reservations = reservations;
-        self.lent_leases = lent_leases;
-        self.borrowed_leases = borrowed_leases;
-        self.next_id = next_id;
-        self.next_reservation = next_reservation;
-        self.epoch = epoch;
-        self.events_dropped = events_dropped;
-        self.busy_proc_seconds = busy_proc_seconds;
-        self.last_tick = last_tick;
-        self.expand_paused = expand_paused;
+        self.state = state;
         Ok(())
     }
 
@@ -858,8 +828,8 @@ impl SchedulerCore {
                     "wal_append",
                     "wal",
                     "scheduler",
-                    self.last_tick,
-                    self.last_tick,
+                    self.state.last_tick,
+                    self.state.last_tick,
                 );
             }
         }
@@ -875,7 +845,7 @@ impl SchedulerCore {
         if now.is_finite() {
             now
         } else {
-            self.last_tick
+            self.state.last_tick
         }
     }
 
@@ -889,58 +859,47 @@ impl SchedulerCore {
             queue: self.queue.keys().map(|&(_, id)| id).collect(),
             jobs: self.jobs().map(|(k, v)| (*k, v.clone())).collect(),
             profiles: self
-                .profiler
+                .profiler()
                 .profiles()
                 .map(|(k, v)| (*k, v.clone()))
                 .collect(),
-            next_id: self.next_id,
-            reservations: self.reservations.clone(),
-            next_reservation: self.next_reservation,
-            bindings: self.bindings.iter().map(|(k, v)| (*k, *v)).collect(),
-            pending_cancel: self.pending_cancel.iter().copied().collect(),
-            busy_proc_seconds: self.busy_proc_seconds,
-            last_tick: self.last_tick,
+            next_id: self.state.next_id,
+            reservations: self.state.reservations.clone(),
+            next_reservation: self.state.next_reservation,
+            bindings: self.state.bindings.iter().map(|(k, v)| (*k, *v)).collect(),
+            pending_cancel: self.state.pending_cancel.iter().copied().collect(),
+            busy_proc_seconds: self.state.busy_proc_seconds,
+            last_tick: self.state.last_tick,
             events: self.events.clone(),
-            events_dropped: self.events_dropped,
-            lent_leases: self.lent_leases.clone(),
-            borrowed_leases: self.borrowed_leases.clone(),
+            events_dropped: self.state.events_dropped,
+            lent_leases: self.state.lent_leases.clone(),
+            borrowed_leases: self.state.borrowed_leases.clone(),
             foreign_minted: self.pool.foreign_minted(),
-            expand_paused: self.expand_paused,
-            epoch: self.epoch,
+            expand_paused: self.state.expand_paused,
+            epoch: self.state.epoch,
         }
     }
 
     /// `self.snapshot() == other.snapshot()`, computed in place without
     /// building either snapshot: crash recovery compares the replayed core
-    /// with the dead one this way. Every field the snapshot copies is
-    /// compared with the snapshot's normalisation — free slots ascending,
-    /// queue ids in key order, the id-keyed maps and sets as maps and sets
-    /// (hash order does not matter), `f64`s with `==`. The snapshot's `jobs`
-    /// is the union of the live and the retired jobs; comparing the two maps
-    /// apart is the same test, since a job is retired exactly when it is
-    /// terminal and owed no `Terminate`, and `pending_cancel` is compared.
+    /// with the dead one this way. The durable state (what a checkpoint
+    /// carries) compares with its derived `==`, which is the snapshot's
+    /// normalisation: id-keyed maps and sets as maps and sets (hash order
+    /// does not matter), `f64`s with `==`. The rest compares as the snapshot
+    /// normalises it: free slots ascending, queue ids in key order. The
+    /// snapshot's `jobs` is the union of the live and the retired jobs;
+    /// comparing the two maps apart is the same test, since a job is retired
+    /// exactly when it is terminal and owed no `Terminate`, and the pending
+    /// cancels are compared.
     pub fn same_state(&self, other: &SchedulerCore) -> bool {
         // No `..`: a new field does not compile here until it is classed as
         // compared or excluded.
         let SchedulerCore {
             pool,
             queue,
-            jobs,
+            state,
             retired,
-            profiler,
-            next_id,
             events,
-            events_dropped,
-            reservations,
-            next_reservation,
-            bindings,
-            pending_cancel,
-            busy_proc_seconds,
-            last_tick,
-            lent_leases,
-            borrowed_leases,
-            expand_paused,
-            epoch,
             // Genesis configuration, rebuilt from the `open` record.
             policy: _,
             events_cap: _,
@@ -955,32 +914,19 @@ impl SchedulerCore {
         // Scalars first, then containers, the history-sized ones last.
         pool.total() == other.pool.total()
             && pool.foreign_minted() == other.pool.foreign_minted()
-            && *next_id == other.next_id
-            && *next_reservation == other.next_reservation
-            && *busy_proc_seconds == other.busy_proc_seconds
-            && *last_tick == other.last_tick
-            && *events_dropped == other.events_dropped
-            && *expand_paused == other.expand_paused
-            && *epoch == other.epoch
             && pool.free_iter().eq(other.pool.free_iter())
             && (queue.keys().map(queue_id)).eq(other.queue.keys().map(queue_id))
-            && *reservations == other.reservations
-            && *bindings == other.bindings
-            && *pending_cancel == other.pending_cancel
-            && *lent_leases == other.lent_leases
-            && *borrowed_leases == other.borrowed_leases
+            && *state == other.state
             && *events == other.events
-            && *jobs == other.jobs
             && *retired == other.retired
-            // The profiler is its per-job map and nothing else.
-            && *profiler == other.profiler
     }
 
     /// The slowest slot speed among a job's current allocation — the pace a
     /// synchronous SPMD application actually runs at. 1.0 for jobs without
     /// an allocation.
     pub fn job_speed(&self, job: JobId) -> f64 {
-        self.jobs
+        self.state
+            .jobs
             .get(&job)
             .map(|r| {
                 r.slots
@@ -1004,9 +950,9 @@ impl SchedulerCore {
             "cannot reserve more processors than the cluster has"
         );
         self.log(&WalRecord::Reserve { start, end, procs });
-        let id = ReservationId(self.next_reservation);
-        self.next_reservation += 1;
-        self.reservations.push(Reservation {
+        let id = ReservationId(self.state.next_reservation);
+        self.state.next_reservation += 1;
+        self.state.reservations.push(Reservation {
             id,
             start,
             end,
@@ -1018,18 +964,19 @@ impl SchedulerCore {
     /// Cancel a reservation (no effect on jobs already started against it).
     pub fn cancel_reservation(&mut self, id: ReservationId) {
         self.log(&WalRecord::CancelReservation { id });
-        self.reservations.retain(|r| r.id != id);
+        self.state.reservations.retain(|r| r.id != id);
     }
 
     pub fn reservations(&self) -> &[Reservation] {
-        &self.reservations
+        &self.state.reservations
     }
 
     /// Processors withheld by reservations active at `now`, excluding any
     /// reservation the given job may draw on.
     fn reserved_at(&self, now: f64, drawing: Option<JobId>) -> usize {
-        let entitled = drawing.and_then(|j| self.bindings.get(&j));
-        self.reservations
+        let entitled = drawing.and_then(|j| self.state.bindings.get(&j));
+        self.state
+            .reservations
             .iter()
             .filter(|r| r.active(now) && Some(&r.id) != entitled)
             .map(|r| r.procs)
@@ -1053,12 +1000,12 @@ impl SchedulerCore {
         // clocks, so clamp instead of asserting monotonicity; the
         // discrete-event simulator always feeds monotone times.
         let now = if now.is_finite() {
-            now.max(self.last_tick)
+            now.max(self.state.last_tick)
         } else {
-            self.last_tick
+            self.state.last_tick
         };
-        self.busy_proc_seconds += self.pool.busy() as f64 * (now - self.last_tick);
-        self.last_tick = now;
+        self.state.busy_proc_seconds += self.pool.busy() as f64 * (now - self.state.last_tick);
+        self.state.last_tick = now;
     }
 
     /// Submit a job; returns its id and any jobs that can start immediately
@@ -1085,7 +1032,7 @@ impl SchedulerCore {
         now: f64,
     ) -> (JobId, Vec<StartAction>) {
         assert!(
-            self.reservations.iter().any(|r| r.id == reservation),
+            self.state.reservations.iter().any(|r| r.id == reservation),
             "unknown reservation {reservation:?}"
         );
         let now = self.sane_now(now);
@@ -1108,11 +1055,11 @@ impl SchedulerCore {
         now: f64,
     ) -> (JobId, Vec<StartAction>) {
         self.tick(now);
-        let id = JobId(self.next_id);
-        self.next_id += 1;
+        let id = JobId(self.state.next_id);
+        self.state.next_id += 1;
         let key = (Reverse(spec.priority), id);
         let need = spec.initial.procs();
-        self.jobs.insert(
+        self.state.jobs.insert(
             id,
             JobRecord {
                 spec,
@@ -1124,7 +1071,7 @@ impl SchedulerCore {
             },
         );
         if let Some(r) = reservation {
-            self.bindings.insert(id, r);
+            self.state.bindings.insert(id, r);
         }
         // With nothing waiting this job is the only candidate: if it fits
         // it starts without ever entering the index, so an idle cluster
@@ -1147,7 +1094,7 @@ impl SchedulerCore {
             let root = trace::begin(
                 id.0,
                 0,
-                self.jobs[&id].spec.name.clone(),
+                self.state.jobs[&id].spec.name.clone(),
                 "job",
                 "scheduler",
                 now,
@@ -1168,7 +1115,7 @@ impl SchedulerCore {
     /// (removed, or never inserted).
     fn start(&mut self, id: JobId, need: usize, now: f64) -> StartAction {
         let slots = self.pool.allocate(need).expect("checked idle count");
-        let rec = self.jobs.get_mut(&id).expect("queued job exists");
+        let rec = self.state.jobs.get_mut(&id).expect("queued job exists");
         let config = rec.spec.initial;
         rec.state = JobState::Running { config };
         rec.slots = slots.clone();
@@ -1241,7 +1188,7 @@ impl SchedulerCore {
             now,
         });
         self.tick(now);
-        if self.pending_cancel.remove(&job) {
+        if self.state.pending_cancel.remove(&job) {
             self.retire(job);
             return (Directive::Terminate, Vec::new());
         }
@@ -1250,7 +1197,7 @@ impl SchedulerCore {
         // so retired, or pruned since) holds no slots, so any late resize
         // point tells it to exit rather than letting it iterate forever
         // unaccounted. A job still queued has no process group to fence.
-        let rec = match self.jobs.get(&job) {
+        let rec = match self.state.jobs.get(&job) {
             Some(r) => r,
             None if self.submitted(job) => return (Directive::Terminate, Vec::new()),
             None => return (Directive::NoChange, Vec::new()),
@@ -1259,7 +1206,8 @@ impl SchedulerCore {
             JobState::Running { config } => config,
             _ => return (Directive::Terminate, Vec::new()),
         };
-        self.profiler
+        self.state
+            .profiler
             .record_iteration(job, current, iter_time, redist_time);
 
         let spec = &rec.spec;
@@ -1274,7 +1222,7 @@ impl SchedulerCore {
         };
         let remaining_iters = {
             let done = self
-                .profiler
+                .profiler()
                 .profile(job)
                 .map(|p| p.history().len())
                 .unwrap_or(0);
@@ -1292,7 +1240,7 @@ impl SchedulerCore {
             self.remap_policy,
             spec,
             current,
-            self.profiler.profile(job).expect("just recorded"),
+            self.state.profiler.profile(job).expect("just recorded"),
             &snapshot,
             max_procs,
         );
@@ -1301,7 +1249,7 @@ impl SchedulerCore {
         // actually granted. The profiler is untouched — the policy's history
         // stays clean for when the brownout lifts.
         let decision = match decision {
-            RemapDecision::Expand { .. } if self.expand_paused => {
+            RemapDecision::Expand { .. } if self.state.expand_paused => {
                 reshape_telemetry::incr("core.expansions_browned_out", 1);
                 RemapDecision::NoChange
             }
@@ -1323,7 +1271,7 @@ impl SchedulerCore {
                 queue_len: self.queue.len(),
                 queue_head_need: snapshot.queue_head_need,
                 last_expansion_improved: self
-                    .profiler
+                    .profiler()
                     .profile(job)
                     .and_then(|p| p.last_expansion_improved()),
                 iter_time,
@@ -1358,10 +1306,11 @@ impl SchedulerCore {
                     .pool
                     .allocate(delta)
                     .expect("policy verified idle processors");
-                let rec = self.jobs.get_mut(&job).expect("running job exists");
+                let rec = self.state.jobs.get_mut(&job).expect("running job exists");
                 rec.slots.extend_from_slice(&new_slots);
                 rec.state = JobState::Running { config: to };
-                self.profiler
+                self.state
+                    .profiler
                     .record_resize(job, Resize::Expanded { from: current, to }, 0.0);
                 self.push_event(SchedEvent {
                     time: now,
@@ -1372,11 +1321,12 @@ impl SchedulerCore {
             }
             RemapDecision::Shrink { to } => {
                 let keep = to.procs();
-                let rec = self.jobs.get_mut(&job).expect("running job exists");
+                let rec = self.state.jobs.get_mut(&job).expect("running job exists");
                 let released: Vec<usize> = rec.slots.split_off(keep);
                 rec.state = JobState::Running { config: to };
                 self.pool.release(&released);
-                self.profiler
+                self.state
+                    .profiler
                     .record_resize(job, Resize::Shrunk { from: current, to }, 0.0);
                 self.push_event(SchedEvent {
                     time: now,
@@ -1404,10 +1354,10 @@ impl SchedulerCore {
         self.log(&WalRecord::PhaseChange { job, now });
         self.tick(now);
         if matches!(
-            self.jobs.get(&job).map(|r| &r.state),
+            self.state.jobs.get(&job).map(|r| &r.state),
             Some(JobState::Running { .. })
         ) {
-            self.profiler.reset_timing(job);
+            self.state.profiler.reset_timing(job);
         }
     }
 
@@ -1427,7 +1377,9 @@ impl SchedulerCore {
             to,
             seconds,
         });
-        if self.submitted(job) && !self.jobs.contains_key(&job) && !self.retired.contains_key(&job)
+        if self.submitted(job)
+            && !self.state.jobs.contains_key(&job)
+            && !self.retired.contains_key(&job)
         {
             // Pruned: its profile went with it and stays gone.
             return;
@@ -1437,7 +1389,7 @@ impl SchedulerCore {
         } else {
             Resize::Shrunk { from, to }
         };
-        self.profiler.record_resize(job, kind, seconds);
+        self.state.profiler.record_resize(job, kind, seconds);
     }
 
     /// Close a job's trace (root + queue-wait spans) at its terminal
@@ -1455,7 +1407,7 @@ impl SchedulerCore {
         self.log(&WalRecord::Finished { job, now });
         self.tick(now);
         let submitted = self.submitted(job);
-        match self.jobs.entry(job) {
+        match self.state.jobs.entry(job) {
             Entry::Occupied(e) if e.get().state.is_active() => {
                 let mut rec = e.remove();
                 // Only a job still waiting has an entry in the index.
@@ -1491,7 +1443,12 @@ impl SchedulerCore {
     /// (the guard runs *before* logging) nor re-release slots.
     pub fn on_failed(&mut self, job: JobId, reason: String, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        if !self.jobs.get(&job).is_some_and(|r| r.state.is_active()) {
+        if !self
+            .state
+            .jobs
+            .get(&job)
+            .is_some_and(|r| r.state.is_active())
+        {
             return Vec::new();
         }
         let rec = WalRecord::Failed { job, reason, now };
@@ -1500,7 +1457,7 @@ impl SchedulerCore {
             unreachable!("built above")
         };
         self.tick(now);
-        let mut rec = self.jobs.remove(&job).expect("checked active above");
+        let mut rec = self.state.jobs.remove(&job).expect("checked active above");
         if rec.state == JobState::Queued {
             self.queue.remove(&(Reverse(rec.spec.priority), job));
         }
@@ -1551,7 +1508,7 @@ impl SchedulerCore {
         now: f64,
     ) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        let valid = self.jobs.get(&job).is_some_and(|rec| {
+        let valid = self.state.jobs.get(&job).is_some_and(|rec| {
             matches!(rec.state, JobState::Running { .. })
                 && !dead_slots.is_empty()
                 && dead_slots.iter().all(|s| rec.slots.contains(s))
@@ -1567,14 +1524,15 @@ impl SchedulerCore {
             now,
         });
         self.tick(now);
-        let rec = self.jobs.get_mut(&job).expect("validated above");
+        let rec = self.state.jobs.get_mut(&job).expect("validated above");
         let JobState::Running { config: from } = rec.state else {
             unreachable!("validated above");
         };
         rec.slots.retain(|s| !dead_slots.contains(s));
         rec.state = JobState::Running { config: to };
         self.pool.release(dead_slots);
-        self.profiler
+        self.state
+            .profiler
             .record_resize(job, Resize::Shrunk { from, to }, 0.0);
         self.push_event(SchedEvent {
             time: now,
@@ -1621,11 +1579,11 @@ impl SchedulerCore {
         self.tick(now);
         // The reverted-to configuration is the `from` of the job's last
         // recorded resize, which expand actuation always records.
-        let last_expand = self.profiler.profile(job).and_then(|p| p.last_resize());
+        let last_expand = self.profiler().profile(job).and_then(|p| p.last_resize());
         let Some(Resize::Expanded { from, to }) = last_expand else {
             return Vec::new();
         };
-        let Some(rec) = self.jobs.get_mut(&job) else {
+        let Some(rec) = self.state.jobs.get_mut(&job) else {
             return Vec::new();
         };
         if !matches!(rec.state, JobState::Running { config } if config == to) {
@@ -1634,7 +1592,7 @@ impl SchedulerCore {
         let released: Vec<usize> = rec.slots.split_off(from.procs());
         rec.state = JobState::Running { config: from };
         self.pool.release(&released);
-        self.profiler.mark_expansion_failed(job, from, to);
+        self.state.profiler.mark_expansion_failed(job, from, to);
         self.push_event(SchedEvent {
             time: now,
             job,
@@ -1671,7 +1629,7 @@ impl SchedulerCore {
         let now = self.sane_now(now);
         self.log(&WalRecord::Cancel { job, now });
         self.tick(now);
-        let Some(rec) = self.jobs.get_mut(&job) else {
+        let Some(rec) = self.state.jobs.get_mut(&job) else {
             return Vec::new();
         };
         match rec.state {
@@ -1696,7 +1654,7 @@ impl SchedulerCore {
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
                 self.pool.release(&slots);
-                self.pending_cancel.insert(job);
+                self.state.pending_cancel.insert(job);
                 self.push_event(SchedEvent {
                     time: now,
                     job,
@@ -1724,7 +1682,7 @@ impl SchedulerCore {
     /// no trace.
     pub fn lend_grant(&mut self, lease: u64, n: usize, now: f64) -> Option<Vec<usize>> {
         let now = self.sane_now(now);
-        if n == 0 || self.lent_leases.contains_key(&lease) {
+        if n == 0 || self.state.lent_leases.contains_key(&lease) {
             return None;
         }
         if self.available_for(now, None) < n {
@@ -1737,12 +1695,9 @@ impl SchedulerCore {
             slots: slots.clone(),
             now,
         });
-        self.lent_leases.insert(lease, slots.clone());
+        self.state.lent_leases.insert(lease, slots.clone());
         reshape_telemetry::incr("core.lease_grants", 1);
-        reshape_telemetry::gauge_set(
-            "core.procs_lent",
-            self.lent_leases.values().map(Vec::len).sum::<usize>() as f64,
-        );
+        reshape_telemetry::gauge_set("core.procs_lent", self.lent_procs() as f64);
         Some(slots)
     }
 
@@ -1752,18 +1707,19 @@ impl SchedulerCore {
     /// reclaimed, or never granted) is a strict no-op and logs nothing.
     pub fn lend_reclaim(&mut self, lease: u64, now: f64) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        if !self.lent_leases.contains_key(&lease) {
+        if !self.state.lent_leases.contains_key(&lease) {
             return Vec::new();
         }
         self.log(&WalRecord::LendReclaim { lease, now });
         self.tick(now);
-        let slots = self.lent_leases.remove(&lease).expect("checked above");
+        let slots = self
+            .state
+            .lent_leases
+            .remove(&lease)
+            .expect("checked above");
         self.pool.reattach(&slots);
         reshape_telemetry::incr("core.lease_reclaims", 1);
-        reshape_telemetry::gauge_set(
-            "core.procs_lent",
-            self.lent_leases.values().map(Vec::len).sum::<usize>() as f64,
-        );
+        reshape_telemetry::gauge_set("core.procs_lent", self.lent_procs() as f64);
         self.schedule_now(now)
     }
 
@@ -1783,7 +1739,7 @@ impl SchedulerCore {
         now: f64,
     ) -> Vec<StartAction> {
         let now = self.sane_now(now);
-        if global_slots.is_empty() || self.borrowed_leases.contains_key(&lease) {
+        if global_slots.is_empty() || self.state.borrowed_leases.contains_key(&lease) {
             return Vec::new();
         }
         self.log(&WalRecord::BorrowAttach {
@@ -1794,7 +1750,7 @@ impl SchedulerCore {
         });
         self.tick(now);
         let local = self.pool.attach_foreign(global_slots.len());
-        self.borrowed_leases.insert(
+        self.state.borrowed_leases.insert(
             lease,
             BorrowedLease {
                 local,
@@ -1805,7 +1761,8 @@ impl SchedulerCore {
         reshape_telemetry::incr("core.lease_borrows", 1);
         reshape_telemetry::gauge_set(
             "core.procs_borrowed",
-            self.borrowed_leases
+            self.state
+                .borrowed_leases
                 .values()
                 .map(|b| b.local.len())
                 .sum::<usize>() as f64,
@@ -1828,14 +1785,19 @@ impl SchedulerCore {
     pub fn borrow_evict(&mut self, lease: u64, now: f64) -> EvictOutcome {
         let now = self.sane_now(now);
         let mut outcome = EvictOutcome::default();
-        if !self.borrowed_leases.contains_key(&lease) {
+        if !self.state.borrowed_leases.contains_key(&lease) {
             return outcome;
         }
         self.log(&WalRecord::BorrowEvict { lease, now });
         self.tick(now);
-        let bl = self.borrowed_leases.remove(&lease).expect("checked above");
+        let bl = self
+            .state
+            .borrowed_leases
+            .remove(&lease)
+            .expect("checked above");
         let dead: BTreeSet<usize> = bl.local.iter().copied().collect();
         let mut affected: Vec<JobId> = self
+            .state
             .jobs
             .iter()
             .filter(|(_, r)| {
@@ -1847,7 +1809,7 @@ impl SchedulerCore {
         affected.sort();
         for job in affected {
             let (from, lost, remaining) = {
-                let rec = self.jobs.get_mut(&job).expect("selected above");
+                let rec = self.state.jobs.get_mut(&job).expect("selected above");
                 let JobState::Running { config: from } = rec.state else {
                     unreachable!("selected running jobs only");
                 };
@@ -1857,7 +1819,7 @@ impl SchedulerCore {
             };
             if remaining == 0 {
                 let reason = format!("lease {lease} expired: all processors evicted");
-                let rec = self.jobs.get_mut(&job).expect("selected above");
+                let rec = self.state.jobs.get_mut(&job).expect("selected above");
                 rec.state = JobState::Failed {
                     at: now,
                     reason: reason.clone(),
@@ -1873,9 +1835,10 @@ impl SchedulerCore {
                 outcome.failed.push(job);
             } else {
                 let to = ProcessorConfig::linear(remaining);
-                self.jobs.get_mut(&job).expect("selected above").state =
+                self.state.jobs.get_mut(&job).expect("selected above").state =
                     JobState::Running { config: to };
-                self.profiler
+                self.state
+                    .profiler
                     .record_resize(job, Resize::Shrunk { from, to }, 0.0);
                 self.push_event(SchedEvent {
                     time: now,
@@ -1892,7 +1855,8 @@ impl SchedulerCore {
         reshape_telemetry::incr("core.lease_evictions", 1);
         reshape_telemetry::gauge_set(
             "core.procs_borrowed",
-            self.borrowed_leases
+            self.state
+                .borrowed_leases
                 .values()
                 .map(|b| b.local.len())
                 .sum::<usize>() as f64,
@@ -1906,23 +1870,23 @@ impl SchedulerCore {
     /// Idempotent: setting the current value logs nothing.
     pub fn set_expand_paused(&mut self, on: bool, now: f64) {
         let now = self.sane_now(now);
-        if self.expand_paused == on {
+        if self.state.expand_paused == on {
             return;
         }
         self.log(&WalRecord::PauseExpansion { on, now });
         self.tick(now);
-        self.expand_paused = on;
+        self.state.expand_paused = on;
         reshape_telemetry::gauge_set("core.expand_paused", if on { 1.0 } else { 0.0 });
     }
 
     /// Whether expansion grants are currently browned out.
     pub fn expand_paused(&self) -> bool {
-        self.expand_paused
+        self.state.expand_paused
     }
 
     /// The shard's current partition-fencing epoch (0 until first bump).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.state.epoch
     }
 
     /// Advance the fencing epoch by one and return the new value. Called by
@@ -1933,10 +1897,10 @@ impl SchedulerCore {
     /// exactly.
     pub fn bump_epoch(&mut self, now: f64) -> u64 {
         let now = self.sane_now(now);
-        let next = self.epoch + 1;
+        let next = self.state.epoch + 1;
         self.log(&WalRecord::EpochBump { epoch: next, now });
         self.tick(now);
-        self.epoch = next;
+        self.state.epoch = next;
         reshape_telemetry::incr("core.epoch_bumps", 1);
         reshape_telemetry::gauge_set("core.epoch", next as f64);
         next
@@ -1956,22 +1920,22 @@ impl SchedulerCore {
 
     /// Lender-side lease ledger: lease id → native slots away under it.
     pub fn lent_leases(&self) -> &BTreeMap<u64, Vec<usize>> {
-        &self.lent_leases
+        &self.state.lent_leases
     }
 
     /// Borrower-side lease ledger: lease id → attached foreign slots.
     pub fn borrowed_leases(&self) -> &BTreeMap<u64, BorrowedLease> {
-        &self.borrowed_leases
+        &self.state.borrowed_leases
     }
 
     /// Native processors currently lent to other shards.
     pub fn lent_procs(&self) -> usize {
-        self.lent_leases.values().map(Vec::len).sum()
+        self.state.lent_leases.values().map(Vec::len).sum()
     }
 
     /// Foreign processors currently borrowed from other shards.
     pub fn borrowed_procs(&self) -> usize {
-        self.borrowed_leases.values().map(|b| b.local.len()).sum()
+        self.borrowed_leases().values().map(|b| b.local.len()).sum()
     }
 
     /// Capacity this core currently schedules over (native − lent +
@@ -1997,28 +1961,28 @@ impl SchedulerCore {
 
     /// A job's record, live or retired (`None` once pruned).
     pub fn job(&self, id: JobId) -> Option<&JobRecord> {
-        self.jobs.get(&id).or_else(|| self.retired.get(&id))
+        self.state.jobs.get(&id).or_else(|| self.retired.get(&id))
     }
 
     /// Every job not yet pruned, live and retired, in no particular order.
     pub fn jobs(&self) -> impl Iterator<Item = (&JobId, &JobRecord)> {
-        self.jobs.iter().chain(&self.retired)
+        self.state.jobs.iter().chain(&self.retired)
     }
 
     /// The jobs a later transition can act on — queued, running, or
     /// cancelled and owed its `Terminate` — in no particular order.
     pub fn live_jobs(&self) -> impl Iterator<Item = (&JobId, &JobRecord)> {
-        self.jobs.iter()
+        self.state.jobs.iter()
     }
 
     pub fn profiler(&self) -> &Profiler {
-        &self.profiler
+        &self.state.profiler
     }
 
     /// Mutable profiler access, for seeding performance history (advanced
     /// integrations and tests).
     pub fn profiler_mut(&mut self) -> &mut Profiler {
-        &mut self.profiler
+        &mut self.state.profiler
     }
 
     pub fn queue_len(&self) -> usize {
@@ -2033,7 +1997,7 @@ impl SchedulerCore {
     /// every timestamped transition). A transition stamped with no finite
     /// time, such as the threaded monitor's failure report, lands here.
     pub fn last_tick(&self) -> f64 {
-        self.last_tick
+        self.state.last_tick
     }
 
     pub fn busy_procs(&self) -> usize {
@@ -2073,7 +2037,7 @@ impl SchedulerCore {
     /// as complete; every eviction also bumps the
     /// `core.sched_events_dropped` telemetry counter.
     pub fn dropped_events(&self) -> u64 {
-        self.events_dropped
+        self.state.events_dropped
     }
 
     /// Drop every retired job — its record, profiler history and
@@ -2091,20 +2055,24 @@ impl SchedulerCore {
     pub fn prune_terminal(&mut self) -> usize {
         let pruned = self.retired.len();
         for (id, _) in self.retired.drain() {
-            self.profiler.forget(id);
-            self.bindings.remove(&id);
+            self.state.profiler.forget(id);
+            self.state.bindings.remove(&id);
         }
         pruned
     }
 
     /// Whether `job` was ever submitted: ids are minted in order from 1.
     fn submitted(&self, job: JobId) -> bool {
-        (1..self.next_id).contains(&job.0)
+        (1..self.state.next_id).contains(&job.0)
     }
 
     /// Move a job that just ended out of the live map.
     fn retire(&mut self, job: JobId) {
-        let rec = self.jobs.remove(&job).expect("only a live job retires");
+        let rec = self
+            .state
+            .jobs
+            .remove(&job)
+            .expect("only a live job retires");
         self.retired.insert(job, rec);
     }
 
@@ -2124,7 +2092,7 @@ impl SchedulerCore {
         if now <= 0.0 {
             return 0.0;
         }
-        self.busy_proc_seconds / (self.pool.total() as f64 * now)
+        self.state.busy_proc_seconds / (self.pool.total() as f64 * now)
     }
 }
 
@@ -2988,11 +2956,13 @@ mod tests {
         core.set_expand_paused(true, 6.0);
         core.bump_epoch(7.0);
         core.resize_point(a, 10.0, 0.0, 8.0);
-        assert!(core.queue_len() > 0 && !core.bindings.is_empty() && !core.retired.is_empty());
-        assert!(!core.pending_cancel.is_empty() && !core.lent_leases.is_empty());
-        assert!(!core.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
-        assert!(core.expand_paused && core.epoch == 1 && core.events_dropped > 0);
-        assert!(core.profiler.profile(a).is_some() && core.busy_proc_seconds > 0.0);
+        assert!(
+            core.queue_len() > 0 && !core.state.bindings.is_empty() && !core.retired.is_empty()
+        );
+        assert!(!core.state.pending_cancel.is_empty() && !core.state.lent_leases.is_empty());
+        assert!(!core.state.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
+        assert!(core.state.expand_paused && core.state.epoch == 1 && core.state.events_dropped > 0);
+        assert!(core.state.profiler.profile(a).is_some() && core.state.busy_proc_seconds > 0.0);
         core
     }
 
@@ -3018,41 +2988,43 @@ mod tests {
                 c.queue.pop_first();
             }),
             ("jobs", |c| {
-                c.jobs.get_mut(&JobId(1)).unwrap().submitted_at += 1.0;
+                c.state.jobs.get_mut(&JobId(1)).unwrap().submitted_at += 1.0;
             }),
             ("retired", |c| {
                 c.retired.get_mut(&JobId(4)).unwrap().submitted_at += 1.0;
             }),
             ("profiles", |c| {
-                c.profiler.profile_mut(JobId(99));
+                c.state.profiler.profile_mut(JobId(99));
             }),
-            ("next_id", |c| c.next_id += 1),
-            ("reservations", |c| c.reservations[0].procs += 1),
-            ("next_reservation", |c| c.next_reservation += 1),
+            ("next_id", |c| c.state.next_id += 1),
+            ("reservations", |c| c.state.reservations[0].procs += 1),
+            ("next_reservation", |c| c.state.next_reservation += 1),
             ("bindings", |c| {
-                c.bindings.insert(JobId(99), ReservationId(1));
+                c.state.bindings.insert(JobId(99), ReservationId(1));
             }),
             ("pending_cancel", |c| {
-                c.pending_cancel.insert(JobId(99));
+                c.state.pending_cancel.insert(JobId(99));
             }),
-            ("busy_proc_seconds", |c| c.busy_proc_seconds += 1.0),
-            ("last_tick", |c| c.last_tick += 1.0),
+            ("busy_proc_seconds", |c| c.state.busy_proc_seconds += 1.0),
+            ("last_tick", |c| c.state.last_tick += 1.0),
             ("events", |c| {
                 c.events.pop();
             }),
-            ("events_dropped", |c| c.events_dropped += 1),
+            ("events_dropped", |c| c.state.events_dropped += 1),
             ("lent_leases", |c| {
-                c.lent_leases.insert(99, Vec::new());
+                c.state.lent_leases.insert(99, Vec::new());
             }),
             ("borrowed_leases", |c| {
-                c.borrowed_leases.get_mut(&2).unwrap().lender_epoch += 1;
+                c.state.borrowed_leases.get_mut(&2).unwrap().lender_epoch += 1;
             }),
             ("foreign_minted", |c| {
                 let minted = c.pool.attach_foreign(1);
                 c.pool.detach_foreign_slot(minted[0]);
             }),
-            ("expand_paused", |c| c.expand_paused = !c.expand_paused),
-            ("epoch", |c| c.epoch += 1),
+            ("expand_paused", |c| {
+                c.state.expand_paused = !c.state.expand_paused
+            }),
+            ("epoch", |c| c.state.epoch += 1),
         ];
         for (field, perturb) in differ {
             let mut t = twin();
@@ -3065,8 +3037,8 @@ mod tests {
             }),
             ("hash order", |c| {
                 let mut jobs = IdMap::with_capacity_and_hasher(1024, Default::default());
-                jobs.extend(c.jobs.drain());
-                c.jobs = jobs;
+                jobs.extend(c.state.jobs.drain());
+                c.state.jobs = jobs;
                 let mut retired = IdMap::with_capacity_and_hasher(1024, Default::default());
                 retired.extend(c.retired.drain());
                 c.retired = retired;
@@ -3352,7 +3324,7 @@ mod tests {
                 };
                 profiler.record_resize(id, resize, 1.0);
             }
-            let pending_cancel: Vec<JobId> = jobs
+            let pending_cancel = jobs
                 .iter()
                 .filter(|(_, j)| matches!(j.state, JobState::Cancelled { .. }) || next(16) == 0)
                 .map(|(&id, _)| id)
@@ -3363,22 +3335,24 @@ mod tests {
                 lender_epoch: 0,
             };
             let checkpoint = Checkpoint {
-                next_id: jobs.len() as u64 + 1,
-                next_reservation: 1,
-                epoch: 0,
-                events_dropped: 0,
-                busy_proc_seconds: 0.0,
-                last_tick: 1.0,
-                expand_paused: false,
+                state: DurableState {
+                    next_id: jobs.len() as u64 + 1,
+                    next_reservation: 1,
+                    epoch: 0,
+                    events_dropped: 0,
+                    busy_proc_seconds: 0.0,
+                    last_tick: 1.0,
+                    expand_paused: false,
+                    reservations: Vec::new(),
+                    lent_leases: [(1, lent)].into_iter().collect(),
+                    borrowed_leases: [(2, borrowed)].into_iter().collect(),
+                    jobs: jobs.into_iter().collect(),
+                    bindings: IdMap::default(),
+                    pending_cancel,
+                    profiler,
+                },
                 foreign_minted: 3,
                 free_slots: free,
-                reservations: Vec::new(),
-                lent_leases: [(1, lent)].into_iter().collect(),
-                borrowed_leases: [(2, borrowed)].into_iter().collect(),
-                jobs,
-                bindings: BTreeMap::new(),
-                pending_cancel,
-                profiles: profiler.jobs.into_iter().collect(),
             };
             let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
             if core.restore(checkpoint).is_err() {
@@ -3386,15 +3360,15 @@ mod tests {
                 continue;
             }
             accepted += 1;
-            let ids: Vec<JobId> = core.jobs.keys().copied().collect();
+            let ids: Vec<JobId> = core.state.jobs.keys().copied().collect();
             let mut now = 2.0;
             for id in ids {
                 now += 1.0;
                 core.resize_point(id, 5.0, 0.0, now);
                 core.on_expand_failed(id, now);
-                let held = core.jobs.get(&id).map_or(0, |j| j.slots.len());
+                let held = core.state.jobs.get(&id).map_or(0, |j| j.slots.len());
                 if held > 1 {
-                    let dead = [core.jobs[&id].slots[0]];
+                    let dead = [core.state.jobs[&id].slots[0]];
                     core.on_node_failed(id, &dead, ProcessorConfig::linear(held - 1), now);
                 }
                 core.cancel(id, now);

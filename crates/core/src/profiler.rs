@@ -174,7 +174,7 @@ impl JobProfile {
 }
 
 /// The profiler proper: one [`JobProfile`] per job.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Profiler {
     pub(crate) jobs: IdMap<JobId, JobProfile>,
 }

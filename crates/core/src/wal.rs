@@ -55,7 +55,7 @@
 //! | `PauseExpansion` | `pause` | `on` `now` |
 //! | `EpochBump` | `epoch` | `epoch` `now` |
 //! | `HealRepair` | `heal` | `lease` *action* `now` |
-//! | `Checkpoint` | `ckpt` | its `state`: `next_id` `next_reservation` `epoch` `events_dropped` `busy_proc_seconds` `last_tick` `expand_paused` `foreign_minted` *free_slots* *reservations* *lent_leases* *borrowed_leases* *jobs* *bindings* *pending_cancel* *profiles* |
+//! | `Checkpoint` | `ckpt` | the core's durable scalars `next_id` `next_reservation` `epoch` `events_dropped` `busy_proc_seconds` `last_tick` `expand_paused`, the pool's `foreign_minted` *free_slots*, then the durable *reservations* *lent_leases* *borrowed_leases* *jobs* *bindings* *pending_cancel* *profiles* |
 //!
 //! Field encodings:
 //!
@@ -81,7 +81,8 @@
 //!   `lin problem_size even_only`, `any min max step`, or `exp`, the
 //!   length, and that many `rows cols` pairs;
 //! * a checkpoint's lists and maps — the length, then the entries; map
-//!   keys strictly ascending. *reservations*: `id start end procs`;
+//!   keys strictly ascending, whatever order a hash map holds them in, so
+//!   a state has one spelling. *reservations*: `id start end procs`;
 //!   *lent_leases*: `lease` *slots*; *borrowed_leases*: `lease` *local*
 //!   *global* `lender_epoch`; *jobs*: `id` *spec* *state* *slots*
 //!   `submitted_at` *started_at* *finished_at*, an optional float being `0`,
@@ -128,11 +129,13 @@ use std::fmt;
 
 use serde::Serialize;
 
-use crate::core::{BorrowedLease, Checkpoint, JobRecord, QueuePolicy, Reservation, ReservationId};
-use crate::job::{IdMap, JobId, JobSpec, JobState};
+use crate::core::{
+    BorrowedLease, Checkpoint, DurableState, JobRecord, QueuePolicy, Reservation, ReservationId,
+};
+use crate::job::{JobId, JobSpec, JobState};
 use crate::policy::RemapPolicy;
 use crate::pool::AllocOrder;
-use crate::profiler::{ConfigTimes, JobProfile, PerfRecord, Resize};
+use crate::profiler::{ConfigTimes, JobProfile, PerfRecord, Profiler, Resize};
 use crate::topology::{ProcessorConfig, TopologyPref};
 
 /// One logged scheduler transition. The first record of every WAL is
@@ -558,14 +561,10 @@ fn put_profile(out: &mut Vec<u8>, p: &JobProfile) {
         put_f64(out, t.sum);
         put_usize(out, t.count);
     }
-    // A hash map: written in key order, the one spelling.
-    let mut costs: Vec<_> = p.redist_costs.iter().collect();
-    costs.sort_unstable_by_key(|(&pair, _)| pair);
-    put_usize(out, costs.len());
-    for (&pair, &seconds) in costs {
+    put_ascending(out, &p.redist_costs, |out, &pair, &seconds| {
         put_pair(out, pair);
         put_f64(out, seconds);
-    }
+    });
     match p.last_resize {
         None => put_name(out, "none"),
         Some(Resize::Expanded { from, to }) => {
@@ -583,29 +582,47 @@ fn put_profile(out: &mut Vec<u8>, p: &JobProfile) {
     }
 }
 
+/// A length, then `entries` in ascending key order, each written by `put`:
+/// the one spelling of a map, whatever order a hash map holds it in.
+fn put_ascending<K: Ord, V>(
+    out: &mut Vec<u8>,
+    entries: impl IntoIterator<Item = (K, V)>,
+    mut put: impl FnMut(&mut Vec<u8>, K, V),
+) {
+    let mut entries: Vec<(K, V)> = entries.into_iter().collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    put_usize(out, entries.len());
+    for (key, value) in entries {
+        put(out, key, value);
+    }
+}
+
 /// A checkpoint's fields. Out of line: it is written once per
 /// compaction, and inlined it would bloat `encode_line`, which every
 /// transition runs.
 #[inline(never)]
-fn put_checkpoint(out: &mut Vec<u8>, state: &Checkpoint) {
+fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
     let Checkpoint {
-        next_id,
-        next_reservation,
-        epoch,
-        events_dropped,
-        busy_proc_seconds,
-        last_tick,
-        expand_paused,
+        state:
+            DurableState {
+                next_id,
+                next_reservation,
+                epoch,
+                events_dropped,
+                busy_proc_seconds,
+                last_tick,
+                expand_paused,
+                reservations,
+                lent_leases,
+                borrowed_leases,
+                jobs,
+                bindings,
+                pending_cancel,
+                profiler,
+            },
         foreign_minted,
         free_slots,
-        reservations,
-        lent_leases,
-        borrowed_leases,
-        jobs,
-        bindings,
-        pending_cancel,
-        profiles,
-    } = state;
+    } = checkpoint;
     put_u64(out, *next_id);
     put_u64(out, *next_reservation);
     put_u64(out, *epoch);
@@ -622,37 +639,33 @@ fn put_checkpoint(out: &mut Vec<u8>, state: &Checkpoint) {
         put_f64(out, r.end);
         put_usize(out, r.procs);
     }
-    put_usize(out, lent_leases.len());
-    for (&lease, slots) in lent_leases {
+    put_ascending(out, lent_leases, |out, &lease, slots| {
         put_u64(out, lease);
         put_slots(out, slots);
-    }
-    put_usize(out, borrowed_leases.len());
-    for (&lease, b) in borrowed_leases {
+    });
+    put_ascending(out, borrowed_leases, |out, &lease, b| {
         put_u64(out, lease);
         put_slots(out, &b.local);
         put_slots(out, &b.global);
         put_u64(out, b.lender_epoch);
-    }
-    put_usize(out, jobs.len());
-    for (id, job) in jobs {
+    });
+    put_ascending(out, jobs, |out, id, job| {
         put_u64(out, id.0);
         put_job(out, job);
-    }
-    put_usize(out, bindings.len());
-    for (id, r) in bindings {
+    });
+    put_ascending(out, bindings, |out, id, r| {
         put_u64(out, id.0);
         put_u64(out, r.0);
-    }
-    put_usize(out, pending_cancel.len());
-    for id in pending_cancel {
-        put_u64(out, id.0);
-    }
-    put_usize(out, profiles.len());
-    for (id, p) in profiles {
+    });
+    put_ascending(
+        out,
+        pending_cancel.iter().map(|id| (id, ())),
+        |out, id, ()| put_u64(out, id.0),
+    );
+    put_ascending(out, profiler.profiles(), |out, id, p| {
         put_u64(out, id.0);
         put_profile(out, p);
-    }
+    });
 }
 
 /// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
@@ -1069,11 +1082,12 @@ impl<'a> Fields<'a> {
     }
 
     /// A length, then that many `entry`s, keys strictly ascending: the one
-    /// order the encoder writes a map in.
-    fn ascending<K: Ord + fmt::Debug, V>(
+    /// order the encoder writes a map in. A hash map is filled in that
+    /// order too.
+    fn ascending<K: Ord + fmt::Debug, V, M: FromIterator<(K, V)>>(
         &mut self,
         mut entry: impl FnMut(&mut Self) -> Result<(K, V), String>,
-    ) -> Result<BTreeMap<K, V>, String> {
+    ) -> Result<M, String> {
         let mut map = BTreeMap::new();
         for _ in 0..self.usize()? {
             let (key, value) = entry(self)?;
@@ -1082,7 +1096,7 @@ impl<'a> Fields<'a> {
             }
             map.insert(key, value);
         }
-        Ok(map)
+        Ok(map.into_iter().collect())
     }
 
     fn job_id(&mut self) -> Result<JobId, String> {
@@ -1135,10 +1149,7 @@ impl<'a> Fields<'a> {
                 })
             })
             .collect::<Result<_, String>>()?;
-        let redist_costs: IdMap<_, _> = self
-            .ascending(|f| Ok((f.pair()?, f.f64()?)))?
-            .into_iter()
-            .collect();
+        let redist_costs = self.ascending(|f| Ok((f.pair()?, f.f64()?)))?;
         let last_resize = match self.token()? {
             "none" => None,
             "grow" => {
@@ -1299,44 +1310,53 @@ impl<'a> Fields<'a> {
     }
 
     fn checkpoint(&mut self) -> Result<Checkpoint, String> {
+        // The scalars lead the line; fields below are read as written.
+        let (next_id, next_reservation) = (self.u64()?, self.u64()?);
+        let (epoch, events_dropped) = (self.u64()?, self.u64()?);
+        let (busy_proc_seconds, last_tick, expand_paused) =
+            (self.f64()?, self.f64()?, self.bool()?);
         Ok(Checkpoint {
-            next_id: self.u64()?,
-            next_reservation: self.u64()?,
-            epoch: self.u64()?,
-            events_dropped: self.u64()?,
-            busy_proc_seconds: self.f64()?,
-            last_tick: self.f64()?,
-            expand_paused: self.bool()?,
             foreign_minted: self.usize()?,
             free_slots: self.slots()?,
-            reservations: (0..self.usize()?)
-                .map(|_| {
-                    Ok(Reservation {
-                        id: ReservationId(self.u64()?),
-                        start: self.f64()?,
-                        end: self.f64()?,
-                        procs: self.usize()?,
+            state: DurableState {
+                next_id,
+                next_reservation,
+                epoch,
+                events_dropped,
+                busy_proc_seconds,
+                last_tick,
+                expand_paused,
+                reservations: (0..self.usize()?)
+                    .map(|_| {
+                        Ok(Reservation {
+                            id: ReservationId(self.u64()?),
+                            start: self.f64()?,
+                            end: self.f64()?,
+                            procs: self.usize()?,
+                        })
                     })
-                })
-                .collect::<Result<_, String>>()?,
-            lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
-            borrowed_leases: self.ascending(|f| {
-                Ok((
-                    f.u64()?,
-                    BorrowedLease {
-                        local: f.slots()?,
-                        global: f.slots()?,
-                        lender_epoch: f.u64()?,
-                    },
-                ))
-            })?,
-            jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
-            bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
-            pending_cancel: self
-                .ascending(|f| Ok((f.job_id()?, ())))?
-                .into_keys()
-                .collect(),
-            profiles: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
+                    .collect::<Result<_, String>>()?,
+                lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
+                borrowed_leases: self.ascending(|f| {
+                    Ok((
+                        f.u64()?,
+                        BorrowedLease {
+                            local: f.slots()?,
+                            global: f.slots()?,
+                            lender_epoch: f.u64()?,
+                        },
+                    ))
+                })?,
+                jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
+                bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
+                pending_cancel: self
+                    .ascending::<_, _, BTreeMap<_, ()>>(|f| Ok((f.job_id()?, ())))?
+                    .into_keys()
+                    .collect(),
+                profiler: Profiler {
+                    jobs: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
+                },
+            },
         })
     }
 }
