@@ -141,6 +141,15 @@ impl Reservation {
 /// [`SchedulerCore::with_event_cap`]).
 pub const DEFAULT_EVENT_CAP: usize = 65_536;
 
+/// The most processor slots a pool rebuilt from a WAL may hold: its native
+/// slots plus the foreign ids it ever minted. A checksummed `open` or
+/// `ckpt` that declares more is refused as [`WalError::BadGenesis`] before
+/// the pool is allocated, so an absurd size is an error and not an
+/// allocation that aborts. 2^24 is 1 677 times the largest pool this
+/// workspace builds (the 10 000 nodes of the DES scale sweep); a pool that
+/// size holds 128 MiB of slot speeds.
+const MAX_WAL_SLOTS: usize = 1 << 24;
+
 /// A live borrowed lease on the borrower side: the foreign processors'
 /// federation-global ids and the local slot ids the pool minted for them.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -524,6 +533,11 @@ impl SchedulerCore {
         if events_cap == 0 {
             return Err(WalError::BadGenesis("events_cap must be at least 1".into()));
         }
+        if total_procs > MAX_WAL_SLOTS {
+            return Err(WalError::BadGenesis(format!(
+                "total_procs {total_procs} is above {MAX_WAL_SLOTS}"
+            )));
+        }
         let core = match slot_speeds {
             Some(speeds) => {
                 if speeds.len() != total_procs {
@@ -621,7 +635,10 @@ impl SchedulerCore {
         let total = self.pool.total();
         let minted_end = total
             .checked_add(foreign_minted)
-            .ok_or("foreign slot ids overflow")?;
+            .filter(|&end| end <= MAX_WAL_SLOTS)
+            .ok_or_else(|| {
+                format!("{foreign_minted} foreign ids take the pool past {MAX_WAL_SLOTS}")
+            })?;
         let mut lent = BTreeSet::new();
         for &s in state.lent_leases.values().flatten() {
             if s >= total || !lent.insert(s) {
@@ -3174,6 +3191,14 @@ mod tests {
                 ckpt(2, ALL_FREE, "0 0 0 0 0 0 1 1 0 0 0 grow 2 2 1 1 0"),
                 "expanded from 2x2 to 1x1",
             ),
+            (
+                // 2^50 foreign ids minted: no allocator can hold the pool.
+                format!(
+                    "ckpt 1 1 0 0 0000000000000000 0000000000000000 0 1125899906842624 \
+                     {ALL_FREE} {NOTHING}"
+                ),
+                "take the pool past",
+            ),
         ] {
             let text = after_open_8(&[&payload]);
             let strict = SchedulerCore::recover(Wal::decode(&text).expect("checksummed"));
@@ -3235,6 +3260,8 @@ mod tests {
                 "slot speed",
             ),
             ("open 0 fcfs paper 1024 lowest 1 0", "slot_speeds is empty"),
+            // 2^50 slots: no allocator can hold the pool.
+            ("open 1125899906842624 fcfs paper 1024 lowest 0", "is above"),
         ] {
             let text = format!("{:08x} {payload}\n", crate::wal::crc32(payload.as_bytes()));
             let strict = SchedulerCore::recover(Wal::decode(&text).expect("checksummed"));
