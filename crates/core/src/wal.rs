@@ -124,6 +124,10 @@
 //! `O(history)` since the last compaction; it is for tests and diagnostics,
 //! not for hot paths.
 
+// Peer or durable bytes reach this module: they fail as a value, never
+// through an `unwrap`.
+#![deny(clippy::unwrap_used)]
+
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -1697,6 +1701,7 @@ pub fn record_histogram(records: &[WalRecord]) -> BTreeMap<&'static str, usize> 
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

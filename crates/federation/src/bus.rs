@@ -9,6 +9,10 @@
 //! crashes: frames for a down shard still ack (the federation buffers the
 //! payloads for replay at recovery), which keeps retransmission bounded.
 
+// Peer or durable bytes reach this module: they fail as a value, never
+// through an `unwrap`.
+#![deny(clippy::unwrap_used)]
+
 use std::collections::BTreeMap;
 
 use reshape_core::ctrl::seq::{Frame, SeqReceiver, SeqSender};

@@ -16,6 +16,10 @@
 //! processors are disjoint by construction, even across crash-restarts of
 //! either side.
 
+// Peer or durable bytes reach this module: they fail as a value, never
+// through an `unwrap`.
+#![deny(clippy::unwrap_used)]
+
 use reshape_telemetry::TraceCtx;
 
 /// Federation-wide lease protocol parameters.
