@@ -1,7 +1,7 @@
 //! Shared deterministic retry backoff.
 //!
 //! Two retry paths used to hand-roll the same schedule: the resize
-//! driver's spawn-shortfall retry ([`crate::driver::RetryPolicy`]) and the
+//! driver's spawn-shortfall retry (its private `SPAWN_BACKOFF`) and the
 //! federation lease bus's retransmit timer
 //! ([`crate::ctrl::seq::SeqSender`]). Both now share this one pure
 //! function: exponential growth from a base interval, a hard cap, and

@@ -219,8 +219,8 @@ pub struct CoreSnapshot {
 }
 
 /// The part of a [`SchedulerCore`]'s state that a checkpoint carries
-/// verbatim, listed once. `checkpoint` clones it, `restore` assigns it
-/// whole, and [`SchedulerCore::same_state`] compares it with the derived
+/// verbatim, listed once. Compaction encodes it in place, `restore`
+/// assigns it whole, and [`SchedulerCore::same_state`] compares it with the derived
 /// `==`: map equality for the id-keyed maps (hash order does not matter),
 /// `==` for the `f64`s, and no allocation. The `ckpt` codec destructures
 /// it, so a field added here does not compile until the codec writes and
@@ -266,8 +266,9 @@ pub(crate) struct DurableState {
 /// terminal jobs, which compaction drops. The queue is the queued jobs,
 /// ordered by priority and id, each needing its initial configuration; the
 /// pool's lent and borrowed slots are the lease tables' slots. Not
-/// exported: [`SchedulerCore::compact_wal`] builds it and replay restores
-/// it.
+/// exported: decoding a `ckpt` line builds it and replay restores it;
+/// [`SchedulerCore::compact_wal`] writes that line from the live core
+/// without building one.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Checkpoint {
     pub(crate) state: DurableState,
@@ -595,24 +596,15 @@ impl SchedulerCore {
     pub fn compact_wal(&mut self) {
         self.prune_terminal();
         self.events = Vec::new();
-        // Taken out while the checkpoint reads the core, then put back.
-        if let Some(mut wal) = self.wal.take() {
-            wal.compact(&WalRecord::Checkpoint {
-                state: Box::new(self.checkpoint()),
-            });
-            self.wal = Some(wal);
+        // The codec writes the state's hash maps in ascending id order, so
+        // the checkpoint has one spelling whatever order they hold.
+        if let Some(wal) = self.wal.as_mut() {
+            wal.compact(
+                &self.state,
+                self.pool.foreign_minted(),
+                &self.pool.free_slots(),
+            );
             reshape_telemetry::incr("core.wal_compactions", 1);
-        }
-    }
-
-    /// The live state as a [`Checkpoint`]. The codec writes its hash maps
-    /// in ascending id order, so the record has one spelling whatever order
-    /// they hold.
-    fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            state: self.state.clone(),
-            foreign_minted: self.pool.foreign_minted(),
-            free_slots: self.pool.free_slots(),
         }
     }
 
@@ -1303,9 +1295,9 @@ impl SchedulerCore {
                 RemapDecision::Shrink { to } => format!("decision:shrink {current}->{to}"),
                 RemapDecision::NoChange => "decision:no_change".to_string(),
             };
-            // Parent on the causal context the resize-point message carried
-            // (the rank's last compute span) when it names this trace, else
-            // on the trace head. The decision becomes the new head, so the
+            // Parent on the caller's ambient causal context (the rank's
+            // last compute span) when it names this trace, else on the
+            // trace head. The decision becomes the new head, so the
             // driver's spawn/redistribution spans chain under it.
             let ctx = trace::current();
             let parent = if ctx.trace == job.0 && ctx.parent != 0 {

@@ -18,9 +18,9 @@
 //!   deterministic fault stream drops, duplicates and reorders frames so
 //!   tests can prove the protocol masks all three.
 //!
-//! The threaded runtime needs none of this: its resize library and
-//! scheduler are threads in one process, joined by a plain channel that
-//! cannot lose, duplicate or reorder.
+//! The threaded runtime needs none of this: its resize library calls the
+//! scheduler core directly, under its lock, on the application's own
+//! thread, so there is no wire between them.
 
 /// The seeded stream behind every chaos wire, such as the federation's
 /// lease bus.

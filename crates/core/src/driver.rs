@@ -36,8 +36,8 @@ use crate::job::JobId;
 use crate::topology::ProcessorConfig;
 
 /// How a resizable application reaches the scheduler. The real runtime
-/// backs this with a channel to the scheduler thread; tests and the
-/// simulator provide their own implementations.
+/// backs this with calls on its locked core, made on the calling rank's
+/// thread; tests and the simulator provide their own implementations.
 pub trait SchedulerLink: Send + Sync {
     /// The paper's `contact_scheduler`: report the last iteration time and
     /// redistribution time; receive expand/shrink/no-change.
@@ -112,70 +112,23 @@ impl AppDef {
     }
 }
 
-/// How the driver handles transient spawn shortfalls during an expansion:
-/// `MPI_Comm_spawn_multiple` returning fewer processes than requested is
-/// often a transient condition (a node agent restarting, a race with
-/// another job's teardown), so the driver retries the spawn with
-/// exponential backoff in virtual time before giving up and reporting the
-/// size unprofitable via [`SchedulerLink::expand_failed`].
-#[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
-    /// Total spawn attempts per expand directive (1 = no retry).
-    pub max_attempts: usize,
-    /// Virtual-seconds backoff before the second attempt.
-    pub base_backoff: f64,
-    /// Multiplier applied to the backoff for each further attempt.
-    pub backoff_factor: f64,
-    /// Ceiling on a single backoff (virtual seconds).
-    pub max_backoff: f64,
-    /// ± fraction of deterministic jitter applied to each backoff, seeded
-    /// by `(job, attempt)` so contending expansions de-synchronize while
-    /// every rank of one job computes the identical delay.
-    pub jitter_frac: f64,
-}
+/// Spawn attempts per expand directive. `MPI_Comm_spawn_multiple`
+/// returning fewer processes than requested is often a transient condition
+/// (a node agent restarting, a race with another job's teardown), so the
+/// driver retries the spawn after a backoff in virtual time before giving
+/// up and reporting the size unprofitable via
+/// [`SchedulerLink::expand_failed`].
+const SPAWN_ATTEMPTS: usize = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: 0.5,
-            backoff_factor: 2.0,
-            max_backoff: 8.0,
-            jitter_frac: 0.25,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Single-attempt policy: a short grant immediately aborts the
-    /// expansion (the pre-retry behavior).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..Default::default()
-        }
-    }
-
-    /// The policy's schedule as the shared [`Backoff`] primitive (the
-    /// federation lease bus's retransmit timer composes the same type).
-    pub fn schedule(&self) -> Backoff {
-        Backoff {
-            base: self.base_backoff,
-            factor: self.backoff_factor,
-            max: self.max_backoff,
-            jitter_frac: self.jitter_frac,
-        }
-    }
-
-    /// Backoff (virtual seconds) charged after failed attempt `attempt`
-    /// (1-based). Pure function of the policy, job and attempt, so every
-    /// rank agrees on the delay without communicating. Delegates to
-    /// [`Backoff::delay`] keyed by the job id — bit-identical to the
-    /// schedule the driver has always used.
-    pub fn backoff_for(&self, job: JobId, attempt: usize) -> f64 {
-        self.schedule().delay(job.0, attempt)
-    }
-}
+/// Virtual-time backoff between spawn attempts, jittered by `(job,
+/// attempt)` so contending expansions de-synchronize while every rank of
+/// one job computes the identical delay.
+const SPAWN_BACKOFF: Backoff = Backoff {
+    base: 0.5,
+    factor: 2.0,
+    max: 8.0,
+    jitter_frac: 0.25,
+};
 
 /// Immutable driver parameters shared across resizes and spawned processes.
 pub struct DriverShared {
@@ -185,8 +138,6 @@ pub struct DriverShared {
     pub link: Arc<dyn SchedulerLink>,
     /// Processor slots per cluster node, to map granted slots to nodes.
     pub slots_per_node: usize,
-    /// Spawn-shortfall retry behavior for expansions.
-    pub retry: RetryPolicy,
     /// Run with in-memory buddy redundancy and shrink-to-survivors
     /// recovery: every rank's panels are replicated to a ring neighbor at
     /// each resize point, a heartbeat exchange at every iteration boundary
@@ -338,10 +289,10 @@ impl ResizeContext {
     /// separate step ([`ResizeContext::redistribute`]).
     ///
     /// Returns `false` when the spawn was granted fewer processes than the
-    /// expansion needs, every retry allowed by the shared [`RetryPolicy`]
-    /// included: each partial grant is aborted (spawned processes exit
-    /// before merging) and retried after an exponential virtual-time
-    /// backoff; once the budget is exhausted the scheduler is told via
+    /// expansion needs in each of three attempts: each partial grant is
+    /// aborted (spawned processes exit before merging) and retried after an
+    /// exponential virtual-time backoff; once the attempts are spent the
+    /// scheduler is told via
     /// [`SchedulerLink::expand_failed`] and the application keeps running
     /// on its previous configuration with its data layout untouched.
     pub fn expand_processors(
@@ -352,8 +303,6 @@ impl ResizeContext {
     ) -> bool {
         let from = self.config;
         let delta = to.procs() - from.procs();
-        let policy = self.shared.retry;
-        let max_attempts = policy.max_attempts.max(1);
         let mut attempt = 1;
         let (inter, t0) = loop {
             let nodes: Option<Vec<NodeId>> = (self.comm.rank() == 0).then(|| {
@@ -379,7 +328,7 @@ impl ResizeContext {
                 send_verdict(&inter, EXPAND_ABORT);
                 reshape_telemetry::incr("driver.expand_aborts", 1);
             }
-            if attempt >= max_attempts {
+            if attempt >= SPAWN_ATTEMPTS {
                 if self.comm.rank() == 0 {
                     self.shared
                         .link
@@ -391,7 +340,7 @@ impl ResizeContext {
             // Transient shortfall: back off in virtual time and try again.
             // Every rank computes the same deterministic delay, so the
             // group stays in lockstep for the next collective spawn.
-            let backoff = policy.backoff_for(self.shared.job, attempt);
+            let backoff = SPAWN_BACKOFF.delay(self.shared.job.0, attempt);
             self.comm.advance(backoff);
             if self.comm.rank() == 0 {
                 reshape_telemetry::incr("driver.expand_retries", 1);
@@ -875,9 +824,9 @@ fn drive_loop(mut ctx: ResizeContext, mut mats: Vec<DistMatrix<f64>>) {
                     ctx.comm.vtime(),
                 );
                 trace::set_head(shared.job.0, s);
-                // Ambient context for this rank-0 thread: the next message
-                // to the scheduler (resize point, completion, failure)
-                // carries this span as its causal parent.
+                // Ambient context for this rank-0 thread: the scheduler's
+                // next decision, made on this thread at the resize point,
+                // takes this span as its causal parent.
                 trace::set_current(TraceCtx {
                     trace: shared.job.0,
                     parent: s,
@@ -1030,7 +979,6 @@ mod tests {
             iterations: 6,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::default(),
             survivable: false,
         });
         let cfg = ProcessorConfig::new(1, 2);
@@ -1097,7 +1045,6 @@ mod tests {
             iterations: 10,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::default(),
             survivable: false,
         });
         let cfg = ProcessorConfig::new(1, 2);
@@ -1137,9 +1084,11 @@ mod tests {
         let (job, starts) = core.submit(spec, 0.0);
         assert_eq!(starts.len(), 1);
         let link = Arc::new(CoreLink(Mutex::new(core)));
-        // The first expansion's spawn is granted only one of the processes
-        // it asks for; the driver must abort and fall back.
-        uni.inject_spawn_cap(1);
+        // Every attempt of the first expansion's spawn is granted only one
+        // of the processes it asks for; the driver must abort and fall back.
+        for _ in 0..3 {
+            uni.inject_spawn_cap(1);
+        }
 
         let expected: f64 = (0..n * n).map(|x| x as f64).sum();
         let app = {
@@ -1166,7 +1115,6 @@ mod tests {
             iterations: 6,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::none(),
             survivable: false,
         });
         let cfg = ProcessorConfig::new(1, 2);
@@ -1210,14 +1158,15 @@ mod tests {
         );
         let (job, _) = core.submit(spec, 0.0);
         let link = Arc::new(CoreLink(Mutex::new(core)));
-        uni.inject_spawn_cap(0);
+        for _ in 0..3 {
+            uni.inject_spawn_cap(0);
+        }
         let shared = Arc::new(DriverShared {
             job,
             app: toy_app(n),
             iterations: 4,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::none(),
             survivable: false,
         });
         let cfg = ProcessorConfig::new(1, 2);
@@ -1259,7 +1208,6 @@ mod tests {
             iterations: 12,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::default(),
             survivable: false,
         });
         let cfg = ProcessorConfig::new(1, 2);
@@ -1302,7 +1250,6 @@ mod tests {
         job: JobId,
         iterations: usize,
         link: Arc<CoreLink>,
-        retry: RetryPolicy,
     ) -> Arc<DriverShared> {
         let expected: f64 = (0..n * n).map(|x| x as f64).sum();
         let base = toy_app(n);
@@ -1327,14 +1274,13 @@ mod tests {
             iterations,
             link,
             slots_per_node: 1,
-            retry,
             survivable: false,
         })
     }
 
     #[test]
     fn transient_short_grant_retries_and_expands() {
-        // Only the FIRST spawn attempt is denied; the default retry policy
+        // Only the FIRST spawn attempt is denied; the driver's retry
         // backs off (in virtual time) and the second attempt succeeds, so
         // the job still expands instead of writing the size off.
         let n = 16usize;
@@ -1351,7 +1297,7 @@ mod tests {
         let link = Arc::new(CoreLink(Mutex::new(core)));
         uni.inject_spawn_cap(0);
 
-        let shared = checksummed_shared(n, job, 6, link.clone(), RetryPolicy::default());
+        let shared = checksummed_shared(n, job, 6, link.clone());
         let cfg = ProcessorConfig::new(1, 2);
         let shared2 = Arc::clone(&shared);
         uni.launch(2, None, "transient", move |comm| {
@@ -1375,7 +1321,7 @@ mod tests {
 
     #[test]
     fn exhausted_retry_budget_reverts_and_pool_stays_whole() {
-        // All three attempts of the default policy are denied: the driver
+        // All three of the driver's attempts are denied: the driver
         // gives up, reports the failed expansion, and every granted slot
         // makes it back to the pool.
         let n = 16usize;
@@ -1394,7 +1340,7 @@ mod tests {
             uni.inject_spawn_cap(0);
         }
 
-        let shared = checksummed_shared(n, job, 6, link.clone(), RetryPolicy::default());
+        let shared = checksummed_shared(n, job, 6, link.clone());
         let cfg = ProcessorConfig::new(1, 2);
         let shared2 = Arc::clone(&shared);
         uni.launch(2, None, "stubborn", move |comm| {
@@ -1476,7 +1422,6 @@ mod tests {
             iterations: iters,
             link: link.clone(),
             slots_per_node: 1,
-            retry: RetryPolicy::default(),
             survivable: true,
         });
         let cfg = ProcessorConfig::new(2, 2);

@@ -7,8 +7,10 @@
 //!
 //! 1. **Application scheduling and monitoring** — [`SchedulerCore`] (queue +
 //!    FCFS/backfill allocation + Remap Scheduler policy + Performance
-//!    Profiler) and, in real-execution mode, the [`runtime`] module's
-//!    scheduler thread, System Monitor and Job Startup.
+//!    Profiler) and, in real-execution mode, the [`runtime`] module, which
+//!    applies each transition on the reporting thread, runs Job Startup
+//!    after it, and installs the System Monitor as the universe's exit
+//!    hook.
 //! 2. **The resizing library and API** — the [`driver`] module: the
 //!    [`driver::ResizeContext`] API (`log`, `resize`, plus the advanced
 //!    `contact_scheduler` / `expand_processors` / `shrink_processors` /
@@ -17,8 +19,8 @@
 //!    resizable application.
 //!
 //! The scheduler state machine is synchronous and time-stamped, so the same
-//! policy code drives both the threaded real runtime here and the
-//! discrete-event simulator in `reshape-clustersim`.
+//! policy code drives both the real runtime here, whose applications are
+//! rank threads, and the discrete-event simulator in `reshape-clustersim`.
 
 pub mod backoff;
 mod core;

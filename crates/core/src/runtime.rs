@@ -1,168 +1,96 @@
 //! Real-execution mode: the scheduler as a live service.
 //!
 //! The paper's "application scheduling and monitoring module" runs five
-//! components, each on its own thread. Here:
+//! components as threads of a daemon, because each application's resize
+//! library reaches it over a socket from another node. Here applications
+//! are rank threads of the same process, so the module is one
+//! [`SchedulerCore`] behind a lock, and each component is a call on the
+//! thread that reports the event:
 //!
-//! * the **scheduler thread** combines the Application Scheduler, Remap
-//!   Scheduler and Performance Profiler (all state lives in
-//!   [`SchedulerCore`]) and also plays **Job Startup**: when the core says a
-//!   queued job can run, the thread launches its process group on the
-//!   simulated cluster;
-//! * the **System Monitor thread** subscribes to process lifecycle events
-//!   from the [`Universe`] and reclaims the resources of failed jobs;
-//! * applications talk to the scheduler through a [`SchedulerLink`]
-//!   implemented over one plain channel. The paper's resize library
-//!   reaches the scheduler over a socket; here both ends are threads of
-//!   one process, and the channel cannot lose, duplicate or reorder, so no
-//!   protocol runs on top of it (the sequenced one of [`crate::ctrl`]
-//!   serves the federation's lossy lease bus).
+//! * the **Application Scheduler**, **Remap Scheduler** and **Performance
+//!   Profiler** are the core's transitions, applied by the submitting
+//!   thread or, through the job's [`SchedulerLink`], by the rank that
+//!   reached a resize point, finished or failed;
+//! * **Job Startup** runs right after a transition, on the same thread and
+//!   outside the lock, and launches the process groups of the jobs that
+//!   transition started;
+//! * the **System Monitor** is the universe's exit hook
+//!   ([`Universe::monitor`]): it runs on each exiting process's thread and
+//!   reclaims the resources of failed jobs.
 //!
-//! Nothing here watches the wall clock. A job that stops checking in is
-//! bounded by the caller's [`ReshapeRuntime::wait_for`] timeout and by the
-//! simulated cluster's receive deadline.
+//! The runtime starts no thread of its own, and nothing here watches the
+//! wall clock. A job that stops checking in is bounded by the caller's
+//! [`ReshapeRuntime::wait_for`] timeout and by the simulated cluster's
+//! receive deadline.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Duration;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use reshape_mpisim::{NodeId, ProcId, ProcStatus, Universe};
-use reshape_telemetry::trace::{self, TraceCtx};
+use reshape_mpisim::{NodeId, ProcEvent, ProcId, ProcStatus, Universe};
 
 use crate::core::{Directive, QueuePolicy, SchedEvent, SchedulerCore, StartAction};
-use crate::driver::{run_resizable, AppDef, DriverShared, RetryPolicy, SchedulerLink};
+use crate::driver::{run_resizable, AppDef, DriverShared, SchedulerLink};
 use crate::job::{JobId, JobSpec, JobState};
 use crate::topology::ProcessorConfig;
 
-enum Msg {
-    Submit {
-        spec: JobSpec,
-        app: AppDef,
-        reply: Sender<JobId>,
-    },
-    ResizePoint {
-        job: JobId,
-        iter_time: f64,
-        redist_time: f64,
-        now: f64,
-        /// Causal trace context of the sender (the driver's current span),
-        /// so the scheduler's decision span parents to the application
-        /// iteration that triggered it.
-        ctx: TraceCtx,
-        reply: Sender<Directive>,
-    },
-    NoteRedist {
-        job: JobId,
-        from: ProcessorConfig,
-        to: ProcessorConfig,
-        seconds: f64,
-    },
-    Finished {
-        job: JobId,
-        now: f64,
-        ctx: TraceCtx,
-    },
-    PhaseChange {
-        job: JobId,
-        now: f64,
-    },
-    Cancel {
-        job: JobId,
-    },
-    Failed {
-        job: JobId,
-        reason: String,
-        now: f64,
-        ctx: TraceCtx,
-    },
-    /// A survivable job lost ranks to a node failure but recovered in
-    /// place; only the dead ranks' slots should be reclaimed.
-    NodeFailed {
-        job: JobId,
-        dead_ranks: Vec<usize>,
-        to: ProcessorConfig,
-        now: f64,
-        ctx: TraceCtx,
-    },
-    ExpandFailed {
-        job: JobId,
-        now: f64,
-        ctx: TraceCtx,
-    },
-    Shutdown,
-}
-
-/// Channel-backed [`SchedulerLink`] handed to application processes.
-struct RuntimeLink {
-    tx: Sender<Msg>,
-}
+/// The [`SchedulerLink`] handed to application processes: each call is
+/// one transition of the scheduler, on the calling rank's thread.
+struct RuntimeLink(Arc<Scheduler>);
 
 impl SchedulerLink for RuntimeLink {
     fn resize_point(&self, job: JobId, iter_time: f64, redist_time: f64, now: f64) -> Directive {
-        let (reply, rx) = unbounded();
-        let sent = self
-            .tx
-            .send(Msg::ResizePoint {
-                job,
-                iter_time,
-                redist_time,
-                now,
-                ctx: trace::current(),
-                reply,
-            })
-            .is_ok();
-        assert!(sent, "scheduler thread alive");
-        rx.recv().expect("scheduler replies to resize points")
+        self.0
+            .transition(|core| core.resize_point(job, iter_time, redist_time, now))
     }
 
     fn note_redist(&self, job: JobId, from: ProcessorConfig, to: ProcessorConfig, seconds: f64) {
-        let _ = self.tx.send(Msg::NoteRedist {
-            job,
-            from,
-            to,
-            seconds,
+        self.0.transition(|core| {
+            core.note_redist_cost(job, from, to, seconds);
+            ((), Vec::new())
         });
     }
 
     fn finished(&self, job: JobId, now: f64) {
-        let _ = self.tx.send(Msg::Finished {
-            job,
-            now,
-            ctx: trace::current(),
-        });
+        self.0.transition(|core| ((), core.on_finished(job, now)));
     }
 
     fn phase_change(&self, job: JobId, now: f64) {
-        let _ = self.tx.send(Msg::PhaseChange { job, now });
-    }
-
-    fn expand_failed(&self, job: JobId, _to: ProcessorConfig, now: f64) {
-        let _ = self.tx.send(Msg::ExpandFailed {
-            job,
-            now,
-            ctx: trace::current(),
+        self.0.transition(|core| {
+            core.phase_change(job, now);
+            ((), Vec::new())
         });
     }
 
+    fn expand_failed(&self, job: JobId, _to: ProcessorConfig, now: f64) {
+        self.0
+            .transition(|core| ((), core.on_expand_failed(job, now)));
+    }
+
     fn node_failed(&self, job: JobId, dead_ranks: &[usize], to: ProcessorConfig, now: f64) {
-        let _ = self.tx.send(Msg::NodeFailed {
-            job,
-            dead_ranks: dead_ranks.to_vec(),
-            to,
-            now,
-            ctx: trace::current(),
+        self.0.transition(|core| {
+            // Ranks index the job's communicator in slot-grant order:
+            // initial grants and expansion grants both append slots in rank
+            // order, so slot i backs rank i.
+            let dead_slots: Vec<usize> = core
+                .job(job)
+                .map(|r| {
+                    dead_ranks
+                        .iter()
+                        .filter_map(|&rk| r.slots.get(rk).copied())
+                        .collect()
+                })
+                .unwrap_or_default();
+            ((), core.on_node_failed(job, &dead_slots, to, now))
         });
     }
 
     fn failed(&self, job: JobId, reason: &str, now: f64) {
-        let _ = self.tx.send(Msg::Failed {
-            job,
-            reason: reason.to_string(),
-            now,
-            ctx: trace::current(),
-        });
+        self.0
+            .transition(|core| ((), core.on_failed(job, reason.to_string(), now)));
     }
 }
 
@@ -186,9 +114,8 @@ impl std::fmt::Display for WaitTimeout {
 
 impl std::error::Error for WaitTimeout {}
 
-/// Bumped by the scheduler thread after every message it handles, so the
-/// runtime's waits block until the core may have changed instead of
-/// polling it.
+/// Bumped after every transition, so the runtime's waits block until the
+/// core may have changed instead of polling it.
 #[derive(Default)]
 struct Progress {
     lock: std::sync::Mutex<()>,
@@ -202,70 +129,79 @@ impl Progress {
     }
 }
 
-/// The live ReSHAPE service: submit resizable jobs against a simulated
-/// cluster and let the framework schedule, monitor, resize and reclaim them.
-pub struct ReshapeRuntime {
+/// The scheduling module: the core, and what Job Startup and the System
+/// Monitor keep beside it. Held by the runtime and by every job's link;
+/// the universe's exit hook holds it weakly, because the scheduler owns
+/// the universe.
+struct Scheduler {
     universe: Arc<Universe>,
-    tx: Sender<Msg>,
     core: Arc<Mutex<SchedulerCore>>,
+    /// App and iteration count of each submitted job, for Job Startup.
+    /// Written under the core lock, so no transition can start a job whose
+    /// app is not here yet.
+    apps: Mutex<HashMap<JobId, (AppDef, usize)>>,
     /// First (rank-0) process of each job, which the System Monitor watches
     /// — "only the monitor running on the first node of its processor set
     /// communicates with the System Monitor".
-    watch: Arc<Mutex<HashMap<ProcId, JobId>>>,
-    sched_thread: Option<std::thread::JoinHandle<()>>,
-    monitor_thread: Option<std::thread::JoinHandle<()>>,
-    progress: Arc<Progress>,
+    watch: Mutex<HashMap<ProcId, JobId>>,
+    /// Stamps handed out so far ([`Scheduler::submission_stamp`]).
+    stamps: AtomicU64,
+    progress: Progress,
 }
 
-struct SchedThreadCtx {
-    universe: Arc<Universe>,
-    core: Arc<Mutex<SchedulerCore>>,
-    apps: HashMap<JobId, (AppDef, usize)>, // app + iterations
-    watch: Arc<Mutex<HashMap<ProcId, JobId>>>,
-    link_tx: Sender<Msg>,
-    slots_per_node: usize,
-    progress: Arc<Progress>,
-    /// Stamps handed out so far ([`SchedThreadCtx::submission_stamp`]).
-    stamps: u64,
-}
+impl Scheduler {
+    /// One transition of the scheduler, on the caller's thread: `apply`
+    /// runs on the locked core; then, with the lock released, Job Startup
+    /// launches the jobs it started, and the runtime's waits wake.
+    fn transition<R>(
+        self: &Arc<Self>,
+        apply: impl FnOnce(&mut SchedulerCore) -> (R, Vec<StartAction>),
+    ) -> R {
+        // Scheduler responsiveness: how long each transition (submission,
+        // resize point, completion, ...) holds its caller, Job Startup
+        // included. Recorded on drop.
+        let _span = reshape_telemetry::span("core.sched_loop_seconds");
+        reshape_telemetry::incr("core.sched_msgs", 1);
+        let (out, starts) = apply(&mut self.core.lock());
+        self.actuate(starts);
+        self.progress.bump();
+        out
+    }
 
-impl SchedThreadCtx {
-    fn actuate(&mut self, starts: Vec<StartAction>) {
+    /// Job Startup: launch the process group of each started job.
+    fn actuate(self: &Arc<Self>, starts: Vec<StartAction>) {
+        let slots_per_node = self.universe.slots_per_node();
         for s in starts {
-            let (app, iterations) = match self.apps.get(&s.job) {
-                Some(a) => a.clone(),
+            let Some((app, iterations)) = self.apps.lock().get(&s.job).cloned() else {
                 // Bookkeeping-only job (tests submit specs without apps).
-                None => continue,
+                continue;
             };
             let nodes: Vec<NodeId> = s
                 .slots
                 .iter()
-                .map(|&slot| NodeId((slot / self.slots_per_node) as u32))
+                .map(|&slot| NodeId((slot / slots_per_node) as u32))
                 .collect();
-            let (name, survivable) = {
+            let (name, survivable, start_vtime) = {
                 let core = self.core.lock();
                 core.job(s.job)
-                    .map(|r| (r.spec.name.clone(), r.spec.survivable))
+                    .map(|r| {
+                        (
+                            r.spec.name.clone(),
+                            r.spec.survivable,
+                            r.started_at.unwrap_or(0.0),
+                        )
+                    })
                     .unwrap_or_default()
             };
             let shared = Arc::new(DriverShared {
                 job: s.job,
                 app,
                 iterations,
-                link: Arc::new(RuntimeLink {
-                    tx: self.link_tx.clone(),
-                }),
-                slots_per_node: self.slots_per_node,
-                retry: RetryPolicy::default(),
+                link: Arc::new(RuntimeLink(Arc::clone(self))),
+                slots_per_node,
                 survivable,
             });
             let config = s.config;
-            let start_vtime = self
-                .core
-                .lock()
-                .job(s.job)
-                .and_then(|r| r.started_at)
-                .unwrap_or(0.0);
             let handle = self.universe.launch_at(
                 config.procs(),
                 Some(nodes),
@@ -282,249 +218,123 @@ impl SchedThreadCtx {
         }
     }
 
-    fn run(mut self, rx: Receiver<Msg>) {
-        while let Ok(msg) = rx.recv() {
-            // Scheduler-loop latency: how long each message (resize point,
-            // submission, completion, ...) holds the scheduler. Recorded on
-            // drop, including early exits.
-            let _span = reshape_telemetry::span("core.sched_loop_seconds");
-            reshape_telemetry::incr("core.sched_msgs", 1);
-            match msg {
-                Msg::Submit { spec, app, reply } => {
-                    let iterations = spec.iterations;
-                    let now = self.submission_stamp();
-                    let (id, starts) = self.core.lock().submit(spec, now);
-                    self.apps.insert(id, (app, iterations));
-                    let _ = reply.send(id);
-                    self.actuate(starts);
-                }
-                Msg::ResizePoint {
-                    job,
-                    iter_time,
-                    redist_time,
-                    now,
-                    ctx,
-                    reply,
-                } => {
-                    // Adopt the sender's causal context for the duration of
-                    // the core call, so the decision span it emits parents
-                    // to the driver-side span that sent this message.
-                    let _g = trace::ctx_guard(ctx);
-                    let (directive, starts) =
-                        self.core
-                            .lock()
-                            .resize_point(job, iter_time, redist_time, now);
-                    let _ = reply.send(directive);
-                    self.actuate(starts);
-                }
-                Msg::NoteRedist {
-                    job,
-                    from,
-                    to,
-                    seconds,
-                } => {
-                    self.core.lock().note_redist_cost(job, from, to, seconds);
-                }
-                Msg::Finished { job, now, ctx } => {
-                    let _g = trace::ctx_guard(ctx);
-                    let starts = self.core.lock().on_finished(job, now);
-                    self.actuate(starts);
-                }
-                Msg::PhaseChange { job, now } => {
-                    self.core.lock().phase_change(job, now);
-                }
-                Msg::Cancel { job } => {
-                    let now = self.submission_stamp();
-                    let starts = self.core.lock().cancel(job, now);
-                    self.actuate(starts);
-                }
-                Msg::Failed {
-                    job,
-                    reason,
-                    now,
-                    ctx,
-                } => {
-                    let _g = trace::ctx_guard(ctx);
-                    let starts = self.core.lock().on_failed(job, reason, now);
-                    self.actuate(starts);
-                }
-                Msg::NodeFailed {
-                    job,
-                    dead_ranks,
-                    to,
-                    now,
-                    ctx,
-                } => {
-                    let _g = trace::ctx_guard(ctx);
-                    let starts = {
-                        let mut core = self.core.lock();
-                        // Ranks index the job's communicator in slot-grant
-                        // order: initial grants and expansion grants both
-                        // append slots in rank order, so slot i backs rank i.
-                        let dead_slots: Vec<usize> = core
-                            .job(job)
-                            .map(|r| {
-                                dead_ranks
-                                    .iter()
-                                    .filter_map(|&rk| r.slots.get(rk).copied())
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        core.on_node_failed(job, &dead_slots, to, now)
-                    };
-                    self.actuate(starts);
-                }
-                Msg::ExpandFailed { job, now, ctx } => {
-                    let _g = trace::ctx_guard(ctx);
-                    let starts = self.core.lock().on_expand_failed(job, now);
-                    self.actuate(starts);
-                }
-                Msg::Shutdown => break,
-            }
-            self.progress.bump();
+    /// System Monitor: react to a process's exit. The per-job application
+    /// monitor of the paper reports through the job's first process;
+    /// failures of dynamically spawned ranks are attributed to the running
+    /// job occupying the failed process's node. Caveat: with several slots
+    /// per node, co-located jobs make this heuristic ambiguous (the first
+    /// matching running job is blamed) — the same ambiguity a per-node
+    /// monitor has on a real shared-node cluster.
+    fn on_exit(self: &Arc<Self>, ev: ProcEvent) {
+        let ProcStatus::Failed(reason) = ev.status else {
+            return;
+        };
+        let watched = self.watch.lock().get(&ev.proc).copied();
+        let spn = self.universe.slots_per_node();
+        let (job, deferred) = {
+            let core = self.core.lock();
+            let Some(job) = watched.or_else(|| {
+                // Attribute by node occupancy.
+                core.jobs()
+                    .find(|(_, r)| {
+                        matches!(r.state, JobState::Running { .. })
+                            && r.slots.iter().any(|&s| (s / spn) as u32 == ev.node.0)
+                    })
+                    .map(|(id, _)| *id)
+            }) else {
+                return;
+            };
+            // Survivable jobs handle rank death themselves (buddy restore +
+            // forced shrink); the monitor stays out of the way while they
+            // are running. If recovery is impossible the driver reports the
+            // failure through its link; a wedged recovery is bounded by the
+            // cluster's receive deadline and the caller's `wait_for`
+            // timeout.
+            let deferred = core
+                .job(job)
+                .is_some_and(|r| r.spec.survivable && matches!(r.state, JobState::Running { .. }));
+            (job, deferred)
+        };
+        if deferred {
+            reshape_telemetry::incr("runtime.monitor_deferred_to_recovery", 1);
+        } else {
+            self.transition(|core| ((), core.on_failed(job, reason, f64::NAN)));
         }
     }
 
     /// The time stamp of a submission (or a cancellation): 1 µs per stamp
-    /// this runtime handed out before it. Submission order is what matters for
-    /// the queue; virtual times come from the apps. Counting per runtime
+    /// this runtime handed out before it. Submission order is what matters
+    /// for the queue; virtual times come from the apps. Counting per runtime
     /// keeps a job's timeline independent of other runtimes in the process.
-    fn submission_stamp(&mut self) -> f64 {
-        let t = self.stamps as f64 * 1e-6;
-        self.stamps += 1;
-        t
+    /// Taken under the core lock, so stamps rise in the core's order.
+    fn submission_stamp(&self) -> f64 {
+        self.stamps.fetch_add(1, Ordering::Relaxed) as f64 * 1e-6
     }
+}
+
+/// The live ReSHAPE service: submit resizable jobs against a simulated
+/// cluster and let the framework schedule, monitor, resize and reclaim them.
+pub struct ReshapeRuntime {
+    sched: Arc<Scheduler>,
 }
 
 impl ReshapeRuntime {
     /// Stand up the framework over `universe`. `policy` selects FCFS or
     /// backfill for initial allocations.
     pub fn new(universe: Universe, policy: QueuePolicy) -> Self {
-        let universe = Arc::new(universe);
         let total = universe.total_slots();
-        let core = Arc::new(Mutex::new(SchedulerCore::new(total, policy)));
-        let watch: Arc<Mutex<HashMap<ProcId, JobId>>> = Arc::new(Mutex::new(HashMap::new()));
-        let progress = Arc::new(Progress::default());
-        // Applications and the monitor reach the scheduler thread over one
-        // in-process channel, which delivers every message once and in
-        // send order.
-        let (tx, rx) = unbounded::<Msg>();
-
-        let ctx = SchedThreadCtx {
-            universe: Arc::clone(&universe),
-            core: Arc::clone(&core),
-            apps: HashMap::new(),
-            watch: Arc::clone(&watch),
-            link_tx: tx.clone(),
-            slots_per_node: universe.slots_per_node(),
-            progress: Arc::clone(&progress),
-            stamps: 0,
-        };
-        let sched_thread = std::thread::Builder::new()
-            .name("reshape-scheduler".into())
-            .spawn(move || ctx.run(rx))
-            .expect("spawn scheduler thread");
-
-        // System Monitor: react to process failures. The per-job
-        // application monitor of the paper reports through the job's first
-        // process; failures of dynamically spawned ranks are attributed to
-        // the running job occupying the failed process's node. Caveat: with
-        // several slots per node, co-located jobs make this heuristic
-        // ambiguous (the first matching running job is blamed) — the same
-        // ambiguity a per-node monitor has on a real shared-node cluster.
-        let events = universe.events();
-        let mon_tx = tx.clone();
-        let mon_watch = Arc::clone(&watch);
-        let mon_core = Arc::clone(&core);
-        let spn = universe.slots_per_node();
-        let monitor_thread = std::thread::Builder::new()
-            .name("reshape-sysmon".into())
-            .spawn(move || {
-                while let Ok(ev) = events.recv() {
-                    if let ProcStatus::Failed(reason) = ev.status {
-                        let job = mon_watch.lock().get(&ev.proc).copied().or_else(|| {
-                            // Attribute by node occupancy.
-                            let core = mon_core.lock();
-                            let found = core
-                                .jobs()
-                                .find(|(_, r)| {
-                                    matches!(r.state, JobState::Running { .. })
-                                        && r.slots.iter().any(|&s| (s / spn) as u32 == ev.node.0)
-                                })
-                                .map(|(id, _)| *id);
-                            found
-                        });
-                        if let Some(job) = job {
-                            // Survivable jobs handle rank death themselves
-                            // (buddy restore + forced shrink); the monitor
-                            // stays out of the way while they are running.
-                            // If recovery is impossible the driver reports
-                            // the failure through its link; a wedged
-                            // recovery is bounded by the cluster's receive
-                            // deadline and the caller's `wait_for` timeout.
-                            let deferred = mon_core.lock().job(job).is_some_and(|r| {
-                                r.spec.survivable && matches!(r.state, JobState::Running { .. })
-                            });
-                            if deferred {
-                                reshape_telemetry::incr("runtime.monitor_deferred_to_recovery", 1);
-                            } else {
-                                let _ = mon_tx.send(Msg::Failed {
-                                    job,
-                                    reason,
-                                    now: f64::NAN,
-                                    // The monitor thread has no ambient
-                                    // span; the core falls back to the
-                                    // job's trace head for parenting.
-                                    ctx: TraceCtx::default(),
-                                });
-                            }
-                        }
-                    }
-                }
-            })
-            .expect("spawn monitor thread");
-
-        ReshapeRuntime {
-            universe,
-            tx,
-            core,
-            watch,
-            sched_thread: Some(sched_thread),
-            monitor_thread: Some(monitor_thread),
-            progress,
-        }
+        let sched = Arc::new(Scheduler {
+            universe: Arc::new(universe),
+            core: Arc::new(Mutex::new(SchedulerCore::new(total, policy))),
+            apps: Mutex::new(HashMap::new()),
+            watch: Mutex::new(HashMap::new()),
+            stamps: AtomicU64::new(0),
+            progress: Progress::default(),
+        });
+        // Weak: the universe owns the hook, and the scheduler owns the
+        // universe.
+        let monitor = Arc::downgrade(&sched);
+        sched.universe.monitor(move |ev| {
+            if let Some(sched) = monitor.upgrade() {
+                sched.on_exit(ev);
+            }
+        });
+        ReshapeRuntime { sched }
     }
 
     /// Submit a resizable application; returns its job id immediately (the
     /// job may queue).
     pub fn submit(&self, spec: JobSpec, app: AppDef) -> JobId {
-        let (reply, rx) = unbounded();
-        let sent = self.tx.send(Msg::Submit { spec, app, reply }).is_ok();
-        assert!(sent, "scheduler thread alive");
-        rx.recv().expect("submission acknowledged")
+        self.sched.transition(|core| {
+            let iterations = spec.iterations;
+            let (id, starts) = core.submit(spec, self.sched.submission_stamp());
+            self.sched.apps.lock().insert(id, (app, iterations));
+            (id, starts)
+        })
     }
 
     /// Cancel a job: queued jobs leave immediately, running jobs terminate
     /// at their next resize point.
     pub fn cancel(&self, job: JobId) {
-        let _ = self.tx.send(Msg::Cancel { job });
+        self.sched
+            .transition(|core| ((), core.cancel(job, self.sched.submission_stamp())));
     }
 
     /// Shared scheduler state, for inspection (profiles, events, jobs).
     pub fn core(&self) -> &Arc<Mutex<SchedulerCore>> {
-        &self.core
+        &self.sched.core
     }
 
     /// Remove and return the scheduling trace accumulated so far (see
     /// [`SchedulerCore::drain_events`]); keeps long-lived runtimes from
     /// hitting the trace retention cap.
     pub fn drain_events(&self) -> Vec<SchedEvent> {
-        self.core.lock().drain_events()
+        self.sched.core.lock().drain_events()
     }
 
     /// The underlying cluster.
     pub fn universe(&self) -> &Arc<Universe> {
-        &self.universe
+        &self.sched.universe
     }
 
     /// Block until every submitted job has left the system (finished or
@@ -548,8 +358,8 @@ impl ReshapeRuntime {
 
     /// Block until `done` reads an answer off the core, or [`WaitTimeout`]
     /// (describing `what`) after `timeout`. `done` runs now and again after
-    /// every message the scheduler thread handles. The caller's deadline is
-    /// the only wall clock the runtime reads (CI checks that).
+    /// every transition. The caller's deadline is the only wall clock the
+    /// runtime reads (CI checks that).
     fn wait_until<R>(
         &self,
         timeout: Duration,
@@ -557,43 +367,24 @@ impl ReshapeRuntime {
         done: impl Fn(&SchedulerCore) -> Option<R>,
     ) -> Result<R, WaitTimeout> {
         let deadline = std::time::Instant::now() + timeout;
+        let progress = &self.sched.progress;
         // Held from each check until the wait releases it, so a bump in
         // between cannot be missed.
-        let mut guard = self
-            .progress
-            .lock
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut guard = progress.lock.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(answer) = done(&self.core.lock()) {
+            if let Some(answer) = done(&self.sched.core.lock()) {
                 return Ok(answer);
             }
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             if left.is_zero() {
                 return Err(WaitTimeout { what, timeout });
             }
-            guard = self
-                .progress
+            guard = progress
                 .changed
                 .wait_timeout(guard, left)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-}
-
-impl Drop for ReshapeRuntime {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Msg::Shutdown);
-        if let Some(h) = self.sched_thread.take() {
-            let _ = h.join();
-        }
-        // The monitor thread exits when the universe's event channel closes
-        // (universe dropped); don't block on it here.
-        if let Some(h) = self.monitor_thread.take() {
-            drop(h);
-        }
-        let _ = &self.watch;
     }
 }
 
@@ -603,7 +394,6 @@ mod tests {
     use crate::topology::TopologyPref;
     use reshape_blockcyclic::{Descriptor, DistMatrix};
     use reshape_mpisim::NetModel;
-    use std::time::Instant;
 
     fn toy(n: usize, per_iter: f64) -> AppDef {
         AppDef::new(
@@ -696,22 +486,19 @@ mod tests {
             matches!(state, JobState::Failed { ref reason, .. } if reason.contains("injected")),
             "{state:?}"
         );
-        // The monitor reclaims asynchronously; poll with a deadline.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if rt.core().lock().idle_procs() == 4 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "resources never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        // The transition that failed the job returned its slots.
+        assert_eq!(
+            rt.core().lock().idle_procs(),
+            4,
+            "resources never reclaimed"
+        );
     }
 
     #[test]
     fn spawn_fault_recovers_through_runtime_channel() {
         let uni = Universe::new(8, 1, NetModel::ideal());
-        // Every expansion attempt spawn is denied outright (the default
-        // retry policy makes up to three attempts).
+        // Every expansion attempt spawn is denied outright (the driver
+        // makes up to three attempts).
         uni.inject_spawn_cap(0);
         uni.inject_spawn_cap(0);
         uni.inject_spawn_cap(0);
@@ -754,22 +541,19 @@ mod tests {
             matches!(state, JobState::Failed { ref reason, .. } if reason.contains("crashed")),
             "{state:?}"
         );
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if rt.core().lock().idle_procs() == 4 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "resources never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(
+            rt.core().lock().idle_procs(),
+            4,
+            "resources never reclaimed"
+        );
     }
 
     #[test]
     fn survivable_job_outlives_a_node_crash() {
         // Same crash as above, but the job opted into shrink-to-survivors
         // recovery: the system monitor must defer to the driver (a
-        // survivable Running job is the recovery path's to handle, not
-        // `Msg::Failed`'s), the driver shrinks 2x2 -> 1x3 from buddy
+        // survivable Running job is the recovery path's to handle, not the
+        // monitor's), the driver shrinks 2x2 -> 1x3 from buddy
         // copies, and the job runs to completion at the degraded size.
         let uni = Universe::new(4, 1, NetModel::ideal());
         uni.inject_node_crash(NodeId(1), 0.5);
@@ -797,13 +581,10 @@ mod tests {
         drop(core);
         // All four slots drain back: three at finish, the dead one at the
         // forced shrink.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if rt.core().lock().idle_procs() == 4 {
-                break;
-            }
-            assert!(Instant::now() < deadline, "resources never reclaimed");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        assert_eq!(
+            rt.core().lock().idle_procs(),
+            4,
+            "resources never reclaimed"
+        );
     }
 }

@@ -601,32 +601,33 @@ fn put_ascending<K: Ord, V>(
     }
 }
 
-/// A checkpoint's fields. Out of line: it is written once per
-/// compaction, and inlined it would bloat `encode_line`, which every
-/// transition runs.
+/// A checkpoint's fields, read in place: a [`Checkpoint`]'s when one is
+/// encoded, the live core's when [`Wal::compact`] writes one. Out of
+/// line: it is written once per compaction, and inlined it would bloat
+/// `encode_line`, which every transition runs.
 #[inline(never)]
-fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
-    let Checkpoint {
-        state:
-            DurableState {
-                next_id,
-                next_reservation,
-                epoch,
-                events_dropped,
-                busy_proc_seconds,
-                last_tick,
-                expand_paused,
-                reservations,
-                lent_leases,
-                borrowed_leases,
-                jobs,
-                bindings,
-                pending_cancel,
-                profiler,
-            },
-        foreign_minted,
-        free_slots,
-    } = checkpoint;
+fn put_checkpoint(
+    out: &mut Vec<u8>,
+    state: &DurableState,
+    foreign_minted: usize,
+    free_slots: &[usize],
+) {
+    let DurableState {
+        next_id,
+        next_reservation,
+        epoch,
+        events_dropped,
+        busy_proc_seconds,
+        last_tick,
+        expand_paused,
+        reservations,
+        lent_leases,
+        borrowed_leases,
+        jobs,
+        bindings,
+        pending_cancel,
+        profiler,
+    } = state;
     put_u64(out, *next_id);
     put_u64(out, *next_reservation);
     put_u64(out, *epoch);
@@ -634,7 +635,7 @@ fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
     put_f64(out, *busy_proc_seconds);
     put_f64(out, *last_tick);
     put_bool(out, *expand_paused);
-    put_usize(out, *foreign_minted);
+    put_usize(out, foreign_minted);
     put_slots(out, free_slots);
     put_usize(out, reservations.len());
     for r in reservations {
@@ -672,10 +673,24 @@ fn put_checkpoint(out: &mut Vec<u8>, checkpoint: &Checkpoint) {
     });
 }
 
-/// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
-fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
+/// Open a `{crc:08x} {payload}\n` line in `out`, its checksum a
+/// placeholder until [`end_line`]; returns where the line starts.
+fn begin_line(out: &mut Vec<u8>) -> usize {
     let start = out.len();
     out.extend_from_slice(b"00000000 ");
+    start
+}
+
+/// Close the line [`begin_line`] opened at `start`: checksum its payload.
+fn end_line(out: &mut Vec<u8>, start: usize) {
+    let crc = crc32(&out[start + 9..]);
+    out[start..start + 8].copy_from_slice(&hex_digits::<8>(crc as u64));
+    out.push(b'\n');
+}
+
+/// Append `rec` to `out` as one `{crc:08x} {payload}\n` line.
+fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
+    let start = begin_line(out);
     match rec {
         WalRecord::Open {
             total_procs,
@@ -866,12 +881,10 @@ fn encode_line(out: &mut Vec<u8>, rec: &WalRecord) {
         }
         WalRecord::Checkpoint { state } => {
             out.extend_from_slice(b"ckpt");
-            put_checkpoint(out, state);
+            put_checkpoint(out, &state.state, state.foreign_minted, &state.free_slots);
         }
     }
-    let crc = crc32(&out[start + 9..]);
-    out[start..start + 8].copy_from_slice(&hex_digits::<8>(crc as u64));
-    out.push(b'\n');
+    end_line(out, start);
 }
 
 /// The value of lowercase hex `digits`, at most 16 of them; `None` for any
@@ -1483,13 +1496,20 @@ impl Wal {
         self.appended += body.len() as u64 + 1;
     }
 
-    /// Rewrite the stream as its genesis line and `checkpoint`, a
-    /// [`WalRecord::Checkpoint`].
+    /// Rewrite the stream as its genesis line and the
+    /// [`WalRecord::Checkpoint`] of a core's durable `state`, its pool's
+    /// minted count and its free slots, encoded in place: the same line
+    /// as the record's, without building the record.
     ///
     /// # Panics
     ///
     /// Panics if the stream is empty.
-    pub(crate) fn compact(&mut self, checkpoint: &WalRecord) {
+    pub(crate) fn compact(
+        &mut self,
+        state: &DurableState,
+        foreign_minted: usize,
+        free_slots: &[usize],
+    ) {
         let genesis = self
             .bytes
             .iter()
@@ -1497,7 +1517,10 @@ impl Wal {
             .expect("a WAL in use holds its genesis line")
             + 1;
         self.bytes.truncate(genesis);
-        encode_line(&mut self.bytes, checkpoint);
+        let start = begin_line(&mut self.bytes);
+        self.bytes.extend_from_slice(b"ckpt");
+        put_checkpoint(&mut self.bytes, state, foreign_minted, free_slots);
+        end_line(&mut self.bytes, start);
         self.records = 2;
         self.appended += (self.bytes.len() - genesis) as u64;
     }

@@ -5,8 +5,8 @@
 //!
 //! * **Node crashes** — a node dies at a virtual time; any process on it
 //!   panics at its next communication or clock advance, which the
-//!   [`crate::Universe`] surfaces as a [`crate::ProcStatus::Failed`] event
-//!   for monitors to reclaim.
+//!   [`crate::Universe`] hands its exit hook as [`crate::ProcStatus::Failed`]
+//!   for the monitor to reclaim.
 //! * **Spawn caps** — the next `spawn` call is granted fewer (possibly
 //!   zero) processes than requested, modeling `MPI_Comm_spawn_multiple`
 //!   returning `MPI_ERR_SPAWN` for part of the request.

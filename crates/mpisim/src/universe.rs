@@ -3,10 +3,9 @@
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::comm::{Comm, Group, NodeId};
@@ -26,9 +25,9 @@ pub enum ProcStatus {
     Failed(String),
 }
 
-/// Event emitted when a process changes state. The ReSHAPE System Monitor
-/// subscribes to these, mirroring the per-node application monitors of the
-/// paper.
+/// A process's exit, handed to the universe's exit hook
+/// ([`Universe::monitor`]). The ReSHAPE System Monitor is that hook,
+/// mirroring the per-node application monitors of the paper.
 #[derive(Clone, Debug)]
 pub struct ProcEvent {
     pub proc: ProcId,
@@ -36,14 +35,16 @@ pub struct ProcEvent {
     pub status: ProcStatus,
 }
 
+type ExitHook = dyn Fn(ProcEvent) + Send + Sync;
+
 pub(crate) struct UniverseCore {
     pub router: Router,
     pub net: NetModel,
     pub num_nodes: usize,
     pub slots_per_node: usize,
     statuses: Mutex<HashMap<ProcId, ProcStatus>>,
-    events_tx: Sender<ProcEvent>,
-    events_rx: Receiver<ProcEvent>,
+    /// The exit hook ([`Universe::monitor`]).
+    monitor: OnceLock<Box<ExitHook>>,
     /// Join handles for *spawned* (mid-run) processes; initial launch groups
     /// keep their own handles in their [`GroupHandle`].
     spawned_handles: Mutex<Vec<JoinHandle<()>>>,
@@ -89,12 +90,13 @@ impl UniverseCore {
                 };
                 core.router.deregister(pid);
                 core.statuses.lock().insert(pid, status.clone());
-                // A closed event channel just means nobody is listening.
-                let _ = core.events_tx.send(ProcEvent {
-                    proc: pid,
-                    node,
-                    status,
-                });
+                if let Some(hook) = core.monitor.get() {
+                    hook(ProcEvent {
+                        proc: pid,
+                        node,
+                        status,
+                    });
+                }
             })
             .expect("failed to spawn simulated process thread");
         if track_in_core {
@@ -123,7 +125,6 @@ pub struct Universe {
 impl Universe {
     pub fn new(num_nodes: usize, slots_per_node: usize, net: NetModel) -> Self {
         assert!(num_nodes > 0 && slots_per_node > 0);
-        let (events_tx, events_rx) = crossbeam_channel::unbounded();
         Universe {
             core: Arc::new(UniverseCore {
                 router: Router::new(),
@@ -131,8 +132,7 @@ impl Universe {
                 num_nodes,
                 slots_per_node,
                 statuses: Mutex::new(HashMap::new()),
-                events_tx,
-                events_rx,
+                monitor: OnceLock::new(),
                 spawned_handles: Mutex::new(Vec::new()),
                 fault: FaultState::default(),
             }),
@@ -159,16 +159,25 @@ impl Universe {
         self.core.net
     }
 
-    /// Subscribe to process lifecycle events (each subscriber sees every
-    /// event exactly once per `recv` across clones — use one subscriber).
-    pub fn events(&self) -> Receiver<ProcEvent> {
-        self.core.events_rx.clone()
+    /// Install the exit hook: `f` runs on each exiting process's own
+    /// thread, once that process's status is final, with its
+    /// [`ProcEvent`]. A universe has one hook; a process that exits before
+    /// it is installed is not reported.
+    ///
+    /// # Panics
+    ///
+    /// If a hook is already installed.
+    pub fn monitor(&self, f: impl Fn(ProcEvent) + Send + Sync + 'static) {
+        if self.core.monitor.set(Box::new(f)).is_err() {
+            panic!("a universe has one exit hook");
+        }
     }
 
     /// Inject a node crash: every process placed on `node` panics at its
     /// first communication or clock advance at virtual time ≥ `at_vtime`.
-    /// The failures surface as [`ProcStatus::Failed`] events, exactly like
-    /// an application panic, so monitors exercise their real recovery path.
+    /// The failures reach the exit hook as [`ProcStatus::Failed`], exactly
+    /// like an application panic, so monitors exercise their real recovery
+    /// path.
     pub fn inject_node_crash(&self, node: NodeId, at_vtime: f64) {
         self.core.fault.inject_node_crash(node, at_vtime);
     }
@@ -365,7 +374,9 @@ mod tests {
     #[test]
     fn failure_is_reported() {
         let uni = Universe::new(1, 2, NetModel::ideal());
-        let events = uni.events();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        uni.monitor(move |ev| sink.lock().push(ev));
         let h = uni.launch(2, None, "fail", |comm| {
             if comm.rank() == 1 {
                 panic!("synthetic application error");
@@ -377,9 +388,9 @@ mod tests {
             .filter(|(_, s)| matches!(s, ProcStatus::Failed(_)))
             .collect();
         assert_eq!(failed.len(), 1);
-        // The event stream saw both terminations.
+        // The exit hook saw both terminations.
         let mut seen = 0;
-        while let Ok(ev) = events.try_recv() {
+        for ev in events.lock().drain(..) {
             seen += 1;
             if ev.proc == failed[0].0 {
                 assert!(matches!(ev.status, ProcStatus::Failed(ref m) if m.contains("synthetic")));

@@ -1,5 +1,5 @@
 //! End-to-end integration tests: every paper workload runs as a genuinely
-//! resizable application through the full stack (runtime scheduler thread →
+//! resizable application through the full stack (runtime scheduler core →
 //! resize library → spawn/merge → redistribution → distributed kernels).
 
 use std::time::Duration;
@@ -495,9 +495,7 @@ fn advanced_api_manual_orchestration() {
     // the scheduler at each step; when a second job queues, the scheduler
     // orders a shrink, the app redistributes and the surplus ranks depart.
     use reshape::blockcyclic::{Descriptor, DistMatrix};
-    use reshape::core::driver::{
-        AppDef, DriverShared, ResizeContext, Resolution, RetryPolicy, SchedulerLink,
-    };
+    use reshape::core::driver::{AppDef, DriverShared, ResizeContext, Resolution, SchedulerLink};
     use reshape::core::{Directive, JobId, SchedulerCore};
     use std::sync::{Arc, Mutex};
 
@@ -549,7 +547,6 @@ fn advanced_api_manual_orchestration() {
             iterations: 100,
             link: link2.clone() as Arc<dyn SchedulerLink>,
             slots_per_node: 1,
-            retry: RetryPolicy::default(),
             survivable: false,
         });
         let mut ctx = ResizeContext::attach(
