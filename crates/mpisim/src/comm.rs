@@ -7,8 +7,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 
 use crate::datum::{from_bytes, from_bytes_into, to_bytes, Pod};
-use crate::endpoint::Endpoint;
-use crate::router::{Envelope, ProcId};
+use crate::endpoint::{Endpoint, Envelope, ProcId};
 use crate::universe::UniverseCore;
 
 /// Identifier of a (virtual) compute node in the cluster.
@@ -174,12 +173,13 @@ impl Comm {
             .check_crash(self.group.nodes[self.rank], self.ep.borrow().now);
     }
 
-    /// Whether `rank`'s process is still live (has a mailbox). A rank whose
-    /// node crashed, or that already terminated, reports `false`. Used by
-    /// fault-aware protocols (e.g. the redistribution abort pre-flight).
+    /// Whether `rank`'s process is still live (has not exited). A rank
+    /// whose node crashed, or that already terminated, reports `false`.
+    /// Used by fault-aware protocols (e.g. the redistribution abort
+    /// pre-flight).
     pub fn rank_alive(&self, rank: usize) -> bool {
         assert!(rank < self.size(), "rank {rank} out of range");
-        self.core.router.is_live(self.group.members[rank])
+        self.core.is_live(self.group.members[rank])
     }
 
     /// The universe this communicator lives in (for spawning).
@@ -199,7 +199,7 @@ impl Comm {
     pub(crate) fn send_raw(&self, dst: usize, tag: u32, payload: Bytes) {
         let len = payload.len();
         let env = self.envelope(dst, tag, payload, len);
-        self.core.router.deliver(self.group.members[dst], env);
+        self.core.deliver(self.group.members[dst], env);
     }
 
     /// The front half of every send: charge this rank's clock and traffic
@@ -234,19 +234,27 @@ impl Comm {
 
     /// The payload of the next message from `src` with tag `tag`.
     pub(crate) fn recv_raw(&self, src: usize, tag: u32) -> Bytes {
-        self.recv_env(src, tag, None)
+        self.recv_env(src, tag, false)
             .expect("an unwatched receive completes")
             .payload
     }
 
-    /// The matched receive under every receive, watching the sender with
-    /// `gone` if given (`Endpoint::recv_match`).
-    fn recv_env(&self, src: usize, tag: u32, gone: Option<&dyn Fn() -> bool>) -> Option<Envelope> {
+    /// The matched receive under every receive, watching the sender if
+    /// `watched` (`Endpoint::recv_match`).
+    fn recv_env(&self, src: usize, tag: u32, watched: bool) -> Option<Envelope> {
         assert!(src < self.size(), "source rank {src} out of range");
         self.check_crashed();
-        let mut ep = self.ep.borrow_mut();
-        let env = ep.recv_match(self.group.id, src, tag, &self.core.net, gone);
-        drop(ep);
+        let sender = watched.then(|| {
+            let pid = self.group.members[src];
+            self.core.proc(pid).expect("a member has an entry")
+        });
+        let env = self.ep.borrow_mut().recv_match(
+            self.group.id,
+            src,
+            tag,
+            &self.core.net,
+            sender.as_deref(),
+        );
         // Receiving advances the clock to the message arrival time, which may
         // cross this node's injected crash deadline.
         self.check_crashed();
@@ -278,7 +286,6 @@ impl Comm {
             return Err(());
         }
         self.core
-            .router
             .try_deliver(self.group.members[dst], env)
             .map_err(|_| ())
     }
@@ -293,7 +300,7 @@ impl Comm {
     }
 
     /// Fault-aware send: `Err(())` when the destination is dead, doomed to
-    /// die before the message would arrive, or its mailbox is gone. Used by
+    /// die before the message would arrive, or its process has exited. Used by
     /// the transactional redistribution and other survivable protocols.
     /// The error is deliberately unit: the only failure is "peer dead", and
     /// the caller already knows which peer it addressed.
@@ -332,10 +339,10 @@ impl Comm {
     /// Fault-aware [`Comm::recv_with`]: `Err(())` once `src`'s process has
     /// ended without sending a match.
     ///
-    /// The receive waits in short slices and looks at the sender between
-    /// them. It gives up only on seeing the sender's thread gone, by when all
-    /// its sends are in our mailbox, so "sent before dying" is delivered and
-    /// "died first" is `Err`, whatever the wall-clock timing. Waiting costs
+    /// The receive sleeps until a message arrives or a process exits. It
+    /// gives up only on seeing the sender exited, by when all its sends are
+    /// in our mailbox, so "sent before dying" is delivered and "died first"
+    /// is `Err`, whatever the wall-clock timing. Waiting costs
     /// no virtual time: failure detection rides on the surrounding
     /// protocol's own traffic. The error is unit: the only failure is "peer
     /// died first".
@@ -346,8 +353,7 @@ impl Comm {
         tag: u32,
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, ()> {
-        let gone = || !self.rank_alive(src);
-        let env = self.recv_env(src, tag, Some(&gone));
+        let env = self.recv_env(src, tag, true);
         env.map(|env| f(&env.payload)).ok_or(())
     }
 
@@ -365,7 +371,7 @@ impl Comm {
     /// duplicate can never match traffic on the original.
     pub fn dup(&self) -> Comm {
         let id = if self.rank == 0 {
-            let id = self.core.router.alloc_comm_id();
+            let id = self.core.alloc_comm_id();
             for r in 1..self.size() {
                 self.send_raw(r, TAG_SPLIT, to_bytes(&[id]));
             }
@@ -419,7 +425,7 @@ impl Comm {
                     .map(|e| (e.1, e.2))
                     .collect();
                 part.sort_unstable();
-                let id = self.core.router.alloc_comm_id();
+                let id = self.core.alloc_comm_id();
                 let old_ranks: Vec<usize> = part.iter().map(|&(_, r)| r).collect();
                 for (new_rank, &(_, old_rank)) in part.iter().enumerate() {
                     assignments[old_rank] = Some((id, new_rank, old_ranks.clone()));
@@ -463,7 +469,7 @@ impl Comm {
     ///
     /// Every survivor derives the same communicator id locally by hashing
     /// the parent id and the survivor set; bit 63 is forced on, and the
-    /// router's `alloc_comm_id` allocates sequentially from 1, so derived
+    /// universe's `alloc_comm_id` allocates sequentially from 1, so derived
     /// ids can never collide with allocated ones. Two
     /// different survivor sets of the same parent hash to different ids, so
     /// stale traffic from a disagreeing peer cannot match.
@@ -675,7 +681,7 @@ mod tests {
         let uni = Universe::new(2, 1, NetModel::ideal());
         uni.launch(2, None, "try-dead", |comm| {
             if comm.rank() == 1 {
-                return; // terminates; mailbox is reaped
+                return; // terminates; its mailbox refuses sends
             }
             comm.recv_or_failed::<u64>(1, 8)
                 .expect_err("a receive waits out the sender's exit");
@@ -730,7 +736,7 @@ mod tests {
                 return; // dies immediately after sending
             }
             // Wait for the actual death, without receiving, so the message
-            // is still in the channel when the receive sees the sender gone.
+            // is still queued when the receive sees the sender gone.
             while comm.rank_alive(1) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

@@ -1,13 +1,51 @@
-//! Per-process receive endpoint: mailbox, unexpected-message queue and the
-//! virtual clock.
+//! A simulated process's entry in the universe's process table, the
+//! messages it exchanges, and its receiving end.
+//!
+//! Each process has one [`Proc`]: its mailbox, one queue of
+//! [`Envelope`]s under a lock with a condition variable; its
+//! [`ProcStatus`], beside the queue; and its thread. A send appends to the
+//! destination's queue. A receive ([`Endpoint::recv_match`]) scans its own
+//! queue in arrival order for the first match, so MPI's non-overtaking
+//! order holds per communicator, source and tag, and otherwise sleeps until
+//! the next arrival or exit. An exit makes the status final, takes the
+//! queue and refuses later sends, in one step under the lock.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam_channel::Receiver;
+use bytes::Bytes;
+use parking_lot::Mutex;
 
 use crate::net::NetModel;
-use crate::router::{Envelope, ProcId};
+use crate::universe::ProcStatus;
+
+/// Globally unique identifier of a simulated process (an OS thread).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct ProcId(pub u64);
+
+impl std::fmt::Display for ProcId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "p{}", self.0)
+    }
+}
+
+/// A message in flight. `arrival` is the earliest virtual time at which the
+/// receiver may observe the message (sender clock after serialization, plus
+/// wire latency). `len` is the bytes the message is charged as: the
+/// payload's length, except for a loan, whose payload is the lender's whole
+/// slice.
+#[derive(Debug)]
+pub(crate) struct Envelope {
+    pub comm: u64,
+    pub src: usize,
+    pub tag: u32,
+    pub arrival: f64,
+    pub len: usize,
+    pub payload: Bytes,
+}
 
 /// How long a blocking receive waits before declaring the run deadlocked.
 /// Generous for CI, short enough that a hung test fails with context instead
@@ -25,81 +63,154 @@ pub(crate) fn deadlock_timeout() -> Duration {
     })
 }
 
-/// How long a receive that watches its sender waits between two looks at
-/// whether the sender is gone.
-const LIVENESS_SLICE: Duration = Duration::from_millis(1);
+/// A process's entry in the process table.
+pub(crate) struct Proc {
+    mailbox: Mutex<Mailbox>,
+    /// Signalled by each arrival and by every process's exit; only the
+    /// process itself waits on it.
+    wake: Condvar,
+    /// Set by the exit, under the mailbox lock: the process's liveness,
+    /// readable without that lock. A receiver reads its sender's while
+    /// holding its own mailbox lock, so two ranks that receive from each
+    /// other never lock in opposite orders.
+    exited: AtomicBool,
+    /// The process's thread, until a join takes it.
+    pub thread: Mutex<Option<JoinHandle<()>>>,
+}
 
+/// Messages delivered and not yet received, in arrival order, and the
+/// process's status.
+struct Mailbox {
+    queue: VecDeque<Envelope>,
+    status: ProcStatus,
+}
+
+impl Proc {
+    pub fn new() -> Self {
+        Proc {
+            mailbox: Mutex::new(Mailbox {
+                queue: VecDeque::new(),
+                status: ProcStatus::Running,
+            }),
+            wake: Condvar::new(),
+            exited: AtomicBool::new(false),
+            thread: Mutex::new(None),
+        }
+    }
+
+    pub fn is_live(&self) -> bool {
+        !self.exited.load(Ordering::SeqCst)
+    }
+
+    pub fn status(&self) -> ProcStatus {
+        self.mailbox.lock().status.clone()
+    }
+
+    /// Queue `env` here, or hand it back if this process has exited.
+    pub fn deliver(&self, env: Envelope) -> Result<(), Envelope> {
+        let mut mailbox = self.mailbox.lock();
+        if !self.is_live() {
+            return Err(env);
+        }
+        mailbox.queue.push_back(env);
+        drop(mailbox);
+        self.wake.notify_one();
+        Ok(())
+    }
+
+    /// Make `status` final and refuse every later send, and return what
+    /// was queued: dropping it hands back every loan among it. Sets the
+    /// liveness flag before the caller wakes anyone, so no receiver can
+    /// check it, miss the wake-up and sleep on.
+    pub fn exit(&self, status: ProcStatus) -> VecDeque<Envelope> {
+        let mut mailbox = self.mailbox.lock();
+        mailbox.status = status;
+        self.exited.store(true, Ordering::SeqCst);
+        std::mem::take(&mut mailbox.queue)
+    }
+
+    /// Wake this process if it is blocked in a receive, to look again at
+    /// whether its sender is live.
+    pub fn wake(&self) {
+        let _mailbox = self.mailbox.lock();
+        self.wake.notify_one();
+    }
+
+    /// Wait for the thread to end, if no other join has taken it. A join
+    /// racing this one waits for it, holding the slot.
+    pub fn join(&self) {
+        let mut thread = self.thread.lock();
+        if let Some(handle) = thread.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// A process's receiving end and its virtual clock.
 pub(crate) struct Endpoint {
     pub id: ProcId,
-    rx: Receiver<Envelope>,
-    /// Messages received from the channel that did not match the posted
-    /// receive. Kept in arrival order so MPI's non-overtaking guarantee
-    /// (per communicator/source/tag) holds.
-    unexpected: VecDeque<Envelope>,
+    me: Arc<Proc>,
     /// Virtual clock, in seconds.
     pub now: f64,
 }
 
 impl Endpoint {
-    pub fn new(id: ProcId, rx: Receiver<Envelope>, start: f64) -> Self {
-        Endpoint {
-            id,
-            rx,
-            unexpected: VecDeque::new(),
-            now: start,
-        }
-    }
-
-    fn matches(env: &Envelope, comm: u64, src: usize, tag: u32) -> bool {
-        env.comm == comm && env.src == src && env.tag == tag
+    pub fn new(id: ProcId, me: Arc<Proc>, start: f64) -> Self {
+        Endpoint { id, me, now: start }
     }
 
     /// Blocking matched receive. Advances the virtual clock to respect
     /// message causality: the receive completes no earlier than the
     /// message's arrival time.
     ///
-    /// Given `gone`, the receive asks it before each wait of
-    /// [`LIVENESS_SLICE`] whether the sender is gone. A gone sender's
-    /// messages are all in the channel already, so from then on what is
-    /// left there decides: its match, or `None`. Panics once the deadlock
-    /// timeout passes with no message at all.
+    /// Given its `sender`'s entry, the receive is watched: it returns
+    /// `None` once the sender has exited with no match queued. Every
+    /// receive panics once the deadlock timeout passes with no message at
+    /// all; an exit's wake-up does not restart that deadline.
     pub fn recv_match(
         &mut self,
         comm: u64,
         src: usize,
         tag: u32,
         net: &NetModel,
-        gone: Option<&dyn Fn() -> bool>,
+        sender: Option<&Proc>,
     ) -> Option<Envelope> {
-        let env = if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|e| Self::matches(e, comm, src, tag))
-        {
-            self.unexpected.remove(pos).expect("position just found")
-        } else {
-            let timeout = deadlock_timeout();
-            let slice = gone.map_or(timeout, |_| LIVENESS_SLICE);
-            let mut deadline = Instant::now() + timeout;
-            loop {
-                let last = gone.is_some_and(|gone| gone());
-                let wait = if last { Duration::ZERO } else { slice };
-                match self.rx.recv_timeout(wait) {
-                    Ok(env) if Self::matches(&env, comm, src, tag) => break env,
-                    Ok(env) => {
-                        self.unexpected.push_back(env);
-                        deadline = Instant::now() + timeout;
-                    }
-                    Err(_) if last => return None,
-                    Err(_) => assert!(
-                        Instant::now() < deadline,
-                        "{}: receive on comm {comm} from {src} tag {tag} did not complete \
-                         within {timeout:?} — likely deadlock or mismatched communication pattern",
-                        self.id
-                    ),
-                }
+        let timeout = deadlock_timeout();
+        let mut deadline = Instant::now() + timeout;
+        let mut mailbox = self.me.mailbox.lock();
+        // Messages before `scanned` are known not to match.
+        let mut scanned = 0;
+        let env = loop {
+            let queue = &mut mailbox.queue;
+            if let Some(pos) = queue
+                .range(scanned..)
+                .position(|e| e.comm == comm && e.src == src && e.tag == tag)
+            {
+                break queue.remove(scanned + pos).expect("position just found");
+            }
+            if sender.is_some_and(|s| !s.is_live()) {
+                return None;
+            }
+            scanned = queue.len();
+            let left = deadline.saturating_duration_since(Instant::now());
+            let (guard, wait) = self
+                .me
+                .wake
+                .wait_timeout(mailbox, left)
+                .unwrap_or_else(PoisonError::into_inner);
+            mailbox = guard;
+            if mailbox.queue.len() > scanned {
+                deadline = Instant::now() + timeout;
+            } else {
+                assert!(
+                    !wait.timed_out(),
+                    "{}: receive on comm {comm} from {src} tag {tag} did not complete \
+                     within {timeout:?} — likely deadlock or mismatched communication pattern",
+                    self.id
+                );
             }
         };
+        drop(mailbox);
         self.now = self.now.max(env.arrival) + net.recv_cost(env.len);
         Some(env)
     }
@@ -108,8 +219,6 @@ impl Endpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
-    use crossbeam_channel::unbounded;
 
     fn env(comm: u64, src: usize, tag: u32, arrival: f64) -> Envelope {
         Envelope {
@@ -122,12 +231,31 @@ mod tests {
         }
     }
 
+    /// An endpoint starting at `start`, and its entry to deliver to.
+    fn endpoint(start: f64) -> (Arc<Proc>, Endpoint) {
+        let me = Arc::new(Proc::new());
+        (Arc::clone(&me), Endpoint::new(ProcId(0), me, start))
+    }
+
+    #[test]
+    fn register_and_deliver() {
+        let (me, mut ep) = endpoint(0.0);
+        let hi = Envelope {
+            len: 2,
+            payload: Bytes::from_static(b"hi"),
+            ..env(1, 0, 9, 0.0)
+        };
+        me.deliver(hi).unwrap();
+        let got = ep.recv_match(1, 0, 9, &NetModel::ideal(), None).unwrap();
+        assert_eq!(got.tag, 9);
+        assert_eq!(&got.payload[..], b"hi");
+    }
+
     #[test]
     fn matching_skips_unrelated_messages() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
-        tx.send(env(1, 0, 5, 0.0)).unwrap();
-        tx.send(env(1, 0, 7, 0.0)).unwrap();
+        let (me, mut ep) = endpoint(0.0);
+        me.deliver(env(1, 0, 5, 0.0)).unwrap();
+        me.deliver(env(1, 0, 7, 0.0)).unwrap();
         let got = ep.recv_match(1, 0, 7, &NetModel::ideal(), None).unwrap();
         assert_eq!(got.tag, 7);
         // The skipped message is still receivable.
@@ -137,9 +265,8 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved_for_same_match() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 0.0);
-        tx.send(Envelope {
+        let (me, mut ep) = endpoint(0.0);
+        me.deliver(Envelope {
             comm: 1,
             src: 0,
             tag: 5,
@@ -148,7 +275,7 @@ mod tests {
             payload: Bytes::from_static(b"first"),
         })
         .unwrap();
-        tx.send(Envelope {
+        me.deliver(Envelope {
             comm: 1,
             src: 0,
             tag: 5,
@@ -165,19 +292,39 @@ mod tests {
 
     #[test]
     fn clock_respects_arrival() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 1.0);
-        tx.send(env(1, 0, 0, 5.5)).unwrap();
+        let (me, mut ep) = endpoint(1.0);
+        me.deliver(env(1, 0, 0, 5.5)).unwrap();
         ep.recv_match(1, 0, 0, &NetModel::ideal(), None).unwrap();
         assert_eq!(ep.now, 5.5);
     }
 
     #[test]
     fn clock_keeps_later_local_time() {
-        let (tx, rx) = unbounded();
-        let mut ep = Endpoint::new(ProcId(0), rx, 10.0);
-        tx.send(env(1, 0, 0, 5.5)).unwrap();
+        let (me, mut ep) = endpoint(10.0);
+        me.deliver(env(1, 0, 0, 5.5)).unwrap();
         ep.recv_match(1, 0, 0, &NetModel::ideal(), None).unwrap();
         assert_eq!(ep.now, 10.0);
+    }
+
+    #[test]
+    fn a_watched_receive_ends_at_its_senders_exit_after_its_queued_match() {
+        let (me, mut ep) = endpoint(0.0);
+        let sender = Proc::new();
+        me.deliver(env(1, 0, 5, 0.0)).unwrap();
+        drop(sender.exit(ProcStatus::Finished));
+        let net = NetModel::ideal();
+        assert!(ep.recv_match(1, 0, 5, &net, Some(&sender)).is_some());
+        assert!(ep.recv_match(1, 0, 5, &net, Some(&sender)).is_none());
+    }
+
+    #[test]
+    fn an_exited_process_refuses_sends_and_hands_back_its_queue() {
+        let me = Proc::new();
+        me.deliver(env(1, 0, 5, 0.0)).unwrap();
+        let queued = me.exit(ProcStatus::Finished);
+        assert_eq!(queued.len(), 1);
+        assert!(me.deliver(env(1, 0, 6, 0.0)).is_err());
+        assert!(!me.is_live());
+        assert_eq!(me.status(), ProcStatus::Finished);
     }
 }

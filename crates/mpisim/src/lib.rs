@@ -52,16 +52,15 @@ mod fault;
 mod loan;
 mod net;
 mod rng;
-mod router;
 mod spawn;
 mod universe;
 
 pub use collectives::ReduceOp;
 pub use comm::{Comm, CommStats, Group, NodeId};
 pub use datum::{from_bytes, to_bytes, Pod, Reducible};
+pub use endpoint::ProcId;
 pub use loan::Loans;
 pub use net::NetModel;
 pub use rng::SplitMix64;
-pub use router::ProcId;
 pub use spawn::{InterComm, SpawnCtx};
 pub use universe::{GroupHandle, ProcEvent, ProcStatus, Universe};

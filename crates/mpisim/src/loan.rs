@@ -25,10 +25,10 @@
 //!   then does the panic resume; the slice's borrow ends after the last
 //!   reader is done.
 //! * *Teardown.* A borrower whose thread ends without receiving a loan
-//!   drops it with its mailbox: the endpoint drops its unexpected queue, and
-//!   `Router::deregister` drops the channel's last sender, and with it the
-//!   queued envelopes. A lend that fails, because the borrower's node
-//!   crashed or its process ended, drops its envelope on the spot.
+//!   drops it with its mailbox: its exit takes its queue, in the step that
+//!   refuses later sends, and drops the queued envelopes outside the lock.
+//!   A lend that fails, because the borrower's node crashed or its process
+//!   ended, drops its envelope on the spot.
 //! * *Timeout.* A loan still out after [`deadlock_timeout`] aborts the
 //!   process. Unwinding past it would free memory a live borrower may still
 //!   read; abort never does.

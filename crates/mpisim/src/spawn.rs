@@ -8,7 +8,7 @@ use bytes::Bytes;
 
 use crate::comm::{Comm, Group, NodeId, TAG_MERGE, TAG_SPAWN};
 use crate::datum::{from_bytes, to_bytes};
-use crate::router::{Envelope, ProcId};
+use crate::endpoint::{Envelope, ProcId};
 use crate::universe::UniverseCore;
 
 /// What a dynamically spawned process receives on startup: its own world
@@ -56,7 +56,7 @@ impl InterComm {
             ep.now += core.net.send_cost(payload.len());
             ep.now + core.net.latency
         };
-        core.router.deliver(
+        core.deliver(
             self.remote.members[dst],
             Envelope {
                 comm: self.id,
@@ -88,7 +88,7 @@ impl InterComm {
         // locally.
         let payload = if self.local.rank() == 0 {
             let id = if self.is_low {
-                let id = core.router.alloc_comm_id();
+                let id = core.alloc_comm_id();
                 self.send_remote(0, TAG_MERGE, &[id]);
                 id
             } else {
@@ -267,7 +267,8 @@ impl Comm {
     }
 }
 
-/// Parent-root half of spawning: register and start the child threads.
+/// Parent-root half of spawning: start the child processes. Returns the
+/// intercommunicator's id and the children's group.
 fn spawn_children<F>(
     core: &Arc<UniverseCore>,
     n: usize,
@@ -286,55 +287,24 @@ where
             .collect()
     });
     assert_eq!(nodes.len(), n, "need one node per spawned process");
-    let entry = Arc::new(entry);
-    let inter_id = core.router.alloc_comm_id();
-    let child_world_id = core.router.alloc_comm_id();
-    let regs: Vec<_> = (0..n).map(|_| core.router.register()).collect();
-    let members: Vec<ProcId> = regs.iter().map(|(p, _)| *p).collect();
-    let child_group = Arc::new(Group {
-        id: child_world_id,
-        members: members.clone(),
-        nodes: nodes.clone(),
-    });
-    for (rank, (pid, rx)) in regs.into_iter().enumerate() {
-        let child_group = Arc::clone(&child_group);
-        let parent_group = Arc::clone(&parent_group);
-        let entry = Arc::clone(&entry);
-        let core2 = Arc::clone(core);
-        let node = nodes[rank];
-        core.start_proc(
-            pid,
-            rx,
-            node,
-            format!("{name}.spawn{rank}"),
-            start_vtime,
-            move |ep| {
-                let world = Comm {
-                    group: child_group,
-                    rank,
-                    ep: std::rc::Rc::clone(&ep),
-                    core: Arc::clone(&core2),
-                    stats: std::rc::Rc::default(),
-                };
-                let parent = InterComm {
-                    id: inter_id,
-                    local: world.clone(),
-                    remote: parent_group,
-                    is_low: false,
-                };
-                entry(SpawnCtx { world, parent });
-            },
-            true,
-        );
-    }
-    (
-        inter_id,
-        Arc::new(Group {
-            id: 0,
-            members,
-            nodes,
-        }),
-    )
+    let inter_id = core.alloc_comm_id();
+    let child_world_id = core.alloc_comm_id();
+    let children = core.start_group(
+        child_world_id,
+        nodes,
+        &format!("{name}.spawn"),
+        start_vtime,
+        move |world| {
+            let parent = InterComm {
+                id: inter_id,
+                local: world.clone(),
+                remote: Arc::clone(&parent_group),
+                is_low: false,
+            };
+            entry(SpawnCtx { world, parent });
+        },
+    );
+    (inter_id, children)
 }
 
 #[cfg(test)]

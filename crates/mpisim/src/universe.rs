@@ -1,18 +1,23 @@
-//! The virtual cluster: node inventory, process lifecycle, and failure
+//! The virtual cluster: node inventory, the process table, and failure
 //! reporting.
+//!
+//! The universe keeps one table of every process it ever started, indexed
+//! by [`ProcId`]. An entry ([`Proc`]) holds the process's mailbox, its
+//! [`ProcStatus`] and its thread; joins, sends, receives and the exit all
+//! go through it.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::comm::{Comm, Group, NodeId};
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, Envelope, Proc, ProcId};
 use crate::fault::FaultState;
 use crate::net::NetModel;
-use crate::router::{ProcId, Router};
 
 /// Lifecycle state of a simulated process, as reported to monitors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,77 +43,126 @@ pub struct ProcEvent {
 type ExitHook = dyn Fn(ProcEvent) + Send + Sync;
 
 pub(crate) struct UniverseCore {
-    pub router: Router,
+    /// The process table: entry `i` is process `ProcId(i)`'s.
+    procs: RwLock<Vec<Arc<Proc>>>,
+    next_comm: AtomicU64,
     pub net: NetModel,
     pub num_nodes: usize,
     pub slots_per_node: usize,
-    statuses: Mutex<HashMap<ProcId, ProcStatus>>,
     /// The exit hook ([`Universe::monitor`]).
     monitor: OnceLock<Box<ExitHook>>,
-    /// Join handles for *spawned* (mid-run) processes; initial launch groups
-    /// keep their own handles in their [`GroupHandle`].
-    spawned_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Injected faults (node crashes, spawn caps, link slowdowns).
     pub fault: FaultState,
 }
 
 impl UniverseCore {
-    /// Register a process, start its thread, and track its status. `entry`
-    /// receives the fully constructed communicator-building closure result.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_proc<F>(
-        self: &Arc<Self>,
-        pid: ProcId,
-        rx: crossbeam_channel::Receiver<crate::router::Envelope>,
-        node: NodeId,
-        name: String,
-        start_vtime: f64,
-        make_and_run: F,
-        track_in_core: bool,
-    ) -> Option<JoinHandle<()>>
-    where
-        F: FnOnce(std::rc::Rc<std::cell::RefCell<Endpoint>>) + Send + 'static,
-    {
-        self.statuses.lock().insert(pid, ProcStatus::Running);
-        let core = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name(name)
-            .spawn(move || {
-                let ep =
-                    std::rc::Rc::new(std::cell::RefCell::new(Endpoint::new(pid, rx, start_vtime)));
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| make_and_run(ep)));
-                let status = match result {
-                    Ok(()) => ProcStatus::Finished,
-                    Err(e) => {
-                        let msg = e
-                            .downcast_ref::<String>()
-                            .cloned()
-                            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                            .unwrap_or_else(|| "unknown panic".to_string());
-                        ProcStatus::Failed(msg)
-                    }
-                };
-                core.router.deregister(pid);
-                core.statuses.lock().insert(pid, status.clone());
-                if let Some(hook) = core.monitor.get() {
-                    hook(ProcEvent {
-                        proc: pid,
-                        node,
-                        status,
-                    });
-                }
-            })
-            .expect("failed to spawn simulated process thread");
-        if track_in_core {
-            self.spawned_handles.lock().push(handle);
-            None
-        } else {
-            Some(handle)
-        }
+    /// Process `pid`'s entry.
+    pub fn proc(&self, pid: ProcId) -> Option<Arc<Proc>> {
+        self.procs.read().get(pid.0 as usize).cloned()
+    }
+
+    pub fn is_live(&self, pid: ProcId) -> bool {
+        self.proc(pid).is_some_and(|p| p.is_live())
     }
 
     pub fn status_of(&self, pid: ProcId) -> Option<ProcStatus> {
-        self.statuses.lock().get(&pid).cloned()
+        self.proc(pid).map(|p| p.status())
+    }
+
+    /// Allocate a fresh communicator id. Agreement among members is arranged
+    /// by the collective that triggers allocation (split/dup/spawn/merge).
+    pub fn alloc_comm_id(&self) -> u64 {
+        self.next_comm.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Send `env` to `dst`. Panics if `dst` has exited, surfacing protocol
+    /// bugs (e.g. messaging a rank that already shrank away) immediately
+    /// instead of hanging.
+    pub fn deliver(&self, dst: ProcId, env: Envelope) {
+        if let Err(_env) = self.try_deliver(dst, env) {
+            panic!("send to unknown or terminated process {dst}");
+        }
+    }
+
+    /// Like [`UniverseCore::deliver`] but hands the envelope back instead
+    /// of panicking when the destination has exited, so fault-aware callers
+    /// (e.g. redistribution abort paths) can decline gracefully.
+    pub fn try_deliver(&self, dst: ProcId, env: Envelope) -> Result<(), Envelope> {
+        match self.proc(dst) {
+            Some(p) => p.deliver(env),
+            None => Err(env),
+        }
+    }
+
+    /// Start one process on each of `nodes`, as a group over communicator
+    /// `id`; each runs `entry` with its [`Comm`] of the group, on a thread
+    /// named `{name}{rank}`, its clock at `start_vtime`.
+    pub fn start_group<F>(
+        self: &Arc<Self>,
+        id: u64,
+        nodes: Vec<NodeId>,
+        name: &str,
+        start_vtime: f64,
+        entry: F,
+    ) -> Arc<Group>
+    where
+        F: Fn(Comm) + Send + Sync + 'static,
+    {
+        let procs: Vec<Arc<Proc>> = nodes.iter().map(|_| Arc::new(Proc::new())).collect();
+        let members = {
+            let mut table = self.procs.write();
+            let first = table.len() as u64;
+            table.extend(procs.iter().cloned());
+            (first..table.len() as u64).map(ProcId).collect()
+        };
+        let group = Arc::new(Group { id, members, nodes });
+        let entry = Arc::new(entry);
+        for (rank, proc) in procs.into_iter().enumerate() {
+            let (core, group, entry) = (Arc::clone(self), Arc::clone(&group), Arc::clone(&entry));
+            let me = Arc::clone(&proc);
+            let handle = std::thread::Builder::new()
+                .name(format!("{name}{rank}"))
+                .spawn(move || {
+                    let (pid, node) = (group.members[rank], group.nodes[rank]);
+                    let ep = Endpoint::new(pid, Arc::clone(&me), start_vtime);
+                    let comm = Comm {
+                        group,
+                        rank,
+                        ep: Rc::new(RefCell::new(ep)),
+                        core: Arc::clone(&core),
+                        stats: Rc::default(),
+                    };
+                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| entry(comm)));
+                    let status = match result {
+                        Ok(()) => ProcStatus::Finished,
+                        Err(e) => {
+                            let msg = e
+                                .downcast_ref::<String>()
+                                .cloned()
+                                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+                                .unwrap_or_else(|| "unknown panic".to_string());
+                            ProcStatus::Failed(msg)
+                        }
+                    };
+                    // The queue drops outside the lock, handing back the
+                    // loans in it; then every blocked receive looks again
+                    // at whether its sender is live.
+                    drop(me.exit(status.clone()));
+                    for p in core.procs.read().iter().filter(|p| p.is_live()) {
+                        p.wake();
+                    }
+                    if let Some(hook) = core.monitor.get() {
+                        hook(ProcEvent {
+                            proc: pid,
+                            node,
+                            status,
+                        });
+                    }
+                })
+                .expect("failed to spawn simulated process thread");
+            *proc.thread.lock() = Some(handle);
+        }
+        group
     }
 }
 
@@ -127,13 +181,12 @@ impl Universe {
         assert!(num_nodes > 0 && slots_per_node > 0);
         Universe {
             core: Arc::new(UniverseCore {
-                router: Router::new(),
+                procs: RwLock::default(),
+                next_comm: AtomicU64::new(1),
                 net,
                 num_nodes,
                 slots_per_node,
-                statuses: Mutex::new(HashMap::new()),
                 monitor: OnceLock::new(),
-                spawned_handles: Mutex::new(Vec::new()),
                 fault: FaultState::default(),
             }),
         }
@@ -246,58 +299,25 @@ impl Universe {
         assert!(n > 0, "cannot launch an empty group");
         let nodes = nodes.unwrap_or_else(|| self.default_placement(n));
         assert_eq!(nodes.len(), n, "need one node per process");
-        let entry = Arc::new(entry);
-        let regs: Vec<_> = (0..n).map(|_| self.core.router.register()).collect();
-        let members: Vec<ProcId> = regs.iter().map(|(p, _)| *p).collect();
-        let group = Arc::new(Group {
-            id: self.core.router.alloc_comm_id(),
-            members: members.clone(),
-            nodes: nodes.clone(),
-        });
-        let mut handles = Vec::with_capacity(n);
-        for (rank, (pid, rx)) in regs.into_iter().enumerate() {
-            let group = Arc::clone(&group);
-            let entry = Arc::clone(&entry);
-            let core = Arc::clone(&self.core);
-            let node = nodes[rank];
-            let h = self.core.start_proc(
-                pid,
-                rx,
-                node,
-                format!("{name}.{rank}"),
-                start_vtime,
-                move |ep| {
-                    let comm = Comm {
-                        group,
-                        rank,
-                        ep,
-                        core,
-                        stats: std::rc::Rc::default(),
-                    };
-                    entry(comm);
-                },
-                false,
-            );
-            handles.push(h.expect("launch returns handles"));
-        }
+        let id = self.core.alloc_comm_id();
+        let group = self
+            .core
+            .start_group(id, nodes, &format!("{name}."), start_vtime, entry);
         GroupHandle {
-            members,
-            handles,
+            members: group.members.clone(),
             core: Arc::clone(&self.core),
         }
     }
 
-    /// Wait for every process spawned dynamically (via [`Comm::spawn`]) to
-    /// terminate. Initial groups are joined via their [`GroupHandle`]s.
+    /// Wait for every process whose thread no [`GroupHandle`] joined to
+    /// terminate: those spawned dynamically (via [`Comm::spawn`]), and the
+    /// members of launched groups whose handle was dropped or is not joined
+    /// yet.
     pub fn join_spawned(&self) {
-        loop {
-            let next = self.core.spawned_handles.lock().pop();
-            match next {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+        let mut next = 0;
+        while let Some(proc) = self.core.proc(ProcId(next)) {
+            proc.join();
+            next += 1;
         }
     }
 }
@@ -305,7 +325,6 @@ impl Universe {
 /// Handle to an initially launched process group.
 pub struct GroupHandle {
     members: Vec<ProcId>,
-    handles: Vec<JoinHandle<()>>,
     core: Arc<UniverseCore>,
 }
 
@@ -316,8 +335,8 @@ impl GroupHandle {
 
     /// Wait for all members and return their final statuses.
     pub fn join(self) -> Vec<(ProcId, ProcStatus)> {
-        for h in self.handles {
-            let _ = h.join();
+        for &p in &self.members {
+            self.core.proc(p).expect("a member has an entry").join();
         }
         self.members
             .iter()
@@ -359,6 +378,46 @@ impl GroupHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+
+    #[test]
+    fn ids_are_unique() {
+        let uni = Universe::new(2, 1, NetModel::ideal());
+        let a = uni.launch(1, None, "a", |_| {});
+        let b = uni.launch(1, None, "b", |_| {});
+        assert_ne!(a.members(), b.members());
+        assert_eq!(uni.core.procs.read().len(), 2);
+        a.join_ok();
+        b.join_ok();
+    }
+
+    #[test]
+    #[should_panic(expected = "terminated process")]
+    fn deliver_to_dead_panics() {
+        let uni = Universe::new(1, 1, NetModel::ideal());
+        let h = uni.launch(1, None, "gone", |_| {});
+        let pid = h.members()[0];
+        h.join_ok();
+        uni.core.deliver(
+            pid,
+            Envelope {
+                comm: 1,
+                src: 0,
+                tag: 0,
+                arrival: 0.0,
+                len: 0,
+                payload: bytes::Bytes::new(),
+            },
+        );
+    }
+
+    #[test]
+    fn comm_ids_monotonic() {
+        let uni = Universe::new(1, 1, NetModel::ideal());
+        let a = uni.core.alloc_comm_id();
+        let b = uni.core.alloc_comm_id();
+        assert!(b > a);
+    }
 
     #[test]
     fn launch_and_join() {

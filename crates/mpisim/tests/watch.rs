@@ -86,7 +86,6 @@ fn run() -> &'static Run {
 /// (a) Before watched receives woke on their sender's exit, they looked at
 /// the sender every millisecond: 265 to 280 switches over four runs.
 #[test]
-#[ignore = "a watched receive polls its sender every millisecond: 278 switches"]
 fn a_watched_receive_sleeps_until_its_message() {
     let n = run().switches[0];
     assert!(n <= MAX_SWITCHES, "(a) took {n} voluntary context switches");
@@ -102,7 +101,6 @@ fn a_plain_receive_sleeps_until_its_message() {
 /// (c) Before watched receives woke on their sender's exit: 278 to 280
 /// switches over four runs, and `Err` after 301 ms.
 #[test]
-#[ignore = "a watched receive polls its sender every millisecond: 278 switches"]
 fn a_watched_receive_sleeps_until_its_sender_exits() {
     let run = run();
     assert!(run.c_failed, "(c) must fail: its sender exited");
