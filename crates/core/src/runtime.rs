@@ -136,13 +136,14 @@ impl Progress {
 struct Scheduler {
     universe: Arc<Universe>,
     core: Arc<Mutex<SchedulerCore>>,
-    /// App and iteration count of each submitted job, for Job Startup.
-    /// Written under the core lock, so no transition can start a job whose
-    /// app is not here yet.
+    /// App and iteration count of each job not yet launched, for Job
+    /// Startup. Written under the core lock, so no transition can start a
+    /// job whose app is not here yet; Job Startup takes it, and a queued
+    /// job's cancellation drops it.
     apps: Mutex<HashMap<JobId, (AppDef, usize)>>,
-    /// First (rank-0) process of each job, which the System Monitor watches
-    /// — "only the monitor running on the first node of its processor set
-    /// communicates with the System Monitor".
+    /// First (rank-0) process of each job until it exits, which the System
+    /// Monitor watches — "only the monitor running on the first node of its
+    /// processor set communicates with the System Monitor".
     watch: Mutex<HashMap<ProcId, JobId>>,
     /// Stamps handed out so far ([`Scheduler::submission_stamp`]).
     stamps: AtomicU64,
@@ -172,7 +173,7 @@ impl Scheduler {
     fn actuate(self: &Arc<Self>, starts: Vec<StartAction>) {
         let slots_per_node = self.universe.slots_per_node();
         for s in starts {
-            let Some((app, iterations)) = self.apps.lock().get(&s.job).cloned() else {
+            let Some((app, iterations)) = self.apps.lock().remove(&s.job) else {
                 // Bookkeeping-only job (tests submit specs without apps).
                 continue;
             };
@@ -211,10 +212,15 @@ impl Scheduler {
                     run_resizable(comm, config, Arc::clone(&shared));
                 },
             );
-            self.watch.lock().insert(handle.members()[0], s.job);
-            // Handles are joined through the universe's status tracking; the
-            // GroupHandle itself can be dropped (threads keep running).
-            drop(handle);
+            // The group's threads keep running without the handle; the
+            // universe joins them (`Universe::join_spawned`).
+            let first = handle.members()[0];
+            self.watch.lock().insert(first, s.job);
+            if self.universe.status_of(first) != Some(ProcStatus::Running) {
+                // It exited before it was watched, and the monitor blamed
+                // its failure by node.
+                self.watch.lock().remove(&first);
+            }
         }
     }
 
@@ -226,10 +232,10 @@ impl Scheduler {
     /// matching running job is blamed) — the same ambiguity a per-node
     /// monitor has on a real shared-node cluster.
     fn on_exit(self: &Arc<Self>, ev: ProcEvent) {
+        let watched = self.watch.lock().remove(&ev.proc);
         let ProcStatus::Failed(reason) = ev.status else {
             return;
         };
-        let watched = self.watch.lock().get(&ev.proc).copied();
         let spn = self.universe.slots_per_node();
         let (job, deferred) = {
             let core = self.core.lock();
@@ -316,8 +322,13 @@ impl ReshapeRuntime {
     /// Cancel a job: queued jobs leave immediately, running jobs terminate
     /// at their next resize point.
     pub fn cancel(&self, job: JobId) {
-        self.sched
-            .transition(|core| ((), core.cancel(job, self.sched.submission_stamp())));
+        self.sched.transition(|core| {
+            if core.job(job).is_some_and(|r| r.state == JobState::Queued) {
+                // It never launches.
+                self.sched.apps.lock().remove(&job);
+            }
+            ((), core.cancel(job, self.sched.submission_stamp()))
+        });
     }
 
     /// Shared scheduler state, for inspection (profiles, events, jobs).
@@ -491,6 +502,54 @@ mod tests {
             rt.core().lock().idle_procs(),
             4,
             "resources never reclaimed"
+        );
+    }
+
+    #[test]
+    fn a_quiescent_runtime_keeps_no_app_or_watch() {
+        let rt = ReshapeRuntime::new(Universe::new(8, 1, NetModel::ideal()), QueuePolicy::Fcfs);
+        let spec = |name: &str, config: ProcessorConfig| {
+            JobSpec::new(name, TopologyPref::Grid { problem_size: 8 }, config, 4).static_job()
+        };
+        let crasher = AppDef::new(
+            |grid| {
+                let desc = Descriptor::square(8, 2, grid.nprow(), grid.npcol());
+                vec![DistMatrix::from_fn(
+                    desc,
+                    grid.myrow(),
+                    grid.mycol(),
+                    |_, _| 0.0,
+                )]
+            },
+            |grid, _m, it| {
+                if it == 2 && grid.comm().rank() == 0 {
+                    panic!("injected application error");
+                }
+                grid.comm().advance(0.1);
+            },
+        );
+        let finishes = rt.submit(spec("finishes", ProcessorConfig::new(1, 2)), toy(8, 1.0));
+        // One rank: a peer of the failed rank would wait out the receive
+        // deadline before it exits.
+        let fails = rt.submit(spec("fails", ProcessorConfig::new(1, 1)), crasher);
+        let running = rt.submit(spec("running", ProcessorConfig::new(1, 2)), toy(8, 1.0));
+        let queued = rt.submit(spec("queued", ProcessorConfig::new(2, 2)), toy(8, 1.0));
+        rt.cancel(queued);
+        rt.cancel(running);
+        rt.wait_quiescent(Duration::from_secs(30)).unwrap();
+        // Every rank has exited, and the monitor has seen each exit.
+        rt.universe().join_spawned();
+        let core = rt.core().lock();
+        let state = |job| core.job(job).map(|r| r.state.clone());
+        assert!(matches!(state(finishes), Some(JobState::Finished { .. })));
+        assert!(matches!(state(fails), Some(JobState::Failed { .. })));
+        assert!(matches!(state(running), Some(JobState::Cancelled { .. })));
+        assert!(matches!(state(queued), Some(JobState::Cancelled { .. })));
+        drop(core);
+        assert!(rt.sched.apps.lock().is_empty(), "an app outlived its job");
+        assert!(
+            rt.sched.watch.lock().is_empty(),
+            "a watch outlived its process"
         );
     }
 
