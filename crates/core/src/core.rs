@@ -16,7 +16,7 @@ use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
-use crate::job::{IdMap, IdSet, JobId, JobSpec, JobState};
+use crate::job::{IdMap, JobId, JobSpec, JobState};
 use crate::policy::{decide_with, RemapDecision, RemapPolicy, SystemSnapshot};
 use crate::pool::ResourcePool;
 use crate::profiler::{JobProfile, Profiler, Resize};
@@ -248,13 +248,11 @@ pub(crate) struct DurableState {
     /// Borrower-side lease ledger: lease id → attached foreign slots.
     pub(crate) borrowed_leases: BTreeMap<u64, BorrowedLease>,
     /// Jobs a later transition can act on: queued, running, and cancelled
-    /// while running until the resize point that delivers `Terminate`.
+    /// while running until the resize point that delivers `Terminate`. A
+    /// live job in state `Cancelled` is owed that `Terminate`.
     pub(crate) jobs: IdMap<JobId, JobRecord>,
     /// Job → reservation it is entitled to draw on.
     pub(crate) bindings: IdMap<JobId, ReservationId>,
-    /// Running jobs with a user cancellation pending (delivered at the next
-    /// resize point).
-    pub(crate) pending_cancel: IdSet<JobId>,
     /// The profiler is its per-job map and nothing else.
     pub(crate) profiler: Profiler,
 }
@@ -276,6 +274,10 @@ pub struct Checkpoint {
     pub(crate) foreign_minted: usize,
     /// Free slot ids, ascending.
     pub(crate) free_slots: Vec<usize>,
+    /// The jobs owed a `Terminate`, ascending, as the line lists them: a
+    /// core writes its live cancelled jobs, and `restore` refuses any other
+    /// list.
+    pub(crate) pending_cancel: Vec<JobId>,
 }
 
 /// The combined scheduler state machine.
@@ -334,7 +336,6 @@ impl SchedulerCore {
                 borrowed_leases: BTreeMap::new(),
                 jobs: IdMap::default(),
                 bindings: IdMap::default(),
-                pending_cancel: IdSet::default(),
                 profiler: Profiler::new(),
             },
             retired: IdMap::default(),
@@ -620,6 +621,7 @@ impl SchedulerCore {
             state,
             foreign_minted,
             free_slots,
+            pending_cancel,
         } = checkpoint;
         if state.next_id == 0 || state.next_reservation == 0 {
             return Err("ids are minted from 1".into());
@@ -667,9 +669,7 @@ impl SchedulerCore {
             let fits = match &job.state {
                 JobState::Queued => job.slots.is_empty(),
                 JobState::Running { config } => config.procs() == job.slots.len(),
-                JobState::Cancelled { .. } => {
-                    job.slots.is_empty() && state.pending_cancel.contains(&id)
-                }
+                JobState::Cancelled { .. } => job.slots.is_empty() && pending_cancel.contains(&id),
                 JobState::Finished { .. } | JobState::Failed { .. } => false,
             };
             if !(1..state.next_id).contains(&id.0) || !fits {
@@ -679,7 +679,7 @@ impl SchedulerCore {
                 queue.insert((Reverse(job.spec.priority), id), job.spec.initial.procs());
             }
         }
-        if let Some(id) = state.pending_cancel.iter().find(|id| {
+        if let Some(id) = pending_cancel.iter().find(|id| {
             !matches!(state.jobs.get(id), Some(j) if matches!(j.state, JobState::Cancelled { .. }))
         }) {
             return Err(format!(
@@ -876,7 +876,13 @@ impl SchedulerCore {
             reservations: self.state.reservations.clone(),
             next_reservation: self.state.next_reservation,
             bindings: self.state.bindings.iter().map(|(k, v)| (*k, *v)).collect(),
-            pending_cancel: self.state.pending_cancel.iter().copied().collect(),
+            pending_cancel: self
+                .state
+                .jobs
+                .iter()
+                .filter(|(_, r)| matches!(r.state, JobState::Cancelled { .. }))
+                .map(|(&id, _)| id)
+                .collect(),
             busy_proc_seconds: self.state.busy_proc_seconds,
             last_tick: self.state.last_tick,
             events: self.events.clone(),
@@ -1197,7 +1203,11 @@ impl SchedulerCore {
             now,
         });
         self.tick(now);
-        if self.state.pending_cancel.remove(&job) {
+        if let Some(JobRecord {
+            state: JobState::Cancelled { .. },
+            ..
+        }) = self.state.jobs.get(&job)
+        {
             self.retire(job);
             return (Directive::Terminate, Vec::new());
         }
@@ -1663,7 +1673,6 @@ impl SchedulerCore {
                 rec.state = JobState::Cancelled { at: now };
                 rec.finished_at = Some(now);
                 self.pool.release(&slots);
-                self.state.pending_cancel.insert(job);
                 self.push_event(SchedEvent {
                     time: now,
                     job,
@@ -2968,7 +2977,8 @@ mod tests {
         assert!(
             core.queue_len() > 0 && !core.state.bindings.is_empty() && !core.retired.is_empty()
         );
-        assert!(!core.state.pending_cancel.is_empty() && !core.state.lent_leases.is_empty());
+        let owed_terminate = |j: &JobRecord| matches!(j.state, JobState::Cancelled { .. });
+        assert!(core.state.jobs.values().any(owed_terminate) && !core.state.lent_leases.is_empty());
         assert!(!core.state.borrowed_leases.is_empty() && core.pool.foreign_minted() > 0);
         assert!(core.state.expand_paused && core.state.epoch == 1 && core.state.events_dropped > 0);
         assert!(core.state.profiler.profile(a).is_some() && core.state.busy_proc_seconds > 0.0);
@@ -3012,7 +3022,13 @@ mod tests {
                 c.state.bindings.insert(JobId(99), ReservationId(1));
             }),
             ("pending_cancel", |c| {
-                c.state.pending_cancel.insert(JobId(99));
+                let running = c
+                    .state
+                    .jobs
+                    .values_mut()
+                    .find(|j| matches!(j.state, JobState::Running { .. }))
+                    .unwrap();
+                running.state = JobState::Cancelled { at: 8.0 };
             }),
             ("busy_proc_seconds", |c| c.state.busy_proc_seconds += 1.0),
             ("last_tick", |c| c.state.last_tick += 1.0),
@@ -3367,11 +3383,11 @@ mod tests {
                     borrowed_leases: [(2, borrowed)].into_iter().collect(),
                     jobs: jobs.into_iter().collect(),
                     bindings: IdMap::default(),
-                    pending_cancel,
                     profiler,
                 },
                 foreign_minted: 3,
                 free_slots: free,
+                pending_cancel,
             };
             let mut core = SchedulerCore::new(8, QueuePolicy::Fcfs);
             if core.restore(checkpoint).is_err() {

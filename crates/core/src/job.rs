@@ -4,7 +4,7 @@
 //! by something it minted itself — [`JobId`]s, and the handful of
 //! [`ProcessorConfig`]s in one job's profile.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
@@ -56,7 +56,6 @@ impl Hasher for IdHasher {
 }
 
 pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
-pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Everything submitted with a job (the command line + configuration file of
 /// the paper's submission process).

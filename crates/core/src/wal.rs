@@ -625,7 +625,6 @@ fn put_checkpoint(
         borrowed_leases,
         jobs,
         bindings,
-        pending_cancel,
         profiler,
     } = state;
     put_u64(out, *next_id);
@@ -662,9 +661,12 @@ fn put_checkpoint(
         put_u64(out, id.0);
         put_u64(out, r.0);
     });
+    // pending_cancel: the live jobs owed a `Terminate`.
     put_ascending(
         out,
-        pending_cancel.iter().map(|id| (id, ())),
+        jobs.iter()
+            .filter(|(_, job)| matches!(job.state, JobState::Cancelled { .. }))
+            .map(|(id, _)| (id, ())),
         |out, id, ()| put_u64(out, id.0),
     );
     put_ascending(out, profiler.profiles(), |out, id, p| {
@@ -1332,9 +1334,38 @@ impl<'a> Fields<'a> {
         let (epoch, events_dropped) = (self.u64()?, self.u64()?);
         let (busy_proc_seconds, last_tick, expand_paused) =
             (self.f64()?, self.f64()?, self.bool()?);
+        let (foreign_minted, free_slots) = (self.usize()?, self.slots()?);
+        let reservations = (0..self.usize()?)
+            .map(|_| {
+                Ok(Reservation {
+                    id: ReservationId(self.u64()?),
+                    start: self.f64()?,
+                    end: self.f64()?,
+                    procs: self.usize()?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let lent_leases = self.ascending(|f| Ok((f.u64()?, f.slots()?)))?;
+        let borrowed_leases = self.ascending(|f| {
+            Ok((
+                f.u64()?,
+                BorrowedLease {
+                    local: f.slots()?,
+                    global: f.slots()?,
+                    lender_epoch: f.u64()?,
+                },
+            ))
+        })?;
+        let jobs = self.ascending(|f| Ok((f.job_id()?, f.job()?)))?;
+        let bindings = self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?;
+        let pending_cancel = self
+            .ascending::<_, _, BTreeMap<_, ()>>(|f| Ok((f.job_id()?, ())))?
+            .into_keys()
+            .collect();
+        let profiler = Profiler {
+            jobs: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
+        };
         Ok(Checkpoint {
-            foreign_minted: self.usize()?,
-            free_slots: self.slots()?,
             state: DurableState {
                 next_id,
                 next_reservation,
@@ -1343,37 +1374,16 @@ impl<'a> Fields<'a> {
                 busy_proc_seconds,
                 last_tick,
                 expand_paused,
-                reservations: (0..self.usize()?)
-                    .map(|_| {
-                        Ok(Reservation {
-                            id: ReservationId(self.u64()?),
-                            start: self.f64()?,
-                            end: self.f64()?,
-                            procs: self.usize()?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-                lent_leases: self.ascending(|f| Ok((f.u64()?, f.slots()?)))?,
-                borrowed_leases: self.ascending(|f| {
-                    Ok((
-                        f.u64()?,
-                        BorrowedLease {
-                            local: f.slots()?,
-                            global: f.slots()?,
-                            lender_epoch: f.u64()?,
-                        },
-                    ))
-                })?,
-                jobs: self.ascending(|f| Ok((f.job_id()?, f.job()?)))?,
-                bindings: self.ascending(|f| Ok((f.job_id()?, ReservationId(f.u64()?))))?,
-                pending_cancel: self
-                    .ascending::<_, _, BTreeMap<_, ()>>(|f| Ok((f.job_id()?, ())))?
-                    .into_keys()
-                    .collect(),
-                profiler: Profiler {
-                    jobs: self.ascending(|f| Ok((f.job_id()?, f.profile()?)))?,
-                },
+                reservations,
+                lent_leases,
+                borrowed_leases,
+                jobs,
+                bindings,
+                profiler,
             },
+            foreign_minted,
+            free_slots,
+            pending_cancel,
         })
     }
 }
