@@ -144,6 +144,16 @@ impl Proc {
             let _ = handle.join();
         }
     }
+
+    /// Join the thread if it has ended and no join holds it, so a new
+    /// thread can reuse its stack.
+    pub fn reap(&self) {
+        if let Some(mut thread) = self.thread.try_lock() {
+            if let Some(handle) = thread.take_if(|h| h.is_finished()) {
+                let _ = handle.join();
+            }
+        }
+    }
 }
 
 /// A process's receiving end and its virtual clock.

@@ -108,6 +108,9 @@ impl UniverseCore {
     where
         F: Fn(Comm) + Send + Sync + 'static,
     {
+        for p in self.procs.read().iter() {
+            p.reap();
+        }
         let procs: Vec<Arc<Proc>> = nodes.iter().map(|_| Arc::new(Proc::new())).collect();
         let members = {
             let mut table = self.procs.write();
