@@ -315,26 +315,4 @@ mod tests {
         ep.recv_match(1, 0, 0, &NetModel::ideal(), None).unwrap();
         assert_eq!(ep.now, 10.0);
     }
-
-    #[test]
-    fn a_watched_receive_ends_at_its_senders_exit_after_its_queued_match() {
-        let (me, mut ep) = endpoint(0.0);
-        let sender = Proc::new();
-        me.deliver(env(1, 0, 5, 0.0)).unwrap();
-        drop(sender.exit(ProcStatus::Finished));
-        let net = NetModel::ideal();
-        assert!(ep.recv_match(1, 0, 5, &net, Some(&sender)).is_some());
-        assert!(ep.recv_match(1, 0, 5, &net, Some(&sender)).is_none());
-    }
-
-    #[test]
-    fn an_exited_process_refuses_sends_and_hands_back_its_queue() {
-        let me = Proc::new();
-        me.deliver(env(1, 0, 5, 0.0)).unwrap();
-        let queued = me.exit(ProcStatus::Finished);
-        assert_eq!(queued.len(), 1);
-        assert!(me.deliver(env(1, 0, 6, 0.0)).is_err());
-        assert!(!me.is_live());
-        assert_eq!(me.status(), ProcStatus::Finished);
-    }
 }

@@ -108,9 +108,6 @@ impl UniverseCore {
     where
         F: Fn(Comm) + Send + Sync + 'static,
     {
-        for p in self.procs.read().iter() {
-            p.reap();
-        }
         let procs: Vec<Arc<Proc>> = nodes.iter().map(|_| Arc::new(Proc::new())).collect();
         let members = {
             let mut table = self.procs.write();
@@ -148,11 +145,17 @@ impl UniverseCore {
                         }
                     };
                     // The queue drops outside the lock, handing back the
-                    // loans in it; then every blocked receive looks again
-                    // at whether its sender is live.
+                    // loans in it. Then every blocked receive looks again
+                    // at whether its sender is live, and the threads that
+                    // have ended are joined, so new ones reuse their stacks.
                     drop(me.exit(status.clone()));
-                    for p in core.procs.read().iter().filter(|p| p.is_live()) {
-                        p.wake();
+                    let table = core.procs.read().clone();
+                    for p in &table {
+                        if p.is_live() {
+                            p.wake();
+                        } else {
+                            p.reap();
+                        }
                     }
                     if let Some(hook) = core.monitor.get() {
                         hook(ProcEvent {
@@ -411,6 +414,24 @@ mod tests {
                 len: 0,
                 payload: bytes::Bytes::new(),
             },
+        );
+    }
+
+    #[test]
+    fn an_exit_joins_the_threads_that_ended() {
+        let uni = Universe::new(2, 1, NetModel::ideal());
+        let first = uni.launch(1, None, "first", |_| {}).members()[0];
+        let proc = uni.core.proc(first).unwrap();
+        for _ in 0..10_000 {
+            if proc.thread.lock().as_ref().unwrap().is_finished() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        uni.launch(1, None, "second", |_| {}).join_ok();
+        assert!(
+            proc.thread.lock().is_none(),
+            "an ended thread was left unjoined"
         );
     }
 
