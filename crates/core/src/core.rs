@@ -257,6 +257,16 @@ pub(crate) struct DurableState {
     pub(crate) profiler: Profiler,
 }
 
+impl DurableState {
+    /// The live jobs owed a `Terminate`: those in state `Cancelled`.
+    pub(crate) fn pending_cancel(&self) -> impl Iterator<Item = JobId> + '_ {
+        self.jobs
+            .iter()
+            .filter(|(_, job)| matches!(job.state, JobState::Cancelled { .. }))
+            .map(|(&id, _)| id)
+    }
+}
+
 /// The live state of a core whose WAL was compacted: what a
 /// [`WalRecord::Checkpoint`] carries. It is the core's `DurableState` and
 /// the pool's free slots and minted count: every field
@@ -876,13 +886,7 @@ impl SchedulerCore {
             reservations: self.state.reservations.clone(),
             next_reservation: self.state.next_reservation,
             bindings: self.state.bindings.iter().map(|(k, v)| (*k, *v)).collect(),
-            pending_cancel: self
-                .state
-                .jobs
-                .iter()
-                .filter(|(_, r)| matches!(r.state, JobState::Cancelled { .. }))
-                .map(|(&id, _)| id)
-                .collect(),
+            pending_cancel: self.state.pending_cancel().collect(),
             busy_proc_seconds: self.state.busy_proc_seconds,
             last_tick: self.state.last_tick,
             events: self.events.clone(),
@@ -1203,11 +1207,8 @@ impl SchedulerCore {
             now,
         });
         self.tick(now);
-        if let Some(JobRecord {
-            state: JobState::Cancelled { .. },
-            ..
-        }) = self.state.jobs.get(&job)
-        {
+        let owed_terminate = |r: &JobRecord| matches!(r.state, JobState::Cancelled { .. });
+        if self.state.jobs.get(&job).is_some_and(owed_terminate) {
             self.retire(job);
             return (Directive::Terminate, Vec::new());
         }

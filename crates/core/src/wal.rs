@@ -661,12 +661,9 @@ fn put_checkpoint(
         put_u64(out, id.0);
         put_u64(out, r.0);
     });
-    // pending_cancel: the live jobs owed a `Terminate`.
     put_ascending(
         out,
-        jobs.iter()
-            .filter(|(_, job)| matches!(job.state, JobState::Cancelled { .. }))
-            .map(|(id, _)| (id, ())),
+        state.pending_cancel().map(|id| (id, ())),
         |out, id, ()| put_u64(out, id.0),
     );
     put_ascending(out, profiler.profiles(), |out, id, p| {
